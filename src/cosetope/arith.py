@@ -187,6 +187,37 @@ def _factorize(n: int) -> dict:
     return out
 
 
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Miller-Rabin to the first twelve prime bases: exact for n < 3.1e23.
+
+    Unlike trial division it stays fast on huge inputs, which come from
+    user-supplied tower files.
+    """
+    if n < 2:
+        return False
+    for p in _PRIME_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def sl2_group_order(m: int) -> int:
     """Order of the determinant-1 matrix group over Z/m (multiplicative in m)."""
     if m == 1:

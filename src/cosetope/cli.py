@@ -88,9 +88,12 @@ def _spec_of(args) -> QuotientSpec:
 
 def _budgets_of(args) -> Budgets:
     base = active_budgets()
-    closure = getattr(args, "closure_cap", None) or base.closure_cap
-    product = getattr(args, "product_cap", None) or base.product_cap
-    return Budgets(closure_cap=closure, product_cap=product)
+    closure = getattr(args, "closure_cap", None)
+    product = getattr(args, "product_cap", None)
+    return Budgets(
+        closure_cap=base.closure_cap if closure is None else closure,
+        product_cap=base.product_cap if product is None else product,
+    )
 
 
 def _emit(args, command: str, config: dict, result) -> None:
@@ -116,7 +119,13 @@ def _cmd_quotient(args) -> int:
         "sl2_order": sl2_group_order(spec.m),
     }
     if args.enumerate or order is None:
-        full = quotient_context(spec).enumerate(_budgets_of(args))
+        budgets = _budgets_of(args)
+        if order is not None and order > budgets.closure_cap:
+            raise BudgetError(
+                f"closure budget exceeded: quotient mod {spec.m} has {order} elements "
+                f"> {budgets.closure_cap} (closure_cap)"
+            )
+        full = quotient_context(spec).enumerate(budgets)
         result["enumerated_order"] = len(full)
     _emit(args, "quotient", config, result)
     return 0

@@ -18,9 +18,9 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Mat2, sl2_group_order
+from .arith import Mat2, is_prime, sl2_group_order
 from .budgets import Budgets, active_budgets
-from .errors import PreconditionError, ValidationError
+from .errors import BudgetError, PreconditionError, ValidationError
 from .groupcore import (
     GeneratedSubgroup,
     GroupContext,
@@ -40,13 +40,13 @@ from .modular import (
     ModularWord,
     PermRep,
     perm_identity,
+    perm_inv,
+    perm_mul,
     rep_contains,
     schreier_transversal_words,
     subgroup_generators,
     word_eval,
 )
-
-KERNEL_FILTER_CAP = 200_000
 
 
 class Formation(NamedTuple):
@@ -60,8 +60,8 @@ class Formation(NamedTuple):
         if kind == "all":
             return cls("all", None)
         if kind == "pro-p":
-            if p is None or p < 2:
-                raise ValidationError("pro-p formation needs a prime p >= 2")
+            if p is None or not is_prime(p):
+                raise ValidationError(f"pro-p formation needs a prime p, got {p!r}")
             return cls("pro-p", p)
         raise ValidationError(f"unknown formation kind: {kind!r}")
 
@@ -84,17 +84,7 @@ class Formation(NamedTuple):
 
 def _perm_group_order(rep: PermRep) -> int:
     ident = perm_identity(rep.degree)
-
-    def mul(p, q):
-        return tuple(q[i] for i in p)
-
-    def inv(p):
-        out = [0] * len(p)
-        for i, pi in enumerate(p):
-            out[pi] = i
-        return tuple(out)
-
-    ctx = GroupContext(ident, mul, inv, (rep.perm_s, rep.perm_t), name=f"perm image d={rep.degree}")
+    ctx = GroupContext(ident, perm_mul, perm_inv, (rep.perm_s, rep.perm_t), name=f"perm image d={rep.degree}")
     return len(ctx.enumerate())
 
 
@@ -147,9 +137,14 @@ class QuotientSpec(NamedTuple):
         formation = None
         raw_filter = data.get("filter")
         if raw_filter is not None:
-            kind = raw_filter.get("type", "all")
+            if not isinstance(raw_filter, dict):
+                raise ValidationError("spec 'filter' must be an object like {\"type\": \"pro-p\", \"p\": 2}, or null")
             p = raw_filter.get("p")
-            formation = Formation.make(kind, int(p) if p is not None else None)
+            try:
+                p = int(p) if p is not None else None
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"bad spec filter: {exc}") from exc
+            formation = Formation.make(raw_filter.get("type", "all"), p)
         return cls.make(m, rep, formation)
 
 
@@ -295,9 +290,12 @@ def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
     if not coarse.refined_by(fine):
         raise PreconditionError("element_restriction: the first spec does not refine the second")
     cm = coarse.m
-    if coarse.rep is None:
+    if coarse.rep is None or fine.rep is None:
+        # a plain fine quotient refines a coset action only of degree 1
+        sigma = None if coarse.rep is None else perm_identity(coarse.rep.degree)
+
         def restrict(x: SdElement) -> SdElement:
-            return SdElement(x.a.reduce(cm), x.h.reduce(cm), None)
+            return SdElement(x.a.reduce(cm), x.h.reduce(cm), sigma)
 
         return restrict
     pmap, section = _coset_fibration(fine.rep, coarse.rep)
@@ -312,23 +310,44 @@ def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
 def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets | None = None) -> GeneratedSubgroup:
     """Elements of the fine quotient that map to the identity of the coarse one.
 
-    Small quotients are filtered from the full enumeration; otherwise the
-    kernel is generated by Schreier words read off the action of the fine
-    generators on the coarse quotient, and closed.
+    When the fine quotient carries no coset action the kernel is listed
+    directly: every (a, h) with a = 0 and h = I modulo the coarse modulus.
+    Otherwise it is generated by Schreier words read off the action of the
+    fine generators on the coarse quotient, and closed.
     """
     if not coarse.refined_by(fine):
         raise PreconditionError("kernel_of_refinement: the first spec does not refine the second")
     budgets = active_budgets(budgets)
-    fctx = quotient_context(fine)
     if fine == coarse:
-        return subgroup_from_elements((fctx.identity,))
-    order = spec_group_order(fine)
-    if order is not None and order <= KERNEL_FILTER_CAP:
-        restrict = element_restriction(fine, coarse)
-        cid = quotient_context(coarse).identity
-        full = fctx.enumerate(budgets)
-        return subgroup_from_elements(x for x in full.elements if restrict(x) == cid)
+        return subgroup_from_elements((quotient_context(fine).identity,))
+    if fine.rep is None:
+        return _congruence_kernel(fine.m, coarse.m, budgets)
+    return _schreier_kernel(fine, coarse, budgets)
 
+
+def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
+    """ker(M2(Z/f) x| SL2(Z/f) -> M2(Z/c) x| SL2(Z/c)) for c dividing f, identity first.
+
+    Its order is (f/c)^4 * |SL2(Z/f)| / |SL2(Z/c)|, since reduction of SL2
+    is onto; the closure cap is checked against it before any element exists.
+    """
+    size = (f // c) ** 4 * sl2_group_order(f) // sl2_group_order(c)
+    if size > budgets.closure_cap:
+        raise BudgetError(
+            f"closure budget exceeded: refinement kernel {f} -> {c} has {size} elements "
+            f"> {budgets.closure_cap} (closure_cap)"
+        )
+    steps = range(0, f, c)
+    blocks = [(w, x, y, z) for w in steps for x in steps for y in steps for z in steps]
+    additive = [Mat2(w, x, y, z, f) for w, x, y, z in blocks]
+    # 1 + w < f because c >= 2, so these entries are already canonical
+    congruent = [h for h in (Mat2(1 + w, x, y, 1 + z, f) for w, x, y, z in blocks) if h.det_int() == 1]
+    return subgroup_from_elements(SdElement(a, h, None) for h in congruent for a in additive)
+
+
+def _schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets) -> GeneratedSubgroup:
+    """The refinement kernel as the closure of its Schreier generators; any specs."""
+    fctx = quotient_context(fine)
     cctx = quotient_context(coarse)
     restrict = element_restriction(fine, coarse)
     coarse_gens = [restrict(g) for g in fctx.generators]

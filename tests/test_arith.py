@@ -7,6 +7,7 @@ from cosetope.arith import (
     MAT_T,
     Mat2,
     Residue,
+    is_prime,
     psl2_group_order,
     sl2_group_order,
 )
@@ -135,6 +136,15 @@ def test_inverse_of_det1_matrices():
         m = rng.randrange(2, 13)
         xm = x.reduce(m)
         assert xm * xm.inv_det1() == Mat2.identity(m)
+
+
+def test_is_prime_matches_trial_division_and_stays_fast_on_huge_inputs():
+    for n in range(-3, 5000):
+        assert is_prime(n) == (n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1)))
+    # 3215031751 is a strong pseudoprime to bases 2, 3, 5 and 7
+    assert not is_prime(3215031751)
+    assert is_prime(2 ** 89 - 1) and is_prime(2 ** 127 - 1)
+    assert not is_prime((2 ** 61 - 1) * (2 ** 89 - 1))
 
 
 def test_group_order_helpers():

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from cosetope.cli import main
+from cosetope.groupcore import GroupContext
 from cosetope.modular import congruence_rep, is_congruence, low_index_reps
 from cosetope.report import canonical_dumps, parse_int
 
@@ -215,3 +216,46 @@ def test_budget_env_override(tmp_path, monkeypatch):
         main(["quotient", "--modulus", "3", "--enumerate", "--output", str(tmp_path / "q2.json")])
         == 3
     )
+
+
+def test_tractable_plain_tower_under_degree_one_action(tmp_path, gens_files):
+    m_spec = json.dumps({"m": 2, "rep": {"degree": 1, "s": [0], "t": [0]}})
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps([{"m": 4}]))
+    path = tmp_path / "tractable.json"
+    h = gens_files["h"]
+    data, _ = run_report(
+        ["tractable", "--h-gens", h, "--k-gens", h, "--hcapk-gens", h, "--m-spec", m_spec, "--tower", str(tower)],
+        path,
+    )
+    assert data["result"]["found"] is not None
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "raw_filter", [{"type": "pro-p", "p": "x"}, "pro-p", {"type": "pro-p", "p": 4}]
+)
+def test_bad_tower_filter_exits_2(tmp_path, gens_files, raw_filter):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps([{"m": 4, "filter": raw_filter}]))
+    h = gens_files["h"]
+    args = ["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", '{"m": 2}', "--tower", str(tower)]
+    assert main(args + ["--output", str(tmp_path / "t.json")]) == 2
+    m_spec = json.dumps({"m": 2, "filter": raw_filter})
+    assert main(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", m_spec]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--closure-cap", "--product-cap"])
+def test_zero_cap_flag_is_rejected(tmp_path, flag):
+    args = ["quotient", "--modulus", "2", "--enumerate", flag, "0", "--output", str(tmp_path / "q.json")]
+    assert main(args) == 2
+
+
+def test_quotient_enumerate_fails_fast_on_known_order(tmp_path, monkeypatch):
+    # order 12^4 * |SL2(Z/12)| = 23,887,872 exceeds the default cap; the
+    # known order must stop the command before any enumeration starts
+    def refuse(self, budgets=None):
+        raise AssertionError("enumeration started")
+
+    monkeypatch.setattr(GroupContext, "enumerate", refuse)
+    assert main(["quotient", "--modulus", "12", "--enumerate", "--output", str(tmp_path / "q.json")]) == 3

@@ -5,13 +5,15 @@ import pytest
 
 import cosetope.profinite as profinite
 from cosetope.arith import Mat2, sl2_group_order
-from cosetope.errors import PreconditionError, ValidationError
+from cosetope.budgets import Budgets
+from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import (
     subgroup_closure,
     subgroup_intersection,
 )
 from cosetope.modular import (
     ModularWord,
+    PermRep,
     congruence_rep,
     is_congruence,
     low_index_reps,
@@ -139,12 +141,77 @@ def test_kernel_of_refinement_four_over_two():
         assert restrict(x) == cid
 
 
-def test_kernel_schreier_path_matches_filter_path(monkeypatch):
+def _filter_kernel(fine, coarse):
+    """Oracle: the elements of the whole fine quotient that restrict to the identity."""
+    restrict = element_restriction(fine, coarse)
+    cid = quotient_context(coarse).identity
+    return frozenset(x for x in quotient_context(fine).enumerate() if restrict(x) == cid)
+
+
+def _congruence_kernel_order(f, c):
+    return (f // c) ** 4 * sl2_group_order(f) // sl2_group_order(c)
+
+
+def test_kernel_schreier_path_matches_filter_path():
     fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2)
-    by_filter = kernel_of_refinement(fine, coarse)
-    monkeypatch.setattr(profinite, "KERNEL_FILTER_CAP", 1)
-    by_schreier = kernel_of_refinement(fine, coarse)
-    assert by_filter.as_set() == by_schreier.as_set()
+    direct = kernel_of_refinement(fine, coarse).as_set()
+    by_schreier = profinite._schreier_kernel(fine, coarse, Budgets()).as_set()
+    assert direct == by_schreier == _filter_kernel(fine, coarse)
+
+
+@pytest.mark.parametrize("f, c", [(6, 2), (6, 3)])
+def test_kernel_direct_path_matches_schreier_path(f, c):
+    fine, coarse = QuotientSpec.make(f), QuotientSpec.make(c)
+    direct = kernel_of_refinement(fine, coarse)
+    assert direct.as_set() == profinite._schreier_kernel(fine, coarse, Budgets()).as_set()
+    assert len(direct) == _congruence_kernel_order(f, c)
+
+
+@pytest.mark.parametrize("f, c", [(8, 2), (8, 4), (9, 3), (12, 4)])
+def test_kernel_direct_path_closed_form(f, c):
+    fine = QuotientSpec.make(f)
+    kernel = kernel_of_refinement(fine, QuotientSpec.make(c))
+    assert kernel.elements[0] == quotient_context(fine).identity
+    assert len(set(kernel.elements)) == len(kernel) == _congruence_kernel_order(f, c)
+    for x in kernel:
+        assert x.sigma is None and x.a.m == x.h.m == f
+        assert x.a.reduce(c) == Mat2.zero(c)
+        assert x.h.reduce(c) == Mat2.identity(c)
+        assert x.h.det_int() == 1
+
+
+def test_kernel_with_coset_action_takes_schreier_path(monkeypatch):
+    rep = congruence_rep(2)
+    fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
+    calls = []
+    schreier = profinite._schreier_kernel
+
+    def spy(*args):
+        calls.append(args[:2])
+        return schreier(*args)
+
+    monkeypatch.setattr(profinite, "_schreier_kernel", spy)
+    kernel = kernel_of_refinement(fine, coarse)
+    assert calls == [(fine, coarse)]
+    assert kernel.as_set() == _filter_kernel(fine, coarse)
+    assert len(kernel) == _congruence_kernel_order(4, 2)
+
+
+def test_kernel_budget_fails_before_building():
+    with pytest.raises(BudgetError, match="closure_cap"):
+        kernel_of_refinement(QuotientSpec.make(8), QuotientSpec.make(2), Budgets(closure_cap=1000))
+
+
+def test_restriction_from_plain_to_degree_one_action():
+    point = PermRep.make(1, (0,), (0,))
+    fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2, point)
+    assert coarse.refined_by(fine)
+    restrict = element_restriction(fine, coarse)
+    cid = quotient_context(coarse).identity
+    for g in quotient_context(fine).generators:
+        assert restrict(g).sigma == (0,)
+    assert restrict(quotient_context(fine).identity) == cid
+    assert kernel_of_refinement(fine, coarse).as_set() == _filter_kernel(fine, coarse)
 
 
 def test_kernel_requires_refinement():
@@ -165,14 +232,28 @@ def test_formation_filters():
     # the level-2 coset action has a non-2-group image
     assert not pro2.admits(QuotientSpec.make(2, congruence_rep(2)))
     # a degree-2 action with a C2 image is fine
-    from cosetope.modular import PermRep
-
     c2 = PermRep.make(2, (1, 0), (1, 0))
     assert pro2.admits(QuotientSpec.make(2, c2))
     with pytest.raises(ValidationError):
         Formation.make("pro-p")
     with pytest.raises(ValidationError):
         Formation.make("weird")
+    with pytest.raises(ValidationError):
+        Formation.make("pro-p", 4)
+
+
+@pytest.mark.parametrize(
+    "raw_filter",
+    [{"type": "pro-p", "p": "x"}, "pro-p", {"type": "pro-p", "p": 4}, {"type": "pro-p", "p": True}, ["pro-p", 2]],
+)
+def test_bad_spec_filters_are_validation_errors(raw_filter):
+    with pytest.raises(ValidationError):
+        QuotientSpec.from_json({"m": 4, "filter": raw_filter})
+
+
+def test_spec_filter_reads_report_strings():
+    spec = QuotientSpec.from_json({"m": "4", "filter": {"type": "pro-p", "p": "2"}})
+    assert spec.formation == Formation.make("pro-p", 2)
 
 
 # ---------------------------------------------------------------------------
