@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional, Union
 
-from .errors import ModulusMismatch, ValidationError
+from .errors import BudgetError, ModulusMismatch, ValidationError
 
 
 class Residue(NamedTuple):
@@ -153,41 +153,40 @@ class Mat2(NamedTuple):
         """The ambient matrix with the same (canonical) entries."""
         return Mat2(self.a, self.b, self.c, self.d, None)
 
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
-
-
-def mat2_mul(x: Mat2, y: Mat2) -> Mat2:
-    return x * y
-
-
-def mat2_det(x: Mat2):
-    return x.det()
-
-
-def reduce_mat(x: Mat2, m: int) -> Mat2:
-    return x.reduce(m)
-
 
 # Standard generators of the ambient matrix group.
 MAT_S = Mat2.ambient(0, -1, 1, 0)
 MAT_T = Mat2.ambient(1, 1, 0, 1)
 
 
-def _factorize(n: int) -> dict:
-    out = {}
-    p = 2
-    while p * p <= n:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
-
-
+_TRIAL_BOUND = 100_000
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_PROOF_BOUND = 31 * 10**22  # is_prime is exact below this
+
+
+def _factorize(n: int) -> dict:
+    """Prime factorization by trial division below a fixed bound.
+
+    A cofactor left over with no factor below the bound is accepted only when
+    ``is_prime`` proves it prime; otherwise the modulus cannot be factored at
+    desk scale and BudgetError is raised instead of stalling.
+    """
+    out = {}
+    rest = n
+    p = 2
+    while p * p <= rest and p < _TRIAL_BOUND:
+        while rest % p == 0:
+            out[p] = out.get(p, 0) + 1
+            rest //= p
+        p += 1 if p == 2 else 2
+    if rest > 1:
+        if p * p <= rest and not (rest < _PRIME_PROOF_BOUND and is_prime(rest)):
+            raise BudgetError(
+                f"factorization budget exceeded: modulus {n} leaves the cofactor {rest}, which has "
+                f"no factor below {_TRIAL_BOUND} and is not provably prime (trial-division bound)"
+            )
+        out[rest] = out.get(rest, 0) + 1
+    return out
 
 
 def is_prime(n: int) -> bool:

@@ -13,43 +13,49 @@ import argparse
 import json
 import sys
 
-from .arith import Mat2, sl2_group_order
+from .arith import Mat2, psl2_group_order, sl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, CosetopeError, PreconditionError, ValidationError
-from .groupcore import SdElement, product_member, subgroup_from_elements, subgroup_intersection
+from .groupcore import check_closure_cap, product_member, subgroup_intersection
 from .gs import (
     _h_prime_image_mod,
+    evidence_entry,
     gs_build,
     gs_hk_member,
     gs_hk_witness,
     gs_intersection,
     gs_wz_failure,
-    h_prime_group_words,
+    l_group_words,
 )
 from .modular import (
+    GapWitness,
     ModularWord,
     PermRep,
     congruence_gap_witness,
+    in_image_mod,
     is_congruence,
     low_index_reps,
-    psl2_context,
     rep_image_mod,
     rep_level,
     word_eval,
 )
+# kernel_of_refinement is called only inside profinite; importing it here keeps
+# it a cross-module function, which bench/tracer.py times as profinite.kernel_s.
 from .profinite import (
     GroupWord,
     QuotientSpec,
     default_tower,
     image_subgroup,
-    kernel_of_refinement,
+    kernel_of_refinement,  # noqa: F401
     load_rep,
     load_tower,
+    probe_level,
     project,
     quotient_context,
     spec_group_order,
     thm_b_probe,
     tractable_at,
+    tractable_candidate,
 )
 from . import report as rpt
 
@@ -81,9 +87,9 @@ def _parse_element(text: str) -> GroupWord:
     return rpt.groupword_from_json(data)
 
 
-def _spec_of(args) -> QuotientSpec:
-    rep = load_rep(args.rep) if getattr(args, "rep", None) else None
-    return QuotientSpec.make(args.modulus, rep)
+def _spec_of(config: dict) -> QuotientSpec:
+    rep = load_rep(config["rep"]) if config.get("rep") else None
+    return QuotientSpec.make(rpt.parse_int(config["modulus"]), rep)
 
 
 def _budgets_of(args) -> Budgets:
@@ -107,74 +113,93 @@ def _emit(args, command: str, config: dict, result) -> None:
 
 # ---------------------------------------------------------------------------
 # subcommands
+#
+# The cheap subcommands compute their result from the recorded config alone,
+# so ``verify`` recomputes it with the same function and compares.
 
 
-def _cmd_quotient(args) -> int:
-    spec = _spec_of(args)
-    config = {"modulus": args.modulus, "rep": args.rep, "enumerate": bool(args.enumerate), "seed": args.seed}
+def _quotient_result(config: dict, budgets: Budgets) -> dict:
+    spec = _spec_of(config)
     order = spec_group_order(spec)
     result = {
         "identity": rpt.sd_to_json(quotient_context(spec).identity),
         "order": order,
         "sl2_order": sl2_group_order(spec.m),
     }
-    if args.enumerate or order is None:
-        budgets = _budgets_of(args)
-        if order is not None and order > budgets.closure_cap:
-            raise BudgetError(
-                f"closure budget exceeded: quotient mod {spec.m} has {order} elements "
-                f"> {budgets.closure_cap} (closure_cap)"
-            )
-        full = quotient_context(spec).enumerate(budgets)
-        result["enumerated_order"] = len(full)
-    _emit(args, "quotient", config, result)
+    if config["enumerate"] or order is None:
+        if order is not None:
+            check_closure_cap(order, budgets, f"quotient mod {spec.m}")
+        result["enumerated_order"] = len(quotient_context(spec).enumerate(budgets))
+    return result
+
+
+def _image_result(config: dict, budgets: Budgets) -> dict:
+    sub = image_subgroup(_load_gens(config["gens"]), _spec_of(config), budgets)
+    return {"size": len(sub), "sample": [rpt.sd_to_json(x) for x in sub.elements[:20]]}
+
+
+def _intersect_result(config: dict, budgets: Budgets) -> dict:
+    spec = _spec_of(config)
+    left = image_subgroup(_load_gens(config["left"]), spec, budgets)
+    right = image_subgroup(_load_gens(config["right"]), spec, budgets)
+    inter = subgroup_intersection(left, right)
+    result = {"size_left": len(left), "size_right": len(right), "size_intersection": len(inter)}
+    if len(inter) <= 50:
+        result["elements"] = [rpt.sd_to_json(x) for x in inter.elements]
+    return result
+
+
+def _dcoset_result(config: dict, budgets: Budgets) -> dict:
+    spec = _spec_of(config)
+    g = _parse_element(config["element"])
+    left = image_subgroup(_load_gens(config["left"]), spec, budgets)
+    right = image_subgroup(_load_gens(config["right"]), spec, budgets)
+    return {
+        "member": product_member(quotient_context(spec), project(g, spec), left, right),
+        "size_left": len(left),
+        "size_right": len(right),
+        "element": rpt.groupword_to_json(g),
+    }
+
+
+def _congruence_result(config: dict, budgets: Budgets) -> dict:
+    rep = load_rep(config["rep"])
+    level = rep_level(rep)
+    result = {"degree": rep.degree, "level": level, "congruence": is_congruence(rep, budgets=budgets)}
+    if level > 1:
+        result["image_index"] = psl2_group_order(level) // len(rep_image_mod(rep, level, budgets))
+    return result
+
+
+_RECOMPUTED = {
+    "quotient": _quotient_result,
+    "image": _image_result,
+    "intersect": _intersect_result,
+    "dcoset-member": _dcoset_result,
+    "congruence": _congruence_result,
+}
+
+
+def _run(args, command: str, config: dict) -> int:
+    _emit(args, command, config, _RECOMPUTED[command](config, _budgets_of(args)))
     return 0
+
+
+def _cmd_quotient(args) -> int:
+    config = {"modulus": args.modulus, "rep": args.rep, "enumerate": bool(args.enumerate), "seed": args.seed}
+    return _run(args, "quotient", config)
 
 
 def _cmd_image(args) -> int:
-    spec = _spec_of(args)
-    gens = _load_gens(args.gens)
-    sub = image_subgroup(gens, spec, _budgets_of(args))
-    config = {"modulus": args.modulus, "rep": args.rep, "gens": args.gens, "seed": args.seed}
-    result = {
-        "size": len(sub),
-        "sample": [rpt.sd_to_json(x) for x in sub.elements[:20]],
-    }
-    _emit(args, "image", config, result)
-    return 0
+    return _run(args, "image", {"modulus": args.modulus, "rep": args.rep, "gens": args.gens, "seed": args.seed})
 
 
 def _cmd_intersect(args) -> int:
-    spec = _spec_of(args)
-    budgets = _budgets_of(args)
-    left = image_subgroup(_load_gens(args.left), spec, budgets)
-    right = image_subgroup(_load_gens(args.right), spec, budgets)
-    inter = subgroup_intersection(left, right)
-    config = {
-        "modulus": args.modulus,
-        "rep": args.rep,
-        "left": args.left,
-        "right": args.right,
-        "seed": args.seed,
-    }
-    result = {
-        "size_left": len(left),
-        "size_right": len(right),
-        "size_intersection": len(inter),
-    }
-    if len(inter) <= 50:
-        result["elements"] = [rpt.sd_to_json(x) for x in inter.elements]
-    _emit(args, "intersect", config, result)
-    return 0
+    config = {"modulus": args.modulus, "rep": args.rep, "left": args.left, "right": args.right, "seed": args.seed}
+    return _run(args, "intersect", config)
 
 
 def _cmd_dcoset_member(args) -> int:
-    spec = _spec_of(args)
-    budgets = _budgets_of(args)
-    g = _parse_element(args.element)
-    left = image_subgroup(_load_gens(args.left), spec, budgets)
-    right = image_subgroup(_load_gens(args.right), spec, budgets)
-    member = product_member(quotient_context(spec), project(g, spec), left, right)
     config = {
         "modulus": args.modulus,
         "rep": args.rep,
@@ -183,14 +208,11 @@ def _cmd_dcoset_member(args) -> int:
         "right": args.right,
         "seed": args.seed,
     }
-    result = {
-        "member": member,
-        "size_left": len(left),
-        "size_right": len(right),
-        "element": rpt.groupword_to_json(g),
-    }
-    _emit(args, "dcoset-member", config, result)
-    return 0
+    return _run(args, "dcoset-member", config)
+
+
+def _cmd_congruence(args) -> int:
+    return _run(args, "congruence", {"rep": args.rep, "seed": args.seed})
 
 
 def _cmd_tractable(args) -> int:
@@ -220,17 +242,17 @@ def _cmd_tractable(args) -> int:
     return 0
 
 
-def _cmd_thm_b_probe(args) -> int:
-    budgets = _budgets_of(args)
+def _probe_gens(config: dict) -> tuple:
+    """Generators of H, K and L for thm-b-probe; L is None for the whole group."""
     l_gens = None
-    if args.l_gens:
-        l_gens = _load_gens(args.l_gens)
-    elif args.l_rep:
-        l_gens = h_prime_group_words(load_rep(args.l_rep))
-        l_gens = _a_part_gens() + l_gens
-    g = _parse_element(args.element)
-    tower = load_tower(args.tower) if args.tower else default_tower()
-    cert = thm_b_probe(_load_gens(args.h_gens), _load_gens(args.k_gens), l_gens, g, tower, budgets)
+    if config.get("l_gens"):
+        l_gens = _load_gens(config["l_gens"])
+    elif config.get("l_rep"):
+        l_gens = l_group_words(load_rep(config["l_rep"]))
+    return _load_gens(config["h_gens"]), _load_gens(config["k_gens"]), l_gens
+
+
+def _cmd_thm_b_probe(args) -> int:
     config = {
         "h_gens": args.h_gens,
         "k_gens": args.k_gens,
@@ -240,6 +262,10 @@ def _cmd_thm_b_probe(args) -> int:
         "tower": args.tower,
         "seed": args.seed,
     }
+    h_gens, k_gens, l_gens = _probe_gens(config)
+    g = _parse_element(args.element)
+    tower = load_tower(args.tower) if args.tower else default_tower()
+    cert = thm_b_probe(h_gens, k_gens, l_gens, g, tower, _budgets_of(args))
     if cert is None:
         result = {
             "status": "inconclusive",
@@ -251,48 +277,16 @@ def _cmd_thm_b_probe(args) -> int:
     return 0
 
 
-def _a_part_gens() -> list:
-    out = []
-    for (i, j) in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        entries = [[0, 0], [0, 0]]
-        entries[i][j] = 1
-        row0, row1 = entries
-        out.append(GroupWord.of_a(Mat2.ambient(row0[0], row0[1], row1[0], row1[1])))
-    return out
-
-
 def _cmd_lowindex(args) -> int:
+    budgets = _budgets_of(args)
     reps = low_index_reps(args.max_degree, classes=not args.subgroups)
-    entries = []
-    for rep in reps:
-        entries.append(
-            {
-                "rep": rep.to_json(),
-                "level": rep_level(rep),
-                "congruence": is_congruence(rep),
-            }
-        )
+    entries = [
+        {"rep": rep.to_json(), "level": rep_level(rep), "congruence": is_congruence(rep, budgets=budgets)}
+        for rep in reps
+    ]
     config = {"max_degree": args.max_degree, "subgroups": bool(args.subgroups), "seed": args.seed}
     result = {"count": len(entries), "reps": entries}
     _emit(args, "lowindex", config, result)
-    return 0
-
-
-def _cmd_congruence(args) -> int:
-    rep = load_rep(args.rep)
-    level = rep_level(rep)
-    verdict = is_congruence(rep)
-    result = {
-        "degree": rep.degree,
-        "level": level,
-        "congruence": verdict,
-    }
-    if level > 1:
-        full = psl2_context(level).enumerate()
-        image = rep_image_mod(rep, level)
-        result["image_index"] = len(full) // len(image)
-    config = {"rep": args.rep, "seed": args.seed}
-    _emit(args, "congruence", config, result)
     return 0
 
 
@@ -316,6 +310,14 @@ _HK_SAMPLES = (
 )
 
 
+def _intersection_table(max_level: int, budgets: Budgets) -> list:
+    """The order of image(H) meet image(K) at each level 2..max_level."""
+    return [
+        {"m": m, "size": len(gs_intersection(gs_build(QuotientSpec.make(m), budgets)))}
+        for m in range(2, max_level + 1)
+    ]
+
+
 def _cmd_gs_demo(args) -> int:
     budgets = _budgets_of(args)
     config = {
@@ -324,10 +326,7 @@ def _cmd_gs_demo(args) -> int:
         "max_degree": args.max_degree,
         "seed": args.seed,
     }
-    intersections = []
-    for m in range(2, args.max_level + 1):
-        instance = gs_build(QuotientSpec.make(m), budgets)
-        intersections.append({"m": m, "size": len(gs_intersection(instance))})
+    intersections = _intersection_table(args.max_level, budgets)
 
     certificates = []
     for g in _HK_SAMPLES:
@@ -346,7 +345,7 @@ def _cmd_gs_demo(args) -> int:
             )
 
     reps = low_index_reps(args.max_degree)
-    noncongruence = [rep for rep in reps if not is_congruence(rep)]
+    noncongruence = [rep for rep in reps if not is_congruence(rep, budgets=budgets)]
     lowindex = {
         "max_degree": args.max_degree,
         "reps_total": len(reps),
@@ -372,159 +371,120 @@ def _cmd_gs_demo(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verify
+#
+# Each check calls the same per-level (or per-candidate) function as the
+# search that produced the report, on the levels the report records.
 
 
 def _require_match(claimed, recomputed, what: str) -> None:
-    if claimed != recomputed:
-        raise ValidationError(f"verify failed: {what}: report says {claimed!r}, recomputed {recomputed!r}")
+    if claimed == recomputed:
+        return
+    if isinstance(claimed, dict) and isinstance(recomputed, dict):
+        keys = sorted(k for k in claimed.keys() | recomputed.keys() if claimed.get(k) != recomputed.get(k))
+        claimed, recomputed = ({k: d.get(k) for k in keys} for d in (claimed, recomputed))
+    raise ValidationError(f"verify failed: {what}: report says {claimed!r}, recomputed {recomputed!r}")
 
 
-def _verify_certificate(data: dict) -> None:
+def _verify_probe(config: dict, result: dict, budgets: Budgets) -> None:
+    if result.get("status") != "certified":
+        return
+    data = result["certificate"]
     cert = rpt.certificate_from_json(data)
-    g = cert.element
-    if cert.target == "HK":
-        member = gs_hk_member(g, cert.spec.m)
-        _require_match(False, member, f"HK membership at modulus {cert.spec.m}")
-    else:
-        raise ValidationError(f"verify: unknown certificate target {cert.target!r}")
+    recomputed = probe_level(*_probe_gens(config), cert.element, cert.spec, budgets)
+    if recomputed is None:
+        raise ValidationError(f"verify failed: the element is not excluded at modulus {cert.spec.m}")
+    _require_match(data, rpt.as_recorded(rpt.certificate_to_json(recomputed)), "probe certificate")
 
 
-def _verify_probe_certificate(config: dict, data: dict) -> None:
-    cert = rpt.certificate_from_json(data)
-    h_gens = _load_gens(config["h_gens"])
-    k_gens = _load_gens(config["k_gens"])
-    spec = cert.spec
-    uh = image_subgroup(h_gens, spec)
-    uk = image_subgroup(k_gens, spec)
-    if config.get("l_gens"):
-        ul = image_subgroup(_load_gens(config["l_gens"]), spec)
-        hp = subgroup_intersection(uh, ul)
-    elif config.get("l_rep"):
-        ul = image_subgroup(_a_part_gens() + h_prime_group_words(load_rep(config["l_rep"])), spec)
-        hp = subgroup_intersection(uh, ul)
-    else:
-        hp = uh
-    member = product_member(quotient_context(spec), project(cert.element, spec), hp, uk)
-    _require_match(False, member, f"double-coset membership at modulus {spec.m}")
-
-
-def _verify_witness(data: dict, rep: PermRep) -> None:
+def _verify_witness(data: dict, rep: PermRep, budgets: Budgets) -> GapWitness:
     witness = rpt.witness_from_json(data)
-    x = word_eval(witness.word)
-    _require_match(rpt.mat_to_json(witness.x), rpt.mat_to_json(x), "witness matrix vs word")
+    _require_match(rpt.mat_to_json(witness.x), rpt.mat_to_json(word_eval(witness.word)), "witness matrix vs word")
     _require_match(witness.displaced_to, rep.word_point(witness.word), "witness basepoint displacement")
     if witness.displaced_to == 0:
         raise ValidationError("verify failed: witness does not leave the subgroup")
     for m in witness.levels_verified:
-        from .modular import psl2_canon
-
-        inside = psl2_canon(x.reduce(m)) in rep_image_mod(rep, m)
-        _require_match(True, inside, f"witness level {m}")
+        _require_match(True, in_image_mod(rep, witness.x, m, budgets), f"witness level {m}")
+    return witness
 
 
-def _verify_evidence(data: dict) -> None:
+def _verify_evidence(data: dict, budgets: Budgets) -> None:
     if data.get("status") != "evidence":
         return
     rep = PermRep.from_json(data["rep"])
-    if is_congruence(rep):
+    if is_congruence(rep, budgets=budgets):
         raise ValidationError("verify failed: evidence subgroup is congruence")
-    _verify_witness(data["witness"], rep)
-    witness = rpt.witness_from_json(data["witness"])
-    g = rpt.groupword_from_json(data["g"])
-    expected_g = witness.x - Mat2.identity()
-    _require_match(rpt.mat_to_json(g.a), rpt.mat_to_json(expected_g), "evidence element")
+    witness = _verify_witness(data["witness"], rep, budgets)
+    g = GroupWord.of_a(witness.x - Mat2.identity())
+    _require_match(data["g"], rpt.as_recorded(rpt.groupword_to_json(g)), "evidence element")
     level = rpt.parse_int(data["witness_level"])
     if witness.x.reduce(level) != Mat2.identity(level):
         raise ValidationError("verify failed: witness is not trivial at its search level")
-    budgets = active_budgets()
     for entry in data["level_transcripts"]:
         m = rpt.parse_int(entry["m"])
-        image = _h_prime_image_mod(rep, m, budgets)
-        member = witness.x.reduce(m) in image
-        _require_match(entry["member"], member, f"evidence membership at level {m}")
-        _require_match(rpt.parse_int(entry["image_order"]), len(image), f"evidence image order at level {m}")
-        if "double_coset_member" in entry:
-            spec = QuotientSpec.make(m)
-            instance = gs_build(spec, budgets)
-            im_hp = subgroup_from_elements(
-                SdElement(Mat2.zero(m), u, None) for u in image.elements
-            )
-            direct = product_member(
-                quotient_context(spec), project(g, spec), im_hp, instance.im_k
-            )
-            _require_match(entry["double_coset_member"], direct, f"double-coset cross-check at level {m}")
-    recorded = [rpt.parse_int(v) for v in data["levels"]]
-    recomputed = [
-        rpt.parse_int(e["m"]) for e in data["level_transcripts"] if e["member"]
-    ]
-    _require_match(recorded, recomputed, "recorded passing levels")
+        recomputed = evidence_entry(_h_prime_image_mod(rep, m, budgets), witness.x, g, m, budgets)
+        _require_match(entry, rpt.as_recorded(recomputed), f"evidence transcript at level {m}")
+    passing = [e["m"] for e in data["level_transcripts"] if e["member"]]
+    _require_match(data["levels"], passing, "recorded passing levels")
 
 
-def _verify_tractable(config: dict, result: dict) -> None:
-    h_gens = [rpt.groupword_from_json(e) for e in result["h_gens"]]
-    k_gens = [rpt.groupword_from_json(e) for e in result["k_gens"]]
-    hcapk_gens = [rpt.groupword_from_json(e) for e in result["hcapk_gens"]]
+def _verify_tractable(config: dict, result: dict, budgets: Budgets) -> None:
+    if result.get("found") is None:
+        return
+    h_gens, k_gens, hcapk_gens = (
+        [rpt.groupword_from_json(e) for e in result[key]] for key in ("h_gens", "k_gens", "hcapk_gens")
+    )
     m_spec = rpt.spec_from_json(result["m_spec"])
-    if result.get("found") is not None:
-        spec = rpt.spec_from_json(result["found"])
-        ctx = quotient_context(spec)
-        uh = image_subgroup(h_gens, spec)
-        uk = image_subgroup(k_gens, spec)
-        ui = image_subgroup(hcapk_gens, spec)
-        kernel = kernel_of_refinement(spec, m_spec)
-        inter = subgroup_intersection(uh, uk)
-        for u in inter.elements:
-            if not product_member(ctx, u, ui, kernel):
-                raise ValidationError("verify failed: recorded success does not replay")
+    found = rpt.spec_from_json(result["found"])
+    entry, _ = tractable_candidate(h_gens, k_gens, hcapk_gens, m_spec, found, budgets)
+    _require_match("ok", entry["status"], "status of the recorded success")
+    recomputed = rpt.as_recorded(rpt.tractability_entry_to_json(entry))
+    _require_match(result["entries"][-1], recomputed, "entry of the recorded success")
 
 
-def _verify_gs_demo(config: dict, result: dict) -> None:
-    for entry in result["intersections"]:
-        m = rpt.parse_int(entry["m"])
-        instance = gs_build(QuotientSpec.make(m))
-        _require_match(rpt.parse_int(entry["size"]), len(gs_intersection(instance)), f"intersection size at {m}")
+def _verify_gs_demo(config: dict, result: dict, budgets: Budgets) -> None:
+    table = _intersection_table(rpt.parse_int(config["max_level"]), budgets)
+    _require_match(result["intersections"], rpt.as_recorded(table), "intersection table")
     for entry in result["hk_certificates"]:
         if entry["status"] == "certified":
-            _verify_certificate(entry["certificate"])
-        else:
-            g = rpt.groupword_from_json(entry["element"])
-            if gs_hk_witness(g) is not None:
-                raise ValidationError("verify failed: inconclusive element has a certificate")
+            cert = rpt.certificate_from_json(entry["certificate"])
+            if cert.target != "HK":
+                raise ValidationError(f"verify: unknown certificate target {cert.target!r}")
+            _require_match(False, gs_hk_member(cert.element, cert.spec.m), f"HK membership at modulus {cert.spec.m}")
+        elif gs_hk_witness(rpt.groupword_from_json(entry["element"])) is not None:
+            raise ValidationError("verify failed: inconclusive element has a certificate")
     if "selected" in result["lowindex"]:
-        selected = PermRep.from_json(result["lowindex"]["selected"])
-        if is_congruence(selected):
+        if is_congruence(PermRep.from_json(result["lowindex"]["selected"]), budgets=budgets):
             raise ValidationError("verify failed: selected subgroup is congruence")
-    _verify_evidence(result["evidence"])
+    _verify_evidence(result["evidence"], budgets)
 
 
-def _verify_lowindex(config: dict, result: dict) -> None:
+def _verify_lowindex(config: dict, result: dict, budgets: Budgets) -> None:
     for entry in result["reps"]:
         rep = PermRep.from_json(entry["rep"])
         _require_match(rpt.parse_int(entry["level"]), rep_level(rep), "level")
-        _require_match(entry["congruence"], is_congruence(rep), "congruence verdict")
+        _require_match(entry["congruence"], is_congruence(rep, budgets=budgets), "congruence verdict")
 
 
-def _verify_gap_witness(config: dict, result: dict) -> None:
-    if result.get("status") != "found":
-        return
-    rep = load_rep(config["rep"])
-    _verify_witness(result["witness"], rep)
+def _verify_gap_witness(config: dict, result: dict, budgets: Budgets) -> None:
+    if result.get("status") == "found":
+        _verify_witness(result["witness"], load_rep(config["rep"]), budgets)
 
 
-def _verify_dcoset(config: dict, result: dict) -> None:
-    rep = load_rep(config["rep"]) if config.get("rep") else None
-    spec = QuotientSpec.make(rpt.parse_int(config["modulus"]), rep)
-    g = rpt.groupword_from_json(result["element"])
-    left = image_subgroup(_load_gens(config["left"]), spec)
-    right = image_subgroup(_load_gens(config["right"]), spec)
-    member = product_member(quotient_context(spec), project(g, spec), left, right)
-    _require_match(result["member"], member, "double-coset membership")
+def _verify_recomputed(command: str):
+    def check(config: dict, result: dict, budgets: Budgets) -> None:
+        _require_match(result, rpt.as_recorded(_RECOMPUTED[command](config, budgets)), f"{command} result")
+
+    return check
 
 
-def _verify_congruence(config: dict, result: dict) -> None:
-    rep = load_rep(config["rep"])
-    _require_match(rpt.parse_int(result["level"]), rep_level(rep), "level")
-    _require_match(result["congruence"], is_congruence(rep), "congruence verdict")
+_CHECKS = {
+    "gs-demo": _verify_gs_demo,
+    "gap-witness": _verify_gap_witness,
+    "lowindex": _verify_lowindex,
+    "tractable": _verify_tractable,
+    "thm-b-probe": _verify_probe,
+    **{command: _verify_recomputed(command) for command in _RECOMPUTED},
+}
 
 
 def _cmd_verify(args) -> int:
@@ -539,26 +499,17 @@ def _cmd_verify(args) -> int:
         raise ValidationError(f"report is not valid JSON: {exc}") from exc
     if rpt.canonical_dumps(data) != text:
         raise ValidationError("verify failed: report is not in canonical form (bytes differ)")
+    if not isinstance(data, dict):
+        raise ValidationError("verify failed: a report is a JSON object")
     if rpt.parse_int(data.get("schema", 0)) != rpt.SCHEMA_VERSION:
         raise ValidationError(f"verify failed: unsupported schema {data.get('schema')!r}")
     command = data.get("command")
-    config = data.get("config", {})
-    result = data.get("result", {})
-    checks = {
-        "gs-demo": _verify_gs_demo,
-        "gap-witness": _verify_gap_witness,
-        "lowindex": _verify_lowindex,
-        "congruence": _verify_congruence,
-        "dcoset-member": _verify_dcoset,
-        "tractable": lambda c, r: _verify_tractable(c, r),
-        "thm-b-probe": lambda c, r: (
-            _verify_probe_certificate(c, r["certificate"]) if r.get("status") == "certified" else None
-        ),
-    }
-    if command in checks:
-        checks[command](config, result)
-    elif command not in ("quotient", "image", "intersect"):
+    if command not in _CHECKS:
         raise ValidationError(f"verify: unknown command {command!r}")
+    try:
+        _CHECKS[command](data.get("config", {}), data.get("result", {}), _budgets_of(args))
+    except (KeyError, IndexError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"verify failed: malformed {command} report ({exc!r})") from exc
     _emit(args, "verify", {"report": args.report, "seed": args.seed}, {"verified": True, "checked": command})
     return 0
 

@@ -36,12 +36,12 @@ class SdElement(NamedTuple):
     sigma: Optional[tuple] = None
 
 
-def _perm_compose(p: tuple, q: tuple) -> tuple:
-    # apply p first, then q
+def perm_mul(p: tuple, q: tuple) -> tuple:
+    """Apply p first, then q."""
     return tuple(q[i] for i in p)
 
 
-def _perm_invert(p: tuple) -> tuple:
+def perm_inv(p: tuple) -> tuple:
     out = [0] * len(p)
     for i, pi in enumerate(p):
         out[pi] = i
@@ -52,14 +52,14 @@ def sd_mul(x: SdElement, y: SdElement) -> SdElement:
     """(a1 + h1*a2, h1*h2, sigma1 then sigma2)."""
     if (x.sigma is None) != (y.sigma is None):
         raise ValidationError("cannot combine elements with and without a permutation part")
-    sigma = None if x.sigma is None else _perm_compose(x.sigma, y.sigma)
+    sigma = None if x.sigma is None else perm_mul(x.sigma, y.sigma)
     return SdElement(x.a + x.h * y.a, x.h * y.h, sigma)
 
 
 def sd_inv(x: SdElement) -> SdElement:
     """(-h^-1 * a, h^-1, sigma^-1)."""
     hinv = x.h.inv_det1()
-    sigma = None if x.sigma is None else _perm_invert(x.sigma)
+    sigma = None if x.sigma is None else perm_inv(x.sigma)
     return SdElement(-(hinv * x.a), hinv, sigma)
 
 
@@ -98,11 +98,7 @@ class GroupContext:
         if self._full is None:
             self._full = subgroup_closure(self, self.generators, budgets)
         else:
-            cap = active_budgets(budgets).closure_cap
-            if len(self._full) > cap:
-                raise BudgetError(
-                    f"closure budget exceeded: {len(self._full)} elements > {cap} (closure_cap)"
-                )
+            check_closure_cap(len(self._full), budgets, self.name or "the group")
         return self._full
 
     def __repr__(self):
@@ -149,6 +145,17 @@ class CosetDecomposition(NamedTuple):
     reps: tuple
     subgroup: GeneratedSubgroup
     supergroup: GeneratedSubgroup
+
+
+def check_closure_cap(size: int, budgets: Budgets | None, what: str) -> None:
+    """Raise BudgetError when ``what``, of known ``size``, exceeds the closure cap.
+
+    Used wherever a size is known without closing (cached results, group
+    orders), so the cap holds whether or not the elements already exist.
+    """
+    cap = active_budgets(budgets).closure_cap
+    if size > cap:
+        raise BudgetError(f"closure budget exceeded: {what} has {size} elements > {cap} (closure_cap)")
 
 
 def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets | None = None) -> GeneratedSubgroup:

@@ -23,6 +23,7 @@ from .groupcore import (
     GeneratedSubgroup,
     GroupContext,
     SdElement,
+    check_closure_cap,
     product_member,
     sd_inv,
     sd_mul,
@@ -37,6 +38,7 @@ from .modular import (
     congruence_gap_witness,
     is_congruence,
     rep_contains,
+    rep_image_mod,
     subgroup_generators,
     word_eval,
 )
@@ -168,14 +170,16 @@ _CONCLUSION = (
 _CROSS_CHECK_MAX = 4
 
 
-def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets) -> GeneratedSubgroup:
-    """Image of the (sign-saturated) subgroup of H attached to ``rep`` at level m."""
-    from .groupcore import sl2_context
+def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None) -> GeneratedSubgroup:
+    """Image of the (sign-saturated) subgroup of H attached to ``rep`` at level m.
 
-    ctx = sl2_context(m)
-    gens = [word_eval(w).reduce(m) for w in subgroup_generators(rep)]
-    gens.append((-Mat2.identity()).reduce(m))
-    return subgroup_closure(ctx, gens, budgets)
+    No closure runs here: the image is the preimage in SL2(Z/m) of the
+    projective image ``rep_image_mod``, each u together with -u (which
+    coincide only at m = 2).
+    """
+    elements = tuple(dict.fromkeys(v for u in rep_image_mod(rep, m, budgets) for v in (u, -u)))
+    check_closure_cap(len(elements), budgets, f"the sign-saturated subgroup image mod {m}")
+    return subgroup_from_elements(elements)
 
 
 def h_prime_group_words(rep: PermRep) -> list:
@@ -183,6 +187,32 @@ def h_prime_group_words(rep: PermRep) -> list:
     words = [GroupWord.of_word(w) for w in subgroup_generators(rep)]
     words.append(GroupWord.of_word(ModularWord.from_str("SS")))
     return words
+
+
+def l_group_words(rep: PermRep) -> list:
+    """Ambient generator words of L, the additive part extended by the subgroup of ``rep``."""
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    return [GroupWord.of_a(Mat2.ambient(*e)) for e in units] + h_prime_group_words(rep)
+
+
+def evidence_entry(image: GeneratedSubgroup, x: Mat2, g: GroupWord, m: int, budgets: Budgets | None = None) -> dict:
+    """The level-m transcript entry of the evidence: whether x mod m lies in
+    ``image``, the sign-saturated image of H' at level m.
+
+    At the smallest levels it is cross-checked against the direct membership
+    of the image of g in the image of H'K, which must agree.
+    """
+    member = x.reduce(m) in image
+    entry = {"m": m, "member": member, "image_order": len(image)}
+    if m <= _CROSS_CHECK_MAX:
+        spec = QuotientSpec.make(m)
+        im_hp = subgroup_from_elements(SdElement(Mat2.zero(m), u, None) for u in image.elements)
+        im_k = gs_build(spec, budgets).im_k
+        direct = product_member(quotient_context(spec), project(g, spec), im_hp, im_k)
+        entry["double_coset_member"] = direct
+        if direct != member:
+            raise ValidationError(f"reduced membership and double-coset membership disagree at level {m}")
+    return entry
 
 
 def gs_wz_failure(
@@ -202,9 +232,9 @@ def gs_wz_failure(
     what each transcript records (with a direct double-coset cross-check at
     the smallest levels).
     """
-    if is_congruence(rep):
-        raise PreconditionError("gs_wz_failure: the subgroup is congruence; no failure evidence exists")
     budgets = active_budgets(budgets)
+    if is_congruence(rep, budgets=budgets):
+        raise PreconditionError("gs_wz_failure: the subgroup is congruence; no failure evidence exists")
     try:
         witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets)
     except BudgetError:
@@ -224,34 +254,15 @@ def gs_wz_failure(
     if rep_contains(rep, witness.word):
         raise ValidationError("witness unexpectedly lies in the subgroup")
 
-    transcripts = []
-    passing = []
-    for m in range(2, m_max + 1):
-        image = _h_prime_image_mod(rep, m, budgets)
-        member = x.reduce(m) in image
-        entry = {"m": m, "member": member, "image_order": len(image)}
-        if m <= _CROSS_CHECK_MAX:
-            spec = QuotientSpec.make(m)
-            ctx = quotient_context(spec)
-            im_hp = subgroup_from_elements(
-                SdElement(Mat2.zero(m), u, None) for u in image.elements
-            )
-            instance = gs_build(spec, budgets)
-            direct = product_member(ctx, project(g, spec), im_hp, instance.im_k)
-            entry["double_coset_member"] = direct
-            if direct != member:
-                raise ValidationError(
-                    f"reduced membership and double-coset membership disagree at level {m}"
-                )
-        transcripts.append(entry)
-        if member:
-            passing.append(m)
+    transcripts = [
+        evidence_entry(_h_prime_image_mod(rep, m, budgets), x, g, m, budgets) for m in range(2, m_max + 1)
+    ]
     return NonSepEvidence(
         rep=rep,
         witness=witness,
         g=g,
         level_transcripts=transcripts,
-        levels=tuple(passing),
+        levels=tuple(entry["m"] for entry in transcripts if entry["member"]),
         witness_level=witness_level,
         towers_used=(
             f"congruence levels 2..{m_max}; quotients carrying the coset action of "

@@ -18,14 +18,18 @@ import functools
 import math
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .arith import MAT_S, MAT_T, Mat2
+from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, PreconditionError, ValidationError
 from .groupcore import (
     GeneratedSubgroup,
     GroupContext,
     _free_reduce,
+    check_closure_cap,
+    perm_inv,
+    perm_mul,
     schreier_generator_words,
+    sl2_context,
     subgroup_closure,
 )
 
@@ -127,18 +131,6 @@ def matrix_to_word(x: Mat2) -> ModularWord:
 
 def perm_identity(d: int) -> tuple:
     return tuple(range(d))
-
-
-def perm_mul(p: tuple, q: tuple) -> tuple:
-    """Apply p first, then q."""
-    return tuple(q[i] for i in p)
-
-
-def perm_inv(p: tuple) -> tuple:
-    out = [0] * len(p)
-    for i, pi in enumerate(p):
-        out[pi] = i
-    return tuple(out)
 
 
 def perm_cycle_lengths(p: tuple) -> list:
@@ -465,7 +457,7 @@ def psl2_canon(x: Mat2) -> Mat2:
 
 @functools.lru_cache(maxsize=None)
 def psl2_context(m: int) -> GroupContext:
-    """The projective determinant-1 matrix group over Z/m."""
+    """The projective determinant-1 matrix group over Z/m: SL2(Z/m) modulo -I."""
 
     def mul(x, y):
         return psl2_canon(x * y)
@@ -473,8 +465,9 @@ def psl2_context(m: int) -> GroupContext:
     def inv(x):
         return psl2_canon(x.inv_det1())
 
-    gens = (psl2_canon(MAT_S.reduce(m)), psl2_canon(MAT_T.reduce(m)))
-    return GroupContext(Mat2.identity(m), mul, inv, gens, name=f"PSL2(Z/{m})")
+    sl2 = sl2_context(m)
+    gens = tuple(psl2_canon(g) for g in sl2.generators)
+    return GroupContext(sl2.identity, mul, inv, gens, name=f"PSL2(Z/{m})")
 
 
 @functools.lru_cache(maxsize=None)
@@ -507,15 +500,31 @@ def principal_congruence_generators(m: int) -> tuple:
     return tuple(subgroup_generators(congruence_rep(m)))
 
 
-@functools.lru_cache(maxsize=None)
-def rep_image_mod(rep: PermRep, m: int) -> GeneratedSubgroup:
-    """Closure of the subgroup's reduced generators in the projective quotient."""
-    ctx = psl2_context(m)
-    gens = [psl2_canon(word_eval(w).reduce(m)) for w in subgroup_generators(rep)]
-    return subgroup_closure(ctx, gens)
+_rep_images: dict = {}
 
 
-def is_congruence(rep: PermRep, *, max_level: int = 64) -> bool:
+def rep_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None) -> GeneratedSubgroup:
+    """Closure of the subgroup's reduced generators in the projective quotient.
+
+    This is the only closure of a subgroup's level-m image.  Each (rep, m)
+    is closed once per process; as with ``GroupContext.enumerate``, the
+    closure cap is enforced against a cached image too.
+    """
+    image = _rep_images.get((rep, m))
+    if image is None:
+        gens = [psl2_canon(word_eval(w).reduce(m)) for w in subgroup_generators(rep)]
+        image = _rep_images[rep, m] = subgroup_closure(psl2_context(m), gens, budgets)
+    else:
+        check_closure_cap(len(image), budgets, f"the subgroup image mod {m}")
+    return image
+
+
+def in_image_mod(rep: PermRep, x: Mat2, m: int, budgets: Budgets | None = None) -> bool:
+    """Whether the reduction of the ambient matrix ``x`` mod m lies in the subgroup's image."""
+    return psl2_canon(x.reduce(m)) in rep_image_mod(rep, m, budgets)
+
+
+def is_congruence(rep: PermRep, *, max_level: int = 64, budgets: Budgets | None = None) -> bool:
     """Level-based congruence decision.
 
     The subgroup is congruence exactly when it contains the principal
@@ -527,11 +536,11 @@ def is_congruence(rep: PermRep, *, max_level: int = 64) -> bool:
         return rep.degree == 1
     if n > max_level:
         raise BudgetError(f"modulus budget exceeded: level {n} > {max_level} (congruence level cap)")
-    full = psl2_context(n).enumerate()
-    image = rep_image_mod(rep, n)
-    if len(full) % len(image) != 0:
+    order = psl2_group_order(n)
+    image = rep_image_mod(rep, n, budgets)
+    if order % len(image) != 0:
         raise ValidationError("image size does not divide the group order")
-    return len(full) == rep.degree * len(image)
+    return order == rep.degree * len(image)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +603,6 @@ def congruence_gap_witness(
     level: int,
     *,
     m_max: int = 24,
-    seed_budget: int = 100_000,
     budgets: Budgets | None = None,
 ) -> Optional[GapWitness]:
     """Search the level-``level`` principal congruence subgroup for a witness.
@@ -607,23 +615,17 @@ def congruence_gap_witness(
     whenever the subgroup is not congruence.  Returns None only if both
     phases come up empty.
     """
-    if is_congruence(rep):
+    budgets = active_budgets(budgets)
+    if is_congruence(rep, budgets=budgets):
         raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     if level < 2:
         raise ValidationError(f"witness level must be at least 2, got {level}")
-    budgets = active_budgets(budgets)
 
     found = None
     if level % rep_level(rep) != 0:
-        tried = 0
-        for w in _seed_words(level):
-            if tried >= seed_budget:
-                break
-            tried += 1
-            if rep.word_point(w) != 0:
-                found = w
-                break
+        found = next((w for w in _seed_words(level) if rep.word_point(w) != 0), None)
     if found is None:
+        check_closure_cap(psl2_group_order(level), budgets, f"PSL2(Z/{level})")
         for w in principal_congruence_generators(level):
             if rep.word_point(w) != 0:
                 found = w
@@ -638,8 +640,5 @@ def congruence_gap_witness(
     if x.reduce(level) != Mat2.identity(level):
         raise ValidationError("witness is not congruent to the identity at its level")
     displaced = rep.word_point(found)
-    levels = []
-    for m in range(2, m_max + 1):
-        if psl2_canon(x.reduce(m)) in rep_image_mod(rep, m):
-            levels.append(m)
-    return GapWitness(x, found, tuple(levels), displaced)
+    levels = tuple(m for m in range(2, m_max + 1) if in_image_mod(rep, x, m, budgets))
+    return GapWitness(x, found, levels, displaced)

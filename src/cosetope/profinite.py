@@ -27,6 +27,8 @@ from .groupcore import (
     SdElement,
     coset_reps,
     is_normal_by_generators,
+    perm_inv,
+    perm_mul,
     product_member,
     schreier_generator_words,
     sd_identity,
@@ -40,8 +42,6 @@ from .modular import (
     ModularWord,
     PermRep,
     perm_identity,
-    perm_inv,
-    perm_mul,
     rep_contains,
     schreier_transversal_words,
     subgroup_generators,
@@ -412,60 +412,73 @@ def tractable_at(
 ) -> TractabilityReport:
     """First candidate quotient where the intersection of images is tame.
 
-    For each candidate N (which must refine ``m_spec``): compute
-    U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M);
-    succeed on the first candidate where this holds, otherwise record
-    violating elements.  Per-candidate precondition failures are recorded,
-    not fatal.
+    Runs ``tractable_candidate`` on each candidate in turn and succeeds on
+    the first whose status is "ok".  Per-candidate precondition failures are
+    recorded, not fatal.
     """
     budgets = active_budgets(budgets)
     report = TractabilityReport(m_spec, tuple(h_gens), tuple(k_gens), tuple(hcapk_gens))
-    formation = m_spec.formation if m_spec.formation is not None else Formation.make("all")
     scanned = 0
     for cand in candidates:
-        entry = {"spec": cand, "status": "", "detail": "", "violations": []}
+        entry, count = tractable_candidate(h_gens, k_gens, hcapk_gens, m_spec, cand, budgets)
         report.entries.append(entry)
-        if not formation.admits(cand):
-            entry["status"] = "skipped-formation"
-            entry["detail"] = "candidate is outside the configured formation"
-            continue
-        if not m_spec.refined_by(cand):
-            entry["status"] = "precondition"
-            entry["detail"] = "candidate does not refine the target quotient"
-            continue
-        ctx = quotient_context(cand)
-        uh = image_subgroup(h_gens, cand, budgets)
-        uk = image_subgroup(k_gens, cand, budgets)
-        ui = image_subgroup(hcapk_gens, cand, budgets)
-        bad = [g for g in ui.generators if g not in uh or g not in uk]
-        if bad:
-            entry["status"] = "precondition"
-            entry["detail"] = "claimed intersection generators do not land in both images"
-            entry["violations"] = bad[:_VIOLATION_SAMPLE]
-            continue
-        inter = subgroup_intersection(uh, uk)
-        kernel = kernel_of_refinement(cand, m_spec, budgets)
-        violations = []
-        for u in inter.elements:
-            scanned += 1
-            if not product_member(ctx, u, ui, kernel):
-                violations.append(u)
-                if len(violations) >= _VIOLATION_SAMPLE:
-                    break
-        entry["sizes"] = {
-            "image_h": len(uh),
-            "image_k": len(uk),
-            "image_intersection": len(inter),
-            "kernel": len(kernel),
-        }
-        if not violations:
-            entry["status"] = "ok"
+        scanned += count
+        if entry["status"] == "ok":
             report.found = cand
             break
-        entry["status"] = "violation"
-        entry["violations"] = violations
     report.counters = {"elements_scanned": scanned, "candidates_tried": len(report.entries)}
     return report
+
+
+def tractable_candidate(
+    h_gens: Sequence[GroupWord],
+    k_gens: Sequence[GroupWord],
+    hcapk_gens: Sequence[GroupWord],
+    m_spec: QuotientSpec,
+    cand: QuotientSpec,
+    budgets: Budgets | None = None,
+) -> tuple:
+    """One candidate N of the inclusion search: (entry, elements scanned).
+
+    N must lie in the formation of ``m_spec`` and refine it.  Compute
+    U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M):
+    status "ok" when it holds, otherwise "violation" with a sample of
+    violating elements.
+    """
+    budgets = active_budgets(budgets)
+    entry = {"spec": cand, "status": "precondition", "detail": "", "violations": []}
+    if m_spec.formation is not None and not m_spec.formation.admits(cand):
+        entry.update(status="skipped-formation", detail="candidate is outside the configured formation")
+        return entry, 0
+    if not m_spec.refined_by(cand):
+        entry["detail"] = "candidate does not refine the target quotient"
+        return entry, 0
+    ctx = quotient_context(cand)
+    uh = image_subgroup(h_gens, cand, budgets)
+    uk = image_subgroup(k_gens, cand, budgets)
+    ui = image_subgroup(hcapk_gens, cand, budgets)
+    bad = [g for g in ui.generators if g not in uh or g not in uk]
+    if bad:
+        entry["detail"] = "claimed intersection generators do not land in both images"
+        entry["violations"] = bad[:_VIOLATION_SAMPLE]
+        return entry, 0
+    inter = subgroup_intersection(uh, uk)
+    kernel = kernel_of_refinement(cand, m_spec, budgets)
+    scanned = 0
+    for u in inter.elements:
+        scanned += 1
+        if not product_member(ctx, u, ui, kernel):
+            entry["violations"].append(u)
+            if len(entry["violations"]) >= _VIOLATION_SAMPLE:
+                break
+    entry["sizes"] = {
+        "image_h": len(uh),
+        "image_k": len(uk),
+        "image_intersection": len(inter),
+        "kernel": len(kernel),
+    }
+    entry["status"] = "violation" if entry["violations"] else "ok"
+    return entry, scanned
 
 
 # ---------------------------------------------------------------------------
@@ -500,35 +513,43 @@ def thm_b_probe(
     """
     if not tower:
         raise ValidationError("thm_b_probe needs a nonempty tower")
-    budgets = active_budgets(budgets)
     for spec in tower:
-        ctx = quotient_context(spec)
-        uh = image_subgroup(h_gens, spec, budgets)
-        uk = image_subgroup(k_gens, spec, budgets)
-        if l_gens is None:
-            hp = uh
-        else:
-            ul = image_subgroup(l_gens, spec, budgets)
-            inter_hk = subgroup_intersection(uh, uk)
-            for x in inter_hk.elements:
-                if x not in ul:
-                    raise PreconditionError(
-                        "thm_b_probe: image(H) meet image(K) is not inside image(L) "
-                        f"at modulus {spec.m}"
-                    )
-            hp = subgroup_intersection(uh, ul)
-        if not product_member(ctx, project(g, spec), hp, uk):
-            return SeparabilityCertificate(
-                element=g,
-                target="(H meet L)K" if l_gens is not None else "HK",
-                spec=spec,
-                transcript={
-                    "image_hp": len(hp),
-                    "image_k": len(uk),
-                    "member": False,
-                },
-            )
+        cert = probe_level(h_gens, k_gens, l_gens, g, spec, budgets)
+        if cert is not None:
+            return cert
     return None
+
+
+def probe_level(
+    h_gens: Sequence[GroupWord],
+    k_gens: Sequence[GroupWord],
+    l_gens: Optional[Sequence[GroupWord]],
+    g: GroupWord,
+    spec: QuotientSpec,
+    budgets: Budgets | None = None,
+) -> Optional[SeparabilityCertificate]:
+    """One level of ``thm_b_probe``: a certificate when the quotient of
+    ``spec`` excludes ``g`` from (H meet L)K, else None."""
+    budgets = active_budgets(budgets)
+    uh = image_subgroup(h_gens, spec, budgets)
+    uk = image_subgroup(k_gens, spec, budgets)
+    if l_gens is None:
+        hp = uh
+    else:
+        ul = image_subgroup(l_gens, spec, budgets)
+        if any(x not in ul for x in subgroup_intersection(uh, uk).elements):
+            raise PreconditionError(
+                f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {spec.m}"
+            )
+        hp = subgroup_intersection(uh, ul)
+    if product_member(quotient_context(spec), project(g, spec), hp, uk):
+        return None
+    return SeparabilityCertificate(
+        element=g,
+        target="(H meet L)K" if l_gens is not None else "HK",
+        spec=spec,
+        transcript={"image_hp": len(hp), "image_k": len(uk), "member": False},
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -25,21 +25,27 @@ from .profinite import (
 SCHEMA_VERSION = 1
 
 
-def stringify(obj: Any) -> Any:
+def _stringify(obj: Any) -> Any:
     """Recursively convert integers to decimal strings (bools stay bools)."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, (list, tuple)):
-        return [stringify(v) for v in obj]
+        return [_stringify(v) for v in obj]
     if isinstance(obj, dict):
-        return {k: stringify(v) for k, v in obj.items()}
+        return {k: _stringify(v) for k, v in obj.items()}
     return obj
 
 
+def as_recorded(value: Any) -> Any:
+    """``value`` in the form a loaded report holds it (numbers as decimal
+    strings, tuples as lists), so ``verify`` can compare recomputed data."""
+    return _stringify(value)
+
+
 def canonical_dumps(data: Any) -> str:
-    return json.dumps(stringify(data), sort_keys=True, indent=2) + "\n"
+    return json.dumps(_stringify(data), sort_keys=True, indent=2) + "\n"
 
 
 def parse_int(value: Any) -> int:
@@ -158,24 +164,23 @@ def certificate_from_json(data: dict) -> SeparabilityCertificate:
         raise ValidationError(f"bad certificate data: missing {exc}") from exc
 
 
+def tractability_entry_to_json(entry: dict) -> dict:
+    return {
+        "spec": spec_to_json(entry["spec"]),
+        "status": entry["status"],
+        "detail": entry["detail"],
+        "violations": [sd_to_json(v) for v in entry.get("violations", [])],
+        "sizes": entry.get("sizes", {}),
+    }
+
+
 def tractability_to_json(rep: TractabilityReport) -> dict:
-    entries = []
-    for entry in rep.entries:
-        entries.append(
-            {
-                "spec": spec_to_json(entry["spec"]),
-                "status": entry["status"],
-                "detail": entry["detail"],
-                "violations": [sd_to_json(v) for v in entry.get("violations", [])],
-                "sizes": entry.get("sizes", {}),
-            }
-        )
     return {
         "m_spec": spec_to_json(rep.m_spec),
         "h_gens": [groupword_to_json(g) for g in rep.h_gens],
         "k_gens": [groupword_to_json(g) for g in rep.k_gens],
         "hcapk_gens": [groupword_to_json(g) for g in rep.hcapk_gens],
-        "entries": entries,
+        "entries": [tractability_entry_to_json(entry) for entry in rep.entries],
         "found": spec_to_json(rep.found) if rep.found is not None else None,
         "counters": rep.counters,
     }

@@ -6,6 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 
 from cosetope.groupcore import (
     GroupContext,
@@ -165,3 +166,17 @@ def naive_rep_counts(d: int):
         return npairs, npairs, classes
     assert npairs % math.factorial(d - 1) == 0
     return npairs, npairs // math.factorial(d - 1), classes
+
+
+def count_closures(monkeypatch, module) -> Counter:
+    """Count the subgroup closures ``module`` runs, keyed by (context name, generators)."""
+    calls = Counter()
+    real = module.subgroup_closure
+
+    def counting(ctx, gens, budgets=None):
+        gens = tuple(gens)
+        calls[ctx.name, gens] += 1
+        return real(ctx, gens, budgets)
+
+    monkeypatch.setattr(module, "subgroup_closure", counting)
+    return calls

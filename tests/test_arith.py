@@ -7,11 +7,12 @@ from cosetope.arith import (
     MAT_T,
     Mat2,
     Residue,
+    _factorize,
     is_prime,
     psl2_group_order,
     sl2_group_order,
 )
-from cosetope.errors import ModulusMismatch, ValidationError
+from cosetope.errors import BudgetError, ModulusMismatch, ValidationError
 
 
 def rand_ambient(rng, bound=50):
@@ -157,3 +158,24 @@ def test_group_order_helpers():
     assert sl2_group_order(12) == 1152
     assert psl2_group_order(2) == 6
     assert psl2_group_order(6) == 72
+
+
+def test_factorize_matches_trial_division_on_small_moduli():
+    for n in range(2, 3000):
+        factors = _factorize(n)
+        assert all(is_prime(p) for p in factors)
+        product = 1
+        for p, k in factors.items():
+            product *= p ** k
+        assert product == n
+
+
+def test_factorize_accepts_provable_prime_cofactors_only():
+    big = 1_000_000_000_000_000_003  # prime, far beyond the trial-division bound
+    assert _factorize(big) == {big: 1}
+    assert _factorize(4 * 3 * big) == {2: 2, 3: 1, big: 1}
+    assert sl2_group_order(big) == big ** 3 - big
+    with pytest.raises(BudgetError, match="1000000016000000063"):
+        _factorize(1_000_000_007 * 1_000_000_009)  # two primes above the bound
+    with pytest.raises(BudgetError, match="not provably prime"):
+        _factorize(2 ** 89 - 1)  # prime, but beyond the range where is_prime is exact

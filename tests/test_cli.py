@@ -1,11 +1,15 @@
 import json
+import time
 
 import pytest
 
+import cosetope.modular
 from cosetope.cli import main
 from cosetope.groupcore import GroupContext
 from cosetope.modular import congruence_rep, is_congruence, low_index_reps
 from cosetope.report import canonical_dumps, parse_int
+
+from t_util import count_closures
 
 
 H_GENS_JSON = [{"w": "S"}, {"w": "T"}]
@@ -180,6 +184,13 @@ def test_verify_rejects_tampered_report(tmp_path):
     assert main(["verify", "--report", str(path)]) == 2
 
 
+def test_verify_rejects_malformed_reports(tmp_path):
+    path = tmp_path / "report.json"
+    for data in ([], {"command": "tractable", "config": {}, "result": [], "schema": "1"}):
+        path.write_text(canonical_dumps(data))
+        assert main(["verify", "--report", str(path)]) == 2
+
+
 def test_exit_code_on_bad_input(tmp_path):
     assert main(["image", "--modulus", "3", "--gens", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -259,3 +270,111 @@ def test_quotient_enumerate_fails_fast_on_known_order(tmp_path, monkeypatch):
 
     monkeypatch.setattr(GroupContext, "enumerate", refuse)
     assert main(["quotient", "--modulus", "12", "--enumerate", "--output", str(tmp_path / "q.json")]) == 3
+
+
+def _tamper(path, edit):
+    """Rewrite a report canonically after ``edit`` changed its parsed data."""
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(canonical_dumps(data))
+
+
+def _set_path(data, keys, value):
+    for key in keys[:-1]:
+        data = data[key]
+    data[keys[-1]] = value
+
+
+@pytest.mark.parametrize(
+    "args, keys, value",
+    [
+        (["quotient", "--modulus", "2"], ("result", "order"), "97"),
+        (["quotient", "--modulus", "2", "--enumerate"], ("result", "enumerated_order"), "95"),
+        (["image", "--modulus", "3", "--gens", "{h}"], ("result", "size"), "999"),
+        (["image", "--modulus", "3", "--gens", "{h}"], ("result", "sample", 1, "h", "rows", 0, 0), "2"),
+        (["intersect", "--modulus", "3", "--left", "{h}", "--right", "{k}"], ("result", "size_intersection"), "2"),
+        (["intersect", "--modulus", "3", "--left", "{h}", "--right", "{k}"], ("result", "size_left"), "23"),
+        (
+            ["dcoset-member", "--modulus", "3", "--element", '{"w": ""}', "--left", "{h}", "--right", "{k}"],
+            ("result", "size_right"),
+            "7",
+        ),
+        (
+            ["gs-demo", "--max-level", "3", "--m-max", "6"],
+            ("result", "evidence", "level_transcripts", 3, "image_order"),
+            "7",
+        ),
+        (
+            ["gs-demo", "--max-level", "3", "--m-max", "6"],
+            ("result", "evidence", "level_transcripts", 0, "double_coset_member"),
+            False,
+        ),
+        (
+            ["tractable", "--h-gens", "{h}", "--k-gens", "{k}", "--hcapk-gens", "{empty}", "--m-spec", '{"m": 2}',
+             "--tower", "{tower}"],
+            ("result", "entries", 1, "sizes", "kernel"),
+            "64",
+        ),
+        (
+            ["tractable", "--h-gens", "{h}", "--k-gens", "{k}", "--hcapk-gens", "{empty}", "--m-spec", '{"m": 2}',
+             "--tower", "{tower}"],
+            ("result", "entries", 1, "sizes", "image_h"),
+            "47",
+        ),
+        (
+            ["thm-b-probe", "--h-gens", "{h}", "--k-gens", "{k}", "--element",
+             '{"a": {"rows": [["2", "0"], ["0", "2"]], "m": null}, "w": ""}'],
+            ("result", "certificate", "transcript", "image_k"),
+            "25",
+        ),
+        (["congruence", "--rep", "{rep}"], ("result", "image_index"), "5"),
+    ],
+)
+def test_verify_rejects_tampered_results(tmp_path, gens_files, args, keys, value):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps(congruence_rep(2).to_json()))
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps([{"m": 3}, {"m": 4}]))
+    files = dict(gens_files, rep=str(rep), tower=str(tower))
+    path = tmp_path / "report.json"
+    run_report([files.get(a.strip("{}"), a) for a in args], path)
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
+    _tamper(path, lambda data: _set_path(data, keys, value))
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v2.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["congruence", "--rep", "{rep}"],
+        ["gap-witness", "--rep", "{rep}", "--level", "24"],
+        ["lowindex", "--max-degree", "5"],
+    ],
+)
+def test_closure_cap_flag_reaches_congruence_paths(tmp_path, args):
+    rep = next(r for r in low_index_reps(7) if not is_congruence(r))
+    rep_path = tmp_path / "rep.json"
+    rep_path.write_text(json.dumps(rep.to_json()))
+    argv = [str(rep_path) if a == "{rep}" else a for a in args]
+    assert main(argv + ["--closure-cap", "10", "--output", str(tmp_path / "out.json")]) == 3
+
+
+def test_huge_modulus_ends_quickly(tmp_path):
+    start = time.perf_counter()
+    data, _ = run_report(["quotient", "--modulus", "1000000000000000003"], tmp_path / "q.json")
+    assert parse_int(data["result"]["sl2_order"]) == 1000000000000000003 ** 3 - 1000000000000000003
+    assert main(["verify", "--report", str(tmp_path / "q.json"), "--output", str(tmp_path / "v.json")]) == 0
+    # a product of two primes above the trial-division bound cannot be factored at desk scale
+    composite = str(1_000_000_007 * 1_000_000_009)
+    assert main(["quotient", "--modulus", composite, "--output", str(tmp_path / "q2.json")]) == 3
+    assert time.perf_counter() - start < 10
+
+
+def test_gs_demo_and_verify_close_each_level_image_once(tmp_path, monkeypatch):
+    monkeypatch.setattr(cosetope.modular, "_rep_images", {})
+    closures = count_closures(monkeypatch, cosetope.modular)
+    path = tmp_path / "demo.json"
+    data, _ = run_report(["gs-demo", "--max-level", "3", "--m-max", "8"], path)
+    assert data["result"]["evidence"]["status"] == "evidence"
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
+    assert closures and set(closures.values()) == {1}

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import cosetope.gs
+import cosetope.modular
 from cosetope.arith import Mat2
 from cosetope.errors import PreconditionError
 from cosetope.groupcore import (
@@ -10,6 +12,8 @@ from cosetope.groupcore import (
     product_member,
     sd_inv,
     sd_mul,
+    sl2_context,
+    subgroup_closure,
     subgroup_from_elements,
 )
 from cosetope.gs import (
@@ -28,9 +32,12 @@ from cosetope.modular import (
     is_congruence,
     low_index_reps,
     rep_contains,
+    subgroup_generators,
     word_eval,
 )
 from cosetope.profinite import GroupWord, QuotientSpec, project, quotient_context
+
+from t_util import count_closures
 
 
 def minimal_noncongruence():
@@ -255,6 +262,41 @@ def test_reduced_membership_equals_double_coset_membership():
             g = GroupWord.of_a(x - Mat2.identity())
             direct = product_member(ctx, project(g, spec), im_hp, inst.im_k)
             assert direct == (x.reduce(m) in image)
+
+
+def _sl2_closure_image(rep, m):
+    """Oracle: the sign-saturated image as a closure in SL2(Z/m) of the
+    reduced subgroup generators together with -I."""
+    gens = [word_eval(w).reduce(m) for w in subgroup_generators(rep)]
+    gens.append((-Mat2.identity()).reduce(m))
+    return subgroup_closure(sl2_context(m), gens)
+
+
+def test_sign_saturated_image_matches_sl2_closure_oracle():
+    budgets = active_budgets()
+    for rep in (congruence_rep(2), minimal_noncongruence()):
+        for m in range(2, 13):
+            derived = _h_prime_image_mod(rep, m, budgets)
+            oracle = _sl2_closure_image(rep, m)
+            assert len(derived) == len(oracle), (rep, m)
+            assert derived.as_set() == oracle.as_set(), (rep, m)
+
+
+def test_wz_failure_closes_each_level_image_once(monkeypatch):
+    rep = minimal_noncongruence()
+    monkeypatch.setattr(cosetope.modular, "_rep_images", {})
+    images = count_closures(monkeypatch, cosetope.modular)
+    others = count_closures(monkeypatch, cosetope.gs)
+    evidence = gs_wz_failure(rep, 12, witness_level=12)
+    assert evidence.status == "evidence"
+    assert sorted(name for name, _ in images) == sorted(f"PSL2(Z/{m})" for m in range(2, 13))
+    assert set(images.values()) == {1}
+    assert all(name.startswith("M2(") for name, _ in others)  # only the images of H, for the cross-check
+    images.clear()
+    others.clear()
+    for m in range(2, 13):
+        _h_prime_image_mod(rep, m, active_budgets())
+    assert not images and not others
 
 
 # ---------------------------------------------------------------------------

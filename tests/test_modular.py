@@ -3,7 +3,9 @@ from collections import Counter
 
 import pytest
 
-from cosetope.arith import MAT_T, Mat2
+import cosetope.modular
+from cosetope.arith import MAT_T, Mat2, psl2_group_order
+from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import subgroup_closure
 from cosetope.modular import (
@@ -26,7 +28,7 @@ from cosetope.modular import (
     _restandardize,
 )
 
-from t_util import naive_rep_counts, perm_context
+from t_util import count_closures, naive_rep_counts, perm_context
 
 
 def random_word(rng, max_len=30):
@@ -227,6 +229,27 @@ def test_level_two_rep_is_congruence():
     # image mod 2 is trivial, so the index equals the full group order
     image = rep_image_mod(rep, 2)
     assert len(image) == 1
+
+
+def test_rep_image_is_closed_once_and_cap_holds_on_cached_images(monkeypatch):
+    monkeypatch.setattr(cosetope.modular, "_rep_images", {})
+    calls = count_closures(monkeypatch, cosetope.modular)
+    rep = congruence_rep(2)
+    first = rep_image_mod(rep, 6, Budgets(closure_cap=1000))
+    assert len(first) == psl2_group_order(6) // rep.degree
+    assert rep_image_mod(rep, 6) is first
+    assert rep_image_mod(rep, 6, Budgets(closure_cap=len(first))) is first
+    with pytest.raises(BudgetError, match="closure_cap"):
+        rep_image_mod(rep, 6, Budgets(closure_cap=len(first) - 1))
+    assert [name for name, _ in calls.elements()] == ["PSL2(Z/6)"]
+
+
+def test_is_congruence_honours_the_closure_cap():
+    rep = next(r for r in low_index_reps(7) if not is_congruence(r))
+    with pytest.raises(BudgetError):
+        is_congruence(rep, budgets=Budgets(closure_cap=10))
+    with pytest.raises(BudgetError):
+        congruence_gap_witness(rep, 24, budgets=Budgets(closure_cap=10))
 
 
 def _congruence_by_containment(rep):
