@@ -42,7 +42,6 @@ from .modular import (
     ModularWord,
     PermRep,
     congruence_gap_witness,
-    congruence_rep,
     is_congruence,
     low_index_reps,
     matrix_to_word,

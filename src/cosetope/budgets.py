@@ -34,23 +34,25 @@ def from_env(environ=None) -> Budgets:
     raw = environ.get("COSETOPE_BUDGET", "").strip()
     if not raw:
         return Budgets()
-    if raw.isdigit():
-        n = int(raw)
+    if "=" not in raw:
+        n = _parse_cap(raw, raw)
         return Budgets(closure_cap=n, product_cap=n)
-    closure = DEFAULT_CLOSURE_CAP
-    product = DEFAULT_PRODUCT_CAP
+    caps = {"closure": DEFAULT_CLOSURE_CAP, "product": DEFAULT_PRODUCT_CAP}
     for part in raw.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
-        if not value.strip().lstrip("-").isdigit():
-            raise ValidationError(f"bad COSETOPE_BUDGET entry: {part!r}")
-        if key == "closure":
-            closure = int(value)
-        elif key == "product":
-            product = int(value)
-        else:
+        if key not in caps:
             raise ValidationError(f"unknown COSETOPE_BUDGET key: {key!r}")
-    return Budgets(closure_cap=closure, product_cap=product)
+        caps[key] = _parse_cap(value, part)
+    return Budgets(closure_cap=caps["closure"], product_cap=caps["product"])
+
+
+def _parse_cap(value: str, part: str) -> int:
+    # str.isdigit admits characters such as superscripts that int() rejects
+    value = value.strip()
+    if not value.isdecimal():
+        raise ValidationError(f"bad COSETOPE_BUDGET entry: {part!r}")
+    return int(value)
 
 
 def active_budgets(budgets: Budgets | None = None) -> Budgets:

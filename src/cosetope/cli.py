@@ -2,9 +2,11 @@
 
 Every subcommand writes one canonical JSON report (sorted keys, numbers as
 decimal strings), so identical invocations produce identical bytes, and the
-``verify`` subcommand re-checks a report's certificates and evidence without
-re-running any search.  Exit codes: 0 completed (including inconclusive
-outcomes), 2 precondition or validation failure, 3 budget exhaustion.
+``verify`` subcommand re-checks a report's certificates, evidence and
+inconclusive outcomes with the checks that produced them, on the levels and
+candidates the report records.  Exit codes: 0 completed (including
+inconclusive outcomes), 2 precondition or validation failure, 3 budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from .gs import (
     _h_prime_image_mod,
     evidence_entry,
     gs_build,
-    gs_hk_member,
     gs_hk_witness,
     gs_intersection,
     gs_wz_failure,
@@ -55,7 +56,6 @@ from .profinite import (
     spec_group_order,
     thm_b_probe,
     tractable_at,
-    tractable_candidate,
 )
 from . import report as rpt
 
@@ -68,7 +68,7 @@ def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a NUL in the path
         raise ValidationError(f"cannot read {path!r}: {exc}") from exc
 
 
@@ -186,17 +186,15 @@ def _run(args, command: str, config: dict) -> int:
 
 
 def _cmd_quotient(args) -> int:
-    config = {"modulus": args.modulus, "rep": args.rep, "enumerate": bool(args.enumerate), "seed": args.seed}
-    return _run(args, "quotient", config)
+    return _run(args, "quotient", {"modulus": args.modulus, "rep": args.rep, "enumerate": bool(args.enumerate)})
 
 
 def _cmd_image(args) -> int:
-    return _run(args, "image", {"modulus": args.modulus, "rep": args.rep, "gens": args.gens, "seed": args.seed})
+    return _run(args, "image", {"modulus": args.modulus, "rep": args.rep, "gens": args.gens})
 
 
 def _cmd_intersect(args) -> int:
-    config = {"modulus": args.modulus, "rep": args.rep, "left": args.left, "right": args.right, "seed": args.seed}
-    return _run(args, "intersect", config)
+    return _run(args, "intersect", {"modulus": args.modulus, "rep": args.rep, "left": args.left, "right": args.right})
 
 
 def _cmd_dcoset_member(args) -> int:
@@ -206,13 +204,12 @@ def _cmd_dcoset_member(args) -> int:
         "element": args.element,
         "left": args.left,
         "right": args.right,
-        "seed": args.seed,
     }
     return _run(args, "dcoset-member", config)
 
 
 def _cmd_congruence(args) -> int:
-    return _run(args, "congruence", {"rep": args.rep, "seed": args.seed})
+    return _run(args, "congruence", {"rep": args.rep})
 
 
 def _cmd_tractable(args) -> int:
@@ -236,7 +233,6 @@ def _cmd_tractable(args) -> int:
         "hcapk_gens": args.hcapk_gens,
         "m_spec": args.m_spec,
         "tower": args.tower,
-        "seed": args.seed,
     }
     _emit(args, "tractable", config, rpt.tractability_to_json(outcome))
     return 0
@@ -260,7 +256,6 @@ def _cmd_thm_b_probe(args) -> int:
         "l_rep": args.l_rep,
         "element": args.element,
         "tower": args.tower,
-        "seed": args.seed,
     }
     h_gens, k_gens, l_gens = _probe_gens(config)
     g = _parse_element(args.element)
@@ -284,7 +279,7 @@ def _cmd_lowindex(args) -> int:
         {"rep": rep.to_json(), "level": rep_level(rep), "congruence": is_congruence(rep, budgets=budgets)}
         for rep in reps
     ]
-    config = {"max_degree": args.max_degree, "subgroups": bool(args.subgroups), "seed": args.seed}
+    config = {"max_degree": args.max_degree, "subgroups": bool(args.subgroups)}
     result = {"count": len(entries), "reps": entries}
     _emit(args, "lowindex", config, result)
     return 0
@@ -293,12 +288,8 @@ def _cmd_lowindex(args) -> int:
 def _cmd_gap_witness(args) -> int:
     rep = load_rep(args.rep)
     witness = congruence_gap_witness(rep, args.level, m_max=args.m_max, budgets=_budgets_of(args))
-    config = {"rep": args.rep, "level": args.level, "m_max": args.m_max, "seed": args.seed}
-    if witness is None:
-        result = {"status": "inconclusive"}
-    else:
-        result = {"status": "found", "witness": rpt.witness_to_json(witness)}
-    _emit(args, "gap-witness", config, result)
+    config = {"rep": args.rep, "level": args.level, "m_max": args.m_max}
+    _emit(args, "gap-witness", config, {"status": "found", "witness": rpt.witness_to_json(witness)})
     return 0
 
 
@@ -318,50 +309,50 @@ def _intersection_table(max_level: int, budgets: Budgets) -> list:
     ]
 
 
+def _hk_certificates() -> list:
+    """The determinant certificate of each sample element off HK, or "inconclusive"."""
+    entries = []
+    for g in _HK_SAMPLES:
+        cert = gs_hk_witness(g)
+        entry = {"element": rpt.groupword_to_json(g), "status": "inconclusive"}
+        if cert is not None:
+            entry.update(status="certified", certificate=rpt.certificate_to_json(cert))
+        entries.append(entry)
+    return entries
+
+
+def _lowindex_block(max_degree: int, budgets: Budgets) -> tuple:
+    """The low-index block of gs-demo and the subgroup it selects for the
+    evidence: the first class that is not congruence, or None."""
+    reps = low_index_reps(max_degree)
+    noncongruence = [rep for rep in reps if not is_congruence(rep, budgets=budgets)]
+    block = {"max_degree": max_degree, "reps_total": len(reps), "noncongruence_total": len(noncongruence)}
+    selected = noncongruence[0] if noncongruence else None
+    if selected is not None:
+        block["selected"] = selected.to_json()
+    return block, selected
+
+
+_NO_EVIDENCE = {"status": "no-noncongruence-subgroup-found"}
+
+
 def _cmd_gs_demo(args) -> int:
     budgets = _budgets_of(args)
     config = {
         "max_level": args.max_level,
         "m_max": args.m_max,
         "max_degree": args.max_degree,
-        "seed": args.seed,
     }
     intersections = _intersection_table(args.max_level, budgets)
-
-    certificates = []
-    for g in _HK_SAMPLES:
-        cert = gs_hk_witness(g)
-        if cert is None:
-            certificates.append(
-                {"element": rpt.groupword_to_json(g), "status": "inconclusive"}
-            )
-        else:
-            certificates.append(
-                {
-                    "element": rpt.groupword_to_json(g),
-                    "status": "certified",
-                    "certificate": rpt.certificate_to_json(cert),
-                }
-            )
-
-    reps = low_index_reps(args.max_degree)
-    noncongruence = [rep for rep in reps if not is_congruence(rep, budgets=budgets)]
-    lowindex = {
-        "max_degree": args.max_degree,
-        "reps_total": len(reps),
-        "noncongruence_total": len(noncongruence),
-    }
-    if noncongruence:
-        selected = noncongruence[0]
-        lowindex["selected"] = selected.to_json()
-        evidence = gs_wz_failure(selected, args.m_max, budgets=budgets)
-        evidence_json = rpt.evidence_to_json(evidence)
+    lowindex, selected = _lowindex_block(args.max_degree, budgets)
+    if selected is None:
+        evidence_json = _NO_EVIDENCE
     else:
-        evidence_json = {"status": "no-noncongruence-subgroup-found"}
+        evidence_json = rpt.evidence_to_json(gs_wz_failure(selected, args.m_max, budgets=budgets))
 
     result = {
         "intersections": intersections,
-        "hk_certificates": certificates,
+        "hk_certificates": _hk_certificates(),
         "lowindex": lowindex,
         "evidence": evidence_json,
     }
@@ -386,39 +377,42 @@ def _require_match(claimed, recomputed, what: str) -> None:
 
 
 def _verify_probe(config: dict, result: dict, budgets: Budgets) -> None:
-    if result.get("status") != "certified":
+    gens = _probe_gens(config)
+    g = _parse_element(config["element"])
+    if result["status"] == "certified":
+        data = result["certificate"]
+        spec = rpt.certificate_from_json(data).spec
+        recomputed = probe_level(*gens, g, spec, budgets)
+        if recomputed is None:
+            raise ValidationError(f"verify failed: the element is not excluded at modulus {spec.m}")
+        _require_match(data, rpt.as_recorded(rpt.certificate_to_json(recomputed)), "probe certificate")
         return
-    data = result["certificate"]
-    cert = rpt.certificate_from_json(data)
-    recomputed = probe_level(*_probe_gens(config), cert.element, cert.spec, budgets)
-    if recomputed is None:
-        raise ValidationError(f"verify failed: the element is not excluded at modulus {cert.spec.m}")
-    _require_match(data, rpt.as_recorded(rpt.certificate_to_json(recomputed)), "probe certificate")
+    _require_match(result["status"], "inconclusive", "probe status")
+    tower = [rpt.spec_from_json(data) for data in result["tower"]]
+    cert = thm_b_probe(*gens, g, tower, budgets)
+    if cert is not None:
+        raise ValidationError(f"verify failed: the element is excluded at modulus {cert.spec.m}")
 
 
-def _verify_witness(data: dict, rep: PermRep, budgets: Budgets) -> GapWitness:
+def _verify_witness(data: dict, rep: PermRep, level: int, budgets: Budgets) -> GapWitness:
     witness = rpt.witness_from_json(data)
     _require_match(rpt.mat_to_json(witness.x), rpt.mat_to_json(word_eval(witness.word)), "witness matrix vs word")
     _require_match(witness.displaced_to, rep.word_point(witness.word), "witness basepoint displacement")
     if witness.displaced_to == 0:
         raise ValidationError("verify failed: witness does not leave the subgroup")
+    if witness.x.reduce(level) != Mat2.identity(level):
+        raise ValidationError(f"verify failed: witness is not trivial at its search level {level}")
     for m in witness.levels_verified:
         _require_match(True, in_image_mod(rep, witness.x, m, budgets), f"witness level {m}")
     return witness
 
 
-def _verify_evidence(data: dict, budgets: Budgets) -> None:
-    if data.get("status") != "evidence":
-        return
-    rep = PermRep.from_json(data["rep"])
-    if is_congruence(rep, budgets=budgets):
-        raise ValidationError("verify failed: evidence subgroup is congruence")
-    witness = _verify_witness(data["witness"], rep, budgets)
+def _verify_evidence(data: dict, rep: PermRep, budgets: Budgets) -> None:
+    _require_match(data["status"], "evidence", "evidence status")
+    _require_match(data["rep"], rpt.as_recorded(rep.to_json()), "evidence subgroup")
+    witness = _verify_witness(data["witness"], rep, rpt.parse_int(data["witness_level"]), budgets)
     g = GroupWord.of_a(witness.x - Mat2.identity())
     _require_match(data["g"], rpt.as_recorded(rpt.groupword_to_json(g)), "evidence element")
-    level = rpt.parse_int(data["witness_level"])
-    if witness.x.reduce(level) != Mat2.identity(level):
-        raise ValidationError("verify failed: witness is not trivial at its search level")
     for entry in data["level_transcripts"]:
         m = rpt.parse_int(entry["m"])
         recomputed = evidence_entry(_h_prime_image_mod(rep, m, budgets), witness.x, g, m, budgets)
@@ -428,34 +422,29 @@ def _verify_evidence(data: dict, budgets: Budgets) -> None:
 
 
 def _verify_tractable(config: dict, result: dict, budgets: Budgets) -> None:
-    if result.get("found") is None:
-        return
+    """Replay the search over the recorded candidates: every entry, the
+    candidate found (or none) and the counters must come out the same."""
     h_gens, k_gens, hcapk_gens = (
         [rpt.groupword_from_json(e) for e in result[key]] for key in ("h_gens", "k_gens", "hcapk_gens")
     )
-    m_spec = rpt.spec_from_json(result["m_spec"])
-    found = rpt.spec_from_json(result["found"])
-    entry, _ = tractable_candidate(h_gens, k_gens, hcapk_gens, m_spec, found, budgets)
-    _require_match("ok", entry["status"], "status of the recorded success")
-    recomputed = rpt.as_recorded(rpt.tractability_entry_to_json(entry))
-    _require_match(result["entries"][-1], recomputed, "entry of the recorded success")
+    candidates = [rpt.spec_from_json(entry["spec"]) for entry in result["entries"]]
+    outcome = tractable_at(h_gens, k_gens, hcapk_gens, rpt.spec_from_json(result["m_spec"]), candidates, budgets)
+    recomputed = rpt.as_recorded(rpt.tractability_to_json(outcome))
+    for i, (claimed, entry) in enumerate(zip(result["entries"], recomputed["entries"])):
+        _require_match(claimed, entry, f"tractability entry {i}")
+    _require_match(result, recomputed, "tractability search")
 
 
 def _verify_gs_demo(config: dict, result: dict, budgets: Budgets) -> None:
     table = _intersection_table(rpt.parse_int(config["max_level"]), budgets)
     _require_match(result["intersections"], rpt.as_recorded(table), "intersection table")
-    for entry in result["hk_certificates"]:
-        if entry["status"] == "certified":
-            cert = rpt.certificate_from_json(entry["certificate"])
-            if cert.target != "HK":
-                raise ValidationError(f"verify: unknown certificate target {cert.target!r}")
-            _require_match(False, gs_hk_member(cert.element, cert.spec.m), f"HK membership at modulus {cert.spec.m}")
-        elif gs_hk_witness(rpt.groupword_from_json(entry["element"])) is not None:
-            raise ValidationError("verify failed: inconclusive element has a certificate")
-    if "selected" in result["lowindex"]:
-        if is_congruence(PermRep.from_json(result["lowindex"]["selected"]), budgets=budgets):
-            raise ValidationError("verify failed: selected subgroup is congruence")
-    _verify_evidence(result["evidence"], budgets)
+    _require_match(result["hk_certificates"], rpt.as_recorded(_hk_certificates()), "HK certificates")
+    lowindex, selected = _lowindex_block(rpt.parse_int(config["max_degree"]), budgets)
+    _require_match(result["lowindex"], rpt.as_recorded(lowindex), "low-index block")
+    if selected is None:
+        _require_match(result["evidence"], _NO_EVIDENCE, "evidence")
+    else:
+        _verify_evidence(result["evidence"], selected, budgets)
 
 
 def _verify_lowindex(config: dict, result: dict, budgets: Budgets) -> None:
@@ -466,8 +455,8 @@ def _verify_lowindex(config: dict, result: dict, budgets: Budgets) -> None:
 
 
 def _verify_gap_witness(config: dict, result: dict, budgets: Budgets) -> None:
-    if result.get("status") == "found":
-        _verify_witness(result["witness"], load_rep(config["rep"]), budgets)
+    _require_match(result["status"], "found", "gap-witness status")
+    _verify_witness(result["witness"], load_rep(config["rep"]), rpt.parse_int(config["level"]), budgets)
 
 
 def _verify_recomputed(command: str):
@@ -504,13 +493,13 @@ def _cmd_verify(args) -> int:
     if rpt.parse_int(data.get("schema", 0)) != rpt.SCHEMA_VERSION:
         raise ValidationError(f"verify failed: unsupported schema {data.get('schema')!r}")
     command = data.get("command")
-    if command not in _CHECKS:
+    if not isinstance(command, str) or command not in _CHECKS:
         raise ValidationError(f"verify: unknown command {command!r}")
     try:
         _CHECKS[command](data.get("config", {}), data.get("result", {}), _budgets_of(args))
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValidationError(f"verify failed: malformed {command} report ({exc!r})") from exc
-    _emit(args, "verify", {"report": args.report, "seed": args.seed}, {"verified": True, "checked": command})
+    _emit(args, "verify", {"report": args.report}, {"verified": True, "checked": command})
     return 0
 
 
@@ -527,7 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", default=None, help="report file (default: stdout)")
-        p.add_argument("--seed", type=int, default=0, help="recorded in the report")
         p.add_argument("--closure-cap", type=int, default=None)
         p.add_argument("--product-cap", type=int, default=None)
 
@@ -606,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=_cmd_gs_demo)
 
-    p = sub.add_parser("verify", help="re-check a report without re-running searches")
+    p = sub.add_parser("verify", help="re-check the certificates and outcomes of a report")
     p.add_argument("--report", required=True)
     common(p)
     p.set_defaults(func=_cmd_verify)

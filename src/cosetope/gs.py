@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from .arith import Mat2
 from .budgets import Budgets, active_budgets
-from .errors import BudgetError, PreconditionError, ValidationError
+from .errors import ValidationError
 from .groupcore import (
     GeneratedSubgroup,
     GroupContext,
@@ -36,7 +36,6 @@ from .modular import (
     ModularWord,
     PermRep,
     congruence_gap_witness,
-    is_congruence,
     rep_contains,
     rep_image_mod,
     subgroup_generators,
@@ -149,8 +148,8 @@ class NonSepEvidence:
     """
 
     rep: PermRep
-    witness: Optional[GapWitness]
-    g: Optional[GroupWord]
+    witness: GapWitness
+    g: GroupWord
     level_transcripts: list = field(default_factory=list)
     levels: tuple = ()
     witness_level: int = 0
@@ -230,25 +229,11 @@ def gs_wz_failure(
     congruence level m, membership of the image of g in the image of H'K
     reduces to membership of x mod m in the matrix image of H', which is
     what each transcript records (with a direct double-coset cross-check at
-    the smallest levels).
+    the smallest levels).  A congruence ``rep`` has no witness and raises
+    PreconditionError.
     """
     budgets = active_budgets(budgets)
-    if is_congruence(rep, budgets=budgets):
-        raise PreconditionError("gs_wz_failure: the subgroup is congruence; no failure evidence exists")
-    try:
-        witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets)
-    except BudgetError:
-        witness = None
-    if witness is None:
-        return NonSepEvidence(
-            rep=rep,
-            witness=None,
-            g=None,
-            witness_level=witness_level,
-            towers_used=f"congruence levels 2..{m_max}",
-            conclusion="witness search inconclusive; no evidence assembled",
-            status="inconclusive",
-        )
+    witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets)
     x = witness.x
     g = GroupWord.of_a(x - Mat2.identity())
     if rep_contains(rep, witness.word):

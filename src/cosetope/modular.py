@@ -81,11 +81,6 @@ class ModularWord(NamedTuple):
         return "".join(_LETTER_CHARS[l] for l in self.letters)
 
 
-WORD_ID = ModularWord()
-WORD_S = ModularWord((S_,))
-WORD_T = ModularWord((T_,))
-
-
 def t_power(k: int) -> ModularWord:
     return ModularWord(((T_,) * k) if k >= 0 else ((-T_,) * (-k)))
 
@@ -219,7 +214,7 @@ class PermRep(NamedTuple):
             degree = int(data["degree"])
             perm_s = tuple(int(v) for v in data["s"])
             perm_t = tuple(int(v) for v in data["t"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad permutation representation data: {exc}") from exc
         return cls.make(degree, perm_s, perm_t)
 
@@ -470,36 +465,6 @@ def psl2_context(m: int) -> GroupContext:
     return GroupContext(sl2.identity, mul, inv, gens, name=f"PSL2(Z/{m})")
 
 
-@functools.lru_cache(maxsize=None)
-def _psl2_regular(m: int):
-    """Right-multiplication action arrays of S and T on the projective group."""
-    ctx = psl2_context(m)
-    full = ctx.enumerate()
-    index = {e: i for i, e in enumerate(full.elements)}
-    sbar, tbar = ctx.generators
-    s_act = tuple(index[ctx.mul(e, sbar)] for e in full.elements)
-    t_act = tuple(index[ctx.mul(e, tbar)] for e in full.elements)
-    return s_act, t_act
-
-
-@functools.lru_cache(maxsize=None)
-def congruence_rep(m: int) -> PermRep:
-    """The coset action whose subgroup is the level-m principal congruence kernel.
-
-    Built from the regular action of the projective quotient group; the
-    basepoint corresponds to the identity coset.
-    """
-    s_act, t_act = _psl2_regular(m)
-    s2, t2 = _restandardize(s_act, t_act, 0)
-    return PermRep.make(len(s_act), s2, t2)
-
-
-@functools.lru_cache(maxsize=None)
-def principal_congruence_generators(m: int) -> tuple:
-    """Words generating the level-m principal congruence subgroup (projectively)."""
-    return tuple(subgroup_generators(congruence_rep(m)))
-
-
 _rep_images: dict = {}
 
 
@@ -524,23 +489,58 @@ def in_image_mod(rep: PermRep, x: Mat2, m: int, budgets: Budgets | None = None) 
     return psl2_canon(x.reduce(m)) in rep_image_mod(rep, m, budgets)
 
 
-def is_congruence(rep: PermRep, *, max_level: int = 64, budgets: Budgets | None = None) -> bool:
+_MAX_CONGRUENCE_LEVEL = 64
+
+
+def _gamma_walk(rep: PermRep, n: int, budgets: Budgets | None) -> Optional[ModularWord]:
+    """The first element of the level-n principal congruence subgroup that
+    moves the basepoint, or None when the subgroup contains all of it.
+
+    A breadth-first walk over PSL2(Z/n) from I at coset point 0, letters in
+    the order S, T, T^-1 (S^-1 reaches the same matrix as S).  Each matrix
+    keeps the coset point and the word it was first reached with.  An S or T
+    edge into an already-seen matrix y closes the Schreier generator
+    word(x) + letter + word(y)^-1, which lies in the principal congruence
+    subgroup and moves the basepoint exactly when it brings y a different
+    point; these generators generate that subgroup.
+    """
+    check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{n})")
+    s, t = MAT_S.reduce(n), MAT_T.reduce(n)
+    steps = (
+        (S_, psl2_canon(s), rep.perm_s),
+        (T_, psl2_canon(t), rep.perm_t),
+        (-T_, psl2_canon(t.inv_det1()), perm_inv(rep.perm_t)),
+    )
+    start = Mat2.identity(n)
+    seen = {start: (0, ())}
+    queue = [start]
+    for x in queue:
+        point, word = seen[x]
+        for letter, g, perm in steps:
+            y = psl2_canon(x * g)
+            q = perm[point]
+            known = seen.get(y)
+            if known is None:
+                seen[y] = (q, word + (letter,))
+                queue.append(y)
+            elif letter > 0 and known[0] != q:
+                return ModularWord(word + (letter,)) * ModularWord(known[1]).inverse()
+    return None
+
+
+def is_congruence(rep: PermRep, *, budgets: Budgets | None = None) -> bool:
     """Level-based congruence decision.
 
     The subgroup is congruence exactly when it contains the principal
-    congruence subgroup of its own level n, which holds exactly when the
-    index of its image in the projective quotient mod n equals the degree.
+    congruence subgroup of its own level n, that is when the walk over
+    PSL2(Z/n) finds no element of it that moves the basepoint.
     """
     n = rep_level(rep)
     if n == 1:
         return rep.degree == 1
-    if n > max_level:
-        raise BudgetError(f"modulus budget exceeded: level {n} > {max_level} (congruence level cap)")
-    order = psl2_group_order(n)
-    image = rep_image_mod(rep, n, budgets)
-    if order % len(image) != 0:
-        raise ValidationError("image size does not divide the group order")
-    return order == rep.degree * len(image)
+    if n > _MAX_CONGRUENCE_LEVEL:
+        raise BudgetError(f"modulus budget exceeded: level {n} > {_MAX_CONGRUENCE_LEVEL} (congruence level cap)")
+    return _gamma_walk(rep, n, budgets) is None
 
 
 # ---------------------------------------------------------------------------
@@ -563,57 +563,18 @@ class GapWitness(NamedTuple):
     displaced_to: int
 
 
-def _seed_words(level: int) -> list:
-    """The elementary candidate pool: [[1,L],[0,1]], [[1,0],[L,1]], short conjugates, pair products."""
-    u = t_power(level)
-    v = WORD_S * t_power(-level) * ModularWord((-S_,))
-    base = [u, v, u.inverse(), v.inverse()]
-    conjugators = [WORD_ID]
-    frontier = [WORD_ID]
-    for _ in range(2):
-        nxt = []
-        for w in frontier:
-            for letter in (S_, -S_, T_, -T_):
-                w2 = w * ModularWord((letter,))
-                if len(w2.letters) > len(w.letters):
-                    nxt.append(w2)
-        conjugators.extend(nxt)
-        frontier = nxt
-    pool = []
-    seen = set()
-    for c in conjugators:
-        ci = c.inverse()
-        for g in base:
-            w = c * g * ci
-            if w.letters and w.letters not in seen:
-                seen.add(w.letters)
-                pool.append(w)
-    products = []
-    for w1 in pool[: len(base) * 8]:
-        for w2 in pool[: len(base) * 8]:
-            w = w1 * w2
-            if w.letters and w.letters not in seen:
-                seen.add(w.letters)
-                products.append(w)
-    return pool + products
-
-
 def congruence_gap_witness(
     rep: PermRep,
     level: int,
     *,
     m_max: int = 24,
     budgets: Budgets | None = None,
-) -> Optional[GapWitness]:
-    """Search the level-``level`` principal congruence subgroup for a witness.
+) -> GapWitness:
+    """The first element of the level-``level`` principal congruence subgroup,
+    in the order of ``_gamma_walk``, that lies outside the subgroup.
 
-    Phase one scans products and short conjugates of the two elementary
-    matrices of the given level; it cannot succeed when the representation's
-    own level divides ``level`` (those seeds act trivially on the cosets),
-    so it is skipped in that case.  Phase two scans Schreier generators of
-    the principal congruence subgroup itself, which must contain a witness
-    whenever the subgroup is not congruence.  Returns None only if both
-    phases come up empty.
+    A subgroup that is not congruence contains no principal congruence
+    subgroup, so the walk always finds one.
     """
     budgets = active_budgets(budgets)
     if is_congruence(rep, budgets=budgets):
@@ -621,18 +582,11 @@ def congruence_gap_witness(
     if level < 2:
         raise ValidationError(f"witness level must be at least 2, got {level}")
 
-    found = None
-    if level % rep_level(rep) != 0:
-        found = next((w for w in _seed_words(level) if rep.word_point(w) != 0), None)
+    found = _gamma_walk(rep, level, budgets)
     if found is None:
-        check_closure_cap(psl2_group_order(level), budgets, f"PSL2(Z/{level})")
-        for w in principal_congruence_generators(level):
-            if rep.word_point(w) != 0:
-                found = w
-                break
-    if found is None:
-        return None
-
+        raise PreconditionError(
+            f"congruence_gap_witness: the subgroup contains the principal congruence subgroup of level {level}"
+        )
     x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         found = ModularWord((S_, S_)) * found

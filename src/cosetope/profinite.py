@@ -124,7 +124,7 @@ class QuotientSpec(NamedTuple):
     def from_json(cls, data: dict, base_dir: str = ".") -> "QuotientSpec":
         try:
             m = int(data["m"])
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad quotient spec: {exc}") from exc
         rep = None
         raw_rep = data.get("rep")
@@ -142,7 +142,7 @@ class QuotientSpec(NamedTuple):
             p = raw_filter.get("p")
             try:
                 p = int(p) if p is not None else None
-            except (TypeError, ValueError) as exc:
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"bad spec filter: {exc}") from exc
             formation = Formation.make(raw_filter.get("type", "all"), p)
         return cls.make(m, rep, formation)
@@ -158,7 +158,7 @@ def load_rep(path: str) -> PermRep:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a NUL in the path
         raise ValidationError(f"cannot read permutation representation {path!r}: {exc}") from exc
     return PermRep.from_json(data)
 
@@ -167,7 +167,7 @@ def load_tower(path: str) -> list:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a NUL in the path
         raise ValidationError(f"cannot read tower file {path!r}: {exc}") from exc
     if not isinstance(data, list):
         raise ValidationError("a tower file holds a list of quotient specs")

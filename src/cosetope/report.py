@@ -22,7 +22,7 @@ from .profinite import (
     TractabilityReport,
 )
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def _stringify(obj: Any) -> Any:
@@ -189,8 +189,8 @@ def tractability_to_json(rep: TractabilityReport) -> dict:
 def evidence_to_json(ev) -> dict:
     return {
         "rep": ev.rep.to_json(),
-        "witness": witness_to_json(ev.witness) if ev.witness is not None else None,
-        "g": groupword_to_json(ev.g) if ev.g is not None else None,
+        "witness": witness_to_json(ev.witness),
+        "g": groupword_to_json(ev.g),
         "level_transcripts": ev.level_transcripts,
         "levels": list(ev.levels),
         "witness_level": ev.witness_level,

@@ -3,6 +3,7 @@ and independent brute-force oracles."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -15,7 +16,7 @@ from cosetope.groupcore import (
     subgroup_intersection,
     sl2_context,
 )
-from cosetope.modular import psl2_context
+from cosetope.modular import PermRep, _restandardize, psl2_context, subgroup_generators
 from cosetope.profinite import QuotientSpec, quotient_context
 
 
@@ -180,3 +181,38 @@ def count_closures(monkeypatch, module) -> Counter:
 
     monkeypatch.setattr(module, "subgroup_closure", counting)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# the principal congruence subgroups through the regular action of PSL2(Z/m)
+# (independent of the coset-carrying walk in ``cosetope.modular``)
+
+
+@functools.lru_cache(maxsize=None)
+def _psl2_regular(m: int):
+    """Right-multiplication action arrays of S and T on the projective group."""
+    ctx = psl2_context(m)
+    full = ctx.enumerate()
+    index = {e: i for i, e in enumerate(full.elements)}
+    sbar, tbar = ctx.generators
+    s_act = tuple(index[ctx.mul(e, sbar)] for e in full.elements)
+    t_act = tuple(index[ctx.mul(e, tbar)] for e in full.elements)
+    return s_act, t_act
+
+
+@functools.lru_cache(maxsize=None)
+def congruence_rep(m: int) -> PermRep:
+    """The coset action whose subgroup is the level-m principal congruence kernel.
+
+    Built from the regular action of the projective quotient group; the
+    basepoint corresponds to the identity coset.
+    """
+    s_act, t_act = _psl2_regular(m)
+    s2, t2 = _restandardize(s_act, t_act, 0)
+    return PermRep.make(len(s_act), s2, t2)
+
+
+@functools.lru_cache(maxsize=None)
+def principal_congruence_generators(m: int) -> tuple:
+    """Words generating the level-m principal congruence subgroup (projectively)."""
+    return tuple(subgroup_generators(congruence_rep(m)))

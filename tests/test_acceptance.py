@@ -32,11 +32,9 @@ from cosetope.gs import (
 from cosetope.cli import main as cli_main
 from cosetope.modular import (
     ModularWord,
-    congruence_rep,
     is_congruence,
     low_index_reps,
     matrix_to_word,
-    principal_congruence_generators,
     rep_contains,
     rep_level,
     word_eval,
@@ -51,7 +49,14 @@ from cosetope.profinite import (
     quotient_context,
 )
 
-from t_util import cor_instance, naive_rep_counts, prop_instance, subgroup_pool
+from t_util import (
+    congruence_rep,
+    cor_instance,
+    naive_rep_counts,
+    principal_congruence_generators,
+    prop_instance,
+    subgroup_pool,
+)
 
 
 def _report(number, name, t0, limit):

@@ -6,10 +6,10 @@ import pytest
 import cosetope.modular
 from cosetope.cli import main
 from cosetope.groupcore import GroupContext
-from cosetope.modular import congruence_rep, is_congruence, low_index_reps
+from cosetope.modular import is_congruence, low_index_reps
 from cosetope.report import canonical_dumps, parse_int
 
-from t_util import count_closures
+from t_util import congruence_rep, count_closures
 
 
 H_GENS_JSON = [{"w": "S"}, {"w": "T"}]
@@ -45,7 +45,8 @@ def test_quotient_command(tmp_path):
     data, _ = run_report(["quotient", "--modulus", "2", "--enumerate"], tmp_path / "q.json")
     assert parse_int(data["result"]["order"]) == 96
     assert parse_int(data["result"]["enumerated_order"]) == 96
-    assert parse_int(data["schema"]) == 1
+    assert parse_int(data["schema"]) == 2
+    assert "seed" not in data["config"]
 
 
 def test_image_and_intersect_commands(tmp_path, gens_files):
@@ -186,7 +187,7 @@ def test_verify_rejects_tampered_report(tmp_path):
 
 def test_verify_rejects_malformed_reports(tmp_path):
     path = tmp_path / "report.json"
-    for data in ([], {"command": "tractable", "config": {}, "result": [], "schema": "1"}):
+    for data in ([], {"command": "tractable", "config": {}, "result": [], "schema": "2"}):
         path.write_text(canonical_dumps(data))
         assert main(["verify", "--report", str(path)]) == 2
 
@@ -214,6 +215,34 @@ def test_exit_code_on_budget_exhaustion(tmp_path):
         )
         == 3
     )
+
+
+def test_gs_demo_budget_exhaustion_exits_3(tmp_path):
+    # |PSL2(Z/24)| = 4608 exceeds the cap, so the witness search cannot run;
+    # that is exhaustion, not inconclusive evidence
+    args = ["gs-demo", "--max-level", "2", "--m-max", "30", "--closure-cap", "1000"]
+    assert main(args + ["--output", str(tmp_path / "demo.json")]) == 3
+    assert not (tmp_path / "demo.json").exists()
+
+
+def test_seed_flag_is_gone(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["quotient", "--modulus", "2", "--seed", "1", "--output", str(tmp_path / "q.json")])
+    assert exc.value.code == 2
+
+
+def test_verify_rechecks_an_inconclusive_probe(tmp_path, gens_files):
+    # det(2I + I) = 9 is 1 mod 2 and mod 4, so only modulus 3 excludes (2I, 1)
+    element = json.dumps({"a": {"rows": [["2", "0"], ["0", "2"]], "m": None}, "w": ""})
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps([{"m": 2}, {"m": 4}]))
+    path = tmp_path / "probe.json"
+    args = ["thm-b-probe", "--h-gens", gens_files["h"], "--k-gens", gens_files["k"], "--element", element]
+    data, _ = run_report(args + ["--tower", str(tower)], path)
+    assert data["result"]["status"] == "inconclusive"
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
+    _tamper(path, lambda data: data["result"]["tower"][1].update(m="3"))
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v2.json")]) == 2
 
 
 def test_budget_env_override(tmp_path, monkeypatch):

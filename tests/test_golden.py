@@ -1,15 +1,21 @@
-"""Golden report bytes: fixtures written by the implementation that preceded
-the shared per-level checks, so any change in report contents shows here.
+"""Golden report bytes, so any change in report contents shows here.
+
+The fixtures were written by the implementation that preceded the shared
+per-level checks; the schema-2 change edited only their ``schema`` line and
+dropped the ``seed`` config key.  ``gap_witness_level3.json`` was written by
+the coset-carrying walk, at a level the subgroup's own level does not divide.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
 reports record the paths they were given.
 """
 
+import json
 from pathlib import Path
 
 import pytest
 
 from cosetope.cli import main
+from cosetope.report import canonical_dumps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -24,6 +30,7 @@ CASES = {
         "--m-spec", '{"m": 4}', "--tower", "tower_violation.json",
     ],
     "gap_witness.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "24", "--m-max", "12"],
+    "gap_witness_level3.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "3", "--m-max", "12"],
 }
 
 
@@ -39,3 +46,36 @@ def test_report_bytes_match_golden_fixture(tmp_path, monkeypatch, name):
 def test_golden_fixture_verifies(tmp_path, monkeypatch, name):
     monkeypatch.chdir(GOLDEN)
     assert main(["verify", "--report", name, "--output", str(tmp_path / "v.json")]) == 0
+
+
+# Edits that an earlier verify accepted without re-checking anything: the
+# entries of a search that found nothing, an inconclusive gap-witness, and the
+# low-index block and evidence status of gs-demo.
+TAMPERS = [
+    ("tractable_violation.json", ("entries", 1, "sizes", "kernel"), "2"),
+    ("tractable_violation.json", ("entries", 0, "status"), "skipped-formation"),
+    ("tractable_violation.json", ("entries", 2, "violations"), []),
+    ("tractable_violation.json", ("counters", "elements_scanned"), "11"),
+    ("tractable_ok.json", ("entries", 0, "detail"), ""),
+    ("gap_witness.json", ("status",), "inconclusive"),
+    ("gs_demo.json", ("lowindex", "noncongruence_total"), "3"),
+    ("gs_demo.json", ("lowindex", "reps_total"), "20"),
+    ("gs_demo.json", ("evidence", "status"), "inconclusive"),
+    ("gs_demo.json", ("evidence",), {"status": "no-noncongruence-subgroup-found"}),
+]
+
+
+@pytest.mark.parametrize(
+    "name, keys, value", TAMPERS, ids=[f"{name}:{'.'.join(map(str, keys))}" for name, keys, _ in TAMPERS]
+)
+def test_verify_rejects_tampered_golden_result(tmp_path, monkeypatch, name, keys, value):
+    monkeypatch.chdir(GOLDEN)
+    data = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    node = data["result"]
+    for key in keys[:-1]:
+        node = node[key]
+    assert node[keys[-1]] != value
+    node[keys[-1]] = value
+    report = tmp_path / name
+    report.write_text(canonical_dumps(data), encoding="utf-8")
+    assert main(["verify", "--report", str(report), "--output", str(tmp_path / "v.json")]) == 2

@@ -22,10 +22,10 @@ from cosetope.groupcore import (
     subgroup_closure,
     subgroup_intersection,
 )
-from cosetope.modular import ModularWord, congruence_rep, word_eval
+from cosetope.modular import ModularWord, word_eval
 from cosetope.profinite import QuotientSpec, quotient_context
 
-from t_util import cor_instance, prop_instance, s3_context, small_contexts, subgroup_pool
+from t_util import congruence_rep, cor_instance, prop_instance, s3_context, small_contexts, subgroup_pool
 
 
 def sd(a, h, m, sigma=None):

@@ -28,7 +28,6 @@ from cosetope.gs import (
 from cosetope.budgets import active_budgets
 from cosetope.modular import (
     ModularWord,
-    congruence_rep,
     is_congruence,
     low_index_reps,
     rep_contains,
@@ -37,7 +36,7 @@ from cosetope.modular import (
 )
 from cosetope.profinite import GroupWord, QuotientSpec, project, quotient_context
 
-from t_util import count_closures
+from t_util import congruence_rep, count_closures
 
 
 def minimal_noncongruence():

@@ -12,12 +12,10 @@ from cosetope.modular import (
     ModularWord,
     PermRep,
     congruence_gap_witness,
-    congruence_rep,
     is_congruence,
     low_index_reps,
     matrix_to_word,
     perm_cycle_lengths,
-    principal_congruence_generators,
     psl2_canon,
     psl2_context,
     rep_contains,
@@ -28,7 +26,7 @@ from cosetope.modular import (
     _restandardize,
 )
 
-from t_util import count_closures, naive_rep_counts, perm_context
+from t_util import congruence_rep, count_closures, naive_rep_counts, perm_context, principal_congruence_generators
 
 
 def random_word(rng, max_len=30):
@@ -260,8 +258,12 @@ def _congruence_by_containment(rep):
 
 
 def test_is_congruence_agrees_with_containment_oracle_degree_6():
-    for rep in low_index_reps(6):
-        assert is_congruence(rep) == _congruence_by_containment(rep)
+    # widened from degree 6 to every class of degree <= 9
+    reps = low_index_reps(9)
+    assert len(reps) == 42
+    verdicts = [is_congruence(rep) for rep in reps]
+    assert verdicts == [_congruence_by_containment(rep) for rep in reps]
+    assert verdicts.count(False) == 18
 
 
 def test_noncongruence_exists_at_degree_7():
@@ -327,10 +329,36 @@ def test_gap_witness_level_is_small_multiple_of_rep_level():
 
 
 def test_gap_witness_seed_phase_can_find_witnesses():
-    # when the rep level does not divide the search level, the elementary
-    # seeds act nontrivially and phase one may already produce the witness
+    # a noncongruence subgroup contains no principal congruence subgroup, so
+    # the walk finds a witness in the level-n kernel at every level n, whether
+    # or not the subgroup's own level divides n
     rep = _minimal_noncongruence()
-    level = rep_level(rep)
-    probe = 5 if level % 5 != 0 else 7
-    witness = congruence_gap_witness(rep, probe, m_max=probe)
-    assert witness is None or witness.displaced_to != 0
+    for level in range(2, 25):
+        witness = congruence_gap_witness(rep, level, m_max=2)
+        assert witness.displaced_to != 0
+        assert witness.x.reduce(level) == Mat2.identity(level)
+
+
+def _schreier_scan_witness(rep, level):
+    """The witness word of the earlier search: the first Schreier generator of
+    the level's principal congruence subgroup, taken over the regular action
+    of PSL2(Z/level), that moves the basepoint."""
+    word = next(w for w in principal_congruence_generators(level) if rep.word_point(w) != 0)
+    if word_eval(word).reduce(level) != Mat2.identity(level):
+        word = ModularWord((1, 1)) * word
+    return word
+
+
+def test_gap_witness_word_matches_the_schreier_scan_where_it_ran():
+    # the Schreier scan ran whenever the subgroup's level divided the search
+    # level; on every such pair of degree <= 9 and level <= 24 the walk
+    # returns the same word
+    pairs = 0
+    for rep in low_index_reps(9):
+        if is_congruence(rep):
+            continue
+        n = rep_level(rep)
+        for level in range(n, 25, n):
+            assert congruence_gap_witness(rep, level, m_max=2).word == _schreier_scan_witness(rep, level)
+            pairs += 1
+    assert pairs == 46

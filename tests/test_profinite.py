@@ -14,7 +14,6 @@ from cosetope.groupcore import (
 from cosetope.modular import (
     ModularWord,
     PermRep,
-    congruence_rep,
     is_congruence,
     low_index_reps,
     congruence_gap_witness,
@@ -39,7 +38,7 @@ from cosetope.profinite import (
     tractable_at,
 )
 
-from t_util import s3_context, subgroup_pool
+from t_util import congruence_rep, s3_context, subgroup_pool
 
 
 H_GENS = (GroupWord.of_word(ModularWord.from_str("S")), GroupWord.of_word(ModularWord.from_str("T")))
