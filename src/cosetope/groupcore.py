@@ -353,11 +353,12 @@ def check_cor_identity(
 # Schreier machinery (shared by the word layer and by kernel computations)
 
 
-def schreier_transversal(start, act: Callable, letters: Sequence):
+def schreier_transversal(start, act: Callable, letters: Sequence, cap: int | None = None):
     """BFS transversal words over ``letters``; act(point, letter) -> point.
 
     Returns (words, order): a dict point -> word (tuple of letters, applied
-    left to right) and the list of points in discovery order.
+    left to right) and the list of points in discovery order.  The walk
+    raises BudgetError once it reaches more than ``cap`` points.
     """
     words = {start: ()}
     order = [start]
@@ -370,17 +371,20 @@ def schreier_transversal(start, act: Callable, letters: Sequence):
             if q not in words:
                 words[q] = words[p] + (letter,)
                 order.append(q)
+                if cap is not None and len(order) > cap:
+                    raise BudgetError(f"closure budget exceeded: Schreier walk passed {cap} points (closure_cap)")
     return words, order
 
 
-def schreier_generator_words(start, act: Callable, letters: Sequence, invert: Callable):
+def schreier_generator_words(start, act: Callable, letters: Sequence, invert: Callable, cap: int | None = None):
     """Schreier generator words for the stabilizer of ``start``.
 
     ``letters`` must list each generator letter before its inverse; only the
     positive letters produce generators.  ``invert`` maps a letter word to
-    its inverse word.  Words that freely reduce to nothing are dropped.
+    its inverse word.  Words that freely reduce to nothing are dropped.  The
+    orbit walk stops with BudgetError past ``cap`` points.
     """
-    words, order = schreier_transversal(start, act, letters)
+    words, order = schreier_transversal(start, act, letters, cap)
     positive = letters[::2]
     out = []
     seen = set()

@@ -20,11 +20,12 @@ from typing import NamedTuple, Optional, Sequence
 
 from .arith import Mat2, is_prime, sl2_group_order
 from .budgets import Budgets, active_budgets
-from .errors import BudgetError, PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError
 from .groupcore import (
     GeneratedSubgroup,
     GroupContext,
     SdElement,
+    check_closure_cap,
     coset_reps,
     is_normal_by_generators,
     perm_inv,
@@ -332,11 +333,7 @@ def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
     is onto; the closure cap is checked against it before any element exists.
     """
     size = (f // c) ** 4 * sl2_group_order(f) // sl2_group_order(c)
-    if size > budgets.closure_cap:
-        raise BudgetError(
-            f"closure budget exceeded: refinement kernel {f} -> {c} has {size} elements "
-            f"> {budgets.closure_cap} (closure_cap)"
-        )
+    check_closure_cap(size, budgets, f"refinement kernel {f} -> {c}")
     steps = range(0, f, c)
     blocks = [(w, x, y, z) for w in steps for x in steps for y in steps for z in steps]
     additive = [Mat2(w, x, y, z, f) for w, x, y, z in blocks]
@@ -346,7 +343,14 @@ def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
 
 
 def _schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets) -> GeneratedSubgroup:
-    """The refinement kernel as the closure of its Schreier generators; any specs."""
+    """The refinement kernel as the closure of its Schreier generators; any specs.
+
+    The Schreier walk visits every element of the coarse quotient, so its
+    order, when known, is checked against the closure cap first.
+    """
+    coarse_order = spec_group_order(coarse)
+    if coarse_order is not None:
+        check_closure_cap(coarse_order, budgets, f"the Schreier walk over the quotient mod {coarse.m}")
     fctx = quotient_context(fine)
     cctx = quotient_context(coarse)
     restrict = element_restriction(fine, coarse)
@@ -365,7 +369,7 @@ def _schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets)
     def invert(word):
         return tuple(-l for l in reversed(word))
 
-    words = schreier_generator_words(cctx.identity, act, tuple(letters), invert)
+    words = schreier_generator_words(cctx.identity, act, tuple(letters), invert, budgets.closure_cap)
     kernel_gens = []
     for word in words:
         x = fctx.identity

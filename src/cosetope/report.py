@@ -131,18 +131,6 @@ def witness_to_json(w: GapWitness) -> dict:
     }
 
 
-def witness_from_json(data: dict) -> GapWitness:
-    try:
-        return GapWitness(
-            mat_from_json(data["x"]),
-            word_from_json(data["word"]),
-            tuple(parse_int(v) for v in data["levels_verified"]),
-            parse_int(data["displaced_to"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"bad witness data: missing {exc}") from exc
-
-
 def certificate_to_json(cert: SeparabilityCertificate) -> dict:
     return {
         "element": groupword_to_json(cert.element),
@@ -150,18 +138,6 @@ def certificate_to_json(cert: SeparabilityCertificate) -> dict:
         "spec": spec_to_json(cert.spec),
         "transcript": cert.transcript,
     }
-
-
-def certificate_from_json(data: dict) -> SeparabilityCertificate:
-    try:
-        return SeparabilityCertificate(
-            element=groupword_from_json(data["element"]),
-            target=data["target"],
-            spec=spec_from_json(data["spec"]),
-            transcript=data.get("transcript", {}),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"bad certificate data: missing {exc}") from exc
 
 
 def tractability_entry_to_json(entry: dict) -> dict:

@@ -1,10 +1,13 @@
+import argparse
 import json
+import shutil
 import time
+from pathlib import Path
 
 import pytest
 
 import cosetope.modular
-from cosetope.cli import main
+from cosetope.cli import COMMANDS, build_parser, main
 from cosetope.groupcore import GroupContext
 from cosetope.modular import is_congruence, low_index_reps
 from cosetope.report import canonical_dumps, parse_int
@@ -407,3 +410,62 @@ def test_gs_demo_and_verify_close_each_level_image_once(tmp_path, monkeypatch):
     assert data["result"]["evidence"]["status"] == "evidence"
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
     assert closures and set(closures.values()) == {1}
+
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def test_tractable_schreier_kernel_budget_exits_3_quickly(tmp_path):
+    # a fine spec with a coset action over a plain target takes the Schreier
+    # path, whose walk over the 8^4 * 384 elements of the target must not start
+    shutil.copy(GOLDEN / "nc_rep.json", tmp_path / "nc_rep.json")
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps([{"m": 8, "rep": "nc_rep.json"}]))
+    empty = str(GOLDEN / "empty.json")
+    args = ["tractable", "--h-gens", empty, "--k-gens", empty, "--m-spec", '{"m": 8}', "--tower", str(tower)]
+    start = time.perf_counter()
+    assert main(args + ["--closure-cap", "1000", "--output", str(tmp_path / "t.json")]) == 3
+    assert time.perf_counter() - start < 5
+
+
+def test_verify_names_the_first_differing_path(tmp_path, gens_files, capsys):
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps([{"m": 3}, {"m": 4}]))
+    path = tmp_path / "report.json"
+    h, k, empty = gens_files["h"], gens_files["k"], gens_files["empty"]
+    args = ["tractable", "--h-gens", h, "--k-gens", k, "--hcapk-gens", empty, "--m-spec", '{"m": 2}']
+    run_report(args + ["--tower", str(tower)], path)
+    _tamper(path, lambda data: _set_path(data, ("result", "entries", 1, "sizes", "kernel"), "64"))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "result.entries[1].sizes.kernel: report says '64', recomputed '128'" in err
+    assert len(err) < 200
+
+
+def test_verify_rejects_a_cut_lowindex_table(tmp_path, capsys):
+    path = tmp_path / "lowindex.json"
+    data, _ = run_report(["lowindex", "--max-degree", "5"], path)
+    assert len(data["result"]["reps"]) == 7
+
+    def cut(data):
+        del data["result"]["reps"][2:]
+        data["result"]["count"] = "2"
+
+    _tamper(path, cut)
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 2
+    assert "result.count: report says '2', recomputed '7'" in capsys.readouterr().err
+
+
+def test_subcommands_are_the_command_table_and_verify():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(COMMANDS) | {"verify"}
+
+
+def test_verify_of_a_verify_report_exits_2(tmp_path, capsys):
+    run_report(["quotient", "--modulus", "2"], tmp_path / "q.json")
+    verified, _ = run_report(["verify", "--report", str(tmp_path / "q.json")], tmp_path / "v.json")
+    assert verified["result"] == {"checked": "quotient", "verified": True}
+    assert main(["verify", "--report", str(tmp_path / "v.json")]) == 2
+    assert "unknown command 'verify'" in capsys.readouterr().err

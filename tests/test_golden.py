@@ -79,3 +79,36 @@ def test_verify_rejects_tampered_golden_result(tmp_path, monkeypatch, name, keys
     report = tmp_path / name
     report.write_text(canonical_dumps(data), encoding="utf-8")
     assert main(["verify", "--report", str(report), "--output", str(tmp_path / "v.json")]) == 2
+
+
+def _cut_transcripts(data):
+    evidence = data["result"]["evidence"]
+    evidence["level_transcripts"] = [e for e in evidence["level_transcripts"] if int(e["m"]) <= 3]
+    evidence["levels"] = [e["m"] for e in evidence["level_transcripts"] if e["member"]]
+
+
+def _cut_witness_levels(data):
+    witness = data["result"]["witness"]
+    witness["levels_verified"] = witness["levels_verified"][:1]
+
+
+# Edits that the per-kind checks of an earlier verify accepted: evidence cut
+# short, config entries the check never read, and a cut witness level list.
+EDITS = {
+    "gs_demo:transcripts-cut-to-3": ("gs_demo.json", _cut_transcripts),
+    "gs_demo:config.m_max": ("gs_demo.json", lambda data: data["config"].update(m_max="6")),
+    "tractable_ok:config.k_gens": ("tractable_ok.json", lambda data: data["config"].update(k_gens="h.json")),
+    "tractable_ok:config.m_spec": ("tractable_ok.json", lambda data: data["config"].update(m_spec='{"m": 2}')),
+    "gap_witness:levels_verified-cut": ("gap_witness.json", _cut_witness_levels),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(EDITS))
+def test_verify_rejects_edited_golden_report(tmp_path, monkeypatch, edit):
+    name, change = EDITS[edit]
+    monkeypatch.chdir(GOLDEN)
+    data = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    change(data)
+    report = tmp_path / name
+    report.write_text(canonical_dumps(data), encoding="utf-8")
+    assert main(["verify", "--report", str(report), "--output", str(tmp_path / "v.json")]) == 2

@@ -201,6 +201,13 @@ def test_kernel_budget_fails_before_building():
         kernel_of_refinement(QuotientSpec.make(8), QuotientSpec.make(2), Budgets(closure_cap=1000))
 
 
+def test_schreier_kernel_walk_honours_the_closure_cap():
+    # the coarse quotient carries a coset action, so its order is not known before the walk
+    rep = congruence_rep(2)
+    with pytest.raises(BudgetError, match="Schreier walk passed 50 points"):
+        kernel_of_refinement(QuotientSpec.make(4, rep), QuotientSpec.make(2, rep), Budgets(closure_cap=50))
+
+
 def test_restriction_from_plain_to_degree_one_action():
     point = PermRep.make(1, (0,), (0,))
     fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2, point)

@@ -13,8 +13,8 @@ from cosetope.budgets import Budgets, from_env
 from cosetope.cli import main
 from cosetope.errors import CosetopeError
 from cosetope.modular import PermRep
-from cosetope.profinite import QuotientSpec
-from cosetope.report import canonical_dumps
+from cosetope.profinite import GroupWord, QuotientSpec, load_tower
+from cosetope.report import canonical_dumps, groupword_from_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = (
@@ -151,3 +151,64 @@ BUDGET_TEXT = st.one_of(
 def test_budget_from_env_gives_budgets_or_a_cosetope_error(raw):
     budgets = _outcome(from_env, {"COSETOPE_BUDGET": raw})
     assert budgets is None or isinstance(budgets, Budgets)
+
+
+@SETTINGS
+@given(data=st.one_of(JSON, st.lists(st.one_of(JSON, SPEC_LIKE), max_size=3)))
+def test_load_tower_gives_specs_or_a_cosetope_error(tmp_path, data):
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    tower = _outcome(load_tower, str(path))
+    assert tower is None or all(isinstance(spec, QuotientSpec) for spec in tower)
+
+
+WORD_TEXT = st.one_of(TEXT, st.text(st.sampled_from("STst"), max_size=12))
+MATRIX_LIKE = st.fixed_dictionaries(
+    {},
+    optional={
+        "rows": st.one_of(JSON, st.lists(st.lists(st.one_of(NUMBERS, SCALARS), max_size=3), max_size=3)),
+        "m": st.one_of(st.none(), NUMBERS, SCALARS),
+    },
+)
+GROUPWORD_LIKE = st.fixed_dictionaries({}, optional={"a": st.one_of(JSON, MATRIX_LIKE), "w": WORD_TEXT})
+
+
+@SETTINGS
+@given(data=st.one_of(JSON, GROUPWORD_LIKE))
+def test_groupword_from_json_gives_an_element_or_a_cosetope_error(data):
+    g = _outcome(groupword_from_json, data)
+    assert g is None or isinstance(g, GroupWord)
+
+
+def _inline(strategy):
+    """Inline JSON text as a user would type it: well-formed or not."""
+    return st.one_of(strategy.map(json.dumps), TEXT)
+
+
+# Mostly well-formed specs, so that many draws reach the search.
+M_SPEC = st.fixed_dictionaries(
+    {"m": st.sampled_from([2, 4, 8, "4", 10**30])},
+    optional={
+        "filter": st.fixed_dictionaries({"type": st.sampled_from(["all", "pro-p"]), "p": st.sampled_from([2, 3, 4])})
+    },
+)
+
+
+@SETTINGS
+@given(m_spec=_inline(st.one_of(JSON, SPEC_LIKE, M_SPEC)))
+def test_cli_m_spec_exits_0_2_or_3(tmp_path, monkeypatch, m_spec):
+    monkeypatch.chdir(GOLDEN)
+    argv = ["tractable", "--h-gens", "h.json", "--k-gens", "k.json", f"--m-spec={m_spec}", "--tower", "tower_ok.json"]
+    assert main(argv + ["--closure-cap", "5000", "--output", str(tmp_path / "t.json")]) in (0, 2, 3)
+
+
+@SETTINGS
+@given(element=_inline(st.one_of(JSON, GROUPWORD_LIKE)), command=st.sampled_from(["dcoset-member", "thm-b-probe"]))
+def test_cli_element_exits_0_2_or_3(tmp_path, monkeypatch, element, command):
+    monkeypatch.chdir(GOLDEN)
+    if command == "dcoset-member":
+        argv = ["dcoset-member", "--modulus", "3", "--left", "h.json", "--right", "k.json"]
+    else:
+        argv = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--tower", "tower_ok.json"]
+    argv += [f"--element={element}", "--closure-cap", "5000", "--output", str(tmp_path / "out.json")]
+    assert main(argv) in (0, 2, 3)
