@@ -17,13 +17,13 @@ import argparse
 import json
 import sys
 
-from .arith import Mat2, psl2_group_order, sl2_group_order
+from .arith import Mat2, sl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, CosetopeError, ValidationError
 from .groupcore import check_closure_cap, product_member, subgroup_intersection
-# _h_prime_image_mod and kernel_of_refinement are called only inside gs and
-# profinite.  Importing them here keeps them cross-module functions, which
-# bench/tracer.py times as gs.h_prime_image_s and profinite.kernel_s.
+# Unused here: importing them keeps them cross-module functions, which
+# bench/tracer.py times as gs.h_prime_image_s (the evidence cross-check's image
+# listing) and profinite.kernel_s; bench/tests asserts the first is patched here.
 from .gs import (
     _h_prime_image_mod,  # noqa: F401
     gs_build,
@@ -35,9 +35,9 @@ from .gs import (
 from .modular import (
     ModularWord,
     congruence_gap_witness,
+    image_blocks,
     is_congruence,
     low_index_reps,
-    rep_image_mod,
     rep_level,
 )
 from .profinite import (
@@ -117,7 +117,7 @@ def _quotient(config: dict, budgets: Budgets) -> dict:
         "order": order,
         "sl2_order": sl2_group_order(spec.m),
     }
-    if config["enumerate"] or order is None:
+    if rpt.parse_bool(config["enumerate"]) or order is None:
         if order is not None:
             check_closure_cap(order, budgets, f"quotient mod {spec.m}")
         result["enumerated_order"] = len(quotient_context(spec).enumerate(budgets))
@@ -158,13 +158,13 @@ def _congruence(config: dict, budgets: Budgets) -> dict:
     level = rep_level(rep)
     result = {"degree": rep.degree, "level": level, "congruence": is_congruence(rep, budgets=budgets)}
     if level > 1:
-        result["image_index"] = psl2_group_order(level) // len(rep_image_mod(rep, level, budgets))
+        result["image_index"] = len(set(image_blocks(rep, level, budgets)))
     return result
 
 
 def _tractable(config: dict, budgets: Budgets) -> dict:
     try:
-        m_spec = rpt.spec_from_json(json.loads(config["m_spec"]))
+        m_spec = QuotientSpec.from_json(json.loads(config["m_spec"]))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"--m-spec takes inline JSON like '{{\"m\": 2}}': {exc}") from exc
     outcome = tractable_at(
@@ -189,12 +189,12 @@ def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
     tower = _tower_of(config)
     cert = thm_b_probe(h_gens, k_gens, l_gens, g, tower, budgets)
     if cert is None:
-        return {"status": "inconclusive", "tower": [rpt.spec_to_json(s) for s in tower]}
+        return {"status": "inconclusive", "tower": [s.to_json() for s in tower]}
     return {"status": "certified", "certificate": rpt.certificate_to_json(cert)}
 
 
 def _lowindex(config: dict, budgets: Budgets) -> dict:
-    reps = low_index_reps(rpt.parse_int(config["max_degree"]), classes=not config["subgroups"])
+    reps = low_index_reps(rpt.parse_int(config["max_degree"]), classes=not rpt.parse_bool(config["subgroups"]))
     entries = [
         {"rep": rep.to_json(), "level": rep_level(rep), "congruence": is_congruence(rep, budgets=budgets)}
         for rep in reps

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .arith import Mat2
+from .arith import Mat2, sl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import ValidationError
 from .groupcore import (
@@ -36,8 +36,9 @@ from .modular import (
     ModularWord,
     PermRep,
     congruence_gap_witness,
+    image_blocks,
+    image_elements,
     rep_contains,
-    rep_image_mod,
     subgroup_generators,
     word_eval,
 )
@@ -172,11 +173,10 @@ _CROSS_CHECK_MAX = 4
 def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None) -> GeneratedSubgroup:
     """Image of the (sign-saturated) subgroup of H attached to ``rep`` at level m.
 
-    No closure runs here: the image is the preimage in SL2(Z/m) of the
-    projective image ``rep_image_mod``, each u together with -u (which
-    coincide only at m = 2).
+    Listed without a closure (``image_elements``), each u with -u (which
+    coincide only at m = 2); only ``evidence_entry``'s cross-check needs it.
     """
-    elements = tuple(dict.fromkeys(v for u in rep_image_mod(rep, m, budgets) for v in (u, -u)))
+    elements = tuple(dict.fromkeys(v for u in image_elements(rep, m, budgets) for v in (u, -u)))
     check_closure_cap(len(elements), budgets, f"the sign-saturated subgroup image mod {m}")
     return subgroup_from_elements(elements)
 
@@ -194,17 +194,23 @@ def l_group_words(rep: PermRep) -> list:
     return [GroupWord.of_a(Mat2.ambient(*e)) for e in units] + h_prime_group_words(rep)
 
 
-def evidence_entry(image: GeneratedSubgroup, x: Mat2, g: GroupWord, m: int, budgets: Budgets | None = None) -> dict:
+def evidence_entry(rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budgets | None = None) -> dict:
     """The level-m transcript entry of the evidence: whether x mod m lies in
-    ``image``, the sign-saturated image of H' at level m.
+    the sign-saturated image of H', where x carries the basepoint of ``rep``
+    to ``point``, and that image's order, both read off ``image_blocks``.
 
-    At the smallest levels it is cross-checked against the direct membership
-    of the image of g in the image of H'K, which must agree.
+    At the smallest levels the image is listed and membership is
+    cross-checked against the direct membership of the image of g in the
+    image of H'K, which must agree.
     """
-    member = x.reduce(m) in image
-    entry = {"m": m, "member": member, "image_order": len(image)}
+    blocks = image_blocks(rep, m, budgets)
+    member = blocks[point] == 0
+    order = sl2_group_order(m) // len(set(blocks))
+    check_closure_cap(order, budgets, f"the sign-saturated subgroup image mod {m}")
+    entry = {"m": m, "member": member, "image_order": order}
     if m <= _CROSS_CHECK_MAX:
         spec = QuotientSpec.make(m)
+        image = _h_prime_image_mod(rep, m, budgets)
         im_hp = subgroup_from_elements(SdElement(Mat2.zero(m), u, None) for u in image.elements)
         im_k = gs_build(spec, budgets).im_k
         direct = product_member(quotient_context(spec), project(g, spec), im_hp, im_k)
@@ -239,9 +245,7 @@ def gs_wz_failure(
     if rep_contains(rep, witness.word):
         raise ValidationError("witness unexpectedly lies in the subgroup")
 
-    transcripts = [
-        evidence_entry(_h_prime_image_mod(rep, m, budgets), x, g, m, budgets) for m in range(2, m_max + 1)
-    ]
+    transcripts = [evidence_entry(rep, m, witness.displaced_to, g, budgets) for m in range(2, m_max + 1)]
     return NonSepEvidence(
         rep=rep,
         witness=witness,

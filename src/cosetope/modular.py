@@ -22,15 +22,14 @@ from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, PreconditionError, ValidationError
 from .groupcore import (
-    GeneratedSubgroup,
     GroupContext,
     _free_reduce,
     check_closure_cap,
     perm_inv,
     perm_mul,
     schreier_generator_words,
+    schreier_transversal,
     sl2_context,
-    subgroup_closure,
 )
 
 # Word letters: 1 = S, -1 = S^-1, 2 = T, -2 = T^-1.
@@ -418,8 +417,6 @@ def _rep_action(rep: PermRep):
 
 def schreier_transversal_words(rep: PermRep) -> dict:
     """BFS coset representative words: point -> letter tuple from the basepoint."""
-    from .groupcore import schreier_transversal
-
     words, _ = schreier_transversal(0, _rep_action(rep), (S_, -S_, T_, -T_))
     return words
 
@@ -453,56 +450,26 @@ def psl2_canon(x: Mat2) -> Mat2:
 @functools.lru_cache(maxsize=None)
 def psl2_context(m: int) -> GroupContext:
     """The projective determinant-1 matrix group over Z/m: SL2(Z/m) modulo -I."""
-
-    def mul(x, y):
-        return psl2_canon(x * y)
-
-    def inv(x):
-        return psl2_canon(x.inv_det1())
-
     sl2 = sl2_context(m)
     gens = tuple(psl2_canon(g) for g in sl2.generators)
+    mul, inv = lambda x, y: psl2_canon(x * y), lambda x: psl2_canon(x.inv_det1())
     return GroupContext(sl2.identity, mul, inv, gens, name=f"PSL2(Z/{m})")
-
-
-_rep_images: dict = {}
-
-
-def rep_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None) -> GeneratedSubgroup:
-    """Closure of the subgroup's reduced generators in the projective quotient.
-
-    This is the only closure of a subgroup's level-m image.  Each (rep, m)
-    is closed once per process; as with ``GroupContext.enumerate``, the
-    closure cap is enforced against a cached image too.
-    """
-    image = _rep_images.get((rep, m))
-    if image is None:
-        gens = [psl2_canon(word_eval(w).reduce(m)) for w in subgroup_generators(rep)]
-        image = _rep_images[rep, m] = subgroup_closure(psl2_context(m), gens, budgets)
-    else:
-        check_closure_cap(len(image), budgets, f"the subgroup image mod {m}")
-    return image
-
-
-def in_image_mod(rep: PermRep, x: Mat2, m: int, budgets: Budgets | None = None) -> bool:
-    """Whether the reduction of the ambient matrix ``x`` mod m lies in the subgroup's image."""
-    return psl2_canon(x.reduce(m)) in rep_image_mod(rep, m, budgets)
 
 
 _MAX_CONGRUENCE_LEVEL = 64
 
 
-def _gamma_walk(rep: PermRep, n: int, budgets: Budgets | None) -> Optional[ModularWord]:
-    """The first element of the level-n principal congruence subgroup that
-    moves the basepoint, or None when the subgroup contains all of it.
+def _gamma_walk(rep: PermRep, n: int, budgets: Budgets | None, seen: Optional[dict] = None):
+    """The Schreier generators of the level-n principal congruence subgroup
+    that move the basepoint, in walk order, each as (q, p, word).
 
     A breadth-first walk over PSL2(Z/n) from I at coset point 0, letters in
     the order S, T, T^-1 (S^-1 reaches the same matrix as S).  Each matrix
-    keeps the coset point and the word it was first reached with.  An S or T
-    edge into an already-seen matrix y closes the Schreier generator
-    word(x) + letter + word(y)^-1, which lies in the principal congruence
-    subgroup and moves the basepoint exactly when it brings y a different
-    point; these generators generate that subgroup.
+    keeps, in ``seen``, the point and the word it was first reached with.  An
+    S or T edge into an already-seen matrix y closes the Schreier generator
+    word(x) + letter + word(y)^-1; these generate that subgroup.  It brings
+    y the point q while y keeps p, so it moves the basepoint exactly when
+    q != p, and then q and p lie in one orbit of the subgroup.
     """
     check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{n})")
     s, t = MAT_S.reduce(n), MAT_T.reduce(n)
@@ -512,7 +479,8 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets | None) -> Optional[Modul
         (-T_, psl2_canon(t.inv_det1()), perm_inv(rep.perm_t)),
     )
     start = Mat2.identity(n)
-    seen = {start: (0, ())}
+    seen = {} if seen is None else seen
+    seen[start] = (0, ())
     queue = [start]
     for x in queue:
         point, word = seen[x]
@@ -524,8 +492,56 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets | None) -> Optional[Modul
                 seen[y] = (q, word + (letter,))
                 queue.append(y)
             elif letter > 0 and known[0] != q:
-                return ModularWord(word + (letter,)) * ModularWord(known[1]).inverse()
-    return None
+                yield q, known[0], ModularWord(word + (letter,)) * ModularWord(known[1]).inverse()
+
+
+def _orbit_blocks(rep: PermRep, walk) -> tuple:
+    """The finest S- and T-invariant partition joining the points of each
+    (q, p, word) of ``walk``: each point's class, numbered by least point.
+
+    Union-find; merging two classes joins the images of their roots.
+    """
+    parent = list(range(rep.degree))
+
+    def find(p):
+        while parent[p] != p:
+            parent[p] = p = parent[parent[p]]
+        return p
+
+    queue = [(q, p) for q, p, _ in walk]
+    for a, b in queue:
+        a, b = find(a), find(b)
+        if a != b:
+            parent[b] = a
+            queue += ((rep.perm_s[a], rep.perm_s[b]), (rep.perm_t[a], rep.perm_t[b]))
+    labels: dict = {}
+    return tuple(labels.setdefault(find(p), len(labels)) for p in range(rep.degree))
+
+
+def image_blocks(rep: PermRep, m: int, budgets: Budgets | None = None) -> tuple:
+    """The orbits of the level-m principal congruence subgroup on the cosets,
+    as each point's class (0 for the basepoint's).
+
+    It is normal, so these are blocks: x mod m lies in the subgroup's image
+    exactly when x carries the basepoint into block 0, and the image's index
+    is the number of blocks.  The closure cap holds on the image's order.
+    Levels m and g = gcd(m, N), N the level of ``rep``, have the same orbits:
+    level m's product with the core of the subgroup is normal and holds T^g,
+    so by Wohlfahrt's level theorem (Illinois J. Math. 8, 1964) it contains
+    level g's.  So the walk runs over PSL2(Z/g).
+    """
+    g = math.gcd(m, rep_level(rep))
+    blocks = (0,) * rep.degree if g == 1 else _orbit_blocks(rep, _gamma_walk(rep, g, budgets))
+    check_closure_cap(psl2_group_order(m) // len(set(blocks)), budgets, f"the subgroup image mod {m}")
+    return blocks
+
+
+def image_elements(rep: PermRep, m: int, budgets: Budgets | None = None) -> list:
+    """The subgroup's image in PSL2(Z/m): the matrices of the walk over
+    PSL2(Z/m) whose coset point lies in the basepoint's orbit."""
+    seen: dict = {}
+    blocks = _orbit_blocks(rep, _gamma_walk(rep, m, budgets, seen))
+    return [y for y, (p, _) in seen.items() if blocks[p] == 0]
 
 
 def is_congruence(rep: PermRep, *, budgets: Budgets | None = None) -> bool:
@@ -540,7 +556,7 @@ def is_congruence(rep: PermRep, *, budgets: Budgets | None = None) -> bool:
         return rep.degree == 1
     if n > _MAX_CONGRUENCE_LEVEL:
         raise BudgetError(f"modulus budget exceeded: level {n} > {_MAX_CONGRUENCE_LEVEL} (congruence level cap)")
-    return _gamma_walk(rep, n, budgets) is None
+    return next(_gamma_walk(rep, n, budgets), None) is None
 
 
 # ---------------------------------------------------------------------------
@@ -553,8 +569,8 @@ class GapWitness(NamedTuple):
     ``x`` evaluates ``word`` exactly, ``x`` is congruent to the identity at
     the search level, ``displaced_to`` records where the word's action moves
     the basepoint (the non-membership trace), and ``levels_verified`` lists
-    every checked modulus at which the reduction of ``x`` lies in the closure
-    of the subgroup's reduced generators.
+    every checked modulus at which the reduction of ``x`` lies in the
+    subgroup's image (``image_blocks``).
     """
 
     x: Mat2
@@ -582,11 +598,12 @@ def congruence_gap_witness(
     if level < 2:
         raise ValidationError(f"witness level must be at least 2, got {level}")
 
-    found = _gamma_walk(rep, level, budgets)
-    if found is None:
+    edge = next(_gamma_walk(rep, level, budgets), None)
+    if edge is None:
         raise PreconditionError(
             f"congruence_gap_witness: the subgroup contains the principal congruence subgroup of level {level}"
         )
+    found = edge[2]
     x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         found = ModularWord((S_, S_)) * found
@@ -594,5 +611,5 @@ def congruence_gap_witness(
     if x.reduce(level) != Mat2.identity(level):
         raise ValidationError("witness is not congruent to the identity at its level")
     displaced = rep.word_point(found)
-    levels = tuple(m for m in range(2, m_max + 1) if in_image_mod(rep, x, m, budgets))
+    levels = tuple(m for m in range(2, m_max + 1) if image_blocks(rep, m, budgets)[displaced] == 0)
     return GapWitness(x, found, levels, displaced)

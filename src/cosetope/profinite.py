@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import Mat2, is_prime, sl2_group_order
+from .arith import MAT_S, MAT_T, Mat2, is_prime, sl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import PreconditionError, ValidationError
 from .groupcore import (
@@ -113,13 +113,12 @@ class QuotientSpec(NamedTuple):
         return _rep_subgroup_contains(self.rep, fine.rep)
 
     def to_json(self) -> dict:
-        out = {"m": self.m}
-        out["rep"] = self.rep.to_json() if self.rep is not None else None
-        if self.formation is not None:
-            out["filter"] = {"type": self.formation.kind, "p": self.formation.p}
-        else:
-            out["filter"] = None
-        return out
+        rep, formation = self.rep, self.formation
+        return {
+            "m": self.m,
+            "rep": rep.to_json() if rep is not None else None,
+            "filter": {"type": formation.kind, "p": formation.p} if formation is not None else None,
+        }
 
     @classmethod
     def from_json(cls, data: dict, base_dir: str = ".") -> "QuotientSpec":
@@ -228,22 +227,10 @@ def quotient_context(spec: QuotientSpec) -> GroupContext:
     ident = sd_identity(m, degree)
     hid = Mat2.identity(m)
     sig_id = None if degree is None else perm_identity(degree)
-    gens = [
-        SdElement(Mat2.of_mod(1, 0, 0, 0, m), hid, sig_id),
-        SdElement(Mat2.of_mod(0, 1, 0, 0, m), hid, sig_id),
-        SdElement(Mat2.of_mod(0, 0, 1, 0, m), hid, sig_id),
-        SdElement(Mat2.of_mod(0, 0, 0, 1, m), hid, sig_id),
-        SdElement(
-            Mat2.zero(m),
-            Mat2.ambient(0, -1, 1, 0).reduce(m),
-            spec.rep.perm_s if spec.rep is not None else None,
-        ),
-        SdElement(
-            Mat2.zero(m),
-            Mat2.ambient(1, 1, 0, 1).reduce(m),
-            spec.rep.perm_t if spec.rep is not None else None,
-        ),
-    ]
+    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+    gens = [SdElement(Mat2.of_mod(*e, m), hid, sig_id) for e in units]
+    actions = (None, None) if spec.rep is None else (spec.rep.perm_s, spec.rep.perm_t)
+    gens += [SdElement(Mat2.zero(m), h.reduce(m), sigma) for h, sigma in zip((MAT_S, MAT_T), actions)]
     name = f"M2(Z/{m}) x| subgroup-image" if spec.rep is not None else f"M2(Z/{m}) x| SL2(Z/{m})"
     return GroupContext(ident, sd_mul, sd_inv, gens, name=name)
 
@@ -575,13 +562,10 @@ def hi_exclusion_offenders(
     if enforce:
         if not is_normal_by_generators(ctx, n):
             raise PreconditionError("precondition failed: N is not normal (generator conjugation test)")
-        for g in hp.generators:
-            if g not in h:
-                raise PreconditionError("precondition failed: Hp is not contained in H")
-        hck = subgroup_intersection(h, k)
-        for x in hck.elements:
-            if x not in hp:
-                raise PreconditionError("precondition failed: intersection(H, K) is not contained in Hp")
+        if any(g not in h for g in hp.generators):
+            raise PreconditionError("precondition failed: Hp is not contained in H")
+        if any(x not in hp for x in subgroup_intersection(h, k).elements):
+            raise PreconditionError("precondition failed: intersection(H, K) is not contained in Hp")
     kn = subgroup_closure(ctx, tuple(k.generators) + tuple(n.generators), budgets)
     decomposition = coset_reps(ctx, h, hp)
     return [x for x in decomposition.reps[1:] if product_member(ctx, x, hp, kn)]

@@ -17,7 +17,6 @@ from .groupcore import SdElement
 from .modular import GapWitness, ModularWord
 from .profinite import (
     GroupWord,
-    QuotientSpec,
     SeparabilityCertificate,
     TractabilityReport,
 )
@@ -25,44 +24,47 @@ from .profinite import (
 SCHEMA_VERSION = 2
 
 
-def _stringify(obj: Any) -> Any:
-    """Recursively convert integers to decimal strings (bools stay bools)."""
+def as_recorded(obj: Any) -> Any:
+    """``obj`` in the form a loaded report holds it, so ``verify`` can compare
+    recomputed data: integers as decimal strings (bools stay bools), tuples
+    as lists."""
     if isinstance(obj, bool):
         return obj
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
+        return [as_recorded(v) for v in obj]
     if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
+        return {k: as_recorded(v) for k, v in obj.items()}
     return obj
 
 
-def as_recorded(value: Any) -> Any:
-    """``value`` in the form a loaded report holds it (numbers as decimal
-    strings, tuples as lists), so ``verify`` can compare recomputed data."""
-    return _stringify(value)
-
-
 def canonical_dumps(data: Any) -> str:
-    return json.dumps(_stringify(data), sort_keys=True, indent=2) + "\n"
+    return json.dumps(as_recorded(data), sort_keys=True, indent=2) + "\n"
 
 
 def parse_int(value: Any) -> int:
-    if isinstance(value, bool):
-        raise ValidationError(f"expected an integer, got {value!r}")
-    if isinstance(value, int):
+    """A JSON integer, or a string in the canonical decimal form of ``canonical_dumps``."""
+    if isinstance(value, int) and not isinstance(value, bool):
         return value
     if isinstance(value, str):
         try:
-            return int(value)
-        except ValueError as exc:
-            raise ValidationError(f"expected an integer, got {value!r}") from exc
+            if str(int(value)) == value:
+                return int(value)
+        except ValueError:
+            pass
     raise ValidationError(f"expected an integer, got {value!r}")
 
 
+def parse_bool(value: Any) -> bool:
+    """A flag as a report records it: a JSON boolean."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"expected a boolean, got {value!r}")
+    return value
+
+
 # ---------------------------------------------------------------------------
-# domain serializers (to plain data; stringify happens at dump time)
+# domain serializers (to plain data; numbers become strings at dump time)
 
 
 def mat_to_json(x: Mat2) -> dict:
@@ -114,14 +116,6 @@ def sd_to_json(x: SdElement) -> dict:
     }
 
 
-def spec_to_json(spec: QuotientSpec) -> dict:
-    return spec.to_json()
-
-
-def spec_from_json(data: dict) -> QuotientSpec:
-    return QuotientSpec.from_json(data)
-
-
 def witness_to_json(w: GapWitness) -> dict:
     return {
         "x": mat_to_json(w.x),
@@ -135,14 +129,14 @@ def certificate_to_json(cert: SeparabilityCertificate) -> dict:
     return {
         "element": groupword_to_json(cert.element),
         "target": cert.target,
-        "spec": spec_to_json(cert.spec),
+        "spec": cert.spec.to_json(),
         "transcript": cert.transcript,
     }
 
 
 def tractability_entry_to_json(entry: dict) -> dict:
     return {
-        "spec": spec_to_json(entry["spec"]),
+        "spec": entry["spec"].to_json(),
         "status": entry["status"],
         "detail": entry["detail"],
         "violations": [sd_to_json(v) for v in entry.get("violations", [])],
@@ -152,12 +146,12 @@ def tractability_entry_to_json(entry: dict) -> dict:
 
 def tractability_to_json(rep: TractabilityReport) -> dict:
     return {
-        "m_spec": spec_to_json(rep.m_spec),
+        "m_spec": rep.m_spec.to_json(),
         "h_gens": [groupword_to_json(g) for g in rep.h_gens],
         "k_gens": [groupword_to_json(g) for g in rep.k_gens],
         "hcapk_gens": [groupword_to_json(g) for g in rep.hcapk_gens],
         "entries": [tractability_entry_to_json(entry) for entry in rep.entries],
-        "found": spec_to_json(rep.found) if rep.found is not None else None,
+        "found": rep.found.to_json() if rep.found is not None else None,
         "counters": rep.counters,
     }
 

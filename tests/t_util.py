@@ -16,7 +16,7 @@ from cosetope.groupcore import (
     subgroup_intersection,
     sl2_context,
 )
-from cosetope.modular import PermRep, _restandardize, psl2_context, subgroup_generators
+from cosetope.modular import PermRep, _restandardize, psl2_canon, psl2_context, subgroup_generators, word_eval
 from cosetope.profinite import QuotientSpec, quotient_context
 
 
@@ -216,3 +216,52 @@ def congruence_rep(m: int) -> PermRep:
 def principal_congruence_generators(m: int) -> tuple:
     """Words generating the level-m principal congruence subgroup (projectively)."""
     return tuple(subgroup_generators(congruence_rep(m)))
+
+
+# ---------------------------------------------------------------------------
+# a subgroup's level-m image, independently of the blocks in
+# ``cosetope.modular``
+
+
+def image_closure(rep: PermRep, m: int):
+    """The subgroup's image in PSL2(Z/m) as the closure of its reduced generators."""
+    gens = [psl2_canon(word_eval(w).reduce(m)) for w in subgroup_generators(rep)]
+    return subgroup_closure(psl2_context(m), gens)
+
+
+def partition(labels) -> frozenset:
+    """The classes of a labelling of the points 0..d-1."""
+    return frozenset(frozenset(p for p, l in enumerate(labels) if l == label) for label in set(labels))
+
+
+def klein_fricke_blocks(rep: PermRep, g: int) -> frozenset:
+    """The orbits of the level-g principal congruence subgroup for g <= 5.
+
+    There that subgroup is the normal closure of T^g (Klein and Fricke), so
+    its orbits are the finest S- and T-invariant partition that joins each
+    point p with p T^g.  Found by relabelling to a fixed point, without
+    union-find.
+    """
+    assert 2 <= g <= 5
+    label = list(range(rep.degree))
+
+    def join(a, b):
+        old, new = label[b], label[a]
+        if old == new:
+            return False
+        label[:] = [new if l == old else l for l in label]
+        return True
+
+    for p in range(rep.degree):
+        q = p
+        for _ in range(g):
+            q = rep.perm_t[q]
+        join(p, q)
+    changed = True
+    while changed:
+        changed = False
+        for p, r in itertools.combinations(range(rep.degree), 2):
+            if label[p] == label[r]:
+                for perm in (rep.perm_s, rep.perm_t):
+                    changed |= join(perm[p], perm[r])
+    return partition(label)

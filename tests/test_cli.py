@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-import cosetope.modular
+import cosetope.groupcore
+import cosetope.gs
 from cosetope.cli import COMMANDS, build_parser, main
 from cosetope.groupcore import GroupContext
 from cosetope.modular import is_congruence, low_index_reps
@@ -402,14 +403,60 @@ def test_huge_modulus_ends_quickly(tmp_path):
     assert time.perf_counter() - start < 10
 
 
-def test_gs_demo_and_verify_close_each_level_image_once(tmp_path, monkeypatch):
-    monkeypatch.setattr(cosetope.modular, "_rep_images", {})
-    closures = count_closures(monkeypatch, cosetope.modular)
+def test_huge_m_max_ends_quickly(tmp_path):
+    # every level's image order is known from its blocks, so the closure cap
+    # stops the level loop (at m = 221, where PSL2(Z/221) has 5,346,432
+    # elements) instead of a closure that grows toward it
+    rep = str(Path(__file__).resolve().parent / "golden" / "nc_rep.json")
+    huge = "1000000000000"
+    for args in (["gs-demo", "--m-max", huge], ["gap-witness", "--rep", rep, "--level", "24", "--m-max", huge]):
+        start = time.perf_counter()
+        assert main(args + ["--output", str(tmp_path / "out.json")]) == 3
+        assert time.perf_counter() - start < 10
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_gs_demo_and_verify_close_no_level_image(tmp_path, monkeypatch):
+    in_core = count_closures(monkeypatch, cosetope.groupcore)
+    in_gs = count_closures(monkeypatch, cosetope.gs)
     path = tmp_path / "demo.json"
     data, _ = run_report(["gs-demo", "--max-level", "3", "--m-max", "8"], path)
     assert data["result"]["evidence"]["status"] == "evidence"
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
-    assert closures and set(closures.values()) == {1}
+    # only the images of H are closed, for the intersections and the cross-check
+    names = [name for name, _ in in_core + in_gs]
+    assert names and all(name.startswith("M2(") for name in names)
+
+
+@pytest.mark.parametrize(
+    "args, edits",
+    [
+        (["quotient", "--modulus", "2", "--enumerate"], {("config", "enumerate"): "no", ("config", "modulus"): " 2"}),
+        (["quotient", "--modulus", "2", "--enumerate"], {("config", "enumerate"): "no"}),
+        (["quotient", "--modulus", "2", "--enumerate"], {("config", "modulus"): " 2"}),
+        (["lowindex", "--max-degree", "3", "--subgroups"], {("config", "subgroups"): 1}),
+        (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "10"], {("config", "m_max"): "1_0"}),
+        (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): " 2"}),
+        (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): "02"}),
+        (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): "+2"}),
+        (["quotient", "--modulus", "2"], {("schema",): " 2"}),
+        (["quotient", "--modulus", "2"], {("schema",): "0_2"}),
+    ],
+)
+def test_verify_rejects_a_config_the_cli_could_not_have_written(tmp_path, args, edits):
+    # each edit reads as the recorded value under Python's int() or truth
+    # test, so verify used to accept it
+    rep = str(Path(__file__).resolve().parent / "golden" / "nc_rep.json")
+    path = tmp_path / "report.json"
+    run_report([rep if a == "{rep}" else a for a in args], path)
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
+
+    def edit(data):
+        for keys, value in edits.items():
+            _set_path(data, keys, value)
+
+    _tamper(path, edit)
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v2.json")]) == 2
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

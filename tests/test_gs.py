@@ -2,10 +2,11 @@ import random
 
 import pytest
 
+import cosetope.groupcore
 import cosetope.gs
-import cosetope.modular
 from cosetope.arith import Mat2
-from cosetope.errors import PreconditionError
+from cosetope.budgets import Budgets
+from cosetope.errors import BudgetError, PreconditionError
 from cosetope.groupcore import (
     SdElement,
     brute_force_product,
@@ -281,21 +282,26 @@ def test_sign_saturated_image_matches_sl2_closure_oracle():
             assert derived.as_set() == oracle.as_set(), (rep, m)
 
 
-def test_wz_failure_closes_each_level_image_once(monkeypatch):
+def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatch):
     rep = minimal_noncongruence()
-    monkeypatch.setattr(cosetope.modular, "_rep_images", {})
-    images = count_closures(monkeypatch, cosetope.modular)
-    others = count_closures(monkeypatch, cosetope.gs)
+    in_core = count_closures(monkeypatch, cosetope.groupcore)
+    in_gs = count_closures(monkeypatch, cosetope.gs)
     evidence = gs_wz_failure(rep, 12, witness_level=12)
     assert evidence.status == "evidence"
-    assert sorted(name for name, _ in images) == sorted(f"PSL2(Z/{m})" for m in range(2, 13))
-    assert set(images.values()) == {1}
-    assert all(name.startswith("M2(") for name, _ in others)  # only the images of H, for the cross-check
-    images.clear()
-    others.clear()
+    names = [name for name, _ in in_core + in_gs]
+    assert names and all(name.startswith("M2(") for name in names)  # only the images of H, for the cross-check
+    in_core.clear()
+    in_gs.clear()
     for m in range(2, 13):
         _h_prime_image_mod(rep, m, active_budgets())
-    assert not images and not others
+    assert not in_core and not in_gs
+    # every level m <= 12 has the whole of PSL2(Z/m) as its image, the
+    # largest of order 660 at m = 11; under a cap of 660 those pass, and the
+    # first sign-saturated image over it is SL2(Z/10), of order 720
+    with pytest.raises(BudgetError, match="the subgroup image mod 11 has 660"):
+        gs_wz_failure(rep, 12, witness_level=12, budgets=Budgets(closure_cap=659))
+    with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 10 has 720"):
+        gs_wz_failure(rep, 12, witness_level=12, budgets=Budgets(closure_cap=660))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
+import math
 import random
 from collections import Counter
 
 import pytest
 
+import cosetope.groupcore
 import cosetope.modular
 from cosetope.arith import MAT_T, Mat2, psl2_group_order
 from cosetope.budgets import Budgets
@@ -12,6 +14,8 @@ from cosetope.modular import (
     ModularWord,
     PermRep,
     congruence_gap_witness,
+    image_blocks,
+    image_elements,
     is_congruence,
     low_index_reps,
     matrix_to_word,
@@ -19,14 +23,24 @@ from cosetope.modular import (
     psl2_canon,
     psl2_context,
     rep_contains,
-    rep_image_mod,
     rep_level,
     subgroup_generators,
     word_eval,
+    _gamma_walk,
+    _orbit_blocks,
     _restandardize,
 )
 
-from t_util import congruence_rep, count_closures, naive_rep_counts, perm_context, principal_congruence_generators
+from t_util import (
+    congruence_rep,
+    count_closures,
+    image_closure,
+    klein_fricke_blocks,
+    naive_rep_counts,
+    partition,
+    perm_context,
+    principal_congruence_generators,
+)
 
 
 def random_word(rng, max_len=30):
@@ -225,21 +239,67 @@ def test_level_two_rep_is_congruence():
     assert rep.degree == 6
     assert is_congruence(rep)
     # image mod 2 is trivial, so the index equals the full group order
-    image = rep_image_mod(rep, 2)
-    assert len(image) == 1
+    assert len(set(image_blocks(rep, 2))) == rep.degree
+    assert image_elements(rep, 2) == [Mat2.identity(2)]
 
 
-def test_rep_image_is_closed_once_and_cap_holds_on_cached_images(monkeypatch):
-    monkeypatch.setattr(cosetope.modular, "_rep_images", {})
-    calls = count_closures(monkeypatch, cosetope.modular)
+def test_image_blocks_close_nothing_and_honour_the_closure_cap(monkeypatch):
+    calls = count_closures(monkeypatch, cosetope.groupcore)
     rep = congruence_rep(2)
-    first = rep_image_mod(rep, 6, Budgets(closure_cap=1000))
-    assert len(first) == psl2_group_order(6) // rep.degree
-    assert rep_image_mod(rep, 6) is first
-    assert rep_image_mod(rep, 6, Budgets(closure_cap=len(first))) is first
-    with pytest.raises(BudgetError, match="closure_cap"):
-        rep_image_mod(rep, 6, Budgets(closure_cap=len(first) - 1))
-    assert [name for name, _ in calls.elements()] == ["PSL2(Z/6)"]
+    # level 2, so the orbits at 6 are walked over PSL2(Z/2), of 6 elements
+    order = psl2_group_order(6) // rep.degree
+    blocks = image_blocks(rep, 6, Budgets(closure_cap=order))
+    assert len(set(blocks)) == rep.degree
+    assert image_blocks(rep, 6) == blocks
+    with pytest.raises(BudgetError, match="the subgroup image mod 6 has 12 elements"):
+        image_blocks(rep, 6, Budgets(closure_cap=order - 1))
+    with pytest.raises(BudgetError, match=r"PSL2\(Z/2\) has 6 elements"):
+        image_blocks(rep, 6, Budgets(closure_cap=5))
+    assert not calls
+
+
+def test_image_blocks_match_the_closure_oracle():
+    # the image of each class of degree <= 8 at every level up to 12: the
+    # number of blocks is its index, and membership read off the blocks
+    # agrees with the closure of the reduced generators
+    rng = random.Random(5)
+    words = [random_word(rng) for _ in range(30)]
+    reps = low_index_reps(8)
+    for rep in reps:
+        for m in range(2, 13):
+            oracle = image_closure(rep, m)
+            blocks = image_blocks(rep, m)
+            assert len(set(blocks)) * len(oracle) == psl2_group_order(m), (rep, m)
+            assert set(image_elements(rep, m)) == oracle.as_set(), (rep, m)
+            for w in words:
+                member = psl2_canon(word_eval(w).reduce(m)) in oracle
+                assert (blocks[rep.word_point(w)] == 0) == member, (rep, m, w)
+    assert len(reps) == 28
+
+
+def test_image_blocks_at_m_are_those_at_the_gcd_with_the_level():
+    # walking PSL2(Z/m) itself gives the orbits that image_blocks reads off
+    # PSL2(Z/gcd(m, N)), for every class of degree <= 9 on each level m <= 12
+    # above the gcd and on each m <= 24 where 5 < gcd < m, the range that
+    # the Klein-Fricke oracle does not cover
+    pairs = 0
+    for rep in low_index_reps(9):
+        n = rep_level(rep)
+        for m in range(2, 25):
+            g = math.gcd(m, n)
+            if g < m and (m <= 12 or g > 5):
+                assert _orbit_blocks(rep, _gamma_walk(rep, m, None)) == image_blocks(rep, m), (rep, m)
+                pairs += 1
+    assert pairs == 416
+
+
+def test_image_blocks_match_klein_fricke_at_levels_up_to_5():
+    pairs = 0
+    for rep in low_index_reps(9):
+        for g in range(2, 6):
+            assert partition(image_blocks(rep, g)) == klein_fricke_blocks(rep, g), (rep, g)
+            pairs += 1
+    assert pairs == 168
 
 
 def test_is_congruence_honours_the_closure_cap():
@@ -315,8 +375,9 @@ def test_gap_witness_on_minimal_noncongruence_rep():
     assert witness.x.reduce(24) == Mat2.identity(24)
     for m in (2, 3, 4, 6, 8, 12, 24):
         assert m in witness.levels_verified
-    for m in witness.levels_verified:
-        assert psl2_canon(witness.x.reduce(m)) in rep_image_mod(rep, m)
+    for m in range(2, 25):
+        member = psl2_canon(witness.x.reduce(m)) in image_closure(rep, m)
+        assert (m in witness.levels_verified) == member
 
 
 def test_gap_witness_level_is_small_multiple_of_rep_level():
