@@ -50,6 +50,7 @@ from .profinite import (
     load_tower,
     project,
     quotient_context,
+    read_json,
     spec_group_order,
     thm_b_probe,
     tractable_at,
@@ -61,16 +62,8 @@ from . import report as rpt
 # inputs
 
 
-def _read_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a NUL in the path
-        raise ValidationError(f"cannot read {path!r}: {exc}") from exc
-
-
 def _load_gens(path: str) -> list:
-    data = _read_json(path)
+    data = read_json(path, "generator file")
     if not isinstance(data, list):
         raise ValidationError(f"{path!r}: a generator file holds a JSON list of elements")
     return [rpt.groupword_from_json(entry) for entry in data]

@@ -3,8 +3,8 @@
 A ``GroupContext`` packages identity, multiplication and inversion for some
 hashable element type; everything else works uniformly on top of it:
 breadth-first subgroup closures with O(1) membership, double-coset
-membership, coset transversals, Schreier generators, and explicit
-product-set identity checks together with their brute-force oracles.
+membership, coset transversals, and explicit product-set identity checks
+together with their brute-force oracles.
 
 Determinism: closures insert elements in BFS discovery order, so transversals
 and reports are reproducible run to run.
@@ -347,66 +347,6 @@ def check_cor_identity(
     hkp = brute_force_product(ctx, h.elements, kp.elements, budgets)
     hpkp = brute_force_product(ctx, hp.elements, kp.elements, budgets)
     return (hpk & hkp) == hpkp
-
-
-# ---------------------------------------------------------------------------
-# Schreier machinery (shared by the word layer and by kernel computations)
-
-
-def schreier_transversal(start, act: Callable, letters: Sequence, cap: int | None = None):
-    """BFS transversal words over ``letters``; act(point, letter) -> point.
-
-    Returns (words, order): a dict point -> word (tuple of letters, applied
-    left to right) and the list of points in discovery order.  The walk
-    raises BudgetError once it reaches more than ``cap`` points.
-    """
-    words = {start: ()}
-    order = [start]
-    qi = 0
-    while qi < len(order):
-        p = order[qi]
-        qi += 1
-        for letter in letters:
-            q = act(p, letter)
-            if q not in words:
-                words[q] = words[p] + (letter,)
-                order.append(q)
-                if cap is not None and len(order) > cap:
-                    raise BudgetError(f"closure budget exceeded: Schreier walk passed {cap} points (closure_cap)")
-    return words, order
-
-
-def schreier_generator_words(start, act: Callable, letters: Sequence, invert: Callable, cap: int | None = None):
-    """Schreier generator words for the stabilizer of ``start``.
-
-    ``letters`` must list each generator letter before its inverse; only the
-    positive letters produce generators.  ``invert`` maps a letter word to
-    its inverse word.  Words that freely reduce to nothing are dropped.  The
-    orbit walk stops with BudgetError past ``cap`` points.
-    """
-    words, order = schreier_transversal(start, act, letters, cap)
-    positive = letters[::2]
-    out = []
-    seen = set()
-    for p in order:
-        wp = words[p]
-        for letter in positive:
-            q = act(p, letter)
-            gen = _free_reduce(wp + (letter,) + invert(words[q]))
-            if gen and gen not in seen:
-                seen.add(gen)
-                out.append(gen)
-    return out
-
-
-def _free_reduce(seq: Sequence[int]) -> tuple:
-    out = []
-    for letter in seq:
-        if out and out[-1] == -letter:
-            out.pop()
-        else:
-            out.append(letter)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

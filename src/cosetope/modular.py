@@ -2,9 +2,10 @@
 
 Words over the standard generators S = [[0,-1],[1,0]] and T = [[1,1],[0,1]],
 exact matrix-to-word rewriting by Euclidean reduction, finite-index
-subgroups given as permutation representations of the coset action,
-low-index enumeration by coset-table backtracking, cusp-width levels,
-congruence testing, and congruence-gap witnesses.
+subgroups given as permutation representations of the coset action, their
+transversal words and Schreier generators read off ``perm_s`` and
+``perm_t``, low-index enumeration by coset-table backtracking, cusp-width
+levels, congruence testing, and congruence-gap witnesses.
 
 Subgroups here are projective: representations satisfy ``perm_s^2 = 1`` and
 ``(perm_s perm_t)^3 = 1``, and matrices are identified with their negatives
@@ -21,16 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, PreconditionError, ValidationError
-from .groupcore import (
-    GroupContext,
-    _free_reduce,
-    check_closure_cap,
-    perm_inv,
-    perm_mul,
-    schreier_generator_words,
-    schreier_transversal,
-    sl2_context,
-)
+from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, sl2_context
 
 # Word letters: 1 = S, -1 = S^-1, 2 = T, -2 = T^-1.
 S_ = 1
@@ -45,6 +37,17 @@ _GEN_MATS = {
     T_: MAT_T,
     -T_: Mat2.ambient(1, -1, 0, 1),
 }
+
+
+def _free_reduce(seq: Sequence[int]) -> tuple:
+    """Cancel each letter against an inverse letter next to it, repeatedly."""
+    out = []
+    for letter in seq:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
 
 
 class ModularWord(NamedTuple):
@@ -402,38 +405,42 @@ def low_index_reps(d_max: int, *, classes: bool = True, cap: int = _MAX_DEGREE_C
 # subgroup generators (Schreier)
 
 
-def _rep_action(rep: PermRep):
-    ti = perm_inv(rep.perm_t)
-
-    def act(p, letter):
-        if letter == S_ or letter == -S_:
-            return rep.perm_s[p]
-        if letter == T_:
-            return rep.perm_t[p]
-        return ti[p]
-
-    return act
-
-
 def schreier_transversal_words(rep: PermRep) -> dict:
-    """BFS coset representative words: point -> letter tuple from the basepoint."""
-    words, _ = schreier_transversal(0, _rep_action(rep), (S_, -S_, T_, -T_))
+    """BFS coset representative words: point -> letter tuple from the basepoint.
+
+    Points are scanned in discovery order and, at each, the letters S, T,
+    T^-1 (S^-1 moves points as S does), so the words are prefix-closed; the
+    dict keeps discovery order.
+    """
+    steps = ((S_, rep.perm_s), (T_, rep.perm_t), (-T_, perm_inv(rep.perm_t)))
+    words = {0: ()}
+    order = [0]
+    for p in order:
+        for letter, perm in steps:
+            q = perm[p]
+            if q not in words:
+                words[q] = words[p] + (letter,)
+                order.append(q)
     return words
 
 
 def subgroup_generators(rep: PermRep) -> list:
     """Words generating exactly the basepoint stabilizer.
 
-    Schreier generators over a BFS transversal of the coset action; words
-    that freely reduce to nothing (tree edges and their reverses) are
-    dropped.  Every returned word fixes the basepoint.
+    Schreier generators word(p) + letter + word(p letter)^-1 over the BFS
+    transversal, for p in discovery order and letter S, then T, with the
+    words that freely reduce to nothing (tree edges) dropped.  The rest form
+    a free basis, as the transversal is prefix-closed, so no two are equal.
+    Every returned word fixes the basepoint.
     """
-
-    def invert(word):
-        return tuple(-l for l in reversed(word))
-
-    raw = schreier_generator_words(0, _rep_action(rep), (S_, -S_, T_, -T_), invert)
-    return [ModularWord(w) for w in raw]
+    words = schreier_transversal_words(rep)
+    out = []
+    for p, word in words.items():
+        for letter, perm in ((S_, rep.perm_s), (T_, rep.perm_t)):
+            gen = ModularWord(word + (letter,)) * ModularWord(words[perm[p]]).inverse()
+            if gen.letters:
+                out.append(gen)
+    return out
 
 
 # ---------------------------------------------------------------------------

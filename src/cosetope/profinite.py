@@ -13,6 +13,7 @@ certificates are decisions.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import os
 from dataclasses import dataclass, field
@@ -31,7 +32,6 @@ from .groupcore import (
     perm_inv,
     perm_mul,
     product_member,
-    schreier_generator_words,
     sd_identity,
     sd_inv,
     sd_mul,
@@ -39,15 +39,7 @@ from .groupcore import (
     subgroup_from_elements,
     subgroup_intersection,
 )
-from .modular import (
-    ModularWord,
-    PermRep,
-    perm_identity,
-    rep_contains,
-    schreier_transversal_words,
-    subgroup_generators,
-    word_eval,
-)
+from .modular import ModularWord, PermRep, perm_identity, rep_contains, subgroup_generators, word_eval
 
 
 class Formation(NamedTuple):
@@ -110,7 +102,7 @@ class QuotientSpec(NamedTuple):
             return True
         if fine.rep is None:
             return self.rep.degree == 1
-        return _rep_subgroup_contains(self.rep, fine.rep)
+        return all(rep_contains(self.rep, w) for w in subgroup_generators(fine.rep))
 
     def to_json(self) -> dict:
         rep, formation = self.rep, self.formation
@@ -148,27 +140,27 @@ class QuotientSpec(NamedTuple):
         return cls.make(m, rep, formation)
 
 
-@functools.lru_cache(maxsize=None)
-def _rep_subgroup_contains(outer: PermRep, inner: PermRep) -> bool:
-    """Whether outer's subgroup contains inner's (generator containment)."""
-    return all(rep_contains(outer, w) for w in subgroup_generators(inner))
+def read_json(path: str, what: str):
+    """The JSON value in the file at ``path``; ``what`` names the file in errors.
+
+    A path that is not a string (a config may hold any JSON value) is refused
+    before ``open``, which would take an integer or a bool as a file descriptor.
+    """
+    if not isinstance(path, str):
+        raise ValidationError(f"cannot read {what}: its path must be a string, got {path!r}")
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a NUL in the path
+        raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
 def load_rep(path: str) -> PermRep:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a NUL in the path
-        raise ValidationError(f"cannot read permutation representation {path!r}: {exc}") from exc
-    return PermRep.from_json(data)
+    return PermRep.from_json(read_json(path, "permutation representation"))
 
 
 def load_tower(path: str) -> list:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a NUL in the path
-        raise ValidationError(f"cannot read tower file {path!r}: {exc}") from exc
+    data = read_json(path, "tower file")
     if not isinstance(data, list):
         raise ValidationError("a tower file holds a list of quotient specs")
     base_dir = os.path.dirname(os.path.abspath(path))
@@ -259,11 +251,20 @@ def image_subgroup(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budge
 
 
 def _coset_fibration(fine: PermRep, coarse: PermRep):
-    """Point map fine -> coarse plus a section (one fine point per coarse point)."""
-    words = schreier_transversal_words(fine)
-    pmap = [0] * fine.degree
-    for p, w in words.items():
-        pmap[p] = coarse.word_point(ModularWord(w))
+    """Point map fine -> coarse plus a section (one fine point per coarse point).
+
+    The map sends 0 to 0 and commutes with S and T, so a walk over the fine
+    points carries the coarse point along; fine refines coarse, so it is
+    well defined.
+    """
+    pmap = [-1] * fine.degree
+    pmap[0] = 0
+    queue = [0]
+    for p in queue:
+        for perm, coarse_perm in ((fine.perm_s, coarse.perm_s), (fine.perm_t, coarse.perm_t)):
+            if pmap[perm[p]] < 0:
+                pmap[perm[p]] = coarse_perm[pmap[p]]
+                queue.append(perm[p])
     section = [-1] * coarse.degree
     for p in range(fine.degree):
         if section[pmap[p]] < 0:
@@ -296,12 +297,14 @@ def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
 
 
 def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets | None = None) -> GeneratedSubgroup:
-    """Elements of the fine quotient that map to the identity of the coarse one.
+    """Elements of the fine quotient that map to the identity of the coarse one, identity first.
 
-    When the fine quotient carries no coset action the kernel is listed
-    directly: every (a, h) with a = 0 and h = I modulo the coarse modulus.
-    Otherwise it is generated by Schreier words read off the action of the
-    fine generators on the coarse quotient, and closed.
+    Every quotient is M2(Z/f) x| L, with L generated by the images of S and
+    T, and restriction reduces the additive part mod c.  So the kernel pairs
+    every additive a = 0 mod c with every element of L that restricts to the
+    coarse identity: when the fine quotient carries no coset action, the
+    h = I mod c in SL2(Z/f), listed directly; otherwise those of the closure
+    of L.
     """
     if not coarse.refined_by(fine):
         raise PreconditionError("kernel_of_refinement: the first spec does not refine the second")
@@ -310,62 +313,49 @@ def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
         return subgroup_from_elements((quotient_context(fine).identity,))
     if fine.rep is None:
         return _congruence_kernel(fine.m, coarse.m, budgets)
-    return _schreier_kernel(fine, coarse, budgets)
+    return _coset_action_kernel(fine, coarse, budgets)
+
+
+def _multiples(f: int, c: int):
+    """The entries (w, x, y, z) of each 2x2 matrix mod f that is 0 mod c, in lexicographic order."""
+    return itertools.product(range(0, f, c), repeat=4)
+
+
+def _kernel_product(f: int, c: int, linear, size: int, budgets: Budgets) -> GeneratedSubgroup:
+    """Every (a, h, sigma) with a = 0 mod c and (h, sigma) in ``linear``.
+
+    ``linear`` holds ``size`` pairs, the identity first, and runs outermost,
+    so the kernel lists the identity first.  The closure cap is checked on
+    the order (f/c)^4 * ``size`` before any element is built.
+    """
+    check_closure_cap((f // c) ** 4 * size, budgets, f"refinement kernel {f} -> {c}")
+    additive = [Mat2(w, x, y, z, f) for w, x, y, z in _multiples(f, c)]
+    return subgroup_from_elements(SdElement(a, h, sigma) for h, sigma in linear for a in additive)
 
 
 def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
-    """ker(M2(Z/f) x| SL2(Z/f) -> M2(Z/c) x| SL2(Z/c)) for c dividing f, identity first.
+    """ker(M2(Z/f) x| SL2(Z/f) -> M2(Z/c) x| SL2(Z/c)) for c dividing f.
 
-    Its order is (f/c)^4 * |SL2(Z/f)| / |SL2(Z/c)|, since reduction of SL2
-    is onto; the closure cap is checked against it before any element exists.
+    Reduction of SL2 is onto, so |SL2(Z/f)| / |SL2(Z/c)| matrices h are
+    I mod c; they are listed only once the cap has passed.
     """
-    size = (f // c) ** 4 * sl2_group_order(f) // sl2_group_order(c)
-    check_closure_cap(size, budgets, f"refinement kernel {f} -> {c}")
-    steps = range(0, f, c)
-    blocks = [(w, x, y, z) for w in steps for x in steps for y in steps for z in steps]
-    additive = [Mat2(w, x, y, z, f) for w, x, y, z in blocks]
     # 1 + w < f because c >= 2, so these entries are already canonical
-    congruent = [h for h in (Mat2(1 + w, x, y, 1 + z, f) for w, x, y, z in blocks) if h.det_int() == 1]
-    return subgroup_from_elements(SdElement(a, h, None) for h in congruent for a in additive)
+    congruent = (Mat2(1 + w, x, y, 1 + z, f) for w, x, y, z in _multiples(f, c))
+    linear = ((h, None) for h in congruent if h.det_int() == 1)
+    return _kernel_product(f, c, linear, sl2_group_order(f) // sl2_group_order(c), budgets)
 
 
-def _schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets) -> GeneratedSubgroup:
-    """The refinement kernel as the closure of its Schreier generators; any specs.
+def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets) -> GeneratedSubgroup:
+    """The refinement kernel when the fine quotient carries a coset action.
 
-    The Schreier walk visits every element of the coarse quotient, so its
-    order, when known, is checked against the closure cap first.
+    The closure of L, the images of S and T, runs under the closure cap;
+    the elements that restrict to the coarse identity are its linear part.
     """
-    coarse_order = spec_group_order(coarse)
-    if coarse_order is not None:
-        check_closure_cap(coarse_order, budgets, f"the Schreier walk over the quotient mod {coarse.m}")
     fctx = quotient_context(fine)
-    cctx = quotient_context(coarse)
     restrict = element_restriction(fine, coarse)
-    coarse_gens = [restrict(g) for g in fctx.generators]
-    fine_gens = list(fctx.generators)
-
-    def act(point, letter):
-        idx = abs(letter) - 1
-        g = coarse_gens[idx] if letter > 0 else sd_inv(coarse_gens[idx])
-        return sd_mul(point, g)
-
-    letters = []
-    for i in range(len(fine_gens)):
-        letters.extend((i + 1, -(i + 1)))
-
-    def invert(word):
-        return tuple(-l for l in reversed(word))
-
-    words = schreier_generator_words(cctx.identity, act, tuple(letters), invert, budgets.closure_cap)
-    kernel_gens = []
-    for word in words:
-        x = fctx.identity
-        for letter in word:
-            idx = abs(letter) - 1
-            g = fine_gens[idx] if letter > 0 else sd_inv(fine_gens[idx])
-            x = sd_mul(x, g)
-        kernel_gens.append(x)
-    return subgroup_closure(fctx, kernel_gens, budgets)
+    cid = quotient_context(coarse).identity
+    linear = [(x.h, x.sigma) for x in subgroup_closure(fctx, fctx.generators[4:], budgets) if restrict(x) == cid]
+    return _kernel_product(fine.m, coarse.m, linear, len(linear), budgets)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,31 @@ import math
 import random
 from collections import Counter
 
+from cosetope.budgets import active_budgets
+from cosetope.errors import BudgetError
 from cosetope.groupcore import (
     GroupContext,
+    check_closure_cap,
     normal_closure,
+    perm_inv,
+    sd_inv,
+    sd_mul,
     subgroup_closure,
     subgroup_intersection,
     sl2_context,
 )
-from cosetope.modular import PermRep, _restandardize, psl2_canon, psl2_context, subgroup_generators, word_eval
-from cosetope.profinite import QuotientSpec, quotient_context
+from cosetope.modular import (
+    S_,
+    T_,
+    ModularWord,
+    PermRep,
+    _restandardize,
+    psl2_canon,
+    psl2_context,
+    subgroup_generators,
+    word_eval,
+)
+from cosetope.profinite import QuotientSpec, element_restriction, quotient_context, spec_group_order
 
 
 def perm_context(degree: int, gens) -> GroupContext:
@@ -265,3 +281,119 @@ def klein_fricke_blocks(rep: PermRep, g: int) -> frozenset:
                 for perm in (rep.perm_s, rep.perm_t):
                     changed |= join(perm[p], perm[r])
     return partition(label)
+
+
+# ---------------------------------------------------------------------------
+# generic Schreier machinery over any action (independent of the permutation
+# walks in ``cosetope.modular`` and of the kernel listing in
+# ``cosetope.profinite``)
+
+
+def schreier_transversal(start, act, letters, cap=None):
+    """BFS transversal words over ``letters``; act(point, letter) -> point.
+
+    Returns (words, order): a dict point -> word (tuple of letters, applied
+    left to right) and the list of points in discovery order.  The walk
+    raises BudgetError once it reaches more than ``cap`` points.
+    """
+    words = {start: ()}
+    order = [start]
+    qi = 0
+    while qi < len(order):
+        p = order[qi]
+        qi += 1
+        for letter in letters:
+            q = act(p, letter)
+            if q not in words:
+                words[q] = words[p] + (letter,)
+                order.append(q)
+                if cap is not None and len(order) > cap:
+                    raise BudgetError(f"closure budget exceeded: Schreier walk passed {cap} points (closure_cap)")
+    return words, order
+
+
+def _free_reduce(seq) -> tuple:
+    out = []
+    for letter in seq:
+        if out and out[-1] == -letter:
+            out.pop()
+        else:
+            out.append(letter)
+    return tuple(out)
+
+
+def _invert(word) -> tuple:
+    return tuple(-l for l in reversed(word))
+
+
+def schreier_generator_words(start, act, letters, cap=None):
+    """Schreier generator words for the stabilizer of ``start``.
+
+    ``letters`` lists each generator letter before its inverse (letter -l);
+    only the positive letters produce generators.  Words that freely reduce
+    to nothing and repeats are dropped.
+    """
+    words, order = schreier_transversal(start, act, letters, cap)
+    out = []
+    seen = set()
+    for p in order:
+        for letter in letters[::2]:
+            gen = _free_reduce(words[p] + (letter,) + _invert(words[act(p, letter)]))
+            if gen and gen not in seen:
+                seen.add(gen)
+                out.append(gen)
+    return out
+
+
+def _rep_action(rep: PermRep):
+    ti = perm_inv(rep.perm_t)
+
+    def act(p, letter):
+        if letter in (S_, -S_):
+            return rep.perm_s[p]
+        return rep.perm_t[p] if letter == T_ else ti[p]
+
+    return act
+
+
+def oracle_transversal_words(rep: PermRep) -> dict:
+    """``schreier_transversal_words`` by the generic walk over S, S^-1, T, T^-1."""
+    return schreier_transversal(0, _rep_action(rep), (S_, -S_, T_, -T_))[0]
+
+
+def oracle_subgroup_generators(rep: PermRep) -> list:
+    """``subgroup_generators`` by the generic Schreier generator words."""
+    return [ModularWord(w) for w in schreier_generator_words(0, _rep_action(rep), (S_, -S_, T_, -T_))]
+
+
+def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets=None):
+    """The refinement kernel as the closure of its Schreier generators.
+
+    The generators are read off the action of the fine generators on the
+    whole coarse quotient, which the walk visits element by element; its
+    order, when known, is checked against the closure cap first.
+    """
+    budgets = active_budgets(budgets)
+    coarse_order = spec_group_order(coarse)
+    if coarse_order is not None:
+        check_closure_cap(coarse_order, budgets, f"the Schreier walk over the quotient mod {coarse.m}")
+    fctx = quotient_context(fine)
+    restrict = element_restriction(fine, coarse)
+    coarse_gens = [restrict(g) for g in fctx.generators]
+
+    def letter_element(gens, letter):
+        g = gens[abs(letter) - 1]
+        return g if letter > 0 else sd_inv(g)
+
+    def act(point, letter):
+        return sd_mul(point, letter_element(coarse_gens, letter))
+
+    letters = tuple(l for i in range(len(coarse_gens)) for l in (i + 1, -(i + 1)))
+    words = schreier_generator_words(quotient_context(coarse).identity, act, letters, budgets.closure_cap)
+    kernel_gens = []
+    for word in words:
+        x = fctx.identity
+        for letter in word:
+            x = sd_mul(x, letter_element(fctx.generators, letter))
+        kernel_gens.append(x)
+    return subgroup_closure(fctx, kernel_gens, budgets)

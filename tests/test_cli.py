@@ -1,6 +1,9 @@
 import argparse
 import json
+import os
 import shutil
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -463,8 +466,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_tractable_schreier_kernel_budget_exits_3_quickly(tmp_path):
-    # a fine spec with a coset action over a plain target takes the Schreier
-    # path, whose walk over the 8^4 * 384 elements of the target must not start
+    # a fine spec with a coset action over a plain target takes the
+    # coset-action path, whose closure of the linear part stops at the cap
     shutil.copy(GOLDEN / "nc_rep.json", tmp_path / "nc_rep.json")
     tower = tmp_path / "tower.json"
     tower.write_text(json.dumps([{"m": 8, "rep": "nc_rep.json"}]))
@@ -473,6 +476,21 @@ def test_tractable_schreier_kernel_budget_exits_3_quickly(tmp_path):
     start = time.perf_counter()
     assert main(args + ["--closure-cap", "1000", "--output", str(tmp_path / "t.json")]) == 3
     assert time.perf_counter() - start < 5
+
+
+def test_verify_refuses_a_recorded_path_that_is_not_a_string(tmp_path):
+    # open(True) would take the bool as file descriptor 1 and close stdout
+    path = tmp_path / "report.json"
+    run_report(["congruence", "--rep", str(GOLDEN / "nc_rep.json")], path)
+    _tamper(path, lambda data: _set_path(data, ("config", "rep"), True))
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    done = subprocess.run(
+        [sys.executable, "-m", "cosetope", "verify", "--report", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "path must be a string, got True" in done.stderr
+    assert "Bad file descriptor" not in done.stderr
 
 
 def test_verify_names_the_first_differing_path(tmp_path, gens_files, capsys):

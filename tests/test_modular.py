@@ -24,6 +24,7 @@ from cosetope.modular import (
     psl2_context,
     rep_contains,
     rep_level,
+    schreier_transversal_words,
     subgroup_generators,
     word_eval,
     _gamma_walk,
@@ -37,6 +38,8 @@ from t_util import (
     image_closure,
     klein_fricke_blocks,
     naive_rep_counts,
+    oracle_subgroup_generators,
+    oracle_transversal_words,
     partition,
     perm_context,
     principal_congruence_generators,
@@ -224,6 +227,15 @@ def test_subgroup_generator_images_have_index_degree():
         images = [rep.word_perm(w) for w in subgroup_generators(rep)]
         stab = subgroup_closure(ctx, images)
         assert len(whole) == rep.degree * len(stab)
+
+
+def test_subgroup_generators_match_the_generic_schreier_oracle():
+    # words and order, on every class of degree <= 9 and a larger regular action
+    reps = low_index_reps(9)
+    assert len(reps) == 42
+    for rep in reps + [congruence_rep(4)]:
+        assert list(schreier_transversal_words(rep).items()) == list(oracle_transversal_words(rep).items())
+        assert subgroup_generators(rep) == oracle_subgroup_generators(rep)
 
 
 # ---------------------------------------------------------------------------

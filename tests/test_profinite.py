@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +31,7 @@ from cosetope.profinite import (
     hi_exclusion_offenders,
     image_subgroup,
     kernel_of_refinement,
+    load_rep,
     load_tower,
     project,
     quotient_context,
@@ -38,7 +40,7 @@ from cosetope.profinite import (
     tractable_at,
 )
 
-from t_util import congruence_rep, s3_context, subgroup_pool
+from t_util import congruence_rep, s3_context, schreier_kernel, subgroup_pool
 
 
 H_GENS = (GroupWord.of_word(ModularWord.from_str("S")), GroupWord.of_word(ModularWord.from_str("T")))
@@ -152,18 +154,43 @@ def _congruence_kernel_order(f, c):
 
 
 def test_kernel_schreier_path_matches_filter_path():
+    # the direct listing against both oracles: Schreier closure and filtering
     fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2)
     direct = kernel_of_refinement(fine, coarse).as_set()
-    by_schreier = profinite._schreier_kernel(fine, coarse, Budgets()).as_set()
-    assert direct == by_schreier == _filter_kernel(fine, coarse)
+    assert direct == schreier_kernel(fine, coarse).as_set() == _filter_kernel(fine, coarse)
 
 
 @pytest.mark.parametrize("f, c", [(6, 2), (6, 3)])
 def test_kernel_direct_path_matches_schreier_path(f, c):
     fine, coarse = QuotientSpec.make(f), QuotientSpec.make(c)
     direct = kernel_of_refinement(fine, coarse)
-    assert direct.as_set() == profinite._schreier_kernel(fine, coarse, Budgets()).as_set()
+    assert direct.as_set() == schreier_kernel(fine, coarse).as_set()
     assert len(direct) == _congruence_kernel_order(f, c)
+
+
+def _coset_action_pairs():
+    """(fine, coarse) specs: the degree-3 and degree-4 classes at modulus 4 over
+    modulus 2, plain and with the same action, and the golden noncongruence
+    rep at modulus 2 over plain modulus 2."""
+    pairs = []
+    for index, rep in enumerate(low_index_reps(4)):
+        if rep.degree in (3, 4):
+            fine = QuotientSpec.make(4, rep)
+            pairs += [
+                pytest.param(fine, coarse, id=f"rep{index}-{name}")
+                for name, coarse in (("plain", QuotientSpec.make(2)), ("same-rep", QuotientSpec.make(2, rep)))
+                if coarse.refined_by(fine)
+            ]
+    nc_rep = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
+    return pairs + [pytest.param(QuotientSpec.make(2, nc_rep), QuotientSpec.make(2), id="nc_rep-plain")]
+
+
+@pytest.mark.parametrize("fine, coarse", _coset_action_pairs())
+def test_coset_action_kernel_matches_the_schreier_oracle(fine, coarse):
+    kernel = kernel_of_refinement(fine, coarse)
+    assert kernel.elements[0] == quotient_context(fine).identity
+    assert len(set(kernel.elements)) == len(kernel)
+    assert kernel.as_set() == schreier_kernel(fine, coarse).as_set()
 
 
 @pytest.mark.parametrize("f, c", [(8, 2), (8, 4), (9, 3), (12, 4)])
@@ -179,17 +206,17 @@ def test_kernel_direct_path_closed_form(f, c):
         assert x.h.det_int() == 1
 
 
-def test_kernel_with_coset_action_takes_schreier_path(monkeypatch):
+def test_kernel_with_coset_action_takes_the_coset_action_path(monkeypatch):
     rep = congruence_rep(2)
     fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
     calls = []
-    schreier = profinite._schreier_kernel
+    listing = profinite._coset_action_kernel
 
     def spy(*args):
         calls.append(args[:2])
-        return schreier(*args)
+        return listing(*args)
 
-    monkeypatch.setattr(profinite, "_schreier_kernel", spy)
+    monkeypatch.setattr(profinite, "_coset_action_kernel", spy)
     kernel = kernel_of_refinement(fine, coarse)
     assert calls == [(fine, coarse)]
     assert kernel.as_set() == _filter_kernel(fine, coarse)
@@ -201,11 +228,16 @@ def test_kernel_budget_fails_before_building():
         kernel_of_refinement(QuotientSpec.make(8), QuotientSpec.make(2), Budgets(closure_cap=1000))
 
 
-def test_schreier_kernel_walk_honours_the_closure_cap():
-    # the coarse quotient carries a coset action, so its order is not known before the walk
+def test_coset_action_kernel_honours_the_closure_cap():
+    # the linear part of the fine quotient, SL2(Z/4) here, is closed under
+    # the cap, and its 8 elements that are I mod 2 make a kernel of 16 * 8
     rep = congruence_rep(2)
-    with pytest.raises(BudgetError, match="Schreier walk passed 50 points"):
-        kernel_of_refinement(QuotientSpec.make(4, rep), QuotientSpec.make(2, rep), Budgets(closure_cap=50))
+    fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
+    with pytest.raises(BudgetError, match="more than 40 elements"):
+        kernel_of_refinement(fine, coarse, Budgets(closure_cap=40))
+    with pytest.raises(BudgetError, match="refinement kernel 4 -> 2 has 128 elements > 100"):
+        kernel_of_refinement(fine, coarse, Budgets(closure_cap=100))
+    assert len(kernel_of_refinement(fine, coarse, Budgets(closure_cap=128))) == 128
 
 
 def test_restriction_from_plain_to_degree_one_action():
