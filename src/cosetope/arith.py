@@ -15,6 +15,9 @@ from typing import NamedTuple, Optional, Union
 from .errors import BudgetError, ModulusMismatch, ValidationError
 
 
+_new = tuple.__new__
+
+
 class Residue(NamedTuple):
     """Canonical residue modulo ``m``: ``0 <= value < m`` with ``m >= 2``."""
 
@@ -85,42 +88,35 @@ class Mat2(NamedTuple):
             raise ValidationError(f"modulus must be at least 2, got {m}")
         return cls(k % m, 0, 0, k % m, m)
 
-    def _same(self, other: "Mat2") -> None:
-        if self.m != other.m:
-            raise ModulusMismatch(f"cannot combine moduli {self.m} and {other.m}")
-
+    # The arithmetic below unpacks each operand once and builds its result
+    # with tuple.__new__, skipping the NamedTuple constructor's Python-level
+    # __new__; the result is the same Mat2.
     def __mul__(self, other):
-        self._same(other)
-        a = self.a * other.a + self.b * other.c
-        b = self.a * other.b + self.b * other.d
-        c = self.c * other.a + self.d * other.c
-        d = self.c * other.b + self.d * other.d
-        m = self.m
+        a, b, c, d, m = self
+        e, f, g, h, n = other
+        if m != n:
+            raise ModulusMismatch(f"cannot combine moduli {m} and {n}")
         if m is None:
-            return Mat2(a, b, c, d, None)
-        return Mat2(a % m, b % m, c % m, d % m, m)
+            return _new(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, None))
+        return _new(Mat2, ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m, m))
 
     def __add__(self, other):
-        self._same(other)
-        m = self.m
+        a, b, c, d, m = self
+        e, f, g, h, n = other
+        if m != n:
+            raise ModulusMismatch(f"cannot combine moduli {m} and {n}")
         if m is None:
-            return Mat2(self.a + other.a, self.b + other.b, self.c + other.c, self.d + other.d, None)
-        return Mat2(
-            (self.a + other.a) % m,
-            (self.b + other.b) % m,
-            (self.c + other.c) % m,
-            (self.d + other.d) % m,
-            m,
-        )
+            return _new(Mat2, (a + e, b + f, c + g, d + h, None))
+        return _new(Mat2, ((a + e) % m, (b + f) % m, (c + g) % m, (d + h) % m, m))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        m = self.m
+        a, b, c, d, m = self
         if m is None:
-            return Mat2(-self.a, -self.b, -self.c, -self.d, None)
-        return Mat2(-self.a % m, -self.b % m, -self.c % m, -self.d % m, m)
+            return _new(Mat2, (-a, -b, -c, -d, None))
+        return _new(Mat2, (-a % m, -b % m, -c % m, -d % m, m))
 
     def det(self) -> Union[int, Residue]:
         """ad - bc, as a plain integer (ambient) or a Residue (quotient)."""
@@ -136,10 +132,10 @@ class Mat2(NamedTuple):
 
     def inv_det1(self) -> "Mat2":
         """Inverse of a determinant-1 matrix (adjugate); not checked here."""
-        m = self.m
+        a, b, c, d, m = self
         if m is None:
-            return Mat2(self.d, -self.b, -self.c, self.a, None)
-        return Mat2(self.d, -self.b % m, -self.c % m, self.a, m)
+            return _new(Mat2, (d, -b, -c, a, None))
+        return _new(Mat2, (d, -b % m, -c % m, a, m))
 
     def reduce(self, m: int) -> "Mat2":
         """Entrywise reduction mod ``m``; from ambient or from a multiple of ``m``."""

@@ -224,11 +224,13 @@ def _hk_certificates() -> list:
 
 def _gs_demo(config: dict, budgets: Budgets) -> dict:
     max_level, m_max, max_degree = (rpt.parse_int(config[key]) for key in ("max_level", "m_max", "max_degree"))
-    # the order of image(H) meet image(K) at each level
-    intersections = [
-        {"m": m, "size": len(gs_intersection(gs_build(QuotientSpec.make(m), budgets)))}
-        for m in range(2, max_level + 1)
-    ]
+    # the order of image(H) meet image(K) at each level.  image(H) is all of
+    # SL2(Z/m), so every level's order is checked before the first closure;
+    # as |SL2(Z/m)| > 0.6 m^3, the check stops within (cap / 0.6)^(1/3) levels
+    levels = range(2, max_level + 1)
+    for m in levels:
+        check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
+    intersections = [{"m": m, "size": len(gs_intersection(gs_build(QuotientSpec.make(m), budgets)))} for m in levels]
     # the evidence is built on the first class that is not congruence
     reps = low_index_reps(max_degree)
     noncongruence = [rep for rep in reps if not is_congruence(rep, budgets=budgets)]

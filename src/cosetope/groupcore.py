@@ -49,11 +49,12 @@ def perm_inv(p: tuple) -> tuple:
 
 
 def sd_mul(x: SdElement, y: SdElement) -> SdElement:
-    """(a1 + h1*a2, h1*h2, sigma1 then sigma2)."""
-    if (x.sigma is None) != (y.sigma is None):
+    """(a1 + h1*a2, h1*h2, sigma1 then sigma2), built without the NamedTuple constructor."""
+    xa, xh, xs = x
+    ya, yh, ys = y
+    if (xs is None) != (ys is None):
         raise ValidationError("cannot combine elements with and without a permutation part")
-    sigma = None if x.sigma is None else perm_mul(x.sigma, y.sigma)
-    return SdElement(x.a + x.h * y.a, x.h * y.h, sigma)
+    return tuple.__new__(SdElement, (xa + xh * ya, xh * yh, None if xs is None else perm_mul(xs, ys)))
 
 
 def sd_inv(x: SdElement) -> SdElement:

@@ -76,11 +76,8 @@ def gs_build(spec: QuotientSpec, budgets: Budgets | None = None) -> GsInstance:
     i_elt = SdElement(Mat2.identity(spec.m), Mat2.identity(spec.m), sigma)
     i_inv = sd_inv(i_elt)
     conj = lambda u: sd_mul(sd_mul(i_elt, u), i_inv)
-    im_k = GeneratedSubgroup(
-        tuple(conj(g) for g in h_gens),
-        tuple(conj(u) for u in im_h.elements),
-        frozenset(conj(u) for u in im_h.elements),
-    )
+    k_elements = tuple(conj(u) for u in im_h.elements)
+    im_k = GeneratedSubgroup(tuple(conj(g) for g in h_gens), k_elements, frozenset(k_elements))
     return GsInstance(spec, ctx, im_h, im_k, i_elt)
 
 
@@ -194,7 +191,9 @@ def l_group_words(rep: PermRep) -> list:
     return [GroupWord.of_a(Mat2.ambient(*e)) for e in units] + h_prime_group_words(rep)
 
 
-def evidence_entry(rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budgets | None = None) -> dict:
+def evidence_entry(
+    rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budgets | None = None, walks: Optional[dict] = None
+) -> dict:
     """The level-m transcript entry of the evidence: whether x mod m lies in
     the sign-saturated image of H', where x carries the basepoint of ``rep``
     to ``point``, and that image's order, both read off ``image_blocks``.
@@ -203,7 +202,7 @@ def evidence_entry(rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budg
     cross-checked against the direct membership of the image of g in the
     image of H'K, which must agree.
     """
-    blocks = image_blocks(rep, m, budgets)
+    blocks = image_blocks(rep, m, budgets, walks)
     member = blocks[point] == 0
     order = sl2_group_order(m) // len(set(blocks))
     check_closure_cap(order, budgets, f"the sign-saturated subgroup image mod {m}")
@@ -236,16 +235,20 @@ def gs_wz_failure(
     reduces to membership of x mod m in the matrix image of H', which is
     what each transcript records (with a direct double-coset cross-check at
     the smallest levels).  A congruence ``rep`` has no witness and raises
-    PreconditionError.
+    PreconditionError.  The witness search and the transcript share one
+    ``walks`` dict, so each level gcd(m, N) is walked once per call.
     """
+    if m_max < 2:
+        raise ValidationError(f"m_max must be at least 2, got {m_max}: the evidence needs a tested level")
     budgets = active_budgets(budgets)
-    witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets)
+    walks: dict = {}
+    witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets, walks=walks)
     x = witness.x
     g = GroupWord.of_a(x - Mat2.identity())
     if rep_contains(rep, witness.word):
         raise ValidationError("witness unexpectedly lies in the subgroup")
 
-    transcripts = [evidence_entry(rep, m, witness.displaced_to, g, budgets) for m in range(2, m_max + 1)]
+    transcripts = [evidence_entry(rep, m, witness.displaced_to, g, budgets, walks) for m in range(2, m_max + 1)]
     return NonSepEvidence(
         rep=rep,
         witness=witness,

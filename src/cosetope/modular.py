@@ -454,7 +454,7 @@ def psl2_canon(x: Mat2) -> Mat2:
     return min(x, -x)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=16)
 def psl2_context(m: int) -> GroupContext:
     """The projective determinant-1 matrix group over Z/m: SL2(Z/m) modulo -I."""
     sl2 = sl2_context(m)
@@ -525,7 +525,7 @@ def _orbit_blocks(rep: PermRep, walk) -> tuple:
     return tuple(labels.setdefault(find(p), len(labels)) for p in range(rep.degree))
 
 
-def image_blocks(rep: PermRep, m: int, budgets: Budgets | None = None) -> tuple:
+def image_blocks(rep: PermRep, m: int, budgets: Budgets | None = None, walks: Optional[dict] = None) -> tuple:
     """The orbits of the level-m principal congruence subgroup on the cosets,
     as each point's class (0 for the basepoint's).
 
@@ -535,10 +535,15 @@ def image_blocks(rep: PermRep, m: int, budgets: Budgets | None = None) -> tuple:
     Levels m and g = gcd(m, N), N the level of ``rep``, have the same orbits:
     level m's product with the core of the subgroup is normal and holds T^g,
     so by Wohlfahrt's level theorem (Illinois J. Math. 8, 1964) it contains
-    level g's.  So the walk runs over PSL2(Z/g).
+    level g's.  So the walk runs over PSL2(Z/g).  ``walks`` keeps the blocks
+    of each (rep, g) walked; one command passes one dict to all its calls, so
+    it walks each g once, while every level m still checks its own cap.
     """
     g = math.gcd(m, rep_level(rep))
-    blocks = (0,) * rep.degree if g == 1 else _orbit_blocks(rep, _gamma_walk(rep, g, budgets))
+    walks = {} if walks is None else walks
+    if (rep, g) not in walks:
+        walks[rep, g] = (0,) * rep.degree if g == 1 else _orbit_blocks(rep, _gamma_walk(rep, g, budgets))
+    blocks = walks[rep, g]
     check_closure_cap(psl2_group_order(m) // len(set(blocks)), budgets, f"the subgroup image mod {m}")
     return blocks
 
@@ -592,12 +597,14 @@ def congruence_gap_witness(
     *,
     m_max: int = 24,
     budgets: Budgets | None = None,
+    walks: Optional[dict] = None,
 ) -> GapWitness:
     """The first element of the level-``level`` principal congruence subgroup,
     in the order of ``_gamma_walk``, that lies outside the subgroup.
 
     A subgroup that is not congruence contains no principal congruence
-    subgroup, so the walk always finds one.
+    subgroup, so the walk always finds one.  ``walks`` is shared with
+    ``image_blocks`` (a fresh dict when None).
     """
     budgets = active_budgets(budgets)
     if is_congruence(rep, budgets=budgets):
@@ -618,5 +625,6 @@ def congruence_gap_witness(
     if x.reduce(level) != Mat2.identity(level):
         raise ValidationError("witness is not congruent to the identity at its level")
     displaced = rep.word_point(found)
-    levels = tuple(m for m in range(2, m_max + 1) if image_blocks(rep, m, budgets)[displaced] == 0)
+    walks = {} if walks is None else walks
+    levels = tuple(m for m in range(2, m_max + 1) if image_blocks(rep, m, budgets, walks)[displaced] == 0)
     return GapWitness(x, found, levels, displaced)

@@ -204,7 +204,7 @@ def gw_inv(x: GroupWord) -> GroupWord:
     return GroupWord(-(hinv * x.a), x.w.inverse())
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=64)
 def quotient_context(spec: QuotientSpec) -> GroupContext:
     """The finite quotient as a group context over SdElement.
 

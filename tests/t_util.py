@@ -9,13 +9,16 @@ import math
 import random
 from collections import Counter
 
+from cosetope.arith import Mat2
 from cosetope.budgets import active_budgets
-from cosetope.errors import BudgetError
+from cosetope.errors import BudgetError, ModulusMismatch, ValidationError
 from cosetope.groupcore import (
     GroupContext,
+    SdElement,
     check_closure_cap,
     normal_closure,
     perm_inv,
+    perm_mul,
     sd_inv,
     sd_mul,
     subgroup_closure,
@@ -397,3 +400,58 @@ def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets=None):
             x = sd_mul(x, letter_element(fctx.generators, letter))
         kernel_gens.append(x)
     return subgroup_closure(fctx, kernel_gens, budgets)
+
+
+# ---------------------------------------------------------------------------
+# entrywise matrix and semidirect arithmetic, through the NamedTuple
+# constructors: an oracle for the unpacked arithmetic of arith and groupcore
+
+
+def _oracle_same(x: Mat2, y: Mat2) -> None:
+    if x.m != y.m:
+        raise ModulusMismatch(f"cannot combine moduli {x.m} and {y.m}")
+
+
+def oracle_mat_mul(x: Mat2, y: Mat2) -> Mat2:
+    _oracle_same(x, y)
+    a = x.a * y.a + x.b * y.c
+    b = x.a * y.b + x.b * y.d
+    c = x.c * y.a + x.d * y.c
+    d = x.c * y.b + x.d * y.d
+    m = x.m
+    if m is None:
+        return Mat2(a, b, c, d, None)
+    return Mat2(a % m, b % m, c % m, d % m, m)
+
+
+def oracle_mat_add(x: Mat2, y: Mat2) -> Mat2:
+    _oracle_same(x, y)
+    m = x.m
+    if m is None:
+        return Mat2(x.a + y.a, x.b + y.b, x.c + y.c, x.d + y.d, None)
+    return Mat2((x.a + y.a) % m, (x.b + y.b) % m, (x.c + y.c) % m, (x.d + y.d) % m, m)
+
+
+def oracle_mat_neg(x: Mat2) -> Mat2:
+    m = x.m
+    if m is None:
+        return Mat2(-x.a, -x.b, -x.c, -x.d, None)
+    return Mat2(-x.a % m, -x.b % m, -x.c % m, -x.d % m, m)
+
+
+def oracle_mat_sub(x: Mat2, y: Mat2) -> Mat2:
+    return oracle_mat_add(x, oracle_mat_neg(y))
+
+
+def oracle_inv_det1(x: Mat2) -> Mat2:
+    m = x.m
+    if m is None:
+        return Mat2(x.d, -x.b, -x.c, x.a, None)
+    return Mat2(x.d, -x.b % m, -x.c % m, x.a, m)
+
+
+def oracle_sd_mul(x: SdElement, y: SdElement) -> SdElement:
+    if (x.sigma is None) != (y.sigma is None):
+        raise ValidationError("cannot combine elements with and without a permutation part")
+    sigma = None if x.sigma is None else perm_mul(x.sigma, y.sigma)
+    return SdElement(oracle_mat_add(x.a, oracle_mat_mul(x.h, y.a)), oracle_mat_mul(x.h, y.h), sigma)

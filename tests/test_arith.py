@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetope.arith import (
     MAT_S,
@@ -13,6 +14,15 @@ from cosetope.arith import (
     sl2_group_order,
 )
 from cosetope.errors import BudgetError, ModulusMismatch, ValidationError
+from cosetope.groupcore import SdElement, sd_mul
+from t_util import (
+    oracle_inv_det1,
+    oracle_mat_add,
+    oracle_mat_mul,
+    oracle_mat_neg,
+    oracle_mat_sub,
+    oracle_sd_mul,
+)
 
 
 def rand_ambient(rng, bound=50):
@@ -179,3 +189,84 @@ def test_factorize_accepts_provable_prime_cofactors_only():
         _factorize(1_000_000_007 * 1_000_000_009)  # two primes above the bound
     with pytest.raises(BudgetError, match="not provably prime"):
         _factorize(2 ** 89 - 1)  # prime, but beyond the range where is_prime is exact
+
+
+# ---------------------------------------------------------------------------
+# the unpacked arithmetic against the entrywise oracle (derandomized)
+
+ORACLE_SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=300)
+ENTRIES = st.integers(-(10**30), 10**30)
+MODULI = st.one_of(st.none(), st.integers(2, 97), st.just(2**64 + 13))
+
+
+def mats(m):
+    """Matrices with modulus ``m``: any integers ambient, canonical residues mod ``m``."""
+    entries = st.tuples(ENTRIES, ENTRIES, ENTRIES, ENTRIES)
+    return entries.map(lambda e: Mat2.ambient(*e) if m is None else Mat2.of_mod(*e, m))
+
+
+def _exactly(result, expected, kind):
+    assert type(result) is kind
+    assert result == expected and tuple(result) == tuple(expected)
+    assert hash(result) == hash(expected)
+    assert tuple(getattr(result, name) for name in kind._fields) == tuple(expected)
+
+
+@ORACLE_SETTINGS
+@given(MODULI.flatmap(lambda m: st.tuples(mats(m), mats(m))))
+def test_matrix_arithmetic_matches_the_entrywise_oracle(pair):
+    x, y = pair
+    _exactly(x * y, oracle_mat_mul(x, y), Mat2)
+    _exactly(x + y, oracle_mat_add(x, y), Mat2)
+    _exactly(x - y, oracle_mat_sub(x, y), Mat2)
+    _exactly(-x, oracle_mat_neg(x), Mat2)
+    _exactly(x.inv_det1(), oracle_inv_det1(x), Mat2)
+
+
+def _sd_elements(m, degree):
+    sigma = st.none() if degree is None else st.permutations(range(degree)).map(tuple)
+    return st.tuples(mats(m), mats(m), sigma).map(lambda t: SdElement(*t))
+
+
+@ORACLE_SETTINGS
+@given(
+    st.tuples(st.one_of(st.integers(2, 97), st.just(2**64 + 13)), st.one_of(st.none(), st.integers(1, 6))).flatmap(
+        lambda md: st.tuples(_sd_elements(*md), _sd_elements(*md))
+    )
+)
+def test_sd_mul_matches_the_entrywise_oracle(pair):
+    x, y = pair
+    product = sd_mul(x, y)
+    _exactly(product, oracle_sd_mul(x, y), SdElement)
+    assert type(product.a) is Mat2 and type(product.h) is Mat2
+
+
+def _message(fn, *args):
+    with pytest.raises(ModulusMismatch) as exc:
+        fn(*args)
+    return str(exc.value)
+
+
+@ORACLE_SETTINGS
+@given(st.tuples(MODULI, MODULI).filter(lambda mn: mn[0] != mn[1]).flatmap(lambda mn: st.tuples(mats(mn[0]), mats(mn[1]))))
+def test_mixed_moduli_raise_the_oracles_mismatch(pair):
+    x, y = pair
+    for fast, slow in (
+        (lambda u, v: u * v, oracle_mat_mul),
+        (lambda u, v: u + v, oracle_mat_add),
+        (lambda u, v: u - v, oracle_mat_sub),
+    ):
+        assert _message(fast, x, y) == _message(slow, x, y) == f"cannot combine moduli {x.m} and {y.m}"
+    if x.m is not None and y.m is not None:
+        u, v = SdElement(x, x, None), SdElement(y, y, None)
+        assert _message(sd_mul, u, v) == _message(oracle_sd_mul, u, v)
+
+
+def test_sd_mul_refuses_a_permutation_part_on_one_side_only():
+    x = SdElement(Mat2.zero(3), Mat2.identity(3), None)
+    y = SdElement(Mat2.zero(3), Mat2.identity(3), (0,))
+    for fn in (sd_mul, oracle_sd_mul):
+        with pytest.raises(ValidationError, match="with and without a permutation part"):
+            fn(x, y)
+        with pytest.raises(ValidationError, match="with and without a permutation part"):
+            fn(y, x)

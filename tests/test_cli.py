@@ -232,6 +232,42 @@ def test_gs_demo_budget_exhaustion_exits_3(tmp_path):
     assert not (tmp_path / "demo.json").exists()
 
 
+def _cli_alone(args) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", "cosetope", *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_gs_demo_huge_max_level_exits_3_quickly():
+    # every level's |SL2(Z/m)| is checked before the first closure, and the
+    # orders pass the cap for a bounded number of levels only
+    start = time.perf_counter()
+    done = _cli_alone(["gs-demo", "--max-level", "1000000"])
+    assert time.perf_counter() - start < 5
+    assert done.returncode == 3
+    assert "the image of H mod 173 has 5177544 elements > 5000000" in done.stderr
+    done = _cli_alone(["gs-demo", "--max-level", "1000000", "--closure-cap", "100"])
+    assert done.returncode == 3 and "the image of H mod 5 has 120 elements > 100" in done.stderr
+
+
+def test_gs_demo_refuses_an_m_max_below_2(tmp_path):
+    for m_max in ("-4", "0", "1"):
+        out = tmp_path / f"demo{m_max}.json"
+        assert main(["gs-demo", "--max-level", "2", "--m-max", m_max, "--output", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_commands_in_one_process_keep_their_own_budgets(tmp_path):
+    # caps on both sides of the largest level images of gs-demo --m-max 32:
+    # the walks of one command must not carry over to the next
+    caps = ["29760", "14879", "29760", "14880", "29759"]
+    args = ["gs-demo", "--max-level", "2", "--m-max", "32"]
+    alone = {cap: _cli_alone(args + ["--closure-cap", cap]).returncode for cap in set(caps)}
+    assert alone == {"29760": 0, "14879": 3, "14880": 3, "29759": 3}
+    in_process = [main(args + ["--closure-cap", cap, "--output", str(tmp_path / f"{i}.json")]) for i, cap in enumerate(caps)]
+    assert in_process == [alone[cap] for cap in caps]
+
+
 def test_seed_flag_is_gone(tmp_path):
     with pytest.raises(SystemExit) as exc:
         main(["quotient", "--modulus", "2", "--seed", "1", "--output", str(tmp_path / "q.json")])

@@ -1,12 +1,15 @@
 import random
+import sys
+from collections import Counter
 
 import pytest
 
 import cosetope.groupcore
 import cosetope.gs
+import cosetope.modular
 from cosetope.arith import Mat2
 from cosetope.budgets import Budgets
-from cosetope.errors import BudgetError, PreconditionError
+from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import (
     SdElement,
     brute_force_product,
@@ -32,6 +35,7 @@ from cosetope.modular import (
     is_congruence,
     low_index_reps,
     rep_contains,
+    rep_level,
     subgroup_generators,
     word_eval,
 )
@@ -302,6 +306,48 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
         gs_wz_failure(rep, 12, witness_level=12, budgets=Budgets(closure_cap=659))
     with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 10 has 720"):
         gs_wz_failure(rep, 12, witness_level=12, budgets=Budgets(closure_cap=660))
+
+
+def _spy_walks(monkeypatch) -> list:
+    """Record (caller, level) for every ``modular._gamma_walk`` started."""
+    calls = []
+    walk = cosetope.modular._gamma_walk
+
+    def spy(rep, n, budgets, seen=None):
+        calls.append((sys._getframe(1).f_code.co_name, n))
+        return walk(rep, n, budgets, seen)
+
+    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    return calls
+
+
+def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
+    # the gs-demo rep has level 12, so levels 2..32 have the gcds 1, 2, 3,
+    # 4, 6 and 12, and gcd 1 needs no walk
+    rep = minimal_noncongruence()
+    assert rep_level(rep) == 12
+    calls = _spy_walks(monkeypatch)
+    evidence = gs_wz_failure(rep, 32)
+    assert [entry["m"] for entry in evidence.level_transcripts] == list(range(2, 33))
+    assert Counter(n for caller, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    # the congruence test, the witness walk and the cross-check's listings
+    assert Counter(calls) == Counter(
+        [("is_congruence", 12), ("congruence_gap_witness", 24)]
+        + [("image_elements", m) for m in (2, 3, 4)]
+        + [("image_blocks", g) for g in (2, 3, 4, 6, 12)]
+    )
+    # a second call walks again: the walks are kept per call, not per process
+    calls.clear()
+    gs_wz_failure(rep, 32)
+    assert Counter(n for caller, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+
+
+def test_wz_failure_refuses_an_empty_range_of_levels():
+    rep = minimal_noncongruence()
+    for m_max in (1, 0, -4):
+        with pytest.raises(ValidationError, match=f"m_max must be at least 2, got {m_max}"):
+            gs_wz_failure(rep, m_max)
+    assert gs_wz_failure(rep, 2).levels == (2,)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cosetope"
 SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+ALL_SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(text: str) -> list:
@@ -50,3 +51,56 @@ def test_unused_import_check_sees_dead_and_exempt_imports():
     )
     assert unused_imports(text) == [(2, "os"), (6, "b")]
     assert len(SOURCES) >= 10
+
+
+def unbounded_caches(text: str) -> list:
+    """The lines of ``text`` that make a cache without a size bound.
+
+    That is ``lru_cache(maxsize=None)`` (keyword or positional) and
+    ``functools.cache``, also when imported under its own name or an alias.
+    """
+    tree = ast.parse(text)
+    cache_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for alias in node.names
+        if alias.name == "cache"
+    }
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "lru_cache":
+            sizes = [kw.value for kw in node.keywords if kw.arg == "maxsize"] + node.args[:1]
+            if any(isinstance(v, ast.Constant) and v.value is None for v in sizes):
+                out.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == "cache" and getattr(node.value, "id", None) == "functools":
+            out.add(node.lineno)
+        elif isinstance(node, ast.Name) and node.id in cache_names:
+            out.add(node.lineno)
+    return sorted(out)
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_module_bounds_every_cache(path):
+    assert unbounded_caches(path.read_text(encoding="utf-8")) == []
+
+
+def test_unbounded_cache_check_sees_every_spelling():
+    text = (
+        "import functools\n"
+        "from functools import cache, cache as memo, lru_cache\n"
+        "@functools.lru_cache(maxsize=None)\n"
+        "def a(x): return x\n"
+        "@lru_cache(None)\n"
+        "def b(x): return x\n"
+        "@functools.cache\n"
+        "def c(x): return x\n"
+        "@cache\n"
+        "def d(x): return x\n"
+        "@functools.lru_cache(maxsize=64)\n"
+        "def e(x): return x\n"
+        "@lru_cache\n"
+        "def f(x): return x\n"
+        "g = memo(len)\n"
+    )
+    assert unbounded_caches(text) == [3, 5, 7, 9, 15]
