@@ -88,6 +88,9 @@ class Mat2(NamedTuple):
             raise ValidationError(f"modulus must be at least 2, got {m}")
         return cls(k % m, 0, 0, k % m, m)
 
+    def to_json(self) -> dict:
+        return {"rows": [[self.a, self.b], [self.c, self.d]], "m": self.m}
+
     # The arithmetic below unpacks each operand once and builds its result
     # with tuple.__new__, skipping the NamedTuple constructor's Python-level
     # __new__; the result is the same Mat2.

@@ -43,6 +43,7 @@ from .modular import (
 from .profinite import (
     GroupWord,
     QuotientSpec,
+    TractabilityReport,
     default_tower,
     image_subgroup,
     kernel_of_refinement,  # noqa: F401
@@ -106,7 +107,7 @@ def _quotient(config: dict, budgets: Budgets) -> dict:
     spec = _spec_of(config)
     order = spec_group_order(spec)
     result = {
-        "identity": rpt.sd_to_json(quotient_context(spec).identity),
+        "identity": quotient_context(spec).identity,
         "order": order,
         "sl2_order": sl2_group_order(spec.m),
     }
@@ -119,7 +120,7 @@ def _quotient(config: dict, budgets: Budgets) -> dict:
 
 def _image(config: dict, budgets: Budgets) -> dict:
     sub = image_subgroup(_load_gens(config["gens"]), _spec_of(config), budgets)
-    return {"size": len(sub), "sample": [rpt.sd_to_json(x) for x in sub.elements[:20]]}
+    return {"size": len(sub), "sample": sub.elements[:20]}
 
 
 def _intersect(config: dict, budgets: Budgets) -> dict:
@@ -129,7 +130,7 @@ def _intersect(config: dict, budgets: Budgets) -> dict:
     inter = subgroup_intersection(left, right)
     result = {"size_left": len(left), "size_right": len(right), "size_intersection": len(inter)}
     if len(inter) <= 50:
-        result["elements"] = [rpt.sd_to_json(x) for x in inter.elements]
+        result["elements"] = inter.elements
     return result
 
 
@@ -142,7 +143,7 @@ def _dcoset_member(config: dict, budgets: Budgets) -> dict:
         "member": product_member(quotient_context(spec), project(g, spec), left, right),
         "size_left": len(left),
         "size_right": len(right),
-        "element": rpt.groupword_to_json(g),
+        "element": g,
     }
 
 
@@ -155,12 +156,12 @@ def _congruence(config: dict, budgets: Budgets) -> dict:
     return result
 
 
-def _tractable(config: dict, budgets: Budgets) -> dict:
+def _tractable(config: dict, budgets: Budgets) -> TractabilityReport:
     try:
         m_spec = QuotientSpec.from_json(json.loads(config["m_spec"]))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"--m-spec takes inline JSON like '{{\"m\": 2}}': {exc}") from exc
-    outcome = tractable_at(
+    return tractable_at(
         _load_gens(config["h_gens"]),
         _load_gens(config["k_gens"]),
         _load_gens(config["hcapk_gens"]) if config["hcapk_gens"] else [],
@@ -168,7 +169,6 @@ def _tractable(config: dict, budgets: Budgets) -> dict:
         _tower_of(config),
         budgets,
     )
-    return rpt.tractability_to_json(outcome)
 
 
 def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
@@ -182,14 +182,14 @@ def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
     tower = _tower_of(config)
     cert = thm_b_probe(h_gens, k_gens, l_gens, g, tower, budgets)
     if cert is None:
-        return {"status": "inconclusive", "tower": [s.to_json() for s in tower]}
-    return {"status": "certified", "certificate": rpt.certificate_to_json(cert)}
+        return {"status": "inconclusive", "tower": tower}
+    return {"status": "certified", "certificate": cert}
 
 
 def _lowindex(config: dict, budgets: Budgets) -> dict:
     reps = low_index_reps(rpt.parse_int(config["max_degree"]), classes=not rpt.parse_bool(config["subgroups"]))
     entries = [
-        {"rep": rep.to_json(), "level": rep_level(rep), "congruence": is_congruence(rep, budgets=budgets)}
+        {"rep": rep, "level": rep_level(rep), "congruence": is_congruence(rep, budgets=budgets)}
         for rep in reps
     ]
     return {"count": len(entries), "reps": entries}
@@ -199,7 +199,7 @@ def _gap_witness(config: dict, budgets: Budgets) -> dict:
     rep = load_rep(config["rep"])
     level, m_max = rpt.parse_int(config["level"]), rpt.parse_int(config["m_max"])
     witness = congruence_gap_witness(rep, level, m_max=m_max, budgets=budgets)
-    return {"status": "found", "witness": rpt.witness_to_json(witness)}
+    return {"status": "found", "witness": witness}
 
 
 _HK_SAMPLES = (
@@ -215,15 +215,17 @@ def _hk_certificates() -> list:
     entries = []
     for g in _HK_SAMPLES:
         cert = gs_hk_witness(g)
-        entry = {"element": rpt.groupword_to_json(g), "status": "inconclusive"}
+        entry = {"element": g, "status": "inconclusive"}
         if cert is not None:
-            entry.update(status="certified", certificate=rpt.certificate_to_json(cert))
+            entry.update(status="certified", certificate=cert)
         entries.append(entry)
     return entries
 
 
 def _gs_demo(config: dict, budgets: Budgets) -> dict:
     max_level, m_max, max_degree = (rpt.parse_int(config[key]) for key in ("max_level", "m_max", "max_degree"))
+    if max_level < 2:
+        raise ValidationError(f"max_level must be at least 2, got {max_level}: the intersection table needs a level")
     # the order of image(H) meet image(K) at each level.  image(H) is all of
     # SL2(Z/m), so every level's order is checked before the first closure;
     # as |SL2(Z/m)| > 0.6 m^3, the check stops within (cap / 0.6)^(1/3) levels
@@ -237,8 +239,8 @@ def _gs_demo(config: dict, budgets: Budgets) -> dict:
     lowindex = {"max_degree": max_degree, "reps_total": len(reps), "noncongruence_total": len(noncongruence)}
     evidence = {"status": "no-noncongruence-subgroup-found"}
     if noncongruence:
-        lowindex["selected"] = noncongruence[0].to_json()
-        evidence = rpt.evidence_to_json(gs_wz_failure(noncongruence[0], m_max, budgets=budgets))
+        lowindex["selected"] = noncongruence[0]
+        evidence = gs_wz_failure(noncongruence[0], m_max, budgets=budgets)
     return {
         "intersections": intersections,
         "hk_certificates": _hk_certificates(),
@@ -270,6 +272,7 @@ COMMANDS = {
 
 
 _ABSENT = object()
+_REPORT_KEYS = {"schema", "command", "config", "result"}
 
 
 def _first_difference(claimed, recomputed, path: str) -> tuple:
@@ -294,6 +297,22 @@ def _require_match(claimed, recomputed) -> None:
     raise ValidationError(f"verify failed: {path}: report says {claimed}, recomputed {recomputed}")
 
 
+def _require_keys(data, keys: set, what: str) -> None:
+    """A JSON object with exactly ``keys``, as the CLI writes them."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"verify failed: {what} is not a JSON object")
+    if data.keys() != keys:
+        stray, missing = sorted(data.keys() - keys), sorted(keys - data.keys())
+        raise ValidationError(f"verify failed: {what} has stray keys {stray} and lacks {missing}")
+
+
+def _config_keys(command: str) -> set:
+    """The keys ``main`` records in the config of ``command``: the dests of
+    its subparser other than help, output and budget caps."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {action.dest for action in sub.choices[command]._actions} - {"help", *_NOT_CONFIG}
+
+
 def _verify(config: dict, budgets: Budgets) -> dict:
     try:
         with open(config["report"], "r", encoding="utf-8") as fh:
@@ -306,18 +325,19 @@ def _verify(config: dict, budgets: Budgets) -> dict:
         raise ValidationError(f"report is not valid JSON: {exc}") from exc
     if rpt.canonical_dumps(data) != text:
         raise ValidationError("verify failed: report is not in canonical form (bytes differ)")
-    if not isinstance(data, dict):
-        raise ValidationError("verify failed: a report is a JSON object")
-    if rpt.parse_int(data.get("schema", 0)) != rpt.SCHEMA_VERSION:
-        raise ValidationError(f"verify failed: unsupported schema {data.get('schema')!r}")
-    command = data.get("command")
+    _require_keys(data, _REPORT_KEYS, "the report")
+    if data["schema"] != rpt.as_recorded(rpt.SCHEMA_VERSION):
+        raise ValidationError(f"verify failed: unsupported schema {data['schema']!r}")
+    command = data["command"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ValidationError(f"verify: unknown command {command!r}")
+    config = data["config"]
+    _require_keys(config, _config_keys(command), f"the {command} config")
     try:
-        recomputed = COMMANDS[command](data.get("config"), budgets)
+        recomputed = COMMANDS[command](config, budgets)
     except (KeyError, IndexError, TypeError, AttributeError) as exc:
         raise ValidationError(f"verify failed: malformed {command} config ({exc!r})") from exc
-    _require_match(data.get("result"), rpt.as_recorded(recomputed))
+    _require_match(data["result"], rpt.as_recorded(recomputed))
     return {"verified": True, "checked": command}
 
 
@@ -419,7 +439,9 @@ def main(argv=None) -> int:
     config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
     run = _verify if args.command == "verify" else COMMANDS[args.command]
     try:
-        text = rpt.canonical_dumps(rpt.envelope(args.command, config, run(config, _budgets_of(args))))
+        result = run(config, _budgets_of(args))
+        report = {"schema": rpt.SCHEMA_VERSION, "command": args.command, "config": config, "result": result}
+        text = rpt.canonical_dumps(report)
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -29,6 +29,7 @@ class SdElement(NamedTuple):
     ``a`` is the additive 2x2 part, ``h`` the determinant-1 part, both in
     quotient mode with a common modulus.  ``sigma`` is an optional point
     permutation carried along when the quotient tracks a coset action.
+    The field names are the element's report keys.
     """
 
     a: Mat2

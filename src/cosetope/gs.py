@@ -142,7 +142,8 @@ class NonSepEvidence:
     moves the basepoint of ``rep``), yet at every congruence level recorded
     in ``levels`` the image of ``g`` lies in the image of H'K.  The evidence
     tower is congruence-only by design: quotients carrying the coset action
-    of H' itself are excluded, and ``towers_used`` documents that.
+    of H' itself are excluded, and ``towers_used`` documents that.  The
+    field names are the evidence's report keys.
     """
 
     rep: PermRep

@@ -82,6 +82,9 @@ class ModularWord(NamedTuple):
     def __str__(self) -> str:
         return "".join(_LETTER_CHARS[l] for l in self.letters)
 
+    def to_json(self) -> str:
+        return str(self)
+
 
 def t_power(k: int) -> ModularWord:
     return ModularWord(((T_,) * k) if k >= 0 else ((-T_,) * (-k)))
@@ -176,7 +179,7 @@ class PermRep(NamedTuple):
         if perm_mul(perm_mul(st, st), st) != ident:
             raise ValidationError("(perm_s perm_t)^3 is not the identity")
         rep = cls(degree, perm_s, perm_t)
-        if len(_orbit_of(rep, 0)) != degree:
+        if len(schreier_transversal_words(rep)) != degree:
             raise ValidationError("the action is not transitive")
         return rep
 
@@ -219,19 +222,6 @@ class PermRep(NamedTuple):
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValidationError(f"bad permutation representation data: {exc}") from exc
         return cls.make(degree, perm_s, perm_t)
-
-
-def _orbit_of(rep: PermRep, start: int) -> set:
-    ti = perm_inv(rep.perm_t)
-    seen = {start}
-    queue = [start]
-    while queue:
-        p = queue.pop()
-        for q in (rep.perm_s[p], rep.perm_t[p], ti[p]):
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return seen
 
 
 def rep_contains(rep: PermRep, x: Union[Mat2, ModularWord]) -> bool:
@@ -582,7 +572,8 @@ class GapWitness(NamedTuple):
     the search level, ``displaced_to`` records where the word's action moves
     the basepoint (the non-membership trace), and ``levels_verified`` lists
     every checked modulus at which the reduction of ``x`` lies in the
-    subgroup's image (``image_blocks``).
+    subgroup's image (``image_blocks``).  The field names are the
+    witness's report keys.
     """
 
     x: Mat2

@@ -177,7 +177,8 @@ def default_tower() -> list:
 
 
 class GroupWord(NamedTuple):
-    """An ambient group element: additive part ``a`` plus a word ``w``."""
+    """An ambient group element: additive part ``a`` plus a word ``w``.
+    The field names are its report keys and its generator-file keys."""
 
     a: Mat2
     w: ModularWord
@@ -368,7 +369,9 @@ class TractabilityReport:
 
     When ``found`` is set, the inclusion image(H) meet image(K) inside
     image(H meet K) * kernel(found -> m_spec) was verified there, and the
-    stored generator data makes that check replayable.
+    stored generator data makes that check replayable.  The field names
+    are the report keys; each entry of ``entries`` holds ``spec``,
+    ``status``, ``detail``, ``violations`` and ``sizes``.
     """
 
     m_spec: QuotientSpec
@@ -427,7 +430,7 @@ def tractable_candidate(
     violating elements.
     """
     budgets = active_budgets(budgets)
-    entry = {"spec": cand, "status": "precondition", "detail": "", "violations": []}
+    entry = {"spec": cand, "status": "precondition", "detail": "", "violations": [], "sizes": {}}
     if m_spec.formation is not None and not m_spec.formation.admits(cand):
         entry.update(status="skipped-formation", detail="candidate is outside the configured formation")
         return entry, 0
@@ -468,7 +471,8 @@ def tractable_candidate(
 
 @dataclass
 class SeparabilityCertificate:
-    """A finite quotient excluding an element from a double coset; replayable."""
+    """A finite quotient excluding an element from a double coset; replayable.
+    The field names are the certificate's report keys."""
 
     element: GroupWord
     target: str

@@ -8,30 +8,35 @@ byte-reproducible and re-checkable.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
 from .arith import Mat2
 from .errors import ValidationError
-from .groupcore import SdElement
-from .modular import GapWitness, ModularWord
-from .profinite import (
-    GroupWord,
-    SeparabilityCertificate,
-    TractabilityReport,
-)
+from .modular import ModularWord
+from .profinite import GroupWord
 
 SCHEMA_VERSION = 2
 
 
 def as_recorded(obj: Any) -> Any:
-    """``obj`` in the form a loaded report holds it, so ``verify`` can compare
-    recomputed data: integers as decimal strings (bools stay bools), tuples
-    as lists."""
-    if isinstance(obj, bool):
+    """``obj`` as a report records it: the one translation of result values
+    into report data, which ``verify`` also applies to what it recomputes.
+    Integers become decimal strings; a value with ``to_json`` is recorded as
+    what that returns; any other NamedTuple or dataclass as its fields by
+    name (``to_json`` goes first: ``Mat2`` and ``PermRep`` are NamedTuples);
+    tuples and lists become lists, and dicts are recorded key by key."""
+    if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, int):
         return str(obj)
+    if hasattr(obj, "to_json"):
+        return as_recorded(obj.to_json())
+    if hasattr(obj, "_asdict"):
+        return as_recorded(obj._asdict())
+    if dataclasses.is_dataclass(obj):
+        return {f.name: as_recorded(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, (list, tuple)):
         return [as_recorded(v) for v in obj]
     if isinstance(obj, dict):
@@ -64,11 +69,7 @@ def parse_bool(value: Any) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# domain serializers (to plain data; numbers become strings at dump time)
-
-
-def mat_to_json(x: Mat2) -> dict:
-    return {"rows": [[x.a, x.b], [x.c, x.d]], "m": x.m}
+# domain readers (report and input data back to values)
 
 
 def mat_from_json(data: dict) -> Mat2:
@@ -84,18 +85,10 @@ def mat_from_json(data: dict) -> Mat2:
     return Mat2.of_mod(a, b, c, d, parse_int(m))
 
 
-def word_to_json(w: ModularWord) -> str:
-    return str(w)
-
-
 def word_from_json(text: str) -> ModularWord:
     if not isinstance(text, str):
         raise ValidationError(f"expected a word string, got {text!r}")
     return ModularWord.from_str(text)
-
-
-def groupword_to_json(g: GroupWord) -> dict:
-    return {"a": mat_to_json(g.a), "w": word_to_json(g.w)}
 
 
 def groupword_from_json(data: dict) -> GroupWord:
@@ -106,74 +99,3 @@ def groupword_from_json(data: dict) -> GroupWord:
     if a.m is not None:
         raise ValidationError("the additive part of a group element must be ambient")
     return GroupWord(a, word_from_json(data.get("w", "")))
-
-
-def sd_to_json(x: SdElement) -> dict:
-    return {
-        "a": mat_to_json(x.a),
-        "h": mat_to_json(x.h),
-        "sigma": list(x.sigma) if x.sigma is not None else None,
-    }
-
-
-def witness_to_json(w: GapWitness) -> dict:
-    return {
-        "x": mat_to_json(w.x),
-        "word": word_to_json(w.word),
-        "levels_verified": list(w.levels_verified),
-        "displaced_to": w.displaced_to,
-    }
-
-
-def certificate_to_json(cert: SeparabilityCertificate) -> dict:
-    return {
-        "element": groupword_to_json(cert.element),
-        "target": cert.target,
-        "spec": cert.spec.to_json(),
-        "transcript": cert.transcript,
-    }
-
-
-def tractability_entry_to_json(entry: dict) -> dict:
-    return {
-        "spec": entry["spec"].to_json(),
-        "status": entry["status"],
-        "detail": entry["detail"],
-        "violations": [sd_to_json(v) for v in entry.get("violations", [])],
-        "sizes": entry.get("sizes", {}),
-    }
-
-
-def tractability_to_json(rep: TractabilityReport) -> dict:
-    return {
-        "m_spec": rep.m_spec.to_json(),
-        "h_gens": [groupword_to_json(g) for g in rep.h_gens],
-        "k_gens": [groupword_to_json(g) for g in rep.k_gens],
-        "hcapk_gens": [groupword_to_json(g) for g in rep.hcapk_gens],
-        "entries": [tractability_entry_to_json(entry) for entry in rep.entries],
-        "found": rep.found.to_json() if rep.found is not None else None,
-        "counters": rep.counters,
-    }
-
-
-def evidence_to_json(ev) -> dict:
-    return {
-        "rep": ev.rep.to_json(),
-        "witness": witness_to_json(ev.witness),
-        "g": groupword_to_json(ev.g),
-        "level_transcripts": ev.level_transcripts,
-        "levels": list(ev.levels),
-        "witness_level": ev.witness_level,
-        "towers_used": ev.towers_used,
-        "conclusion": ev.conclusion,
-        "status": ev.status,
-    }
-
-
-def envelope(command: str, config: dict, result: Any) -> dict:
-    return {
-        "schema": SCHEMA_VERSION,
-        "command": command,
-        "config": config,
-        "result": result,
-    }

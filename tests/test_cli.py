@@ -257,6 +257,40 @@ def test_gs_demo_refuses_an_m_max_below_2(tmp_path):
         assert not out.exists()
 
 
+def test_gs_demo_refuses_a_max_level_below_2(tmp_path):
+    # the intersection table would rest on no level
+    for max_level in ("-4", "0", "1"):
+        out = tmp_path / f"demo{max_level}.json"
+        assert main(["gs-demo", "--max-level", max_level, "--m-max", "4", "--output", str(out)]) == 2
+        assert not out.exists()
+
+
+INT_FLAGS = [
+    ["lowindex", "--max-degree", "{v}"],
+    ["gap-witness", "--rep", "nc_rep.json", "--level", "{v}"],
+    ["gap-witness", "--rep", "nc_rep.json", "--level", "24", "--m-max", "{v}"],
+    ["gs-demo", "--max-degree", "{v}"],
+    ["gs-demo", "--max-level", "{v}"],
+    ["gs-demo", "--m-max", "{v}"],
+    ["quotient", "--modulus", "{v}"],
+    ["quotient", "--modulus", "{v}", "--enumerate"],
+    ["quotient", "--modulus", "2", "--enumerate", "--closure-cap", "{v}"],
+]
+
+
+# image, intersect and dcoset-member are left out: they close the image of
+# their generators at --modulus before any size is known
+@pytest.mark.parametrize("value", [str(10**12), "-5", "0"])
+@pytest.mark.parametrize("args", INT_FLAGS, ids=[" ".join(a) for a in INT_FLAGS])
+def test_integer_flags_end_quickly_with_exit_0_2_or_3(tmp_path, monkeypatch, args, value):
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
+    start = time.perf_counter()
+    code = main([value if a == "{v}" else a for a in args] + ["--output", str(tmp_path / "out.json")])
+    assert code in (0, 2, 3)
+    assert time.perf_counter() - start < 5
+
+
 def test_commands_in_one_process_keep_their_own_budgets(tmp_path):
     # caps on both sides of the largest level images of gs-demo --m-max 32:
     # the walks of one command must not carry over to the next
@@ -480,11 +514,17 @@ def test_gs_demo_and_verify_close_no_level_image(tmp_path, monkeypatch):
         (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): "+2"}),
         (["quotient", "--modulus", "2"], {("schema",): " 2"}),
         (["quotient", "--modulus", "2"], {("schema",): "0_2"}),
+        (["quotient", "--modulus", "2"], {("config", "closure_cap"): "5"}),
+        (["quotient", "--modulus", "2"], {("config", "output"): "elsewhere.json"}),
+        (["quotient", "--modulus", "2"], {("config", "foo"): "1"}),
+        (["quotient", "--modulus", "2"], {("note",): "1"}),
+        (["quotient", "--modulus", "2"], {("config", "help"): True}),
+        (["quotient", "--modulus", "2"], {("config", "h"): True}),
     ],
 )
 def test_verify_rejects_a_config_the_cli_could_not_have_written(tmp_path, args, edits):
     # each edit reads as the recorded value under Python's int() or truth
-    # test, so verify used to accept it
+    # test, or adds a key that no command reads, so verify used to accept it
     rep = str(Path(__file__).resolve().parent / "golden" / "nc_rep.json")
     path = tmp_path / "report.json"
     run_report([rep if a == "{rep}" else a for a in args], path)

@@ -4,6 +4,10 @@ The fixtures were written by the implementation that preceded the shared
 per-level checks; the schema-2 change edited only their ``schema`` line and
 dropped the ``seed`` config key.  ``gap_witness_level3.json`` was written by
 the coset-carrying walk, at a level the subgroup's own level does not divide.
+The fixtures of the other commands (``quotient_enumerate.json`` through
+``thm_b_inconclusive.json``) were written by the per-type serializers that
+preceded ``report.as_recorded``, so each result type is pinned to the bytes
+it had before every report value went through that one function.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
 reports record the paths they were given.
@@ -19,6 +23,8 @@ from cosetope.report import canonical_dumps
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
+_TWO_I = '{"a": {"rows": [["2", "0"], ["0", "2"]], "m": null}, "w": ""}'
+
 CASES = {
     "gs_demo.json": ["gs-demo", "--max-level", "3", "--m-max", "8"],
     "tractable_ok.json": [
@@ -31,6 +37,21 @@ CASES = {
     ],
     "gap_witness.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "24", "--m-max", "12"],
     "gap_witness_level3.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "3", "--m-max", "12"],
+    "quotient_enumerate.json": ["quotient", "--modulus", "3", "--enumerate"],
+    "image.json": ["image", "--modulus", "3", "--gens", "h.json"],
+    "intersect.json": ["intersect", "--modulus", "3", "--left", "h.json", "--right", "k.json"],
+    "dcoset_member.json": [
+        "dcoset-member", "--modulus", "3", "--element", _TWO_I, "--left", "h.json", "--right", "k.json",
+    ],
+    "congruence.json": ["congruence", "--rep", "nc_rep.json"],
+    "lowindex.json": ["lowindex", "--max-degree", "5"],
+    # det(2I + I) = 9 is first excluded at modulus 3, which the default tower
+    # reaches; tower_violation.json holds only 2, 4 and 8
+    "thm_b_certified.json": ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", _TWO_I],
+    "thm_b_inconclusive.json": [
+        "thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", _TWO_I,
+        "--tower", "tower_violation.json",
+    ],
 }
 
 

@@ -1,0 +1,82 @@
+"""The one translation of result values into report data: ``report.as_recorded``."""
+
+from dataclasses import dataclass
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+from cosetope.arith import Mat2
+from cosetope.groupcore import SdElement
+from cosetope.gs import gs_wz_failure
+from cosetope.modular import ModularWord, PermRep, congruence_gap_witness
+from cosetope.profinite import Formation, GroupWord, QuotientSpec, SeparabilityCertificate, load_rep
+from cosetope.report import as_recorded
+
+NC_REP = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
+
+
+class _Pair(NamedTuple):
+    left: int
+    right: Optional[tuple] = None
+
+
+@dataclass
+class _Box:
+    pair: _Pair
+    flag: bool
+    items: dict
+
+
+def test_scalars_record_as_json_scalars():
+    assert as_recorded(True) is True
+    assert as_recorded(False) is False
+    assert as_recorded(None) is None
+    assert as_recorded("7") == "7"
+    assert as_recorded(-12) == "-12"
+    assert as_recorded(10**40) == str(10**40)
+
+
+def test_containers_record_item_by_item():
+    assert as_recorded((1, [2, (3,)], {"k": (True, None)})) == ["1", ["2", ["3"]], {"k": [True, None]}]
+
+
+def test_a_plain_namedtuple_or_dataclass_records_its_fields_by_name():
+    assert as_recorded(_Pair(1, (2, 3))) == {"left": "1", "right": ["2", "3"]}
+    box = _Box(_Pair(4), False, {"n": 5})
+    assert as_recorded(box) == {"pair": {"left": "4", "right": None}, "flag": False, "items": {"n": "5"}}
+
+
+def test_to_json_comes_before_the_fields():
+    # Mat2, ModularWord, PermRep and QuotientSpec are NamedTuples whose
+    # report form is not their fields
+    assert as_recorded(Mat2.of_mod(1, 2, 3, 4, 5)) == {"rows": [["1", "2"], ["3", "4"]], "m": "5"}
+    assert as_recorded(Mat2.ambient(-1, 0, 0, 7)) == {"rows": [["-1", "0"], ["0", "7"]], "m": None}
+    assert as_recorded(ModularWord.from_str("STtT")) == "ST"
+    rep = PermRep.make(2, (1, 0), (1, 0))
+    assert as_recorded(rep) == {"degree": "2", "s": ["1", "0"], "t": ["1", "0"]}
+    spec = QuotientSpec.make(4, rep, Formation.make("pro-p", 2))
+    assert as_recorded(spec) == {"m": "4", "rep": as_recorded(rep), "filter": {"type": "pro-p", "p": "2"}}
+
+
+def test_domain_values_record_under_their_field_names():
+    g = GroupWord(Mat2.ambient(2, 0, 0, 2), ModularWord.from_str("T"))
+    assert as_recorded(g) == {"a": as_recorded(g.a), "w": "T"}
+    x = SdElement(Mat2.zero(3), Mat2.identity(3), (1, 0))
+    assert as_recorded(x) == {"a": as_recorded(x.a), "h": as_recorded(x.h), "sigma": ["1", "0"]}
+    cert = SeparabilityCertificate(g, "HK", QuotientSpec.make(3), {"member": False})
+    assert as_recorded(cert) == {
+        "element": as_recorded(g),
+        "target": "HK",
+        "spec": {"m": "3", "rep": None, "filter": None},
+        "transcript": {"member": False},
+    }
+    witness = congruence_gap_witness(NC_REP, 24, m_max=4)
+    assert as_recorded(witness) == {
+        "x": as_recorded(witness.x),
+        "word": str(witness.word),
+        "levels_verified": [str(m) for m in witness.levels_verified],
+        "displaced_to": str(witness.displaced_to),
+    }
+    evidence = gs_wz_failure(NC_REP, 4)
+    assert set(as_recorded(evidence)) == {
+        "rep", "witness", "g", "level_transcripts", "levels", "witness_level", "towers_used", "conclusion", "status",
+    }

@@ -104,3 +104,22 @@ def test_unbounded_cache_check_sees_every_spelling():
         "g = memo(len)\n"
     )
     assert unbounded_caches(text) == [3, 5, 7, 9, 15]
+
+
+def test_only_types_whose_report_form_differs_define_to_json():
+    # every other result value is recorded by report.as_recorded from its
+    # fields, so no module keeps a per-type serializer
+    defined = {}
+    for path in ALL_SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name.endswith("to_json"):
+                        defined.setdefault(path.name, []).append(f"{node.name}.{item.name}")
+            elif isinstance(node, ast.FunctionDef) and (node.name.endswith("_to_json") or node.name == "envelope"):
+                defined.setdefault(path.name, []).append(node.name)
+    assert defined == {
+        "arith.py": ["Mat2.to_json"],
+        "modular.py": ["ModularWord.to_json", "PermRep.to_json"],
+        "profinite.py": ["QuotientSpec.to_json"],
+    }
