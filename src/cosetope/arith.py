@@ -18,6 +18,20 @@ from .errors import BudgetError, ModulusMismatch, ValidationError
 _new = tuple.__new__
 
 
+def parse_int(value) -> int:
+    """A JSON integer, or a string in the canonical decimal form that reports
+    record: a float, a bool or a string such as ``"02"`` is refused."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str):
+        try:
+            if str(int(value)) == value:
+                return int(value)
+        except ValueError:
+            pass
+    raise ValidationError(f"expected an integer, got {value!r}")
+
+
 class Residue(NamedTuple):
     """Canonical residue modulo ``m``: ``0 <= value < m`` with ``m >= 2``."""
 

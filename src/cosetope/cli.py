@@ -4,16 +4,19 @@ Each subcommand is a function from its config (the parsed arguments other
 than the report path and the budget caps) to a result, listed in
 ``COMMANDS``.  Its report is canonical JSON (sorted keys, numbers as decimal
 strings) holding the command, the config and the result, so identical
-invocations produce identical bytes.  ``verify`` runs the report's command
-again on the recorded config and compares the whole result, so it must run
-where the command ran, with the command's input files unchanged.  Exit
-codes: 0 completed (including inconclusive outcomes), 2 precondition or
-validation failure, 3 budget exhaustion.
+invocations produce identical bytes.  ``verify`` reparses the recorded
+config with ``build_parser``, requires it back unchanged, reruns the command
+on it and compares the whole result, so it must run where the command ran,
+with its input files unchanged.  Exit codes: 0 completed (including
+inconclusive outcomes), 2 precondition or validation failure, 3 budget
+exhaustion.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import sys
 
@@ -80,7 +83,7 @@ def _parse_element(text: str) -> GroupWord:
 
 def _spec_of(config: dict) -> QuotientSpec:
     rep = load_rep(config["rep"]) if config["rep"] else None
-    return QuotientSpec.make(rpt.parse_int(config["modulus"]), rep)
+    return QuotientSpec.make(config["modulus"], rep)
 
 
 def _tower_of(config: dict) -> list:
@@ -99,8 +102,8 @@ def _budgets_of(args) -> Budgets:
 # subcommands
 #
 # Each subcommand computes its result from its config alone: the parsed
-# arguments when it runs, the recorded config (numbers as decimal strings)
-# when ``verify`` recomputes it.
+# arguments, whether ``main`` parsed them from the command line or ``verify``
+# from the argv that writes the recorded config.
 
 
 def _quotient(config: dict, budgets: Budgets) -> dict:
@@ -111,7 +114,7 @@ def _quotient(config: dict, budgets: Budgets) -> dict:
         "order": order,
         "sl2_order": sl2_group_order(spec.m),
     }
-    if rpt.parse_bool(config["enumerate"]) or order is None:
+    if config["enumerate"] or order is None:
         if order is not None:
             check_closure_cap(order, budgets, f"quotient mod {spec.m}")
         result["enumerated_order"] = len(quotient_context(spec).enumerate(budgets))
@@ -187,7 +190,7 @@ def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
 
 
 def _lowindex(config: dict, budgets: Budgets) -> dict:
-    reps = low_index_reps(rpt.parse_int(config["max_degree"]), classes=not rpt.parse_bool(config["subgroups"]))
+    reps = low_index_reps(config["max_degree"], classes=not config["subgroups"])
     entries = [
         {"rep": rep, "level": rep_level(rep), "congruence": is_congruence(rep, budgets=budgets)}
         for rep in reps
@@ -197,8 +200,7 @@ def _lowindex(config: dict, budgets: Budgets) -> dict:
 
 def _gap_witness(config: dict, budgets: Budgets) -> dict:
     rep = load_rep(config["rep"])
-    level, m_max = rpt.parse_int(config["level"]), rpt.parse_int(config["m_max"])
-    witness = congruence_gap_witness(rep, level, m_max=m_max, budgets=budgets)
+    witness = congruence_gap_witness(rep, config["level"], m_max=config["m_max"], budgets=budgets)
     return {"status": "found", "witness": witness}
 
 
@@ -223,7 +225,7 @@ def _hk_certificates() -> list:
 
 
 def _gs_demo(config: dict, budgets: Budgets) -> dict:
-    max_level, m_max, max_degree = (rpt.parse_int(config[key]) for key in ("max_level", "m_max", "max_degree"))
+    max_level, m_max, max_degree = config["max_level"], config["m_max"], config["max_degree"]
     if max_level < 2:
         raise ValidationError(f"max_level must be at least 2, got {max_level}: the intersection table needs a level")
     # the order of image(H) meet image(K) at each level.  image(H) is all of
@@ -266,17 +268,22 @@ COMMANDS = {
 # ---------------------------------------------------------------------------
 # verify
 #
-# ``verify`` runs the report's own command on the report's recorded config
-# and compares the whole result.  It is not in ``COMMANDS``: a verify report
-# naming itself would recurse.
+# ``verify`` reparses the report's recorded config, requires it back unchanged,
+# reruns the report's command on it and compares the whole result.  It is not
+# in ``COMMANDS``: a verify report naming itself would recurse.
 
 
 _ABSENT = object()
 _REPORT_KEYS = {"schema", "command", "config", "result"}
 
 
+def _differs(a, b) -> bool:
+    """Whether two JSON values differ as report bytes would: ``0.0`` is not ``false``."""
+    return _ABSENT in (a, b) or json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)
+
+
 def _first_difference(claimed, recomputed, path: str) -> tuple:
-    """The first path, in sorted key order, at which two unequal JSON values
+    """The first path, in sorted key order, at which two differing JSON values
     differ, with the value each holds there (``_ABSENT`` for a missing one)."""
     if isinstance(claimed, dict) and isinstance(recomputed, dict):
         keys = sorted(claimed.keys() | recomputed.keys())
@@ -286,31 +293,39 @@ def _first_difference(claimed, recomputed, path: str) -> tuple:
         pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(claimed + pad, recomputed + pad))]
     else:
         return path, claimed, recomputed
-    return next(_first_difference(a, b, p) for p, a, b in pairs if a != b)
+    return next(_first_difference(a, b, p) for p, a, b in pairs if _differs(a, b))
 
 
-def _require_match(claimed, recomputed) -> None:
-    if claimed == recomputed:
+def _require_match(claimed, recomputed, root: str) -> None:
+    if not _differs(claimed, recomputed):
         return
-    path, claimed, recomputed = _first_difference(claimed, recomputed, "result")
+    path, claimed, recomputed = _first_difference(claimed, recomputed, root)
     claimed, recomputed = ("nothing" if v is _ABSENT else repr(v) for v in (claimed, recomputed))
     raise ValidationError(f"verify failed: {path}: report says {claimed}, recomputed {recomputed}")
 
 
-def _require_keys(data, keys: set, what: str) -> None:
-    """A JSON object with exactly ``keys``, as the CLI writes them."""
-    if not isinstance(data, dict):
-        raise ValidationError(f"verify failed: {what} is not a JSON object")
-    if data.keys() != keys:
-        stray, missing = sorted(data.keys() - keys), sorted(keys - data.keys())
-        raise ValidationError(f"verify failed: {what} has stray keys {stray} and lacks {missing}")
-
-
-def _config_keys(command: str) -> set:
-    """The keys ``main`` records in the config of ``command``: the dests of
-    its subparser other than help, output and budget caps."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {action.dest for action in sub.choices[command]._actions} - {"help", *_NOT_CONFIG}
+def _reparsed(command: str, recorded) -> dict:
+    """The config ``main`` builds from the argv that writes ``recorded``: each
+    string value as ``--opt=value`` (so a value may start with "-"), each
+    ``true`` as a bare ``--opt``, and any other value left out."""
+    if not isinstance(recorded, dict):
+        raise ValidationError(f"verify failed: the {command} config is not a JSON object")
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
+    argv = [command]
+    for action in sub._actions:
+        value = recorded.get(action.dest)
+        if value is True and not isinstance(action, argparse._HelpAction):
+            argv.append(action.option_strings[0])
+        elif isinstance(value, str):
+            argv.append(f"{action.option_strings[0]}={value}")
+    refusal = io.StringIO()
+    try:
+        with contextlib.redirect_stderr(refusal):
+            return _config_of(parser.parse_args(argv))
+    except SystemExit:
+        reason = refusal.getvalue().strip().rpartition("\n")[2]
+        raise ValidationError(f"verify failed: config: {reason}") from None
 
 
 def _verify(config: dict, budgets: Budgets) -> dict:
@@ -325,19 +340,16 @@ def _verify(config: dict, budgets: Budgets) -> dict:
         raise ValidationError(f"report is not valid JSON: {exc}") from exc
     if rpt.canonical_dumps(data) != text:
         raise ValidationError("verify failed: report is not in canonical form (bytes differ)")
-    _require_keys(data, _REPORT_KEYS, "the report")
+    if not isinstance(data, dict) or data.keys() != _REPORT_KEYS:
+        raise ValidationError(f"verify failed: a report holds exactly the keys {sorted(_REPORT_KEYS)}")
     if data["schema"] != rpt.as_recorded(rpt.SCHEMA_VERSION):
         raise ValidationError(f"verify failed: unsupported schema {data['schema']!r}")
     command = data["command"]
     if not isinstance(command, str) or command not in COMMANDS:
         raise ValidationError(f"verify: unknown command {command!r}")
-    config = data["config"]
-    _require_keys(config, _config_keys(command), f"the {command} config")
-    try:
-        recomputed = COMMANDS[command](config, budgets)
-    except (KeyError, IndexError, TypeError, AttributeError) as exc:
-        raise ValidationError(f"verify failed: malformed {command} config ({exc!r})") from exc
-    _require_match(data["result"], rpt.as_recorded(recomputed))
+    rerun = _reparsed(command, data["config"])
+    _require_match(data["config"], rpt.as_recorded(rerun), "config")
+    _require_match(data["result"], rpt.as_recorded(COMMANDS[command](rerun, budgets)), "result")
     return {"verified": True, "checked": command}
 
 
@@ -434,9 +446,13 @@ def build_parser() -> argparse.ArgumentParser:
 _NOT_CONFIG = ("command", "output", "closure_cap", "product_cap")
 
 
+def _config_of(args) -> dict:
+    return {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+    config = _config_of(args)
     run = _verify if args.command == "verify" else COMMANDS[args.command]
     try:
         result = run(config, _budgets_of(args))

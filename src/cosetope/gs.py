@@ -239,8 +239,6 @@ def gs_wz_failure(
     PreconditionError.  The witness search and the transcript share one
     ``walks`` dict, so each level gcd(m, N) is walked once per call.
     """
-    if m_max < 2:
-        raise ValidationError(f"m_max must be at least 2, got {m_max}: the evidence needs a tested level")
     budgets = active_budgets(budgets)
     walks: dict = {}
     witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets, walks=walks)

@@ -19,7 +19,7 @@ import functools
 import math
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
+from .arith import MAT_S, MAT_T, Mat2, parse_int, psl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, PreconditionError, ValidationError
 from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, sl2_context
@@ -216,10 +216,10 @@ class PermRep(NamedTuple):
     @classmethod
     def from_json(cls, data: dict) -> "PermRep":
         try:
-            degree = int(data["degree"])
-            perm_s = tuple(int(v) for v in data["s"])
-            perm_t = tuple(int(v) for v in data["t"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            degree = parse_int(data["degree"])
+            perm_s = tuple(parse_int(v) for v in data["s"])
+            perm_t = tuple(parse_int(v) for v in data["t"])
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad permutation representation data: {exc}") from exc
         return cls.make(degree, perm_s, perm_t)
 
@@ -597,6 +597,8 @@ def congruence_gap_witness(
     subgroup, so the walk always finds one.  ``walks`` is shared with
     ``image_blocks`` (a fresh dict when None).
     """
+    if m_max < 2:
+        raise ValidationError(f"m_max must be at least 2, got {m_max}: the witness needs a tested level")
     budgets = active_budgets(budgets)
     if is_congruence(rep, budgets=budgets):
         raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")

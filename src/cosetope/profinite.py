@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import MAT_S, MAT_T, Mat2, is_prime, sl2_group_order
+from .arith import MAT_S, MAT_T, Mat2, is_prime, parse_int, sl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import PreconditionError, ValidationError
 from .groupcore import (
@@ -115,8 +115,8 @@ class QuotientSpec(NamedTuple):
     @classmethod
     def from_json(cls, data: dict, base_dir: str = ".") -> "QuotientSpec":
         try:
-            m = int(data["m"])
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            m = parse_int(data["m"])
+        except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad quotient spec: {exc}") from exc
         rep = None
         raw_rep = data.get("rep")
@@ -132,22 +132,12 @@ class QuotientSpec(NamedTuple):
             if not isinstance(raw_filter, dict):
                 raise ValidationError("spec 'filter' must be an object like {\"type\": \"pro-p\", \"p\": 2}, or null")
             p = raw_filter.get("p")
-            try:
-                p = int(p) if p is not None else None
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ValidationError(f"bad spec filter: {exc}") from exc
-            formation = Formation.make(raw_filter.get("type", "all"), p)
+            formation = Formation.make(raw_filter.get("type", "all"), parse_int(p) if p is not None else None)
         return cls.make(m, rep, formation)
 
 
 def read_json(path: str, what: str):
-    """The JSON value in the file at ``path``; ``what`` names the file in errors.
-
-    A path that is not a string (a config may hold any JSON value) is refused
-    before ``open``, which would take an integer or a bool as a file descriptor.
-    """
-    if not isinstance(path, str):
-        raise ValidationError(f"cannot read {what}: its path must be a string, got {path!r}")
+    """The JSON value in the file at ``path``; ``what`` names the file in errors."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)

@@ -12,7 +12,7 @@ import dataclasses
 import json
 from typing import Any
 
-from .arith import Mat2
+from .arith import Mat2, parse_int
 from .errors import ValidationError
 from .modular import ModularWord
 from .profinite import GroupWord
@@ -46,26 +46,6 @@ def as_recorded(obj: Any) -> Any:
 
 def canonical_dumps(data: Any) -> str:
     return json.dumps(as_recorded(data), sort_keys=True, indent=2) + "\n"
-
-
-def parse_int(value: Any) -> int:
-    """A JSON integer, or a string in the canonical decimal form of ``canonical_dumps``."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            if str(int(value)) == value:
-                return int(value)
-        except ValueError:
-            pass
-    raise ValidationError(f"expected an integer, got {value!r}")
-
-
-def parse_bool(value: Any) -> bool:
-    """A flag as a report records it: a JSON boolean."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"expected a boolean, got {value!r}")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,11 @@ import pytest
 
 import cosetope.groupcore
 import cosetope.gs
+from cosetope.arith import parse_int
 from cosetope.cli import COMMANDS, build_parser, main
 from cosetope.groupcore import GroupContext
 from cosetope.modular import is_congruence, low_index_reps
-from cosetope.report import canonical_dumps, parse_int
+from cosetope.report import canonical_dumps
 
 from t_util import congruence_rep, count_closures
 
@@ -204,6 +205,9 @@ def test_exit_code_on_bad_input(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["image", "--modulus", "3", "--gens", str(bad)]) == 2
+    # int() would read this as the degree-1 representation
+    bad.write_text('{"degree": 1.9, "s": [0.5], "t": [0]}')
+    assert main(["quotient", "--modulus", "2", "--rep", str(bad)]) == 2
 
 
 def test_exit_code_on_budget_exhaustion(tmp_path):
@@ -254,6 +258,15 @@ def test_gs_demo_refuses_an_m_max_below_2(tmp_path):
     for m_max in ("-4", "0", "1"):
         out = tmp_path / f"demo{m_max}.json"
         assert main(["gs-demo", "--max-level", "2", "--m-max", m_max, "--output", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_gap_witness_refuses_an_m_max_below_2(tmp_path):
+    # the witness would rest on no checked level
+    rep = str(Path(__file__).resolve().parent / "golden" / "nc_rep.json")
+    for m_max in ("-4", "0", "1"):
+        out = tmp_path / f"witness{m_max}.json"
+        assert main(["gap-witness", "--rep", rep, "--level", "24", "--m-max", m_max, "--output", str(out)]) == 2
         assert not out.exists()
 
 
@@ -434,6 +447,8 @@ def _set_path(data, keys, value):
             "25",
         ),
         (["congruence", "--rep", "{rep}"], ("result", "image_index"), "5"),
+        # equal to true under Python's ==, but not the bytes the CLI writes
+        (["congruence", "--rep", "{rep}"], ("result", "congruence"), 1.0),
     ],
 )
 def test_verify_rejects_tampered_results(tmp_path, gens_files, args, keys, value):
@@ -520,10 +535,13 @@ def test_gs_demo_and_verify_close_no_level_image(tmp_path, monkeypatch):
         (["quotient", "--modulus", "2"], {("note",): "1"}),
         (["quotient", "--modulus", "2"], {("config", "help"): True}),
         (["quotient", "--modulus", "2"], {("config", "h"): True}),
+        (["quotient", "--modulus", "2"], {("config", "rep"): False}),
+        (["quotient", "--modulus", "2"], {("config",): ["--modulus=2"]}),
+        (["lowindex", "--max-degree", "3"], {("config", "subgroups"): 0.0}),
     ],
 )
-def test_verify_rejects_a_config_the_cli_could_not_have_written(tmp_path, args, edits):
-    # each edit reads as the recorded value under Python's int() or truth
+def test_verify_rejects_a_config_the_cli_could_not_have_written(tmp_path, capsys, args, edits):
+    # each edit reads as the recorded value under Python's int(), == or truth
     # test, or adds a key that no command reads, so verify used to accept it
     rep = str(Path(__file__).resolve().parent / "golden" / "nc_rep.json")
     path = tmp_path / "report.json"
@@ -535,7 +553,10 @@ def test_verify_rejects_a_config_the_cli_could_not_have_written(tmp_path, args, 
             _set_path(data, keys, value)
 
     _tamper(path, edit)
+    capsys.readouterr()
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v2.json")]) == 2
+    # a recorded help key must not reach argparse as --help, which prints usage to stdout
+    assert capsys.readouterr().out == ""
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -565,8 +586,16 @@ def test_verify_refuses_a_recorded_path_that_is_not_a_string(tmp_path):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 2
-    assert "path must be a string, got True" in done.stderr
+    assert "verify failed: config: cosetope congruence: error: argument --rep: expected one argument" in done.stderr
     assert "Bad file descriptor" not in done.stderr
+
+
+def test_verify_reparses_a_recorded_path_that_starts_with_a_dash(tmp_path, monkeypatch):
+    # the reparse writes --rep=-nc.json; a separate "-nc.json" would read as an option
+    shutil.copy(GOLDEN / "nc_rep.json", tmp_path / "-nc.json")
+    monkeypatch.chdir(tmp_path)
+    run_report(["congruence", "--rep=-nc.json"], tmp_path / "report.json")
+    assert main(["verify", "--report", "report.json", "--output", "v.json"]) == 0
 
 
 def test_verify_names_the_first_differing_path(tmp_path, gens_files, capsys):

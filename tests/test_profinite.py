@@ -294,6 +294,27 @@ def test_spec_filter_reads_report_strings():
     assert spec.formation == Formation.make("pro-p", 2)
 
 
+@pytest.mark.parametrize(
+    "read, data",
+    [
+        (PermRep.from_json, {"degree": 1.9, "s": [0], "t": [0]}),
+        (PermRep.from_json, {"degree": True, "s": [0], "t": [0]}),
+        (PermRep.from_json, {"degree": "01", "s": [0], "t": [0]}),
+        (PermRep.from_json, {"degree": 1, "s": [0.5], "t": [False]}),
+        (QuotientSpec.from_json, {"m": 2.0}),
+        (QuotientSpec.from_json, {"m": "02"}),
+        (QuotientSpec.from_json, {"m": 4, "filter": {"type": "pro-p", "p": 2.5}}),
+        (QuotientSpec.from_json, {"m": 4, "filter": {"type": "pro-p", "p": " 2"}}),
+    ],
+)
+def test_json_readers_take_only_integers(read, data):
+    # int() reads each of these as an integer: 1.9 and true as 1, "02" as 2
+    with pytest.raises(ValidationError, match="expected an integer"):
+        read(data)
+    assert PermRep.from_json({"degree": 1, "s": ["0"], "t": [0]}) == PermRep.make(1, (0,), (0,))
+    assert QuotientSpec.from_json({"m": "2", "filter": {"type": "pro-p", "p": 2}}).m == 2
+
+
 # ---------------------------------------------------------------------------
 # tractable_at
 

@@ -212,3 +212,25 @@ def test_cli_element_exits_0_2_or_3(tmp_path, monkeypatch, element, command):
         argv = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--tower", "tower_ok.json"]
     argv += [f"--element={element}", "--closure-cap", "5000", "--output", str(tmp_path / "out.json")]
     assert main(argv) in (0, 2, 3)
+
+
+# Random permutations seldom make a rep, so two valid ones let draws reach the quotient.
+VALID_REPS = st.sampled_from([{"degree": 1, "s": [0], "t": [0]}, json.loads((GOLDEN / "nc_rep.json").read_text())])
+
+
+@SETTINGS
+@given(data=st.one_of(JSON, PERM_LIKE, VALID_REPS))
+def test_cli_rep_file_exits_0_2_or_3(tmp_path, data):
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["quotient", "--modulus", "2", "--rep", str(path)]
+    assert main(argv + ["--closure-cap", "5000", "--output", str(tmp_path / "q.json")]) in (0, 2, 3)
+
+
+@SETTINGS
+@given(data=st.one_of(JSON, st.lists(st.one_of(JSON, GROUPWORD_LIKE), max_size=3)))
+def test_cli_gens_file_exits_0_2_or_3(tmp_path, data):
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    argv = ["image", "--modulus", "3", "--gens", str(path)]
+    assert main(argv + ["--closure-cap", "5000", "--output", str(tmp_path / "i.json")]) in (0, 2, 3)
