@@ -10,7 +10,7 @@ both caps or as ``closure=N,product=M``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -18,14 +18,20 @@ DEFAULT_CLOSURE_CAP = 5_000_000
 DEFAULT_PRODUCT_CAP = 10_000_000
 
 
-@dataclass(frozen=True)
-class Budgets:
+class _Caps(NamedTuple):
     closure_cap: int = DEFAULT_CLOSURE_CAP
     product_cap: int = DEFAULT_PRODUCT_CAP
 
-    def __post_init__(self) -> None:
-        if self.closure_cap <= 0 or self.product_cap <= 0:
+
+class Budgets(_Caps):
+    """The two caps: immutable, compared by value, and both positive."""
+
+    __slots__ = ()
+
+    def __new__(cls, closure_cap: int = DEFAULT_CLOSURE_CAP, product_cap: int = DEFAULT_PRODUCT_CAP) -> "Budgets":
+        if closure_cap <= 0 or product_cap <= 0:
             raise ValidationError("budgets must be positive")
+        return super().__new__(cls, closure_cap, product_cap)
 
 
 def from_env(environ=None) -> Budgets:

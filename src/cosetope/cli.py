@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import sys
@@ -357,6 +358,9 @@ def _verify(config: dict, budgets: Budgets) -> dict:
 # parser
 
 
+# Cached so that ``verify`` reparses a recorded config with the parser
+# ``main`` already built.
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cosetope",

@@ -13,7 +13,6 @@ level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .arith import Mat2, sl2_group_order
@@ -134,8 +133,7 @@ def gs_hk_witness(g: GroupWord) -> Optional[SeparabilityCertificate]:
 # non-separability evidence
 
 
-@dataclass
-class NonSepEvidence:
+class NonSepEvidence(NamedTuple):
     """Desk-scale evidence that the double coset H'K is not separable.
 
     ``g`` is a concrete element outside H'K (because the witness matrix
@@ -149,12 +147,12 @@ class NonSepEvidence:
     rep: PermRep
     witness: GapWitness
     g: GroupWord
-    level_transcripts: list = field(default_factory=list)
-    levels: tuple = ()
-    witness_level: int = 0
-    towers_used: str = ""
-    conclusion: str = ""
-    status: str = "evidence"
+    level_transcripts: list
+    levels: tuple
+    witness_level: int
+    towers_used: str
+    conclusion: str
+    status: str
 
 
 _CONCLUSION = (

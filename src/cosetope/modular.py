@@ -217,10 +217,12 @@ class PermRep(NamedTuple):
     def from_json(cls, data: dict) -> "PermRep":
         try:
             degree = parse_int(data["degree"])
-            perm_s = tuple(parse_int(v) for v in data["s"])
-            perm_t = tuple(parse_int(v) for v in data["t"])
+            perms = (data["s"], data["t"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad permutation representation data: {exc}") from exc
+        if not all(isinstance(p, list) for p in perms):
+            raise ValidationError("bad permutation representation data: s and t must be lists")
+        perm_s, perm_t = (tuple(parse_int(v) for v in p) for p in perms)
         return cls.make(degree, perm_s, perm_t)
 
 

@@ -16,7 +16,6 @@ import functools
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import MAT_S, MAT_T, Mat2, is_prime, parse_int, sl2_group_order
@@ -353,8 +352,7 @@ def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
 # tractability inclusion
 
 
-@dataclass
-class TractabilityReport:
+class TractabilityReport(NamedTuple):
     """Outcome of the inclusion search over a list of candidate quotients.
 
     When ``found`` is set, the inclusion image(H) meet image(K) inside
@@ -368,9 +366,9 @@ class TractabilityReport:
     h_gens: tuple
     k_gens: tuple
     hcapk_gens: tuple
-    entries: list = field(default_factory=list)
-    found: Optional[QuotientSpec] = None
-    counters: dict = field(default_factory=dict)
+    entries: list
+    found: Optional[QuotientSpec]
+    counters: dict
 
 
 _VIOLATION_SAMPLE = 5
@@ -391,17 +389,18 @@ def tractable_at(
     recorded, not fatal.
     """
     budgets = active_budgets(budgets)
-    report = TractabilityReport(m_spec, tuple(h_gens), tuple(k_gens), tuple(hcapk_gens))
+    entries = []
+    found = None
     scanned = 0
     for cand in candidates:
         entry, count = tractable_candidate(h_gens, k_gens, hcapk_gens, m_spec, cand, budgets)
-        report.entries.append(entry)
+        entries.append(entry)
         scanned += count
         if entry["status"] == "ok":
-            report.found = cand
+            found = cand
             break
-    report.counters = {"elements_scanned": scanned, "candidates_tried": len(report.entries)}
-    return report
+    counters = {"elements_scanned": scanned, "candidates_tried": len(entries)}
+    return TractabilityReport(m_spec, tuple(h_gens), tuple(k_gens), tuple(hcapk_gens), entries, found, counters)
 
 
 def tractable_candidate(
@@ -459,15 +458,14 @@ def tractable_candidate(
 # separability probe
 
 
-@dataclass
-class SeparabilityCertificate:
+class SeparabilityCertificate(NamedTuple):
     """A finite quotient excluding an element from a double coset; replayable.
     The field names are the certificate's report keys."""
 
     element: GroupWord
     target: str
     spec: QuotientSpec
-    transcript: dict = field(default_factory=dict)
+    transcript: dict
 
 
 def thm_b_probe(

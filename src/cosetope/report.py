@@ -8,7 +8,6 @@ byte-reproducible and re-checkable.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Any
 
@@ -24,8 +23,8 @@ def as_recorded(obj: Any) -> Any:
     """``obj`` as a report records it: the one translation of result values
     into report data, which ``verify`` also applies to what it recomputes.
     Integers become decimal strings; a value with ``to_json`` is recorded as
-    what that returns; any other NamedTuple or dataclass as its fields by
-    name (``to_json`` goes first: ``Mat2`` and ``PermRep`` are NamedTuples);
+    what that returns; any other NamedTuple as its fields by name
+    (``to_json`` goes first: ``Mat2`` and ``PermRep`` are NamedTuples);
     tuples and lists become lists, and dicts are recorded key by key."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
@@ -35,8 +34,6 @@ def as_recorded(obj: Any) -> Any:
         return as_recorded(obj.to_json())
     if hasattr(obj, "_asdict"):
         return as_recorded(obj._asdict())
-    if dataclasses.is_dataclass(obj):
-        return {f.name: as_recorded(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, (list, tuple)):
         return [as_recorded(v) for v in obj]
     if isinstance(obj, dict):

@@ -12,7 +12,9 @@ import pytest
 import cosetope.groupcore
 import cosetope.gs
 from cosetope.arith import parse_int
+from cosetope.budgets import Budgets
 from cosetope.cli import COMMANDS, build_parser, main
+from cosetope.errors import ValidationError
 from cosetope.groupcore import GroupContext
 from cosetope.modular import is_congruence, low_index_reps
 from cosetope.report import canonical_dumps
@@ -375,10 +377,31 @@ def test_bad_tower_filter_exits_2(tmp_path, gens_files, raw_filter):
     assert main(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", m_spec]) == 2
 
 
-@pytest.mark.parametrize("flag", ["--closure-cap", "--product-cap"])
-def test_zero_cap_flag_is_rejected(tmp_path, flag):
-    args = ["quotient", "--modulus", "2", "--enumerate", flag, "0", "--output", str(tmp_path / "q.json")]
+@pytest.mark.parametrize(
+    "flags, env",
+    [
+        pytest.param(["--closure-cap", "0"], None, id="--closure-cap"),
+        pytest.param(["--product-cap", "0"], None, id="--product-cap"),
+        pytest.param(["--product-cap", "-1"], None, id="negative"),
+        pytest.param([], "0", id="COSETOPE_BUDGET"),
+    ],
+)
+def test_zero_cap_flag_is_rejected(tmp_path, monkeypatch, capsys, flags, env):
+    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
+    if env is not None:
+        monkeypatch.setenv("COSETOPE_BUDGET", env)
+    args = ["quotient", "--modulus", "2", "--enumerate", *flags, "--output", str(tmp_path / "q.json")]
     assert main(args) == 2
+    assert "budgets must be positive" in capsys.readouterr().err
+
+
+def test_budgets_are_positive_immutable_values():
+    with pytest.raises(ValidationError, match="budgets must be positive"):
+        Budgets(closure_cap=0)
+    with pytest.raises(AttributeError):
+        Budgets().closure_cap = 1
+    assert Budgets(5, 7) == Budgets(5, 7)
+    assert Budgets(5, 7) != Budgets(7, 5)
 
 
 def test_quotient_enumerate_fails_fast_on_known_order(tmp_path, monkeypatch):
@@ -625,6 +648,28 @@ def test_verify_rejects_a_cut_lowindex_table(tmp_path, capsys):
     _tamper(path, cut)
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 2
     assert "result.count: report says '2', recomputed '7'" in capsys.readouterr().err
+
+
+def test_one_verify_run_builds_the_parser_once(tmp_path, monkeypatch):
+    run_report(["quotient", "--modulus", "2"], tmp_path / "q.json")
+    builds = []
+    add_subparsers = argparse.ArgumentParser.add_subparsers
+
+    def counted(self, **kwargs):
+        builds.append(self.prog)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", counted)
+    build_parser.cache_clear()
+    assert main(["verify", "--report", str(tmp_path / "q.json"), "--output", str(tmp_path / "v.json")]) == 0
+    assert builds == ["cosetope"]
+
+
+def test_congruence_refuses_a_rep_whose_permutations_are_not_lists(tmp_path, capsys):
+    rep = tmp_path / "rep.json"
+    rep.write_text(json.dumps({"degree": 2, "s": {"1": "x", "0": "y"}, "t": "10"}))
+    assert main(["congruence", "--rep", str(rep), "--output", str(tmp_path / "c.json")]) == 2
+    assert "s and t must be lists" in capsys.readouterr().err
 
 
 def test_subcommands_are_the_command_table_and_verify():

@@ -127,6 +127,19 @@ def test_permrep_json_round_trip():
     assert PermRep.from_json(data2) == rep
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"degree": 2, "s": {"1": "x", "0": "y"}, "t": "10"},
+        {"degree": 2, "s": [1, 0], "t": "10"},
+        {"degree": 2, "s": (1, 0), "t": [1, 0]},
+    ],
+)
+def test_permrep_from_json_requires_lists(data):
+    with pytest.raises(ValidationError, match="s and t must be lists"):
+        PermRep.from_json(data)
+
+
 def test_rep_contains_identity_and_full_group():
     for rep in low_index_reps(4):
         assert rep_contains(rep, ModularWord())

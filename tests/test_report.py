@@ -1,6 +1,5 @@
 """The one translation of result values into report data: ``report.as_recorded``."""
 
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -8,7 +7,14 @@ from cosetope.arith import Mat2
 from cosetope.groupcore import SdElement
 from cosetope.gs import gs_wz_failure
 from cosetope.modular import ModularWord, PermRep, congruence_gap_witness
-from cosetope.profinite import Formation, GroupWord, QuotientSpec, SeparabilityCertificate, load_rep
+from cosetope.profinite import (
+    Formation,
+    GroupWord,
+    QuotientSpec,
+    SeparabilityCertificate,
+    TractabilityReport,
+    load_rep,
+)
 from cosetope.report import as_recorded
 
 NC_REP = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
@@ -17,13 +23,6 @@ NC_REP = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"
 class _Pair(NamedTuple):
     left: int
     right: Optional[tuple] = None
-
-
-@dataclass
-class _Box:
-    pair: _Pair
-    flag: bool
-    items: dict
 
 
 def test_scalars_record_as_json_scalars():
@@ -39,10 +38,20 @@ def test_containers_record_item_by_item():
     assert as_recorded((1, [2, (3,)], {"k": (True, None)})) == ["1", ["2", ["3"]], {"k": [True, None]}]
 
 
-def test_a_plain_namedtuple_or_dataclass_records_its_fields_by_name():
+def test_a_plain_namedtuple_records_its_fields_by_name():
     assert as_recorded(_Pair(1, (2, 3))) == {"left": "1", "right": ["2", "3"]}
-    box = _Box(_Pair(4), False, {"n": 5})
-    assert as_recorded(box) == {"pair": {"left": "4", "right": None}, "flag": False, "items": {"n": "5"}}
+    assert as_recorded(_Pair(4)) == {"left": "4", "right": None}
+    g = GroupWord.of_word(ModularWord.from_str("T"))
+    report = TractabilityReport(QuotientSpec.make(2), (g,), (), (), [{"status": "ok"}], None, {"n": 5})
+    assert as_recorded(report) == {
+        "m_spec": {"m": "2", "rep": None, "filter": None},
+        "h_gens": [as_recorded(g)],
+        "k_gens": [],
+        "hcapk_gens": [],
+        "entries": [{"status": "ok"}],
+        "found": None,
+        "counters": {"n": "5"},
+    }
 
 
 def test_to_json_comes_before_the_fields():

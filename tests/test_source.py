@@ -1,6 +1,9 @@
 """Checks on the package source itself."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -123,3 +126,33 @@ def test_only_types_whose_report_form_differs_define_to_json():
         "modular.py": ["ModularWord.to_json", "PermRep.to_json"],
         "profinite.py": ["QuotientSpec.to_json"],
     }
+
+
+def _modules_loaded_by(code: str) -> set:
+    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    script = f"{code}\nimport sys\nprint(*sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+    )
+    return set(done.stdout.split())
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    # dataclasses pulls in inspect, and inspect pulls in ast, dis and
+    # tokenize: start-up time that every command would pay
+    added = _modules_loaded_by("import cosetope.cli") - _modules_loaded_by("pass")
+    assert "cosetope.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect"})
+
+
+@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+def test_module_does_not_import_dataclasses(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imported.add(node.module)
+    assert "dataclasses" not in imported
