@@ -1,6 +1,6 @@
 """Finite-quotient workbench for double coset separability experiments."""
 
-from .arith import MAT_S, MAT_T, Mat2, Residue, psl2_group_order, sl2_group_order
+from .arith import MAT_S, MAT_T, Mat2, psl2_group_order, sl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import (
     BudgetError,
@@ -10,15 +10,9 @@ from .errors import (
     ValidationError,
 )
 from .groupcore import (
-    CosetDecomposition,
     GeneratedSubgroup,
     GroupContext,
     SdElement,
-    brute_force_product,
-    check_cor_identity,
-    check_prop_identity,
-    coset_reps,
-    normal_closure,
     product_member,
     sd_identity,
     sd_inv,
@@ -31,11 +25,9 @@ from .gs import (
     GsInstance,
     NonSepEvidence,
     gs_build,
-    gs_hk_member,
     gs_hk_witness,
     gs_intersection,
     gs_wz_failure,
-    hk_member_sd,
 )
 from .modular import (
     GapWitness,
@@ -58,10 +50,6 @@ from .profinite import (
     SeparabilityCertificate,
     TractabilityReport,
     default_tower,
-    gw_inv,
-    gw_mul,
-    hi_exclusion_check,
-    hi_exclusion_offenders,
     image_subgroup,
     kernel_of_refinement,
     project,

@@ -1,4 +1,4 @@
-"""Exact residue and 2x2 integer-matrix arithmetic.
+"""Exact 2x2 integer-matrix arithmetic, strict integer parsing and group orders.
 
 Matrices come in two modes.  Ambient mode holds unbounded Python integers
 (word evaluation in the matrix group overflows fixed-width types quickly, so
@@ -10,7 +10,7 @@ and hashable.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .errors import BudgetError, ModulusMismatch, ValidationError
 
@@ -30,41 +30,6 @@ def parse_int(value) -> int:
         except ValueError:
             pass
     raise ValidationError(f"expected an integer, got {value!r}")
-
-
-class Residue(NamedTuple):
-    """Canonical residue modulo ``m``: ``0 <= value < m`` with ``m >= 2``."""
-
-    value: int
-    m: int
-
-    @classmethod
-    def of(cls, value: int, m: int) -> "Residue":
-        if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {m}")
-        return cls(value % m, m)
-
-    def _same(self, other: "Residue") -> None:
-        if self.m != other.m:
-            raise ModulusMismatch(f"cannot combine moduli {self.m} and {other.m}")
-
-    def __add__(self, other):
-        self._same(other)
-        return Residue((self.value + other.value) % self.m, self.m)
-
-    def __sub__(self, other):
-        self._same(other)
-        return Residue((self.value - other.value) % self.m, self.m)
-
-    def __mul__(self, other):
-        self._same(other)
-        return Residue((self.value * other.value) % self.m, self.m)
-
-    def __neg__(self):
-        return Residue(-self.value % self.m, self.m)
-
-    def __int__(self) -> int:
-        return self.value
 
 
 class Mat2(NamedTuple):
@@ -135,15 +100,8 @@ class Mat2(NamedTuple):
             return _new(Mat2, (-a, -b, -c, -d, None))
         return _new(Mat2, (-a % m, -b % m, -c % m, -d % m, m))
 
-    def det(self) -> Union[int, Residue]:
-        """ad - bc, as a plain integer (ambient) or a Residue (quotient)."""
-        value = self.a * self.d - self.b * self.c
-        if self.m is None:
-            return value
-        return Residue(value % self.m, self.m)
-
-    def det_int(self) -> int:
-        """ad - bc as an integer, canonical in quotient mode."""
+    def det(self) -> int:
+        """ad - bc, reduced to its canonical residue in quotient mode."""
         value = self.a * self.d - self.b * self.c
         return value if self.m is None else value % self.m
 

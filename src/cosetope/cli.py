@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Each subcommand is a function from its config (the parsed arguments other
-than the report path and the budget caps) to a result, listed in
+than the report path and the closure cap) to a result, listed in
 ``COMMANDS``.  Its report is canonical JSON (sorted keys, numbers as decimal
 strings) holding the command, the config and the result, so identical
 invocations produce identical bytes.  ``verify`` reparses the recorded
@@ -92,11 +92,8 @@ def _tower_of(config: dict) -> list:
 
 
 def _budgets_of(args) -> Budgets:
-    base = active_budgets()
-    return Budgets(
-        closure_cap=base.closure_cap if args.closure_cap is None else args.closure_cap,
-        product_cap=base.product_cap if args.product_cap is None else args.product_cap,
-    )
+    base = active_budgets()  # a malformed COSETOPE_BUDGET exits 2 even under --closure-cap
+    return base if args.closure_cap is None else Budgets(args.closure_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--output", default=None, help="report file (default: stdout)")
         p.add_argument("--closure-cap", type=int, default=None)
-        p.add_argument("--product-cap", type=int, default=None)
 
     p = sub.add_parser("quotient", help="describe one finite quotient")
     p.add_argument("--modulus", type=int, required=True)
@@ -447,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Arguments that say where a report goes and how much work may be spent on
 # it; every other argument is the command's config.
-_NOT_CONFIG = ("command", "output", "closure_cap", "product_cap")
+_NOT_CONFIG = ("command", "output", "closure_cap")
 
 
 def _config_of(args) -> dict:

@@ -2,12 +2,11 @@
 
 A ``GroupContext`` packages identity, multiplication and inversion for some
 hashable element type; everything else works uniformly on top of it:
-breadth-first subgroup closures with O(1) membership, double-coset
-membership, coset transversals, and explicit product-set identity checks
-together with their brute-force oracles.
+breadth-first subgroup closures with O(1) membership, intersections and
+double-coset membership.
 
-Determinism: closures insert elements in BFS discovery order, so transversals
-and reports are reproducible run to run.
+Determinism: closures insert elements in BFS discovery order, so reports are
+reproducible run to run.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import Mat2
 from .budgets import Budgets, active_budgets
-from .errors import BudgetError, PreconditionError, ValidationError
+from .errors import BudgetError, ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -141,14 +140,6 @@ class GeneratedSubgroup:
         return f"GeneratedSubgroup(size={len(self.elements)}, ngens={len(self.generators)})"
 
 
-class CosetDecomposition(NamedTuple):
-    """Left-coset transversal of ``subgroup`` inside ``supergroup``; reps[0] = 1."""
-
-    reps: tuple
-    subgroup: GeneratedSubgroup
-    supergroup: GeneratedSubgroup
-
-
 def check_closure_cap(size: int, budgets: Budgets | None, what: str) -> None:
     """Raise BudgetError when ``what``, of known ``size``, exceeds the closure cap.
 
@@ -188,7 +179,8 @@ def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets | None 
             if y not in members:
                 if len(order) >= cap:
                     raise BudgetError(
-                        f"closure budget exceeded: more than {cap} elements (closure_cap)"
+                        f"closure budget exceeded: more than {cap} elements "
+                        f"in {ctx.name or 'the group'} (closure_cap)"
                     )
                 members.add(y)
                 order.append(y)
@@ -221,140 +213,12 @@ def product_member(ctx: GroupContext, g, u: GeneratedSubgroup, v: GeneratedSubgr
     return False
 
 
-def brute_force_product(ctx: GroupContext, u: Iterable, v: Iterable, budgets: Budgets | None = None) -> frozenset:
-    """The literal set {xy : x in u, y in v}; oracle for all set identities."""
-    budgets = active_budgets(budgets)
-    xs = tuple(u)
-    ys = tuple(v)
-    if len(xs) * len(ys) > budgets.product_cap:
-        raise BudgetError(
-            f"set-product budget exceeded: {len(xs)}*{len(ys)} pairs > {budgets.product_cap} (product_cap)"
-        )
-    mul = ctx.mul
-    return frozenset(mul(x, y) for x in xs for y in ys)
-
-
-def coset_reps(ctx: GroupContext, h: GeneratedSubgroup, hp: GeneratedSubgroup) -> CosetDecomposition:
-    """Greedy transversal for the left cosets Hp*x covering H; reps[0] = identity."""
-    for g in hp.generators:
-        if g not in h:
-            raise PreconditionError("coset_reps: the subgroup is not contained in the supergroup")
-    mul = ctx.mul
-    covered = set()
-    reps = []
-    for x in h.elements:
-        if x not in covered:
-            reps.append(x)
-            covered.update(mul(p, x) for p in hp.elements)
-    if len(reps) * len(hp) != len(h):
-        raise PreconditionError("coset_reps: cosets do not partition the supergroup")
-    return CosetDecomposition(tuple(reps), hp, h)
-
-
-def is_normal_by_generators(ctx: GroupContext, n: GeneratedSubgroup) -> bool:
-    """Conjugation check g x g^-1 in N for context generators g, N generators x.
-
-    Sufficient for normality in the group the context generates, because
-    conjugation by a fixed element is injective on the finite closure.
-    """
-    mul, inv = ctx.mul, ctx.inv
-    for g in ctx.generators:
-        gi = inv(g)
-        for x in n.generators:
-            if mul(mul(g, x), gi) not in n:
-                return False
-    return True
-
-
-def normal_closure(ctx: GroupContext, seeds: Iterable, budgets: Budgets | None = None) -> GeneratedSubgroup:
-    """Smallest normal subgroup of the context group containing ``seeds``."""
-    current = subgroup_closure(ctx, seeds, budgets)
-    mul, inv = ctx.mul, ctx.inv
-    while True:
-        extra = []
-        for g in ctx.generators:
-            gi = inv(g)
-            for x in current.generators:
-                y = mul(mul(g, x), gi)
-                if y not in current:
-                    extra.append(y)
-        if not extra:
-            return current
-        current = subgroup_closure(ctx, tuple(current.generators) + tuple(extra), budgets)
-
-
-# ---------------------------------------------------------------------------
-# product-set identity checks
-
-
-def _require(condition: bool, message: str) -> None:
-    if not condition:
-        raise PreconditionError(message)
-
-
-def _contained(small: Iterable, big: GeneratedSubgroup) -> bool:
-    return all(x in big for x in small)
-
-
-def check_prop_identity(
-    ctx: GroupContext,
-    h: GeneratedSubgroup,
-    k: GeneratedSubgroup,
-    hp: GeneratedSubgroup,
-    n: GeneratedSubgroup,
-    *,
-    enforce: bool = True,
-    budgets: Budgets | None = None,
-) -> bool:
-    """Set identity Hp*K == (H*K) intersect (Hp*K*N), by explicit construction.
-
-    With ``enforce`` (the default) the hypotheses are checked first and a
-    violated one raises PreconditionError naming it, keeping precondition
-    failures distinct from a failure of the identity itself.
-    """
-    budgets = active_budgets(budgets)
-    if enforce:
-        _require(is_normal_by_generators(ctx, n), "precondition failed: N is not normal (generator conjugation test)")
-        _require(_contained(hp.generators, h), "precondition failed: Hp is not contained in H")
-        hck = subgroup_intersection(h, k)
-        _require(_contained(hck.elements, hp), "precondition failed: intersection(H, K) is not contained in Hp")
-        nk = subgroup_closure(ctx, tuple(n.generators) + tuple(k.generators), budgets)
-        hcnk = subgroup_intersection(h, nk)
-        _require(_contained(hcnk.elements, hp), "precondition failed: intersection(H, N*K) is not contained in Hp")
-    hk = brute_force_product(ctx, h.elements, k.elements, budgets)
-    hpk = brute_force_product(ctx, hp.elements, k.elements, budgets)
-    hpkn = brute_force_product(ctx, hpk, n.elements, budgets)
-    return hpk == (hk & hpkn)
-
-
-def check_cor_identity(
-    ctx: GroupContext,
-    h: GeneratedSubgroup,
-    k: GeneratedSubgroup,
-    hp: GeneratedSubgroup,
-    kp: GeneratedSubgroup,
-    *,
-    enforce: bool = True,
-    budgets: Budgets | None = None,
-) -> bool:
-    """Set identity (Hp*K) intersect (H*Kp) == Hp*Kp, by explicit construction."""
-    budgets = active_budgets(budgets)
-    if enforce:
-        _require(_contained(hp.generators, h), "precondition failed: Hp is not contained in H")
-        _require(_contained(kp.generators, k), "precondition failed: Kp is not contained in K")
-        hck = subgroup_intersection(h, k)
-        _require(_contained(hck.elements, hp), "precondition failed: intersection(H, K) is not contained in Hp")
-        _require(_contained(hck.elements, kp), "precondition failed: intersection(H, K) is not contained in Kp")
-    hpk = brute_force_product(ctx, hp.elements, k.elements, budgets)
-    hkp = brute_force_product(ctx, h.elements, kp.elements, budgets)
-    hpkp = brute_force_product(ctx, hp.elements, kp.elements, budgets)
-    return (hpk & hkp) == hpkp
-
-
 # ---------------------------------------------------------------------------
 # ready-made matrix contexts
 
 
+# No command reaches sl2_context: modular.psl2_context, which bench/unitcost.py
+# times, is built on it.
 def sl2_context(m: int) -> GroupContext:
     """The determinant-1 matrix group over Z/m with its two standard generators."""
     from .arith import MAT_S, MAT_T  # local to keep module constants in one place

@@ -86,26 +86,6 @@ def gs_intersection(instance: GsInstance) -> GeneratedSubgroup:
     return subgroup_intersection(instance.im_h, instance.im_k)
 
 
-def hk_member_sd(x: SdElement) -> bool:
-    """Determinant criterion for membership of a quotient element in HK's image.
-
-    (a, h) lies in the image of HK exactly when a + h has determinant 1:
-    the products (u - uv, uv) sweep exactly those pairs.  Only valid in
-    plain congruence quotients; with a coset action attached the criterion
-    is necessary but no longer sufficient.
-    """
-    if x.sigma is not None:
-        raise ValidationError("the determinant criterion applies to plain congruence quotients only")
-    return (x.a + x.h).det_int() == 1 % x.a.m
-
-
-def gs_hk_member(g: GroupWord, m: int) -> bool:
-    """Whether the level-m image of ``g`` lies in the image of HK."""
-    if m < 2:
-        raise ValidationError(f"modulus must be at least 2, got {m}")
-    return hk_member_sd(project(g, QuotientSpec.make(m)))
-
-
 def gs_hk_witness(g: GroupWord) -> Optional[SeparabilityCertificate]:
     """Smallest level separating ``g`` from HK, or None when no level can.
 

@@ -446,6 +446,8 @@ def psl2_canon(x: Mat2) -> Mat2:
     return min(x, -x)
 
 
+# No command reaches psl2_context; bench/unitcost.py times its multiply as
+# modular.psl2_mul_ns.
 @functools.lru_cache(maxsize=16)
 def psl2_context(m: int) -> GroupContext:
     """The projective determinant-1 matrix group over Z/m: SL2(Z/m) modulo -I."""

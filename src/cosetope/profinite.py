@@ -3,8 +3,7 @@
 Open normal subgroups are represented extensionally, as kernels of concrete
 finite quotients described by a ``QuotientSpec``; towers are explicit finite
 lists of specs.  On top of that sit the tractability inclusion check between
-subgroup images, a double-coset separability probe along a tower, and the
-transversal exclusion check.
+subgroup images and a double-coset separability probe along a tower.
 
 Negative searches are always reported as inconclusive: only positive
 certificates are decisions.
@@ -26,8 +25,6 @@ from .groupcore import (
     GroupContext,
     SdElement,
     check_closure_cap,
-    coset_reps,
-    is_normal_by_generators,
     perm_inv,
     perm_mul,
     product_member,
@@ -185,15 +182,6 @@ class GroupWord(NamedTuple):
         return cls(Mat2.zero(), w)
 
 
-def gw_mul(x: GroupWord, y: GroupWord) -> GroupWord:
-    return GroupWord(x.a + word_eval(x.w) * y.a, x.w * y.w)
-
-
-def gw_inv(x: GroupWord) -> GroupWord:
-    hinv = word_eval(x.w).inv_det1()
-    return GroupWord(-(hinv * x.a), x.w.inverse())
-
-
 @functools.lru_cache(maxsize=64)
 def quotient_context(spec: QuotientSpec) -> GroupContext:
     """The finite quotient as a group context over SdElement.
@@ -331,7 +319,7 @@ def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
     """
     # 1 + w < f because c >= 2, so these entries are already canonical
     congruent = (Mat2(1 + w, x, y, 1 + z, f) for w, x, y, z in _multiples(f, c))
-    linear = ((h, None) for h in congruent if h.det_int() == 1)
+    linear = ((h, None) for h in congruent if h.det() == 1)
     return _kernel_product(f, c, linear, sl2_group_order(f) // sl2_group_order(c), budgets)
 
 
@@ -523,49 +511,3 @@ def probe_level(
         spec=spec,
         transcript={"image_hp": len(hp), "image_k": len(uk), "member": False},
     )
-
-
-# ---------------------------------------------------------------------------
-# transversal exclusion
-
-
-def hi_exclusion_offenders(
-    ctx: GroupContext,
-    h: GeneratedSubgroup,
-    k: GeneratedSubgroup,
-    hp: GeneratedSubgroup,
-    n: GeneratedSubgroup,
-    *,
-    enforce: bool = True,
-    budgets: Budgets | None = None,
-) -> list:
-    """Non-identity transversal elements of Hp in H that do land in Hp*K*N."""
-    budgets = active_budgets(budgets)
-    if enforce:
-        if not is_normal_by_generators(ctx, n):
-            raise PreconditionError("precondition failed: N is not normal (generator conjugation test)")
-        if any(g not in h for g in hp.generators):
-            raise PreconditionError("precondition failed: Hp is not contained in H")
-        if any(x not in hp for x in subgroup_intersection(h, k).elements):
-            raise PreconditionError("precondition failed: intersection(H, K) is not contained in Hp")
-    kn = subgroup_closure(ctx, tuple(k.generators) + tuple(n.generators), budgets)
-    decomposition = coset_reps(ctx, h, hp)
-    return [x for x in decomposition.reps[1:] if product_member(ctx, x, hp, kn)]
-
-
-def hi_exclusion_check(
-    ctx: GroupContext,
-    h: GeneratedSubgroup,
-    k: GeneratedSubgroup,
-    hp: GeneratedSubgroup,
-    n: GeneratedSubgroup,
-    *,
-    enforce: bool = True,
-    budgets: Budgets | None = None,
-) -> bool:
-    """Whether every non-identity transversal element stays outside Hp*K*N.
-
-    Equivalent to the containment of H meet K*N in Hp, which is exactly what
-    the offender list witnesses when nonempty.
-    """
-    return not hi_exclusion_offenders(ctx, h, k, hp, n, enforce=enforce, budgets=budgets)

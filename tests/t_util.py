@@ -11,14 +11,14 @@ from collections import Counter
 
 from cosetope.arith import Mat2
 from cosetope.budgets import active_budgets
-from cosetope.errors import BudgetError, ModulusMismatch, ValidationError
+from cosetope.errors import BudgetError, ModulusMismatch, PreconditionError, ValidationError
 from cosetope.groupcore import (
     GroupContext,
     SdElement,
     check_closure_cap,
-    normal_closure,
     perm_inv,
     perm_mul,
+    product_member,
     sd_inv,
     sd_mul,
     subgroup_closure,
@@ -36,7 +36,14 @@ from cosetope.modular import (
     subgroup_generators,
     word_eval,
 )
-from cosetope.profinite import QuotientSpec, element_restriction, quotient_context, spec_group_order
+from cosetope.profinite import (
+    GroupWord,
+    QuotientSpec,
+    element_restriction,
+    project,
+    quotient_context,
+    spec_group_order,
+)
 
 
 def perm_context(degree: int, gens) -> GroupContext:
@@ -128,8 +135,139 @@ def cor_instance(ctx, full, pool, rng: random.Random, max_pairs: int = 5000):
     return None
 
 
-def set_product(ctx, xs, ys):
-    return frozenset(ctx.mul(x, y) for x in xs for y in ys)
+# ---------------------------------------------------------------------------
+# the product-set identities and the transversal exclusion check, by explicit
+# construction over small groups (no command runs them)
+
+
+def brute_force_product(ctx, u, v) -> frozenset:
+    """The literal set {xy : x in u, y in v}; oracle for all set identities."""
+    mul = ctx.mul
+    return frozenset(mul(x, y) for x in u for y in v)
+
+
+def is_normal_by_generators(ctx, n) -> bool:
+    """Conjugation check g x g^-1 in N for context generators g, N generators x.
+
+    Sufficient for normality in the group the context generates, because
+    conjugation by a fixed element is injective on the finite closure.
+    """
+    mul, inv = ctx.mul, ctx.inv
+    return all(mul(mul(g, x), inv(g)) in n for g in ctx.generators for x in n.generators)
+
+
+def normal_closure(ctx, seeds):
+    """Smallest normal subgroup of the context group containing ``seeds``."""
+    current = subgroup_closure(ctx, seeds)
+    mul, inv = ctx.mul, ctx.inv
+    while True:
+        conjugates = (mul(mul(g, x), inv(g)) for g in ctx.generators for x in current.generators)
+        extra = tuple(y for y in conjugates if y not in current)
+        if not extra:
+            return current
+        current = subgroup_closure(ctx, current.generators + extra)
+
+
+def coset_reps(ctx, h, hp) -> tuple:
+    """Greedy transversal for the left cosets Hp*x covering H; reps[0] = identity."""
+    if any(g not in h for g in hp.generators):
+        raise PreconditionError("coset_reps: the subgroup is not contained in the supergroup")
+    covered = set()
+    reps = []
+    for x in h.elements:
+        if x not in covered:
+            reps.append(x)
+            covered.update(ctx.mul(p, x) for p in hp.elements)
+    if len(reps) * len(hp) != len(h):
+        raise PreconditionError("coset_reps: cosets do not partition the supergroup")
+    return tuple(reps)
+
+
+def require_hypotheses(ctx, n, *containments) -> None:
+    """Raise PreconditionError naming the first hypothesis that fails: that
+    ``n`` is normal (unless None), then each (name, elements, name, subgroup)
+    containment in turn."""
+    if n is not None and not is_normal_by_generators(ctx, n):
+        raise PreconditionError("precondition failed: N is not normal (generator conjugation test)")
+    for small_name, small, big_name, big in containments:
+        if any(x not in big for x in small):
+            raise PreconditionError(f"precondition failed: {small_name} is not contained in {big_name}")
+
+
+def check_prop_identity(ctx, h, k, hp, n) -> bool:
+    """Set identity Hp*K == (H*K) intersect (Hp*K*N), by explicit construction.
+
+    The hypotheses are checked first, and a violated one raises
+    PreconditionError naming it, keeping precondition failures distinct
+    from a failure of the identity itself.
+    """
+    nk = subgroup_closure(ctx, n.generators + k.generators)
+    require_hypotheses(
+        ctx,
+        n,
+        ("Hp", hp.generators, "H", h),
+        ("intersection(H, K)", subgroup_intersection(h, k), "Hp", hp),
+        ("intersection(H, N*K)", subgroup_intersection(h, nk), "Hp", hp),
+    )
+    hpk = brute_force_product(ctx, hp, k)
+    return hpk == brute_force_product(ctx, h, k) & brute_force_product(ctx, hpk, n)
+
+
+def check_cor_identity(ctx, h, k, hp, kp, *, enforce: bool = True) -> bool:
+    """Set identity (Hp*K) intersect (H*Kp) == Hp*Kp, by explicit construction."""
+    if enforce:
+        hck = subgroup_intersection(h, k)
+        require_hypotheses(
+            ctx,
+            None,
+            ("Hp", hp.generators, "H", h),
+            ("Kp", kp.generators, "K", k),
+            ("intersection(H, K)", hck, "Hp", hp),
+            ("intersection(H, K)", hck, "Kp", kp),
+        )
+    return brute_force_product(ctx, hp, k) & brute_force_product(ctx, h, kp) == brute_force_product(ctx, hp, kp)
+
+
+def hi_exclusion_check(ctx, h, k, hp, n) -> bool:
+    """Whether every non-identity transversal element of Hp in H stays outside Hp*K*N.
+
+    Equivalent to the containment of H meet K*N in Hp; a transversal
+    element inside Hp*K*N witnesses its failure.
+    """
+    hck = subgroup_intersection(h, k)
+    require_hypotheses(ctx, n, ("Hp", hp.generators, "H", h), ("intersection(H, K)", hck, "Hp", hp))
+    kn = subgroup_closure(ctx, k.generators + n.generators)
+    return not any(product_member(ctx, x, hp, kn) for x in coset_reps(ctx, h, hp)[1:])
+
+
+# ---------------------------------------------------------------------------
+# the flagship example's determinant criterion and ambient multiplication
+
+
+def hk_member_sd(x: SdElement) -> bool:
+    """Determinant criterion for membership of a quotient element in HK's image.
+
+    (a, h) lies in the image of HK exactly when a + h has determinant 1:
+    the products (u - uv, uv) sweep exactly those pairs.  Only valid in
+    plain congruence quotients; with a coset action attached the criterion
+    is necessary but no longer sufficient.
+    """
+    assert x.sigma is None
+    return (x.a + x.h).det() == 1 % x.a.m
+
+
+def gs_hk_member(g: GroupWord, m: int) -> bool:
+    """Whether the level-m image of ``g`` lies in the image of HK."""
+    return hk_member_sd(project(g, QuotientSpec.make(m)))
+
+
+def gw_mul(x: GroupWord, y: GroupWord) -> GroupWord:
+    return GroupWord(x.a + word_eval(x.w) * y.a, x.w * y.w)
+
+
+def gw_inv(x: GroupWord) -> GroupWord:
+    hinv = word_eval(x.w).inv_det1()
+    return GroupWord(-(hinv * x.a), x.w.inverse())
 
 
 # ---------------------------------------------------------------------------

@@ -323,6 +323,18 @@ def test_seed_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+def test_product_cap_flag_is_gone(tmp_path, capsys):
+    # the closure cap is the only budget: no subcommand takes --product-cap
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for sub in subparsers.choices.values():
+        assert "--product-cap" not in sub._option_string_actions
+        assert "--closure-cap" in sub._option_string_actions
+    with pytest.raises(SystemExit) as exc:
+        main(["quotient", "--modulus", "2", "--product-cap", "5", "--output", str(tmp_path / "q.json")])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --product-cap 5" in capsys.readouterr().err
+
+
 def test_verify_rechecks_an_inconclusive_probe(tmp_path, gens_files):
     # det(2I + I) = 9 is 1 mod 2 and mod 4, so only modulus 3 excludes (2I, 1)
     element = json.dumps({"a": {"rows": [["2", "0"], ["0", "2"]], "m": None}, "w": ""})
@@ -337,17 +349,20 @@ def test_verify_rechecks_an_inconclusive_probe(tmp_path, gens_files):
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v2.json")]) == 2
 
 
-def test_budget_env_override(tmp_path, monkeypatch):
+def test_budget_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("COSETOPE_BUDGET", "10")
     assert (
         main(["quotient", "--modulus", "3", "--enumerate", "--output", str(tmp_path / "q.json")])
         == 3
     )
+    # the variable is one integer, the closure cap; the old keyed form is refused
     monkeypatch.setenv("COSETOPE_BUDGET", "closure=10,product=99")
+    capsys.readouterr()
     assert (
         main(["quotient", "--modulus", "3", "--enumerate", "--output", str(tmp_path / "q2.json")])
-        == 3
+        == 2
     )
+    assert "COSETOPE_BUDGET takes one positive integer" in capsys.readouterr().err
 
 
 def test_tractable_plain_tower_under_degree_one_action(tmp_path, gens_files):
@@ -381,8 +396,6 @@ def test_bad_tower_filter_exits_2(tmp_path, gens_files, raw_filter):
     "flags, env",
     [
         pytest.param(["--closure-cap", "0"], None, id="--closure-cap"),
-        pytest.param(["--product-cap", "0"], None, id="--product-cap"),
-        pytest.param(["--product-cap", "-1"], None, id="negative"),
         pytest.param([], "0", id="COSETOPE_BUDGET"),
     ],
 )
@@ -400,8 +413,8 @@ def test_budgets_are_positive_immutable_values():
         Budgets(closure_cap=0)
     with pytest.raises(AttributeError):
         Budgets().closure_cap = 1
-    assert Budgets(5, 7) == Budgets(5, 7)
-    assert Budgets(5, 7) != Budgets(7, 5)
+    assert Budgets(5) == Budgets(closure_cap=5)
+    assert Budgets(5) != Budgets(7)
 
 
 def test_quotient_enumerate_fails_fast_on_known_order(tmp_path, monkeypatch):
@@ -596,6 +609,19 @@ def test_tractable_schreier_kernel_budget_exits_3_quickly(tmp_path):
     start = time.perf_counter()
     assert main(args + ["--closure-cap", "1000", "--output", str(tmp_path / "t.json")]) == 3
     assert time.perf_counter() - start < 5
+
+
+def test_closure_budget_error_names_the_group_it_closed_in(tmp_path, monkeypatch, capsys):
+    # level 2 closes every image; at level 3 the image of L, up to
+    # 3^4 * |SL2(Z/3)| = 1944 elements, is the first closure past the cap
+    monkeypatch.chdir(GOLDEN)
+    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
+    args = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", '{"w": ""}']
+    args += ["--l-rep", "nc_rep.json", "--closure-cap", "1000", "--output", str(tmp_path / "p.json")]
+    assert main(args) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: closure budget exceeded: more than 1000 elements in M2(Z/3) x| SL2(Z/3) (closure_cap)\n"
+    )
 
 
 def test_verify_refuses_a_recorded_path_that_is_not_a_string(tmp_path):

@@ -8,12 +8,6 @@ from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import (
     SdElement,
-    brute_force_product,
-    check_cor_identity,
-    check_prop_identity,
-    coset_reps,
-    is_normal_by_generators,
-    normal_closure,
     product_member,
     sd_identity,
     sd_inv,
@@ -25,7 +19,20 @@ from cosetope.groupcore import (
 from cosetope.modular import ModularWord, word_eval
 from cosetope.profinite import QuotientSpec, quotient_context
 
-from t_util import congruence_rep, cor_instance, prop_instance, s3_context, small_contexts, subgroup_pool
+from t_util import (
+    brute_force_product,
+    check_cor_identity,
+    check_prop_identity,
+    congruence_rep,
+    cor_instance,
+    coset_reps,
+    is_normal_by_generators,
+    normal_closure,
+    prop_instance,
+    s3_context,
+    small_contexts,
+    subgroup_pool,
+)
 
 
 def sd(a, h, m, sigma=None):
@@ -147,15 +154,8 @@ def test_lagrange_for_generated_subgroups():
 
 def test_closure_budget_error_names_budget():
     ctx = sl2_context(5)
-    with pytest.raises(BudgetError, match="closure_cap"):
+    with pytest.raises(BudgetError, match=r"more than 10 elements in SL2\(Z/5\) \(closure_cap\)"):
         subgroup_closure(ctx, ctx.generators, Budgets(closure_cap=10))
-
-
-def test_product_budget_error_names_budget():
-    ctx = sl2_context(5)
-    full = ctx.enumerate()
-    with pytest.raises(BudgetError, match="product_cap"):
-        brute_force_product(ctx, full.elements, full.elements, Budgets(product_cap=100))
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +241,7 @@ def test_product_commutes_iff_product_is_subgroup():
 def test_coset_reps_whole_subgroup():
     ctx = sl2_context(2)
     full = ctx.enumerate()
-    dec = coset_reps(ctx, full, full)
-    assert dec.reps == (ctx.identity,)
+    assert coset_reps(ctx, full, full) == (ctx.identity,)
 
 
 def test_coset_reps_index_two_in_order_six():
@@ -251,9 +250,9 @@ def test_coset_reps_index_two_in_order_six():
     st = ctx.mul(ctx.generators[0], ctx.generators[1])
     sub = subgroup_closure(ctx, (st,))
     assert len(sub) == 3
-    dec = coset_reps(ctx, full, sub)
-    assert len(dec.reps) == 2
-    assert dec.reps[0] == ctx.identity
+    reps = coset_reps(ctx, full, sub)
+    assert len(reps) == 2
+    assert reps[0] == ctx.identity
 
 
 def test_coset_reps_for_level_two_congruence_words():
@@ -264,10 +263,10 @@ def test_coset_reps_for_level_two_congruence_words():
     full = ctx.enumerate()
     images = [word_eval(w).reduce(2) for w in gens]
     sub = subgroup_closure(ctx, images)
-    dec = coset_reps(ctx, full, sub)
-    assert len(dec.reps) == len(full) // len(sub) == 6
+    reps = coset_reps(ctx, full, sub)
+    assert len(reps) == len(full) // len(sub) == 6
     # disjoint cover by explicit union
-    cosets = [frozenset(ctx.mul(p, r) for p in sub.elements) for r in dec.reps]
+    cosets = [frozenset(ctx.mul(p, r) for p in sub.elements) for r in reps]
     union = set().union(*cosets)
     assert len(union) == len(full)
     assert sum(len(c) for c in cosets) == len(full)

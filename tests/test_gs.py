@@ -12,7 +12,6 @@ from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import (
     SdElement,
-    brute_force_product,
     product_member,
     sd_inv,
     sd_mul,
@@ -23,11 +22,9 @@ from cosetope.groupcore import (
 from cosetope.gs import (
     _h_prime_image_mod,
     gs_build,
-    gs_hk_member,
     gs_hk_witness,
     gs_intersection,
     gs_wz_failure,
-    hk_member_sd,
 )
 from cosetope.budgets import active_budgets
 from cosetope.modular import (
@@ -41,7 +38,7 @@ from cosetope.modular import (
 )
 from cosetope.profinite import GroupWord, QuotientSpec, project, quotient_context
 
-from t_util import congruence_rep, count_closures
+from t_util import brute_force_product, congruence_rep, count_closures, gs_hk_member, hk_member_sd
 
 
 def minimal_noncongruence():

@@ -56,6 +56,71 @@ def test_unused_import_check_sees_dead_and_exempt_imports():
     assert len(SOURCES) >= 10
 
 
+def unreached_definitions(sources: dict) -> set:
+    """The top-level definitions that no command reaches, as "module.name".
+
+    ``sources`` maps module names to source texts.  The search starts from
+    ``cli.main`` and ``cli.entry``; a definition (function, class or
+    assignment) is reached when its name appears as a Name or an Attribute
+    inside a reached definition.  Names are matched across modules, so a
+    name reaches every definition that bears it.
+    """
+    defs = {}
+    for module, text in sources.items():
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                defs[f"{module}.{name}"] = (name, node)
+    reached = {"cli.main", "cli.entry"}
+    todo = list(reached)
+    while todo:
+        for node in ast.walk(defs[todo.pop()][1]):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            for key, (defined, _) in defs.items():
+                if defined == name and key not in reached:
+                    reached.add(key)
+                    todo.append(key)
+    return set(defs) - reached
+
+
+def test_every_definition_is_reached_by_a_command():
+    # the two contexts stay for the benchmark's unit costs (bench/unitcost.py);
+    # everything else that no command runs belongs in tests/
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert unreached_definitions(sources) == {"groupcore.sl2_context", "modular.psl2_context"}
+
+
+def test_reachability_check_sees_dead_definitions():
+    sources = {
+        "cli": (
+            "from . import core\n"
+            "from .core import used\n"
+            "def main():\n"
+            "    return used() + core.by_attribute()\n"
+            "def entry():\n"
+            "    main()\n"
+            "def orphan():\n"
+            "    return dead()\n"
+        ),
+        "core": (
+            "LIMIT = 3\n"
+            "UNUSED: int = 4\n"
+            "def used():\n"
+            "    return LIMIT\n"
+            "def by_attribute(): pass\n"
+            "def dead(): pass\n"
+            "class Dead: pass\n"
+        ),
+    }
+    assert unreached_definitions(sources) == {"cli.orphan", "core.UNUSED", "core.dead", "core.Dead"}
+
+
 def unbounded_caches(text: str) -> list:
     """The lines of ``text`` that make a cache without a size bound.
 
