@@ -24,9 +24,6 @@ from .groupcore import (
     SdElement,
     check_closure_cap,
     product_member,
-    sd_inv,
-    sd_mul,
-    subgroup_closure,
     subgroup_from_elements,
     subgroup_intersection,
 )
@@ -61,22 +58,33 @@ class GsInstance(NamedTuple):
 
 
 def gs_build(spec: QuotientSpec, budgets: Budgets | None = None) -> GsInstance:
-    """Images of H and of K = i H i^-1 in the quotient of ``spec``.
+    """Images of H and of K = i H i^-1 in the plain quotient of ``spec``.
 
-    The image of K is the elementwise conjugate of the image of H, so every
-    element of it has the shape (I - h, h).
+    H's image, all of SL2(Z/m), is walked over entry tuples in the order of
+    ``subgroup_closure``; K's is its elementwise conjugate, each (I - h, h).
     """
-    budgets = active_budgets(budgets)
-    ctx = quotient_context(spec)
-    h_gens = ctx.generators[4:6]
-    im_h = subgroup_closure(ctx, h_gens, budgets)
-    degree = spec.rep.degree if spec.rep is not None else None
-    sigma = tuple(range(degree)) if degree is not None else None
-    i_elt = SdElement(Mat2.identity(spec.m), Mat2.identity(spec.m), sigma)
-    i_inv = sd_inv(i_elt)
-    conj = lambda u: sd_mul(sd_mul(i_elt, u), i_inv)
-    k_elements = tuple(conj(u) for u in im_h.elements)
-    im_k = GeneratedSubgroup(tuple(conj(g) for g in h_gens), k_elements, frozenset(k_elements))
+    if spec.rep is not None:
+        raise ValidationError("gs_build takes a quotient without a coset action")
+    m = spec.m
+    check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
+    order = [(1, 0, 0, 1)]
+    members = set(order)
+    for a, b, c, d in order:
+        for y in (
+            (b, -a % m, d, -c % m),
+            (-b % m, a, -d % m, c),
+            (a, (a + b) % m, c, (c + d) % m),
+            (a, (b - a) % m, c, (d - c) % m),
+        ):
+            if y not in members:
+                members.add(y)
+                order.append(y)
+    ctx, i_elt = quotient_context(spec), SdElement(Mat2.identity(m), Mat2.identity(m), None)
+    conj = lambda u: SdElement(i_elt.a - u.h, u.h, None)  # i u i^-1 for u = (0, h)
+    h_gens, h_elements = ctx.generators[4:6], tuple(SdElement(ctx.identity.a, Mat2(*h, m), None) for h in order)
+    k_elements = tuple(map(conj, h_elements))
+    im_h = GeneratedSubgroup(h_gens, h_elements, frozenset(h_elements))
+    im_k = GeneratedSubgroup(tuple(map(conj, h_gens)), k_elements, frozenset(k_elements))
     return GsInstance(spec, ctx, im_h, im_k, i_elt)
 
 
@@ -146,13 +154,13 @@ _CONCLUSION = (
 _CROSS_CHECK_MAX = 4
 
 
-def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None) -> GeneratedSubgroup:
+def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None, walks=None) -> GeneratedSubgroup:
     """Image of the (sign-saturated) subgroup of H attached to ``rep`` at level m.
 
     Listed without a closure (``image_elements``), each u with -u (which
     coincide only at m = 2); only ``evidence_entry``'s cross-check needs it.
     """
-    elements = tuple(dict.fromkeys(v for u in image_elements(rep, m, budgets) for v in (u, -u)))
+    elements = tuple(dict.fromkeys(v for u in image_elements(rep, m, budgets, walks) for v in (u, -u)))
     check_closure_cap(len(elements), budgets, f"the sign-saturated subgroup image mod {m}")
     return subgroup_from_elements(elements)
 
@@ -171,7 +179,7 @@ def l_group_words(rep: PermRep) -> list:
 
 
 def evidence_entry(
-    rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budgets | None = None, walks: Optional[dict] = None
+    rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budgets, walks: dict, instances: dict
 ) -> dict:
     """The level-m transcript entry of the evidence: whether x mod m lies in
     the sign-saturated image of H', where x carries the basepoint of ``rep``
@@ -179,7 +187,7 @@ def evidence_entry(
 
     At the smallest levels the image is listed and membership is
     cross-checked against the direct membership of the image of g in the
-    image of H'K, which must agree.
+    image of H'K, which must agree; ``instances`` keeps each level's ``gs_build``.
     """
     blocks = image_blocks(rep, m, budgets, walks)
     member = blocks[point] == 0
@@ -188,10 +196,10 @@ def evidence_entry(
     entry = {"m": m, "member": member, "image_order": order}
     if m <= _CROSS_CHECK_MAX:
         spec = QuotientSpec.make(m)
-        image = _h_prime_image_mod(rep, m, budgets)
+        image = _h_prime_image_mod(rep, m, budgets, walks)
         im_hp = subgroup_from_elements(SdElement(Mat2.zero(m), u, None) for u in image.elements)
-        im_k = gs_build(spec, budgets).im_k
-        direct = product_member(quotient_context(spec), project(g, spec), im_hp, im_k)
+        inst = instances[m] = instances.get(m) or gs_build(spec, budgets)
+        direct = product_member(inst.ctx, project(g, spec), im_hp, inst.im_k)
         entry["double_coset_member"] = direct
         if direct != member:
             raise ValidationError(f"reduced membership and double-coset membership disagree at level {m}")
@@ -204,6 +212,7 @@ def gs_wz_failure(
     *,
     witness_level: int = 24,
     budgets: Budgets | None = None,
+    instances: Optional[dict] = None,
 ) -> NonSepEvidence:
     """Assemble non-separability evidence for H'K from a congruence-gap subgroup.
 
@@ -214,18 +223,20 @@ def gs_wz_failure(
     reduces to membership of x mod m in the matrix image of H', which is
     what each transcript records (with a direct double-coset cross-check at
     the smallest levels).  A congruence ``rep`` has no witness and raises
-    PreconditionError.  The witness search and the transcript share one
-    ``walks`` dict, so each level gcd(m, N) is walked once per call.
+    PreconditionError.  One ``walks`` dict walks each level gcd(m, N) once
+    per call, and the cross-check shares ``instances`` with the caller.
     """
     budgets = active_budgets(budgets)
     walks: dict = {}
+    instances = {} if instances is None else instances
     witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets, walks=walks)
     x = witness.x
     g = GroupWord.of_a(x - Mat2.identity())
     if rep_contains(rep, witness.word):
         raise ValidationError("witness unexpectedly lies in the subgroup")
 
-    transcripts = [evidence_entry(rep, m, witness.displaced_to, g, budgets, walks) for m in range(2, m_max + 1)]
+    point = witness.displaced_to
+    transcripts = [evidence_entry(rep, m, point, g, budgets, walks, instances) for m in range(2, m_max + 1)]
     return NonSepEvidence(
         rep=rep,
         witness=witness,

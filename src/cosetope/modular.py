@@ -439,6 +439,8 @@ def subgroup_generators(rep: PermRep) -> list:
 # projective matrix quotients
 
 
+# No command reaches psl2_canon or psl2_context; bench/unitcost.py calls the
+# first and times the multiply of the second as modular.psl2_mul_ns.
 def psl2_canon(x: Mat2) -> Mat2:
     """Canonical representative of {x, -x} in quotient mode (lexicographic min)."""
     if x.m is None:
@@ -446,8 +448,6 @@ def psl2_canon(x: Mat2) -> Mat2:
     return min(x, -x)
 
 
-# No command reaches psl2_context; bench/unitcost.py times its multiply as
-# modular.psl2_mul_ns.
 @functools.lru_cache(maxsize=16)
 def psl2_context(m: int) -> GroupContext:
     """The projective determinant-1 matrix group over Z/m: SL2(Z/m) modulo -I."""
@@ -462,38 +462,47 @@ _MAX_CONGRUENCE_LEVEL = 64
 
 def _gamma_walk(rep: PermRep, n: int, budgets: Budgets | None, seen: Optional[dict] = None):
     """The Schreier generators of the level-n principal congruence subgroup
-    that move the basepoint, in walk order, each as (q, p, word).
+    that move the basepoint, in walk order, each as (q, p, edge).
 
-    A breadth-first walk over PSL2(Z/n) from I at coset point 0, letters in
-    the order S, T, T^-1 (S^-1 reaches the same matrix as S).  Each matrix
-    keeps, in ``seen``, the point and the word it was first reached with.  An
-    S or T edge into an already-seen matrix y closes the Schreier generator
-    word(x) + letter + word(y)^-1; these generate that subgroup.  It brings
-    y the point q while y keeps p, so it moves the basepoint exactly when
-    q != p, and then q and p lie in one orbit of the subgroup.
+    A breadth-first walk over PSL2(Z/n) from I at coset point 0 with the
+    letters S, T, T^-1, closed-form on entry tuples; a matrix is the lesser
+    of its tuple and its negative's.  ``seen`` maps it to its first point,
+    parent and letter.  An S or T edge (x, letter, y) into a seen matrix y
+    closes the Schreier generator word(x) + letter + word(y)^-1 (read off
+    ``_walk_word``); these generate that subgroup.  It brings y the point q
+    while y keeps p, so it moves the basepoint exactly when q != p, and then
+    q and p lie in one orbit.
     """
     check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{n})")
-    s, t = MAT_S.reduce(n), MAT_T.reduce(n)
-    steps = (
-        (S_, psl2_canon(s), rep.perm_s),
-        (T_, psl2_canon(t), rep.perm_t),
-        (-T_, psl2_canon(t.inv_det1()), perm_inv(rep.perm_t)),
-    )
-    start = Mat2.identity(n)
+    perm_s, perm_t, perm_ti = rep.perm_s, rep.perm_t, perm_inv(rep.perm_t)
+    queue = [(1, 0, 0, 1)]
     seen = {} if seen is None else seen
-    seen[start] = (0, ())
-    queue = [start]
+    seen[queue[0]] = (0, None, None)
     for x in queue:
-        point, word = seen[x]
-        for letter, g, perm in steps:
-            y = psl2_canon(x * g)
-            q = perm[point]
+        a, b, c, d = x
+        point = seen[x][0]
+        for letter, y, q in (
+            (S_, (b, -a % n, d, -c % n), perm_s[point]),
+            (T_, (a, (a + b) % n, c, (c + d) % n), perm_t[point]),
+            (-T_, (a, (b - a) % n, c, (d - c) % n), perm_ti[point]),
+        ):
+            negated = (-y[0] % n, -y[1] % n, -y[2] % n, -y[3] % n)
+            y = negated if negated < y else y
             known = seen.get(y)
             if known is None:
-                seen[y] = (q, word + (letter,))
+                seen[y] = (q, x, letter)
                 queue.append(y)
             elif letter > 0 and known[0] != q:
-                yield q, known[0], ModularWord(word + (letter,)) * ModularWord(known[1]).inverse()
+                yield q, known[0], (x, letter, y)
+
+
+def _walk_word(seen: dict, x: tuple) -> tuple:
+    """The letters of the walk's tree path from I to ``x``, read off the parent links."""
+    path = []
+    while seen[x][1] is not None:
+        _, x, letter = seen[x]
+        path.append(letter)
+    return tuple(reversed(path))
 
 
 def _orbit_blocks(rep: PermRep, walk) -> tuple:
@@ -519,6 +528,15 @@ def _orbit_blocks(rep: PermRep, walk) -> tuple:
     return tuple(labels.setdefault(find(p), len(labels)) for p in range(rep.degree))
 
 
+def _walked(rep: PermRep, n: int, budgets: Budgets | None, walks: dict) -> tuple:
+    """The level-n orbits on the cosets and the ``seen`` map of the walk over
+    PSL2(Z/n), kept in ``walks`` under (rep, n) so that each n is walked once."""
+    if (rep, n) not in walks:
+        seen: dict = {}
+        walks[rep, n] = (_orbit_blocks(rep, _gamma_walk(rep, n, budgets, seen)), seen)
+    return walks[rep, n]
+
+
 def image_blocks(rep: PermRep, m: int, budgets: Budgets | None = None, walks: Optional[dict] = None) -> tuple:
     """The orbits of the level-m principal congruence subgroup on the cosets,
     as each point's class (0 for the basepoint's).
@@ -529,25 +547,21 @@ def image_blocks(rep: PermRep, m: int, budgets: Budgets | None = None, walks: Op
     Levels m and g = gcd(m, N), N the level of ``rep``, have the same orbits:
     level m's product with the core of the subgroup is normal and holds T^g,
     so by Wohlfahrt's level theorem (Illinois J. Math. 8, 1964) it contains
-    level g's.  So the walk runs over PSL2(Z/g).  ``walks`` keeps the blocks
-    of each (rep, g) walked; one command passes one dict to all its calls, so
-    it walks each g once, while every level m still checks its own cap.
+    level g's.  So the walk runs over PSL2(Z/g).  ``walks`` keeps each
+    (rep, g) walked; one command passes one dict to all its calls, so it
+    walks each g once, while every level m still checks its own cap.
     """
     g = math.gcd(m, rep_level(rep))
-    walks = {} if walks is None else walks
-    if (rep, g) not in walks:
-        walks[rep, g] = (0,) * rep.degree if g == 1 else _orbit_blocks(rep, _gamma_walk(rep, g, budgets))
-    blocks = walks[rep, g]
+    blocks = (0,) * rep.degree if g == 1 else _walked(rep, g, budgets, {} if walks is None else walks)[0]
     check_closure_cap(psl2_group_order(m) // len(set(blocks)), budgets, f"the subgroup image mod {m}")
     return blocks
 
 
-def image_elements(rep: PermRep, m: int, budgets: Budgets | None = None) -> list:
+def image_elements(rep: PermRep, m: int, budgets: Budgets | None = None, walks: Optional[dict] = None) -> list:
     """The subgroup's image in PSL2(Z/m): the matrices of the walk over
-    PSL2(Z/m) whose coset point lies in the basepoint's orbit."""
-    seen: dict = {}
-    blocks = _orbit_blocks(rep, _gamma_walk(rep, m, budgets, seen))
-    return [y for y, (p, _) in seen.items() if blocks[p] == 0]
+    PSL2(Z/m), kept in ``walks``, whose point lies in the basepoint's orbit."""
+    blocks, seen = _walked(rep, m, budgets, {} if walks is None else walks)
+    return [Mat2(*y, m) for y, (p, _, _) in seen.items() if blocks[p] == 0]
 
 
 def is_congruence(rep: PermRep, *, budgets: Budgets | None = None) -> bool:
@@ -609,12 +623,14 @@ def congruence_gap_witness(
     if level < 2:
         raise ValidationError(f"witness level must be at least 2, got {level}")
 
-    edge = next(_gamma_walk(rep, level, budgets), None)
+    seen: dict = {}
+    edge = next(_gamma_walk(rep, level, budgets, seen), None)
     if edge is None:
         raise PreconditionError(
             f"congruence_gap_witness: the subgroup contains the principal congruence subgroup of level {level}"
         )
-    found = edge[2]
+    source, letter, target = edge[2]
+    found = ModularWord(_walk_word(seen, source) + (letter,)) * ModularWord(_walk_word(seen, target)).inverse()
     x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         found = ModularWord((S_, S_)) * found

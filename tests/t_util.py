@@ -7,9 +7,11 @@ import functools
 import itertools
 import math
 import random
+import sys
 from collections import Counter
 
-from cosetope.arith import Mat2
+import cosetope.groupcore
+from cosetope.arith import MAT_S, MAT_T, Mat2
 from cosetope.budgets import active_budgets
 from cosetope.errors import BudgetError, ModulusMismatch, PreconditionError, ValidationError
 from cosetope.groupcore import (
@@ -326,18 +328,65 @@ def naive_rep_counts(d: int):
     return npairs, npairs // math.factorial(d - 1), classes
 
 
-def count_closures(monkeypatch, module) -> Counter:
-    """Count the subgroup closures ``module`` runs, keyed by (context name, generators)."""
+def count_closures(monkeypatch) -> Counter:
+    """Count the subgroup closures run anywhere in the package, keyed by
+    (context name, generators): every module that binds the closure is patched."""
     calls = Counter()
-    real = module.subgroup_closure
+    real = cosetope.groupcore.subgroup_closure
 
     def counting(ctx, gens, budgets=None):
         gens = tuple(gens)
         calls[ctx.name, gens] += 1
         return real(ctx, gens, budgets)
 
-    monkeypatch.setattr(module, "subgroup_closure", counting)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cosetope.") and getattr(module, "subgroup_closure", None) is real:
+            monkeypatch.setattr(module, "subgroup_closure", counting)
     return calls
+
+
+# ---------------------------------------------------------------------------
+# the coset-carrying walk over Mat2, with each word built as its matrix is
+# reached, and the flagship example's images by closure and conjugation: the
+# oracles of the entry-tuple walks in ``cosetope.modular`` and ``cosetope.gs``
+
+
+def oracle_gamma_walk(rep: PermRep, n: int, seen=None):
+    """``modular._gamma_walk`` over Mat2: each step a product with the
+    generator, canonicalized by ``psl2_canon``, and each matrix's word kept
+    in ``seen`` with its point.  Yields (q, p, word) in walk order."""
+    s, t = MAT_S.reduce(n), MAT_T.reduce(n)
+    steps = (
+        (S_, psl2_canon(s), rep.perm_s),
+        (T_, psl2_canon(t), rep.perm_t),
+        (-T_, psl2_canon(t.inv_det1()), perm_inv(rep.perm_t)),
+    )
+    start = Mat2.identity(n)
+    seen = {} if seen is None else seen
+    seen[start] = (0, ())
+    queue = [start]
+    for x in queue:
+        point, word = seen[x]
+        for letter, g, perm in steps:
+            y = psl2_canon(x * g)
+            q = perm[point]
+            known = seen.get(y)
+            if known is None:
+                seen[y] = (q, word + (letter,))
+                queue.append(y)
+            elif letter > 0 and known[0] != q:
+                yield q, known[0], ModularWord(word + (letter,)) * ModularWord(known[1]).inverse()
+
+
+def oracle_gs_images(m: int) -> tuple:
+    """The images of H and K in the plain level-m quotient, as ordered element
+    tuples: H by the closure of the images of S and T, K as i H i^-1 by
+    ``sd_mul`` element by element."""
+    ctx = quotient_context(QuotientSpec.make(m))
+    im_h = subgroup_closure(ctx, ctx.generators[4:6])
+    i_elt = SdElement(Mat2.identity(m), Mat2.identity(m), None)
+    i_inv = sd_inv(i_elt)
+    return im_h.elements, tuple(sd_mul(sd_mul(i_elt, u), i_inv) for u in im_h.elements)
 
 
 # ---------------------------------------------------------------------------

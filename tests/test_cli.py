@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-import cosetope.groupcore
+import cosetope.cli
 import cosetope.gs
 from cosetope.arith import parse_int
 from cosetope.budgets import Budgets
@@ -541,15 +541,33 @@ def test_huge_m_max_ends_quickly(tmp_path):
 
 
 def test_gs_demo_and_verify_close_no_level_image(tmp_path, monkeypatch):
-    in_core = count_closures(monkeypatch, cosetope.groupcore)
-    in_gs = count_closures(monkeypatch, cosetope.gs)
+    # the images of H are walked and the level images read off blocks, so
+    # gs-demo and its verify run no closure at all
+    closures = count_closures(monkeypatch)
     path = tmp_path / "demo.json"
     data, _ = run_report(["gs-demo", "--max-level", "3", "--m-max", "8"], path)
     assert data["result"]["evidence"]["status"] == "evidence"
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
-    # only the images of H are closed, for the intersections and the cross-check
-    names = [name for name, _ in in_core + in_gs]
-    assert names and all(name.startswith("M2(") for name in names)
+    assert not closures
+
+
+def test_gs_demo_builds_each_level_once(tmp_path, monkeypatch):
+    # the intersection table and the evidence's cross-check at m <= 4 share
+    # their instances, so each level is built once per command
+    levels = []
+    real = cosetope.gs.gs_build
+
+    def counting(spec, budgets=None):
+        levels.append(spec.m)
+        return real(spec, budgets)
+
+    monkeypatch.setattr(cosetope.gs, "gs_build", counting)
+    monkeypatch.setattr(cosetope.cli, "gs_build", counting)
+    run_report(["gs-demo", "--m-max", "32"], tmp_path / "demo.json")
+    assert levels == list(range(2, 9))
+    levels.clear()
+    run_report(["gs-demo", "--max-level", "2", "--m-max", "6"], tmp_path / "demo2.json")
+    assert levels == [2, 3, 4]
 
 
 @pytest.mark.parametrize(

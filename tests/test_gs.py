@@ -4,8 +4,6 @@ from collections import Counter
 
 import pytest
 
-import cosetope.groupcore
-import cosetope.gs
 import cosetope.modular
 from cosetope.arith import Mat2
 from cosetope.budgets import Budgets
@@ -38,7 +36,14 @@ from cosetope.modular import (
 )
 from cosetope.profinite import GroupWord, QuotientSpec, project, quotient_context
 
-from t_util import brute_force_product, congruence_rep, count_closures, gs_hk_member, hk_member_sd
+from t_util import (
+    brute_force_product,
+    congruence_rep,
+    count_closures,
+    gs_hk_member,
+    hk_member_sd,
+    oracle_gs_images,
+)
 
 
 def minimal_noncongruence():
@@ -89,6 +94,29 @@ def test_conjugator_has_additive_order_m():
     sq = sd_mul(inst.i_elt, inst.i_elt)
     assert sq.a == Mat2.scalar(2, 5)
     assert sq.h == Mat2.identity(5)
+
+
+def test_build_matches_the_closure_and_conjugation_oracle():
+    # the walk lists image(H) in the closure's order, and image(K) in the
+    # same order as the elementwise conjugates (I - h, h)
+    for m in range(2, 13):
+        inst = gs_build(QuotientSpec.make(m))
+        h_elements, k_elements = oracle_gs_images(m)
+        assert inst.im_h.elements == h_elements, m
+        assert inst.im_k.elements == k_elements, m
+        assert inst.im_h.as_set() == frozenset(h_elements) and inst.im_k.as_set() == frozenset(k_elements)
+        assert inst.im_h.generators == inst.ctx.generators[4:6]
+        assert [x.h for x in inst.im_k.generators] == [x.h for x in inst.im_h.generators]
+        assert inst.i_elt == SdElement(Mat2.identity(m), Mat2.identity(m), None)
+
+
+def test_build_checks_the_closure_cap_before_the_walk_and_refuses_a_coset_action():
+    # |SL2(Z/5)| = 120: the cap is checked on that order before any element is listed
+    assert len(gs_build(QuotientSpec.make(5), Budgets(closure_cap=120)).im_h) == 120
+    with pytest.raises(BudgetError, match=r"the image of H mod 5 has 120 elements > 119"):
+        gs_build(QuotientSpec.make(5), Budgets(closure_cap=119))
+    with pytest.raises(ValidationError, match="without a coset action"):
+        gs_build(QuotientSpec.make(2, congruence_rep(2)))
 
 
 # ---------------------------------------------------------------------------
@@ -285,17 +313,12 @@ def test_sign_saturated_image_matches_sl2_closure_oracle():
 
 def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatch):
     rep = minimal_noncongruence()
-    in_core = count_closures(monkeypatch, cosetope.groupcore)
-    in_gs = count_closures(monkeypatch, cosetope.gs)
+    closures = count_closures(monkeypatch)
     evidence = gs_wz_failure(rep, 12, witness_level=12)
     assert evidence.status == "evidence"
-    names = [name for name, _ in in_core + in_gs]
-    assert names and all(name.startswith("M2(") for name in names)  # only the images of H, for the cross-check
-    in_core.clear()
-    in_gs.clear()
     for m in range(2, 13):
         _h_prime_image_mod(rep, m, active_budgets())
-    assert not in_core and not in_gs
+    assert not closures
     # every level m <= 12 has the whole of PSL2(Z/m) as its image, the
     # largest of order 660 at m = 11; under a cap of 660 those pass, and the
     # first sign-saturated image over it is SL2(Z/10), of order 720
@@ -306,12 +329,16 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
 
 
 def _spy_walks(monkeypatch) -> list:
-    """Record (caller, level) for every ``modular._gamma_walk`` started."""
+    """Record (caller, level) for every ``modular._gamma_walk`` started; the
+    caller of ``modular._walked`` stands for it."""
     calls = []
     walk = cosetope.modular._gamma_walk
 
     def spy(rep, n, budgets, seen=None):
-        calls.append((sys._getframe(1).f_code.co_name, n))
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_walked":
+            frame = frame.f_back
+        calls.append((frame.f_code.co_name, n))
         return walk(rep, n, budgets, seen)
 
     monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
@@ -327,10 +354,10 @@ def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
     evidence = gs_wz_failure(rep, 32)
     assert [entry["m"] for entry in evidence.level_transcripts] == list(range(2, 33))
     assert Counter(n for caller, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
-    # the congruence test, the witness walk and the cross-check's listings
+    # the congruence test and the witness walk; the cross-check's listings at
+    # 2, 3 and 4 read the walks image_blocks made there
     assert Counter(calls) == Counter(
         [("is_congruence", 12), ("congruence_gap_witness", 24)]
-        + [("image_elements", m) for m in (2, 3, 4)]
         + [("image_blocks", g) for g in (2, 3, 4, 6, 12)]
     )
     # a second call walks again: the walks are kept per call, not per process

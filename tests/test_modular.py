@@ -4,7 +4,6 @@ from collections import Counter
 
 import pytest
 
-import cosetope.groupcore
 import cosetope.modular
 from cosetope.arith import MAT_T, Mat2, psl2_group_order
 from cosetope.budgets import Budgets
@@ -30,6 +29,7 @@ from cosetope.modular import (
     _gamma_walk,
     _orbit_blocks,
     _restandardize,
+    _walk_word,
 )
 
 from t_util import (
@@ -38,6 +38,7 @@ from t_util import (
     image_closure,
     klein_fricke_blocks,
     naive_rep_counts,
+    oracle_gamma_walk,
     oracle_subgroup_generators,
     oracle_transversal_words,
     partition,
@@ -269,7 +270,7 @@ def test_level_two_rep_is_congruence():
 
 
 def test_image_blocks_close_nothing_and_honour_the_closure_cap(monkeypatch):
-    calls = count_closures(monkeypatch, cosetope.groupcore)
+    calls = count_closures(monkeypatch)
     rep = congruence_rep(2)
     # level 2, so the orbits at 6 are walked over PSL2(Z/2), of 6 elements
     order = psl2_group_order(6) // rep.degree
@@ -316,6 +317,51 @@ def test_image_blocks_at_m_are_those_at_the_gcd_with_the_level():
                 assert _orbit_blocks(rep, _gamma_walk(rep, m, None)) == image_blocks(rep, m), (rep, m)
                 pairs += 1
     assert pairs == 416
+
+
+def _walk_edges(rep, n, walk):
+    """The (q, p, word) sequence of a walk and its matrices in walk order."""
+    seen: dict = {}
+    if walk is not _gamma_walk:
+        return list(walk(rep, n, seen)), list(seen)
+    edges = []
+    for q, p, (x, letter, y) in walk(rep, n, None, seen):
+        word = ModularWord(_walk_word(seen, x) + (letter,)) * ModularWord(_walk_word(seen, y)).inverse()
+        edges.append((q, p, word))
+    return edges, [Mat2(*x, n) for x in seen]
+
+
+def test_tuple_walk_matches_the_mat2_walk_oracle():
+    # every class of degree <= 8, at its level and at every divisor of it
+    # above 1 (the levels gcd(m, N) that image_blocks walks)
+    walks = 0
+    for rep in low_index_reps(8):
+        n = rep_level(rep)
+        for g in (d for d in range(2, n + 1) if n % d == 0):
+            edges, matrices = _walk_edges(rep, g, _gamma_walk)
+            assert (edges, matrices) == _walk_edges(rep, g, oracle_gamma_walk), (rep, g)
+            assert len(matrices) == psl2_group_order(g)
+            walks += 1
+    assert walks == 57
+
+
+def test_walk_words_are_rebuilt_only_on_demand(monkeypatch):
+    # the orbit blocks and the congruence test read no word
+    built = []
+    real = cosetope.modular._walk_word
+
+    def spy(seen, x):
+        built.append(x)
+        return real(seen, x)
+
+    monkeypatch.setattr(cosetope.modular, "_walk_word", spy)
+    for rep in low_index_reps(7):
+        is_congruence(rep)
+        image_blocks(rep, 12)
+    assert built == []
+    rep = next(r for r in low_index_reps(7) if not is_congruence(r))
+    witness = congruence_gap_witness(rep, 24, m_max=2)
+    assert len(built) == 2 and word_eval(witness.word).reduce(24) == Mat2.identity(24)
 
 
 def test_image_blocks_match_klein_fricke_at_levels_up_to_5():
