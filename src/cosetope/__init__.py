@@ -21,14 +21,7 @@ from .groupcore import (
     subgroup_closure,
     subgroup_intersection,
 )
-from .gs import (
-    GsInstance,
-    NonSepEvidence,
-    gs_build,
-    gs_hk_witness,
-    gs_intersection,
-    gs_wz_failure,
-)
+from .gs import NonSepEvidence, gs_hk_witness, gs_wz_failure
 from .modular import (
     GapWitness,
     ModularWord,

@@ -30,9 +30,7 @@ from .groupcore import check_closure_cap, product_member, subgroup_intersection
 # listing) and profinite.kernel_s; bench/tests asserts the first is patched here.
 from .gs import (
     _h_prime_image_mod,  # noqa: F401
-    gs_build,
     gs_hk_witness,
-    gs_intersection,
     gs_wz_failure,
     l_group_words,
 )
@@ -226,23 +224,23 @@ def _gs_demo(config: dict, budgets: Budgets) -> dict:
     max_level, m_max, max_degree = config["max_level"], config["m_max"], config["max_degree"]
     if max_level < 2:
         raise ValidationError(f"max_level must be at least 2, got {max_level}: the intersection table needs a level")
-    # the order of image(H) meet image(K) at each level.  image(H) is all of
-    # SL2(Z/m), so every level's order is checked before the first walk;
-    # as |SL2(Z/m)| > 0.6 m^3, the check stops within (cap / 0.6)^(1/3) levels
+    # the order of image(H) meet image(K) at each level is 1: a common element
+    # (0, h) = (I - h', h') of image(H) = {(0, h)} and image(K) = {(I - h', h')}
+    # has I - h' = 0, so h = h' = I.  Each level's |image(H)| = |SL2(Z/m)| is
+    # checked against the cap as if it were listed; as |SL2(Z/m)| > 0.6 m^3,
+    # the check stops within (cap / 0.6)^(1/3) levels
     levels = range(2, max_level + 1)
     for m in levels:
         check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
-    # the evidence rests on the first class that is not congruence; the table reuses its cross-check's instances
-    instances: dict = {}
+    intersections = [{"m": m, "size": 1} for m in levels]
+    # the evidence rests on the first class that is not congruence
     reps = low_index_reps(max_degree)
     noncongruence = [rep for rep in reps if not is_congruence(rep, budgets=budgets)]
     lowindex = {"max_degree": max_degree, "reps_total": len(reps), "noncongruence_total": len(noncongruence)}
     evidence = {"status": "no-noncongruence-subgroup-found"}
     if noncongruence:
         lowindex["selected"] = noncongruence[0]
-        evidence = gs_wz_failure(noncongruence[0], m_max, budgets=budgets, instances=instances)
-    build = lambda m: instances.get(m) or gs_build(QuotientSpec.make(m), budgets)
-    intersections = [{"m": m, "size": len(gs_intersection(build(m)))} for m in levels]
+        evidence = gs_wz_failure(noncongruence[0], m_max, budgets=budgets)
     return {
         "intersections": intersections,
         "hk_certificates": _hk_certificates(),

@@ -3,8 +3,10 @@
 The ambient group is the additive 2x2 integer matrices acted on by the
 determinant-1 group through left multiplication.  With H the determinant-1
 part and K its conjugate by the identity matrix i of the additive part,
-H meet K is trivial and the double coset HK is cut out by a determinant
-criterion that certifies separability level by level.  A finite-index
+H meet K is trivial, and so is the meet of their images at every level: a
+common element (0, h) = (I - h', h') forces h = h' = I.  The double coset
+HK is cut out by a determinant criterion that certifies separability level
+by level.  A finite-index
 subgroup with a congruence gap then produces desk-scale evidence that the
 double coset H'K admits no such certificates: a concrete element outside
 H'K whose image lies inside the image of H'K at every tested congruence
@@ -20,12 +22,10 @@ from .budgets import Budgets, active_budgets
 from .errors import ValidationError
 from .groupcore import (
     GeneratedSubgroup,
-    GroupContext,
     SdElement,
     check_closure_cap,
     product_member,
     subgroup_from_elements,
-    subgroup_intersection,
 )
 from .modular import (
     GapWitness,
@@ -45,53 +45,6 @@ from .profinite import (
     project,
     quotient_context,
 )
-
-
-class GsInstance(NamedTuple):
-    """One finite level of the example: images of H and K and the conjugator."""
-
-    spec: QuotientSpec
-    ctx: GroupContext
-    im_h: GeneratedSubgroup
-    im_k: GeneratedSubgroup
-    i_elt: SdElement
-
-
-def gs_build(spec: QuotientSpec, budgets: Budgets | None = None) -> GsInstance:
-    """Images of H and of K = i H i^-1 in the plain quotient of ``spec``.
-
-    H's image, all of SL2(Z/m), is walked over entry tuples in the order of
-    ``subgroup_closure``; K's is its elementwise conjugate, each (I - h, h).
-    """
-    if spec.rep is not None:
-        raise ValidationError("gs_build takes a quotient without a coset action")
-    m = spec.m
-    check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
-    order = [(1, 0, 0, 1)]
-    members = set(order)
-    for a, b, c, d in order:
-        for y in (
-            (b, -a % m, d, -c % m),
-            (-b % m, a, -d % m, c),
-            (a, (a + b) % m, c, (c + d) % m),
-            (a, (b - a) % m, c, (d - c) % m),
-        ):
-            if y not in members:
-                members.add(y)
-                order.append(y)
-    ctx, i_elt = quotient_context(spec), SdElement(Mat2.identity(m), Mat2.identity(m), None)
-    conj = lambda u: SdElement(i_elt.a - u.h, u.h, None)  # i u i^-1 for u = (0, h)
-    h_gens, h_elements = ctx.generators[4:6], tuple(SdElement(ctx.identity.a, Mat2(*h, m), None) for h in order)
-    k_elements = tuple(map(conj, h_elements))
-    im_h = GeneratedSubgroup(h_gens, h_elements, frozenset(h_elements))
-    im_k = GeneratedSubgroup(tuple(map(conj, h_gens)), k_elements, frozenset(k_elements))
-    return GsInstance(spec, ctx, im_h, im_k, i_elt)
-
-
-def gs_intersection(instance: GsInstance) -> GeneratedSubgroup:
-    """image(H) meet image(K); trivial at every level, because the additive
-    part of a common element forces its h part to be the identity."""
-    return subgroup_intersection(instance.im_h, instance.im_k)
 
 
 def gs_hk_witness(g: GroupWord) -> Optional[SeparabilityCertificate]:
@@ -153,12 +106,17 @@ _CONCLUSION = (
 
 _CROSS_CHECK_MAX = 4
 
+# the one-point coset action, whose subgroup is the whole modular group: its
+# sign-saturated image at level m is image(H), all of SL2(Z/m)
+_WHOLE = PermRep(1, (0,), (0,))
+
 
 def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None, walks=None) -> GeneratedSubgroup:
     """Image of the (sign-saturated) subgroup of H attached to ``rep`` at level m.
 
     Listed without a closure (``image_elements``), each u with -u (which
-    coincide only at m = 2); only ``evidence_entry``'s cross-check needs it.
+    coincide only at m = 2); only ``evidence_entry``'s cross-check needs it,
+    for H' and, through ``_WHOLE``, for all of H.
     """
     elements = tuple(dict.fromkeys(v for u in image_elements(rep, m, budgets, walks) for v in (u, -u)))
     check_closure_cap(len(elements), budgets, f"the sign-saturated subgroup image mod {m}")
@@ -178,16 +136,15 @@ def l_group_words(rep: PermRep) -> list:
     return [GroupWord.of_a(Mat2.ambient(*e)) for e in units] + h_prime_group_words(rep)
 
 
-def evidence_entry(
-    rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budgets, walks: dict, instances: dict
-) -> dict:
+def evidence_entry(rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budgets, walks: dict) -> dict:
     """The level-m transcript entry of the evidence: whether x mod m lies in
     the sign-saturated image of H', where x carries the basepoint of ``rep``
     to ``point``, and that image's order, both read off ``image_blocks``.
 
     At the smallest levels the image is listed and membership is
     cross-checked against the direct membership of the image of g in the
-    image of H'K, which must agree; ``instances`` keeps each level's ``gs_build``.
+    image of H'K, which must agree.  image(K) = i image(H) i^-1 is listed as
+    the pairs (I - h, h), h over SL2(Z/m), whose order is checked first.
     """
     blocks = image_blocks(rep, m, budgets, walks)
     member = blocks[point] == 0
@@ -198,8 +155,12 @@ def evidence_entry(
         spec = QuotientSpec.make(m)
         image = _h_prime_image_mod(rep, m, budgets, walks)
         im_hp = subgroup_from_elements(SdElement(Mat2.zero(m), u, None) for u in image.elements)
-        inst = instances[m] = instances.get(m) or gs_build(spec, budgets)
-        direct = product_member(inst.ctx, project(g, spec), im_hp, inst.im_k)
+        check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
+        ident = Mat2.identity(m)
+        im_k = subgroup_from_elements(
+            SdElement(ident - h, h, None) for h in _h_prime_image_mod(_WHOLE, m, budgets, walks).elements
+        )
+        direct = product_member(quotient_context(spec), project(g, spec), im_hp, im_k)
         entry["double_coset_member"] = direct
         if direct != member:
             raise ValidationError(f"reduced membership and double-coset membership disagree at level {m}")
@@ -212,7 +173,6 @@ def gs_wz_failure(
     *,
     witness_level: int = 24,
     budgets: Budgets | None = None,
-    instances: Optional[dict] = None,
 ) -> NonSepEvidence:
     """Assemble non-separability evidence for H'K from a congruence-gap subgroup.
 
@@ -224,11 +184,10 @@ def gs_wz_failure(
     what each transcript records (with a direct double-coset cross-check at
     the smallest levels).  A congruence ``rep`` has no witness and raises
     PreconditionError.  One ``walks`` dict walks each level gcd(m, N) once
-    per call, and the cross-check shares ``instances`` with the caller.
+    per call.
     """
     budgets = active_budgets(budgets)
     walks: dict = {}
-    instances = {} if instances is None else instances
     witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets, walks=walks)
     x = witness.x
     g = GroupWord.of_a(x - Mat2.identity())
@@ -236,7 +195,7 @@ def gs_wz_failure(
         raise ValidationError("witness unexpectedly lies in the subgroup")
 
     point = witness.displaced_to
-    transcripts = [evidence_entry(rep, m, point, g, budgets, walks, instances) for m in range(2, m_max + 1)]
+    transcripts = [evidence_entry(rep, m, point, g, budgets, walks) for m in range(2, m_max + 1)]
     return NonSepEvidence(
         rep=rep,
         witness=witness,

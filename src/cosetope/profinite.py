@@ -54,7 +54,7 @@ class Formation(NamedTuple):
             return cls("pro-p", p)
         raise ValidationError(f"unknown formation kind: {kind!r}")
 
-    def admits(self, spec: "QuotientSpec") -> bool:
+    def admits(self, spec: "QuotientSpec", budgets: Budgets | None = None) -> bool:
         if self.kind == "all":
             return True
         m = spec.m
@@ -63,7 +63,7 @@ class Formation(NamedTuple):
         if m != 1:
             return False
         if spec.rep is not None:
-            size = _perm_group_order(spec.rep)
+            size = _perm_group_order(spec.rep, budgets)
             while size % self.p == 0:
                 size //= self.p
             if size != 1:
@@ -71,10 +71,10 @@ class Formation(NamedTuple):
         return True
 
 
-def _perm_group_order(rep: PermRep) -> int:
+def _perm_group_order(rep: PermRep, budgets: Budgets | None) -> int:
     ident = perm_identity(rep.degree)
     ctx = GroupContext(ident, perm_mul, perm_inv, (rep.perm_s, rep.perm_t), name=f"perm image d={rep.degree}")
-    return len(ctx.enumerate())
+    return len(ctx.enumerate(budgets))
 
 
 class QuotientSpec(NamedTuple):
@@ -114,6 +114,7 @@ class QuotientSpec(NamedTuple):
             m = parse_int(data["m"])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad quotient spec: {exc}") from exc
+        _refuse_unknown_keys(data, ("m", "rep", "filter"), "quotient spec")
         rep = None
         raw_rep = data.get("rep")
         if isinstance(raw_rep, str):
@@ -127,9 +128,16 @@ class QuotientSpec(NamedTuple):
         if raw_filter is not None:
             if not isinstance(raw_filter, dict):
                 raise ValidationError("spec 'filter' must be an object like {\"type\": \"pro-p\", \"p\": 2}, or null")
+            _refuse_unknown_keys(raw_filter, ("type", "p"), "spec 'filter'")
             p = raw_filter.get("p")
             formation = Formation.make(raw_filter.get("type", "all"), parse_int(p) if p is not None else None)
         return cls.make(m, rep, formation)
+
+
+def _refuse_unknown_keys(data: dict, known: tuple, what: str) -> None:
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; its keys are {', '.join(known)}")
 
 
 def read_json(path: str, what: str):
@@ -408,7 +416,7 @@ def tractable_candidate(
     """
     budgets = active_budgets(budgets)
     entry = {"spec": cand, "status": "precondition", "detail": "", "violations": [], "sizes": {}}
-    if m_spec.formation is not None and not m_spec.formation.admits(cand):
+    if m_spec.formation is not None and not m_spec.formation.admits(cand, budgets):
         entry.update(status="skipped-formation", detail="candidate is outside the configured formation")
         return entry, 0
     if not m_spec.refined_by(cand):

@@ -9,12 +9,14 @@ import math
 import random
 import sys
 from collections import Counter
+from typing import NamedTuple
 
 import cosetope.groupcore
-from cosetope.arith import MAT_S, MAT_T, Mat2
-from cosetope.budgets import active_budgets
+from cosetope.arith import MAT_S, MAT_T, Mat2, sl2_group_order
+from cosetope.budgets import Budgets, active_budgets
 from cosetope.errors import BudgetError, ModulusMismatch, PreconditionError, ValidationError
 from cosetope.groupcore import (
+    GeneratedSubgroup,
     GroupContext,
     SdElement,
     check_closure_cap,
@@ -346,9 +348,61 @@ def count_closures(monkeypatch) -> Counter:
 
 
 # ---------------------------------------------------------------------------
+# the flagship example's images of H and K, listed level by level, and their
+# intersection: the oracle of the closed-form intersection table of gs-demo
+
+
+class GsInstance(NamedTuple):
+    """One finite level of the example: images of H and K and the conjugator."""
+
+    spec: QuotientSpec
+    ctx: GroupContext
+    im_h: GeneratedSubgroup
+    im_k: GeneratedSubgroup
+    i_elt: SdElement
+
+
+def gs_build(spec: QuotientSpec, budgets: Budgets | None = None) -> GsInstance:
+    """Images of H and of K = i H i^-1 in the plain quotient of ``spec``.
+
+    H's image, all of SL2(Z/m), is walked over entry tuples in the order of
+    ``subgroup_closure``; K's is its elementwise conjugate, each (I - h, h).
+    """
+    if spec.rep is not None:
+        raise ValidationError("gs_build takes a quotient without a coset action")
+    m = spec.m
+    check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
+    order = [(1, 0, 0, 1)]
+    members = set(order)
+    for a, b, c, d in order:
+        for y in (
+            (b, -a % m, d, -c % m),
+            (-b % m, a, -d % m, c),
+            (a, (a + b) % m, c, (c + d) % m),
+            (a, (b - a) % m, c, (d - c) % m),
+        ):
+            if y not in members:
+                members.add(y)
+                order.append(y)
+    ctx, i_elt = quotient_context(spec), SdElement(Mat2.identity(m), Mat2.identity(m), None)
+    conj = lambda u: SdElement(i_elt.a - u.h, u.h, None)  # i u i^-1 for u = (0, h)
+    h_gens, h_elements = ctx.generators[4:6], tuple(SdElement(ctx.identity.a, Mat2(*h, m), None) for h in order)
+    k_elements = tuple(map(conj, h_elements))
+    im_h = GeneratedSubgroup(h_gens, h_elements, frozenset(h_elements))
+    im_k = GeneratedSubgroup(tuple(map(conj, h_gens)), k_elements, frozenset(k_elements))
+    return GsInstance(spec, ctx, im_h, im_k, i_elt)
+
+
+def gs_intersection(instance: GsInstance) -> GeneratedSubgroup:
+    """image(H) meet image(K); trivial at every level, because the additive
+    part of a common element forces its h part to be the identity."""
+    return subgroup_intersection(instance.im_h, instance.im_k)
+
+
+# ---------------------------------------------------------------------------
 # the coset-carrying walk over Mat2, with each word built as its matrix is
 # reached, and the flagship example's images by closure and conjugation: the
-# oracles of the entry-tuple walks in ``cosetope.modular`` and ``cosetope.gs``
+# oracles of the entry-tuple walks in ``cosetope.modular`` and ``gs_build``
 
 
 def oracle_gamma_walk(rep: PermRep, n: int, seen=None):

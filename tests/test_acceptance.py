@@ -16,13 +16,7 @@ from cosetope.groupcore import (
     subgroup_from_elements,
     subgroup_intersection,
 )
-from cosetope.gs import (
-    _h_prime_image_mod,
-    gs_build,
-    gs_hk_witness,
-    gs_intersection,
-    gs_wz_failure,
-)
+from cosetope.gs import _h_prime_image_mod, gs_hk_witness, gs_wz_failure
 from cosetope.cli import main as cli_main
 from cosetope.modular import (
     ModularWord,
@@ -47,7 +41,9 @@ from t_util import (
     check_prop_identity,
     congruence_rep,
     cor_instance,
+    gs_build,
     gs_hk_member,
+    gs_intersection,
     gw_mul,
     hi_exclusion_check,
     hk_member_sd,

@@ -9,17 +9,18 @@ from pathlib import Path
 
 import pytest
 
-import cosetope.cli
 import cosetope.gs
+import cosetope.modular
 from cosetope.arith import parse_int
 from cosetope.budgets import Budgets
 from cosetope.cli import COMMANDS, build_parser, main
 from cosetope.errors import ValidationError
 from cosetope.groupcore import GroupContext
 from cosetope.modular import is_congruence, low_index_reps
+from cosetope.profinite import QuotientSpec
 from cosetope.report import canonical_dumps
 
-from t_util import congruence_rep, count_closures
+from t_util import congruence_rep, count_closures, gs_build, gs_intersection
 
 
 H_GENS_JSON = [{"w": "S"}, {"w": "T"}]
@@ -380,16 +381,38 @@ def test_tractable_plain_tower_under_degree_one_action(tmp_path, gens_files):
 
 
 @pytest.mark.parametrize(
-    "raw_filter", [{"type": "pro-p", "p": "x"}, "pro-p", {"type": "pro-p", "p": 4}]
+    "fields",
+    [
+        {"filter": {"type": "pro-p", "p": "x"}},
+        {"filter": "pro-p"},
+        {"filter": {"type": "pro-p", "p": 4}},
+        {"fliter": {"type": "pro-p", "p": 2}},
+        {"filter": {"type": "pro-p", "p": 2, "q": 3}},
+    ],
 )
-def test_bad_tower_filter_exits_2(tmp_path, gens_files, raw_filter):
+def test_bad_tower_filter_exits_2(tmp_path, gens_files, fields):
     tower = tmp_path / "tower.json"
-    tower.write_text(json.dumps([{"m": 4, "filter": raw_filter}]))
+    tower.write_text(json.dumps([{"m": 4, **fields}]))
     h = gens_files["h"]
     args = ["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", '{"m": 2}', "--tower", str(tower)]
     assert main(args + ["--output", str(tmp_path / "t.json")]) == 2
-    m_spec = json.dumps({"m": 2, "filter": raw_filter})
+    m_spec = json.dumps({"m": 2, **fields})
     assert main(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", m_spec]) == 2
+
+
+def test_formation_check_honours_the_closure_cap(tmp_path, monkeypatch, capsys):
+    # the pro-2 check closes the permutation group of nc_rep's coset action,
+    # of order 5,040; golden/tractable_formation.json pins the default cap
+    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+    args = [
+        "tractable", "--h-gens", "h.json", "--k-gens", "k.json",
+        "--m-spec", '{"m": 2, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_nc_rep.json",
+        "--output", str(tmp_path / "t.json"),
+    ]
+    assert main(args + ["--closure-cap", "10"]) == 3
+    assert "more than 10 elements in perm image d=7" in capsys.readouterr().err
+    assert not (tmp_path / "t.json").exists()
+    assert main(args + ["--closure-cap", "5040"]) == 0
 
 
 @pytest.mark.parametrize(
@@ -551,23 +574,32 @@ def test_gs_demo_and_verify_close_no_level_image(tmp_path, monkeypatch):
     assert not closures
 
 
-def test_gs_demo_builds_each_level_once(tmp_path, monkeypatch):
-    # the intersection table and the evidence's cross-check at m <= 4 share
-    # their instances, so each level is built once per command
-    levels = []
-    real = cosetope.gs.gs_build
+def test_gs_demo_walks_each_level_once(tmp_path, monkeypatch):
+    # the intersection table lists nothing; the evidence walks the level
+    # images it keeps, image(K) at m <= 4 among them, once per (rep, n)
+    walked = []
+    real = cosetope.modular._gamma_walk
 
-    def counting(spec, budgets=None):
-        levels.append(spec.m)
-        return real(spec, budgets)
+    def spy(rep, n, budgets, seen=None):
+        if sys._getframe(1).f_code.co_name == "_walked":
+            walked.append((rep, n))
+        return real(rep, n, budgets, seen)
 
-    monkeypatch.setattr(cosetope.gs, "gs_build", counting)
-    monkeypatch.setattr(cosetope.cli, "gs_build", counting)
+    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    rep = next(r for r in low_index_reps(7) if not is_congruence(r))
+    expected = [(rep, g) for g in (2, 3, 4, 6, 12)] + [(cosetope.gs._WHOLE, m) for m in (2, 3, 4)]
     run_report(["gs-demo", "--m-max", "32"], tmp_path / "demo.json")
-    assert levels == list(range(2, 9))
-    levels.clear()
+    assert sorted(walked) == sorted(expected)
+    walked.clear()
     run_report(["gs-demo", "--max-level", "2", "--m-max", "6"], tmp_path / "demo2.json")
-    assert levels == [2, 3, 4]
+    assert sorted(walked) == sorted(expected[:4] + expected[5:])
+
+
+def test_gs_demo_intersection_table_matches_the_listing_oracle(tmp_path):
+    # the closed-form rows against the images of H and K listed and intersected
+    data, _ = run_report(["gs-demo", "--max-level", "12", "--m-max", "2"], tmp_path / "demo.json")
+    oracle = [{"m": str(m), "size": str(len(gs_intersection(gs_build(QuotientSpec.make(m)))))} for m in range(2, 13)]
+    assert data["result"]["intersections"] == oracle
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,9 @@ preceded ``report.as_recorded``, so each result type is pinned to the bytes
 it had before every report value went through that one function.
 ``gs_demo_m32.json`` was written by the implementation that still listed
 SL2(Z/m) to intersect the images of H and K at each level, before the table
-recorded the closed form.  ``regen_golden.py`` rewrites the fixtures from
-the current code.
+recorded the closed form, and ``tractable_formation.json`` before the
+formation check honoured the closure cap.  ``regen_golden.py`` rewrites the
+fixtures from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
 reports record the paths they were given.
@@ -37,6 +38,12 @@ CASES = {
     "tractable_ok.json": [
         "tractable", "--h-gens", "h.json", "--k-gens", "k.json", "--hcapk-gens", "empty.json",
         "--m-spec", '{"m": 4, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_ok.json",
+    ],
+    # a candidate carrying nc_rep's coset action: the pro-2 formation check
+    # closes its permutation group, of order 5,040, and skips it
+    "tractable_formation.json": [
+        "tractable", "--h-gens", "h.json", "--k-gens", "k.json",
+        "--m-spec", '{"m": 2, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_nc_rep.json",
     ],
     "tractable_violation.json": [
         "tractable", "--h-gens", "h.json", "--k-gens", "h.json", "--hcapk-gens", "empty.json",

@@ -17,13 +17,7 @@ from cosetope.groupcore import (
     subgroup_closure,
     subgroup_from_elements,
 )
-from cosetope.gs import (
-    _h_prime_image_mod,
-    gs_build,
-    gs_hk_witness,
-    gs_intersection,
-    gs_wz_failure,
-)
+from cosetope.gs import _WHOLE, _h_prime_image_mod, evidence_entry, gs_hk_witness, gs_wz_failure
 from cosetope.budgets import active_budgets
 from cosetope.modular import (
     ModularWord,
@@ -40,7 +34,9 @@ from t_util import (
     brute_force_product,
     congruence_rep,
     count_closures,
+    gs_build,
     gs_hk_member,
+    gs_intersection,
     hk_member_sd,
     oracle_gs_images,
 )
@@ -293,6 +289,25 @@ def test_reduced_membership_equals_double_coset_membership():
             assert direct == (x.reduce(m) in image)
 
 
+def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
+    # the evidence's own g reduces to the identity at every m <= 4, its x
+    # lying in Γ(24); elements that reduce elsewhere exercise the listed
+    # image(K), and evidence_entry raises when the two memberships disagree
+    budgets = active_budgets()
+    rng = random.Random(46)
+    seen = Counter()
+    for rep in (minimal_noncongruence(), congruence_rep(2), congruence_rep(3), congruence_rep(4)):
+        walks: dict = {}
+        for m in (2, 3, 4):
+            for _ in range(25):
+                w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 10))])
+                g = GroupWord.of_a(word_eval(w) - Mat2.identity())
+                entry = evidence_entry(rep, m, rep.word_point(w), g, budgets, walks)
+                assert entry["double_coset_member"] == entry["member"]
+                seen[entry["member"]] += 1
+    assert seen[True] > 50 and seen[False] > 50
+
+
 def _sl2_closure_image(rep, m):
     """Oracle: the sign-saturated image as a closure in SL2(Z/m) of the
     reduced subgroup generators together with -I."""
@@ -303,7 +318,8 @@ def _sl2_closure_image(rep, m):
 
 def test_sign_saturated_image_matches_sl2_closure_oracle():
     budgets = active_budgets()
-    for rep in (congruence_rep(2), minimal_noncongruence()):
+    # the one-point rep's subgroup is the whole modular group: its image is SL2(Z/m)
+    for rep in (congruence_rep(2), minimal_noncongruence(), _WHOLE):
         for m in range(2, 13):
             derived = _h_prime_image_mod(rep, m, budgets)
             oracle = _sl2_closure_image(rep, m)
@@ -329,8 +345,8 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
 
 
 def _spy_walks(monkeypatch) -> list:
-    """Record (caller, level) for every ``modular._gamma_walk`` started; the
-    caller of ``modular._walked`` stands for it."""
+    """Record (caller, rep, level) for every ``modular._gamma_walk`` started;
+    the caller of ``modular._walked`` stands for it."""
     calls = []
     walk = cosetope.modular._gamma_walk
 
@@ -338,7 +354,7 @@ def _spy_walks(monkeypatch) -> list:
         frame = sys._getframe(1)
         if frame.f_code.co_name == "_walked":
             frame = frame.f_back
-        calls.append((frame.f_code.co_name, n))
+        calls.append((frame.f_code.co_name, rep, n))
         return walk(rep, n, budgets, seen)
 
     monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
@@ -353,17 +369,19 @@ def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
     calls = _spy_walks(monkeypatch)
     evidence = gs_wz_failure(rep, 32)
     assert [entry["m"] for entry in evidence.level_transcripts] == list(range(2, 33))
-    assert Counter(n for caller, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
-    # the congruence test and the witness walk; the cross-check's listings at
-    # 2, 3 and 4 read the walks image_blocks made there
+    assert Counter(n for caller, _, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    # the congruence test and the witness walk; the cross-check's listings of
+    # image(H') at 2, 3 and 4 read the walks image_blocks made there, and its
+    # listings of image(H) walk the one-point rep there
     assert Counter(calls) == Counter(
-        [("is_congruence", 12), ("congruence_gap_witness", 24)]
-        + [("image_blocks", g) for g in (2, 3, 4, 6, 12)]
+        [("is_congruence", rep, 12), ("congruence_gap_witness", rep, 24)]
+        + [("image_blocks", rep, g) for g in (2, 3, 4, 6, 12)]
+        + [("image_elements", _WHOLE, m) for m in (2, 3, 4)]
     )
     # a second call walks again: the walks are kept per call, not per process
     calls.clear()
     gs_wz_failure(rep, 32)
-    assert Counter(n for caller, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    assert Counter(n for caller, _, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
 
 
 def test_wz_failure_refuses_an_empty_range_of_levels():

@@ -286,12 +286,21 @@ def test_formation_filters():
 
 
 @pytest.mark.parametrize(
-    "raw_filter",
-    [{"type": "pro-p", "p": "x"}, "pro-p", {"type": "pro-p", "p": 4}, {"type": "pro-p", "p": True}, ["pro-p", 2]],
+    "fields, message",
+    [
+        ({"filter": {"type": "pro-p", "p": "x"}}, None),
+        ({"filter": "pro-p"}, None),
+        ({"filter": {"type": "pro-p", "p": 4}}, None),
+        ({"filter": {"type": "pro-p", "p": True}}, None),
+        ({"filter": ["pro-p", 2]}, None),
+        ({"fliter": {"type": "pro-p", "p": 2}}, "quotient spec has unknown key 'fliter'"),
+        ({"filter": {"type": "pro-p", "p": 2, "P": 3}}, "spec 'filter' has unknown key 'P'"),
+        ({"filter": None, "rep": None, "note": ""}, "quotient spec has unknown key 'note'"),
+    ],
 )
-def test_bad_spec_filters_are_validation_errors(raw_filter):
-    with pytest.raises(ValidationError):
-        QuotientSpec.from_json({"m": 4, "filter": raw_filter})
+def test_bad_spec_filters_are_validation_errors(fields, message):
+    with pytest.raises(ValidationError, match=message):
+        QuotientSpec.from_json({"m": 4, **fields})
 
 
 def test_spec_filter_reads_report_strings():
