@@ -59,6 +59,7 @@ CASES = {
     ],
     "congruence.json": ["congruence", "--rep", "nc_rep.json"],
     "lowindex.json": ["lowindex", "--max-degree", "5"],
+    "lowindex_subgroups.json": ["lowindex", "--max-degree", "6", "--subgroups"],
     # det(2I + I) = 9 is first excluded at modulus 3, which the default tower
     # reaches; tower_violation.json holds only 2, 4 and 8
     "thm_b_certified.json": ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", _TWO_I],
