@@ -77,8 +77,8 @@ class GroupContext:
     """A finite group given operationally: identity, multiplication, inversion.
 
     Elements must be hashable with structural equality.  ``generators``
-    generate the whole group; full enumeration happens lazily and is cached.
-    Instances are immutable after construction and safe to share.
+    generate the whole group.  Instances are immutable after construction
+    and safe to share.
     """
 
     def __init__(self, identity, mul: Callable, inv: Callable, generators: Sequence = (), name: str = ""):
@@ -87,20 +87,10 @@ class GroupContext:
         self.inv = inv
         self.generators = tuple(generators)
         self.name = name
-        self._full: Optional[GeneratedSubgroup] = None
 
     def enumerate(self, budgets: Budgets | None = None) -> "GeneratedSubgroup":
-        """Every element of the group, as the closure of its generators.
-
-        The result is cached, but the closure cap is enforced against the
-        result size either way, so budget behavior does not depend on what
-        was already computed.
-        """
-        if self._full is None:
-            self._full = subgroup_closure(self, self.generators, budgets)
-        else:
-            check_closure_cap(len(self._full), budgets, self.name or "the group")
-        return self._full
+        """Every element of the group, as the closure of its generators."""
+        return subgroup_closure(self, self.generators, budgets)
 
     def __repr__(self):
         return f"GroupContext({self.name or hex(id(self))})"
@@ -143,8 +133,8 @@ class GeneratedSubgroup:
 def check_closure_cap(size: int, budgets: Budgets | None, what: str) -> None:
     """Raise BudgetError when ``what``, of known ``size``, exceeds the closure cap.
 
-    Used wherever a size is known without closing (cached results, group
-    orders), so the cap holds whether or not the elements already exist.
+    Used wherever a size is known without closing (group orders), so the
+    cap holds whether or not the elements are ever listed.
     """
     cap = active_budgets(budgets).closure_cap
     if size > cap:

@@ -4,8 +4,8 @@ Words over the standard generators S = [[0,-1],[1,0]] and T = [[1,1],[0,1]],
 exact matrix-to-word rewriting by Euclidean reduction, finite-index
 subgroups given as permutation representations of the coset action, their
 transversal words and Schreier generators read off ``perm_s`` and
-``perm_t``, low-index enumeration by coset-table backtracking, cusp-width
-levels, congruence testing, and congruence-gap witnesses.
+``perm_t``, low-index enumeration as transitive actions of C2 * C3,
+cusp-width levels, congruence testing, and congruence-gap witnesses.
 
 Subgroups here are projective: representations satisfy ``perm_s^2 = 1`` and
 ``(perm_s perm_t)^3 = 1``, and matrices are identified with their negatives
@@ -183,10 +183,10 @@ class PermRep(NamedTuple):
             raise ValidationError("the action is not transitive")
         return rep
 
-    def word_point(self, w: ModularWord, start: int = 0) -> int:
-        """Image of a point under the permutation action of a word."""
+    def word_point(self, w: ModularWord) -> int:
+        """Image of the basepoint under the permutation action of a word."""
         ti = None
-        p = start
+        p = 0
         for letter in w.letters:
             if letter == S_ or letter == -S_:
                 p = self.perm_s[p]
@@ -247,99 +247,43 @@ def rep_level(rep: PermRep) -> int:
 _MAX_DEGREE_CAP = 12
 
 
-def _deduce(s: list, t: list, ti: list, n: int) -> bool:
-    """Propagate the relator cycle s t s t s t = 1; False on contradiction."""
-    changed = True
-    while changed:
-        changed = False
-        for start in range(n):
-            i, x = 0, start
-            while i < 6:
-                nxt = s[x] if i % 2 == 0 else t[x]
-                if nxt < 0:
-                    break
-                x = nxt
-                i += 1
-            if i == 6:
-                if x != start:
-                    return False
-                continue
-            j, y = 6, start
-            while j > i + 1:
-                prv = s[y] if (j - 1) % 2 == 0 else ti[y]
-                if prv < 0:
-                    break
-                y = prv
-                j -= 1
-            if j == i + 1:
-                if i % 2 == 0:
-                    if s[y] >= 0:
-                        return False
-                    s[x] = y
-                    s[y] = x
-                else:
-                    if ti[y] >= 0:
-                        return False
-                    t[x] = y
-                    ti[y] = x
-                changed = True
-    return True
+def _actions(d_max: int) -> list:
+    """Every transitive action of C2 * C3 on n <= d_max points, as the images
+    (x, y) of S and ST with x^2 = y^3 = 1, one per subgroup.
 
-
-def _complete_tables(d_max: int) -> list:
-    """All standardized coset tables over <s, t> with s^2 = (st)^3 = 1.
-
-    Tables on n <= d_max points; each corresponds to exactly one index-n
-    subgroup (the stabilizer of point 0).  Standardized means points are
-    numbered in first-use order under the fixed slot scan (s, t, t^-1 per
-    point), which makes the backtracking enumeration duplicate-free.
+    PSL2(Z) is the free product of <S> and <ST>, so these are exactly its
+    coset actions, with no relator left to deduce (Millington, J. London
+    Math. Soc. 1969).  The search fills the first open slot in point order:
+    an open x[p] pairs p with itself, a later open point or a new point; an
+    open y[p] is fixed, or starts a 3-cycle (p, q, r) through later open or
+    new points.  New points are numbered as they first appear, so each
+    subgroup, the stabilizer of point 0, comes out once, and every partial
+    table completes.
     """
     out = []
 
-    def first_slot(s, t, ti, n):
-        for p in range(n):
-            if s[p] < 0:
-                return p, 0
-            if t[p] < 0:
-                return p, 1
-            if ti[p] < 0:
-                return p, 2
-        return None
-
-    def rec(s, t, ti, n):
-        slot = first_slot(s, t, ti, n)
-        if slot is None:
-            out.append((n, tuple(s[:n]), tuple(t[:n])))
-            return
-        p, col = slot
-        if col == 0:
-            cands = [q for q in range(n) if s[q] < 0]
-        elif col == 1:
-            cands = [q for q in range(n) if ti[q] < 0]
+    def rec(x, y, n):
+        p = next((p for p in range(n) if x[p] < 0 or y[p] < 0), None)
+        if p is None:
+            out.append((tuple(x[:n]), tuple(y[:n])))
+        elif x[p] < 0:
+            for q in [p] + [q for q in range(p + 1, n) if x[q] < 0] + [n] * (n < d_max):
+                x2 = x[:]
+                x2[p], x2[q] = q, p
+                rec(x2, y, max(n, q + 1))
         else:
-            cands = [q for q in range(n) if t[q] < 0]
-        if n < d_max:
-            cands.append(n)
-        for q in cands:
-            s2, t2, ti2, n2 = s[:], t[:], ti[:], n
-            if q == n:
-                s2.append(-1)
-                t2.append(-1)
-                ti2.append(-1)
-                n2 += 1
-            if col == 0:
-                s2[p] = q
-                s2[q] = p
-            elif col == 1:
-                t2[p] = q
-                ti2[q] = p
-            else:
-                ti2[p] = q
-                t2[q] = p
-            if _deduce(s2, t2, ti2, n2):
-                rec(s2, t2, ti2, n2)
+            y2 = y[:]
+            y2[p] = p
+            rec(x, y2, n)
+            free = [q for q in range(p + 1, n) if y[q] < 0]
+            for q in free + [n] * (n < d_max):
+                nq = max(n, q + 1)
+                for r in [r for r in free if r != q] + [nq] * (nq < d_max):
+                    y2 = y[:]
+                    y2[p], y2[q], y2[r] = q, r, p
+                    rec(x, y2, max(nq, r + 1))
 
-    rec([-1], [-1], [-1], 1)
+    rec([-1] * d_max, [-1] * d_max, 1)
     return out
 
 
@@ -366,29 +310,33 @@ def _restandardize(s: tuple, t: tuple, basepoint: int) -> tuple:
     return tuple(ns), tuple(nt)
 
 
-def low_index_reps(d_max: int, *, classes: bool = True, cap: int = _MAX_DEGREE_CAP) -> list:
+def low_index_reps(d_max: int, *, classes: bool = True) -> list:
     """All transitive representations of degree <= d_max, canonically ordered.
 
-    With ``classes`` (the default) one representative is returned per
-    simultaneous-conjugation class: the lexicographically least standardized
-    table over all basepoint choices.  With ``classes=False`` every
-    standardized table is returned, one per subgroup.
+    Each action (x, y) of ``_actions`` is the representation with
+    perm_s = x and perm_t = x y, as T = S^-1 ST.  With ``classes`` (the
+    default) one representative is returned per simultaneous-conjugation
+    class: the lexicographically least standardized table over all basepoint
+    choices.  With ``classes=False`` every subgroup's table is returned,
+    standardized from the basepoint.
     """
     if d_max < 1:
         raise ValidationError(f"d_max must be positive, got {d_max}")
-    if d_max > cap:
-        raise BudgetError(f"degree budget exceeded: d_max {d_max} > cap {cap} (degree cap)")
+    if d_max > _MAX_DEGREE_CAP:
+        raise BudgetError(f"degree budget exceeded: d_max {d_max} > cap {_MAX_DEGREE_CAP} (degree cap)")
     reps = []
     seen = set()
-    for n, s, t in _complete_tables(d_max):
+    for s, y in _actions(d_max):
+        t = perm_mul(s, y)
+        n = len(s)
         if classes:
             canonical = min(_restandardize(s, t, b) for b in range(n))
             if canonical in seen:
                 continue
             seen.add(canonical)
-            reps.append(PermRep(n, canonical[0], canonical[1]))
         else:
-            reps.append(PermRep(n, s, t))
+            canonical = _restandardize(s, t, 0)
+        reps.append(PermRep(n, *canonical))
     reps.sort(key=lambda r: (r.degree, r.perm_s, r.perm_t))
     return reps
 

@@ -14,7 +14,7 @@ from typing import Any
 from .arith import Mat2, parse_int
 from .errors import ValidationError
 from .modular import ModularWord
-from .profinite import GroupWord
+from .profinite import GroupWord, _refuse_unknown_keys
 
 SCHEMA_VERSION = 2
 
@@ -50,12 +50,13 @@ def canonical_dumps(data: Any) -> str:
 
 
 def mat_from_json(data: dict) -> Mat2:
-    try:
-        rows = data["rows"]
-        a, b = (parse_int(v) for v in rows[0])
-        c, d = (parse_int(v) for v in rows[1])
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad matrix data: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ValidationError(f"expected a matrix object, got {data!r}")
+    _refuse_unknown_keys(data, ("rows", "m"), "matrix")
+    rows = data.get("rows")
+    if not (isinstance(rows, list) and len(rows) == 2 and all(isinstance(r, list) and len(r) == 2 for r in rows)):
+        raise ValidationError(f"bad matrix data: rows must be two lists of two integers, got {rows!r}")
+    (a, b), (c, d) = ((parse_int(v) for v in row) for row in rows)
     m = data.get("m")
     if m is None:
         return Mat2.ambient(a, b, c, d)
@@ -71,6 +72,7 @@ def word_from_json(text: str) -> ModularWord:
 def groupword_from_json(data: dict) -> GroupWord:
     if not isinstance(data, dict):
         raise ValidationError(f"expected a group element object, got {data!r}")
+    _refuse_unknown_keys(data, ("a", "w"), "group element")
     raw_a = data.get("a")
     a = mat_from_json(raw_a) if raw_a is not None else Mat2.zero()
     if a.m is not None:

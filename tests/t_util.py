@@ -348,6 +348,123 @@ def count_closures(monkeypatch) -> Counter:
 
 
 # ---------------------------------------------------------------------------
+# the relator-deduction coset-table search that preceded modular._actions
+
+
+def _deduce(s: list, t: list, ti: list, n: int) -> bool:
+    """Propagate the relator cycle s t s t s t = 1; False on contradiction."""
+    changed = True
+    while changed:
+        changed = False
+        for start in range(n):
+            i, x = 0, start
+            while i < 6:
+                nxt = s[x] if i % 2 == 0 else t[x]
+                if nxt < 0:
+                    break
+                x = nxt
+                i += 1
+            if i == 6:
+                if x != start:
+                    return False
+                continue
+            j, y = 6, start
+            while j > i + 1:
+                prv = s[y] if (j - 1) % 2 == 0 else ti[y]
+                if prv < 0:
+                    break
+                y = prv
+                j -= 1
+            if j == i + 1:
+                if i % 2 == 0:
+                    if s[y] >= 0:
+                        return False
+                    s[x] = y
+                    s[y] = x
+                else:
+                    if ti[y] >= 0:
+                        return False
+                    t[x] = y
+                    ti[y] = x
+                changed = True
+    return True
+
+
+def _complete_tables(d_max: int) -> list:
+    """All standardized coset tables over <s, t> with s^2 = (st)^3 = 1.
+
+    Tables on n <= d_max points; each corresponds to exactly one index-n
+    subgroup (the stabilizer of point 0).  Standardized means points are
+    numbered in first-use order under the fixed slot scan (s, t, t^-1 per
+    point), which makes the backtracking enumeration duplicate-free.
+    """
+    out = []
+
+    def first_slot(s, t, ti, n):
+        for p in range(n):
+            if s[p] < 0:
+                return p, 0
+            if t[p] < 0:
+                return p, 1
+            if ti[p] < 0:
+                return p, 2
+        return None
+
+    def rec(s, t, ti, n):
+        slot = first_slot(s, t, ti, n)
+        if slot is None:
+            out.append((n, tuple(s[:n]), tuple(t[:n])))
+            return
+        p, col = slot
+        if col == 0:
+            cands = [q for q in range(n) if s[q] < 0]
+        elif col == 1:
+            cands = [q for q in range(n) if ti[q] < 0]
+        else:
+            cands = [q for q in range(n) if t[q] < 0]
+        if n < d_max:
+            cands.append(n)
+        for q in cands:
+            s2, t2, ti2, n2 = s[:], t[:], ti[:], n
+            if q == n:
+                s2.append(-1)
+                t2.append(-1)
+                ti2.append(-1)
+                n2 += 1
+            if col == 0:
+                s2[p] = q
+                s2[q] = p
+            elif col == 1:
+                t2[p] = q
+                ti2[q] = p
+            else:
+                ti2[p] = q
+                t2[q] = p
+            if _deduce(s2, t2, ti2, n2):
+                rec(s2, t2, ti2, n2)
+
+    rec([-1], [-1], [-1], 1)
+    return out
+
+
+def oracle_low_index_reps(d_max: int, *, classes: bool = True) -> list:
+    """``low_index_reps`` as it was built from ``_complete_tables``' (s, t) tables."""
+    reps = []
+    seen = set()
+    for n, s, t in _complete_tables(d_max):
+        if classes:
+            canonical = min(_restandardize(s, t, b) for b in range(n))
+            if canonical in seen:
+                continue
+            seen.add(canonical)
+            reps.append(PermRep(n, canonical[0], canonical[1]))
+        else:
+            reps.append(PermRep(n, s, t))
+    reps.sort(key=lambda r: (r.degree, r.perm_s, r.perm_t))
+    return reps
+
+
+# ---------------------------------------------------------------------------
 # the flagship example's images of H and K, listed level by level, and their
 # intersection: the oracle of the closed-form intersection table of gs-demo
 

@@ -213,6 +213,26 @@ def test_exit_code_on_bad_input(tmp_path):
     assert main(["quotient", "--modulus", "2", "--rep", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "element",
+    [
+        '{"w ": "T"}',
+        '{"a": {"rows": [[2, 0], [0, 2], [7, 7]]}}',
+        '{"a": {"rows": [[2, 0], [0, 2]], "mod": 3}}',
+    ],
+    ids=["element-key", "third-row", "matrix-key"],
+)
+def test_element_with_a_stray_key_or_row_exits_2(tmp_path, gens_files, element):
+    out = tmp_path / "out.json"
+    sides = ["--left", gens_files["h"], "--right", gens_files["k"], "--output", str(out)]
+    assert main(["dcoset-member", "--modulus", "3", "--element", element, *sides]) == 2
+    # generator files go through the same reader
+    gens = tmp_path / "gens.json"
+    gens.write_text(f"[{element}]")
+    assert main(["image", "--modulus", "3", "--gens", str(gens), "--output", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_exit_code_on_budget_exhaustion(tmp_path):
     assert (
         main(
@@ -243,6 +263,14 @@ def _cli_alone(args) -> subprocess.CompletedProcess:
     """Run the CLI in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     return subprocess.run([sys.executable, "-m", "cosetope", *args], capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_unwritable_output_exits_2_without_a_traceback(tmp_path):
+    for output in (tmp_path / "missing" / "q.json", tmp_path):
+        done = _cli_alone(["quotient", "--modulus", "2", "--output", str(output)])
+        assert done.returncode == 2
+        assert "error: cannot write report" in done.stderr
+        assert "Traceback" not in done.stderr
 
 
 def test_gs_demo_huge_max_level_exits_3_quickly():

@@ -11,8 +11,10 @@ it had before every report value went through that one function.
 ``gs_demo_m32.json`` was written by the implementation that still listed
 SL2(Z/m) to intersect the images of H and K at each level, before the table
 recorded the closed form, and ``tractable_formation.json`` before the
-formation check honoured the closure cap.  ``regen_golden.py`` rewrites the
-fixtures from the current code.
+formation check honoured the closure cap.  ``lowindex_subgroups.json`` was
+written by the relator-deduction coset-table search, before the low-index
+subgroups were listed as transitive actions of C2 * C3.  ``regen_golden.py``
+rewrites the fixtures from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
 reports record the paths they were given.

@@ -39,6 +39,7 @@ from t_util import (
     klein_fricke_blocks,
     naive_rep_counts,
     oracle_gamma_walk,
+    oracle_low_index_reps,
     oracle_subgroup_generators,
     oracle_transversal_words,
     partition,
@@ -201,6 +202,14 @@ def test_low_index_counts_match_naive_oracle_small_degrees():
         _, nsub, nclass = naive_rep_counts(d)
         assert by_degree_s[d] == nsub
         assert by_degree_c[d] == nclass
+
+
+@pytest.mark.parametrize("classes", [True, False], ids=["classes", "subgroups"])
+def test_low_index_reps_match_relator_deduction_oracle(classes):
+    # the C2 * C3 action search against the (s, t) coset-table search with
+    # (st)^3 = 1 deduced by hand, over every degree the cap allows
+    for d in range(1, 13):
+        assert low_index_reps(d, classes=classes) == oracle_low_index_reps(d, classes=classes), d
 
 
 def test_low_index_deterministic_and_canonical():
