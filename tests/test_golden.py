@@ -47,6 +47,12 @@ CASES = {
         "tractable", "--h-gens", "h.json", "--k-gens", "k.json",
         "--m-spec", '{"m": 2, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_nc_rep.json",
     ],
+    # restriction between two coset actions: the degree-6 action maps onto
+    # the degree-3 one, and the degree-3 and degree-2 entries do not refine it
+    "tractable_reps.json": [
+        "tractable", "--h-gens", "h.json", "--k-gens", "h.json", "--hcapk-gens", "h.json",
+        "--m-spec", '{"m": 2, "rep": {"degree": 3, "s": [0, 2, 1], "t": [1, 0, 2]}}', "--tower", "tower_reps.json",
+    ],
     "tractable_violation.json": [
         "tractable", "--h-gens", "h.json", "--k-gens", "h.json", "--hcapk-gens", "empty.json",
         "--m-spec", '{"m": 4}', "--tower", "tower_violation.json",
