@@ -183,21 +183,6 @@ class PermRep(NamedTuple):
             raise ValidationError("the action is not transitive")
         return rep
 
-    def word_point(self, w: ModularWord) -> int:
-        """Image of the basepoint under the permutation action of a word."""
-        ti = None
-        p = 0
-        for letter in w.letters:
-            if letter == S_ or letter == -S_:
-                p = self.perm_s[p]
-            elif letter == T_:
-                p = self.perm_t[p]
-            else:
-                if ti is None:
-                    ti = perm_inv(self.perm_t)
-                p = ti[p]
-        return p
-
     def word_perm(self, w: ModularWord) -> tuple:
         perm = perm_identity(self.degree)
         ti = perm_inv(self.perm_t)
@@ -233,7 +218,7 @@ def rep_contains(rep: PermRep, x: Union[Mat2, ModularWord]) -> bool:
     representation is projective.
     """
     w = matrix_to_word(x) if isinstance(x, Mat2) else x
-    return rep.word_point(w) == 0
+    return rep.word_perm(w)[0] == 0
 
 
 def rep_level(rep: PermRep) -> int:
@@ -585,7 +570,7 @@ def congruence_gap_witness(
         x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         raise ValidationError("witness is not congruent to the identity at its level")
-    displaced = rep.word_point(found)
+    displaced = rep.word_perm(found)[0]
     walks = {} if walks is None else walks
     levels = tuple(m for m in range(2, m_max + 1) if image_blocks(rep, m, budgets, walks)[displaced] == 0)
     return GapWitness(x, found, levels, displaced)

@@ -25,7 +25,6 @@ from .groupcore import (
     GroupContext,
     SdElement,
     check_closure_cap,
-    perm_inv,
     perm_mul,
     product_member,
     sd_identity,
@@ -35,7 +34,7 @@ from .groupcore import (
     subgroup_from_elements,
     subgroup_intersection,
 )
-from .modular import ModularWord, PermRep, perm_identity, rep_contains, subgroup_generators, word_eval
+from .modular import ModularWord, PermRep, perm_identity, word_eval
 
 
 class Formation(NamedTuple):
@@ -47,6 +46,8 @@ class Formation(NamedTuple):
     @classmethod
     def make(cls, kind: str, p: Optional[int] = None) -> "Formation":
         if kind == "all":
+            if p is not None:
+                raise ValidationError(f"formation 'all' takes no p, got {p!r}")
             return cls("all", None)
         if kind == "pro-p":
             if p is None or not is_prime(p):
@@ -54,7 +55,13 @@ class Formation(NamedTuple):
             return cls("pro-p", p)
         raise ValidationError(f"unknown formation kind: {kind!r}")
 
-    def admits(self, spec: "QuotientSpec", budgets: Budgets | None = None) -> bool:
+    def admits(self, spec: "QuotientSpec") -> bool:
+        """Whether ``m`` is a power of p and the coset action's image a p-group.
+
+        The image is generated by x, that of S, with x^2 = 1 and y, that of
+        ST, with y^3 = 1, and a p-group holds only elements of p-power order:
+        so it is one exactly when x = 1 unless p = 2, and y = 1 unless p = 3.
+        """
         if self.kind == "all":
             return True
         m = spec.m
@@ -62,19 +69,12 @@ class Formation(NamedTuple):
             m //= self.p
         if m != 1:
             return False
-        if spec.rep is not None:
-            size = _perm_group_order(spec.rep, budgets)
-            while size % self.p == 0:
-                size //= self.p
-            if size != 1:
-                return False
-        return True
-
-
-def _perm_group_order(rep: PermRep, budgets: Budgets | None) -> int:
-    ident = perm_identity(rep.degree)
-    ctx = GroupContext(ident, perm_mul, perm_inv, (rep.perm_s, rep.perm_t), name=f"perm image d={rep.degree}")
-    return len(ctx.enumerate(budgets))
+        if spec.rep is None:
+            return True
+        ident = perm_identity(spec.rep.degree)
+        x = spec.rep.perm_s
+        y = perm_mul(x, spec.rep.perm_t)
+        return (self.p == 2 or x == ident) and (self.p == 3 or y == ident)
 
 
 class QuotientSpec(NamedTuple):
@@ -92,13 +92,7 @@ class QuotientSpec(NamedTuple):
 
     def refined_by(self, fine: "QuotientSpec") -> bool:
         """Whether this quotient factors through ``fine`` (fine is at least as fine)."""
-        if fine.m % self.m != 0:
-            return False
-        if self.rep is None:
-            return True
-        if fine.rep is None:
-            return self.rep.degree == 1
-        return all(rep_contains(self.rep, w) for w in subgroup_generators(fine.rep))
+        return fine.m % self.m == 0 and (self.rep is None or _point_map(fine.rep, self.rep) is not None)
 
     def to_json(self) -> dict:
         rep, formation = self.rep, self.formation
@@ -236,48 +230,51 @@ def image_subgroup(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budge
 # refinement kernels
 
 
-def _coset_fibration(fine: PermRep, coarse: PermRep):
-    """Point map fine -> coarse plus a section (one fine point per coarse point).
+_ONE_POINT = PermRep(1, (0,), (0,))
 
-    The map sends 0 to 0 and commutes with S and T, so a walk over the fine
-    points carries the coarse point along; fine refines coarse, so it is
-    well defined.
+
+def _point_map(fine: Optional[PermRep], coarse: PermRep) -> Optional[tuple]:
+    """The coarse point under each fine point, or None when the fine
+    subgroup does not lie in the coarse one.
+
+    A fine action of None is the one-point action of the whole group.  The
+    map sends 0 to 0 and commutes with S and T, so a walk over the fine
+    points from 0 carries the coarse point along; it exists exactly when no
+    edge sends a point to two coarse points, and it is onto, as both actions
+    are transitive.
     """
+    fine = fine or _ONE_POINT
     pmap = [-1] * fine.degree
     pmap[0] = 0
     queue = [0]
     for p in queue:
         for perm, coarse_perm in ((fine.perm_s, coarse.perm_s), (fine.perm_t, coarse.perm_t)):
-            if pmap[perm[p]] < 0:
-                pmap[perm[p]] = coarse_perm[pmap[p]]
-                queue.append(perm[p])
-    section = [-1] * coarse.degree
-    for p in range(fine.degree):
-        if section[pmap[p]] < 0:
-            section[pmap[p]] = p
-    if any(v < 0 for v in section):
-        raise ValidationError("coset fibration is not surjective; refinement is invalid")
-    return tuple(pmap), tuple(section)
+            q, image = perm[p], coarse_perm[pmap[p]]
+            if pmap[q] < 0:
+                pmap[q] = image
+                queue.append(q)
+            elif pmap[q] != image:
+                return None
+    return tuple(pmap)
 
 
 def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
-    """The restriction homomorphism from the fine quotient to the coarse one."""
+    """The restriction homomorphism from the fine quotient to the coarse one.
+
+    The coarse action of an element is read through the point map on the
+    least fine point over each coarse point.
+    """
     if not coarse.refined_by(fine):
         raise PreconditionError("element_restriction: the first spec does not refine the second")
     cm = coarse.m
-    if coarse.rep is None or fine.rep is None:
-        # a plain fine quotient refines a coset action only of degree 1
-        sigma = None if coarse.rep is None else perm_identity(coarse.rep.degree)
-
-        def restrict(x: SdElement) -> SdElement:
-            return SdElement(x.a.reduce(cm), x.h.reduce(cm), sigma)
-
-        return restrict
-    pmap, section = _coset_fibration(fine.rep, coarse.rep)
+    if coarse.rep is None:
+        return lambda x: SdElement(x.a.reduce(cm), x.h.reduce(cm), None)
+    pmap = _point_map(fine.rep, coarse.rep)
+    section = [pmap.index(c) for c in range(coarse.rep.degree)]
 
     def restrict(x: SdElement) -> SdElement:
-        sigma = tuple(pmap[x.sigma[j]] for j in section)
-        return SdElement(x.a.reduce(cm), x.h.reduce(cm), sigma)
+        sigma = x.sigma or (0,)  # a plain fine quotient acts on one point
+        return SdElement(x.a.reduce(cm), x.h.reduce(cm), tuple(pmap[sigma[j]] for j in section))
 
     return restrict
 
@@ -416,7 +413,7 @@ def tractable_candidate(
     """
     budgets = active_budgets(budgets)
     entry = {"spec": cand, "status": "precondition", "detail": "", "violations": [], "sizes": {}}
-    if m_spec.formation is not None and not m_spec.formation.admits(cand, budgets):
+    if m_spec.formation is not None and not m_spec.formation.admits(cand):
         entry.update(status="skipped-formation", detail="candidate is outside the configured formation")
         return entry, 0
     if not m_spec.refined_by(cand):

@@ -35,12 +35,15 @@ from cosetope.modular import (
     ModularWord,
     PermRep,
     _restandardize,
+    perm_identity,
     psl2_canon,
     psl2_context,
+    rep_contains,
     subgroup_generators,
     word_eval,
 )
 from cosetope.profinite import (
+    Formation,
     GroupWord,
     QuotientSpec,
     element_restriction,
@@ -758,6 +761,95 @@ def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets=None):
             x = sd_mul(x, letter_element(fctx.generators, letter))
         kernel_gens.append(x)
     return subgroup_closure(fctx, kernel_gens, budgets)
+
+
+# ---------------------------------------------------------------------------
+# refinement, restriction and the pro-p check as they were computed before
+# they were read off the coset permutations: through Schreier generator
+# words, a second walk over the points, and the closure of the permutation
+# group
+
+
+def _perm_group_order(rep: PermRep, budgets: Budgets | None) -> int:
+    ident = perm_identity(rep.degree)
+    ctx = GroupContext(ident, perm_mul, perm_inv, (rep.perm_s, rep.perm_t), name=f"perm image d={rep.degree}")
+    return len(ctx.enumerate(budgets))
+
+
+def oracle_admits(formation: Formation, spec: QuotientSpec, budgets: Budgets | None = None) -> bool:
+    """``Formation.admits`` by the order of the closed permutation group."""
+    if formation.kind == "all":
+        return True
+    m = spec.m
+    while m % formation.p == 0:
+        m //= formation.p
+    if m != 1:
+        return False
+    if spec.rep is not None:
+        size = _perm_group_order(spec.rep, budgets)
+        while size % formation.p == 0:
+            size //= formation.p
+        if size != 1:
+            return False
+    return True
+
+
+def oracle_refined_by(coarse: QuotientSpec, fine: QuotientSpec) -> bool:
+    """``coarse.refined_by(fine)``: every Schreier generator word of the fine
+    subgroup lies in the coarse one."""
+    if fine.m % coarse.m != 0:
+        return False
+    if coarse.rep is None:
+        return True
+    if fine.rep is None:
+        return coarse.rep.degree == 1
+    return all(rep_contains(coarse.rep, w) for w in subgroup_generators(fine.rep))
+
+
+def _coset_fibration(fine: PermRep, coarse: PermRep):
+    """Point map fine -> coarse plus a section (one fine point per coarse point).
+
+    The map sends 0 to 0 and commutes with S and T, so a walk over the fine
+    points carries the coarse point along; fine refines coarse, so it is
+    well defined.
+    """
+    pmap = [-1] * fine.degree
+    pmap[0] = 0
+    queue = [0]
+    for p in queue:
+        for perm, coarse_perm in ((fine.perm_s, coarse.perm_s), (fine.perm_t, coarse.perm_t)):
+            if pmap[perm[p]] < 0:
+                pmap[perm[p]] = coarse_perm[pmap[p]]
+                queue.append(perm[p])
+    section = [-1] * coarse.degree
+    for p in range(fine.degree):
+        if section[pmap[p]] < 0:
+            section[pmap[p]] = p
+    if any(v < 0 for v in section):
+        raise ValidationError("coset fibration is not surjective; refinement is invalid")
+    return tuple(pmap), tuple(section)
+
+
+def oracle_element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
+    """``element_restriction`` through ``oracle_refined_by`` and ``_coset_fibration``."""
+    if not oracle_refined_by(coarse, fine):
+        raise PreconditionError("element_restriction: the first spec does not refine the second")
+    cm = coarse.m
+    if coarse.rep is None or fine.rep is None:
+        # a plain fine quotient refines a coset action only of degree 1
+        sigma = None if coarse.rep is None else perm_identity(coarse.rep.degree)
+
+        def restrict(x: SdElement) -> SdElement:
+            return SdElement(x.a.reduce(cm), x.h.reduce(cm), sigma)
+
+        return restrict
+    pmap, section = _coset_fibration(fine.rep, coarse.rep)
+
+    def restrict(x: SdElement) -> SdElement:
+        sigma = tuple(pmap[x.sigma[j]] for j in section)
+        return SdElement(x.a.reduce(cm), x.h.reduce(cm), sigma)
+
+    return restrict
 
 
 # ---------------------------------------------------------------------------

@@ -196,7 +196,7 @@ def test_criterion_6_noncongruence_existence():
         if n == 1:
             direct = rep.degree == 1
         else:
-            direct = all(rep.word_point(w) == 0 for w in principal_congruence_generators(n))
+            direct = all(rep.word_perm(w)[0] == 0 for w in principal_congruence_generators(n))
         assert verdict == direct, f"verdict disagrees with containment at degree {rep.degree}"
         if not verdict:
             noncongruence.append(rep)

@@ -416,6 +416,8 @@ def test_tractable_plain_tower_under_degree_one_action(tmp_path, gens_files):
         {"filter": {"type": "pro-p", "p": 4}},
         {"fliter": {"type": "pro-p", "p": 2}},
         {"filter": {"type": "pro-p", "p": 2, "q": 3}},
+        {"filter": {"type": "all", "p": 3}},
+        {"filter": {"p": 2}},
     ],
 )
 def test_bad_tower_filter_exits_2(tmp_path, gens_files, fields):
@@ -428,19 +430,19 @@ def test_bad_tower_filter_exits_2(tmp_path, gens_files, fields):
     assert main(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", m_spec]) == 2
 
 
-def test_formation_check_honours_the_closure_cap(tmp_path, monkeypatch, capsys):
-    # the pro-2 check closes the permutation group of nc_rep's coset action,
-    # of order 5,040; golden/tractable_formation.json pins the default cap
-    monkeypatch.chdir(Path(__file__).resolve().parent / "golden")
+def test_formation_check_closes_nothing_under_the_closure_cap(tmp_path, monkeypatch):
+    # the pro-2 check reads nc_rep's S and ST off its permutations instead of
+    # closing its permutation group, of order 5,040, so a cap of 10 writes
+    # the default-cap bytes of golden/tractable_formation.json
+    golden = Path(__file__).resolve().parent / "golden"
+    monkeypatch.chdir(golden)
     args = [
         "tractable", "--h-gens", "h.json", "--k-gens", "k.json",
         "--m-spec", '{"m": 2, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_nc_rep.json",
-        "--output", str(tmp_path / "t.json"),
+        "--output", str(tmp_path / "t.json"), "--closure-cap", "10",
     ]
-    assert main(args + ["--closure-cap", "10"]) == 3
-    assert "more than 10 elements in perm image d=7" in capsys.readouterr().err
-    assert not (tmp_path / "t.json").exists()
-    assert main(args + ["--closure-cap", "5040"]) == 0
+    assert main(args) == 0
+    assert (tmp_path / "t.json").read_bytes() == (golden / "tractable_formation.json").read_bytes()
 
 
 @pytest.mark.parametrize(

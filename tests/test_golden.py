@@ -10,10 +10,13 @@ preceded ``report.as_recorded``, so each result type is pinned to the bytes
 it had before every report value went through that one function.
 ``gs_demo_m32.json`` was written by the implementation that still listed
 SL2(Z/m) to intersect the images of H and K at each level, before the table
-recorded the closed form, and ``tractable_formation.json`` before the
-formation check honoured the closure cap.  ``lowindex_subgroups.json`` was
-written by the relator-deduction coset-table search, before the low-index
-subgroups were listed as transitive actions of C2 * C3.  ``regen_golden.py``
+recorded the closed form, and ``tractable_formation.json`` by the formation
+check that still closed the permutation group of the coset action.
+``lowindex_subgroups.json`` was written by the relator-deduction coset-table
+search, before the low-index subgroups were listed as transitive actions of
+C2 * C3.  ``tractable_reps.json`` was written while refinement was still
+decided by Schreier generator words and restriction by a second walk over
+the points, before both were read off one point map.  ``regen_golden.py``
 rewrites the fixtures from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
@@ -41,8 +44,8 @@ CASES = {
         "tractable", "--h-gens", "h.json", "--k-gens", "k.json", "--hcapk-gens", "empty.json",
         "--m-spec", '{"m": 4, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_ok.json",
     ],
-    # a candidate carrying nc_rep's coset action: the pro-2 formation check
-    # closes its permutation group, of order 5,040, and skips it
+    # a candidate carrying nc_rep's coset action: its ST, of order 3, moves
+    # a point, so its image is no 2-group and the pro-2 formation skips it
     "tractable_formation.json": [
         "tractable", "--h-gens", "h.json", "--k-gens", "k.json",
         "--m-spec", '{"m": 2, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_nc_rep.json",

@@ -302,7 +302,7 @@ def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
             for _ in range(25):
                 w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 10))])
                 g = GroupWord.of_a(word_eval(w) - Mat2.identity())
-                entry = evidence_entry(rep, m, rep.word_point(w), g, budgets, walks)
+                entry = evidence_entry(rep, m, rep.word_perm(w)[0], g, budgets, walks)
                 assert entry["double_coset_member"] == entry["member"]
                 seen[entry["member"]] += 1
     assert seen[True] > 50 and seen[False] > 50

@@ -240,7 +240,7 @@ def test_trivial_rep_generators_are_s_and_t():
 def test_subgroup_generators_fix_basepoint():
     for rep in low_index_reps(6):
         for w in subgroup_generators(rep):
-            assert rep.word_point(w) == 0
+            assert rep.word_perm(w)[0] == 0
 
 
 def test_subgroup_generator_images_have_index_degree():
@@ -308,7 +308,7 @@ def test_image_blocks_match_the_closure_oracle():
             assert set(image_elements(rep, m)) == oracle.as_set(), (rep, m)
             for w in words:
                 member = psl2_canon(word_eval(w).reduce(m)) in oracle
-                assert (blocks[rep.word_point(w)] == 0) == member, (rep, m, w)
+                assert (blocks[rep.word_perm(w)[0]] == 0) == member, (rep, m, w)
     assert len(reps) == 28
 
 
@@ -394,7 +394,7 @@ def _congruence_by_containment(rep):
     n = rep_level(rep)
     if n == 1:
         return rep.degree == 1
-    return all(rep.word_point(w) == 0 for w in principal_congruence_generators(n))
+    return all(rep.word_perm(w)[0] == 0 for w in principal_congruence_generators(n))
 
 
 def test_is_congruence_agrees_with_containment_oracle_degree_6():
@@ -484,7 +484,7 @@ def _schreier_scan_witness(rep, level):
     """The witness word of the earlier search: the first Schreier generator of
     the level's principal congruence subgroup, taken over the regular action
     of PSL2(Z/level), that moves the basepoint."""
-    word = next(w for w in principal_congruence_generators(level) if rep.word_point(w) != 0)
+    word = next(w for w in principal_congruence_generators(level) if rep.word_perm(w)[0] != 0)
     if word_eval(word).reduce(level) != Mat2.identity(level):
         word = ModularWord((1, 1)) * word
     return word

@@ -42,6 +42,9 @@ from t_util import (
     gw_mul,
     hi_exclusion_check,
     normal_closure,
+    oracle_admits,
+    oracle_element_restriction,
+    oracle_refined_by,
     s3_context,
     schreier_kernel,
     subgroup_pool,
@@ -257,6 +260,28 @@ def test_restriction_from_plain_to_degree_one_action():
     assert kernel_of_refinement(fine, coarse).as_set() == _filter_kernel(fine, coarse)
 
 
+def _specs(m, d_max):
+    """The plain quotient mod ``m``, then every subgroup of degree <= ``d_max`` on it."""
+    return [QuotientSpec.make(m)] + [QuotientSpec.make(m, rep) for rep in low_index_reps(d_max, classes=False)]
+
+
+@pytest.mark.parametrize("f, c, refining", [(2, 2, 144), (4, 2, 144), (3, 2, 0), (6, 3, 144)])
+def test_refinement_and_restriction_match_the_word_oracles(f, c, refining):
+    # the point map against Schreier generator words and the second walk
+    # over the points, on 42 x 42 pairs of specs at each modulus pair
+    seen = 0
+    for fine in _specs(f, 6):
+        elements = (quotient_context(fine).identity,) + quotient_context(fine).generators
+        for coarse in _specs(c, 6):
+            refines = coarse.refined_by(fine)
+            assert refines == oracle_refined_by(coarse, fine), (fine, coarse)
+            if refines:
+                seen += 1
+                restrict, oracle = element_restriction(fine, coarse), oracle_element_restriction(fine, coarse)
+                assert [restrict(x) for x in elements] == [oracle(x) for x in elements], (fine, coarse)
+    assert seen == refining
+
+
 def test_kernel_requires_refinement():
     with pytest.raises(PreconditionError):
         kernel_of_refinement(QuotientSpec.make(2), QuotientSpec.make(4))
@@ -285,6 +310,18 @@ def test_formation_filters():
         Formation.make("pro-p", 4)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_pro_p_check_matches_the_closure_oracle(p):
+    # the closed form against the order of the closed permutation group, on
+    # all 83 subgroups of degree <= 7
+    formation = Formation.make("pro-p", p)
+    reps = low_index_reps(7, classes=False)
+    assert len(reps) == 83
+    for rep in reps:
+        spec = QuotientSpec.make(p, rep)
+        assert formation.admits(spec) == oracle_admits(formation, spec), rep
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -292,6 +329,8 @@ def test_formation_filters():
         ({"filter": "pro-p"}, None),
         ({"filter": {"type": "pro-p", "p": 4}}, None),
         ({"filter": {"type": "pro-p", "p": True}}, None),
+        ({"filter": {"type": "all", "p": 3}}, "formation 'all' takes no p, got 3"),
+        ({"filter": {"p": 2}}, "formation 'all' takes no p, got 2"),
         ({"filter": ["pro-p", 2]}, None),
         ({"fliter": {"type": "pro-p", "p": 2}}, "quotient spec has unknown key 'fliter'"),
         ({"filter": {"type": "pro-p", "p": 2, "P": 3}}, "spec 'filter' has unknown key 'P'"),
