@@ -28,6 +28,7 @@ from .groupcore import (
     subgroup_from_elements,
 )
 from .modular import (
+    ONE_POINT,
     GapWitness,
     ModularWord,
     PermRep,
@@ -106,17 +107,13 @@ _CONCLUSION = (
 
 _CROSS_CHECK_MAX = 4
 
-# the one-point coset action, whose subgroup is the whole modular group: its
-# sign-saturated image at level m is image(H), all of SL2(Z/m)
-_WHOLE = PermRep(1, (0,), (0,))
-
 
 def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None, walks=None) -> GeneratedSubgroup:
     """Image of the (sign-saturated) subgroup of H attached to ``rep`` at level m.
 
     Listed without a closure (``image_elements``), each u with -u (which
     coincide only at m = 2); only ``evidence_entry``'s cross-check needs it,
-    for H' and, through ``_WHOLE``, for all of H.
+    for H' and, through ``ONE_POINT``, for all of H.
     """
     elements = tuple(dict.fromkeys(v for u in image_elements(rep, m, budgets, walks) for v in (u, -u)))
     check_closure_cap(len(elements), budgets, f"the sign-saturated subgroup image mod {m}")
@@ -158,7 +155,7 @@ def evidence_entry(rep: PermRep, m: int, point: int, g: GroupWord, budgets: Budg
         check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
         ident = Mat2.identity(m)
         im_k = subgroup_from_elements(
-            SdElement(ident - h, h, None) for h in _h_prime_image_mod(_WHOLE, m, budgets, walks).elements
+            SdElement(ident - h, h, None) for h in _h_prime_image_mod(ONE_POINT, m, budgets, walks).elements
         )
         direct = product_member(quotient_context(spec), project(g, spec), im_hp, im_k)
         entry["double_coset_member"] = direct
@@ -201,7 +198,7 @@ def gs_wz_failure(
         witness=witness,
         g=g,
         level_transcripts=transcripts,
-        levels=tuple(entry["m"] for entry in transcripts if entry["member"]),
+        levels=witness.levels_verified,
         witness_level=witness_level,
         towers_used=(
             f"congruence levels 2..{m_max}; quotients carrying the coset action of "

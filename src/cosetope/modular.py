@@ -211,6 +211,10 @@ class PermRep(NamedTuple):
         return cls.make(degree, perm_s, perm_t)
 
 
+# the one-point coset action: its subgroup is the whole modular group
+ONE_POINT = PermRep(1, (0,), (0,))
+
+
 def rep_contains(rep: PermRep, x: Union[Mat2, ModularWord]) -> bool:
     """Whether ``x`` lies in the subgroup: its action fixes the basepoint 0.
 
@@ -557,11 +561,8 @@ def congruence_gap_witness(
         raise ValidationError(f"witness level must be at least 2, got {level}")
 
     seen: dict = {}
-    edge = next(_gamma_walk(rep, level, budgets, seen), None)
-    if edge is None:
-        raise PreconditionError(
-            f"congruence_gap_witness: the subgroup contains the principal congruence subgroup of level {level}"
-        )
+    # an edge exists: a non-congruence subgroup holds no principal congruence subgroup
+    edge = next(_gamma_walk(rep, level, budgets, seen))
     source, letter, target = edge[2]
     found = ModularWord(_walk_word(seen, source) + (letter,)) * ModularWord(_walk_word(seen, target)).inverse()
     x = word_eval(found)

@@ -34,7 +34,7 @@ from .groupcore import (
     subgroup_from_elements,
     subgroup_intersection,
 )
-from .modular import ModularWord, PermRep, perm_identity, word_eval
+from .modular import ONE_POINT, ModularWord, PermRep, perm_identity, word_eval
 
 
 class Formation(NamedTuple):
@@ -152,7 +152,10 @@ def load_tower(path: str) -> list:
     if not isinstance(data, list):
         raise ValidationError("a tower file holds a list of quotient specs")
     base_dir = os.path.dirname(os.path.abspath(path))
-    return [QuotientSpec.from_json(entry, base_dir) for entry in data]
+    tower = [QuotientSpec.from_json(entry, base_dir) for entry in data]
+    if any(spec.formation is not None for spec in tower):
+        raise ValidationError("a tower entry takes no filter; put it on --m-spec")
+    return tower
 
 
 def default_tower() -> list:
@@ -230,9 +233,6 @@ def image_subgroup(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budge
 # refinement kernels
 
 
-_ONE_POINT = PermRep(1, (0,), (0,))
-
-
 def _point_map(fine: Optional[PermRep], coarse: PermRep) -> Optional[tuple]:
     """The coarse point under each fine point, or None when the fine
     subgroup does not lie in the coarse one.
@@ -243,7 +243,7 @@ def _point_map(fine: Optional[PermRep], coarse: PermRep) -> Optional[tuple]:
     edge sends a point to two coarse points, and it is onto, as both actions
     are transitive.
     """
-    fine = fine or _ONE_POINT
+    fine = fine or ONE_POINT
     pmap = [-1] * fine.degree
     pmap[0] = 0
     queue = [0]

@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import cosetope.gs
 import cosetope.modular
 from cosetope.arith import parse_int
 from cosetope.budgets import Budgets
@@ -408,6 +407,9 @@ def test_tractable_plain_tower_under_degree_one_action(tmp_path, gens_files):
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
 
 
+_VALID_FILTER = {"filter": {"type": "pro-p", "p": 2}}
+
+
 @pytest.mark.parametrize(
     "fields",
     [
@@ -418,16 +420,19 @@ def test_tractable_plain_tower_under_degree_one_action(tmp_path, gens_files):
         {"filter": {"type": "pro-p", "p": 2, "q": 3}},
         {"filter": {"type": "all", "p": 3}},
         {"filter": {"p": 2}},
+        _VALID_FILTER,
     ],
 )
 def test_bad_tower_filter_exits_2(tmp_path, gens_files, fields):
+    # a tower entry refuses every filter, the valid one that --m-spec reads too
     tower = tmp_path / "tower.json"
     tower.write_text(json.dumps([{"m": 4, **fields}]))
     h = gens_files["h"]
     args = ["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", '{"m": 2}', "--tower", str(tower)]
     assert main(args + ["--output", str(tmp_path / "t.json")]) == 2
     m_spec = json.dumps({"m": 2, **fields})
-    assert main(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", m_spec]) == 2
+    args = ["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", m_spec, "--output", str(tmp_path / "m.json")]
+    assert main(args) == (0 if fields == _VALID_FILTER else 2)
 
 
 def test_formation_check_closes_nothing_under_the_closure_cap(tmp_path, monkeypatch):
@@ -617,7 +622,7 @@ def test_gs_demo_walks_each_level_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
-    expected = [(rep, g) for g in (2, 3, 4, 6, 12)] + [(cosetope.gs._WHOLE, m) for m in (2, 3, 4)]
+    expected = [(rep, g) for g in (2, 3, 4, 6, 12)] + [(cosetope.modular.ONE_POINT, m) for m in (2, 3, 4)]
     run_report(["gs-demo", "--m-max", "32"], tmp_path / "demo.json")
     assert sorted(walked) == sorted(expected)
     walked.clear()

@@ -17,9 +17,10 @@ from cosetope.groupcore import (
     subgroup_closure,
     subgroup_from_elements,
 )
-from cosetope.gs import _WHOLE, _h_prime_image_mod, evidence_entry, gs_hk_witness, gs_wz_failure
+from cosetope.gs import _h_prime_image_mod, evidence_entry, gs_hk_witness, gs_wz_failure
 from cosetope.budgets import active_budgets
 from cosetope.modular import (
+    ONE_POINT,
     ModularWord,
     is_congruence,
     low_index_reps,
@@ -319,7 +320,7 @@ def _sl2_closure_image(rep, m):
 def test_sign_saturated_image_matches_sl2_closure_oracle():
     budgets = active_budgets()
     # the one-point rep's subgroup is the whole modular group: its image is SL2(Z/m)
-    for rep in (congruence_rep(2), minimal_noncongruence(), _WHOLE):
+    for rep in (congruence_rep(2), minimal_noncongruence(), ONE_POINT):
         for m in range(2, 13):
             derived = _h_prime_image_mod(rep, m, budgets)
             oracle = _sl2_closure_image(rep, m)
@@ -376,7 +377,7 @@ def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
     assert Counter(calls) == Counter(
         [("is_congruence", rep, 12), ("congruence_gap_witness", rep, 24)]
         + [("image_blocks", rep, g) for g in (2, 3, 4, 6, 12)]
-        + [("image_elements", _WHOLE, m) for m in (2, 3, 4)]
+        + [("image_elements", ONE_POINT, m) for m in (2, 3, 4)]
     )
     # a second call walks again: the walks are kept per call, not per process
     calls.clear()

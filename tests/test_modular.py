@@ -472,12 +472,15 @@ def test_gap_witness_level_is_small_multiple_of_rep_level():
 def test_gap_witness_seed_phase_can_find_witnesses():
     # a noncongruence subgroup contains no principal congruence subgroup, so
     # the walk finds a witness in the level-n kernel at every level n, whether
-    # or not the subgroup's own level divides n
-    rep = _minimal_noncongruence()
-    for level in range(2, 25):
-        witness = congruence_gap_witness(rep, level, m_max=2)
-        assert witness.displaced_to != 0
-        assert witness.x.reduce(level) == Mat2.identity(level)
+    # or not the subgroup's own level divides n; congruence_gap_witness takes
+    # the walk's first edge with no fallback on this fact
+    reps = [rep for rep in low_index_reps(9) if not is_congruence(rep)]
+    assert _minimal_noncongruence() in reps
+    for rep in reps:
+        for level in range(2, 25):
+            witness = congruence_gap_witness(rep, level, m_max=2)
+            assert witness.displaced_to != 0
+            assert witness.x.reduce(level) == Mat2.identity(level)
 
 
 def _schreier_scan_witness(rep, level):

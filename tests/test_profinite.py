@@ -554,19 +554,13 @@ def test_tower_file_round_trip(tmp_path):
     rep_path = tmp_path / "rep.json"
     rep_path.write_text(json.dumps(rep.to_json()))
     tower_path = tmp_path / "tower.json"
-    tower_path.write_text(
-        json.dumps(
-            [
-                {"m": 2},
-                {"m": 4, "filter": {"type": "pro-p", "p": 2}},
-                {"m": 2, "rep": "rep.json"},
-            ]
-        )
-    )
+    tower_path.write_text(json.dumps([{"m": 2}, {"m": 4}, {"m": 2, "rep": "rep.json"}]))
     tower = load_tower(str(tower_path))
-    assert tower[0] == QuotientSpec.make(2)
-    assert tower[1].formation == Formation.make("pro-p", 2)
-    assert tower[2].rep == rep
+    assert tower == [QuotientSpec.make(2), QuotientSpec.make(4), QuotientSpec.make(2, rep)]
+    # only --m-spec's filter is read, so a tower entry refuses one
+    tower_path.write_text(json.dumps([{"m": 2}, {"m": 4, "filter": {"type": "pro-p", "p": 2}}]))
+    with pytest.raises(ValidationError, match="a tower entry takes no filter"):
+        load_tower(str(tower_path))
 
 
 def test_tower_file_errors(tmp_path):

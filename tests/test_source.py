@@ -9,8 +9,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cosetope"
-SOURCES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
-ALL_SOURCES = sorted(PACKAGE.glob("*.py"))
+SOURCES = sorted(PACKAGE.glob("*.py"))
 
 
 def unused_imports(text: str) -> list:
@@ -149,7 +148,7 @@ def unbounded_caches(text: str) -> list:
     return sorted(out)
 
 
-@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_bounds_every_cache(path):
     assert unbounded_caches(path.read_text(encoding="utf-8")) == []
 
@@ -179,7 +178,7 @@ def test_only_types_whose_report_form_differs_define_to_json():
     # every other result value is recorded by report.as_recorded from its
     # fields, so no module keeps a per-type serializer
     defined = {}
-    for path in ALL_SOURCES:
+    for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
@@ -212,7 +211,7 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     assert added.isdisjoint({"dataclasses", "inspect"})
 
 
-@pytest.mark.parametrize("path", ALL_SOURCES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_module_does_not_import_dataclasses(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     imported = set()
