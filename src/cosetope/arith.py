@@ -1,4 +1,4 @@
-"""Exact 2x2 integer-matrix arithmetic, strict integer parsing and group orders.
+"""Exact 2x2 integer-matrix arithmetic and group orders.
 
 Matrices come in two modes.  Ambient mode holds unbounded Python integers
 (word evaluation in the matrix group overflows fixed-width types quickly, so
@@ -16,20 +16,6 @@ from .errors import BudgetError, ModulusMismatch, ValidationError
 
 
 _new = tuple.__new__
-
-
-def parse_int(value) -> int:
-    """A JSON integer, or a string in the canonical decimal form that reports
-    record: a float, a bool or a string such as ``"02"`` is refused."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, str):
-        try:
-            if str(int(value)) == value:
-                return int(value)
-        except ValueError:
-            pass
-    raise ValidationError(f"expected an integer, got {value!r}")
 
 
 class Mat2(NamedTuple):
@@ -66,9 +52,6 @@ class Mat2(NamedTuple):
         if m < 2:
             raise ValidationError(f"modulus must be at least 2, got {m}")
         return cls(k % m, 0, 0, k % m, m)
-
-    def to_json(self) -> dict:
-        return {"rows": [[self.a, self.b], [self.c, self.d]], "m": self.m}
 
     # The arithmetic below unpacks each operand once and builds its result
     # with tuple.__new__, skipping the NamedTuple constructor's Python-level

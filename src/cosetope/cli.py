@@ -49,11 +49,8 @@ from .profinite import (
     default_tower,
     image_subgroup,
     kernel_of_refinement,  # noqa: F401
-    load_rep,
-    load_tower,
     project,
     quotient_context,
-    read_json,
     spec_group_order,
     thm_b_probe,
     tractable_at,
@@ -65,28 +62,17 @@ from . import report as rpt
 # inputs
 
 
-def _load_gens(path: str) -> list:
-    data = read_json(path, "generator file")
-    if not isinstance(data, list):
-        raise ValidationError(f"{path!r}: a generator file holds a JSON list of elements")
-    return [rpt.groupword_from_json(entry) for entry in data]
-
-
 def _parse_element(text: str) -> GroupWord:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"bad element JSON: {exc}") from exc
-    return rpt.groupword_from_json(data)
+    return rpt.groupword_from_json(rpt.decode(text, "bad element JSON"))
 
 
 def _spec_of(config: dict) -> QuotientSpec:
-    rep = load_rep(config["rep"]) if config["rep"] else None
+    rep = rpt.load_rep(config["rep"]) if config["rep"] else None
     return QuotientSpec.make(config["modulus"], rep)
 
 
 def _tower_of(config: dict) -> list:
-    return load_tower(config["tower"]) if config["tower"] else default_tower()
+    return rpt.load_tower(config["tower"]) if config["tower"] else default_tower()
 
 
 def _budgets_of(args) -> Budgets:
@@ -118,14 +104,14 @@ def _quotient(config: dict, budgets: Budgets) -> dict:
 
 
 def _image(config: dict, budgets: Budgets) -> dict:
-    sub = image_subgroup(_load_gens(config["gens"]), _spec_of(config), budgets)
+    sub = image_subgroup(rpt.load_gens(config["gens"]), _spec_of(config), budgets)
     return {"size": len(sub), "sample": sub.elements[:20]}
 
 
 def _intersect(config: dict, budgets: Budgets) -> dict:
     spec = _spec_of(config)
-    left = image_subgroup(_load_gens(config["left"]), spec, budgets)
-    right = image_subgroup(_load_gens(config["right"]), spec, budgets)
+    left = image_subgroup(rpt.load_gens(config["left"]), spec, budgets)
+    right = image_subgroup(rpt.load_gens(config["right"]), spec, budgets)
     inter = subgroup_intersection(left, right)
     result = {"size_left": len(left), "size_right": len(right), "size_intersection": len(inter)}
     if len(inter) <= 50:
@@ -136,8 +122,8 @@ def _intersect(config: dict, budgets: Budgets) -> dict:
 def _dcoset_member(config: dict, budgets: Budgets) -> dict:
     spec = _spec_of(config)
     g = _parse_element(config["element"])
-    left = image_subgroup(_load_gens(config["left"]), spec, budgets)
-    right = image_subgroup(_load_gens(config["right"]), spec, budgets)
+    left = image_subgroup(rpt.load_gens(config["left"]), spec, budgets)
+    right = image_subgroup(rpt.load_gens(config["right"]), spec, budgets)
     return {
         "member": product_member(quotient_context(spec), project(g, spec), left, right),
         "size_left": len(left),
@@ -147,7 +133,7 @@ def _dcoset_member(config: dict, budgets: Budgets) -> dict:
 
 
 def _congruence(config: dict, budgets: Budgets) -> dict:
-    rep = load_rep(config["rep"])
+    rep = rpt.load_rep(config["rep"])
     level = rep_level(rep)
     result = {"degree": rep.degree, "level": level, "congruence": is_congruence(rep, budgets=budgets)}
     if level > 1:
@@ -156,14 +142,11 @@ def _congruence(config: dict, budgets: Budgets) -> dict:
 
 
 def _tractable(config: dict, budgets: Budgets) -> TractabilityReport:
-    try:
-        m_spec = QuotientSpec.from_json(json.loads(config["m_spec"]))
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"--m-spec takes inline JSON like '{{\"m\": 2}}': {exc}") from exc
+    m_spec = rpt.spec_from_json(rpt.decode(config["m_spec"], "--m-spec takes inline JSON like '{\"m\": 2}'"))
     return tractable_at(
-        _load_gens(config["h_gens"]),
-        _load_gens(config["k_gens"]),
-        _load_gens(config["hcapk_gens"]) if config["hcapk_gens"] else [],
+        rpt.load_gens(config["h_gens"]),
+        rpt.load_gens(config["k_gens"]),
+        rpt.load_gens(config["hcapk_gens"]) if config["hcapk_gens"] else [],
         m_spec,
         _tower_of(config),
         budgets,
@@ -173,10 +156,10 @@ def _tractable(config: dict, budgets: Budgets) -> TractabilityReport:
 def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
     l_gens = None  # L is the whole group
     if config["l_gens"]:
-        l_gens = _load_gens(config["l_gens"])
+        l_gens = rpt.load_gens(config["l_gens"])
     elif config["l_rep"]:
-        l_gens = l_group_words(load_rep(config["l_rep"]))
-    h_gens, k_gens = _load_gens(config["h_gens"]), _load_gens(config["k_gens"])
+        l_gens = l_group_words(rpt.load_rep(config["l_rep"]))
+    h_gens, k_gens = rpt.load_gens(config["h_gens"]), rpt.load_gens(config["k_gens"])
     g = _parse_element(config["element"])
     tower = _tower_of(config)
     cert = thm_b_probe(h_gens, k_gens, l_gens, g, tower, budgets)
@@ -195,7 +178,7 @@ def _lowindex(config: dict, budgets: Budgets) -> dict:
 
 
 def _gap_witness(config: dict, budgets: Budgets) -> dict:
-    rep = load_rep(config["rep"])
+    rep = rpt.load_rep(config["rep"])
     witness = congruence_gap_witness(rep, config["level"], m_max=config["m_max"], budgets=budgets)
     return {"status": "found", "witness": witness}
 
@@ -327,15 +310,8 @@ def _reparsed(command: str, recorded) -> dict:
 
 
 def _verify(config: dict, budgets: Budgets) -> dict:
-    try:
-        with open(config["report"], "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValidationError(f"cannot read report {config['report']!r}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"report is not valid JSON: {exc}") from exc
+    text = rpt.read_text(config["report"], "report")
+    data = rpt.decode(text, "report is not valid JSON")
     if rpt.canonical_dumps(data) != text:
         raise ValidationError("verify failed: report is not in canonical form (bytes differ)")
     if not isinstance(data, dict) or data.keys() != _REPORT_KEYS:

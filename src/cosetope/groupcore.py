@@ -138,7 +138,11 @@ def check_closure_cap(size: int, budgets: Budgets | None, what: str) -> None:
     """
     cap = active_budgets(budgets).closure_cap
     if size > cap:
-        raise BudgetError(f"closure budget exceeded: {what} has {size} elements > {cap} (closure_cap)")
+        try:
+            shown = str(size)
+        except ValueError:  # more digits than Python converts to a string
+            shown = f"about 2^{size.bit_length() - 1}"
+        raise BudgetError(f"closure budget exceeded: {what} has {shown} elements > {cap} (closure_cap)")
 
 
 def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets | None = None) -> GeneratedSubgroup:

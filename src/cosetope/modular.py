@@ -19,7 +19,7 @@ import functools
 import math
 from typing import NamedTuple, Optional, Sequence, Union
 
-from .arith import MAT_S, MAT_T, Mat2, parse_int, psl2_group_order
+from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, PreconditionError, ValidationError
 from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, sl2_context
@@ -81,9 +81,6 @@ class ModularWord(NamedTuple):
 
     def __str__(self) -> str:
         return "".join(_LETTER_CHARS[l] for l in self.letters)
-
-    def to_json(self) -> str:
-        return str(self)
 
 
 def t_power(k: int) -> ModularWord:
@@ -194,21 +191,6 @@ class PermRep(NamedTuple):
             else:
                 perm = perm_mul(perm, ti)
         return perm
-
-    def to_json(self) -> dict:
-        return {"degree": self.degree, "s": list(self.perm_s), "t": list(self.perm_t)}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PermRep":
-        try:
-            degree = parse_int(data["degree"])
-            perms = (data["s"], data["t"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad permutation representation data: {exc}") from exc
-        if not all(isinstance(p, list) for p in perms):
-            raise ValidationError("bad permutation representation data: s and t must be lists")
-        perm_s, perm_t = (tuple(parse_int(v) for v in p) for p in perms)
-        return cls.make(degree, perm_s, perm_t)
 
 
 # the one-point coset action: its subgroup is the whole modular group

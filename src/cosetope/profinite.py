@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
-import os
 from typing import NamedTuple, Optional, Sequence
 
-from .arith import MAT_S, MAT_T, Mat2, is_prime, parse_int, sl2_group_order
+from .arith import MAT_S, MAT_T, Mat2, is_prime, sl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import PreconditionError, ValidationError
 from .groupcore import (
@@ -93,69 +91,6 @@ class QuotientSpec(NamedTuple):
     def refined_by(self, fine: "QuotientSpec") -> bool:
         """Whether this quotient factors through ``fine`` (fine is at least as fine)."""
         return fine.m % self.m == 0 and (self.rep is None or _point_map(fine.rep, self.rep) is not None)
-
-    def to_json(self) -> dict:
-        rep, formation = self.rep, self.formation
-        return {
-            "m": self.m,
-            "rep": rep.to_json() if rep is not None else None,
-            "filter": {"type": formation.kind, "p": formation.p} if formation is not None else None,
-        }
-
-    @classmethod
-    def from_json(cls, data: dict, base_dir: str = ".") -> "QuotientSpec":
-        try:
-            m = parse_int(data["m"])
-        except (KeyError, TypeError) as exc:
-            raise ValidationError(f"bad quotient spec: {exc}") from exc
-        _refuse_unknown_keys(data, ("m", "rep", "filter"), "quotient spec")
-        rep = None
-        raw_rep = data.get("rep")
-        if isinstance(raw_rep, str):
-            rep = load_rep(os.path.join(base_dir, raw_rep))
-        elif isinstance(raw_rep, dict):
-            rep = PermRep.from_json(raw_rep)
-        elif raw_rep is not None:
-            raise ValidationError("spec 'rep' must be a path, an object, or null")
-        formation = None
-        raw_filter = data.get("filter")
-        if raw_filter is not None:
-            if not isinstance(raw_filter, dict):
-                raise ValidationError("spec 'filter' must be an object like {\"type\": \"pro-p\", \"p\": 2}, or null")
-            _refuse_unknown_keys(raw_filter, ("type", "p"), "spec 'filter'")
-            p = raw_filter.get("p")
-            formation = Formation.make(raw_filter.get("type", "all"), parse_int(p) if p is not None else None)
-        return cls.make(m, rep, formation)
-
-
-def _refuse_unknown_keys(data: dict, known: tuple, what: str) -> None:
-    unknown = sorted(set(data) - set(known))
-    if unknown:
-        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; its keys are {', '.join(known)}")
-
-
-def read_json(path: str, what: str):
-    """The JSON value in the file at ``path``; ``what`` names the file in errors."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # bad JSON or UTF-8, or a NUL in the path
-        raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
-
-
-def load_rep(path: str) -> PermRep:
-    return PermRep.from_json(read_json(path, "permutation representation"))
-
-
-def load_tower(path: str) -> list:
-    data = read_json(path, "tower file")
-    if not isinstance(data, list):
-        raise ValidationError("a tower file holds a list of quotient specs")
-    base_dir = os.path.dirname(os.path.abspath(path))
-    tower = [QuotientSpec.from_json(entry, base_dir) for entry in data]
-    if any(spec.formation is not None for spec in tower):
-        raise ValidationError("a tower entry takes no filter; put it on --m-spec")
-    return tower
 
 
 def default_tower() -> list:

@@ -10,14 +10,13 @@ from pathlib import Path
 import pytest
 
 import cosetope.modular
-from cosetope.arith import parse_int
 from cosetope.budgets import Budgets
 from cosetope.cli import COMMANDS, build_parser, main
 from cosetope.errors import ValidationError
 from cosetope.groupcore import GroupContext
 from cosetope.modular import is_congruence, low_index_reps
 from cosetope.profinite import QuotientSpec
-from cosetope.report import canonical_dumps
+from cosetope.report import canonical_dumps, parse_int
 
 from t_util import congruence_rep, count_closures, gs_build, gs_intersection
 
@@ -108,7 +107,7 @@ def test_lowindex_and_congruence_commands(tmp_path):
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
 
     rep_path = tmp_path / "rep.json"
-    rep_path.write_text(json.dumps(congruence_rep(2).to_json()))
+    rep_path.write_text(canonical_dumps(congruence_rep(2)))
     cpath = tmp_path / "congruence.json"
     data, _ = run_report(["congruence", "--rep", str(rep_path)], cpath)
     assert data["result"]["congruence"] is True
@@ -119,7 +118,7 @@ def test_lowindex_and_congruence_commands(tmp_path):
 def test_gap_witness_command_and_verify(tmp_path):
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
     rep_path = tmp_path / "rep.json"
-    rep_path.write_text(json.dumps(rep.to_json()))
+    rep_path.write_text(canonical_dumps(rep))
     path = tmp_path / "witness.json"
     data, _ = run_report(
         ["gap-witness", "--rep", str(rep_path), "--level", "12", "--m-max", "12"], path
@@ -130,7 +129,7 @@ def test_gap_witness_command_and_verify(tmp_path):
 
 def test_gap_witness_rejects_congruence_rep(tmp_path, capsys):
     rep_path = tmp_path / "rep.json"
-    rep_path.write_text(json.dumps(congruence_rep(2).to_json()))
+    rep_path.write_text(canonical_dumps(congruence_rep(2)))
     code = main(["gap-witness", "--rep", str(rep_path), "--level", "4"])
     assert code == 2
 
@@ -210,6 +209,74 @@ def test_exit_code_on_bad_input(tmp_path):
     # int() would read this as the degree-1 representation
     bad.write_text('{"degree": 1.9, "s": [0.5], "t": [0]}')
     assert main(["quotient", "--modulus", "2", "--rep", str(bad)]) == 2
+    # a representation refuses a key it does not know, as every input object does
+    bad.write_text('{"degree": 1, "s": [0], "t": [0], "typo": 5}')
+    assert main(["quotient", "--modulus", "2", "--rep", str(bad)]) == 2
+
+
+# Every entry point of JSON text, and where its text goes: a file named by
+# the flag, or the flag's value itself.
+_ENTRY_POINTS = {
+    "gens": (["image", "--modulus", "3", "--gens", "{file}"], "cannot read generator file"),
+    "rep": (["quotient", "--modulus", "2", "--rep", "{file}"], "cannot read permutation representation"),
+    "tower": (["thm-b-probe", "--h-gens", "{h}", "--k-gens", "{h}", "--element", "{}", "--tower", "{file}"],
+              "cannot read tower file"),
+    "element": (["dcoset-member", "--modulus", "3", "--left", "{h}", "--right", "{h}", "--element", "{text}"],
+                "bad element JSON"),
+    "m-spec": (["tractable", "--h-gens", "{h}", "--k-gens", "{h}", "--m-spec", "{text}"], "--m-spec takes inline JSON"),
+    "verify": (["verify", "--report", "{file}"], "report is not valid JSON"),
+}
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, "[" * 3000 + "]" * 3000, "1" * 5000], ids=["open-100k", "nested-3000", "digits-5000"]
+)
+@pytest.mark.parametrize("entry", sorted(_ENTRY_POINTS))
+def test_malformed_json_exits_2_at_every_entry_point(tmp_path, gens_files, capsys, entry, text):
+    # too deep for the decoder's recursion, or an integer past Python's
+    # 4,300-digit limit: refused under the entry point's own prefix
+    args, prefix = _ENTRY_POINTS[entry]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    fill = {"{file}": str(path), "{text}": text, "{h}": gens_files["h"]}
+    assert main([fill.get(a, a) for a in args]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {prefix}") and "Traceback" not in err
+
+
+def test_verify_refuses_a_canonical_report_nested_600_deep(tmp_path, capsys):
+    # json reads it, but recording it again would recurse 600 deep
+    report = {"schema": "2", "command": "quotient", "config": {"rep": json.loads("[" * 600 + "]" * 600)}, "result": {}}
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    assert main(["verify", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: report is not valid JSON: nested deeper than 32 levels\n"
+
+
+_HUGE = str(2**5000)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["quotient", "--modulus", _HUGE], "a result of about 2^34999 has over 4300 digits"),
+        (["quotient", "--modulus", _HUGE, "--enumerate"], " has about 2^34999 elements > 5000000 (closure_cap)"),
+        (["gap-witness", "--rep", str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"), "--level", _HUGE],
+         " has about 2^14998 elements > 5000000 (closure_cap)"),
+    ],
+    ids=["quotient", "quotient-enumerate", "gap-witness"],
+)
+def test_a_result_too_long_to_write_exits_3(tmp_path, monkeypatch, capsys, args, message):
+    # Python writes no integer of more than 4,300 digits in decimal, so the
+    # size is given as a power of two
+    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
+    out = tmp_path / "out.json"
+    assert main(args + ["--output", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exhausted: ") and err.rstrip().endswith(message)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -547,7 +614,7 @@ def _set_path(data, keys, value):
 )
 def test_verify_rejects_tampered_results(tmp_path, gens_files, args, keys, value):
     rep = tmp_path / "rep.json"
-    rep.write_text(json.dumps(congruence_rep(2).to_json()))
+    rep.write_text(canonical_dumps(congruence_rep(2)))
     tower = tmp_path / "tower.json"
     tower.write_text(json.dumps([{"m": 3}, {"m": 4}]))
     files = dict(gens_files, rep=str(rep), tower=str(tower))
@@ -569,7 +636,7 @@ def test_verify_rejects_tampered_results(tmp_path, gens_files, args, keys, value
 def test_closure_cap_flag_reaches_congruence_paths(tmp_path, args):
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
     rep_path = tmp_path / "rep.json"
-    rep_path.write_text(json.dumps(rep.to_json()))
+    rep_path.write_text(canonical_dumps(rep))
     argv = [str(rep_path) if a == "{rep}" else a for a in args]
     assert main(argv + ["--closure-cap", "10", "--output", str(tmp_path / "out.json")]) == 3
 

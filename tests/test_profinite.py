@@ -27,14 +27,13 @@ from cosetope.profinite import (
     element_restriction,
     image_subgroup,
     kernel_of_refinement,
-    load_rep,
-    load_tower,
     project,
     quotient_context,
     spec_group_order,
     thm_b_probe,
     tractable_at,
 )
+from cosetope.report import canonical_dumps, load_rep, load_tower, rep_from_json, spec_from_json
 
 from t_util import (
     congruence_rep,
@@ -335,37 +334,38 @@ def test_pro_p_check_matches_the_closure_oracle(p):
         ({"fliter": {"type": "pro-p", "p": 2}}, "quotient spec has unknown key 'fliter'"),
         ({"filter": {"type": "pro-p", "p": 2, "P": 3}}, "spec 'filter' has unknown key 'P'"),
         ({"filter": None, "rep": None, "note": ""}, "quotient spec has unknown key 'note'"),
+        ({"rep": {"degree": 1, "s": [0], "t": [0], "typo": 5}}, "permutation representation has unknown key 'typo'"),
     ],
 )
 def test_bad_spec_filters_are_validation_errors(fields, message):
     with pytest.raises(ValidationError, match=message):
-        QuotientSpec.from_json({"m": 4, **fields})
+        spec_from_json({"m": 4, **fields})
 
 
 def test_spec_filter_reads_report_strings():
-    spec = QuotientSpec.from_json({"m": "4", "filter": {"type": "pro-p", "p": "2"}})
+    spec = spec_from_json({"m": "4", "filter": {"type": "pro-p", "p": "2"}})
     assert spec.formation == Formation.make("pro-p", 2)
 
 
 @pytest.mark.parametrize(
     "read, data",
     [
-        (PermRep.from_json, {"degree": 1.9, "s": [0], "t": [0]}),
-        (PermRep.from_json, {"degree": True, "s": [0], "t": [0]}),
-        (PermRep.from_json, {"degree": "01", "s": [0], "t": [0]}),
-        (PermRep.from_json, {"degree": 1, "s": [0.5], "t": [False]}),
-        (QuotientSpec.from_json, {"m": 2.0}),
-        (QuotientSpec.from_json, {"m": "02"}),
-        (QuotientSpec.from_json, {"m": 4, "filter": {"type": "pro-p", "p": 2.5}}),
-        (QuotientSpec.from_json, {"m": 4, "filter": {"type": "pro-p", "p": " 2"}}),
+        (rep_from_json, {"degree": 1.9, "s": [0], "t": [0]}),
+        (rep_from_json, {"degree": True, "s": [0], "t": [0]}),
+        (rep_from_json, {"degree": "01", "s": [0], "t": [0]}),
+        (rep_from_json, {"degree": 1, "s": [0.5], "t": [False]}),
+        (spec_from_json, {"m": 2.0}),
+        (spec_from_json, {"m": "02"}),
+        (spec_from_json, {"m": 4, "filter": {"type": "pro-p", "p": 2.5}}),
+        (spec_from_json, {"m": 4, "filter": {"type": "pro-p", "p": " 2"}}),
     ],
 )
 def test_json_readers_take_only_integers(read, data):
     # int() reads each of these as an integer: 1.9 and true as 1, "02" as 2
     with pytest.raises(ValidationError, match="expected an integer"):
         read(data)
-    assert PermRep.from_json({"degree": 1, "s": ["0"], "t": [0]}) == PermRep.make(1, (0,), (0,))
-    assert QuotientSpec.from_json({"m": "2", "filter": {"type": "pro-p", "p": 2}}).m == 2
+    assert rep_from_json({"degree": 1, "s": ["0"], "t": [0]}) == PermRep.make(1, (0,), (0,))
+    assert spec_from_json({"m": "2", "filter": {"type": "pro-p", "p": 2}}).m == 2
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +552,7 @@ def test_hi_exclusion_equivalent_to_intersection_containment():
 def test_tower_file_round_trip(tmp_path):
     rep = congruence_rep(2)
     rep_path = tmp_path / "rep.json"
-    rep_path.write_text(json.dumps(rep.to_json()))
+    rep_path.write_text(canonical_dumps(rep))
     tower_path = tmp_path / "tower.json"
     tower_path.write_text(json.dumps([{"m": 2}, {"m": 4}, {"m": 2, "rep": "rep.json"}]))
     tower = load_tower(str(tower_path))

@@ -13,8 +13,8 @@ from cosetope.budgets import Budgets, from_env
 from cosetope.cli import main
 from cosetope.errors import CosetopeError
 from cosetope.modular import PermRep
-from cosetope.profinite import GroupWord, QuotientSpec, load_tower
-from cosetope.report import canonical_dumps, groupword_from_json
+from cosetope.profinite import GroupWord, QuotientSpec
+from cosetope.report import canonical_dumps, groupword_from_json, load_tower, rep_from_json, spec_from_json
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 REPORTS = (
@@ -110,7 +110,7 @@ PERM_LIKE = st.fixed_dictionaries(
 @SETTINGS
 @given(data=st.one_of(JSON, PERM_LIKE))
 def test_permrep_from_json_gives_a_rep_or_a_cosetope_error(data):
-    rep = _outcome(PermRep.from_json, data)
+    rep = _outcome(rep_from_json, data)
     assert rep is None or isinstance(rep, PermRep)
 
 
@@ -131,7 +131,7 @@ SPEC_LIKE = st.fixed_dictionaries(
 @SETTINGS
 @given(data=st.one_of(JSON, SPEC_LIKE))
 def test_spec_from_json_gives_a_spec_or_a_cosetope_error(tmp_path, data):
-    spec = _outcome(QuotientSpec.from_json, data, str(tmp_path))
+    spec = _outcome(spec_from_json, data, str(tmp_path))
     assert spec is None or isinstance(spec, QuotientSpec)
 
 

@@ -1,21 +1,36 @@
-"""The one translation of result values into report data: ``report.as_recorded``."""
+"""Every JSON form: ``report.as_recorded`` writes result values, ``decode``
+and the readers take them back."""
 
+import json
 from pathlib import Path
 from typing import NamedTuple, Optional
 
+import pytest
+
 from cosetope.arith import Mat2
+from cosetope.errors import ValidationError
 from cosetope.groupcore import SdElement
 from cosetope.gs import gs_wz_failure
-from cosetope.modular import ModularWord, PermRep, congruence_gap_witness
+from cosetope.modular import ModularWord, PermRep, congruence_gap_witness, low_index_reps
 from cosetope.profinite import (
     Formation,
     GroupWord,
     QuotientSpec,
     SeparabilityCertificate,
     TractabilityReport,
-    load_rep,
 )
-from cosetope.report import as_recorded
+from cosetope.report import (
+    MAX_DEPTH,
+    as_recorded,
+    decode,
+    groupword_from_json,
+    load_rep,
+    mat_from_json,
+    rep_from_json,
+    spec_from_json,
+)
+
+from t_util import congruence_rep
 
 NC_REP = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
 
@@ -54,7 +69,7 @@ def test_a_plain_namedtuple_records_its_fields_by_name():
     }
 
 
-def test_to_json_comes_before_the_fields():
+def test_special_forms_come_before_the_fields():
     # Mat2, ModularWord, PermRep and QuotientSpec are NamedTuples whose
     # report form is not their fields
     assert as_recorded(Mat2.of_mod(1, 2, 3, 4, 5)) == {"rows": [["1", "2"], ["3", "4"]], "m": "5"}
@@ -89,3 +104,50 @@ def test_domain_values_record_under_their_field_names():
     assert set(as_recorded(evidence)) == {
         "rep", "witness", "g", "level_transcripts", "levels", "witness_level", "towers_used", "conclusion", "status",
     }
+
+
+def _with_integers(data):
+    """``data`` with each decimal string a JSON integer, as a hand-written input holds it."""
+    if isinstance(data, str) and data.lstrip("-").isdigit():
+        return int(data)
+    if isinstance(data, list):
+        return [_with_integers(v) for v in data]
+    if isinstance(data, dict):
+        return {k: _with_integers(v) for k, v in data.items()}
+    return data
+
+
+ROUND_TRIPS = [
+    (mat_from_json, Mat2.of_mod(1, 2, 3, 4, 5)),
+    (mat_from_json, Mat2.ambient(-1, 0, 10**40, 7)),
+    *((rep_from_json, rep) for rep in low_index_reps(6)),
+    (rep_from_json, congruence_rep(2)),
+    *(
+        (spec_from_json, QuotientSpec.make(4, rep, formation))
+        for rep in (None, NC_REP)
+        for formation in (None, Formation.make("pro-p", 2))
+    ),
+    (groupword_from_json, GroupWord.identity()),
+    (groupword_from_json, GroupWord(Mat2.ambient(2, -3, 0, 2), ModularWord.from_str("STtTs"))),
+]
+
+
+@pytest.mark.parametrize("read, value", ROUND_TRIPS)
+def test_each_reader_inverts_as_recorded(read, value):
+    recorded = as_recorded(value)
+    assert read(recorded) == value
+    # JSON integers read as their decimal strings do
+    assert read(_with_integers(recorded)) == value
+
+
+def _inside(depth: int, value: str) -> str:
+    return "[" * depth + value + "]" * depth
+
+
+def test_decode_refuses_values_nested_deeper_than_the_limit():
+    # a value may lie inside MAX_DEPTH arrays and objects, and no deeper
+    for value in ("1", "[]", "{}"):
+        assert decode(_inside(MAX_DEPTH, value), "x") == json.loads(_inside(MAX_DEPTH, value))
+    for text in (_inside(MAX_DEPTH + 1, "1"), _inside(MAX_DEPTH, "[1]"), _inside(MAX_DEPTH, '{"k": 1}')):
+        with pytest.raises(ValidationError, match=f"^x: nested deeper than {MAX_DEPTH} levels$"):
+            decode(text, "x")

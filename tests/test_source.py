@@ -174,23 +174,43 @@ def test_unbounded_cache_check_sees_every_spelling():
     assert unbounded_caches(text) == [3, 5, 7, 9, 15]
 
 
-def test_only_types_whose_report_form_differs_define_to_json():
-    # every other result value is recorded by report.as_recorded from its
-    # fields, so no module keeps a per-type serializer
-    defined = {}
-    for path in SOURCES:
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name.endswith("to_json"):
-                        defined.setdefault(path.name, []).append(f"{node.name}.{item.name}")
-            elif isinstance(node, ast.FunctionDef) and (node.name.endswith("_to_json") or node.name == "envelope"):
-                defined.setdefault(path.name, []).append(node.name)
-    assert defined == {
-        "arith.py": ["Mat2.to_json"],
-        "modular.py": ["ModularWord.to_json", "PermRep.to_json"],
-        "profinite.py": ["QuotientSpec.to_json"],
-    }
+def json_format_sites(text: str) -> list:
+    """Where ``text`` knows the JSON format itself, as (line, what): each
+    definition named ``to_json``, ``from_json`` or ending in either, and
+    each use of ``json.load`` or ``json.loads``, also when imported by name."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.FunctionDef) and node.name.endswith(("to_json", "from_json")):
+            out.append((node.lineno, node.name))
+        elif isinstance(node, ast.Attribute) and node.attr in ("load", "loads") and getattr(node.value, "id", None) == "json":
+            out.append((node.lineno, f"json.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "json":
+            out.extend((node.lineno, f"json.{a.name}") for a in node.names if a.name in ("load", "loads"))
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_only_report_reads_or_writes_json(path):
+    # report reads every input and writes every report, so the JSON format
+    # is known in one module
+    sites = json_format_sites(path.read_text(encoding="utf-8"))
+    assert (sites != []) == (path.name == "report.py"), sites
+
+
+def test_json_format_check_sees_each_spelling():
+    text = (
+        "import json\n"
+        "from json import loads as parse\n"
+        "class Spec:\n"
+        "    def to_json(self): return {}\n"
+        "    @classmethod\n"
+        "    def from_json(cls, data): return json.load(data)\n"
+        "def mat_from_json(data): return json.loads(data)\n"
+        "def show(data): return json.dumps(data)\n"
+    )
+    assert sorted(json_format_sites(text)) == [
+        (2, "json.loads"), (4, "to_json"), (6, "from_json"), (6, "json.load"), (7, "json.loads"), (7, "mat_from_json"),
+    ]
 
 
 def _modules_loaded_by(code: str) -> set:
