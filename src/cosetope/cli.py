@@ -24,10 +24,11 @@ import sys
 from .arith import Mat2, sl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, CosetopeError, ValidationError
-from .groupcore import check_closure_cap, product_member, subgroup_intersection
+from .groupcore import check_closure_cap, product_member, short_int, subgroup_intersection
 # Unused here: importing them keeps them cross-module functions, which
 # bench/tracer.py times as gs.h_prime_image_s (the evidence cross-check's image
-# listing) and profinite.kernel_s; bench/tests asserts the first is patched here.
+# listing) and profinite.kernel_s, and whose kernel order it counts as
+# profinite.kernel_elems; bench/tests asserts the first is patched here.
 from .gs import (
     _h_prime_image_mod,  # noqa: F401
     gs_hk_witness,
@@ -98,7 +99,7 @@ def _quotient(config: dict, budgets: Budgets) -> dict:
     }
     if config["enumerate"] or order is None:
         if order is not None:
-            check_closure_cap(order, budgets, f"quotient mod {spec.m}")
+            check_closure_cap(order, budgets, f"quotient mod {short_int(spec.m)}")
         result["enumerated_order"] = len(quotient_context(spec).enumerate(budgets))
     return result
 

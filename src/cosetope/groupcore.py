@@ -130,19 +130,22 @@ class GeneratedSubgroup:
         return f"GeneratedSubgroup(size={len(self.elements)}, ngens={len(self.generators)})"
 
 
+def short_int(n: int) -> str:
+    """``n`` in decimal, or ``about 2^N`` past 64 bits, so that a message
+    naming a huge size or modulus stays one short line."""
+    return str(n) if n.bit_length() <= 64 else f"about 2^{n.bit_length() - 1}"
+
+
 def check_closure_cap(size: int, budgets: Budgets | None, what: str) -> None:
     """Raise BudgetError when ``what``, of known ``size``, exceeds the closure cap.
 
     Used wherever a size is known without closing (group orders), so the
-    cap holds whether or not the elements are ever listed.
+    cap holds whether or not the elements are ever listed.  A modulus in
+    ``what`` is written with ``short_int``, as the size is.
     """
     cap = active_budgets(budgets).closure_cap
     if size > cap:
-        try:
-            shown = str(size)
-        except ValueError:  # more digits than Python converts to a string
-            shown = f"about 2^{size.bit_length() - 1}"
-        raise BudgetError(f"closure budget exceeded: {what} has {shown} elements > {cap} (closure_cap)")
+        raise BudgetError(f"closure budget exceeded: {what} has {short_int(size)} elements > {cap} (closure_cap)")
 
 
 def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets | None = None) -> GeneratedSubgroup:

@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets, active_budgets
 from .errors import BudgetError, PreconditionError, ValidationError
-from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, sl2_context
+from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, short_int, sl2_context
 
 # Word letters: 1 = S, -1 = S^-1, 2 = T, -2 = T^-1.
 S_ = 1
@@ -392,7 +392,7 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets | None, seen: Optional[di
     while y keeps p, so it moves the basepoint exactly when q != p, and then
     q and p lie in one orbit.
     """
-    check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{n})")
+    check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{short_int(n)})")
     perm_s, perm_t, perm_ti = rep.perm_s, rep.perm_t, perm_inv(rep.perm_t)
     queue = [(1, 0, 0, 1)]
     seen = {} if seen is None else seen

@@ -12,7 +12,6 @@ certificates are decisions.
 from __future__ import annotations
 
 import functools
-import itertools
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import MAT_S, MAT_T, Mat2, is_prime, sl2_group_order
@@ -28,8 +27,8 @@ from .groupcore import (
     sd_identity,
     sd_inv,
     sd_mul,
+    short_int,
     subgroup_closure,
-    subgroup_from_elements,
     subgroup_intersection,
 )
 from .modular import ONE_POINT, ModularWord, PermRep, perm_identity, word_eval
@@ -141,7 +140,8 @@ def quotient_context(spec: QuotientSpec) -> GroupContext:
     gens = [SdElement(Mat2.of_mod(*e, m), hid, sig_id) for e in units]
     actions = (None, None) if spec.rep is None else (spec.rep.perm_s, spec.rep.perm_t)
     gens += [SdElement(Mat2.zero(m), h.reduce(m), sigma) for h, sigma in zip((MAT_S, MAT_T), actions)]
-    name = f"M2(Z/{m}) x| subgroup-image" if spec.rep is not None else f"M2(Z/{m}) x| SL2(Z/{m})"
+    mod = short_int(m)  # the name appears in budget messages
+    name = f"M2(Z/{mod}) x| subgroup-image" if spec.rep is not None else f"M2(Z/{mod}) x| SL2(Z/{mod})"
     return GroupContext(ident, sd_mul, sd_inv, gens, name=name)
 
 
@@ -214,66 +214,76 @@ def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
     return restrict
 
 
-def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets | None = None) -> GeneratedSubgroup:
-    """Elements of the fine quotient that map to the identity of the coarse one, identity first.
+class RefinementKernel:
+    """ker(fine -> coarse), given by its map rather than by its elements.
+
+    ``x in kernel`` when ``restrict(x)`` is the coarse identity, and
+    ``len(kernel)`` is the kernel's order.  It has no generators.
+    """
+
+    __slots__ = ("restrict", "identity", "order")
+    generators = ()
+
+    def __init__(self, restrict, identity: SdElement, order: int):
+        self.restrict = restrict
+        self.identity = identity
+        self.order = order
+
+    def __contains__(self, x: SdElement) -> bool:
+        return self.restrict(x) == self.identity
+
+    def __len__(self) -> int:
+        return self.order
+
+
+def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets | None = None) -> RefinementKernel:
+    """The kernel of the restriction from the fine quotient to the coarse one.
 
     Every quotient is M2(Z/f) x| L, with L generated by the images of S and
     T, and restriction reduces the additive part mod c.  So the kernel pairs
     every additive a = 0 mod c with every element of L that restricts to the
-    coarse identity: when the fine quotient carries no coset action, the
-    h = I mod c in SL2(Z/f), listed directly; otherwise those of the closure
-    of L.
+    coarse identity: its order is (f/c)^4 times |SL2(Z/f)| / |SL2(Z/c)|
+    when the fine quotient carries no coset action, as reduction of SL2 is
+    onto, and otherwise times the count of such elements in the closure of
+    L, which runs under the closure cap.  The order is checked against the
+    cap too, though no kernel element is listed.
     """
     if not coarse.refined_by(fine):
         raise PreconditionError("kernel_of_refinement: the first spec does not refine the second")
     budgets = active_budgets(budgets)
-    if fine == coarse:
-        return subgroup_from_elements((quotient_context(fine).identity,))
-    if fine.rep is None:
-        return _congruence_kernel(fine.m, coarse.m, budgets)
-    return _coset_action_kernel(fine, coarse, budgets)
-
-
-def _multiples(f: int, c: int):
-    """The entries (w, x, y, z) of each 2x2 matrix mod f that is 0 mod c, in lexicographic order."""
-    return itertools.product(range(0, f, c), repeat=4)
-
-
-def _kernel_product(f: int, c: int, linear, size: int, budgets: Budgets) -> GeneratedSubgroup:
-    """Every (a, h, sigma) with a = 0 mod c and (h, sigma) in ``linear``.
-
-    ``linear`` holds ``size`` pairs, the identity first, and runs outermost,
-    so the kernel lists the identity first.  The closure cap is checked on
-    the order (f/c)^4 * ``size`` before any element is built.
-    """
-    check_closure_cap((f // c) ** 4 * size, budgets, f"refinement kernel {f} -> {c}")
-    additive = [Mat2(w, x, y, z, f) for w, x, y, z in _multiples(f, c)]
-    return subgroup_from_elements(SdElement(a, h, sigma) for h, sigma in linear for a in additive)
-
-
-def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
-    """ker(M2(Z/f) x| SL2(Z/f) -> M2(Z/c) x| SL2(Z/c)) for c dividing f.
-
-    Reduction of SL2 is onto, so |SL2(Z/f)| / |SL2(Z/c)| matrices h are
-    I mod c; they are listed only once the cap has passed.
-    """
-    # 1 + w < f because c >= 2, so these entries are already canonical
-    congruent = (Mat2(1 + w, x, y, 1 + z, f) for w, x, y, z in _multiples(f, c))
-    linear = ((h, None) for h in congruent if h.det() == 1)
-    return _kernel_product(f, c, linear, sl2_group_order(f) // sl2_group_order(c), budgets)
-
-
-def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets) -> GeneratedSubgroup:
-    """The refinement kernel when the fine quotient carries a coset action.
-
-    The closure of L, the images of S and T, runs under the closure cap;
-    the elements that restrict to the coarse identity are its linear part.
-    """
-    fctx = quotient_context(fine)
     restrict = element_restriction(fine, coarse)
     cid = quotient_context(coarse).identity
-    linear = [(x.h, x.sigma) for x in subgroup_closure(fctx, fctx.generators[4:], budgets) if restrict(x) == cid]
-    return _kernel_product(fine.m, coarse.m, linear, len(linear), budgets)
+    f, c = fine.m, coarse.m
+    if fine == coarse:
+        return RefinementKernel(restrict, cid, 1)
+    if fine.rep is None:
+        linear = sl2_group_order(f) // sl2_group_order(c)
+    else:
+        fctx = quotient_context(fine)
+        linear = sum(1 for x in subgroup_closure(fctx, fctx.generators[4:], budgets) if restrict(x) == cid)
+    order = (f // c) ** 4 * linear
+    check_closure_cap(order, budgets, f"refinement kernel {short_int(f)} -> {short_int(c)}")
+    return RefinementKernel(restrict, cid, order)
+
+
+def kernel_product_member(u: GeneratedSubgroup, kernel: RefinementKernel):
+    """Membership in U * ker, as a function of the element.
+
+    The kernel is the preimage of the coarse identity, so g lies in U * ker
+    exactly when g lies in U or its restriction is that of some element of
+    U; those restrictions are collected once, when first needed.
+    """
+    restricted = None
+
+    def member(g: SdElement) -> bool:
+        nonlocal restricted
+        if g in u:
+            return True
+        if restricted is None:
+            restricted = {kernel.restrict(x) for x in u.elements}
+        return kernel.restrict(g) in restricted
+
+    return member
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +364,11 @@ def tractable_candidate(
     if not m_spec.refined_by(cand):
         entry["detail"] = "candidate does not refine the target quotient"
         return entry, 0
-    ctx = quotient_context(cand)
-    uh = image_subgroup(h_gens, cand, budgets)
-    uk = image_subgroup(k_gens, cand, budgets)
-    ui = image_subgroup(hcapk_gens, cand, budgets)
+    images = {}  # one closure per distinct generator list
+    for gens in (h_gens, k_gens, hcapk_gens):
+        if tuple(gens) not in images:
+            images[tuple(gens)] = image_subgroup(gens, cand, budgets)
+    uh, uk, ui = (images[tuple(gens)] for gens in (h_gens, k_gens, hcapk_gens))
     bad = [g for g in ui.generators if g not in uh or g not in uk]
     if bad:
         entry["detail"] = "claimed intersection generators do not land in both images"
@@ -365,10 +376,11 @@ def tractable_candidate(
         return entry, 0
     inter = subgroup_intersection(uh, uk)
     kernel = kernel_of_refinement(cand, m_spec, budgets)
+    member = kernel_product_member(ui, kernel)
     scanned = 0
     for u in inter.elements:
         scanned += 1
-        if not product_member(ctx, u, ui, kernel):
+        if not member(u):
             entry["violations"].append(u)
             if len(entry["violations"]) >= _VIOLATION_SAMPLE:
                 break
@@ -376,7 +388,7 @@ def tractable_candidate(
         "image_h": len(uh),
         "image_k": len(uk),
         "image_intersection": len(inter),
-        "kernel": len(kernel),
+        "kernel": kernel.order,
     }
     entry["status"] = "violation" if entry["violations"] else "ok"
     return entry, scanned

@@ -15,6 +15,7 @@ from typing import Any
 
 from .arith import Mat2
 from .errors import BudgetError, ValidationError
+from .groupcore import short_int
 from .modular import ModularWord, PermRep
 from .profinite import Formation, GroupWord, QuotientSpec
 
@@ -36,7 +37,7 @@ def as_recorded(obj: Any) -> Any:
             return str(obj)
         except ValueError:  # more digits than Python converts to a string
             limit = sys.get_int_max_str_digits()
-            raise BudgetError(f"a result of about 2^{obj.bit_length() - 1} has over {limit} digits") from None
+            raise BudgetError(f"a result of {short_int(obj)} has over {limit} digits") from None
     if isinstance(obj, Mat2):
         return as_recorded({"rows": [[obj.a, obj.b], [obj.c, obj.d]], "m": obj.m})
     if isinstance(obj, ModularWord):
@@ -63,12 +64,22 @@ def canonical_dumps(data: Any) -> str:
 # decoding
 
 
+def _object(pairs: list) -> dict:
+    """An object's pairs as a dict; a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+    return obj
+
+
 def decode(text: str, failure: str) -> Any:
-    """The JSON value in ``text``.  Text that is not JSON, holds an integer
-    of more than 4,300 digits or a value inside more than ``MAX_DEPTH``
-    arrays and objects raises ValidationError, its message led by ``failure``."""
+    """The JSON value in ``text``.  Text that is not JSON, repeats a key in
+    an object, holds an integer of more than 4,300 digits or a value inside
+    more than ``MAX_DEPTH`` arrays and objects raises ValidationError, its
+    message led by ``failure``."""
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=_object)
     except (ValueError, RecursionError) as exc:
         raise ValidationError(f"{failure}: {exc}") from exc
     level = [data]

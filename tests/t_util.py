@@ -26,6 +26,7 @@ from cosetope.groupcore import (
     sd_inv,
     sd_mul,
     subgroup_closure,
+    subgroup_from_elements,
     subgroup_intersection,
     sl2_context,
 )
@@ -649,8 +650,7 @@ def klein_fricke_blocks(rep: PermRep, g: int) -> frozenset:
 
 # ---------------------------------------------------------------------------
 # generic Schreier machinery over any action (independent of the permutation
-# walks in ``cosetope.modular`` and of the kernel listing in
-# ``cosetope.profinite``)
+# walks in ``cosetope.modular`` and of ``kernel_listing`` below)
 
 
 def schreier_transversal(start, act, letters, cap=None):
@@ -761,6 +761,63 @@ def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets=None):
             x = sd_mul(x, letter_element(fctx.generators, letter))
         kernel_gens.append(x)
     return subgroup_closure(fctx, kernel_gens, budgets)
+
+
+# ---------------------------------------------------------------------------
+# the refinement kernel listed element by element, as it was computed before
+# ``kernel_of_refinement`` gave it by the restriction map
+
+
+def kernel_listing(fine: QuotientSpec, coarse: QuotientSpec, budgets=None) -> GeneratedSubgroup:
+    """Every element of ker(fine -> coarse), identity first."""
+    budgets = active_budgets(budgets)
+    if fine == coarse:
+        return subgroup_from_elements((quotient_context(fine).identity,))
+    if fine.rep is None:
+        return _congruence_kernel(fine.m, coarse.m, budgets)
+    return _coset_action_kernel(fine, coarse, budgets)
+
+
+def _multiples(f: int, c: int):
+    """The entries (w, x, y, z) of each 2x2 matrix mod f that is 0 mod c, in lexicographic order."""
+    return itertools.product(range(0, f, c), repeat=4)
+
+
+def _kernel_product(f: int, c: int, linear, size: int, budgets: Budgets) -> GeneratedSubgroup:
+    """Every (a, h, sigma) with a = 0 mod c and (h, sigma) in ``linear``.
+
+    ``linear`` holds ``size`` pairs, the identity first, and runs outermost,
+    so the kernel lists the identity first.  The closure cap is checked on
+    the order (f/c)^4 * ``size`` before any element is built.
+    """
+    check_closure_cap((f // c) ** 4 * size, budgets, f"refinement kernel {f} -> {c}")
+    additive = [Mat2(w, x, y, z, f) for w, x, y, z in _multiples(f, c)]
+    return subgroup_from_elements(SdElement(a, h, sigma) for h, sigma in linear for a in additive)
+
+
+def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
+    """ker(M2(Z/f) x| SL2(Z/f) -> M2(Z/c) x| SL2(Z/c)) for c dividing f.
+
+    Reduction of SL2 is onto, so |SL2(Z/f)| / |SL2(Z/c)| matrices h are
+    I mod c; they are listed only once the cap has passed.
+    """
+    # 1 + w < f because c >= 2, so these entries are already canonical
+    congruent = (Mat2(1 + w, x, y, 1 + z, f) for w, x, y, z in _multiples(f, c))
+    linear = ((h, None) for h in congruent if h.det() == 1)
+    return _kernel_product(f, c, linear, sl2_group_order(f) // sl2_group_order(c), budgets)
+
+
+def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets) -> GeneratedSubgroup:
+    """The refinement kernel when the fine quotient carries a coset action.
+
+    The closure of L, the images of S and T, runs under the closure cap;
+    the elements that restrict to the coarse identity are its linear part.
+    """
+    fctx = quotient_context(fine)
+    restrict = element_restriction(fine, coarse)
+    cid = quotient_context(coarse).identity
+    linear = [(x.h, x.sigma) for x in subgroup_closure(fctx, fctx.generators[4:], budgets) if restrict(x) == cid]
+    return _kernel_product(fine.m, coarse.m, linear, len(linear), budgets)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from t_util import (
     gw_mul,
     hi_exclusion_check,
     hk_member_sd,
+    kernel_listing,
     naive_rep_counts,
     normal_closure,
     principal_congruence_generators,
@@ -270,17 +271,20 @@ def test_criterion_8_oracle_equivalence():
             brute = frozenset(x for x in full.elements if x in u and x in v)
             assert mine == brute
             checked += 1
-    # kernel of a refinement against an independent elementwise filter
+    # kernel of a refinement against its listing, and the listing against an
+    # independent elementwise filter
     fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2)
     kernel = kernel_of_refinement(fine, coarse)
+    listing = kernel_listing(fine, coarse)
     full_fine = quotient_context(fine).enumerate()
     brute_kernel = frozenset(
         x
         for x in full_fine.elements
         if x.a.reduce(2) == Mat2.zero(2) and x.h.reduce(2) == Mat2.identity(2)
     )
-    assert kernel.as_set() == brute_kernel
-    assert len(kernel) == 128
+    assert listing.as_set() == brute_kernel
+    assert len(kernel) == len(listing) == 128
+    assert all((x in kernel) == (x in listing) for x in full_fine.elements)
     _report(8, "oracle equivalence on contexts of order <= 2000", t0, 120)
 
 

@@ -245,6 +245,32 @@ def test_malformed_json_exits_2_at_every_entry_point(tmp_path, gens_files, capsy
     assert err.startswith(f"error: {prefix}") and "Traceback" not in err
 
 
+# An input that names one key twice, which a JSON reader would otherwise
+# read as its last value, at each entry point.
+_REPEATED_KEYS = {
+    "m-spec": ('{"m": 2, "m": 4}', "'m'"),
+    "element": ('{"w": "T", "w": "S"}', "'w'"),
+    "rep": ('{"degree": 1, "s": [0], "t": [0], "s": [0]}', "'s'"),
+    "tower": ('[{"m": 2}, {"m": 2, "rep": null, "m": 4}]', "'m'"),
+    "gens": ('[{"w": "S"}, {"a": null, "w": "T", "w": "S"}]', "'w'"),
+    "verify": ('{"schema": "2", "command": "quotient", "config": {}, "result": {}, "command": "image"}', "'command'"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_REPEATED_KEYS))
+def test_a_repeated_key_exits_2_at_every_entry_point(tmp_path, gens_files, capsys, entry):
+    args, prefix = _ENTRY_POINTS[entry]
+    text, key = _REPEATED_KEYS[entry]
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    fill = {"{file}": str(path), "{text}": text, "{h}": gens_files["h"]}
+    out = tmp_path / "out.json"
+    assert main([fill.get(a, a) for a in args] + ["--output", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith(f"error: {prefix}") and err.rstrip().endswith(f"repeated key {key}")
+
+
 def test_verify_refuses_a_canonical_report_nested_600_deep(tmp_path, capsys):
     # json reads it, but recording it again would recurse 600 deep
     report = {"schema": "2", "command": "quotient", "config": {"rep": json.loads("[" * 600 + "]" * 600)}, "result": {}}
@@ -276,7 +302,28 @@ def test_a_result_too_long_to_write_exits_3(tmp_path, monkeypatch, capsys, args,
     assert main(args + ["--output", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("budget exhausted: ") and err.rstrip().endswith(message)
+    # a huge modulus in the message is shortened as the size is
+    assert len(err.encode("utf-8")) < 200
     assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["quotient", "tractable"])
+def test_a_huge_modulus_is_shortened_in_the_budget_message(tmp_path, gens_files, monkeypatch, capsys, kind):
+    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
+    modulus = 2**200
+    if kind == "quotient":
+        args = ["quotient", "--modulus", str(modulus), "--enumerate"]
+        # m^4 |SL2(Z/m)| = 2^1400 * 3/4
+        message = "quotient mod about 2^200 has about 2^1399 elements"
+    else:
+        tower = tmp_path / "tower.json"
+        tower.write_text(json.dumps([{"m": modulus}]))
+        args = ["tractable", "--h-gens", gens_files["empty"], "--k-gens", gens_files["empty"],
+                "--m-spec", '{"m": 2}', "--tower", str(tower)]
+        message = "refinement kernel about 2^200 -> 2 has about 2^"
+    assert main(args + ["--output", str(tmp_path / "out.json")]) == 3
+    err = capsys.readouterr().err
+    assert message in err and len(err.encode("utf-8")) < 200
 
 
 @pytest.mark.parametrize(

@@ -16,8 +16,11 @@ check that still closed the permutation group of the coset action.
 search, before the low-index subgroups were listed as transitive actions of
 C2 * C3.  ``tractable_reps.json`` was written while refinement was still
 decided by Schreier generator words and restriction by a second walk over
-the points, before both were read off one point map.  ``regen_golden.py``
-rewrites the fixtures from the current code.
+the points, before both were read off one point map.
+``tractable_action_violation.json`` was written while refinement kernels
+were still listed element by element, before the inclusion was tested
+through the restriction map.  ``regen_golden.py`` rewrites the fixtures
+from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
 reports record the paths they were given.
@@ -55,6 +58,13 @@ CASES = {
     "tractable_reps.json": [
         "tractable", "--h-gens", "h.json", "--k-gens", "h.json", "--hcapk-gens", "h.json",
         "--m-spec", '{"m": 2, "rep": {"degree": 3, "s": [0, 2, 1], "t": [1, 0, 2]}}', "--tower", "tower_reps.json",
+    ],
+    # a candidate carrying a coset action with violations: the degree-6
+    # action's permutation part decides which elements restrict into the
+    # image of H meet K, which is trivial here
+    "tractable_action_violation.json": [
+        "tractable", "--h-gens", "h.json", "--k-gens", "h.json", "--hcapk-gens", "empty.json",
+        "--m-spec", '{"m": 2}', "--tower", "tower_action.json",
     ],
     "tractable_violation.json": [
         "tractable", "--h-gens", "h.json", "--k-gens", "h.json", "--hcapk-gens", "empty.json",

@@ -1,14 +1,19 @@
+import itertools
 import json
 import random
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cosetope.profinite as profinite
 from cosetope.arith import Mat2, sl2_group_order
 from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import (
+    SdElement,
+    product_member,
+    sd_mul,
     subgroup_closure,
     subgroup_intersection,
 )
@@ -27,6 +32,7 @@ from cosetope.profinite import (
     element_restriction,
     image_subgroup,
     kernel_of_refinement,
+    kernel_product_member,
     project,
     quotient_context,
     spec_group_order,
@@ -40,6 +46,7 @@ from t_util import (
     gw_inv,
     gw_mul,
     hi_exclusion_check,
+    kernel_listing,
     normal_closure,
     oracle_admits,
     oracle_element_restriction,
@@ -133,19 +140,42 @@ def test_refinement_partial_order():
     assert not QuotientSpec.make(2, rep).refined_by(QuotientSpec.make(2))
 
 
+def _fine_elements(spec):
+    """Every element of the quotient of ``spec``: each additive part with each element of L."""
+    ctx = quotient_context(spec)
+    f = spec.m
+    additive = [Mat2(w, x, y, z, f) for w, x, y, z in itertools.product(range(f), repeat=4)]
+    return (SdElement(a, x.h, x.sigma) for x in subgroup_closure(ctx, ctx.generators[4:]) for a in additive)
+
+
+def _assert_kernel_matches_listing(fine, coarse, elements=None):
+    """The kernel's order is the oracle listing's length, and ``x in kernel``
+    agrees with the listing on ``elements``, every element of the fine
+    quotient unless given.  Returns the listing."""
+    kernel = kernel_of_refinement(fine, coarse)
+    listing = kernel_listing(fine, coarse)
+    assert len(kernel) == kernel.order == len(listing)
+    assert kernel.generators == ()
+    members = listing.as_set()
+    for x in _fine_elements(fine) if elements is None else elements:
+        assert (x in kernel) == (x in members), x
+    return listing
+
+
 def test_kernel_trivial_when_specs_equal():
     spec = QuotientSpec.make(4)
-    kernel = kernel_of_refinement(spec, spec)
-    assert len(kernel) == 1
+    assert len(_assert_kernel_matches_listing(spec, spec)) == 1
 
 
 def test_kernel_of_refinement_four_over_two():
-    kernel = kernel_of_refinement(QuotientSpec.make(4), QuotientSpec.make(2))
+    fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2)
     # (4^4/2^4) * |ker(SL2(Z/4) -> SL2(Z/2))| = 16 * (48/6) = 128
-    assert len(kernel) == 128
-    restrict = element_restriction(QuotientSpec.make(4), QuotientSpec.make(2))
-    cid = quotient_context(QuotientSpec.make(2)).identity
-    for x in kernel:
+    assert len(kernel_of_refinement(fine, coarse)) == 128
+    assert set(_fine_elements(fine)) == quotient_context(fine).enumerate().as_set()
+    listing = _assert_kernel_matches_listing(fine, coarse)
+    restrict = element_restriction(fine, coarse)
+    cid = quotient_context(coarse).identity
+    for x in listing:
         assert restrict(x) == cid
 
 
@@ -161,18 +191,19 @@ def _congruence_kernel_order(f, c):
 
 
 def test_kernel_schreier_path_matches_filter_path():
-    # the direct listing against both oracles: Schreier closure and filtering
+    # the kernel against the listing, and the listing against both oracles:
+    # Schreier closure and filtering
     fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2)
-    direct = kernel_of_refinement(fine, coarse).as_set()
-    assert direct == schreier_kernel(fine, coarse).as_set() == _filter_kernel(fine, coarse)
+    listing = _assert_kernel_matches_listing(fine, coarse).as_set()
+    assert listing == schreier_kernel(fine, coarse).as_set() == _filter_kernel(fine, coarse)
 
 
 @pytest.mark.parametrize("f, c", [(6, 2), (6, 3)])
 def test_kernel_direct_path_matches_schreier_path(f, c):
     fine, coarse = QuotientSpec.make(f), QuotientSpec.make(c)
-    direct = kernel_of_refinement(fine, coarse)
-    assert direct.as_set() == schreier_kernel(fine, coarse).as_set()
-    assert len(direct) == _congruence_kernel_order(f, c)
+    listing = _assert_kernel_matches_listing(fine, coarse)
+    assert listing.as_set() == schreier_kernel(fine, coarse).as_set()
+    assert len(kernel_of_refinement(fine, coarse)) == _congruence_kernel_order(f, c)
 
 
 def _coset_action_pairs():
@@ -194,19 +225,28 @@ def _coset_action_pairs():
 
 @pytest.mark.parametrize("fine, coarse", _coset_action_pairs())
 def test_coset_action_kernel_matches_the_schreier_oracle(fine, coarse):
-    kernel = kernel_of_refinement(fine, coarse)
-    assert kernel.elements[0] == quotient_context(fine).identity
-    assert len(set(kernel.elements)) == len(kernel)
-    assert kernel.as_set() == schreier_kernel(fine, coarse).as_set()
+    listing = _assert_kernel_matches_listing(fine, coarse)
+    assert listing.elements[0] == quotient_context(fine).identity
+    assert len(set(listing.elements)) == len(listing)
+    assert listing.as_set() == schreier_kernel(fine, coarse).as_set()
 
 
 @pytest.mark.parametrize("f, c", [(8, 2), (8, 4), (9, 3), (12, 4)])
 def test_kernel_direct_path_closed_form(f, c):
+    # these quotients have 1.6 to 24 million elements, so membership is
+    # compared on the listing, on its neighbours under the generators, which
+    # lie in the kernel or not by a single step, and on random elements
     fine = QuotientSpec.make(f)
-    kernel = kernel_of_refinement(fine, QuotientSpec.make(c))
-    assert kernel.elements[0] == quotient_context(fine).identity
-    assert len(set(kernel.elements)) == len(kernel) == _congruence_kernel_order(f, c)
-    for x in kernel:
+    ctx = quotient_context(fine)
+    listing = kernel_listing(fine, QuotientSpec.make(c))
+    rng = random.Random(f * 100 + c)
+    linear = subgroup_closure(ctx, ctx.generators[4:]).elements
+    sample = [SdElement(Mat2(*(rng.randrange(f) for _ in range(4)), f), *rng.choice(linear)[1:]) for _ in range(500)]
+    neighbours = [sd_mul(x, g) for x in listing for g in ctx.generators]
+    _assert_kernel_matches_listing(fine, QuotientSpec.make(c), [*listing, *neighbours, *sample])
+    assert listing.elements[0] == ctx.identity
+    assert len(set(listing.elements)) == len(listing) == _congruence_kernel_order(f, c)
+    for x in listing:
         assert x.sigma is None and x.a.m == x.h.m == f
         assert x.a.reduce(c) == Mat2.zero(c)
         assert x.h.reduce(c) == Mat2.identity(c)
@@ -214,20 +254,23 @@ def test_kernel_direct_path_closed_form(f, c):
 
 
 def test_kernel_with_coset_action_takes_the_coset_action_path(monkeypatch):
+    # the order counts the closure of L, the images of S and T, not SL2
     rep = congruence_rep(2)
     fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
     calls = []
-    listing = profinite._coset_action_kernel
+    closure = profinite.subgroup_closure
 
-    def spy(*args):
-        calls.append(args[:2])
-        return listing(*args)
+    def spy(ctx, gens, budgets=None):
+        calls.append(tuple(gens))
+        return closure(ctx, gens, budgets)
 
-    monkeypatch.setattr(profinite, "_coset_action_kernel", spy)
+    monkeypatch.setattr(profinite, "subgroup_closure", spy)
     kernel = kernel_of_refinement(fine, coarse)
-    assert calls == [(fine, coarse)]
-    assert kernel.as_set() == _filter_kernel(fine, coarse)
+    assert calls == [quotient_context(fine).generators[4:]]
     assert len(kernel) == _congruence_kernel_order(4, 2)
+    monkeypatch.undo()
+    listing = _assert_kernel_matches_listing(fine, coarse)
+    assert listing.as_set() == _filter_kernel(fine, coarse)
 
 
 def test_kernel_budget_fails_before_building():
@@ -256,7 +299,7 @@ def test_restriction_from_plain_to_degree_one_action():
     for g in quotient_context(fine).generators:
         assert restrict(g).sigma == (0,)
     assert restrict(quotient_context(fine).identity) == cid
-    assert kernel_of_refinement(fine, coarse).as_set() == _filter_kernel(fine, coarse)
+    assert _assert_kernel_matches_listing(fine, coarse).as_set() == _filter_kernel(fine, coarse)
 
 
 def _specs(m, d_max):
@@ -284,6 +327,53 @@ def test_refinement_and_restriction_match_the_word_oracles(f, c, refining):
 def test_kernel_requires_refinement():
     with pytest.raises(PreconditionError):
         kernel_of_refinement(QuotientSpec.make(2), QuotientSpec.make(4))
+
+
+_PROPERTY_REPS = low_index_reps(6)
+
+
+@st.composite
+def _kernel_cases(draw):
+    """(fine, coarse, gens, elements, rng): a refinement with f <= 8 and
+    actions of degree <= 6, a few random elements of the fine quotient to
+    generate U, more to test against U * ker, and a seeded Random."""
+    # proper refinements first, which hypothesis draws more often
+    f, c = draw(st.sampled_from(((4, 2), (6, 2), (6, 3), (8, 4), (8, 2), (2, 2), (3, 3), (4, 4), (8, 8))))
+    fine = QuotientSpec.make(f, draw(st.one_of(st.none(), st.sampled_from(_PROPERTY_REPS))))
+    refined = [r for r in _PROPERTY_REPS if QuotientSpec.make(c, r).refined_by(fine)]
+    coarse = QuotientSpec.make(c, draw(st.one_of(st.none(), st.sampled_from(refined))))
+    gens = quotient_context(fine).generators
+    words = st.lists(st.integers(0, len(gens) - 1), max_size=12)
+
+    def element(word):
+        x = quotient_context(fine).identity
+        for i in word:
+            x = sd_mul(x, gens[i])
+        return x
+
+    u_gens = [element(w) for w in draw(st.lists(words, min_size=1, max_size=3))]
+    elements = [element(w) for w in draw(st.lists(words, min_size=1, max_size=8))]
+    return fine, coarse, u_gens, elements, random.Random(draw(st.integers(0, 2**32)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(case=_kernel_cases())
+def test_membership_in_u_times_the_kernel_agrees_with_the_listing(case):
+    fine, coarse, u_gens, elements, rng = case
+    try:
+        listing = kernel_listing(fine, coarse, Budgets(closure_cap=20_000))
+        u = subgroup_closure(quotient_context(fine), u_gens, Budgets(closure_cap=2_000))
+    except BudgetError:
+        assume(False)
+    kernel = kernel_of_refinement(fine, coarse)
+    assert len(kernel) == len(listing)
+    # elements of U * ker as well as the drawn ones, most of which lie outside
+    elements += [sd_mul(rng.choice(u.elements), rng.choice(listing.elements)) for _ in range(8)]
+    member = kernel_product_member(u, kernel)
+    ctx = quotient_context(fine)
+    for g in elements:
+        assert member(g) == product_member(ctx, g, u, listing), (fine, coarse, g)
 
 
 # ---------------------------------------------------------------------------

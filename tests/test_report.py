@@ -151,3 +151,12 @@ def test_decode_refuses_values_nested_deeper_than_the_limit():
     for text in (_inside(MAX_DEPTH + 1, "1"), _inside(MAX_DEPTH, "[1]"), _inside(MAX_DEPTH, '{"k": 1}')):
         with pytest.raises(ValidationError, match=f"^x: nested deeper than {MAX_DEPTH} levels$"):
             decode(text, "x")
+
+
+def test_decode_refuses_a_repeated_key_at_any_depth():
+    # objects with distinct keys read as json.loads reads them
+    text = '{"a": [{"b": 1, "c": {"b": 2}}], "b": 3}'
+    assert decode(text, "x") == json.loads(text)
+    for text, key in (('{"a": 1, "a": 1}', "a"), ('[{"b": {"c": 1, "d": 2, "c": 3}}]', "c")):
+        with pytest.raises(ValidationError, match=f"^x: repeated key '{key}'$"):
+            decode(text, "x")
