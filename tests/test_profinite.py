@@ -234,8 +234,8 @@ def test_coset_action_kernel_matches_the_schreier_oracle(fine, coarse):
 @pytest.mark.parametrize("f, c", [(8, 2), (8, 4), (9, 3), (12, 4)])
 def test_kernel_direct_path_closed_form(f, c):
     # these quotients have 1.6 to 24 million elements, so membership is
-    # compared on the listing, on its neighbours under the generators, which
-    # lie in the kernel or not by a single step, and on random elements
+    # compared on the listing, on its neighbours one generator step away,
+    # and on random elements
     fine = QuotientSpec.make(f)
     ctx = quotient_context(fine)
     listing = kernel_listing(fine, QuotientSpec.make(c))
