@@ -155,6 +155,8 @@ def _tractable(config: dict, budgets: Budgets) -> TractabilityReport:
 
 
 def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
+    if config["l_gens"] and config["l_rep"]:
+        raise ValidationError("thm-b-probe takes --l-gens or --l-rep, not both")
     l_gens = None  # L is the whole group
     if config["l_gens"]:
         l_gens = rpt.load_gens(config["l_gens"])

@@ -197,17 +197,15 @@ def subgroup_intersection(u: GeneratedSubgroup, v: GeneratedSubgroup) -> Generat
 
 
 def product_member(ctx: GroupContext, g, u: GeneratedSubgroup, v: GeneratedSubgroup) -> bool:
-    """Whether ``g`` lies in the double coset UV; scans the smaller factor."""
+    """Whether ``g`` lies in the double coset UV; scans the smaller factor.
+
+    g lies in UV exactly when g^-1 lies in VU, so a smaller V is scanned as
+    the left factor for g^-1.
+    """
     mul, inv = ctx.mul, ctx.inv
-    if len(u) <= len(v):
-        for x in u.elements:
-            if mul(inv(x), g) in v:
-                return True
-        return False
-    for y in v.elements:
-        if mul(g, inv(y)) in u:
-            return True
-    return False
+    if len(v) < len(u):
+        g, u, v = inv(g), v, u
+    return any(mul(inv(x), g) in v for x in u.elements)
 
 
 # ---------------------------------------------------------------------------

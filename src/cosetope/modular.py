@@ -285,11 +285,14 @@ def low_index_reps(d_max: int, *, classes: bool = True) -> list:
     """All transitive representations of degree <= d_max, canonically ordered.
 
     Each action (x, y) of ``_actions`` is the representation with
-    perm_s = x and perm_t = x y, as T = S^-1 ST.  With ``classes`` (the
-    default) one representative is returned per simultaneous-conjugation
-    class: the lexicographically least standardized table over all basepoint
-    choices.  With ``classes=False`` every subgroup's table is returned,
-    standardized from the basepoint.
+    perm_s = x and perm_t = x y, as T = S^-1 ST, its table standardized
+    from the basepoint.  With ``classes=False`` every subgroup's table is
+    returned.  With ``classes`` (the default) one representative is
+    returned per simultaneous-conjugation class: the lexicographically
+    least table over all basepoint choices.  A class's tables from every
+    basepoint are the basepoint tables of its subgroups, so only the first
+    subgroup of each class is standardized from every basepoint, marking
+    those tables seen.
     """
     if d_max < 1:
         raise ValidationError(f"d_max must be positive, got {d_max}")
@@ -299,15 +302,14 @@ def low_index_reps(d_max: int, *, classes: bool = True) -> list:
     seen = set()
     for s, y in _actions(d_max):
         t = perm_mul(s, y)
-        n = len(s)
+        table = _restandardize(s, t, 0)
         if classes:
-            canonical = min(_restandardize(s, t, b) for b in range(n))
-            if canonical in seen:
+            if table in seen:
                 continue
-            seen.add(canonical)
-        else:
-            canonical = _restandardize(s, t, 0)
-        reps.append(PermRep(n, *canonical))
+            tables = {_restandardize(s, t, b) for b in range(len(s))}
+            seen |= tables
+            table = min(tables)
+        reps.append(PermRep(len(s), *table))
     reps.sort(key=lambda r: (r.degree, r.perm_s, r.perm_t))
     return reps
 

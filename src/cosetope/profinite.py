@@ -320,78 +320,56 @@ def tractable_at(
     candidates: Sequence[QuotientSpec],
     budgets: Budgets | None = None,
 ) -> TractabilityReport:
-    """First candidate quotient where the intersection of images is tame.
+    """First candidate quotient N where the intersection of images is tame.
 
-    Runs ``tractable_candidate`` on each candidate in turn and succeeds on
-    the first whose status is "ok".  Per-candidate precondition failures are
-    recorded, not fatal.
+    N must lie in the formation of ``m_spec`` and refine it.  Compute
+    U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M):
+    status "ok" when it holds, which ends the search, otherwise "violation"
+    with a sample of violating elements.  Per-candidate precondition
+    failures are recorded, not fatal.
     """
     budgets = active_budgets(budgets)
+    keys = tuple(h_gens), tuple(k_gens), tuple(hcapk_gens)
     entries = []
     found = None
     scanned = 0
     for cand in candidates:
-        entry, count = tractable_candidate(h_gens, k_gens, hcapk_gens, m_spec, cand, budgets)
+        entry = {"spec": cand, "status": "precondition", "detail": "", "violations": [], "sizes": {}}
         entries.append(entry)
-        scanned += count
+        if m_spec.formation is not None and not m_spec.formation.admits(cand):
+            entry.update(status="skipped-formation", detail="candidate is outside the configured formation")
+            continue
+        if not m_spec.refined_by(cand):
+            entry["detail"] = "candidate does not refine the target quotient"
+            continue
+        images = {key: image_subgroup(key, cand, budgets) for key in dict.fromkeys(keys)}  # one closure each
+        uh, uk, ui = (images[key] for key in keys)
+        bad = [g for g in ui.generators if g not in uh or g not in uk]
+        if bad:
+            entry["detail"] = "claimed intersection generators do not land in both images"
+            entry["violations"] = bad[:_VIOLATION_SAMPLE]
+            continue
+        inter = subgroup_intersection(uh, uk)
+        kernel = kernel_of_refinement(cand, m_spec, budgets)
+        member = kernel_product_member(ui, kernel)
+        for u in inter.elements:
+            scanned += 1
+            if not member(u):
+                entry["violations"].append(u)
+                if len(entry["violations"]) >= _VIOLATION_SAMPLE:
+                    break
+        entry["sizes"] = {
+            "image_h": len(uh),
+            "image_k": len(uk),
+            "image_intersection": len(inter),
+            "kernel": kernel.order,
+        }
+        entry["status"] = "violation" if entry["violations"] else "ok"
         if entry["status"] == "ok":
             found = cand
             break
     counters = {"elements_scanned": scanned, "candidates_tried": len(entries)}
-    return TractabilityReport(m_spec, tuple(h_gens), tuple(k_gens), tuple(hcapk_gens), entries, found, counters)
-
-
-def tractable_candidate(
-    h_gens: Sequence[GroupWord],
-    k_gens: Sequence[GroupWord],
-    hcapk_gens: Sequence[GroupWord],
-    m_spec: QuotientSpec,
-    cand: QuotientSpec,
-    budgets: Budgets | None = None,
-) -> tuple:
-    """One candidate N of the inclusion search: (entry, elements scanned).
-
-    N must lie in the formation of ``m_spec`` and refine it.  Compute
-    U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M):
-    status "ok" when it holds, otherwise "violation" with a sample of
-    violating elements.
-    """
-    budgets = active_budgets(budgets)
-    entry = {"spec": cand, "status": "precondition", "detail": "", "violations": [], "sizes": {}}
-    if m_spec.formation is not None and not m_spec.formation.admits(cand):
-        entry.update(status="skipped-formation", detail="candidate is outside the configured formation")
-        return entry, 0
-    if not m_spec.refined_by(cand):
-        entry["detail"] = "candidate does not refine the target quotient"
-        return entry, 0
-    images = {}  # one closure per distinct generator list
-    for gens in (h_gens, k_gens, hcapk_gens):
-        if tuple(gens) not in images:
-            images[tuple(gens)] = image_subgroup(gens, cand, budgets)
-    uh, uk, ui = (images[tuple(gens)] for gens in (h_gens, k_gens, hcapk_gens))
-    bad = [g for g in ui.generators if g not in uh or g not in uk]
-    if bad:
-        entry["detail"] = "claimed intersection generators do not land in both images"
-        entry["violations"] = bad[:_VIOLATION_SAMPLE]
-        return entry, 0
-    inter = subgroup_intersection(uh, uk)
-    kernel = kernel_of_refinement(cand, m_spec, budgets)
-    member = kernel_product_member(ui, kernel)
-    scanned = 0
-    for u in inter.elements:
-        scanned += 1
-        if not member(u):
-            entry["violations"].append(u)
-            if len(entry["violations"]) >= _VIOLATION_SAMPLE:
-                break
-    entry["sizes"] = {
-        "image_h": len(uh),
-        "image_k": len(uk),
-        "image_intersection": len(inter),
-        "kernel": kernel.order,
-    }
-    entry["status"] = "violation" if entry["violations"] else "ok"
-    return entry, scanned
+    return TractabilityReport(m_spec, *keys, entries, found, counters)
 
 
 # ---------------------------------------------------------------------------
@@ -426,40 +404,24 @@ def thm_b_probe(
     """
     if not tower:
         raise ValidationError("thm_b_probe needs a nonempty tower")
-    for spec in tower:
-        cert = probe_level(h_gens, k_gens, l_gens, g, spec, budgets)
-        if cert is not None:
-            return cert
-    return None
-
-
-def probe_level(
-    h_gens: Sequence[GroupWord],
-    k_gens: Sequence[GroupWord],
-    l_gens: Optional[Sequence[GroupWord]],
-    g: GroupWord,
-    spec: QuotientSpec,
-    budgets: Budgets | None = None,
-) -> Optional[SeparabilityCertificate]:
-    """One level of ``thm_b_probe``: a certificate when the quotient of
-    ``spec`` excludes ``g`` from (H meet L)K, else None."""
     budgets = active_budgets(budgets)
-    uh = image_subgroup(h_gens, spec, budgets)
-    uk = image_subgroup(k_gens, spec, budgets)
-    if l_gens is None:
-        hp = uh
-    else:
-        ul = image_subgroup(l_gens, spec, budgets)
-        if any(x not in ul for x in subgroup_intersection(uh, uk).elements):
-            raise PreconditionError(
-                f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {spec.m}"
+    for spec in tower:
+        uh = image_subgroup(h_gens, spec, budgets)
+        uk = image_subgroup(k_gens, spec, budgets)
+        if l_gens is None:
+            hp = uh
+        else:
+            ul = image_subgroup(l_gens, spec, budgets)
+            if any(x not in ul for x in subgroup_intersection(uh, uk).elements):
+                raise PreconditionError(
+                    f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {spec.m}"
+                )
+            hp = subgroup_intersection(uh, ul)
+        if not product_member(quotient_context(spec), project(g, spec), hp, uk):
+            return SeparabilityCertificate(
+                element=g,
+                target="(H meet L)K" if l_gens is not None else "HK",
+                spec=spec,
+                transcript={"image_hp": len(hp), "image_k": len(uk), "member": False},
             )
-        hp = subgroup_intersection(uh, ul)
-    if product_member(quotient_context(spec), project(g, spec), hp, uk):
-        return None
-    return SeparabilityCertificate(
-        element=g,
-        target="(H meet L)K" if l_gens is not None else "HK",
-        spec=spec,
-        transcript={"image_hp": len(hp), "image_k": len(uk), "member": False},
-    )
+    return None

@@ -40,6 +40,7 @@ from cosetope.modular import (
     psl2_canon,
     psl2_context,
     rep_contains,
+    rep_level,
     subgroup_generators,
     word_eval,
 )
@@ -597,6 +598,22 @@ def congruence_rep(m: int) -> PermRep:
 def principal_congruence_generators(m: int) -> tuple:
     """Words generating the level-m principal congruence subgroup (projectively)."""
     return tuple(subgroup_generators(congruence_rep(m)))
+
+
+def hsu_odd_level_congruence(rep: PermRep) -> bool:
+    """Hsu's relator test, for a subgroup of odd level N > 1 (T. Hsu,
+    "Identifying congruence subgroups of the modular group", Proc. AMS 124,
+    1996): with L = T, R = S t S^-1 and 2k = 1 mod N, the subgroup is
+    congruence exactly when (L^2 R^-k)^3 acts trivially on its cosets.
+    R^-k is S T^k S^-1, and the level reads no walk, so the test is
+    independent of ``is_congruence``.
+    """
+    level = rep_level(rep)
+    if level < 2 or level % 2 == 0:
+        raise ValueError(f"the odd-level test needs an odd level above 1, got {level}")
+    k = (level + 1) // 2
+    word = ModularWord.of(*([T_, T_, S_] + [T_] * k + [-S_]) * 3)
+    return rep.word_perm(word) == perm_identity(rep.degree)
 
 
 # ---------------------------------------------------------------------------

@@ -823,6 +823,22 @@ def test_closure_budget_error_names_the_group_it_closed_in(tmp_path, monkeypatch
     )
 
 
+def test_thm_b_probe_refuses_both_ways_of_giving_l(tmp_path, monkeypatch, capsys):
+    # --l-gens and --l-rep each give L; a probe given both read only --l-gens
+    monkeypatch.chdir(GOLDEN)
+    message = "error: thm-b-probe takes --l-gens or --l-rep, not both\n"
+    args = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", '{"w": "T"}']
+    args += ["--l-gens", "h.json", "--l-rep", "nc_rep.json", "--tower", "tower_violation.json"]
+    assert main(args) == 2
+    assert capsys.readouterr() == ("", message)
+    # verify reruns the command on its recorded config, so it refuses the pair too
+    report = tmp_path / "probe.json"
+    shutil.copy(GOLDEN / "thm_b_inconclusive.json", report)
+    _tamper(report, lambda data: data["config"].update(l_gens="h.json", l_rep="nc_rep.json"))
+    assert main(["verify", "--report", str(report), "--output", str(tmp_path / "v.json")]) == 2
+    assert capsys.readouterr() == ("", message)
+
+
 def test_verify_refuses_a_recorded_path_that_is_not_a_string(tmp_path):
     # open(True) would take the bool as file descriptor 1 and close stdout
     path = tmp_path / "report.json"

@@ -19,7 +19,9 @@ decided by Schreier generator words and restriction by a second walk over
 the points, before both were read off one point map.
 ``tractable_action_violation.json`` was written while refinement kernels
 were still listed element by element, before the inclusion was tested
-through the restriction map.  ``regen_golden.py`` rewrites the fixtures
+through the restriction map.  ``lowindex_12.json`` was written while
+``low_index_reps`` still standardized every subgroup from every basepoint,
+before each class was standardized once.  ``regen_golden.py`` rewrites the fixtures
 from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
@@ -81,6 +83,8 @@ CASES = {
     "congruence.json": ["congruence", "--rep", "nc_rep.json"],
     "lowindex.json": ["lowindex", "--max-degree", "5"],
     "lowindex_subgroups.json": ["lowindex", "--max-degree", "6", "--subgroups"],
+    # 175 classes: the largest degree the command accepts
+    "lowindex_12.json": ["lowindex", "--max-degree", "12"],
     # det(2I + I) = 9 is first excluded at modulus 3, which the default tower
     # reaches; tower_violation.json holds only 2, 4 and 8
     "thm_b_certified.json": ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", _TWO_I],

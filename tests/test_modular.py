@@ -36,6 +36,7 @@ from cosetope.report import rep_from_json
 from t_util import (
     congruence_rep,
     count_closures,
+    hsu_odd_level_congruence,
     image_closure,
     klein_fricke_blocks,
     naive_rep_counts,
@@ -202,6 +203,37 @@ def test_low_index_reps_match_relator_deduction_oracle(classes):
     # (st)^3 = 1 deduced by hand, over every degree the cap allows
     for d in range(1, 13):
         assert low_index_reps(d, classes=classes) == oracle_low_index_reps(d, classes=classes), d
+
+
+def _hall_subgroup_counts(n_max: int) -> list:
+    """The number of subgroups of index n = 1..n_max in C2 * C3, in closed form.
+
+    h_n = I2(n) I3(n) counts the actions of C2 * C3 on n points, where Ik(n)
+    counts the permutations with x^k = 1, and t_n, the transitive ones, is
+    h_n less the actions whose orbit of point 1 has k < n points; a subgroup
+    of index n is the stabilizer of point 1 in (n - 1)! of them (M. Hall Jr.,
+    Canad. J. Math. 1, 1949; M. Newman, Math. Comp. 30, 1976).
+    """
+
+    def solutions(k):  # Ik(n) for n = 0..n_max: point n lies in a cycle of length 1 or k
+        counts = [1]
+        for n in range(1, n_max + 1):
+            counts.append(sum(math.perm(n - 1, d - 1) * counts[n - d] for d in (1, k) if d <= n))
+        return counts
+
+    h = [a * b for a, b in zip(solutions(2), solutions(3))]
+    t = [0]
+    for n in range(1, n_max + 1):
+        t.append(h[n] - sum(math.comb(n - 1, k - 1) * t[k] * h[n - k] for k in range(1, n)))
+    return [t[n] // math.factorial(n - 1) for n in range(1, n_max + 1)]
+
+
+def test_low_index_subgroup_counts_match_halls_recurrence():
+    counts = _hall_subgroup_counts(12)
+    assert counts == [1, 1, 4, 8, 5, 22, 42, 40, 120, 265, 286, 764]
+    by_degree = Counter(r.degree for r in low_index_reps(12, classes=False))
+    assert [by_degree[n] for n in range(1, 13)] == counts
+    assert sum(counts) == 1558
 
 
 def test_low_index_deterministic_and_canonical():
@@ -396,6 +428,15 @@ def test_is_congruence_agrees_with_containment_oracle_degree_6():
     verdicts = [is_congruence(rep) for rep in reps]
     assert verdicts == [_congruence_by_containment(rep) for rep in reps]
     assert verdicts.count(False) == 18
+
+
+def test_is_congruence_agrees_with_hsus_odd_level_test():
+    # a second oracle on every class of degree <= 12 of odd level above 1;
+    # the even-level conditions of the same paper are not checked here
+    reps = [rep for rep in low_index_reps(12) if rep_level(rep) % 2 == 1 and rep_level(rep) > 1]
+    verdicts = [is_congruence(rep) for rep in reps]
+    assert verdicts == [hsu_odd_level_congruence(rep) for rep in reps]
+    assert (len(reps), verdicts.count(True)) == (53, 18)
 
 
 def test_noncongruence_exists_at_degree_7():
