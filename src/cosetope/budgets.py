@@ -2,13 +2,12 @@
 
 Every subgroup closure, and every walk or listing whose size stands in for
 one, is guarded by the closure cap, so that an oversized request fails
-loudly instead of stalling.  The default is desk-scale; the environment
-variable ``COSETOPE_BUDGET``, a single positive integer, overrides it.
+loudly instead of stalling.  The default is desk-scale; the command-line
+flag ``--closure-cap`` is the one way to set another cap.
 """
 
 from __future__ import annotations
 
-import os
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -30,18 +29,3 @@ class Budgets(_Caps):
             raise ValidationError("budgets must be positive")
         return super().__new__(cls, closure_cap)
 
-
-def from_env(environ=None) -> Budgets:
-    """Budgets with the ``COSETOPE_BUDGET`` override applied, if present."""
-    environ = os.environ if environ is None else environ
-    raw = environ.get("COSETOPE_BUDGET", "").strip()
-    if not raw:
-        return Budgets()
-    # str.isdigit admits characters such as superscripts that int() rejects
-    if not raw.isdecimal():
-        raise ValidationError(f"COSETOPE_BUDGET takes one positive integer, the closure cap; got {raw!r}")
-    return Budgets(int(raw))
-
-
-def active_budgets(budgets: Budgets | None = None) -> Budgets:
-    return budgets if budgets is not None else from_env()

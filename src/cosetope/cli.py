@@ -22,7 +22,7 @@ import json
 import sys
 
 from .arith import Mat2, sl2_group_order
-from .budgets import Budgets, active_budgets
+from .budgets import DEFAULT_CLOSURE_CAP, Budgets
 from .errors import BudgetError, CosetopeError, ValidationError
 from .groupcore import check_closure_cap, product_member, short_int, subgroup_intersection
 # Unused here: importing them keeps them cross-module functions, which
@@ -74,11 +74,6 @@ def _spec_of(config: dict) -> QuotientSpec:
 
 def _tower_of(config: dict) -> list:
     return rpt.load_tower(config["tower"]) if config["tower"] else default_tower()
-
-
-def _budgets_of(args) -> Budgets:
-    base = active_budgets()  # a malformed COSETOPE_BUDGET exits 2 even under --closure-cap
-    return base if args.closure_cap is None else Budgets(args.closure_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--output", default=None, help="report file (default: stdout)")
-        p.add_argument("--closure-cap", type=int, default=None)
+        p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
 
     p = sub.add_parser("quotient", help="describe one finite quotient")
     p.add_argument("--modulus", type=int, required=True)
@@ -434,7 +429,7 @@ def main(argv=None) -> int:
     config = _config_of(args)
     run = _verify if args.command == "verify" else COMMANDS[args.command]
     try:
-        result = run(config, _budgets_of(args))
+        result = run(config, Budgets(args.closure_cap))
         report = {"schema": rpt.SCHEMA_VERSION, "command": args.command, "config": config, "result": result}
         text = rpt.canonical_dumps(report)
     except BudgetError as exc:

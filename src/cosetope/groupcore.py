@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import Mat2
-from .budgets import Budgets, active_budgets
+from .budgets import Budgets
 from .errors import BudgetError, ValidationError
 
 
@@ -88,7 +88,7 @@ class GroupContext:
         self.generators = tuple(generators)
         self.name = name
 
-    def enumerate(self, budgets: Budgets | None = None) -> "GeneratedSubgroup":
+    def enumerate(self, budgets: Budgets = Budgets()) -> "GeneratedSubgroup":
         """Every element of the group, as the closure of its generators."""
         return subgroup_closure(self, self.generators, budgets)
 
@@ -136,25 +136,24 @@ def short_int(n: int) -> str:
     return str(n) if n.bit_length() <= 64 else f"about 2^{n.bit_length() - 1}"
 
 
-def check_closure_cap(size: int, budgets: Budgets | None, what: str) -> None:
+def check_closure_cap(size: int, budgets: Budgets, what: str) -> None:
     """Raise BudgetError when ``what``, of known ``size``, exceeds the closure cap.
 
     Used wherever a size is known without closing (group orders), so the
     cap holds whether or not the elements are ever listed.  A modulus in
     ``what`` is written with ``short_int``, as the size is.
     """
-    cap = active_budgets(budgets).closure_cap
+    cap = budgets.closure_cap
     if size > cap:
         raise BudgetError(f"closure budget exceeded: {what} has {short_int(size)} elements > {cap} (closure_cap)")
 
 
-def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets | None = None) -> GeneratedSubgroup:
+def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
     """Breadth-first closure of ``gens`` under multiplication and inversion.
 
     Insertion order is the BFS discovery order with the identity first, which
     fixes the deterministic enumeration order used everywhere else.
     """
-    budgets = active_budgets(budgets)
     cap = budgets.closure_cap
     gens = tuple(gens)
     step = []

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 from .arith import Mat2, sl2_group_order
-from .budgets import Budgets, active_budgets
+from .budgets import Budgets
 from .errors import ValidationError
 from .groupcore import (
     GeneratedSubgroup,
@@ -108,7 +108,7 @@ _CONCLUSION = (
 _CROSS_CHECK_MAX = 4
 
 
-def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets | None = None, walks=None) -> GeneratedSubgroup:
+def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks=None) -> GeneratedSubgroup:
     """Image of the (sign-saturated) subgroup of H attached to ``rep`` at level m.
 
     Listed without a closure (``image_elements``), each u with -u (which
@@ -169,7 +169,7 @@ def gs_wz_failure(
     m_max: int = 24,
     *,
     witness_level: int = 24,
-    budgets: Budgets | None = None,
+    budgets: Budgets = Budgets(),
 ) -> NonSepEvidence:
     """Assemble non-separability evidence for H'K from a congruence-gap subgroup.
 
@@ -183,7 +183,6 @@ def gs_wz_failure(
     PreconditionError.  One ``walks`` dict walks each level gcd(m, N) once
     per call.
     """
-    budgets = active_budgets(budgets)
     walks: dict = {}
     witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets, walks=walks)
     x = witness.x

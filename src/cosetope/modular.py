@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple, Optional, Sequence, Union
 
 from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
-from .budgets import Budgets, active_budgets
+from .budgets import Budgets
 from .errors import BudgetError, PreconditionError, ValidationError
 from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, short_int, sl2_context
 
@@ -381,7 +381,7 @@ def psl2_context(m: int) -> GroupContext:
 _MAX_CONGRUENCE_LEVEL = 64
 
 
-def _gamma_walk(rep: PermRep, n: int, budgets: Budgets | None, seen: Optional[dict] = None):
+def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = None):
     """The Schreier generators of the level-n principal congruence subgroup
     that move the basepoint, in walk order, each as (q, p, edge).
 
@@ -449,7 +449,7 @@ def _orbit_blocks(rep: PermRep, walk) -> tuple:
     return tuple(labels.setdefault(find(p), len(labels)) for p in range(rep.degree))
 
 
-def _walked(rep: PermRep, n: int, budgets: Budgets | None, walks: dict) -> tuple:
+def _walked(rep: PermRep, n: int, budgets: Budgets, walks: dict) -> tuple:
     """The level-n orbits on the cosets and the ``seen`` map of the walk over
     PSL2(Z/n), kept in ``walks`` under (rep, n) so that each n is walked once."""
     if (rep, n) not in walks:
@@ -458,7 +458,7 @@ def _walked(rep: PermRep, n: int, budgets: Budgets | None, walks: dict) -> tuple
     return walks[rep, n]
 
 
-def image_blocks(rep: PermRep, m: int, budgets: Budgets | None = None, walks: Optional[dict] = None) -> tuple:
+def image_blocks(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Optional[dict] = None) -> tuple:
     """The orbits of the level-m principal congruence subgroup on the cosets,
     as each point's class (0 for the basepoint's).
 
@@ -478,14 +478,14 @@ def image_blocks(rep: PermRep, m: int, budgets: Budgets | None = None, walks: Op
     return blocks
 
 
-def image_elements(rep: PermRep, m: int, budgets: Budgets | None = None, walks: Optional[dict] = None) -> list:
+def image_elements(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Optional[dict] = None) -> list:
     """The subgroup's image in PSL2(Z/m): the matrices of the walk over
     PSL2(Z/m), kept in ``walks``, whose point lies in the basepoint's orbit."""
     blocks, seen = _walked(rep, m, budgets, {} if walks is None else walks)
     return [Mat2(*y, m) for y, (p, _, _) in seen.items() if blocks[p] == 0]
 
 
-def is_congruence(rep: PermRep, *, budgets: Budgets | None = None) -> bool:
+def is_congruence(rep: PermRep, *, budgets: Budgets = Budgets()) -> bool:
     """Level-based congruence decision.
 
     The subgroup is congruence exactly when it contains the principal
@@ -526,7 +526,7 @@ def congruence_gap_witness(
     level: int,
     *,
     m_max: int = 24,
-    budgets: Budgets | None = None,
+    budgets: Budgets = Budgets(),
     walks: Optional[dict] = None,
 ) -> GapWitness:
     """The first element of the level-``level`` principal congruence subgroup,
@@ -538,7 +538,6 @@ def congruence_gap_witness(
     """
     if m_max < 2:
         raise ValidationError(f"m_max must be at least 2, got {m_max}: the witness needs a tested level")
-    budgets = active_budgets(budgets)
     if is_congruence(rep, budgets=budgets):
         raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     if level < 2:

@@ -15,7 +15,7 @@ import functools
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import MAT_S, MAT_T, Mat2, is_prime, sl2_group_order
-from .budgets import Budgets, active_budgets
+from .budgets import Budgets
 from .errors import PreconditionError, ValidationError
 from .groupcore import (
     GeneratedSubgroup,
@@ -158,7 +158,7 @@ def project(g: GroupWord, spec: QuotientSpec) -> SdElement:
     return SdElement(g.a.reduce(spec.m), word_eval(g.w).reduce(spec.m), sigma)
 
 
-def image_subgroup(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budgets | None = None) -> GeneratedSubgroup:
+def image_subgroup(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
     """Closure of the projections of ``gens`` in the quotient of ``spec``."""
     ctx = quotient_context(spec)
     return subgroup_closure(ctx, [project(g, spec) for g in gens], budgets)
@@ -236,7 +236,7 @@ class RefinementKernel:
         return self.order
 
 
-def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets | None = None) -> RefinementKernel:
+def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()) -> RefinementKernel:
     """The kernel of the restriction from the fine quotient to the coarse one.
 
     Every quotient is M2(Z/f) x| L, with L generated by the images of S and
@@ -250,7 +250,6 @@ def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
     """
     if not coarse.refined_by(fine):
         raise PreconditionError("kernel_of_refinement: the first spec does not refine the second")
-    budgets = active_budgets(budgets)
     restrict = element_restriction(fine, coarse)
     cid = quotient_context(coarse).identity
     f, c = fine.m, coarse.m
@@ -318,7 +317,7 @@ def tractable_at(
     hcapk_gens: Sequence[GroupWord],
     m_spec: QuotientSpec,
     candidates: Sequence[QuotientSpec],
-    budgets: Budgets | None = None,
+    budgets: Budgets = Budgets(),
 ) -> TractabilityReport:
     """First candidate quotient N where the intersection of images is tame.
 
@@ -328,7 +327,6 @@ def tractable_at(
     with a sample of violating elements.  Per-candidate precondition
     failures are recorded, not fatal.
     """
-    budgets = active_budgets(budgets)
     keys = tuple(h_gens), tuple(k_gens), tuple(hcapk_gens)
     entries = []
     found = None
@@ -392,7 +390,7 @@ def thm_b_probe(
     l_gens: Optional[Sequence[GroupWord]],
     g: GroupWord,
     tower: Sequence[QuotientSpec],
-    budgets: Budgets | None = None,
+    budgets: Budgets = Budgets(),
 ) -> Optional[SeparabilityCertificate]:
     """Probe separability of (H meet L)K along the tower.
 
@@ -404,7 +402,6 @@ def thm_b_probe(
     """
     if not tower:
         raise ValidationError("thm_b_probe needs a nonempty tower")
-    budgets = active_budgets(budgets)
     for spec in tower:
         uh = image_subgroup(h_gens, spec, budgets)
         uk = image_subgroup(k_gens, spec, budgets)

@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import cosetope.groupcore
 from cosetope.arith import MAT_S, MAT_T, Mat2, sl2_group_order
-from cosetope.budgets import Budgets, active_budgets
+from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, ModulusMismatch, PreconditionError, ValidationError
 from cosetope.groupcore import (
     GeneratedSubgroup,
@@ -341,7 +341,7 @@ def count_closures(monkeypatch) -> Counter:
     calls = Counter()
     real = cosetope.groupcore.subgroup_closure
 
-    def counting(ctx, gens, budgets=None):
+    def counting(ctx, gens, budgets=Budgets()):
         gens = tuple(gens)
         calls[ctx.name, gens] += 1
         return real(ctx, gens, budgets)
@@ -484,7 +484,7 @@ class GsInstance(NamedTuple):
     i_elt: SdElement
 
 
-def gs_build(spec: QuotientSpec, budgets: Budgets | None = None) -> GsInstance:
+def gs_build(spec: QuotientSpec, budgets: Budgets = Budgets()) -> GsInstance:
     """Images of H and of K = i H i^-1 in the plain quotient of ``spec``.
 
     H's image, all of SL2(Z/m), is walked over entry tuples in the order of
@@ -747,14 +747,13 @@ def oracle_subgroup_generators(rep: PermRep) -> list:
     return [ModularWord(w) for w in schreier_generator_words(0, _rep_action(rep), (S_, -S_, T_, -T_))]
 
 
-def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets=None):
+def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()):
     """The refinement kernel as the closure of its Schreier generators.
 
     The generators are read off the action of the fine generators on the
     whole coarse quotient, which the walk visits element by element; its
     order, when known, is checked against the closure cap first.
     """
-    budgets = active_budgets(budgets)
     coarse_order = spec_group_order(coarse)
     if coarse_order is not None:
         check_closure_cap(coarse_order, budgets, f"the Schreier walk over the quotient mod {coarse.m}")
@@ -785,9 +784,8 @@ def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets=None):
 # ``kernel_of_refinement`` gave it by the restriction map
 
 
-def kernel_listing(fine: QuotientSpec, coarse: QuotientSpec, budgets=None) -> GeneratedSubgroup:
+def kernel_listing(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
     """Every element of ker(fine -> coarse), identity first."""
-    budgets = active_budgets(budgets)
     if fine == coarse:
         return subgroup_from_elements((quotient_context(fine).identity,))
     if fine.rep is None:
@@ -844,13 +842,13 @@ def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
 # group
 
 
-def _perm_group_order(rep: PermRep, budgets: Budgets | None) -> int:
+def _perm_group_order(rep: PermRep, budgets: Budgets) -> int:
     ident = perm_identity(rep.degree)
     ctx = GroupContext(ident, perm_mul, perm_inv, (rep.perm_s, rep.perm_t), name=f"perm image d={rep.degree}")
     return len(ctx.enumerate(budgets))
 
 
-def oracle_admits(formation: Formation, spec: QuotientSpec, budgets: Budgets | None = None) -> bool:
+def oracle_admits(formation: Formation, spec: QuotientSpec, budgets: Budgets = Budgets()) -> bool:
     """``Formation.admits`` by the order of the closed permutation group."""
     if formation.kind == "all":
         return True

@@ -6,7 +6,7 @@ import time
 from collections import Counter
 
 from cosetope.arith import Mat2
-from cosetope.budgets import active_budgets
+from cosetope.budgets import Budgets
 from cosetope.groupcore import (
     SdElement,
     product_member,
@@ -215,7 +215,7 @@ def test_criterion_7_wz_failure_evidence(tmp_path):
     assert evidence.witness.displaced_to != 0
     # at every recorded congruence level <= 24 the image passes the full
     # double-coset membership scan, not only the reduced subgroup test
-    budgets = active_budgets()
+    budgets = Budgets()
     assert evidence.levels, "no passing level recorded"
     for m in evidence.levels:
         assert 2 <= m <= 24

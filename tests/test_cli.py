@@ -294,10 +294,9 @@ _HUGE = str(2**5000)
     ],
     ids=["quotient", "quotient-enumerate", "gap-witness"],
 )
-def test_a_result_too_long_to_write_exits_3(tmp_path, monkeypatch, capsys, args, message):
+def test_a_result_too_long_to_write_exits_3(tmp_path, capsys, args, message):
     # Python writes no integer of more than 4,300 digits in decimal, so the
     # size is given as a power of two
-    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
     out = tmp_path / "out.json"
     assert main(args + ["--output", str(out)]) == 3
     err = capsys.readouterr().err
@@ -308,8 +307,7 @@ def test_a_result_too_long_to_write_exits_3(tmp_path, monkeypatch, capsys, args,
 
 
 @pytest.mark.parametrize("kind", ["quotient", "tractable"])
-def test_a_huge_modulus_is_shortened_in_the_budget_message(tmp_path, gens_files, monkeypatch, capsys, kind):
-    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
+def test_a_huge_modulus_is_shortened_in_the_budget_message(tmp_path, gens_files, capsys, kind):
     modulus = 2**200
     if kind == "quotient":
         args = ["quotient", "--modulus", str(modulus), "--enumerate"]
@@ -441,7 +439,6 @@ INT_FLAGS = [
 @pytest.mark.parametrize("args", INT_FLAGS, ids=[" ".join(a) for a in INT_FLAGS])
 def test_integer_flags_end_quickly_with_exit_0_2_or_3(tmp_path, monkeypatch, args, value):
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
     start = time.perf_counter()
     code = main([value if a == "{v}" else a for a in args] + ["--output", str(tmp_path / "out.json")])
     assert code in (0, 2, 3)
@@ -491,20 +488,16 @@ def test_verify_rechecks_an_inconclusive_probe(tmp_path, gens_files):
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v2.json")]) == 2
 
 
-def test_budget_env_override(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("COSETOPE_BUDGET", "10")
-    assert (
-        main(["quotient", "--modulus", "3", "--enumerate", "--output", str(tmp_path / "q.json")])
-        == 3
-    )
-    # the variable is one integer, the closure cap; the old keyed form is refused
-    monkeypatch.setenv("COSETOPE_BUDGET", "closure=10,product=99")
-    capsys.readouterr()
-    assert (
-        main(["quotient", "--modulus", "3", "--enumerate", "--output", str(tmp_path / "q2.json")])
-        == 2
-    )
-    assert "COSETOPE_BUDGET takes one positive integer" in capsys.readouterr().err
+@pytest.mark.parametrize("value", ["10", "junk"])
+def test_the_closure_cap_is_not_read_from_the_environment(tmp_path, monkeypatch, capsys, value):
+    # --closure-cap is the one way to set the cap; the variable that once
+    # set it changes neither the exit code nor the report bytes
+    args = ["quotient", "--modulus", "3", "--enumerate", "--output"]
+    assert main(args + [str(tmp_path / "plain.json")]) == 0
+    monkeypatch.setenv("COSETOPE_BUDGET", value)
+    assert main(args + [str(tmp_path / "set.json")]) == 0
+    assert capsys.readouterr().err == ""
+    assert (tmp_path / "set.json").read_bytes() == (tmp_path / "plain.json").read_bytes()
 
 
 def test_tractable_plain_tower_under_degree_one_action(tmp_path, gens_files):
@@ -564,17 +557,8 @@ def test_formation_check_closes_nothing_under_the_closure_cap(tmp_path, monkeypa
     assert (tmp_path / "t.json").read_bytes() == (golden / "tractable_formation.json").read_bytes()
 
 
-@pytest.mark.parametrize(
-    "flags, env",
-    [
-        pytest.param(["--closure-cap", "0"], None, id="--closure-cap"),
-        pytest.param([], "0", id="COSETOPE_BUDGET"),
-    ],
-)
-def test_zero_cap_flag_is_rejected(tmp_path, monkeypatch, capsys, flags, env):
-    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
-    if env is not None:
-        monkeypatch.setenv("COSETOPE_BUDGET", env)
+@pytest.mark.parametrize("flags", [pytest.param(["--closure-cap", "0"], id="--closure-cap")])
+def test_zero_cap_flag_is_rejected(tmp_path, capsys, flags):
     args = ["quotient", "--modulus", "2", "--enumerate", *flags, "--output", str(tmp_path / "q.json")]
     assert main(args) == 2
     assert "budgets must be positive" in capsys.readouterr().err
@@ -814,7 +798,6 @@ def test_closure_budget_error_names_the_group_it_closed_in(tmp_path, monkeypatch
     # level 2 closes every image; at level 3 the image of L, up to
     # 3^4 * |SL2(Z/3)| = 1944 elements, is the first closure past the cap
     monkeypatch.chdir(GOLDEN)
-    monkeypatch.delenv("COSETOPE_BUDGET", raising=False)
     args = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", '{"w": ""}']
     args += ["--l-rep", "nc_rep.json", "--closure-cap", "1000", "--output", str(tmp_path / "p.json")]
     assert main(args) == 3

@@ -21,8 +21,12 @@ the points, before both were read off one point map.
 were still listed element by element, before the inclusion was tested
 through the restriction map.  ``lowindex_12.json`` was written while
 ``low_index_reps`` still standardized every subgroup from every basepoint,
-before each class was standardized once.  ``regen_golden.py`` rewrites the fixtures
-from the current code.
+before each class was standardized once.  ``thm_b_l_rep.json``, the only
+case through ``thm_b_probe``'s L branch, and ``tractable_bad_hcapk.json``, the
+only case whose claimed generators of H meet K fail ``tractable_at``'s
+precondition, were written while the closure cap could still be set from the
+environment, before ``--closure-cap`` became the one way to set it.
+``regen_golden.py`` rewrites the fixtures from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
 reports record the paths they were given.
@@ -72,6 +76,12 @@ CASES = {
         "tractable", "--h-gens", "h.json", "--k-gens", "h.json", "--hcapk-gens", "empty.json",
         "--m-spec", '{"m": 4}', "--tower", "tower_violation.json",
     ],
+    # claimed generators of H meet K that are not in image(K): every
+    # candidate fails its precondition and the search finds nothing
+    "tractable_bad_hcapk.json": [
+        "tractable", "--h-gens", "h.json", "--k-gens", "k.json", "--hcapk-gens", "h.json",
+        "--m-spec", '{"m": 2}', "--tower", "tower_violation.json",
+    ],
     "gap_witness.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "24", "--m-max", "12"],
     "gap_witness_level3.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "3", "--m-max", "12"],
     "quotient_enumerate.json": ["quotient", "--modulus", "3", "--enumerate"],
@@ -91,6 +101,12 @@ CASES = {
     "thm_b_inconclusive.json": [
         "thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", _TWO_I,
         "--tower", "tower_violation.json",
+    ],
+    # L built from nc_rep's coset action: each level also checks that
+    # image(H) meet image(K) lies inside image(L); certified at m = 3
+    "thm_b_l_rep.json": [
+        "thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", _TWO_I,
+        "--l-rep", "nc_rep.json", "--tower", "tower_small.json",
     ],
 }
 

@@ -18,7 +18,7 @@ from cosetope.groupcore import (
     subgroup_from_elements,
 )
 from cosetope.gs import _h_prime_image_mod, evidence_entry, gs_hk_witness, gs_wz_failure
-from cosetope.budgets import active_budgets
+from cosetope.budgets import Budgets
 from cosetope.modular import (
     ONE_POINT,
     ModularWord,
@@ -238,7 +238,7 @@ def test_hk_witness_replays_and_respects_bound():
 
 
 def test_orbit_of_identity_equals_matrix_image():
-    budgets = active_budgets()
+    budgets = Budgets()
     for rep in (congruence_rep(2), minimal_noncongruence()):
         for m in (2, 3, 4):
             image = _h_prime_image_mod(rep, m, budgets)
@@ -255,7 +255,7 @@ def test_orbit_of_identity_equals_matrix_image():
 
 
 def test_double_coset_with_conjugator_meets_additive_part_in_orbit():
-    budgets = active_budgets()
+    budgets = Budgets()
     rep = congruence_rep(2)
     for m in (2, 3):
         spec = QuotientSpec.make(m)
@@ -272,7 +272,7 @@ def test_double_coset_with_conjugator_meets_additive_part_in_orbit():
 
 
 def test_reduced_membership_equals_double_coset_membership():
-    budgets = active_budgets()
+    budgets = Budgets()
     rep = minimal_noncongruence()
     rng = random.Random(43)
     for m in (2, 3):
@@ -294,7 +294,7 @@ def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
     # the evidence's own g reduces to the identity at every m <= 4, its x
     # lying in Γ(24); elements that reduce elsewhere exercise the listed
     # image(K), and evidence_entry raises when the two memberships disagree
-    budgets = active_budgets()
+    budgets = Budgets()
     rng = random.Random(46)
     seen = Counter()
     for rep in (minimal_noncongruence(), congruence_rep(2), congruence_rep(3), congruence_rep(4)):
@@ -318,7 +318,7 @@ def _sl2_closure_image(rep, m):
 
 
 def test_sign_saturated_image_matches_sl2_closure_oracle():
-    budgets = active_budgets()
+    budgets = Budgets()
     # the one-point rep's subgroup is the whole modular group: its image is SL2(Z/m)
     for rep in (congruence_rep(2), minimal_noncongruence(), ONE_POINT):
         for m in range(2, 13):
@@ -334,7 +334,7 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
     evidence = gs_wz_failure(rep, 12, witness_level=12)
     assert evidence.status == "evidence"
     for m in range(2, 13):
-        _h_prime_image_mod(rep, m, active_budgets())
+        _h_prime_image_mod(rep, m, Budgets())
     assert not closures
     # every level m <= 12 has the whole of PSL2(Z/m) as its image, the
     # largest of order 660 at m = 11; under a cap of 660 those pass, and the

@@ -347,7 +347,7 @@ def test_image_blocks_at_m_are_those_at_the_gcd_with_the_level():
         for m in range(2, 25):
             g = math.gcd(m, n)
             if g < m and (m <= 12 or g > 5):
-                assert _orbit_blocks(rep, _gamma_walk(rep, m, None)) == image_blocks(rep, m), (rep, m)
+                assert _orbit_blocks(rep, _gamma_walk(rep, m, Budgets())) == image_blocks(rep, m), (rep, m)
                 pairs += 1
     assert pairs == 416
 
@@ -358,7 +358,7 @@ def _walk_edges(rep, n, walk):
     if walk is not _gamma_walk:
         return list(walk(rep, n, seen)), list(seen)
     edges = []
-    for q, p, (x, letter, y) in walk(rep, n, None, seen):
+    for q, p, (x, letter, y) in walk(rep, n, Budgets(), seen):
         word = ModularWord(_walk_word(seen, x) + (letter,)) * ModularWord(_walk_word(seen, y)).inverse()
         edges.append((q, p, word))
     return edges, [Mat2(*x, n) for x in seen]

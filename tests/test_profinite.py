@@ -260,7 +260,7 @@ def test_kernel_with_coset_action_takes_the_coset_action_path(monkeypatch):
     calls = []
     closure = profinite.subgroup_closure
 
-    def spy(ctx, gens, budgets=None):
+    def spy(ctx, gens, budgets=Budgets()):
         calls.append(tuple(gens))
         return closure(ctx, gens, budgets)
 

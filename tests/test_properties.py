@@ -9,7 +9,6 @@ from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cosetope.budgets import Budgets, from_env
 from cosetope.cli import main
 from cosetope.errors import CosetopeError
 from cosetope.modular import PermRep
@@ -133,24 +132,6 @@ SPEC_LIKE = st.fixed_dictionaries(
 def test_spec_from_json_gives_a_spec_or_a_cosetope_error(tmp_path, data):
     spec = _outcome(spec_from_json, data, str(tmp_path))
     assert spec is None or isinstance(spec, QuotientSpec)
-
-
-BUDGET_TEXT = st.one_of(
-    st.text(max_size=12),
-    st.lists(
-        st.tuples(
-            st.sampled_from(["closure", "product", "x", " closure"]), st.sampled_from(["=", ":", ""]), NUMBER_TEXT
-        ),
-        max_size=3,
-    ).map(lambda parts: ",".join(k + sep + v for k, sep, v in parts)),
-)
-
-
-@SETTINGS
-@given(raw=BUDGET_TEXT)
-def test_budget_from_env_gives_budgets_or_a_cosetope_error(raw):
-    budgets = _outcome(from_env, {"COSETOPE_BUDGET": raw})
-    assert budgets is None or isinstance(budgets, Budgets)
 
 
 @SETTINGS

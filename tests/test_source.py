@@ -213,6 +213,53 @@ def test_json_format_check_sees_each_spelling():
     ]
 
 
+_ENVIRONMENT = ("environ", "environb", "getenv", "putenv")
+
+
+def environment_reads(text: str) -> list:
+    """Where ``text`` touches the process environment, as (line, what): each
+    use of ``os.environ``, ``os.environb``, ``os.getenv`` or ``os.putenv``,
+    also through an alias of ``os``, and each of them imported from ``os``."""
+    tree = ast.parse(text)
+    os_names = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "os"
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT and getattr(node.value, "id", None) in os_names:
+            out.append((node.lineno, f"os.{node.attr}"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out.extend((node.lineno, f"os.{a.name}") for a in node.names if a.name in _ENVIRONMENT)
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_reads_no_environment(path):
+    # --closure-cap is the one way to set the cap, so the package reads no
+    # setting from the environment
+    assert environment_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_environment_check_sees_each_spelling():
+    text = (
+        "import os\n"
+        "import os as system\n"
+        "from os import environ, getenv as get, path\n"
+        "a = os.environ.get('X')\n"
+        "b = os.getenv('X')\n"
+        "c = system.environb\n"
+        "os.putenv('X', '1')\n"
+        "d = os.path.join('a', 'b')\n"
+    )
+    assert sorted(environment_reads(text)) == [
+        (3, "os.environ"), (3, "os.getenv"), (4, "os.environ"), (5, "os.getenv"), (6, "os.environb"), (7, "os.putenv"),
+    ]
+
+
 def _modules_loaded_by(code: str) -> set:
     """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
