@@ -26,9 +26,10 @@ from .budgets import DEFAULT_CLOSURE_CAP, Budgets
 from .errors import BudgetError, CosetopeError, ValidationError
 from .groupcore import check_closure_cap, product_member, short_int, subgroup_intersection
 # Unused here: importing them keeps them cross-module functions, which
-# bench/tracer.py times as gs.h_prime_image_s (the evidence cross-check's image
-# listing) and profinite.kernel_s, and whose kernel order it counts as
-# profinite.kernel_elems; bench/tests asserts the first is patched here.
+# bench/tracer.py times as gs.h_prime_image_s and profinite.kernel_s, and
+# whose kernel order it counts as profinite.kernel_elems; bench/tests asserts
+# the first is patched here.  No command calls the first, so
+# gs.h_prime_image_s reads 0.
 from .gs import (
     _h_prime_image_mod,  # noqa: F401
     gs_hk_witness,

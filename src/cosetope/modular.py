@@ -449,15 +449,6 @@ def _orbit_blocks(rep: PermRep, walk) -> tuple:
     return tuple(labels.setdefault(find(p), len(labels)) for p in range(rep.degree))
 
 
-def _walked(rep: PermRep, n: int, budgets: Budgets, walks: dict) -> tuple:
-    """The level-n orbits on the cosets and the ``seen`` map of the walk over
-    PSL2(Z/n), kept in ``walks`` under (rep, n) so that each n is walked once."""
-    if (rep, n) not in walks:
-        seen: dict = {}
-        walks[rep, n] = (_orbit_blocks(rep, _gamma_walk(rep, n, budgets, seen)), seen)
-    return walks[rep, n]
-
-
 def image_blocks(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Optional[dict] = None) -> tuple:
     """The orbits of the level-m principal congruence subgroup on the cosets,
     as each point's class (0 for the basepoint's).
@@ -468,20 +459,24 @@ def image_blocks(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Opti
     Levels m and g = gcd(m, N), N the level of ``rep``, have the same orbits:
     level m's product with the core of the subgroup is normal and holds T^g,
     so by Wohlfahrt's level theorem (Illinois J. Math. 8, 1964) it contains
-    level g's.  So the walk runs over PSL2(Z/g).  ``walks`` keeps each
-    (rep, g) walked; one command passes one dict to all its calls, so it
-    walks each g once, while every level m still checks its own cap.
+    level g's.  So the walk runs over PSL2(Z/g).  ``walks`` keeps the blocks
+    of each (rep, g) walked; one command passes one dict to all its calls,
+    so it walks each g once, while every level m still checks its own cap.
     """
     g = math.gcd(m, rep_level(rep))
-    blocks = (0,) * rep.degree if g == 1 else _walked(rep, g, budgets, {} if walks is None else walks)[0]
+    walks = {} if walks is None else walks
+    if g > 1 and (rep, g) not in walks:
+        walks[rep, g] = _orbit_blocks(rep, _gamma_walk(rep, g, budgets))
+    blocks = walks.get((rep, g), (0,) * rep.degree)
     check_closure_cap(psl2_group_order(m) // len(set(blocks)), budgets, f"the subgroup image mod {m}")
     return blocks
 
 
-def image_elements(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Optional[dict] = None) -> list:
+def image_elements(rep: PermRep, m: int, budgets: Budgets = Budgets()) -> list:
     """The subgroup's image in PSL2(Z/m): the matrices of the walk over
-    PSL2(Z/m), kept in ``walks``, whose point lies in the basepoint's orbit."""
-    blocks, seen = _walked(rep, m, budgets, {} if walks is None else walks)
+    PSL2(Z/m) whose point lies in the basepoint's orbit."""
+    seen: dict = {}
+    blocks = _orbit_blocks(rep, _gamma_walk(rep, m, budgets, seen))
     return [Mat2(*y, m) for y, (p, _, _) in seen.items() if blocks[p] == 0]
 
 

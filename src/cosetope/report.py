@@ -19,7 +19,7 @@ from .groupcore import short_int
 from .modular import ModularWord, PermRep
 from .profinite import Formation, GroupWord, QuotientSpec
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 MAX_DEPTH = 32  # reports nest about 10 deep; recursive walks need a bound
 
 

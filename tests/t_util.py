@@ -30,6 +30,7 @@ from cosetope.groupcore import (
     subgroup_intersection,
     sl2_context,
 )
+from cosetope.gs import _h_prime_image_mod
 from cosetope.modular import (
     S_,
     T_,
@@ -519,6 +520,19 @@ def gs_intersection(instance: GsInstance) -> GeneratedSubgroup:
     """image(H) meet image(K); trivial at every level, because the additive
     part of a common element forces its h part to be the identity."""
     return subgroup_intersection(instance.im_h, instance.im_k)
+
+
+def evidence_cross_check(rep: PermRep, m: int, g: GroupWord, budgets: Budgets = Budgets()) -> bool:
+    """Whether the image of ``g`` lies in image(H')·image(K) in the plain
+    level-m quotient, by listing: image(H') as the pairs (0, u), u over the
+    sign-saturated image of ``rep``'s subgroup, and image(K) from
+    ``gs_build``.  The oracle of ``gs.evidence_entry``'s ``member``, which
+    reads blocks only."""
+    spec = QuotientSpec.make(m)
+    instance = gs_build(spec, budgets)
+    image = _h_prime_image_mod(rep, m, budgets)
+    im_hp = subgroup_from_elements(SdElement(Mat2.zero(m), u, None) for u in image.elements)
+    return product_member(instance.ctx, project(g, spec), im_hp, instance.im_k)
 
 
 # ---------------------------------------------------------------------------

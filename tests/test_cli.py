@@ -54,8 +54,20 @@ def test_quotient_command(tmp_path):
     data, _ = run_report(["quotient", "--modulus", "2", "--enumerate"], tmp_path / "q.json")
     assert parse_int(data["result"]["order"]) == 96
     assert parse_int(data["result"]["enumerated_order"]) == 96
-    assert parse_int(data["schema"]) == 2
+    assert parse_int(data["schema"]) == 3
     assert "seed" not in data["config"]
+
+
+def test_verify_refuses_a_report_of_an_earlier_schema(tmp_path, capsys):
+    # schema 3 dropped the evidence's double_coset_member, so a schema-2
+    # report is refused even when every other byte would verify
+    path = tmp_path / "q.json"
+    run_report(["quotient", "--modulus", "2"], path)
+    _tamper(path, lambda data: data.update(schema="2"))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: verify failed: unsupported schema '2'\n"
 
 
 def test_image_and_intersect_commands(tmp_path, gens_files):
@@ -196,7 +208,7 @@ def test_verify_rejects_tampered_report(tmp_path):
 
 def test_verify_rejects_malformed_reports(tmp_path):
     path = tmp_path / "report.json"
-    for data in ([], {"command": "tractable", "config": {}, "result": [], "schema": "2"}):
+    for data in ([], {"command": "tractable", "config": {}, "result": [], "schema": "3"}):
         path.write_text(canonical_dumps(data))
         assert main(["verify", "--report", str(path)]) == 2
 
@@ -253,7 +265,7 @@ _REPEATED_KEYS = {
     "rep": ('{"degree": 1, "s": [0], "t": [0], "s": [0]}', "'s'"),
     "tower": ('[{"m": 2}, {"m": 2, "rep": null, "m": 4}]', "'m'"),
     "gens": ('[{"w": "S"}, {"a": null, "w": "T", "w": "S"}]', "'w'"),
-    "verify": ('{"schema": "2", "command": "quotient", "config": {}, "result": {}, "command": "image"}', "'command'"),
+    "verify": ('{"schema": "3", "command": "quotient", "config": {}, "result": {}, "command": "image"}', "'command'"),
 }
 
 
@@ -273,7 +285,7 @@ def test_a_repeated_key_exits_2_at_every_entry_point(tmp_path, gens_files, capsy
 
 def test_verify_refuses_a_canonical_report_nested_600_deep(tmp_path, capsys):
     # json reads it, but recording it again would recurse 600 deep
-    report = {"schema": "2", "command": "quotient", "config": {"rep": json.loads("[" * 600 + "]" * 600)}, "result": {}}
+    report = {"schema": "3", "command": "quotient", "config": {"rep": json.loads("[" * 600 + "]" * 600)}, "result": {}}
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     assert main(["verify", "--report", str(path)]) == 2
@@ -617,7 +629,7 @@ def _set_path(data, keys, value):
         ),
         (
             ["gs-demo", "--max-level", "3", "--m-max", "6"],
-            ("result", "evidence", "level_transcripts", 0, "double_coset_member"),
+            ("result", "evidence", "level_transcripts", 0, "member"),
             False,
         ),
         (
@@ -709,23 +721,23 @@ def test_gs_demo_and_verify_close_no_level_image(tmp_path, monkeypatch):
 
 def test_gs_demo_walks_each_level_once(tmp_path, monkeypatch):
     # the intersection table lists nothing; the evidence walks the level
-    # images it keeps, image(K) at m <= 4 among them, once per (rep, n)
+    # images it keeps once per (rep, n)
     walked = []
     real = cosetope.modular._gamma_walk
 
     def spy(rep, n, budgets, seen=None):
-        if sys._getframe(1).f_code.co_name == "_walked":
+        if sys._getframe(1).f_code.co_name == "image_blocks":
             walked.append((rep, n))
         return real(rep, n, budgets, seen)
 
     monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
-    expected = [(rep, g) for g in (2, 3, 4, 6, 12)] + [(cosetope.modular.ONE_POINT, m) for m in (2, 3, 4)]
+    expected = [(rep, g) for g in (2, 3, 4, 6, 12)]
     run_report(["gs-demo", "--m-max", "32"], tmp_path / "demo.json")
     assert sorted(walked) == sorted(expected)
     walked.clear()
     run_report(["gs-demo", "--max-level", "2", "--m-max", "6"], tmp_path / "demo2.json")
-    assert sorted(walked) == sorted(expected[:4] + expected[5:])
+    assert sorted(walked) == sorted(expected[:4])
 
 
 def test_gs_demo_intersection_table_matches_the_listing_oracle(tmp_path):
@@ -746,8 +758,8 @@ def test_gs_demo_intersection_table_matches_the_listing_oracle(tmp_path):
         (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): " 2"}),
         (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): "02"}),
         (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): "+2"}),
-        (["quotient", "--modulus", "2"], {("schema",): " 2"}),
-        (["quotient", "--modulus", "2"], {("schema",): "0_2"}),
+        (["quotient", "--modulus", "2"], {("schema",): " 3"}),
+        (["quotient", "--modulus", "2"], {("schema",): "0_3"}),
         (["quotient", "--modulus", "2"], {("config", "closure_cap"): "5"}),
         (["quotient", "--modulus", "2"], {("config", "output"): "elsewhere.json"}),
         (["quotient", "--modulus", "2"], {("config", "foo"): "1"}),

@@ -26,7 +26,10 @@ case through ``thm_b_probe``'s L branch, and ``tractable_bad_hcapk.json``, the
 only case whose claimed generators of H meet K fail ``tractable_at``'s
 precondition, were written while the closure cap could still be set from the
 environment, before ``--closure-cap`` became the one way to set it.
-``regen_golden.py`` rewrites the fixtures from the current code.
+The schema-3 change, which dropped the evidence's ``double_coset_member``,
+edited only their ``schema`` line and removed that key from the transcript
+entries at m = 2, 3 and 4 of ``gs_demo.json`` and ``gs_demo_m32.json``.  ``regen_golden.py`` rewrites the fixtures from the
+current code.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
 reports record the paths they were given.
@@ -46,8 +49,7 @@ _TWO_I = '{"a": {"rows": [["2", "0"], ["0", "2"]], "m": null}, "w": ""}'
 
 CASES = {
     "gs_demo.json": ["gs-demo", "--max-level", "3", "--m-max", "8"],
-    # the benchmark's evidence configuration: the default --max-level 8 reaches
-    # past the cross-check's levels 2, 3 and 4
+    # the benchmark's evidence configuration, with the default --max-level 8
     "gs_demo_m32.json": ["gs-demo", "--m-max", "32"],
     "tractable_ok.json": [
         "tractable", "--h-gens", "h.json", "--k-gens", "k.json", "--hcapk-gens", "empty.json",

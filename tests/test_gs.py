@@ -17,7 +17,7 @@ from cosetope.groupcore import (
     subgroup_closure,
     subgroup_from_elements,
 )
-from cosetope.gs import _h_prime_image_mod, evidence_entry, gs_hk_witness, gs_wz_failure
+from cosetope.gs import _h_prime_image_mod, evidence_entry, gs_hk_witness, gs_wz_failure, h_prime_group_words
 from cosetope.budgets import Budgets
 from cosetope.modular import (
     ONE_POINT,
@@ -29,12 +29,13 @@ from cosetope.modular import (
     subgroup_generators,
     word_eval,
 )
-from cosetope.profinite import GroupWord, QuotientSpec, project, quotient_context
+from cosetope.profinite import GroupWord, QuotientSpec, image_subgroup, project, quotient_context
 
 from t_util import (
     brute_force_product,
     congruence_rep,
     count_closures,
+    evidence_cross_check,
     gs_build,
     gs_hk_member,
     gs_intersection,
@@ -276,24 +277,17 @@ def test_reduced_membership_equals_double_coset_membership():
     rep = minimal_noncongruence()
     rng = random.Random(43)
     for m in (2, 3):
-        spec = QuotientSpec.make(m)
-        ctx = quotient_context(spec)
-        inst = gs_build(spec, budgets)
         image = _h_prime_image_mod(rep, m, budgets)
-        im_hp = subgroup_from_elements(
-            SdElement(Mat2.zero(m), u, None) for u in image.elements
-        )
         for _ in range(40):
             x = Mat2.ambient(*(rng.randrange(-6, 7) for _ in range(4)))
             g = GroupWord.of_a(x - Mat2.identity())
-            direct = product_member(ctx, project(g, spec), im_hp, inst.im_k)
-            assert direct == (x.reduce(m) in image)
+            assert evidence_cross_check(rep, m, g, budgets) == (x.reduce(m) in image)
 
 
 def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
     # the evidence's own g reduces to the identity at every m <= 4, its x
-    # lying in Γ(24); elements that reduce elsewhere exercise the listed
-    # image(K), and evidence_entry raises when the two memberships disagree
+    # lying in Γ(24), so the listing oracle is checked against the blocks on
+    # elements that reduce elsewhere
     budgets = Budgets()
     rng = random.Random(46)
     seen = Counter()
@@ -303,10 +297,32 @@ def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
             for _ in range(25):
                 w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 10))])
                 g = GroupWord.of_a(word_eval(w) - Mat2.identity())
-                entry = evidence_entry(rep, m, rep.word_perm(w)[0], g, budgets, walks)
-                assert entry["double_coset_member"] == entry["member"]
-                seen[entry["member"]] += 1
+                member = evidence_entry(rep, m, rep.word_perm(w)[0], budgets, walks)["member"]
+                assert evidence_cross_check(rep, m, g, budgets) == member
+                seen[member] += 1
     assert seen[True] > 50 and seen[False] > 50
+
+
+def test_a_quotient_with_the_coset_action_does_not_separate_off_the_identity():
+    # the fact behind every finite quotient: g = (x - I, 1) lies outside H'K
+    # when x moves the basepoint, yet in the quotient (2, rep), which carries
+    # H''s own coset action, its image lies in image(H')·image(K) even where
+    # x is not the identity mod 2; towers_used leaves such quotients out
+    rep = minimal_noncongruence()
+    spec = QuotientSpec.make(2, rep)
+    im_hp = image_subgroup(h_prime_group_words(rep), spec)
+    k_gens = [GroupWord(Mat2.identity() - word_eval(w), w) for w in map(ModularWord.from_str, ("S", "T"))]
+    im_k = image_subgroup(k_gens, spec)
+    ctx = quotient_context(spec)
+    rng = random.Random(47)
+    checked = 0
+    while checked < 10:
+        w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(1, 12))])
+        x = word_eval(w)
+        if rep.word_perm(w)[0] == 0 or x.reduce(2) == Mat2.identity(2):
+            continue
+        assert product_member(ctx, project(GroupWord.of_a(x - Mat2.identity()), spec), im_hp, im_k)
+        checked += 1
 
 
 def _sl2_closure_image(rep, m):
@@ -346,16 +362,12 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
 
 
 def _spy_walks(monkeypatch) -> list:
-    """Record (caller, rep, level) for every ``modular._gamma_walk`` started;
-    the caller of ``modular._walked`` stands for it."""
+    """Record (caller, rep, level) for every ``modular._gamma_walk`` started."""
     calls = []
     walk = cosetope.modular._gamma_walk
 
     def spy(rep, n, budgets, seen=None):
-        frame = sys._getframe(1)
-        if frame.f_code.co_name == "_walked":
-            frame = frame.f_back
-        calls.append((frame.f_code.co_name, rep, n))
+        calls.append((sys._getframe(1).f_code.co_name, rep, n))
         return walk(rep, n, budgets, seen)
 
     monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
@@ -371,13 +383,11 @@ def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
     evidence = gs_wz_failure(rep, 32)
     assert [entry["m"] for entry in evidence.level_transcripts] == list(range(2, 33))
     assert Counter(n for caller, _, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
-    # the congruence test and the witness walk; the cross-check's listings of
-    # image(H') at 2, 3 and 4 read the walks image_blocks made there, and its
-    # listings of image(H) walk the one-point rep there
+    # the congruence test and the witness walk, and nothing else: the
+    # transcripts read the blocks image_blocks keeps
     assert Counter(calls) == Counter(
         [("is_congruence", rep, 12), ("congruence_gap_witness", rep, 24)]
         + [("image_blocks", rep, g) for g in (2, 3, 4, 6, 12)]
-        + [("image_elements", ONE_POINT, m) for m in (2, 3, 4)]
     )
     # a second call walks again: the walks are kept per call, not per process
     calls.clear()
@@ -414,7 +424,4 @@ def test_wz_failure_evidence_is_coherent():
     assert recorded == set(evidence.levels)
     for m in (2, 3, 4, 6, 12):
         assert m in evidence.levels
-    for entry in evidence.level_transcripts:
-        if "double_coset_member" in entry:
-            assert entry["double_coset_member"] == entry["member"]
     assert evidence.witness_level == 12
