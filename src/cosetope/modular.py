@@ -378,9 +378,6 @@ def psl2_context(m: int) -> GroupContext:
     return GroupContext(sl2.identity, mul, inv, gens, name=f"PSL2(Z/{m})")
 
 
-_MAX_CONGRUENCE_LEVEL = 64
-
-
 def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = None):
     """The Schreier generators of the level-n principal congruence subgroup
     that move the basepoint, in walk order, each as (q, p, edge).
@@ -485,13 +482,12 @@ def is_congruence(rep: PermRep, *, budgets: Budgets = Budgets()) -> bool:
 
     The subgroup is congruence exactly when it contains the principal
     congruence subgroup of its own level n, that is when the walk over
-    PSL2(Z/n) finds no element of it that moves the basepoint.
+    PSL2(Z/n) finds no element of it that moves the basepoint.  The walk
+    checks |PSL2(Z/n)| against the closure cap before it starts.
     """
     n = rep_level(rep)
     if n == 1:
         return rep.degree == 1
-    if n > _MAX_CONGRUENCE_LEVEL:
-        raise BudgetError(f"modulus budget exceeded: level {n} > {_MAX_CONGRUENCE_LEVEL} (congruence level cap)")
     return next(_gamma_walk(rep, n, budgets), None) is None
 
 

@@ -35,22 +35,16 @@ from .modular import ONE_POINT, ModularWord, PermRep, perm_identity, word_eval
 
 
 class Formation(NamedTuple):
-    """Which finite quotients are admitted: every one, or only p-power ones."""
+    """The pro-p filter: it admits a quotient whose modulus is a power of the
+    prime p and whose coset action's image is a p-group."""
 
-    kind: str = "all"
-    p: Optional[int] = None
+    p: int
 
     @classmethod
-    def make(cls, kind: str, p: Optional[int] = None) -> "Formation":
-        if kind == "all":
-            if p is not None:
-                raise ValidationError(f"formation 'all' takes no p, got {p!r}")
-            return cls("all", None)
-        if kind == "pro-p":
-            if p is None or not is_prime(p):
-                raise ValidationError(f"pro-p formation needs a prime p, got {p!r}")
-            return cls("pro-p", p)
-        raise ValidationError(f"unknown formation kind: {kind!r}")
+    def make(cls, p: Optional[int]) -> "Formation":
+        if p is None or not is_prime(p):
+            raise ValidationError(f"pro-p formation needs a prime p, got {p!r}")
+        return cls(p)
 
     def admits(self, spec: "QuotientSpec") -> bool:
         """Whether ``m`` is a power of p and the coset action's image a p-group.
@@ -59,8 +53,6 @@ class Formation(NamedTuple):
         ST, with y^3 = 1, and a p-group holds only elements of p-power order:
         so it is one exactly when x = 1 unless p = 2, and y = 1 unless p = 3.
         """
-        if self.kind == "all":
-            return True
         m = spec.m
         while m % self.p == 0:
             m //= self.p
@@ -126,12 +118,10 @@ def quotient_context(spec: QuotientSpec) -> GroupContext:
     """The finite quotient as a group context over SdElement.
 
     Generators, in fixed positional order: the four elementary additive
-    matrices, then the images of S and T.  The positional order is shared by
-    every spec, so refinement projections act generator-by-generator.
+    matrices, then the images of S and T.  A modulus below 2 is refused by
+    the identity's ``Mat2.zero``.
     """
     m = spec.m
-    if m < 2:
-        raise ValidationError(f"modulus must be at least 2, got {m}")
     degree = spec.rep.degree if spec.rep is not None else None
     ident = sd_identity(m, degree)
     hid = Mat2.identity(m)
@@ -197,14 +187,15 @@ def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
     """The restriction homomorphism from the fine quotient to the coarse one.
 
     The coarse action of an element is read through the point map on the
-    least fine point over each coarse point.
+    least fine point over each coarse point.  The fine spec refines the
+    coarse one when m divides and that map exists, as ``refined_by`` says.
     """
-    if not coarse.refined_by(fine):
-        raise PreconditionError("element_restriction: the first spec does not refine the second")
     cm = coarse.m
+    pmap = _point_map(fine.rep, coarse.rep or ONE_POINT)
+    if fine.m % cm or pmap is None:
+        raise PreconditionError("element_restriction: the first spec does not refine the second")
     if coarse.rep is None:
         return lambda x: SdElement(x.a.reduce(cm), x.h.reduce(cm), None)
-    pmap = _point_map(fine.rep, coarse.rep)
     section = [pmap.index(c) for c in range(coarse.rep.degree)]
 
     def restrict(x: SdElement) -> SdElement:
@@ -248,9 +239,7 @@ def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
     L, which runs under the closure cap.  The order is checked against the
     cap too, though no kernel element is listed.
     """
-    if not coarse.refined_by(fine):
-        raise PreconditionError("kernel_of_refinement: the first spec does not refine the second")
-    restrict = element_restriction(fine, coarse)
+    restrict = element_restriction(fine, coarse)  # refuses a pair that does not refine
     cid = quotient_context(coarse).identity
     f, c = fine.m, coarse.m
     if fine == coarse:

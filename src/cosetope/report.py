@@ -37,7 +37,7 @@ def as_recorded(obj: Any) -> Any:
             return str(obj)
         except ValueError:  # more digits than Python converts to a string
             limit = sys.get_int_max_str_digits()
-            raise BudgetError(f"a result of {short_int(obj)} has over {limit} digits") from None
+            raise BudgetError(f"a result of {short_int(obj)} has over {limit} digits (int max str digits)") from None
     if isinstance(obj, Mat2):
         return as_recorded({"rows": [[obj.a, obj.b], [obj.c, obj.d]], "m": obj.m})
     if isinstance(obj, ModularWord):
@@ -46,7 +46,7 @@ def as_recorded(obj: Any) -> Any:
         return as_recorded({"degree": obj.degree, "s": obj.perm_s, "t": obj.perm_t})
     if isinstance(obj, QuotientSpec):
         f = obj.formation
-        return as_recorded({"m": obj.m, "rep": obj.rep, "filter": {"type": f.kind, "p": f.p} if f else None})
+        return as_recorded({"m": obj.m, "rep": obj.rep, "filter": {"type": "pro-p", "p": f.p} if f else None})
     if hasattr(obj, "_asdict"):
         return as_recorded(obj._asdict())
     if isinstance(obj, (list, tuple)):
@@ -189,8 +189,10 @@ def spec_from_json(data: dict, base_dir: str = ".") -> QuotientSpec:
         if not isinstance(raw_filter, dict):
             raise ValidationError("spec 'filter' must be an object like {\"type\": \"pro-p\", \"p\": 2}, or null")
         _refuse_unknown_keys(raw_filter, ("type", "p"), "spec 'filter'")
-        p = raw_filter.get("p")
-        formation = Formation.make(raw_filter.get("type", "all"), parse_int(p) if p is not None else None)
+        kind, p = raw_filter.get("type"), raw_filter.get("p")
+        if kind != "pro-p":
+            raise ValidationError(f"spec 'filter' type must be 'pro-p', got {kind!r}; null admits every quotient")
+        formation = Formation.make(parse_int(p) if p is not None else None)
     return QuotientSpec.make(m, rep, formation)
 
 

@@ -864,8 +864,6 @@ def _perm_group_order(rep: PermRep, budgets: Budgets) -> int:
 
 def oracle_admits(formation: Formation, spec: QuotientSpec, budgets: Budgets = Budgets()) -> bool:
     """``Formation.admits`` by the order of the closed permutation group."""
-    if formation.kind == "all":
-        return True
     m = spec.m
     while m % formation.p == 0:
         m //= formation.p

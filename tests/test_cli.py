@@ -299,7 +299,7 @@ _HUGE = str(2**5000)
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["quotient", "--modulus", _HUGE], "a result of about 2^34999 has over 4300 digits"),
+        (["quotient", "--modulus", _HUGE], "a result of about 2^34999 has over 4300 digits (int max str digits)"),
         (["quotient", "--modulus", _HUGE, "--enumerate"], " has about 2^34999 elements > 5000000 (closure_cap)"),
         (["gap-witness", "--rep", str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"), "--level", _HUGE],
          " has about 2^14998 elements > 5000000 (closure_cap)"),
@@ -540,6 +540,8 @@ _VALID_FILTER = {"filter": {"type": "pro-p", "p": 2}}
         {"filter": {"type": "all", "p": 3}},
         {"filter": {"p": 2}},
         _VALID_FILTER,
+        {"filter": {"type": "all"}},
+        {"filter": {}},
     ],
 )
 def test_bad_tower_filter_exits_2(tmp_path, gens_files, fields):
@@ -899,6 +901,17 @@ def test_one_verify_run_builds_the_parser_once(tmp_path, monkeypatch):
     build_parser.cache_clear()
     assert main(["verify", "--report", str(tmp_path / "q.json"), "--output", str(tmp_path / "v.json")]) == 0
     assert builds == ["cosetope"]
+
+
+def test_congruence_at_level_105_stops_at_the_closure_cap(tmp_path, capsys):
+    # the level alone refuses nothing: the walk's check on |PSL2(Z/105)| is
+    # what ends the command, before any state is walked
+    args = ["congruence", "--rep", str(GOLDEN / "level105_rep.json"), "--closure-cap", "100000"]
+    assert main(args + ["--output", str(tmp_path / "c.json")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("budget exhausted: ")
+    assert err.rstrip().endswith("PSL2(Z/105) has 483840 elements > 100000 (closure_cap)")
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_congruence_refuses_a_rep_whose_permutations_are_not_lists(tmp_path, capsys):

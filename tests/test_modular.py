@@ -1,6 +1,7 @@
 import math
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -31,7 +32,7 @@ from cosetope.modular import (
     _restandardize,
     _walk_word,
 )
-from cosetope.report import rep_from_json
+from cosetope.report import load_rep, rep_from_json
 
 from t_util import (
     congruence_rep,
@@ -412,6 +413,15 @@ def test_is_congruence_honours_the_closure_cap():
         is_congruence(rep, budgets=Budgets(closure_cap=10))
     with pytest.raises(BudgetError):
         congruence_gap_witness(rep, 24, budgets=Budgets(closure_cap=10))
+
+
+def test_a_level_above_64_is_decided_under_the_default_cap():
+    # PSL2(Z/105) has 483,840 elements, within the default closure cap, and
+    # the walk stops at the first element of the principal congruence
+    # subgroup that moves the basepoint
+    rep = load_rep(str(Path(__file__).resolve().parent / "golden" / "level105_rep.json"))
+    assert (rep.degree, rep_level(rep)) == (15, 105)
+    assert is_congruence(rep) is False
 
 
 def _congruence_by_containment(rep):

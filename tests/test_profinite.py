@@ -321,12 +321,36 @@ def test_refinement_and_restriction_match_the_word_oracles(f, c, refining):
                 seen += 1
                 restrict, oracle = element_restriction(fine, coarse), oracle_element_restriction(fine, coarse)
                 assert [restrict(x) for x in elements] == [oracle(x) for x in elements], (fine, coarse)
+            else:
+                with pytest.raises(PreconditionError, match=_NOT_REFINED):
+                    element_restriction(fine, coarse)
     assert seen == refining
 
 
+_NOT_REFINED = "element_restriction: the first spec does not refine the second"
+
+
 def test_kernel_requires_refinement():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match=_NOT_REFINED):
         kernel_of_refinement(QuotientSpec.make(2), QuotientSpec.make(4))
+
+
+def test_kernel_requires_a_point_map_when_the_moduli_divide():
+    # 2 divides 4, but the level-2 coset action (degree 6) does not lie under
+    # nc_rep's (degree 7), so the point map fails and element_restriction
+    # refuses the pair
+    nc_rep = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
+    fine, coarse = QuotientSpec.make(4, congruence_rep(2)), QuotientSpec.make(2, nc_rep)
+    assert not coarse.refined_by(fine)
+    with pytest.raises(PreconditionError, match=_NOT_REFINED):
+        kernel_of_refinement(fine, coarse)
+
+
+@pytest.mark.parametrize("m", [1, 0])
+def test_quotient_context_refuses_a_modulus_below_2(m):
+    # QuotientSpec(m) skips make's check, and the identity's Mat2.zero refuses it
+    with pytest.raises(ValidationError, match=f"^modulus must be at least 2, got {m}$"):
+        quotient_context(QuotientSpec(m))
 
 
 _PROPERTY_REPS = low_index_reps(6)
@@ -381,9 +405,7 @@ def test_membership_in_u_times_the_kernel_agrees_with_the_listing(case):
 
 
 def test_formation_filters():
-    all_groups = Formation.make("all")
-    assert all_groups.admits(QuotientSpec.make(6))
-    pro2 = Formation.make("pro-p", 2)
+    pro2 = Formation.make(2)
     assert pro2.admits(QuotientSpec.make(4))
     assert not pro2.admits(QuotientSpec.make(6))
     # the level-2 coset action has a non-2-group image
@@ -392,18 +414,16 @@ def test_formation_filters():
     c2 = PermRep.make(2, (1, 0), (1, 0))
     assert pro2.admits(QuotientSpec.make(2, c2))
     with pytest.raises(ValidationError):
-        Formation.make("pro-p")
+        Formation.make(None)
     with pytest.raises(ValidationError):
-        Formation.make("weird")
-    with pytest.raises(ValidationError):
-        Formation.make("pro-p", 4)
+        Formation.make(4)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_pro_p_check_matches_the_closure_oracle(p):
     # the closed form against the order of the closed permutation group, on
     # all 83 subgroups of degree <= 7
-    formation = Formation.make("pro-p", p)
+    formation = Formation.make(p)
     reps = low_index_reps(7, classes=False)
     assert len(reps) == 83
     for rep in reps:
@@ -418,13 +438,16 @@ def test_pro_p_check_matches_the_closure_oracle(p):
         ({"filter": "pro-p"}, None),
         ({"filter": {"type": "pro-p", "p": 4}}, None),
         ({"filter": {"type": "pro-p", "p": True}}, None),
-        ({"filter": {"type": "all", "p": 3}}, "formation 'all' takes no p, got 3"),
-        ({"filter": {"p": 2}}, "formation 'all' takes no p, got 2"),
+        ({"filter": {"type": "all", "p": 3}}, "spec 'filter' type must be 'pro-p', got 'all'"),
+        ({"filter": {"p": 2}}, "spec 'filter' type must be 'pro-p', got None"),
         ({"filter": ["pro-p", 2]}, None),
         ({"fliter": {"type": "pro-p", "p": 2}}, "quotient spec has unknown key 'fliter'"),
         ({"filter": {"type": "pro-p", "p": 2, "P": 3}}, "spec 'filter' has unknown key 'P'"),
         ({"filter": None, "rep": None, "note": ""}, "quotient spec has unknown key 'note'"),
         ({"rep": {"degree": 1, "s": [0], "t": [0], "typo": 5}}, "permutation representation has unknown key 'typo'"),
+        ({"filter": {"type": "all"}}, "spec 'filter' type must be 'pro-p', got 'all'; null admits every quotient"),
+        ({"filter": {}}, "spec 'filter' type must be 'pro-p', got None"),
+        ({"filter": {"type": "pro-p"}}, "pro-p formation needs a prime p, got None"),
     ],
 )
 def test_bad_spec_filters_are_validation_errors(fields, message):
@@ -434,7 +457,7 @@ def test_bad_spec_filters_are_validation_errors(fields, message):
 
 def test_spec_filter_reads_report_strings():
     spec = spec_from_json({"m": "4", "filter": {"type": "pro-p", "p": "2"}})
-    assert spec.formation == Formation.make("pro-p", 2)
+    assert spec.formation == Formation.make(2)
 
 
 @pytest.mark.parametrize(
@@ -509,7 +532,7 @@ def test_tractable_underclaimed_intersection_is_flagged():
 
 
 def test_tractable_skips_candidates_outside_formation():
-    m_spec = QuotientSpec.make(2, None, Formation.make("pro-p", 2))
+    m_spec = QuotientSpec.make(2, None, Formation.make(2))
     report = tractable_at(H_GENS, H_GENS, H_GENS, m_spec, [QuotientSpec.make(6), QuotientSpec.make(4)])
     assert report.entries[0]["status"] == "skipped-formation"
     assert report.found == QuotientSpec.make(4)

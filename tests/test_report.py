@@ -77,7 +77,7 @@ def test_special_forms_come_before_the_fields():
     assert as_recorded(ModularWord.from_str("STtT")) == "ST"
     rep = PermRep.make(2, (1, 0), (1, 0))
     assert as_recorded(rep) == {"degree": "2", "s": ["1", "0"], "t": ["1", "0"]}
-    spec = QuotientSpec.make(4, rep, Formation.make("pro-p", 2))
+    spec = QuotientSpec.make(4, rep, Formation.make(2))
     assert as_recorded(spec) == {"m": "4", "rep": as_recorded(rep), "filter": {"type": "pro-p", "p": "2"}}
 
 
@@ -125,7 +125,7 @@ ROUND_TRIPS = [
     *(
         (spec_from_json, QuotientSpec.make(4, rep, formation))
         for rep in (None, NC_REP)
-        for formation in (None, Formation.make("pro-p", 2))
+        for formation in (None, Formation.make(2))
     ),
     (groupword_from_json, GroupWord.identity()),
     (groupword_from_json, GroupWord(Mat2.ambient(2, -3, 0, 2), ModularWord.from_str("STtTs"))),

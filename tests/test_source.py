@@ -222,6 +222,55 @@ def test_json_format_check_sees_each_spelling():
     ]
 
 
+BUDGET_NAMES = ("closure_cap", "degree cap", "trial-division bound", "int max str digits")
+
+
+def budget_names(text: str) -> list:
+    """Each ``BudgetError(...)`` call in ``text`` as (line, name): the budget
+    name in parentheses that ends its message, or None when the message is
+    not a string literal or f-string ending in one of ``BUDGET_NAMES``."""
+    out = []
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "BudgetError":
+            last = node.args[0] if node.args else None
+            if isinstance(last, ast.JoinedStr) and last.values:
+                last = last.values[-1]
+            tail = last.value if isinstance(last, ast.Constant) and isinstance(last.value, str) else ""
+            out.append((node.lineno, next((n for n in BUDGET_NAMES if tail.endswith(f"({n})")), None)))
+    return out
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_budget_error_names_its_budget(path):
+    # BudgetError's docstring promises that the message names the budget
+    assert [line for line, name in budget_names(path.read_text(encoding="utf-8")) if name is None] == []
+
+
+def test_every_budget_name_is_raised_somewhere():
+    used = {name for path in SOURCES for _, name in budget_names(path.read_text(encoding="utf-8"))}
+    assert used == set(BUDGET_NAMES)
+
+
+def test_budget_name_check_sees_each_spelling():
+    text = (
+        "from . import errors\n"
+        "from .errors import BudgetError\n"
+        "BudgetError('over (closure_cap)')\n"
+        "BudgetError(f'd {d} > {cap} (degree cap)')\n"
+        "errors.BudgetError(f'{n} has no factor ' f'below {b} (trial-division bound)')\n"
+        "BudgetError(f'over {limit} digits')\n"
+        "BudgetError(f'(closure_cap) comes first {x}')\n"
+        "BudgetError('a name not in the set (made-up cap)')\n"
+        "BudgetError(message)\n"
+        "BudgetError()\n"
+        "ValueError('no name')\n"
+    )
+    assert budget_names(text) == [
+        (3, "closure_cap"), (4, "degree cap"), (5, "trial-division bound"),
+        (6, None), (7, None), (8, None), (9, None), (10, None),
+    ]
+
+
 _ENVIRONMENT = ("environ", "environb", "getenv", "putenv")
 
 
