@@ -115,14 +115,6 @@ class GeneratedSubgroup:
     def __iter__(self):
         return iter(self.elements)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GeneratedSubgroup):
-            return NotImplemented
-        return self._members == other._members
-
-    def __hash__(self):
-        return hash(self._members)
-
     def as_set(self) -> frozenset:
         return self._members
 

@@ -427,21 +427,28 @@ def _orbit_blocks(rep: PermRep, walk) -> tuple:
     """The finest S- and T-invariant partition joining the points of each
     (q, p, word) of ``walk``: each point's class, numbered by least point.
 
-    Union-find; merging two classes joins the images of their roots.
+    Union-find; merging two classes joins the images of their roots.  Each
+    pair is folded in as the walk yields it, and the walk is left once one
+    class remains, which no further pair can change.
     """
     parent = list(range(rep.degree))
+    classes = rep.degree
 
     def find(p):
         while parent[p] != p:
             parent[p] = p = parent[parent[p]]
         return p
 
-    queue = [(q, p) for q, p, _ in walk]
-    for a, b in queue:
-        a, b = find(a), find(b)
-        if a != b:
-            parent[b] = a
-            queue += ((rep.perm_s[a], rep.perm_s[b]), (rep.perm_t[a], rep.perm_t[b]))
+    for q, p, _ in walk:
+        queue = [(q, p)]
+        for a, b in queue:
+            a, b = find(a), find(b)
+            if a != b:
+                parent[b] = a
+                classes -= 1
+                queue += ((rep.perm_s[a], rep.perm_s[b]), (rep.perm_t[a], rep.perm_t[b]))
+        if classes == 1:
+            break
     labels: dict = {}
     return tuple(labels.setdefault(find(p), len(labels)) for p in range(rep.degree))
 
@@ -473,7 +480,7 @@ def image_elements(rep: PermRep, m: int, budgets: Budgets = Budgets()) -> list:
     """The subgroup's image in PSL2(Z/m): the matrices of the walk over
     PSL2(Z/m) whose point lies in the basepoint's orbit."""
     seen: dict = {}
-    blocks = _orbit_blocks(rep, _gamma_walk(rep, m, budgets, seen))
+    blocks = _orbit_blocks(rep, list(_gamma_walk(rep, m, budgets, seen)))  # every state of seen is read
     return [Mat2(*y, m) for y, (p, _, _) in seen.items() if blocks[p] == 0]
 
 

@@ -79,10 +79,6 @@ class QuotientSpec(NamedTuple):
             raise ValidationError(f"modulus must be at least 2, got {m}")
         return cls(m, rep, formation)
 
-    def refined_by(self, fine: "QuotientSpec") -> bool:
-        """Whether this quotient factors through ``fine`` (fine is at least as fine)."""
-        return fine.m % self.m == 0 and (self.rep is None or _point_map(fine.rep, self.rep) is not None)
-
 
 def default_tower() -> list:
     """Congruence levels with useful divisibility structure at desk scale."""
@@ -184,16 +180,18 @@ def _point_map(fine: Optional[PermRep], coarse: PermRep) -> Optional[tuple]:
 
 
 def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
-    """The restriction homomorphism from the fine quotient to the coarse one.
+    """The restriction homomorphism from the fine quotient to the coarse one,
+    or None when the fine spec does not refine the coarse one.
 
-    The coarse action of an element is read through the point map on the
-    least fine point over each coarse point.  The fine spec refines the
-    coarse one when m divides and that map exists, as ``refined_by`` says.
+    It refines it when m divides and the point map exists; a plain coarse
+    quotient is the one-point action, onto which every action maps.  The
+    coarse action of an element is read through the point map on the least
+    fine point over each coarse point.
     """
     cm = coarse.m
     pmap = _point_map(fine.rep, coarse.rep or ONE_POINT)
     if fine.m % cm or pmap is None:
-        raise PreconditionError("element_restriction: the first spec does not refine the second")
+        return None
     if coarse.rep is None:
         return lambda x: SdElement(x.a.reduce(cm), x.h.reduce(cm), None)
     section = [pmap.index(c) for c in range(coarse.rep.degree)]
@@ -206,22 +204,15 @@ def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
 
 
 class RefinementKernel:
-    """ker(fine -> coarse), given by its map rather than by its elements.
+    """ker(fine -> coarse), given by its order alone: x lies in it when
+    ``element_restriction`` sends x to the coarse identity.  It has no
+    generators."""
 
-    ``x in kernel`` when ``restrict(x)`` is the coarse identity, and
-    ``len(kernel)`` is the kernel's order.  It has no generators.
-    """
-
-    __slots__ = ("restrict", "identity", "order")
+    __slots__ = ("order",)
     generators = ()
 
-    def __init__(self, restrict, identity: SdElement, order: int):
-        self.restrict = restrict
-        self.identity = identity
+    def __init__(self, order: int):
         self.order = order
-
-    def __contains__(self, x: SdElement) -> bool:
-        return self.restrict(x) == self.identity
 
     def __len__(self) -> int:
         return self.order
@@ -239,39 +230,20 @@ def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
     L, which runs under the closure cap.  The order is checked against the
     cap too, though no kernel element is listed.
     """
-    restrict = element_restriction(fine, coarse)  # refuses a pair that does not refine
-    cid = quotient_context(coarse).identity
+    restrict = element_restriction(fine, coarse)
+    if restrict is None:
+        raise PreconditionError("kernel_of_refinement: the first spec does not refine the second")
     f, c = fine.m, coarse.m
     if fine == coarse:
-        return RefinementKernel(restrict, cid, 1)
+        return RefinementKernel(1)
     if fine.rep is None:
         linear = sl2_group_order(f) // sl2_group_order(c)
     else:
-        fctx = quotient_context(fine)
+        fctx, cid = quotient_context(fine), quotient_context(coarse).identity
         linear = sum(1 for x in subgroup_closure(fctx, fctx.generators[4:], budgets) if restrict(x) == cid)
     order = (f // c) ** 4 * linear
     check_closure_cap(order, budgets, f"refinement kernel {short_int(f)} -> {short_int(c)}")
-    return RefinementKernel(restrict, cid, order)
-
-
-def kernel_product_member(u: GeneratedSubgroup, kernel: RefinementKernel):
-    """Membership in U * ker, as a function of the element.
-
-    The kernel is the preimage of the coarse identity, so g lies in U * ker
-    exactly when g lies in U or its restriction is that of some element of
-    U; those restrictions are collected once, when first needed.
-    """
-    restricted = None
-
-    def member(g: SdElement) -> bool:
-        nonlocal restricted
-        if g in u:
-            return True
-        if restricted is None:
-            restricted = {kernel.restrict(x) for x in u.elements}
-        return kernel.restrict(g) in restricted
-
-    return member
+    return RefinementKernel(order)
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +283,11 @@ def tractable_at(
     """First candidate quotient N where the intersection of images is tame.
 
     N must lie in the formation of ``m_spec`` and refine it.  Compute
-    U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M):
-    status "ok" when it holds, which ends the search, otherwise "violation"
+    U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M),
+    the preimage of the identity under restriction: u lies in it exactly
+    when u lies in image(HcapK) or restricts as one of its elements does,
+    whose restrictions are listed at the first u outside it.  Status "ok"
+    when U lies inside, which ends the search, otherwise "violation"
     with a sample of violating elements.  Per-candidate precondition
     failures are recorded, not fatal.
     """
@@ -326,7 +301,8 @@ def tractable_at(
         if m_spec.formation is not None and not m_spec.formation.admits(cand):
             entry.update(status="skipped-formation", detail="candidate is outside the configured formation")
             continue
-        if not m_spec.refined_by(cand):
+        restrict = element_restriction(cand, m_spec)
+        if restrict is None:
             entry["detail"] = "candidate does not refine the target quotient"
             continue
         images = {key: image_subgroup(key, cand, budgets) for key in dict.fromkeys(keys)}  # one closure each
@@ -338,10 +314,14 @@ def tractable_at(
             continue
         inter = subgroup_intersection(uh, uk)
         kernel = kernel_of_refinement(cand, m_spec, budgets)
-        member = kernel_product_member(ui, kernel)
+        restricted = None
         for u in inter.elements:
             scanned += 1
-            if not member(u):
+            if u in ui:
+                continue
+            if restricted is None:
+                restricted = {restrict(x) for x in ui.elements}
+            if restrict(u) not in restricted:
                 entry["violations"].append(u)
                 if len(entry["violations"]) >= _VIOLATION_SAMPLE:
                     break

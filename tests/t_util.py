@@ -879,8 +879,9 @@ def oracle_admits(formation: Formation, spec: QuotientSpec, budgets: Budgets = B
 
 
 def oracle_refined_by(coarse: QuotientSpec, fine: QuotientSpec) -> bool:
-    """``coarse.refined_by(fine)``: every Schreier generator word of the fine
-    subgroup lies in the coarse one."""
+    """Whether ``element_restriction(fine, coarse)`` exists: the modulus
+    divides and every Schreier generator word of the fine subgroup lies in
+    the coarse one."""
     if fine.m % coarse.m != 0:
         return False
     if coarse.rep is None:
@@ -915,9 +916,10 @@ def _coset_fibration(fine: PermRep, coarse: PermRep):
 
 
 def oracle_element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
-    """``element_restriction`` through ``oracle_refined_by`` and ``_coset_fibration``."""
+    """``element_restriction`` through ``oracle_refined_by`` and ``_coset_fibration``:
+    None when the fine spec does not refine the coarse one."""
     if not oracle_refined_by(coarse, fine):
-        raise PreconditionError("element_restriction: the first spec does not refine the second")
+        return None
     cm = coarse.m
     if coarse.rep is None or fine.rep is None:
         # a plain fine quotient refines a coset action only of degree 1

@@ -28,8 +28,10 @@ precondition, were written while the closure cap could still be set from the
 environment, before ``--closure-cap`` became the one way to set it.
 The schema-3 change, which dropped the evidence's ``double_coset_member``,
 edited only their ``schema`` line and removed that key from the transcript
-entries at m = 2, 3 and 4 of ``gs_demo.json`` and ``gs_demo_m32.json``.  ``regen_golden.py`` rewrites the fixtures from the
-current code.
+entries at m = 2, 3 and 4 of ``gs_demo.json`` and ``gs_demo_m32.json``.
+``congruence_level105.json`` was written by the block walk that stops once
+one block is left; the walk over all of PSL2(Z/105) writes the same bytes.
+``regen_golden.py`` rewrites the fixtures from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths, because
 reports record the paths they were given.
@@ -93,6 +95,9 @@ CASES = {
         "dcoset-member", "--modulus", "3", "--element", _TWO_I, "--left", "h.json", "--right", "k.json",
     ],
     "congruence.json": ["congruence", "--rep", "nc_rep.json"],
+    # level 105, above the largest level of degree 12 and below: the block
+    # walk over PSL2(Z/105) stops at its first edge, which joins all points
+    "congruence_level105.json": ["congruence", "--rep", "level105_rep.json"],
     "lowindex.json": ["lowindex", "--max-degree", "5"],
     "lowindex_subgroups.json": ["lowindex", "--max-degree", "6", "--subgroups"],
     # 175 classes: the largest degree the command accepts

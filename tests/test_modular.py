@@ -424,6 +424,24 @@ def test_a_level_above_64_is_decided_under_the_default_cap():
     assert is_congruence(rep) is False
 
 
+def test_image_blocks_stop_once_one_block_is_left(monkeypatch):
+    # the first edge of the walk over PSL2(Z/105) joins every point of the
+    # level-105 rep under S and T, so the blocks are read off that one edge
+    # rather than off all 483,840 matrices
+    rep = load_rep(str(Path(__file__).resolve().parent / "golden" / "level105_rep.json"))
+    consumed = []
+    real = cosetope.modular._gamma_walk
+
+    def spy(rep, n, budgets, seen=None):
+        for edge in real(rep, n, budgets, seen):
+            consumed.append(edge)
+            yield edge
+
+    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    assert image_blocks(rep, 105) == (0,) * 15
+    assert len(consumed) == 1
+
+
 def _congruence_by_containment(rep):
     n = rep_level(rep)
     if n == 1:
