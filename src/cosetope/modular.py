@@ -56,13 +56,6 @@ class ModularWord(NamedTuple):
     letters: tuple = ()
 
     @classmethod
-    def of(cls, *letters: int) -> "ModularWord":
-        for letter in letters:
-            if letter not in _LETTER_CHARS:
-                raise ValidationError(f"bad word letter: {letter!r}")
-        return cls(_free_reduce(letters))
-
-    @classmethod
     def from_str(cls, text: str) -> "ModularWord":
         letters = []
         for ch in text:
@@ -175,10 +168,9 @@ class PermRep(NamedTuple):
         st = perm_mul(perm_s, perm_t)
         if perm_mul(perm_mul(st, st), st) != ident:
             raise ValidationError("(perm_s perm_t)^3 is not the identity")
-        rep = cls(degree, perm_s, perm_t)
-        if len(schreier_transversal_words(rep)) != degree:
+        if len(discovery_tree(perm_s, perm_t)) != degree:
             raise ValidationError("the action is not transitive")
-        return rep
+        return cls(degree, perm_s, perm_t)
 
     def word_perm(self, w: ModularWord) -> tuple:
         perm = perm_identity(self.degree)
@@ -258,27 +250,40 @@ def _actions(d_max: int) -> list:
     return out
 
 
-def _restandardize(s: tuple, t: tuple, basepoint: int) -> tuple:
-    """Relabel by discovery order (scan s, t, t^-1) starting from ``basepoint``."""
-    d = len(s)
-    ti = perm_inv(t)
-    label = {basepoint: 0}
+def discovery_tree(s: tuple, t: tuple, basepoint: int = 0) -> dict:
+    """The breadth-first tree of the action from ``basepoint``: each point
+    reached maps to (parent, letter), the basepoint to (None, None).
+
+    Points are scanned in discovery order and, at each, the letters S, T,
+    T^-1 (S^-1 moves points as S does); the dict keeps discovery order.
+    """
+    steps = ((S_, s), (T_, t), (-T_, perm_inv(t)))
+    tree = {basepoint: (None, None)}
     order = [basepoint]
-    qi = 0
-    while qi < len(order):
-        p = order[qi]
-        qi += 1
-        for arr in (s, t, ti):
-            q = arr[p]
-            if q not in label:
-                label[q] = len(order)
+    for p in order:
+        for letter, perm in steps:
+            q = perm[p]
+            if q not in tree:
+                tree[q] = (p, letter)
                 order.append(q)
-    ns = [0] * d
-    nt = [0] * d
-    for p in range(d):
-        ns[label[p]] = label[s[p]]
-        nt[label[p]] = label[t[p]]
-    return tuple(ns), tuple(nt)
+    return tree
+
+
+def tree_word(tree: dict, x) -> tuple:
+    """The letters of the tree path from the root to ``x``, read off the
+    parent links: the first two fields of each entry of ``tree``."""
+    path = []
+    while tree[x][0] is not None:
+        x, letter = tree[x][:2]
+        path.append(letter)
+    return tuple(reversed(path))
+
+
+def _restandardize(s: tuple, t: tuple, basepoint: int) -> tuple:
+    """Relabel each point by its place in ``discovery_tree`` from ``basepoint``."""
+    tree = discovery_tree(s, t, basepoint)
+    label = perm_inv(list(tree))  # label[p] is p's place in the tree
+    return tuple([label[s[p]] for p in tree]), tuple([label[t[p]] for p in tree])
 
 
 def low_index_reps(d_max: int, *, classes: bool = True) -> list:
@@ -319,22 +324,11 @@ def low_index_reps(d_max: int, *, classes: bool = True) -> list:
 
 
 def schreier_transversal_words(rep: PermRep) -> dict:
-    """BFS coset representative words: point -> letter tuple from the basepoint.
-
-    Points are scanned in discovery order and, at each, the letters S, T,
-    T^-1 (S^-1 moves points as S does), so the words are prefix-closed; the
-    dict keeps discovery order.
-    """
-    steps = ((S_, rep.perm_s), (T_, rep.perm_t), (-T_, perm_inv(rep.perm_t)))
-    words = {0: ()}
-    order = [0]
-    for p in order:
-        for letter, perm in steps:
-            q = perm[p]
-            if q not in words:
-                words[q] = words[p] + (letter,)
-                order.append(q)
-    return words
+    """BFS coset representative words: point -> letter tuple from the
+    basepoint, the ``tree_word`` of each point of ``discovery_tree``, so the
+    words are prefix-closed and the dict keeps discovery order."""
+    tree = discovery_tree(rep.perm_s, rep.perm_t)
+    return {q: tree_word(tree, q) for q in tree}
 
 
 def subgroup_generators(rep: PermRep) -> list:
@@ -384,21 +378,21 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
 
     A breadth-first walk over PSL2(Z/n) from I at coset point 0 with the
     letters S, T, T^-1, closed-form on entry tuples; a matrix is the lesser
-    of its tuple and its negative's.  ``seen`` maps it to its first point,
-    parent and letter.  An S or T edge (x, letter, y) into a seen matrix y
-    closes the Schreier generator word(x) + letter + word(y)^-1 (read off
-    ``_walk_word``); these generate that subgroup.  It brings y the point q
-    while y keeps p, so it moves the basepoint exactly when q != p, and then
-    q and p lie in one orbit.
+    of its tuple and its negative's.  ``seen`` maps it to its parent, letter
+    and first point.  An S or T edge (x, letter, y) into a seen matrix y
+    closes the Schreier generator word(x) + letter + word(y)^-1 (each word
+    the ``tree_word`` of ``seen``); these generate that subgroup.  It brings
+    y the point q while y keeps p, so it moves the basepoint exactly when
+    q != p, and then q and p lie in one orbit.
     """
     check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{short_int(n)})")
     perm_s, perm_t, perm_ti = rep.perm_s, rep.perm_t, perm_inv(rep.perm_t)
     queue = [(1, 0, 0, 1)]
     seen = {} if seen is None else seen
-    seen[queue[0]] = (0, None, None)
+    seen[queue[0]] = (None, None, 0)
     for x in queue:
         a, b, c, d = x
-        point = seen[x][0]
+        point = seen[x][2]
         for letter, y, q in (
             (S_, (b, -a % n, d, -c % n), perm_s[point]),
             (T_, (a, (a + b) % n, c, (c + d) % n), perm_t[point]),
@@ -408,19 +402,10 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
             y = negated if negated < y else y
             known = seen.get(y)
             if known is None:
-                seen[y] = (q, x, letter)
+                seen[y] = (x, letter, q)
                 queue.append(y)
-            elif letter > 0 and known[0] != q:
-                yield q, known[0], (x, letter, y)
-
-
-def _walk_word(seen: dict, x: tuple) -> tuple:
-    """The letters of the walk's tree path from I to ``x``, read off the parent links."""
-    path = []
-    while seen[x][1] is not None:
-        _, x, letter = seen[x]
-        path.append(letter)
-    return tuple(reversed(path))
+            elif letter > 0 and known[2] != q:
+                yield q, known[2], (x, letter, y)
 
 
 def _orbit_blocks(rep: PermRep, walk) -> tuple:
@@ -481,7 +466,7 @@ def image_elements(rep: PermRep, m: int, budgets: Budgets = Budgets()) -> list:
     PSL2(Z/m) whose point lies in the basepoint's orbit."""
     seen: dict = {}
     blocks = _orbit_blocks(rep, list(_gamma_walk(rep, m, budgets, seen)))  # every state of seen is read
-    return [Mat2(*y, m) for y, (p, _, _) in seen.items() if blocks[p] == 0]
+    return [Mat2(*y, m) for y, (_, _, p) in seen.items() if blocks[p] == 0]
 
 
 def is_congruence(rep: PermRep, *, budgets: Budgets = Budgets()) -> bool:
@@ -545,7 +530,7 @@ def congruence_gap_witness(
     # an edge exists: a non-congruence subgroup holds no principal congruence subgroup
     edge = next(_gamma_walk(rep, level, budgets, seen))
     source, letter, target = edge[2]
-    found = ModularWord(_walk_word(seen, source) + (letter,)) * ModularWord(_walk_word(seen, target)).inverse()
+    found = ModularWord(tree_word(seen, source) + (letter,)) * ModularWord(tree_word(seen, target)).inverse()
     x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         found = ModularWord((S_, S_)) * found

@@ -1,4 +1,4 @@
-"""Rewrite every golden fixture in ``test_golden.CASES`` from the current code.
+"""Rewrite every golden fixture in ``golden_cases.CASES`` from the current code.
 
 Run from anywhere with the package importable, for instance from the
 repository root:
@@ -9,7 +9,10 @@ With no names it rewrites every case; with names, only those.  Each command
 runs inside ``tests/golden`` with the relative input paths of its case, as
 the golden test runs it, so the recorded paths match.  A run that leaves
 ``git diff tests/golden`` clean shows the code still writes the pinned bytes;
-a schema bump reruns it and commits the diff.
+a schema bump reruns it and commits the diff.  It needs no pytest, so any
+supported interpreter can run it:
+
+    PYTHONPATH=src python tests/regen_golden.py && git diff --exit-code tests/golden
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from test_golden import CASES, GOLDEN
+from golden_cases import CASES, GOLDEN
 
 from cosetope.cli import main
 

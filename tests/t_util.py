@@ -36,6 +36,7 @@ from cosetope.modular import (
     T_,
     ModularWord,
     PermRep,
+    _free_reduce,
     _restandardize,
     perm_identity,
     psl2_canon,
@@ -54,6 +55,13 @@ from cosetope.profinite import (
     quotient_context,
     spec_group_order,
 )
+
+
+def random_word(rng: random.Random, max_len: int = 30, min_len: int = 0) -> ModularWord:
+    """A freely reduced random word: min_len <= n < max_len letters drawn
+    from S, S^-1, T, T^-1, then reduced."""
+    letters = [rng.choice((S_, -S_, T_, -T_)) for _ in range(rng.randrange(min_len, max_len))]
+    return ModularWord(_free_reduce(letters))
 
 
 def perm_context(degree: int, gens) -> GroupContext:
@@ -626,7 +634,7 @@ def hsu_odd_level_congruence(rep: PermRep) -> bool:
     if level < 2 or level % 2 == 0:
         raise ValueError(f"the odd-level test needs an odd level above 1, got {level}")
     k = (level + 1) // 2
-    word = ModularWord.of(*([T_, T_, S_] + [T_] * k + [-S_]) * 3)
+    word = ModularWord.from_str(("TTS" + "T" * k + "s") * 3)
     return rep.word_perm(word) == perm_identity(rep.degree)
 
 

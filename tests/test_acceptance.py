@@ -19,7 +19,6 @@ from cosetope.groupcore import (
 from cosetope.gs import _h_prime_image_mod, gs_hk_witness, gs_wz_failure
 from cosetope.cli import main as cli_main
 from cosetope.modular import (
-    ModularWord,
     is_congruence,
     low_index_reps,
     matrix_to_word,
@@ -53,6 +52,7 @@ from t_util import (
     normal_closure,
     principal_congruence_generators,
     prop_instance,
+    random_word,
     subgroup_pool,
 )
 
@@ -164,7 +164,7 @@ def test_criterion_5_separability_certificates():
     done = 0
     while done < 100:
         a = Mat2.ambient(*(rng.randrange(-9, 10) for _ in range(4)))
-        w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 10))])
+        w = random_word(rng, 10)
         g = GroupWord(a, w)
         det = (a + word_eval(w)).det()
         if det == 1:
@@ -298,15 +298,15 @@ def test_criterion_9_homomorphism_and_round_trip():
         spec = rng.choice(specs)
         g = GroupWord(
             Mat2.ambient(*(rng.randrange(-5, 6) for _ in range(4))),
-            ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 6))]),
+            random_word(rng, 6),
         )
         h = GroupWord(
             Mat2.ambient(*(rng.randrange(-5, 6) for _ in range(4))),
-            ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 6))]),
+            random_word(rng, 6),
         )
         assert project(gw_mul(g, h), spec) == sd_mul(project(g, spec), project(h, spec))
     for _ in range(10_000):
-        w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 30))])
+        w = random_word(rng, 30)
         x = word_eval(w)
         assert word_eval(matrix_to_word(x)) == x
     for _ in range(10_000):

@@ -21,6 +21,7 @@ from t_util import (
     oracle_mat_neg,
     oracle_mat_sub,
     oracle_sd_mul,
+    random_word,
 )
 
 
@@ -132,10 +133,10 @@ def test_det_commutes_with_reduce():
 
 def test_inverse_of_det1_matrices():
     rng = random.Random(7)
-    from cosetope.modular import ModularWord, word_eval
+    from cosetope.modular import word_eval
 
     for _ in range(200):
-        w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 12))])
+        w = random_word(rng, 12)
         x = word_eval(w)
         assert x * x.inv_det1() == Mat2.identity()
         m = rng.randrange(2, 13)

@@ -41,6 +41,7 @@ from t_util import (
     gs_intersection,
     hk_member_sd,
     oracle_gs_images,
+    random_word,
 )
 
 
@@ -50,7 +51,7 @@ def minimal_noncongruence():
 
 def random_groupword(rng, max_len=8, bound=4):
     a = Mat2.ambient(*(rng.randrange(-bound, bound + 1) for _ in range(4)))
-    w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, max_len))])
+    w = random_word(rng, max_len)
     return GroupWord(a, w)
 
 
@@ -193,9 +194,9 @@ def test_hk_member_every_level_when_translated_det_is_one():
     rng = random.Random(41)
     found = 0
     while found < 10:
-        w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 8))])
+        w = random_word(rng, 8)
         h = word_eval(w)
-        u = word_eval(ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 8))]))
+        u = word_eval(random_word(rng, 8))
         g = GroupWord(u - h, w)  # translated part is u, determinant 1
         for m in range(2, 9):
             assert gs_hk_member(g, m)
@@ -295,7 +296,7 @@ def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
         walks: dict = {}
         for m in (2, 3, 4):
             for _ in range(25):
-                w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, 10))])
+                w = random_word(rng, 10)
                 g = GroupWord.of_a(word_eval(w) - Mat2.identity())
                 member = evidence_entry(rep, m, rep.word_perm(w)[0], budgets, walks)["member"]
                 assert evidence_cross_check(rep, m, g, budgets) == member
@@ -317,7 +318,7 @@ def test_a_quotient_with_the_coset_action_does_not_separate_off_the_identity():
     rng = random.Random(47)
     checked = 0
     while checked < 10:
-        w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(1, 12))])
+        w = random_word(rng, 12, min_len=1)
         x = word_eval(w)
         if rep.word_perm(w)[0] == 0 or x.reduce(2) == Mat2.identity(2):
             continue

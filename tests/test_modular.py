@@ -14,6 +14,7 @@ from cosetope.modular import (
     ModularWord,
     PermRep,
     congruence_gap_witness,
+    discovery_tree,
     image_blocks,
     image_elements,
     is_congruence,
@@ -26,11 +27,11 @@ from cosetope.modular import (
     rep_level,
     schreier_transversal_words,
     subgroup_generators,
+    tree_word,
     word_eval,
     _gamma_walk,
     _orbit_blocks,
     _restandardize,
-    _walk_word,
 )
 from cosetope.report import load_rep, rep_from_json
 
@@ -48,11 +49,8 @@ from t_util import (
     partition,
     perm_context,
     principal_congruence_generators,
+    random_word,
 )
-
-
-def random_word(rng, max_len=30):
-    return ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, max_len))])
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +78,6 @@ def test_word_string_round_trip():
 
 
 def test_word_rejects_bad_letters():
-    with pytest.raises(ValidationError):
-        ModularWord.of(3)
     with pytest.raises(ValidationError):
         ModularWord.from_str("SX")
 
@@ -246,6 +242,19 @@ def test_low_index_deterministic_and_canonical():
         assert canonical == (rep.perm_s, rep.perm_t)
 
 
+@pytest.mark.parametrize("classes", [True, False], ids=["classes", "subgroups"])
+def test_standardized_tables_number_points_in_discovery_order(classes):
+    # a standardized table numbers its points in the order of its own
+    # discovery tree, and each point's tree word carries the basepoint there
+    reps = low_index_reps(9, classes=classes)
+    assert len(reps) == (42 if classes else 243)
+    for rep in reps:
+        tree = discovery_tree(rep.perm_s, rep.perm_t)
+        assert list(tree) == list(range(rep.degree)), rep
+        for q in tree:
+            assert rep.word_perm(ModularWord(tree_word(tree, q)))[0] == q, (rep, q)
+
+
 def test_low_index_cap():
     with pytest.raises(BudgetError):
         low_index_reps(13)
@@ -360,7 +369,7 @@ def _walk_edges(rep, n, walk):
         return list(walk(rep, n, seen)), list(seen)
     edges = []
     for q, p, (x, letter, y) in walk(rep, n, Budgets(), seen):
-        word = ModularWord(_walk_word(seen, x) + (letter,)) * ModularWord(_walk_word(seen, y)).inverse()
+        word = ModularWord(tree_word(seen, x) + (letter,)) * ModularWord(tree_word(seen, y)).inverse()
         edges.append((q, p, word))
     return edges, [Mat2(*x, n) for x in seen]
 
@@ -382,13 +391,13 @@ def test_tuple_walk_matches_the_mat2_walk_oracle():
 def test_walk_words_are_rebuilt_only_on_demand(monkeypatch):
     # the orbit blocks and the congruence test read no word
     built = []
-    real = cosetope.modular._walk_word
+    real = cosetope.modular.tree_word
 
     def spy(seen, x):
         built.append(x)
         return real(seen, x)
 
-    monkeypatch.setattr(cosetope.modular, "_walk_word", spy)
+    monkeypatch.setattr(cosetope.modular, "tree_word", spy)
     for rep in low_index_reps(7):
         is_congruence(rep)
         image_blocks(rep, 12)

@@ -50,6 +50,7 @@ from t_util import (
     oracle_admits,
     oracle_element_restriction,
     oracle_refined_by,
+    random_word,
     s3_context,
     schreier_kernel,
     subgroup_pool,
@@ -66,7 +67,7 @@ def k_gens():
 
 def random_groupword(rng, max_len=8, bound=5):
     a = Mat2.ambient(*(rng.randrange(-bound, bound + 1) for _ in range(4)))
-    w = ModularWord.of(*[rng.choice((1, -1, 2, -2)) for _ in range(rng.randrange(0, max_len))])
+    w = random_word(rng, max_len)
     return GroupWord(a, w)
 
 

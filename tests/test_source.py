@@ -55,16 +55,31 @@ def test_unused_import_check_sees_dead_and_exempt_imports():
     assert len(SOURCES) >= 10
 
 
+def _outside_methods(node):
+    """The nodes of a definition, less the methods of a class."""
+    if not isinstance(node, ast.ClassDef):
+        return ast.walk(node)
+    parts = node.bases + node.keywords + node.decorator_list
+    parts += [item for item in node.body if not isinstance(item, ast.FunctionDef)]
+    return (inner for part in parts for inner in ast.walk(part))
+
+
 def unreached_definitions(sources: dict) -> set:
-    """The top-level definitions that no command reaches, as "module.name".
+    """The definitions that no command reaches, as "module.name", or
+    "module.Class.name" for a method.
 
     ``sources`` maps module names to source texts.  The search starts from
-    ``cli.main`` and ``cli.entry``; a definition (function, class or
-    assignment) is reached when its name appears as a Name or an Attribute
-    inside a reached definition.  Names are matched across modules, so a
-    name reaches every definition that bears it.
+    ``cli.main`` and ``cli.entry``.  A top-level definition (function, class
+    or assignment) is reached when its name appears as a Name or an
+    Attribute inside a reached definition; names are matched across
+    modules, so a name reaches every definition that bears it.  A method is
+    reached through an Attribute: ``Class.meth``, and ``cls.meth`` or
+    ``self.meth`` inside a method of ``Class``, reach that class's method
+    alone, while ``expr.meth`` on any other expression reaches every
+    definition named ``meth``.  A reached class reaches its body outside its
+    methods, and its dunder methods, which Python calls for it.
     """
-    defs = {}
+    defs = {}  # key -> (name, node, class of a method or None)
     for module, text in sources.items():
         for node in ast.parse(text).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -75,16 +90,37 @@ def unreached_definitions(sources: dict) -> set:
             else:
                 continue
             for name in names:
-                defs[f"{module}.{name}"] = (name, node)
+                defs[f"{module}.{name}"] = (name, node, None)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs[f"{module}.{node.name}.{item.name}"] = (item.name, item, node.name)
+    classes = {name for name, node, _ in defs.values() if isinstance(node, ast.ClassDef)}
+
+    def targets(node, owner):
+        # the keys that ``node`` reaches, inside a method of ``owner`` (or None)
+        if isinstance(node, ast.Name):
+            return [key for key, (name, _, cls) in defs.items() if name == node.id and cls is None]
+        if not isinstance(node, ast.Attribute):
+            return []
+        base = getattr(node.value, "id", None)
+        cls = base if base in classes else owner if base in ("self", "cls") else None
+        if cls is None:
+            return [key for key, (name, _, _) in defs.items() if name == node.attr]
+        return [key for key, (name, _, of) in defs.items() if name == node.attr and of == cls]
+
     reached = {"cli.main", "cli.entry"}
     todo = list(reached)
     while todo:
-        for node in ast.walk(defs[todo.pop()][1]):
-            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
-            for key, (defined, _) in defs.items():
-                if defined == name and key not in reached:
-                    reached.add(key)
-                    todo.append(key)
+        name, node, owner = defs[todo.pop()]
+        found = [key for inner in _outside_methods(node) for key in targets(inner, owner)]
+        if isinstance(node, ast.ClassDef):
+            dunders = (key for key, (meth, _, cls) in defs.items() if cls == name and meth[:2] == meth[-2:] == "__")
+            found.extend(dunders)
+        for key in found:
+            if key not in reached:
+                reached.add(key)
+                todo.append(key)
     return set(defs) - reached
 
 
@@ -93,11 +129,13 @@ def test_every_definition_is_reached_by_a_command():
     # bench/unitcost.py calls psl2_canon and times the psl2_context multiply;
     # _h_prime_image_mod and the image_elements it lists stay only because
     # bench/tests asserts that cli binds _h_prime_image_mod, which cli
-    # imports and never calls; everything else that no command runs belongs
-    # in tests/
+    # imports and never calls; GeneratedSubgroup.as_set stays because
+    # bench/tracer.py reads it to size a closure's containers; everything
+    # else that no command runs belongs in tests/
     sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
     assert unreached_definitions(sources) == {
         "groupcore.sl2_context",
+        "groupcore.GeneratedSubgroup.as_set",
         "modular.psl2_context",
         "modular.psl2_canon",
         "gs._h_prime_image_mod",
@@ -109,9 +147,9 @@ def test_reachability_check_sees_dead_definitions():
     sources = {
         "cli": (
             "from . import core\n"
-            "from .core import used\n"
+            "from .core import used, Box, make\n"
             "def main():\n"
-            "    return used() + core.by_attribute()\n"
+            "    return used() + core.by_attribute() + Box.build() + make().shared()\n"
             "def entry():\n"
             "    main()\n"
             "def orphan():\n"
@@ -125,9 +163,32 @@ def test_reachability_check_sees_dead_definitions():
             "def by_attribute(): pass\n"
             "def dead(): pass\n"
             "class Dead: pass\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.helper()\n"
+            "    def helper(self): pass\n"
+            "    @classmethod\n"
+            "    def build(cls):\n"
+            "        return cls.made()\n"
+            "    def made(self): pass\n"
+            "    def shared(self): pass\n"
+            "    def unused(self): pass\n"
+            "class Other:\n"
+            "    def helper(self): pass\n"
+            "    def build(self): pass\n"
+            "    def made(self): pass\n"
+            "    def shared(self): pass\n"
+            "def make():\n"
+            "    return Other()\n"
         ),
     }
-    assert unreached_definitions(sources) == {"cli.orphan", "core.UNUSED", "core.dead", "core.Dead"}
+    # Box.build, cls.made and self.helper inside Box reach Box's methods
+    # alone; make().shared reaches every shared; Box.__init__ is reached
+    # with Box
+    assert unreached_definitions(sources) == {
+        "cli.orphan", "core.UNUSED", "core.dead", "core.Dead",
+        "core.Box.unused", "core.Other.helper", "core.Other.build", "core.Other.made",
+    }
 
 
 def unbounded_caches(text: str) -> list:
