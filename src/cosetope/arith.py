@@ -103,10 +103,6 @@ class Mat2(NamedTuple):
             raise ValidationError(f"cannot reduce mod {m} from modulus {self.m}")
         return Mat2(self.a % m, self.b % m, self.c % m, self.d % m, m)
 
-    def lift(self) -> "Mat2":
-        """The ambient matrix with the same (canonical) entries."""
-        return Mat2(self.a, self.b, self.c, self.d, None)
-
 
 # Standard generators of the ambient matrix group.
 MAT_S = Mat2.ambient(0, -1, 1, 0)

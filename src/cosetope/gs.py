@@ -28,7 +28,6 @@ from .modular import (
     congruence_gap_witness,
     image_blocks,
     image_elements,
-    rep_contains,
     subgroup_generators,
     word_eval,
 )
@@ -135,17 +134,15 @@ def evidence_entry(rep: PermRep, m: int, point: int, budgets: Budgets, walks: di
     return {"m": m, "member": member, "image_order": order}
 
 
-def gs_wz_failure(
-    rep: PermRep,
-    m_max: int = 24,
-    *,
-    witness_level: int = 24,
-    budgets: Budgets = Budgets(),
-) -> NonSepEvidence:
+# the level of the principal congruence subgroup the witness is drawn from
+WITNESS_LEVEL = 24
+
+
+def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()) -> NonSepEvidence:
     """Assemble non-separability evidence for H'K from a congruence-gap subgroup.
 
     The witness x comes from the principal congruence subgroup of
-    ``witness_level`` and moves the basepoint of ``rep``; g = (x - I, 1)
+    ``WITNESS_LEVEL`` and moves the basepoint of ``rep``; g = (x - I, 1)
     then lies in H'K exactly when x lies in H', so g is outside H'K.  At a
     congruence level m, membership of the image of g in the image of H'K
     reduces to membership of x mod m in the matrix image of H', which is
@@ -154,20 +151,18 @@ def gs_wz_failure(
     walks each level gcd(m, N) once per call.
     """
     walks: dict = {}
-    witness = congruence_gap_witness(rep, witness_level, m_max=m_max, budgets=budgets, walks=walks)
-    g = GroupWord.of_a(witness.x - Mat2.identity())
-    if rep_contains(rep, witness.word):
-        raise ValidationError("witness unexpectedly lies in the subgroup")
-
+    witness = congruence_gap_witness(rep, WITNESS_LEVEL, m_max=m_max, budgets=budgets, walks=walks)
     point = witness.displaced_to
+    if point == 0:
+        raise ValidationError("witness unexpectedly lies in the subgroup")
     transcripts = [evidence_entry(rep, m, point, budgets, walks) for m in range(2, m_max + 1)]
     return NonSepEvidence(
         rep=rep,
         witness=witness,
-        g=g,
+        g=GroupWord.of_a(witness.x - Mat2.identity()),
         level_transcripts=transcripts,
         levels=witness.levels_verified,
-        witness_level=witness_level,
+        witness_level=WITNESS_LEVEL,
         towers_used=(
             f"congruence levels 2..{m_max}; quotients carrying the coset action of "
             "the subgroup itself are excluded from the evidence tower"

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence
 
 from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets
@@ -189,16 +189,6 @@ class PermRep(NamedTuple):
 ONE_POINT = PermRep(1, (0,), (0,))
 
 
-def rep_contains(rep: PermRep, x: Union[Mat2, ModularWord]) -> bool:
-    """Whether ``x`` lies in the subgroup: its action fixes the basepoint 0.
-
-    Matrices are rewritten to words first; sign is immaterial since the
-    representation is projective.
-    """
-    w = matrix_to_word(x) if isinstance(x, Mat2) else x
-    return rep.word_perm(w)[0] == 0
-
-
 def rep_level(rep: PermRep) -> int:
     """lcm of the cycle lengths of perm_t (the cusp widths)."""
     return math.lcm(*perm_cycle_lengths(rep.perm_t))
@@ -296,8 +286,8 @@ def low_index_reps(d_max: int, *, classes: bool = True) -> list:
     returned per simultaneous-conjugation class: the lexicographically
     least table over all basepoint choices.  A class's tables from every
     basepoint are the basepoint tables of its subgroups, so only the first
-    subgroup of each class is standardized from every basepoint, marking
-    those tables seen.
+    subgroup of each class is standardized from every other basepoint,
+    marking those tables and its own seen.
     """
     if d_max < 1:
         raise ValidationError(f"d_max must be positive, got {d_max}")
@@ -311,7 +301,7 @@ def low_index_reps(d_max: int, *, classes: bool = True) -> list:
         if classes:
             if table in seen:
                 continue
-            tables = {_restandardize(s, t, b) for b in range(len(s))}
+            tables = {table} | {_restandardize(s, t, b) for b in range(1, len(s))}
             seen |= tables
             table = min(tables)
         reps.append(PermRep(len(s), *table))
@@ -323,24 +313,18 @@ def low_index_reps(d_max: int, *, classes: bool = True) -> list:
 # subgroup generators (Schreier)
 
 
-def schreier_transversal_words(rep: PermRep) -> dict:
-    """BFS coset representative words: point -> letter tuple from the
-    basepoint, the ``tree_word`` of each point of ``discovery_tree``, so the
-    words are prefix-closed and the dict keeps discovery order."""
-    tree = discovery_tree(rep.perm_s, rep.perm_t)
-    return {q: tree_word(tree, q) for q in tree}
-
-
 def subgroup_generators(rep: PermRep) -> list:
     """Words generating exactly the basepoint stabilizer.
 
     Schreier generators word(p) + letter + word(p letter)^-1 over the BFS
-    transversal, for p in discovery order and letter S, then T, with the
-    words that freely reduce to nothing (tree edges) dropped.  The rest form
-    a free basis, as the transversal is prefix-closed, so no two are equal.
+    transversal (the ``tree_word`` of each point of ``discovery_tree``), for
+    p in discovery order and letter S, then T, with the words that freely
+    reduce to nothing (tree edges) dropped.  The rest form a free basis, as
+    the transversal is prefix-closed, so no two are equal.
     Every returned word fixes the basepoint.
     """
-    words = schreier_transversal_words(rep)
+    tree = discovery_tree(rep.perm_s, rep.perm_t)
+    words = {q: tree_word(tree, q) for q in tree}
     out = []
     for p, word in words.items():
         for letter, perm in ((S_, rep.perm_s), (T_, rep.perm_t)):

@@ -97,12 +97,8 @@ class GroupWord(NamedTuple):
     w: ModularWord
 
     @classmethod
-    def identity(cls) -> "GroupWord":
-        return cls(Mat2.zero(), ModularWord())
-
-    @classmethod
     def of_a(cls, a: Mat2) -> "GroupWord":
-        return cls(a.lift(), ModularWord())
+        return cls(a, ModularWord())
 
     @classmethod
     def of_word(cls, w: ModularWord) -> "GroupWord":

@@ -41,7 +41,6 @@ from cosetope.modular import (
     perm_identity,
     psl2_canon,
     psl2_context,
-    rep_contains,
     rep_level,
     subgroup_generators,
     word_eval,
@@ -760,7 +759,8 @@ def _rep_action(rep: PermRep):
 
 
 def oracle_transversal_words(rep: PermRep) -> dict:
-    """``schreier_transversal_words`` by the generic walk over S, S^-1, T, T^-1."""
+    """The ``tree_word`` of each point of ``discovery_tree``, by the generic
+    walk over S, S^-1, T, T^-1."""
     return schreier_transversal(0, _rep_action(rep), (S_, -S_, T_, -T_))[0]
 
 
@@ -896,7 +896,7 @@ def oracle_refined_by(coarse: QuotientSpec, fine: QuotientSpec) -> bool:
         return True
     if fine.rep is None:
         return coarse.rep.degree == 1
-    return all(rep_contains(coarse.rep, w) for w in subgroup_generators(fine.rep))
+    return all(coarse.rep.word_perm(w)[0] == 0 for w in subgroup_generators(fine.rep))
 
 
 def _coset_fibration(fine: PermRep, coarse: PermRep):

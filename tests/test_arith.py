@@ -70,7 +70,7 @@ def test_reduce_is_idempotent_on_canonical_lift():
         x = rand_ambient(rng)
         m = rng.randrange(2, 13)
         once = x.reduce(m)
-        assert once.lift().reduce(m) == once
+        assert Mat2.ambient(*once[:4]).reduce(m) == once
 
 
 def test_modulus_mismatch_rejected():

@@ -24,7 +24,6 @@ from cosetope.modular import (
     ModularWord,
     is_congruence,
     low_index_reps,
-    rep_contains,
     rep_level,
     subgroup_generators,
     word_eval,
@@ -186,8 +185,9 @@ def test_hk_member_frozen_example():
 
 
 def test_hk_member_identity():
-    assert gs_hk_member(GroupWord.identity(), 2)
-    assert gs_hk_member(GroupWord.identity(), 7)
+    identity = GroupWord(Mat2.zero(), ModularWord())
+    assert gs_hk_member(identity, 2)
+    assert gs_hk_member(identity, 7)
 
 
 def test_hk_member_every_level_when_translated_det_is_one():
@@ -212,7 +212,7 @@ def test_hk_witness_frozen_examples():
     g2 = GroupWord.of_a(Mat2.ambient(0, -1, 1, 0))
     cert2 = gs_hk_witness(g2)
     assert cert2.spec.m == 2
-    assert gs_hk_witness(GroupWord.identity()) is None
+    assert gs_hk_witness(GroupWord(Mat2.zero(), ModularWord())) is None
 
 
 def test_hk_witness_replays_and_respects_bound():
@@ -348,18 +348,21 @@ def test_sign_saturated_image_matches_sl2_closure_oracle():
 def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatch):
     rep = minimal_noncongruence()
     closures = count_closures(monkeypatch)
-    evidence = gs_wz_failure(rep, 12, witness_level=12)
+    evidence = gs_wz_failure(rep, 24)
     assert evidence.status == "evidence"
-    for m in range(2, 13):
+    for m in range(2, 25):
         _h_prime_image_mod(rep, m, Budgets())
     assert not closures
-    # every level m <= 12 has the whole of PSL2(Z/m) as its image, the
-    # largest of order 660 at m = 11; under a cap of 660 those pass, and the
-    # first sign-saturated image over it is SL2(Z/10), of order 720
-    with pytest.raises(BudgetError, match="the subgroup image mod 11 has 660"):
-        gs_wz_failure(rep, 12, witness_level=12, budgets=Budgets(closure_cap=659))
-    with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 10 has 720"):
-        gs_wz_failure(rep, 12, witness_level=12, budgets=Budgets(closure_cap=660))
+    # the witness walk over PSL2(Z/24), of order 4608, is the largest walk;
+    # the largest level image is the whole of PSL2(Z/23), of order 6072, and
+    # under a cap of 6072 the first sign-saturated image over it is
+    # SL2(Z/19), of order 6840
+    with pytest.raises(BudgetError, match=r"PSL2\(Z/24\) has 4608"):
+        gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=4607))
+    with pytest.raises(BudgetError, match="the subgroup image mod 23 has 6072"):
+        gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=6071))
+    with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 19 has 6840"):
+        gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=6072))
 
 
 def _spy_walks(monkeypatch) -> list:
@@ -415,14 +418,14 @@ def test_wz_failure_rejects_congruence_rep():
 
 def test_wz_failure_evidence_is_coherent():
     rep = minimal_noncongruence()
-    evidence = gs_wz_failure(rep, 12, witness_level=12)
+    evidence = gs_wz_failure(rep, 12)
     assert evidence.status == "evidence"
     assert evidence.witness is not None
-    assert not rep_contains(evidence.rep, evidence.witness.word)
+    assert evidence.rep.word_perm(evidence.witness.word)[0] != 0
     assert evidence.g.a == evidence.witness.x - Mat2.identity()
     assert evidence.g.w == ModularWord()
     recorded = {entry["m"] for entry in evidence.level_transcripts if entry["member"]}
     assert recorded == set(evidence.levels)
     for m in (2, 3, 4, 6, 12):
         assert m in evidence.levels
-    assert evidence.witness_level == 12
+    assert evidence.witness_level == 24

@@ -23,9 +23,7 @@ from cosetope.modular import (
     perm_cycle_lengths,
     psl2_canon,
     psl2_context,
-    rep_contains,
     rep_level,
-    schreier_transversal_words,
     subgroup_generators,
     tree_word,
     word_eval,
@@ -134,18 +132,18 @@ def test_permrep_from_json_requires_lists(data):
 
 def test_rep_contains_identity_and_full_group():
     for rep in low_index_reps(4):
-        assert rep_contains(rep, ModularWord())
+        assert rep.word_perm(ModularWord())[0] == 0
     full = PermRep.make(1, (0,), (0,))
     rng = random.Random(23)
     for _ in range(20):
-        assert rep_contains(full, word_eval(random_word(rng)))
+        assert full.word_perm(matrix_to_word(word_eval(random_word(rng))))[0] == 0
 
 
 def test_rep_contains_level_two_example():
     rep = congruence_rep(2)
     assert rep.degree == 6
-    assert not rep_contains(rep, MAT_T)
-    assert rep_contains(rep, MAT_T * MAT_T)
+    assert rep.word_perm(matrix_to_word(MAT_T))[0] != 0
+    assert rep.word_perm(matrix_to_word(MAT_T * MAT_T))[0] == 0
 
 
 def test_rep_contains_matches_reduction_oracle_on_congruence_reps():
@@ -157,7 +155,7 @@ def test_rep_contains_matches_reduction_oracle_on_congruence_reps():
             x = word_eval(w)
             xm = x.reduce(m)
             is_pm_identity = xm == Mat2.identity(m) or xm == (-Mat2.identity()).reduce(m)
-            assert rep_contains(rep, w) == is_pm_identity
+            assert (rep.word_perm(w)[0] == 0) == is_pm_identity
 
 
 def test_rep_level_examples():
@@ -291,7 +289,8 @@ def test_subgroup_generators_match_the_generic_schreier_oracle():
     reps = low_index_reps(9)
     assert len(reps) == 42
     for rep in reps + [congruence_rep(4)]:
-        assert list(schreier_transversal_words(rep).items()) == list(oracle_transversal_words(rep).items())
+        tree = discovery_tree(rep.perm_s, rep.perm_t)
+        assert [(q, tree_word(tree, q)) for q in tree] == list(oracle_transversal_words(rep).items())
         assert subgroup_generators(rep) == oracle_subgroup_generators(rep)
 
 
@@ -519,7 +518,7 @@ def test_gap_witness_on_minimal_noncongruence_rep():
     witness = congruence_gap_witness(rep, 24, m_max=24)
     assert witness is not None
     assert witness.displaced_to != 0
-    assert not rep_contains(rep, witness.word)
+    assert rep.word_perm(witness.word)[0] == witness.displaced_to
     assert word_eval(witness.word) == witness.x
     assert witness.x.det() == 1
     assert witness.x.reduce(24) == Mat2.identity(24)

@@ -59,6 +59,7 @@ from t_util import (
 
 H_GENS = (GroupWord.of_word(ModularWord.from_str("S")), GroupWord.of_word(ModularWord.from_str("T")))
 I_CONJ = GroupWord.of_a(Mat2.identity())
+IDENTITY = GroupWord(Mat2.zero(), ModularWord())
 
 
 def k_gens():
@@ -90,7 +91,7 @@ def test_quotient_identity():
 
 def test_project_examples():
     spec = QuotientSpec.make(5)
-    assert project(GroupWord.identity(), spec) == quotient_context(spec).identity
+    assert project(IDENTITY, spec) == quotient_context(spec).identity
     g = GroupWord.of_a(Mat2.identity())
     image = project(g, spec)
     assert image.a == Mat2.identity(5)
@@ -113,7 +114,7 @@ def test_groupword_inverse():
     rng = random.Random(32)
     for _ in range(100):
         g = random_groupword(rng)
-        assert gw_mul(g, gw_inv(g)) == GroupWord.identity()
+        assert gw_mul(g, gw_inv(g)) == IDENTITY
 
 
 def test_projection_compatibility_with_coarsening():
@@ -574,7 +575,7 @@ def test_tractable_violations_with_rep_carrying_target():
 
 def test_probe_needs_a_tower():
     with pytest.raises(ValidationError):
-        thm_b_probe(H_GENS, k_gens(), None, GroupWord.identity(), [])
+        thm_b_probe(H_GENS, k_gens(), None, IDENTITY, [])
 
 
 def test_probe_member_is_inconclusive_at_every_level():
@@ -598,7 +599,7 @@ def test_probe_whole_group_reduces_to_hk_and_certifies_by_det():
 def test_probe_spot_checks_l_containment():
     # L = trivial subgroup cannot contain image(H) meet image(K) when H = K
     with pytest.raises(PreconditionError):
-        thm_b_probe(H_GENS, H_GENS, (GroupWord.identity(),), GroupWord.identity(), [QuotientSpec.make(2)])
+        thm_b_probe(H_GENS, H_GENS, (IDENTITY,), IDENTITY, [QuotientSpec.make(2)])
 
 
 def test_probe_with_gap_subgroup_is_inconclusive_on_congruence_tower():

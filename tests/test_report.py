@@ -127,7 +127,7 @@ ROUND_TRIPS = [
         for rep in (None, NC_REP)
         for formation in (None, Formation.make(2))
     ),
-    (groupword_from_json, GroupWord.identity()),
+    (groupword_from_json, GroupWord(Mat2.zero(), ModularWord())),
     (groupword_from_json, GroupWord(Mat2.ambient(2, -3, 0, 2), ModularWord.from_str("STtTs"))),
 ]
 

@@ -75,9 +75,12 @@ def unreached_definitions(sources: dict) -> set:
     modules, so a name reaches every definition that bears it.  A method is
     reached through an Attribute: ``Class.meth``, and ``cls.meth`` or
     ``self.meth`` inside a method of ``Class``, reach that class's method
-    alone, while ``expr.meth`` on any other expression reaches every
-    definition named ``meth``.  A reached class reaches its body outside its
-    methods, and its dunder methods, which Python calls for it.
+    alone.  On any other expression, a called ``expr.meth(...)`` reaches
+    every definition named ``meth``, while a read ``expr.name`` that is not
+    called reaches only the top-level definitions named ``name`` (so
+    ``rpt.SCHEMA_VERSION`` reaches its constant, and ``ctx.identity`` no
+    method).  A reached class reaches its body outside its methods, and its
+    dunder methods, which Python calls for it.
     """
     defs = {}  # key -> (name, node, class of a method or None)
     for module, text in sources.items():
@@ -97,8 +100,9 @@ def unreached_definitions(sources: dict) -> set:
                         defs[f"{module}.{node.name}.{item.name}"] = (item.name, item, node.name)
     classes = {name for name, node, _ in defs.values() if isinstance(node, ast.ClassDef)}
 
-    def targets(node, owner):
-        # the keys that ``node`` reaches, inside a method of ``owner`` (or None)
+    def targets(node, owner, called):
+        # the keys that ``node`` reaches, inside a method of ``owner`` (or
+        # None); ``called`` when ``node`` is the function of a Call
         if isinstance(node, ast.Name):
             return [key for key, (name, _, cls) in defs.items() if name == node.id and cls is None]
         if not isinstance(node, ast.Attribute):
@@ -106,14 +110,16 @@ def unreached_definitions(sources: dict) -> set:
         base = getattr(node.value, "id", None)
         cls = base if base in classes else owner if base in ("self", "cls") else None
         if cls is None:
-            return [key for key, (name, _, _) in defs.items() if name == node.attr]
+            return [key for key, (name, _, of) in defs.items() if name == node.attr and (called or of is None)]
         return [key for key, (name, _, of) in defs.items() if name == node.attr and of == cls]
 
     reached = {"cli.main", "cli.entry"}
     todo = list(reached)
     while todo:
         name, node, owner = defs[todo.pop()]
-        found = [key for inner in _outside_methods(node) for key in targets(inner, owner)]
+        inners = list(_outside_methods(node))
+        called = {id(inner.func) for inner in inners if isinstance(inner, ast.Call)}
+        found = [key for inner in inners for key in targets(inner, owner, id(inner) in called)]
         if isinstance(node, ast.ClassDef):
             dunders = (key for key, (meth, _, cls) in defs.items() if cls == name and meth[:2] == meth[-2:] == "__")
             found.extend(dunders)
@@ -125,8 +131,9 @@ def unreached_definitions(sources: dict) -> set:
 
 
 def test_every_definition_is_reached_by_a_command():
-    # the two contexts and psl2_canon stay for the benchmark's unit costs:
-    # bench/unitcost.py calls psl2_canon and times the psl2_context multiply;
+    # the two contexts, psl2_canon and matrix_to_word with its t_power stay
+    # for the benchmark's unit costs: bench/unitcost.py calls psl2_canon and
+    # times the psl2_context multiply and matrix_to_word;
     # _h_prime_image_mod and the image_elements it lists stay only because
     # bench/tests asserts that cli binds _h_prime_image_mod, which cli
     # imports and never calls; GeneratedSubgroup.as_set stays because
@@ -140,6 +147,8 @@ def test_every_definition_is_reached_by_a_command():
         "modular.psl2_canon",
         "gs._h_prime_image_mod",
         "modular.image_elements",
+        "modular.matrix_to_word",
+        "modular.t_power",
     }
 
 
@@ -149,7 +158,7 @@ def test_reachability_check_sees_dead_definitions():
             "from . import core\n"
             "from .core import used, Box, make\n"
             "def main():\n"
-            "    return used() + core.by_attribute() + Box.build() + make().shared()\n"
+            "    return used() + core.by_attribute() + Box.build() + make().shared() + make().size + core.RATE\n"
             "def entry():\n"
             "    main()\n"
             "def orphan():\n"
@@ -157,6 +166,8 @@ def test_reachability_check_sees_dead_definitions():
         ),
         "core": (
             "LIMIT = 3\n"
+            "RATE = 2\n"
+            "size = 0\n"
             "UNUSED: int = 4\n"
             "def used():\n"
             "    return LIMIT\n"
@@ -178,16 +189,18 @@ def test_reachability_check_sees_dead_definitions():
             "    def build(self): pass\n"
             "    def made(self): pass\n"
             "    def shared(self): pass\n"
+            "    def size(self): pass\n"
             "def make():\n"
             "    return Other()\n"
         ),
     }
     # Box.build, cls.made and self.helper inside Box reach Box's methods
-    # alone; make().shared reaches every shared; Box.__init__ is reached
-    # with Box
+    # alone; the call make().shared() reaches every shared, while the read
+    # make().size reaches the top-level size and no method, as core.RATE
+    # reaches its constant; Box.__init__ is reached with Box
     assert unreached_definitions(sources) == {
         "cli.orphan", "core.UNUSED", "core.dead", "core.Dead",
-        "core.Box.unused", "core.Other.helper", "core.Other.build", "core.Other.made",
+        "core.Box.unused", "core.Other.helper", "core.Other.build", "core.Other.made", "core.Other.size",
     }
 
 
