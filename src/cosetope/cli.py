@@ -4,20 +4,17 @@ Each subcommand is a function from its config (the parsed arguments other
 than the report path and the closure cap) to a result, listed in
 ``COMMANDS``.  Its report is canonical JSON (sorted keys, numbers as decimal
 strings) holding the command, the config and the result, so identical
-invocations produce identical bytes.  ``verify`` reparses the recorded
-config with ``build_parser``, requires it back unchanged, reruns the command
-on it and compares the whole result, so it must run where the command ran,
-with its input files unchanged.  Exit codes: 0 completed (including
-inconclusive outcomes), 2 precondition or validation failure, 3 budget
-exhaustion.
+invocations produce identical bytes.  ``parse`` reads every command line
+from the option table ``OPTIONS``.  ``verify`` writes the recorded config
+back as a command line, parses it again, requires it back unchanged, reruns
+the command on it and compares the whole result, so it must run where the
+command ran, with its input files unchanged.  Exit codes: 0 completed
+(including inconclusive outcomes), 2 precondition or validation failure, 3
+budget exhaustion.
 """
 
 from __future__ import annotations
 
-import argparse
-import contextlib
-import functools
-import io
 import json
 import sys
 
@@ -285,27 +282,22 @@ def _require_match(claimed, recomputed, root: str) -> None:
 
 
 def _reparsed(command: str, recorded) -> dict:
-    """The config ``main`` builds from the argv that writes ``recorded``: each
-    string value as ``--opt=value`` (so a value may start with "-"), each
-    ``true`` as a bare ``--opt``, and any other value left out."""
+    """The config ``parse`` reads from the command line that writes
+    ``recorded``: each string value as ``--opt=value`` (so a value may start
+    with "-"), each ``true`` as a bare ``--opt``, and any other value left out."""
     if not isinstance(recorded, dict):
         raise ValidationError(f"verify failed: the {command} config is not a JSON object")
-    parser = build_parser()
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices[command]
     argv = [command]
-    for action in sub._actions:
-        value = recorded.get(action.dest)
-        if value is True and not isinstance(action, argparse._HelpAction):
-            argv.append(action.option_strings[0])
+    for name in OPTIONS[command][1]:
+        value = recorded.get(_key(name))
+        if value is True:
+            argv.append(name)
         elif isinstance(value, str):
-            argv.append(f"{action.option_strings[0]}={value}")
-    refusal = io.StringIO()
+            argv.append(f"{name}={value}")
     try:
-        with contextlib.redirect_stderr(refusal):
-            return _config_of(parser.parse_args(argv))
-    except SystemExit:
-        reason = refusal.getvalue().strip().rpartition("\n")[2]
-        raise ValidationError(f"verify failed: config: {reason}") from None
+        return parse(argv)[1]
+    except ValidationError as exc:
+        raise ValidationError(f"verify failed: config: {exc}") from None
 
 
 def _verify(config: dict, budgets: Budgets) -> dict:
@@ -327,111 +319,109 @@ def _verify(config: dict, budgets: Budgets) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# parser
+# command line
+#
+# ``OPTIONS`` maps each command to its one-line help and its options, each
+# (type, default, help): a ``str`` or ``int`` option takes a value, a ``bool``
+# option is a flag, and the default ``REQUIRED`` makes it required.  Every
+# command also takes ``--output`` and ``--closure-cap``, which are not config.
 
 
-# Cached so that ``verify`` reparses a recorded config with the parser
-# ``main`` already built.
-@functools.lru_cache(maxsize=1)
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cosetope",
-        description="Finite-quotient workbench for double coset separability experiments.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--output", default=None, help="report file (default: stdout)")
-        p.add_argument("--closure-cap", type=int, default=DEFAULT_CLOSURE_CAP)
-
-    p = sub.add_parser("quotient", help="describe one finite quotient")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--rep", default=None, help="permutation representation file")
-    p.add_argument("--enumerate", action="store_true", help="force a closure count")
-    common(p)
-
-    p = sub.add_parser("image", help="image of a generated subgroup in a quotient")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--rep", default=None)
-    p.add_argument("--gens", required=True, help="JSON list of group elements")
-    common(p)
-
-    p = sub.add_parser("intersect", help="intersection of two subgroup images")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--rep", default=None)
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    common(p)
-
-    p = sub.add_parser("dcoset-member", help="double-coset membership at one level")
-    p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--rep", default=None)
-    p.add_argument("--element", required=True, help="inline JSON element")
-    p.add_argument("--left", required=True)
-    p.add_argument("--right", required=True)
-    common(p)
-
-    p = sub.add_parser("tractable", help="inclusion search over candidate quotients")
-    p.add_argument("--h-gens", required=True)
-    p.add_argument("--k-gens", required=True)
-    p.add_argument("--hcapk-gens", default=None)
-    p.add_argument("--m-spec", required=True, help="inline JSON quotient spec")
-    p.add_argument("--tower", default=None, help="candidate tower file")
-    common(p)
-
-    p = sub.add_parser("thm-b-probe", help="separability probe for (H meet L)K")
-    p.add_argument("--h-gens", required=True)
-    p.add_argument("--k-gens", required=True)
-    p.add_argument("--l-gens", default=None)
-    p.add_argument("--l-rep", default=None, help="build L as additive part x| subgroup")
-    p.add_argument("--element", required=True)
-    p.add_argument("--tower", default=None)
-    common(p)
-
-    p = sub.add_parser("lowindex", help="enumerate low-index subgroup representations")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--subgroups", action="store_true", help="one table per subgroup, not per class")
-    common(p)
-
-    p = sub.add_parser("congruence", help="congruence verdict for one representation")
-    p.add_argument("--rep", required=True)
-    common(p)
-
-    p = sub.add_parser("gap-witness", help="congruence-gap witness search")
-    p.add_argument("--rep", required=True)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--m-max", type=int, default=24)
-    common(p)
-
-    p = sub.add_parser("gs-demo", help="end-to-end example report")
-    p.add_argument("--max-level", type=int, default=8)
-    p.add_argument("--m-max", type=int, default=24)
-    p.add_argument("--max-degree", type=int, default=7)
-    common(p)
-
-    p = sub.add_parser("verify", help="recompute a report's result from its recorded config and compare")
-    p.add_argument("--report", required=True)
-    common(p)
-
-    return parser
+REQUIRED = object()
+_STR, _NEEDS_STR, _NEEDS_INT = (str, None, ""), (str, REQUIRED, ""), (int, REQUIRED, "")
+_COMMON = {"--output": (str, None, "report file (default: stdout)"), "--closure-cap": (int, DEFAULT_CLOSURE_CAP, "")}
+OPTIONS = {command: (summary, {**options, **_COMMON}) for command, (summary, options) in {
+    "quotient": ("describe one finite quotient", {
+        "--modulus": _NEEDS_INT, "--rep": (str, None, "permutation representation file"),
+        "--enumerate": (bool, False, "force a closure count")}),
+    "image": ("image of a generated subgroup in a quotient", {
+        "--modulus": _NEEDS_INT, "--rep": _STR, "--gens": (str, REQUIRED, "JSON list of group elements")}),
+    "intersect": ("intersection of two subgroup images", {
+        "--modulus": _NEEDS_INT, "--rep": _STR, "--left": _NEEDS_STR, "--right": _NEEDS_STR}),
+    "dcoset-member": ("double-coset membership at one level", {
+        "--modulus": _NEEDS_INT, "--rep": _STR, "--element": (str, REQUIRED, "inline JSON element"),
+        "--left": _NEEDS_STR, "--right": _NEEDS_STR}),
+    "tractable": ("inclusion search over candidate quotients", {
+        "--h-gens": _NEEDS_STR, "--k-gens": _NEEDS_STR, "--hcapk-gens": _STR,
+        "--m-spec": (str, REQUIRED, "inline JSON quotient spec"), "--tower": (str, None, "candidate tower file")}),
+    "thm-b-probe": ("separability probe for (H meet L)K", {
+        "--h-gens": _NEEDS_STR, "--k-gens": _NEEDS_STR, "--l-gens": _STR,
+        "--l-rep": (str, None, "build L as additive part x| subgroup"), "--element": _NEEDS_STR, "--tower": _STR}),
+    "lowindex": ("enumerate low-index subgroup representations", {
+        "--max-degree": _NEEDS_INT, "--subgroups": (bool, False, "one table per subgroup, not per class")}),
+    "congruence": ("congruence verdict for one representation", {"--rep": _NEEDS_STR}),
+    "gap-witness": ("congruence-gap witness search", {
+        "--rep": _NEEDS_STR, "--level": _NEEDS_INT, "--m-max": (int, 24, "")}),
+    "gs-demo": ("end-to-end example report", {
+        "--max-level": (int, 8, ""), "--m-max": (int, 24, ""), "--max-degree": (int, 7, "")}),
+    "verify": ("recompute a report's result from its recorded config and compare", {"--report": _NEEDS_STR}),
+}.items()}
 
 
-# Arguments that say where a report goes and how much work may be spent on
-# it; every other argument is the command's config.
-_NOT_CONFIG = ("command", "output", "closure_cap")
+def _key(name: str) -> str:
+    """The config key of option ``name``: ``--m-max`` is ``m_max``."""
+    return name[2:].replace("-", "_")
 
 
-def _config_of(args) -> dict:
-    return {key: value for key, value in vars(args).items() if key not in _NOT_CONFIG}
+def parse(argv) -> tuple:
+    """``(command, config, output, closure_cap)`` from a command line.
+
+    An option is ``--opt value`` or ``--opt=value``; a value that starts
+    with "--" needs the second form.  The last of a repeated option wins.
+    Anything else raises ``ValidationError``: no abbreviation is accepted.
+    """
+    if not argv or argv[0] not in OPTIONS:
+        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        raise ValidationError(f"{got}; the commands are {', '.join(OPTIONS)}")
+    command, options, given = argv[0], OPTIONS[argv[0]][1], {}
+    args = iter(argv[1:])
+    for arg in args:
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            raise ValidationError(f"{command} takes no argument {name!r}")
+        kind = options[name][0]
+        if kind is bool and eq:
+            raise ValidationError(f"{name} is a flag and takes no value")
+        if kind is not bool and not eq:
+            value = next(args, None)
+            if value is None or value.startswith("--"):
+                raise ValidationError(f"{name} needs a value")
+        try:
+            given[name] = True if kind is bool else kind(value)
+        except ValueError:
+            raise ValidationError(f"{name} takes an integer, got {value!r}") from None
+    missing = [name for name, (_, default, _) in options.items() if default is REQUIRED and name not in given]
+    if missing:
+        raise ValidationError(f"{command} needs {' and '.join(missing)}")
+    config = {_key(name): given.get(name, default) for name, (_, default, _) in options.items()}
+    return command, config, config.pop("output"), config.pop("closure_cap")
+
+
+def usage(command=None) -> str:
+    """The help text of ``command``, or of the whole CLI when None."""
+    if command is None:
+        head = "usage: cosetope COMMAND [OPTION ...]\n\ncosetope COMMAND --help lists the options of COMMAND."
+        rows = [(name, summary) for name, (summary, _) in OPTIONS.items()]
+    else:
+        summary, options = OPTIONS[command]
+        head, rows = f"usage: cosetope {command} [OPTION ...]\n\n{summary}", []
+        for name, (kind, default, text) in options.items():
+            note = "(required)" if default is REQUIRED else f"(default {default})" if kind is int else ""
+            rows.append((name if kind is bool else f"{name} {kind.__name__.upper()}", f"{text} {note}".strip()))
+    width = max(len(left) for left, _ in rows)
+    return "\n".join([head, "", *(f"  {left:<{width}}  {right}".rstrip() for left, right in rows), ""])
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    config = _config_of(args)
-    run = _verify if args.command == "verify" else COMMANDS[args.command]
+    argv = sys.argv[1:] if argv is None else argv
+    if argv and argv[0] in (*OPTIONS, "--help") and "--help" in argv:
+        sys.stdout.write(usage(argv[0] if argv[0] in OPTIONS else None))
+        return 0
     try:
-        result = run(config, Budgets(args.closure_cap))
-        report = {"schema": rpt.SCHEMA_VERSION, "command": args.command, "config": config, "result": result}
+        command, config, output, closure_cap = parse(argv)
+        run = _verify if command == "verify" else COMMANDS[command]
+        result = run(config, Budgets(closure_cap))
+        report = {"schema": rpt.SCHEMA_VERSION, "command": command, "config": config, "result": result}
         text = rpt.canonical_dumps(report)
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
@@ -439,12 +429,12 @@ def main(argv=None) -> int:
     except CosetopeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output:
+    if output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write report {args.output!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot write report {output!r}: {exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -392,31 +392,44 @@ def test_environment_check_sees_each_spelling():
     ]
 
 
-def _modules_loaded_by(code: str) -> set:
-    """The names in ``sys.modules`` after a fresh interpreter runs ``code``."""
+def _modules_loaded_by(*args) -> set:
+    """The modules a fresh interpreter imports while it runs ``args``, as
+    ``python -X importtime`` lists them."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
-    script = f"{code}\nimport sys\nprint(*sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60, check=True
+        [sys.executable, "-X", "importtime", *args], capture_output=True, text=True, env=env, timeout=60, check=True
     )
-    return set(done.stdout.split())
+    return {line.rpartition("|")[2].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     # dataclasses pulls in inspect, and inspect pulls in ast, dis and
-    # tokenize: start-up time that every command would pay
-    added = _modules_loaded_by("import cosetope.cli") - _modules_loaded_by("pass")
-    assert "cosetope.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect"})
+    # tokenize; argparse pulls in gettext, which pulls in locale: start-up
+    # time that every command would pay
+    baseline = _modules_loaded_by("-c", "pass")
+    for args in (["-c", "import cosetope.cli"], ["-m", "cosetope", "quotient", "--modulus", "2"]):
+        added = _modules_loaded_by(*args) - baseline
+        assert "cosetope.cli" in added
+        assert added.isdisjoint({"dataclasses", "inspect", "argparse", "gettext", "locale"}), args
 
 
-@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
-def test_module_does_not_import_dataclasses(path):
-    tree = ast.parse(path.read_text(encoding="utf-8"))
+def _imports_of(path) -> set:
+    """The modules that the source at ``path`` imports, by top-level name."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Import):
             imported |= {alias.name.split(".")[0] for alias in node.names}
         elif isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module)
-    assert "dataclasses" not in imported
+    return imported
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_does_not_import_dataclasses(path):
+    assert "dataclasses" not in _imports_of(path)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_module_does_not_import_argparse(path):
+    # cli.parse reads every command line from the one table cli.OPTIONS
+    assert "argparse" not in _imports_of(path)
