@@ -5,12 +5,13 @@ than the report path and the closure cap) to a result, listed in
 ``COMMANDS``.  Its report is canonical JSON (sorted keys, numbers as decimal
 strings) holding the command, the config and the result, so identical
 invocations produce identical bytes.  ``parse`` reads every command line
-from the option table ``OPTIONS``.  ``verify`` writes the recorded config
-back as a command line, parses it again, requires it back unchanged, reruns
-the command on it and compares the whole result, so it must run where the
-command ran, with its input files unchanged.  Exit codes: 0 completed
-(including inconclusive outcomes), 2 precondition or validation failure, 3
-budget exhaustion.
+from the option table ``OPTIONS`` and reads each input option, inline JSON
+or a file, there and only there, so the config holds the inputs themselves
+and the report records them.  ``verify`` writes the recorded config back as
+a command line, parses it again, requires it back unchanged, reruns the
+command on it and compares the whole result; it reads no file but the
+report.  Exit codes: 0 completed (including inconclusive outcomes), 2
+precondition or validation failure, 3 budget exhaustion.
 """
 
 from __future__ import annotations
@@ -61,25 +62,20 @@ from . import report as rpt
 # inputs
 
 
-def _parse_element(text: str) -> GroupWord:
-    return rpt.groupword_from_json(rpt.decode(text, "bad element JSON"))
-
-
 def _spec_of(config: dict) -> QuotientSpec:
-    rep = rpt.load_rep(config["rep"]) if config["rep"] else None
-    return QuotientSpec.make(config["modulus"], rep)
+    return QuotientSpec.make(config["modulus"], config["rep"])
 
 
 def _tower_of(config: dict) -> list:
-    return rpt.load_tower(config["tower"]) if config["tower"] else default_tower()
+    return default_tower() if config["tower"] is None else config["tower"]
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 #
 # Each subcommand computes its result from its config alone: the parsed
-# arguments, whether ``main`` parsed them from the command line or ``verify``
-# from the argv that writes the recorded config.
+# arguments, inputs already read, whether ``main`` parsed them from the
+# command line or ``verify`` from the argv that writes the recorded config.
 
 
 def _quotient(config: dict, budgets: Budgets) -> dict:
@@ -98,14 +94,14 @@ def _quotient(config: dict, budgets: Budgets) -> dict:
 
 
 def _image(config: dict, budgets: Budgets) -> dict:
-    sub = image_subgroup(rpt.load_gens(config["gens"]), _spec_of(config), budgets)
+    sub = image_subgroup(config["gens"], _spec_of(config), budgets)
     return {"size": len(sub), "sample": sub.elements[:20]}
 
 
 def _intersect(config: dict, budgets: Budgets) -> dict:
     spec = _spec_of(config)
-    left = image_subgroup(rpt.load_gens(config["left"]), spec, budgets)
-    right = image_subgroup(rpt.load_gens(config["right"]), spec, budgets)
+    left = image_subgroup(config["left"], spec, budgets)
+    right = image_subgroup(config["right"], spec, budgets)
     inter = subgroup_intersection(left, right)
     result = {"size_left": len(left), "size_right": len(right), "size_intersection": len(inter)}
     if len(inter) <= 50:
@@ -114,10 +110,9 @@ def _intersect(config: dict, budgets: Budgets) -> dict:
 
 
 def _dcoset_member(config: dict, budgets: Budgets) -> dict:
-    spec = _spec_of(config)
-    g = _parse_element(config["element"])
-    left = image_subgroup(rpt.load_gens(config["left"]), spec, budgets)
-    right = image_subgroup(rpt.load_gens(config["right"]), spec, budgets)
+    spec, g = _spec_of(config), config["element"]
+    left = image_subgroup(config["left"], spec, budgets)
+    right = image_subgroup(config["right"], spec, budgets)
     return {
         "member": product_member(quotient_context(spec), project(g, spec), left, right),
         "size_left": len(left),
@@ -127,7 +122,7 @@ def _dcoset_member(config: dict, budgets: Budgets) -> dict:
 
 
 def _congruence(config: dict, budgets: Budgets) -> dict:
-    rep = rpt.load_rep(config["rep"])
+    rep = config["rep"]
     level = rep_level(rep)
     result = {"degree": rep.degree, "level": level, "congruence": is_congruence(rep, budgets=budgets)}
     if level > 1:
@@ -136,29 +131,18 @@ def _congruence(config: dict, budgets: Budgets) -> dict:
 
 
 def _tractable(config: dict, budgets: Budgets) -> TractabilityReport:
-    m_spec = rpt.spec_from_json(rpt.decode(config["m_spec"], "--m-spec takes inline JSON like '{\"m\": 2}'"))
-    return tractable_at(
-        rpt.load_gens(config["h_gens"]),
-        rpt.load_gens(config["k_gens"]),
-        rpt.load_gens(config["hcapk_gens"]) if config["hcapk_gens"] else [],
-        m_spec,
-        _tower_of(config),
-        budgets,
-    )
+    hcapk_gens = config["hcapk_gens"] or []
+    return tractable_at(config["h_gens"], config["k_gens"], hcapk_gens, config["m_spec"], _tower_of(config), budgets)
 
 
 def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
-    if config["l_gens"] and config["l_rep"]:
-        raise ValidationError("thm-b-probe takes --l-gens or --l-rep, not both")
-    l_gens = None  # L is the whole group
-    if config["l_gens"]:
-        l_gens = rpt.load_gens(config["l_gens"])
-    elif config["l_rep"]:
-        l_gens = l_group_words(rpt.load_rep(config["l_rep"]))
-    h_gens, k_gens = rpt.load_gens(config["h_gens"]), rpt.load_gens(config["k_gens"])
-    g = _parse_element(config["element"])
+    l_gens, l_rep = config["l_gens"], config["l_rep"]  # neither: L is the whole group
+    if l_rep is not None:
+        if l_gens is not None:
+            raise ValidationError("thm-b-probe takes --l-gens or --l-rep, not both")
+        l_gens = l_group_words(l_rep)
     tower = _tower_of(config)
-    cert = thm_b_probe(h_gens, k_gens, l_gens, g, tower, budgets)
+    cert = thm_b_probe(config["h_gens"], config["k_gens"], l_gens, config["element"], tower, budgets)
     if cert is None:
         return {"status": "inconclusive", "tower": tower}
     return {"status": "certified", "certificate": cert}
@@ -174,8 +158,7 @@ def _lowindex(config: dict, budgets: Budgets) -> dict:
 
 
 def _gap_witness(config: dict, budgets: Budgets) -> dict:
-    rep = rpt.load_rep(config["rep"])
-    witness = congruence_gap_witness(rep, config["level"], m_max=config["m_max"], budgets=budgets)
+    witness = congruence_gap_witness(config["rep"], config["level"], budgets=budgets)
     return {"status": "found", "witness": witness}
 
 
@@ -283,17 +266,21 @@ def _require_match(claimed, recomputed, root: str) -> None:
 
 def _reparsed(command: str, recorded) -> dict:
     """The config ``parse`` reads from the command line that writes
-    ``recorded``: each string value as ``--opt=value`` (so a value may start
-    with "-"), each ``true`` as a bare ``--opt``, and any other value left out."""
+    ``recorded``: each ``true`` as a bare ``--opt``, each string value of a
+    string or integer option as ``--opt=value`` (so a value may start with
+    "-"), each list or object as ``--opt=<its JSON>``, which an input option
+    reads inline, and any other value left out.  So no file is read."""
     if not isinstance(recorded, dict):
         raise ValidationError(f"verify failed: the {command} config is not a JSON object")
     argv = [command]
-    for name in OPTIONS[command][1]:
+    for name, (kind, _, _) in OPTIONS[command][1].items():
         value = recorded.get(_key(name))
         if value is True:
             argv.append(name)
-        elif isinstance(value, str):
+        elif isinstance(value, str) and kind in (str, int):
             argv.append(f"{name}={value}")
+        elif isinstance(value, (list, dict)):
+            argv.append(f"{name}={json.dumps(value)}")
     try:
         return parse(argv)[1]
     except ValidationError as exc:
@@ -323,38 +310,39 @@ def _verify(config: dict, budgets: Budgets) -> dict:
 #
 # ``OPTIONS`` maps each command to its one-line help and its options, each
 # (type, default, help): a ``str`` or ``int`` option takes a value, a ``bool``
-# option is a flag, and the default ``REQUIRED`` makes it required.  Every
-# command also takes ``--output`` and ``--closure-cap``, which are not config.
+# option is a flag, an input option's type is its reader in ``report`` (which
+# takes inline JSON or a path), and the default ``REQUIRED`` makes an option
+# required.  Every command also takes ``--output`` and ``--closure-cap``,
+# which are not config.
 
 
 REQUIRED = object()
-_STR, _NEEDS_STR, _NEEDS_INT = (str, None, ""), (str, REQUIRED, ""), (int, REQUIRED, "")
+_NEEDS_INT, _GENS = (int, REQUIRED, ""), (rpt.gens, REQUIRED, "JSON list of group elements")
+_REP = (rpt.rep, None, "coset action: a permutation representation")
 _COMMON = {"--output": (str, None, "report file (default: stdout)"), "--closure-cap": (int, DEFAULT_CLOSURE_CAP, "")}
 OPTIONS = {command: (summary, {**options, **_COMMON}) for command, (summary, options) in {
     "quotient": ("describe one finite quotient", {
-        "--modulus": _NEEDS_INT, "--rep": (str, None, "permutation representation file"),
-        "--enumerate": (bool, False, "force a closure count")}),
-    "image": ("image of a generated subgroup in a quotient", {
-        "--modulus": _NEEDS_INT, "--rep": _STR, "--gens": (str, REQUIRED, "JSON list of group elements")}),
+        "--modulus": _NEEDS_INT, "--rep": _REP, "--enumerate": (bool, False, "force a closure count")}),
+    "image": ("image of a generated subgroup in a quotient", {"--modulus": _NEEDS_INT, "--rep": _REP, "--gens": _GENS}),
     "intersect": ("intersection of two subgroup images", {
-        "--modulus": _NEEDS_INT, "--rep": _STR, "--left": _NEEDS_STR, "--right": _NEEDS_STR}),
+        "--modulus": _NEEDS_INT, "--rep": _REP, "--left": _GENS, "--right": _GENS}),
     "dcoset-member": ("double-coset membership at one level", {
-        "--modulus": _NEEDS_INT, "--rep": _STR, "--element": (str, REQUIRED, "inline JSON element"),
-        "--left": _NEEDS_STR, "--right": _NEEDS_STR}),
+        "--modulus": _NEEDS_INT, "--rep": _REP, "--element": (rpt.element, REQUIRED, "group element"),
+        "--left": _GENS, "--right": _GENS}),
     "tractable": ("inclusion search over candidate quotients", {
-        "--h-gens": _NEEDS_STR, "--k-gens": _NEEDS_STR, "--hcapk-gens": _STR,
-        "--m-spec": (str, REQUIRED, "inline JSON quotient spec"), "--tower": (str, None, "candidate tower file")}),
+        "--h-gens": _GENS, "--k-gens": _GENS, "--hcapk-gens": (rpt.gens, None, "generators of H meet K"),
+        "--m-spec": (rpt.spec, REQUIRED, "quotient spec"), "--tower": (rpt.tower, None, "candidate quotient specs")}),
     "thm-b-probe": ("separability probe for (H meet L)K", {
-        "--h-gens": _NEEDS_STR, "--k-gens": _NEEDS_STR, "--l-gens": _STR,
-        "--l-rep": (str, None, "build L as additive part x| subgroup"), "--element": _NEEDS_STR, "--tower": _STR}),
+        "--h-gens": _GENS, "--k-gens": _GENS, "--l-gens": (rpt.gens, None, "generators of L"),
+        "--l-rep": (rpt.rep, None, "build L as additive part x| subgroup"),
+        "--element": (rpt.element, REQUIRED, "group element"), "--tower": (rpt.tower, None, "quotient specs")}),
     "lowindex": ("enumerate low-index subgroup representations", {
         "--max-degree": _NEEDS_INT, "--subgroups": (bool, False, "one table per subgroup, not per class")}),
-    "congruence": ("congruence verdict for one representation", {"--rep": _NEEDS_STR}),
-    "gap-witness": ("congruence-gap witness search", {
-        "--rep": _NEEDS_STR, "--level": _NEEDS_INT, "--m-max": (int, 24, "")}),
+    "congruence": ("congruence verdict for one representation", {"--rep": (rpt.rep, REQUIRED, "")}),
+    "gap-witness": ("congruence-gap witness search", {"--rep": (rpt.rep, REQUIRED, ""), "--level": _NEEDS_INT}),
     "gs-demo": ("end-to-end example report", {
         "--max-level": (int, 8, ""), "--m-max": (int, 24, ""), "--max-degree": (int, 7, "")}),
-    "verify": ("recompute a report's result from its recorded config and compare", {"--report": _NEEDS_STR}),
+    "verify": ("recompute a report's result from its recorded config and compare", {"--report": (str, REQUIRED, "")}),
 }.items()}
 
 
@@ -401,6 +389,7 @@ def usage(command=None) -> str:
     """The help text of ``command``, or of the whole CLI when None."""
     if command is None:
         head = "usage: cosetope COMMAND [OPTION ...]\n\ncosetope COMMAND --help lists the options of COMMAND."
+        head += "\nAn input option (REP, GENS, TOWER, SPEC, ELEMENT) takes inline JSON or a file."
         rows = [(name, summary) for name, (summary, _) in OPTIONS.items()]
     else:
         summary, options = OPTIONS[command]

@@ -150,8 +150,10 @@ def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()
     ``rep`` has no witness and raises PreconditionError.  One ``walks`` dict
     walks each level gcd(m, N) once per call.
     """
+    if m_max < 2:
+        raise ValidationError(f"m_max must be at least 2, got {m_max}: the witness needs a tested level")
     walks: dict = {}
-    witness = congruence_gap_witness(rep, WITNESS_LEVEL, m_max=m_max, budgets=budgets, walks=walks)
+    witness = congruence_gap_witness(rep, WITNESS_LEVEL, budgets=budgets)
     point = witness.displaced_to
     if point == 0:
         raise ValidationError("witness unexpectedly lies in the subgroup")
@@ -161,7 +163,7 @@ def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()
         witness=witness,
         g=GroupWord.of_a(witness.x - Mat2.identity()),
         level_transcripts=transcripts,
-        levels=witness.levels_verified,
+        levels=tuple(entry["m"] for entry in transcripts if entry["member"]),
         witness_level=WITNESS_LEVEL,
         towers_used=(
             f"congruence levels 2..{m_max}; quotients carrying the coset action of "

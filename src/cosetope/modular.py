@@ -475,36 +475,24 @@ class GapWitness(NamedTuple):
     """An ambient matrix outside the subgroup whose reductions all look inside.
 
     ``x`` evaluates ``word`` exactly, ``x`` is congruent to the identity at
-    the search level, ``displaced_to`` records where the word's action moves
-    the basepoint (the non-membership trace), and ``levels_verified`` lists
-    every checked modulus at which the reduction of ``x`` lies in the
-    subgroup's image (``image_blocks``).  The field names are the
-    witness's report keys.
+    the search level, so its reduction lies in the subgroup's image at every
+    divisor of that level, and ``displaced_to`` records where the word's
+    action moves the basepoint (the non-membership trace).  The field names
+    are the witness's report keys.
     """
 
     x: Mat2
     word: ModularWord
-    levels_verified: tuple
     displaced_to: int
 
 
-def congruence_gap_witness(
-    rep: PermRep,
-    level: int,
-    *,
-    m_max: int = 24,
-    budgets: Budgets = Budgets(),
-    walks: Optional[dict] = None,
-) -> GapWitness:
+def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budgets()) -> GapWitness:
     """The first element of the level-``level`` principal congruence subgroup,
     in the order of ``_gamma_walk``, that lies outside the subgroup.
 
     A subgroup that is not congruence contains no principal congruence
-    subgroup, so the walk always finds one.  ``walks`` is shared with
-    ``image_blocks`` (a fresh dict when None).
+    subgroup, so the walk always finds one.
     """
-    if m_max < 2:
-        raise ValidationError(f"m_max must be at least 2, got {m_max}: the witness needs a tested level")
     if is_congruence(rep, budgets=budgets):
         raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     if level < 2:
@@ -521,7 +509,4 @@ def congruence_gap_witness(
         x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         raise ValidationError("witness is not congruent to the identity at its level")
-    displaced = rep.word_perm(found)[0]
-    walks = {} if walks is None else walks
-    levels = tuple(m for m in range(2, m_max + 1) if image_blocks(rep, m, budgets, walks)[displaced] == 0)
-    return GapWitness(x, found, levels, displaced)
+    return GapWitness(x, found, rep.word_perm(found)[0])

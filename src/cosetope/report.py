@@ -3,13 +3,14 @@
 Reports are canonical JSON (sorted keys, fixed indentation, a trailing
 newline) with every number a decimal string, since ambient matrix entries
 outgrow native integers: so reports are byte-reproducible and re-checkable.
-Every input goes through ``decode`` and the strict readers below.
+Every input goes through ``decode`` and the strict readers below; the
+readers of the command-line inputs (``rep``, ``gens``, ``tower``, ``spec``
+and ``element``) take inline JSON or the path of a file holding it.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import sys
 from typing import Any
 
@@ -19,7 +20,7 @@ from .groupcore import short_int
 from .modular import ModularWord, PermRep
 from .profinite import Formation, GroupWord, QuotientSpec
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 MAX_DEPTH = 32  # reports nest about 10 deep; recursive walks need a bound
 
 
@@ -99,10 +100,6 @@ def read_text(path: str, what: str) -> str:
         raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
 
 
-def read_json(path: str, what: str) -> Any:
-    return decode(read_text(path, what), f"cannot read {what} {path!r}")
-
-
 # ---------------------------------------------------------------------------
 # readers (report and input data back to values)
 
@@ -168,21 +165,16 @@ def rep_from_json(data: dict) -> PermRep:
     return PermRep.make(degree, perm_s, perm_t)
 
 
-def spec_from_json(data: dict, base_dir: str = ".") -> QuotientSpec:
-    """A quotient spec; a ``rep`` given as a path is read relative to ``base_dir``."""
+def spec_from_json(data: dict) -> QuotientSpec:
     try:
         m = parse_int(data["m"])
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"bad quotient spec: {exc}") from exc
     _refuse_unknown_keys(data, ("m", "rep", "filter"), "quotient spec")
-    rep = None
     raw_rep = data.get("rep")
-    if isinstance(raw_rep, str):
-        rep = load_rep(os.path.join(base_dir, raw_rep))
-    elif isinstance(raw_rep, dict):
-        rep = rep_from_json(raw_rep)
-    elif raw_rep is not None:
-        raise ValidationError("spec 'rep' must be a path, an object, or null")
+    if raw_rep is not None and not isinstance(raw_rep, dict):
+        raise ValidationError("spec 'rep' must be an inline object or null")
+    action = None if raw_rep is None else rep_from_json(raw_rep)
     formation = None
     raw_filter = data.get("filter")
     if raw_filter is not None:
@@ -193,26 +185,46 @@ def spec_from_json(data: dict, base_dir: str = ".") -> QuotientSpec:
         if kind != "pro-p":
             raise ValidationError(f"spec 'filter' type must be 'pro-p', got {kind!r}; null admits every quotient")
         formation = Formation.make(parse_int(p) if p is not None else None)
-    return QuotientSpec.make(m, rep, formation)
+    return QuotientSpec.make(m, action, formation)
 
 
-def load_rep(path: str) -> PermRep:
-    return rep_from_json(read_json(path, "permutation representation"))
+# ---------------------------------------------------------------------------
+# command-line inputs: each reader takes inline JSON or a path
 
 
-def load_tower(path: str) -> list:
-    data = read_json(path, "tower file")
+def _input(value: str, noun: str) -> Any:
+    """The JSON value of an input option: ``value`` itself when it starts
+    with "[" or "{", else the text of the file it names."""
+    if value.startswith(("[", "{")):
+        return decode(value, f"bad {noun} JSON")
+    what = f"{noun} file"
+    return decode(read_text(value, what), f"cannot read {what} {value!r}")
+
+
+def rep(value: str) -> PermRep:
+    return rep_from_json(_input(value, "permutation representation"))
+
+
+def gens(value: str) -> list:
+    data = _input(value, "generator")
     if not isinstance(data, list):
-        raise ValidationError("a tower file holds a list of quotient specs")
-    base_dir = os.path.dirname(os.path.abspath(path))
-    tower = [spec_from_json(entry, base_dir) for entry in data]
-    if any(spec.formation is not None for spec in tower):
-        raise ValidationError("a tower entry takes no filter; put it on --m-spec")
-    return tower
-
-
-def load_gens(path: str) -> list:
-    data = read_json(path, "generator file")
-    if not isinstance(data, list):
-        raise ValidationError(f"{path!r}: a generator file holds a JSON list of elements")
+        raise ValidationError("generators are a JSON list of elements")
     return [groupword_from_json(entry) for entry in data]
+
+
+def tower(value: str) -> list:
+    data = _input(value, "tower")
+    if not isinstance(data, list):
+        raise ValidationError("a tower is a JSON list of quotient specs")
+    specs = [spec_from_json(entry) for entry in data]
+    if any(s.formation is not None for s in specs):
+        raise ValidationError("a tower entry takes no filter; put it on --m-spec")
+    return specs
+
+
+def spec(value: str) -> QuotientSpec:
+    return spec_from_json(_input(value, "quotient spec"))
+
+
+def element(value: str) -> GroupWord:
+    return groupword_from_json(_input(value, "element"))

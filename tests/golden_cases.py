@@ -31,10 +31,14 @@ edited only their ``schema`` line and removed that key from the transcript
 entries at m = 2, 3 and 4 of ``gs_demo.json`` and ``gs_demo_m32.json``.
 ``congruence_level105.json`` was written by the block walk that stops once
 one block is left; the walk over all of PSL2(Z/105) writes the same bytes.
+The schema-4 change, which records every input in the config instead of its
+path and drops the witness's ``levels_verified`` and ``gap-witness
+--m-max``, regenerated every fixture; ``tower_nc_rep.json`` inlines its rep,
+since a tower entry's rep is inline only.
 ``regen_golden.py`` rewrites the fixtures from the current code.
 
-Each command runs inside ``tests/golden`` with relative input paths, because
-reports record the paths they were given.  The module imports no test
+Each command runs inside ``tests/golden`` with relative input paths; the
+report records the inputs read, not the paths.  The module imports no test
 framework, so ``regen_golden.py`` runs without pytest.
 """
 
@@ -81,8 +85,8 @@ CASES = {
         "tractable", "--h-gens", "h.json", "--k-gens", "k.json", "--hcapk-gens", "h.json",
         "--m-spec", '{"m": 2}', "--tower", "tower_violation.json",
     ],
-    "gap_witness.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "24", "--m-max", "12"],
-    "gap_witness_level3.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "3", "--m-max", "12"],
+    "gap_witness.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "24"],
+    "gap_witness_level3.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "3"],
     "quotient_enumerate.json": ["quotient", "--modulus", "3", "--enumerate"],
     "image.json": ["image", "--modulus", "3", "--gens", "h.json"],
     "intersect.json": ["intersect", "--modulus", "3", "--left", "h.json", "--right", "k.json"],

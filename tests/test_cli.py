@@ -9,13 +9,14 @@ from pathlib import Path
 import pytest
 
 import cosetope.modular
+from cosetope import report as rpt
 from cosetope.budgets import Budgets
 from cosetope.cli import COMMANDS, OPTIONS, main
 from cosetope.errors import ValidationError
 from cosetope.groupcore import GroupContext
-from cosetope.modular import is_congruence, low_index_reps
+from cosetope.modular import is_congruence, low_index_reps, rep_level
 from cosetope.profinite import QuotientSpec
-from cosetope.report import canonical_dumps, parse_int
+from cosetope.report import as_recorded, canonical_dumps, parse_int
 
 from t_util import congruence_rep, count_closures, gs_build, gs_intersection
 
@@ -53,20 +54,20 @@ def test_quotient_command(tmp_path):
     data, _ = run_report(["quotient", "--modulus", "2", "--enumerate"], tmp_path / "q.json")
     assert parse_int(data["result"]["order"]) == 96
     assert parse_int(data["result"]["enumerated_order"]) == 96
-    assert parse_int(data["schema"]) == 3
+    assert parse_int(data["schema"]) == 4
     assert "seed" not in data["config"]
 
 
 def test_verify_refuses_a_report_of_an_earlier_schema(tmp_path, capsys):
-    # schema 3 dropped the evidence's double_coset_member, so a schema-2
+    # schema 4 records each input itself instead of its path, so a schema-3
     # report is refused even when every other byte would verify
     path = tmp_path / "q.json"
     run_report(["quotient", "--modulus", "2"], path)
-    _tamper(path, lambda data: data.update(schema="2"))
+    _tamper(path, lambda data: data.update(schema="3"))
     capsys.readouterr()
     assert main(["verify", "--report", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: verify failed: unsupported schema '2'\n"
+    assert out == "" and err == "error: verify failed: unsupported schema '3'\n"
 
 
 def test_image_and_intersect_commands(tmp_path, gens_files):
@@ -132,7 +133,7 @@ def test_gap_witness_command_and_verify(tmp_path):
     rep_path.write_text(canonical_dumps(rep))
     path = tmp_path / "witness.json"
     data, _ = run_report(
-        ["gap-witness", "--rep", str(rep_path), "--level", "12", "--m-max", "12"], path
+        ["gap-witness", "--rep", str(rep_path), "--level", "12"], path
     )
     assert data["result"]["status"] == "found"
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
@@ -225,18 +226,32 @@ def test_exit_code_on_bad_input(tmp_path):
     assert main(["quotient", "--modulus", "2", "--rep", str(bad)]) == 2
 
 
-# Every entry point of JSON text, and where its text goes: a file named by
-# the flag, or the flag's value itself.
+# Every entry point of JSON text, with the message prefix of a refusal when
+# its text is in the file the flag names, and when it is the flag's value
+# itself (inline JSON, which starts with "[" or "{"); --report is a path only.
 _ENTRY_POINTS = {
-    "gens": (["image", "--modulus", "3", "--gens", "{file}"], "cannot read generator file"),
-    "rep": (["quotient", "--modulus", "2", "--rep", "{file}"], "cannot read permutation representation"),
-    "tower": (["thm-b-probe", "--h-gens", "{h}", "--k-gens", "{h}", "--element", "{}", "--tower", "{file}"],
-              "cannot read tower file"),
-    "element": (["dcoset-member", "--modulus", "3", "--left", "{h}", "--right", "{h}", "--element", "{text}"],
-                "bad element JSON"),
-    "m-spec": (["tractable", "--h-gens", "{h}", "--k-gens", "{h}", "--m-spec", "{text}"], "--m-spec takes inline JSON"),
-    "verify": (["verify", "--report", "{file}"], "report is not valid JSON"),
+    "gens": (["image", "--modulus", "3", "--gens", "{in}"], "cannot read generator file", "bad generator JSON"),
+    "rep": (["quotient", "--modulus", "2", "--rep", "{in}"], "cannot read permutation representation file",
+            "bad permutation representation JSON"),
+    "tower": (["thm-b-probe", "--h-gens", "{h}", "--k-gens", "{h}", "--element", "{}", "--tower", "{in}"],
+              "cannot read tower file", "bad tower JSON"),
+    "element": (["dcoset-member", "--modulus", "3", "--left", "{h}", "--right", "{h}", "--element", "{in}"],
+                "cannot read element file", "bad element JSON"),
+    "m-spec": (["tractable", "--h-gens", "{h}", "--k-gens", "{h}", "--m-spec", "{in}"], "cannot read quotient spec file",
+               "bad quotient spec JSON"),
+    "verify": (["verify", "--report", "{in}"], "report is not valid JSON", None),
 }
+
+
+def _entry_forms(entry, text, path, gens_files):
+    """Each command line that gives ``text`` at ``entry``, with the prefix
+    its refusal must start with: the file at ``path``, then inline."""
+    args, file_prefix, inline_prefix = _ENTRY_POINTS[entry]
+    path.write_text(text)
+    forms = [(str(path), file_prefix)]
+    if inline_prefix is not None and text.startswith(("[", "{")):
+        forms.append((text, inline_prefix))
+    return [([{"{in}": value, "{h}": gens_files["h"]}.get(a, a) for a in args], prefix) for value, prefix in forms]
 
 
 @pytest.mark.parametrize(
@@ -246,14 +261,11 @@ _ENTRY_POINTS = {
 def test_malformed_json_exits_2_at_every_entry_point(tmp_path, gens_files, capsys, entry, text):
     # too deep for the decoder's recursion, or an integer past Python's
     # 4,300-digit limit: refused under the entry point's own prefix
-    args, prefix = _ENTRY_POINTS[entry]
-    path = tmp_path / "input.json"
-    path.write_text(text)
-    fill = {"{file}": str(path), "{text}": text, "{h}": gens_files["h"]}
-    assert main([fill.get(a, a) for a in args]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {prefix}") and "Traceback" not in err
+    for argv, prefix in _entry_forms(entry, text, tmp_path / "input.json", gens_files):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {prefix}") and "Traceback" not in err
 
 
 # An input that names one key twice, which a JSON reader would otherwise
@@ -264,27 +276,24 @@ _REPEATED_KEYS = {
     "rep": ('{"degree": 1, "s": [0], "t": [0], "s": [0]}', "'s'"),
     "tower": ('[{"m": 2}, {"m": 2, "rep": null, "m": 4}]', "'m'"),
     "gens": ('[{"w": "S"}, {"a": null, "w": "T", "w": "S"}]', "'w'"),
-    "verify": ('{"schema": "3", "command": "quotient", "config": {}, "result": {}, "command": "image"}', "'command'"),
+    "verify": ('{"schema": "4", "command": "quotient", "config": {}, "result": {}, "command": "image"}', "'command'"),
 }
 
 
 @pytest.mark.parametrize("entry", sorted(_REPEATED_KEYS))
 def test_a_repeated_key_exits_2_at_every_entry_point(tmp_path, gens_files, capsys, entry):
-    args, prefix = _ENTRY_POINTS[entry]
     text, key = _REPEATED_KEYS[entry]
-    path = tmp_path / "input.json"
-    path.write_text(text)
-    fill = {"{file}": str(path), "{text}": text, "{h}": gens_files["h"]}
     out = tmp_path / "out.json"
-    assert main([fill.get(a, a) for a in args] + ["--output", str(out)]) == 2
-    stdout, err = capsys.readouterr()
-    assert stdout == "" and not out.exists()
-    assert err.startswith(f"error: {prefix}") and err.rstrip().endswith(f"repeated key {key}")
+    for argv, prefix in _entry_forms(entry, text, tmp_path / "input.json", gens_files):
+        assert main(argv + ["--output", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.startswith(f"error: {prefix}") and err.rstrip().endswith(f"repeated key {key}")
 
 
 def test_verify_refuses_a_canonical_report_nested_600_deep(tmp_path, capsys):
     # json reads it, but recording it again would recurse 600 deep
-    report = {"schema": "3", "command": "quotient", "config": {"rep": json.loads("[" * 600 + "]" * 600)}, "result": {}}
+    report = {"schema": "4", "command": "quotient", "config": {"rep": json.loads("[" * 600 + "]" * 600)}, "result": {}}
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     assert main(["verify", "--report", str(path)]) == 2
@@ -452,13 +461,17 @@ def test_gs_demo_refuses_an_m_max_below_2(tmp_path):
         assert not out.exists()
 
 
-def test_gap_witness_refuses_an_m_max_below_2(tmp_path):
-    # the witness would rest on no checked level
+def test_gap_witness_refuses_an_m_max_below_2(tmp_path, capsys):
+    # a witness checks no level but its own, so gap-witness takes no
+    # --m-max at all, and a level below 2 is refused
     rep = str(Path(__file__).resolve().parent / "golden" / "nc_rep.json")
-    for m_max in ("-4", "0", "1"):
+    for m_max in ("-4", "0", "1", "24"):
         out = tmp_path / f"witness{m_max}.json"
         assert main(["gap-witness", "--rep", rep, "--level", "24", "--m-max", m_max, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: gap-witness takes no argument '--m-max'\n"
         assert not out.exists()
+    assert main(["gap-witness", "--rep", rep, "--level", "1", "--output", str(out)]) == 2
+    assert capsys.readouterr().err == "error: witness level must be at least 2, got 1\n"
 
 
 def test_gs_demo_refuses_a_max_level_below_2(tmp_path):
@@ -472,7 +485,6 @@ def test_gs_demo_refuses_a_max_level_below_2(tmp_path):
 INT_FLAGS = [
     ["lowindex", "--max-degree", "{v}"],
     ["gap-witness", "--rep", "nc_rep.json", "--level", "{v}"],
-    ["gap-witness", "--rep", "nc_rep.json", "--level", "24", "--m-max", "{v}"],
     ["gs-demo", "--max-degree", "{v}"],
     ["gs-demo", "--max-level", "{v}"],
     ["gs-demo", "--m-max", "{v}"],
@@ -732,14 +744,12 @@ def test_huge_modulus_ends_quickly(tmp_path):
 
 def test_huge_m_max_ends_quickly(tmp_path):
     # every level's image order is known from its blocks, so the closure cap
-    # stops the level loop (at m = 221, where PSL2(Z/221) has 5,346,432
-    # elements) instead of a closure that grows toward it
-    rep = str(Path(__file__).resolve().parent / "golden" / "nc_rep.json")
-    huge = "1000000000000"
-    for args in (["gs-demo", "--m-max", huge], ["gap-witness", "--rep", rep, "--level", "24", "--m-max", huge]):
-        start = time.perf_counter()
-        assert main(args + ["--output", str(tmp_path / "out.json")]) == 3
-        assert time.perf_counter() - start < 10
+    # stops the level loop (at m = 173, where the sign-saturated image,
+    # SL2(Z/173), has 5,177,544 elements) instead of a closure that grows
+    # toward it
+    start = time.perf_counter()
+    assert main(["gs-demo", "--m-max", "1000000000000", "--output", str(tmp_path / "out.json")]) == 3
+    assert time.perf_counter() - start < 10
     assert not (tmp_path / "out.json").exists()
 
 
@@ -789,12 +799,12 @@ def test_gs_demo_intersection_table_matches_the_listing_oracle(tmp_path):
         (["quotient", "--modulus", "2", "--enumerate"], {("config", "enumerate"): "no"}),
         (["quotient", "--modulus", "2", "--enumerate"], {("config", "modulus"): " 2"}),
         (["lowindex", "--max-degree", "3", "--subgroups"], {("config", "subgroups"): 1}),
-        (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "10"], {("config", "m_max"): "1_0"}),
-        (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): " 2"}),
-        (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): "02"}),
-        (["gap-witness", "--rep", "{rep}", "--level", "3", "--m-max", "2"], {("config", "m_max"): "+2"}),
-        (["quotient", "--modulus", "2"], {("schema",): " 3"}),
-        (["quotient", "--modulus", "2"], {("schema",): "0_3"}),
+        (["gap-witness", "--rep", "{rep}", "--level", "10"], {("config", "level"): "1_0"}),
+        (["gap-witness", "--rep", "{rep}", "--level", "3"], {("config", "level"): " 3"}),
+        (["gap-witness", "--rep", "{rep}", "--level", "3"], {("config", "level"): "03"}),
+        (["gap-witness", "--rep", "{rep}", "--level", "3"], {("config", "level"): "+3"}),
+        (["quotient", "--modulus", "2"], {("schema",): " 4"}),
+        (["quotient", "--modulus", "2"], {("schema",): "0_4"}),
         (["quotient", "--modulus", "2"], {("config", "closure_cap"): "5"}),
         (["quotient", "--modulus", "2"], {("config", "output"): "elsewhere.json"}),
         (["quotient", "--modulus", "2"], {("config", "foo"): "1"}),
@@ -831,9 +841,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 def test_tractable_schreier_kernel_budget_exits_3_quickly(tmp_path):
     # a fine spec with a coset action over a plain target takes the
     # coset-action path, whose closure of the linear part stops at the cap
-    shutil.copy(GOLDEN / "nc_rep.json", tmp_path / "nc_rep.json")
     tower = tmp_path / "tower.json"
-    tower.write_text(json.dumps([{"m": 8, "rep": "nc_rep.json"}]))
+    tower.write_text(json.dumps([{"m": 8, "rep": json.loads((GOLDEN / "nc_rep.json").read_text())}]))
     empty = str(GOLDEN / "empty.json")
     args = ["tractable", "--h-gens", empty, "--k-gens", empty, "--m-spec", '{"m": 8}', "--tower", str(tower)]
     start = time.perf_counter()
@@ -864,7 +873,8 @@ def test_thm_b_probe_refuses_both_ways_of_giving_l(tmp_path, monkeypatch, capsys
     # verify reruns the command on its recorded config, so it refuses the pair too
     report = tmp_path / "probe.json"
     shutil.copy(GOLDEN / "thm_b_inconclusive.json", report)
-    _tamper(report, lambda data: data["config"].update(l_gens="h.json", l_rep="nc_rep.json"))
+    nc_rep = json.loads((GOLDEN / "nc_rep.json").read_text())
+    _tamper(report, lambda data: data["config"].update(l_gens=data["config"]["h_gens"], l_rep=nc_rep))
     assert main(["verify", "--report", str(report), "--output", str(tmp_path / "v.json")]) == 2
     assert capsys.readouterr() == ("", message)
 
@@ -881,7 +891,8 @@ def test_verify_refuses_a_recorded_path_that_is_not_a_string(tmp_path):
 
 
 def test_verify_reparses_a_recorded_path_that_starts_with_a_dash(tmp_path, monkeypatch):
-    # the reparse writes --rep=-nc.json; a separate "-nc.json" would read as an option
+    # --rep=-nc.json reads the file; a separate "-nc.json" would read as an
+    # option.  The report records the rep itself, which verify reparses
     shutil.copy(GOLDEN / "nc_rep.json", tmp_path / "-nc.json")
     monkeypatch.chdir(tmp_path)
     run_report(["congruence", "--rep=-nc.json"], tmp_path / "report.json")
@@ -945,3 +956,163 @@ def test_verify_of_a_verify_report_exits_2(tmp_path, capsys):
     assert verified["result"] == {"checked": "quotient", "verified": True}
     assert main(["verify", "--report", str(tmp_path / "v.json")]) == 2
     assert "unknown command 'verify'" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# inputs recorded in the report
+
+
+def _spy_reads(monkeypatch) -> list:
+    """The path of every file opened from now on, in order."""
+    opened = []
+    real = open
+
+    def spy(file, *args, **kwargs):
+        opened.append(str(file))
+        return real(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    return opened
+
+
+_ELEMENT = '{"a": {"rows": [["2", "0"], ["0", "2"]], "m": null}, "w": ""}'
+# one command line per input option, each given a file
+INPUT_RUNS = {
+    "quotient": ["quotient", "--modulus", "2", "--rep", "{rep}"],
+    "image": ["image", "--modulus", "3", "--rep", "{rep}", "--gens", "{h}"],
+    "intersect": ["intersect", "--modulus", "3", "--left", "{h}", "--right", "{k}"],
+    "dcoset-member": ["dcoset-member", "--modulus", "3", "--element", "{element}", "--left", "{h}", "--right", "{k}"],
+    "tractable": ["tractable", "--h-gens", "{h}", "--k-gens", "{k}", "--hcapk-gens", "{empty}",
+                  "--m-spec", "{m_spec}", "--tower", "{tower}"],
+    "thm-b-probe": ["thm-b-probe", "--h-gens", "{h}", "--k-gens", "{k}", "--l-gens", "{h}", "--element", "{element}",
+                    "--tower", "{tower}"],
+    "thm-b-probe-l-rep": ["thm-b-probe", "--h-gens", "{h}", "--k-gens", "{k}", "--l-rep", "{nc}",
+                          "--element", "{element}", "--tower", "{tower}"],
+    "congruence": ["congruence", "--rep", "{nc}"],
+    "gap-witness": ["gap-witness", "--rep", "{nc}", "--level", "6"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(INPUT_RUNS))
+def test_verify_reads_nothing_but_the_report(tmp_path, gens_files, monkeypatch, capsys, name):
+    # the report records every input it read, so verify passes with the
+    # inputs deleted, from another directory, and opens the report alone
+    inputs = gens_files["dir"] / "inputs"
+    inputs.mkdir()
+    # a degree-3 coset action keeps the closures of quotient and image small
+    files = {"rep": '{"degree": 3, "s": [0, 2, 1], "t": [1, 0, 2]}', "nc": GOLDEN / "nc_rep.json",
+             "tower": json.dumps([{"m": 2}, {"m": 3}]), "element": _ELEMENT, "m_spec": '{"m": 2}'}
+    fill = {key: str(gens_files[key]) for key in ("h", "k", "empty")}
+    for key, source in files.items():
+        path = inputs / f"{key}.json"
+        path.write_text(source.read_text() if isinstance(source, Path) else source)
+        fill[key] = str(path)
+    report = tmp_path / "report.json"
+    run_report([fill.get(a.strip("{}"), a) if a.startswith("{") else a for a in INPUT_RUNS[name]], report)
+    for key in ("h", "k", "empty"):
+        os.remove(gens_files[key])
+    shutil.rmtree(inputs)
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    capsys.readouterr()
+    opened = _spy_reads(monkeypatch)
+    assert main(["verify", "--report", str(report)]) == 0
+    monkeypatch.undo()
+    assert json.loads(capsys.readouterr().out)["result"] == {"checked": INPUT_RUNS[name][0], "verified": True}
+    assert opened == [str(report)]
+
+
+def test_a_swapped_input_file_leaves_the_recorded_rep_checked(tmp_path, monkeypatch, capsys):
+    # a conjugate of nc_rep, another subgroup of degree 7, level 12 and
+    # image index 1, gives congruence the same result; overwriting the input
+    # file with it changes nothing verify reads, which is the recorded rep
+    nc_rep = rpt.rep(str(GOLDEN / "nc_rep.json"))
+    swap = next(r for r in low_index_reps(7, classes=False)
+                if r != nc_rep and rep_level(r) == 12 and not is_congruence(r))
+    rep_path = tmp_path / "rep.json"
+    shutil.copy(GOLDEN / "nc_rep.json", rep_path)
+    path = tmp_path / "report.json"
+    data, _ = run_report(["congruence", "--rep", str(rep_path)], path)
+    assert data["config"]["rep"] == as_recorded(nc_rep)
+    rep_path.write_text(canonical_dumps(swap))
+    swapped, _ = run_report(["congruence", "--rep", str(rep_path)], tmp_path / "swapped.json")
+    assert swapped["result"] == data["result"] and swapped["config"] != data["config"]
+    capsys.readouterr()
+    opened = _spy_reads(monkeypatch)
+    assert main(["verify", "--report", str(path)]) == 0
+    monkeypatch.undo()
+    assert opened == [str(path)]
+    assert json.loads(capsys.readouterr().out)["result"]["verified"] is True
+
+
+def test_verify_rechecks_a_recorded_rep_edited_to_another(tmp_path, capsys):
+    # the recorded rep is the input: another one in its place reruns the
+    # command on it, and the result that differs is named
+    path = tmp_path / "report.json"
+    run_report(["congruence", "--rep", str(GOLDEN / "nc_rep.json")], path)
+    _tamper(path, lambda data: _set_path(data, ("config", "rep"), as_recorded(congruence_rep(2))))
+    capsys.readouterr()
+    assert main(["verify", "--report", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: verify failed: result.")
+
+
+def test_verify_does_not_read_a_path_recorded_for_an_input(tmp_path, monkeypatch, capsys):
+    # a recorded string where an input belongs is not written back as a
+    # path, so verify opens nothing but the report and refuses it
+    path = tmp_path / "report.json"
+    run_report(["congruence", "--rep", str(GOLDEN / "nc_rep.json")], path)
+    _tamper(path, lambda data: _set_path(data, ("config", "rep"), str(GOLDEN / "nc_rep.json")))
+    capsys.readouterr()
+    opened = _spy_reads(monkeypatch)
+    assert main(["verify", "--report", str(path)]) == 2
+    monkeypatch.undo()
+    assert opened == [str(path)]
+    assert capsys.readouterr().err == "error: verify failed: config: congruence needs --rep\n"
+
+
+def test_an_explicit_empty_tower_is_not_the_default_tower(tmp_path, gens_files, capsys):
+    # --tower '[]' is a tower of no quotient, which the probe refuses; an
+    # omitted --tower is the default tower
+    args = ["thm-b-probe", "--h-gens", gens_files["h"], "--k-gens", gens_files["k"], "--element", _ELEMENT]
+    assert main(args + ["--tower", "[]", "--output", str(tmp_path / "p.json")]) == 2
+    assert capsys.readouterr().err == "error: thm_b_probe needs a nonempty tower\n"
+    data, _ = run_report(args, tmp_path / "default.json")
+    assert data["config"]["tower"] is None and data["result"]["status"] == "certified"
+
+
+def test_a_tower_entry_rep_given_as_a_path_exits_2(tmp_path, gens_files):
+    # an entry's rep is inline only; a string there is refused, not read
+    tower = tmp_path / "tower.json"
+    tower.write_text(json.dumps([{"m": 2, "rep": str(GOLDEN / "nc_rep.json")}]))
+    h = gens_files["h"]
+    done = _cli_alone(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", '{"m": 2}', "--tower", str(tower)])
+    assert (done.returncode, done.stdout) == (2, "")
+    assert done.stderr == "error: spec 'rep' must be an inline object or null\n"
+
+
+def test_every_input_option_reads_inline_json_as_its_file(tmp_path, gens_files):
+    # the same text inline or in a file gives the same report bytes
+    h_text = json.dumps(H_GENS_JSON)
+    rep_text = (GOLDEN / "nc_rep.json").read_text()
+    tower_text = json.dumps([{"m": 2}, {"m": 3}])
+    by_file = ["thm-b-probe", "--h-gens", gens_files["h"], "--k-gens", gens_files["k"], "--element", "{file}",
+               "--l-rep", str(GOLDEN / "nc_rep.json"), "--tower", "{tower}"]
+    (tmp_path / "element.json").write_text(_ELEMENT)
+    (tmp_path / "tower.json").write_text(tower_text)
+    by_file = [{"{file}": str(tmp_path / "element.json"), "{tower}": str(tmp_path / "tower.json")}.get(a, a)
+               for a in by_file]
+    inline = ["thm-b-probe", "--h-gens", h_text, "--k-gens", json.dumps(K_GENS_JSON), "--element", _ELEMENT,
+              "--l-rep", rep_text, "--tower", tower_text]
+    _, first = run_report(by_file, tmp_path / "file.json")
+    _, second = run_report(inline, tmp_path / "inline.json")
+    assert first == second
+
+
+def test_the_closure_cap_admits_a_closure_of_exactly_its_size(tmp_path):
+    # the image of H mod 2 closes to 6 elements: a cap of 6 holds it, 5 does not
+    args = ["image", "--modulus", "2", "--gens", str(GOLDEN / "h.json"), "--output", str(tmp_path / "i.json")]
+    assert main(args + ["--closure-cap", "6"]) == 0
+    assert parse_int(json.loads((tmp_path / "i.json").read_text())["result"]["size"]) == 6
+    assert main(args + ["--closure-cap", "5"]) == 3

@@ -7,8 +7,9 @@ import json
 
 import pytest
 
+from cosetope import report as rpt
 from cosetope.cli import main
-from cosetope.report import canonical_dumps
+from cosetope.report import as_recorded, canonical_dumps
 
 from golden_cases import CASES, GOLDEN
 
@@ -23,8 +24,9 @@ def test_report_bytes_match_golden_fixture(tmp_path, monkeypatch, name):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_fixture_verifies(tmp_path, monkeypatch, name):
-    monkeypatch.chdir(GOLDEN)
-    assert main(["verify", "--report", name, "--output", str(tmp_path / "v.json")]) == 0
+    # a report records its inputs, so verify runs anywhere
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--report", str(GOLDEN / name), "--output", "v.json"]) == 0
 
 
 # Edits that an earlier verify accepted without re-checking anything: the
@@ -67,18 +69,28 @@ def _cut_transcripts(data):
 
 
 def _cut_witness_levels(data):
-    witness = data["result"]["witness"]
-    witness["levels_verified"] = witness["levels_verified"][:1]
+    # schema 4 dropped the witness's level list, so one cut short is a key
+    # the rerun does not write
+    data["result"]["witness"]["levels_verified"] = ["2"]
+
+
+def _recorded_rep(name: str) -> dict:
+    return as_recorded(rpt.rep(str(GOLDEN / name)))
 
 
 # Edits that the per-kind checks of an earlier verify accepted: evidence cut
-# short, config entries the check never read, and a cut witness level list.
+# short, config entries the check never read, and a cut witness level list;
+# and a recorded rep, generator list or spec swapped for another.
 EDITS = {
     "gs_demo:transcripts-cut-to-3": ("gs_demo.json", _cut_transcripts),
     "gs_demo:config.m_max": ("gs_demo.json", lambda data: data["config"].update(m_max="6")),
-    "tractable_ok:config.k_gens": ("tractable_ok.json", lambda data: data["config"].update(k_gens="h.json")),
-    "tractable_ok:config.m_spec": ("tractable_ok.json", lambda data: data["config"].update(m_spec='{"m": 2}')),
+    "tractable_ok:config.k_gens": (
+        "tractable_ok.json", lambda data: data["config"].update(k_gens=data["config"]["h_gens"])),
+    "tractable_ok:config.m_spec": (
+        "tractable_ok.json", lambda data: data["config"].update(m_spec={"m": "2", "rep": None, "filter": None})),
     "gap_witness:levels_verified-cut": ("gap_witness.json", _cut_witness_levels),
+    "congruence_level105:config.rep": (
+        "congruence_level105.json", lambda data: data["config"].update(rep=_recorded_rep("nc_rep.json"))),
 }
 
 

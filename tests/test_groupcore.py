@@ -158,6 +158,14 @@ def test_closure_budget_error_names_budget():
         subgroup_closure(ctx, ctx.generators, Budgets(closure_cap=10))
 
 
+def test_closure_cap_admits_a_group_of_exactly_its_size():
+    # SL2(Z/5) has 120 elements: a cap of 120 closes it, one of 119 does not
+    ctx = sl2_context(5)
+    assert len(subgroup_closure(ctx, ctx.generators, Budgets(closure_cap=120))) == 120
+    with pytest.raises(BudgetError, match="more than 119 elements"):
+        subgroup_closure(ctx, ctx.generators, Budgets(closure_cap=119))
+
+
 # ---------------------------------------------------------------------------
 # intersections and double-coset membership
 

@@ -353,16 +353,18 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
     for m in range(2, 25):
         _h_prime_image_mod(rep, m, Budgets())
     assert not closures
-    # the witness walk over PSL2(Z/24), of order 4608, is the largest walk;
-    # the largest level image is the whole of PSL2(Z/23), of order 6072, and
-    # under a cap of 6072 the first sign-saturated image over it is
-    # SL2(Z/19), of order 6840
+    # the witness walk over PSL2(Z/24), of order 4608, comes first; the
+    # transcripts then check each level m in turn, its image in PSL2(Z/m)
+    # and then the sign-saturated one, so the first over a cap of 4608 is
+    # SL2(Z/17), of order 4896, and over any cap from 4896 to 6839 it is
+    # SL2(Z/19), of order 6840, before PSL2(Z/23), of order 6072, is reached
     with pytest.raises(BudgetError, match=r"PSL2\(Z/24\) has 4608"):
         gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=4607))
-    with pytest.raises(BudgetError, match="the subgroup image mod 23 has 6072"):
-        gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=6071))
-    with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 19 has 6840"):
-        gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=6072))
+    with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 17 has 4896"):
+        gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=4608))
+    for cap in (4896, 6071, 6072):
+        with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 19 has 6840"):
+            gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=cap))
 
 
 def _spy_walks(monkeypatch) -> list:

@@ -31,7 +31,7 @@ from cosetope.modular import (
     _orbit_blocks,
     _restandardize,
 )
-from cosetope.report import load_rep, rep_from_json
+from cosetope.report import rep as read_rep, rep_from_json
 
 from t_util import (
     congruence_rep,
@@ -402,7 +402,7 @@ def test_walk_words_are_rebuilt_only_on_demand(monkeypatch):
         image_blocks(rep, 12)
     assert built == []
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
-    witness = congruence_gap_witness(rep, 24, m_max=2)
+    witness = congruence_gap_witness(rep, 24)
     assert len(built) == 2 and word_eval(witness.word).reduce(24) == Mat2.identity(24)
 
 
@@ -427,7 +427,7 @@ def test_a_level_above_64_is_decided_under_the_default_cap():
     # PSL2(Z/105) has 483,840 elements, within the default closure cap, and
     # the walk stops at the first element of the principal congruence
     # subgroup that moves the basepoint
-    rep = load_rep(str(Path(__file__).resolve().parent / "golden" / "level105_rep.json"))
+    rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "level105_rep.json"))
     assert (rep.degree, rep_level(rep)) == (15, 105)
     assert is_congruence(rep) is False
 
@@ -436,7 +436,7 @@ def test_image_blocks_stop_once_one_block_is_left(monkeypatch):
     # the first edge of the walk over PSL2(Z/105) joins every point of the
     # level-105 rep under S and T, so the blocks are read off that one edge
     # rather than off all 483,840 matrices
-    rep = load_rep(str(Path(__file__).resolve().parent / "golden" / "level105_rep.json"))
+    rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "level105_rep.json"))
     consumed = []
     real = cosetope.modular._gamma_walk
 
@@ -515,18 +515,19 @@ def test_gap_witness_rejects_congruence_rep():
 
 def test_gap_witness_on_minimal_noncongruence_rep():
     rep = _minimal_noncongruence()
-    witness = congruence_gap_witness(rep, 24, m_max=24)
+    witness = congruence_gap_witness(rep, 24)
     assert witness is not None
     assert witness.displaced_to != 0
     assert rep.word_perm(witness.word)[0] == witness.displaced_to
     assert word_eval(witness.word) == witness.x
     assert witness.x.det() == 1
     assert witness.x.reduce(24) == Mat2.identity(24)
-    for m in (2, 3, 4, 6, 8, 12, 24):
-        assert m in witness.levels_verified
+    # x lies in the image at every divisor of 24, and the blocks the
+    # evidence reads say where else it does, as the closure oracle says
     for m in range(2, 25):
         member = psl2_canon(witness.x.reduce(m)) in image_closure(rep, m)
-        assert (m in witness.levels_verified) == member
+        assert (image_blocks(rep, m)[witness.displaced_to] == 0) == member
+        assert member or 24 % m != 0
 
 
 def test_gap_witness_level_is_small_multiple_of_rep_level():
@@ -534,7 +535,7 @@ def test_gap_witness_level_is_small_multiple_of_rep_level():
     level = rep_level(rep)
     # a witness exists at the representation's own level scaled by <= 24
     multiplier = 24 // level if level <= 24 and 24 % level == 0 else 1
-    witness = congruence_gap_witness(rep, level * max(multiplier, 1), m_max=4)
+    witness = congruence_gap_witness(rep, level * max(multiplier, 1))
     assert witness is not None
 
 
@@ -547,7 +548,7 @@ def test_gap_witness_seed_phase_can_find_witnesses():
     assert _minimal_noncongruence() in reps
     for rep in reps:
         for level in range(2, 25):
-            witness = congruence_gap_witness(rep, level, m_max=2)
+            witness = congruence_gap_witness(rep, level)
             assert witness.displaced_to != 0
             assert witness.x.reduce(level) == Mat2.identity(level)
 
@@ -572,6 +573,6 @@ def test_gap_witness_word_matches_the_schreier_scan_where_it_ran():
             continue
         n = rep_level(rep)
         for level in range(n, 25, n):
-            assert congruence_gap_witness(rep, level, m_max=2).word == _schreier_scan_witness(rep, level)
+            assert congruence_gap_witness(rep, level).word == _schreier_scan_witness(rep, level)
             pairs += 1
     assert pairs == 46

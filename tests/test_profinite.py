@@ -38,7 +38,8 @@ from cosetope.profinite import (
     thm_b_probe,
     tractable_at,
 )
-from cosetope.report import canonical_dumps, load_rep, load_tower, rep_from_json, spec_from_json
+from cosetope.report import canonical_dumps, rep_from_json, spec_from_json
+from cosetope.report import rep as read_rep, tower as read_tower
 
 from t_util import (
     congruence_rep,
@@ -225,7 +226,7 @@ def _coset_action_pairs():
                 for name, coarse in (("plain", QuotientSpec.make(2)), ("same-rep", QuotientSpec.make(2, rep)))
                 if _refines(fine, coarse)
             ]
-    nc_rep = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
+    nc_rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
     return pairs + [pytest.param(QuotientSpec.make(2, nc_rep), QuotientSpec.make(2), id="nc_rep-plain")]
 
 
@@ -341,7 +342,7 @@ def test_kernel_requires_a_point_map_when_the_moduli_divide():
     # 2 divides 4, but the level-2 coset action (degree 6) does not lie under
     # nc_rep's (degree 7), so the point map fails, element_restriction
     # returns None and kernel_of_refinement refuses the pair
-    nc_rep = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
+    nc_rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
     fine, coarse = QuotientSpec.make(4, congruence_rep(2)), QuotientSpec.make(2, nc_rep)
     assert element_restriction(fine, coarse) is None
     with pytest.raises(PreconditionError, match=_NOT_REFINED):
@@ -555,7 +556,7 @@ def test_tractable_violations_with_rep_carrying_target():
     # subgroup, the trivial ambient intersection no longer controls the
     # finite-level one: the witness word itself realizes a violation
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
-    witness = congruence_gap_witness(rep, 24, m_max=2)
+    witness = congruence_gap_witness(rep, 24)
     spec = QuotientSpec.make(2, rep)
     report = tractable_at(H_GENS, k_gens(), (), spec, [spec])
     assert report.found is None
@@ -606,7 +607,7 @@ def test_probe_with_gap_subgroup_is_inconclusive_on_congruence_tower():
     from cosetope.gs import h_prime_group_words
 
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
-    witness = congruence_gap_witness(rep, 24, m_max=4)
+    witness = congruence_gap_witness(rep, 24)
     g = GroupWord.of_a(witness.x - Mat2.identity())
     a_gens = tuple(
         GroupWord.of_a(Mat2.ambient(*(1 if k == idx else 0 for k in range(4))))
@@ -669,23 +670,28 @@ def test_hi_exclusion_equivalent_to_intersection_containment():
 
 def test_tower_file_round_trip(tmp_path):
     rep = congruence_rep(2)
-    rep_path = tmp_path / "rep.json"
-    rep_path.write_text(canonical_dumps(rep))
+    text = json.dumps([{"m": 2}, {"m": 4}, {"m": 2, "rep": json.loads(canonical_dumps(rep))}])
     tower_path = tmp_path / "tower.json"
-    tower_path.write_text(json.dumps([{"m": 2}, {"m": 4}, {"m": 2, "rep": "rep.json"}]))
-    tower = load_tower(str(tower_path))
+    tower_path.write_text(text)
+    tower = read_tower(str(tower_path))
     assert tower == [QuotientSpec.make(2), QuotientSpec.make(4), QuotientSpec.make(2, rep)]
+    # the same text inline reads the same tower
+    assert read_tower(text) == tower
+    # an entry's rep is inline only: a path in it is refused, not read
+    (tmp_path / "rep.json").write_text(canonical_dumps(rep))
+    with pytest.raises(ValidationError, match="spec 'rep' must be an inline object or null"):
+        read_tower(json.dumps([{"m": 2, "rep": str(tmp_path / "rep.json")}]))
     # only --m-spec's filter is read, so a tower entry refuses one
     tower_path.write_text(json.dumps([{"m": 2}, {"m": 4, "filter": {"type": "pro-p", "p": 2}}]))
     with pytest.raises(ValidationError, match="a tower entry takes no filter"):
-        load_tower(str(tower_path))
+        read_tower(str(tower_path))
 
 
 def test_tower_file_errors(tmp_path):
     missing = tmp_path / "nope.json"
     with pytest.raises(ValidationError):
-        load_tower(str(missing))
+        read_tower(str(missing))
     bad = tmp_path / "bad.json"
     bad.write_text("{}")
     with pytest.raises(ValidationError):
-        load_tower(str(bad))
+        read_tower(str(bad))

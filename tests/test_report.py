@@ -19,12 +19,12 @@ from cosetope.profinite import (
     SeparabilityCertificate,
     TractabilityReport,
 )
+from cosetope.report import rep as read_rep
 from cosetope.report import (
     MAX_DEPTH,
     as_recorded,
     decode,
     groupword_from_json,
-    load_rep,
     mat_from_json,
     rep_from_json,
     spec_from_json,
@@ -32,7 +32,7 @@ from cosetope.report import (
 
 from t_util import congruence_rep
 
-NC_REP = load_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
+NC_REP = read_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
 
 
 class _Pair(NamedTuple):
@@ -93,11 +93,10 @@ def test_domain_values_record_under_their_field_names():
         "spec": {"m": "3", "rep": None, "filter": None},
         "transcript": {"member": False},
     }
-    witness = congruence_gap_witness(NC_REP, 24, m_max=4)
+    witness = congruence_gap_witness(NC_REP, 24)
     assert as_recorded(witness) == {
         "x": as_recorded(witness.x),
         "word": str(witness.word),
-        "levels_verified": [str(m) for m in witness.levels_verified],
         "displaced_to": str(witness.displaced_to),
     }
     evidence = gs_wz_failure(NC_REP, 4)

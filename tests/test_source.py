@@ -433,3 +433,62 @@ def test_module_does_not_import_dataclasses(path):
 def test_module_does_not_import_argparse(path):
     # cli.parse reads every command line from the one table cli.OPTIONS
     assert "argparse" not in _imports_of(path)
+
+
+def open_sites(text: str) -> list:
+    """The function around each call to ``open`` in ``text``, as (line, name);
+    a call outside any function is named ``<module>``."""
+    out = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "open":
+                out.append((child.lineno, owner))
+            visit(child, name)
+
+    visit(ast.parse(text), "<module>")
+    return out
+
+
+def test_only_read_text_and_main_open_files():
+    # report.read_text reads every input and the report verify reads, and
+    # cli.main writes the report: no command body opens a file
+    sites = {(path.stem, name) for path in SOURCES for _, name in open_sites(path.read_text(encoding="utf-8"))}
+    assert sites == {("report", "read_text"), ("cli", "main")}
+
+
+def test_open_site_check_sees_each_spelling():
+    text = (
+        "open('a')\n"
+        "def f():\n"
+        "    with open('b') as fh:\n"
+        "        return fh.read()\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        return [open(p) for p in self.paths]\n"
+        "def h(path):\n"
+        "    return path.open()\n"
+    )
+    assert open_sites(text) == [(1, "<module>"), (3, "f"), (7, "g")]
+
+
+def test_no_command_body_reads_an_input():
+    # cli.parse reads every input through report's readers, so a command and
+    # the cli functions it calls get values and never reach report
+    from cosetope.cli import COMMANDS
+
+    functions = {
+        node.name: node for node in ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    reached, queue = set(), [command.__name__ for command in COMMANDS.values()]
+    while queue:
+        name = queue.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        nodes = list(ast.walk(functions[name]))
+        assert "rpt" not in {node.id for node in nodes if isinstance(node, ast.Name)}, name
+        queue.extend({getattr(node.func, "id", None) for node in nodes if isinstance(node, ast.Call)} & functions.keys())
+    assert {"_spec_of", "_tower_of"} <= reached
