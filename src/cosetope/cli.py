@@ -22,7 +22,7 @@ import sys
 from .arith import Mat2, sl2_group_order
 from .budgets import DEFAULT_CLOSURE_CAP, Budgets
 from .errors import BudgetError, CosetopeError, ValidationError
-from .groupcore import check_closure_cap, product_member, short_int, subgroup_intersection
+from .groupcore import check_closure_cap, product_member, subgroup_intersection
 # Unused here: importing them keeps them cross-module functions, which
 # bench/tracer.py times as gs.h_prime_image_s and profinite.kernel_s, and
 # whose kernel order it counts as profinite.kernel_elems; bench/tests asserts
@@ -80,17 +80,11 @@ def _tower_of(config: dict) -> list:
 
 def _quotient(config: dict, budgets: Budgets) -> dict:
     spec = _spec_of(config)
-    order = spec_group_order(spec)
-    result = {
+    return {
         "identity": quotient_context(spec).identity,
-        "order": order,
+        "order": spec_group_order(spec, budgets),
         "sl2_order": sl2_group_order(spec.m),
     }
-    if config["enumerate"] or order is None:
-        if order is not None:
-            check_closure_cap(order, budgets, f"quotient mod {short_int(spec.m)}")
-        result["enumerated_order"] = len(quotient_context(spec).enumerate(budgets))
-    return result
 
 
 def _image(config: dict, budgets: Budgets) -> dict:
@@ -321,8 +315,7 @@ _NEEDS_INT, _GENS = (int, REQUIRED, ""), (rpt.gens, REQUIRED, "JSON list of grou
 _REP = (rpt.rep, None, "coset action: a permutation representation")
 _COMMON = {"--output": (str, None, "report file (default: stdout)"), "--closure-cap": (int, DEFAULT_CLOSURE_CAP, "")}
 OPTIONS = {command: (summary, {**options, **_COMMON}) for command, (summary, options) in {
-    "quotient": ("describe one finite quotient", {
-        "--modulus": _NEEDS_INT, "--rep": _REP, "--enumerate": (bool, False, "force a closure count")}),
+    "quotient": ("describe one finite quotient", {"--modulus": _NEEDS_INT, "--rep": _REP}),
     "image": ("image of a generated subgroup in a quotient", {"--modulus": _NEEDS_INT, "--rep": _REP, "--gens": _GENS}),
     "intersect": ("intersection of two subgroup images", {
         "--modulus": _NEEDS_INT, "--rep": _REP, "--left": _GENS, "--right": _GENS}),

@@ -88,10 +88,6 @@ class GroupContext:
         self.generators = tuple(generators)
         self.name = name
 
-    def enumerate(self, budgets: Budgets = Budgets()) -> "GeneratedSubgroup":
-        """Every element of the group, as the closure of its generators."""
-        return subgroup_closure(self, self.generators, budgets)
-
     def __repr__(self):
         return f"GroupContext({self.name or hex(id(self))})"
 

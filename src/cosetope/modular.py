@@ -22,7 +22,7 @@ from typing import NamedTuple, Optional, Sequence
 from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets
 from .errors import BudgetError, PreconditionError, ValidationError
-from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, short_int, sl2_context
+from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, short_int, sl2_context, subgroup_closure
 
 # Word letters: 1 = S, -1 = S^-1, 2 = T, -2 = T^-1.
 S_ = 1
@@ -357,17 +357,17 @@ def psl2_context(m: int) -> GroupContext:
 
 
 def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = None):
-    """The Schreier generators of the level-n principal congruence subgroup
-    that move the basepoint, in walk order, each as (q, p, edge).
+    """The Schreier generators of the level-n principal congruence subgroup,
+    in walk order, each as (q, p, edge).
 
     A breadth-first walk over PSL2(Z/n) from I at coset point 0 with the
     letters S, T, T^-1, closed-form on entry tuples; a matrix is the lesser
     of its tuple and its negative's.  ``seen`` maps it to its parent, letter
     and first point.  An S or T edge (x, letter, y) into a seen matrix y
     closes the Schreier generator word(x) + letter + word(y)^-1 (each word
-    the ``tree_word`` of ``seen``); these generate that subgroup.  It brings
-    y the point q while y keeps p, so it moves the basepoint exactly when
-    q != p, and then q and p lie in one orbit.
+    the ``tree_word`` of ``seen``, read by ``_edge_word``); these generate
+    that subgroup.  It brings y the point q while y keeps p, so it moves the
+    basepoint exactly when q != p, and then q and p lie in one orbit.
     """
     check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{short_int(n)})")
     perm_s, perm_t, perm_ti = rep.perm_s, rep.perm_t, perm_inv(rep.perm_t)
@@ -388,8 +388,14 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
             if known is None:
                 seen[y] = (x, letter, q)
                 queue.append(y)
-            elif letter > 0 and known[2] != q:
+            elif letter > 0:
                 yield q, known[2], (x, letter, y)
+
+
+def _edge_word(seen: dict, edge: tuple) -> ModularWord:
+    """The Schreier generator that ``_gamma_walk`` closes at ``edge``."""
+    source, letter, target = edge
+    return ModularWord(tree_word(seen, source) + (letter,)) * ModularWord(tree_word(seen, target)).inverse()
 
 
 def _orbit_blocks(rep: PermRep, walk) -> tuple:
@@ -464,7 +470,23 @@ def is_congruence(rep: PermRep, *, budgets: Budgets = Budgets()) -> bool:
     n = rep_level(rep)
     if n == 1:
         return rep.degree == 1
-    return next(_gamma_walk(rep, n, budgets), None) is None
+    return next((step for step in _gamma_walk(rep, n, budgets) if step[0] != step[1]), None) is None
+
+
+def gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int:
+    """|sigma(Gamma(n))|: the closure, under the closure cap, of the coset
+    permutations of ``_gamma_walk``'s Schreier generators, each added only
+    when the closure so far misses it.  A one-point action walks nothing."""
+    if rep.degree == 1:
+        return 1
+    seen: dict = {}
+    ctx = GroupContext(perm_identity(rep.degree), perm_mul, perm_inv, name=f"the coset action of Gamma({short_int(n)})")
+    image = subgroup_closure(ctx, (), budgets)
+    for _, _, edge in _gamma_walk(rep, n, budgets, seen):
+        sigma = rep.word_perm(_edge_word(seen, edge))
+        if sigma not in image:
+            image = subgroup_closure(ctx, image.generators + (sigma,), budgets)
+    return len(image)
 
 
 # ---------------------------------------------------------------------------
@@ -491,18 +513,19 @@ def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budge
     in the order of ``_gamma_walk``, that lies outside the subgroup.
 
     A subgroup that is not congruence contains no principal congruence
-    subgroup, so the walk always finds one.
+    subgroup, so the walk always finds one.  A congruence subgroup of level N
+    contains the one of level N, so at a multiple of N the walk decides that
+    too; only at another level does ``is_congruence`` walk first.
     """
-    if is_congruence(rep, budgets=budgets):
+    if level % rep_level(rep) and is_congruence(rep, budgets=budgets):
         raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     if level < 2:
         raise ValidationError(f"witness level must be at least 2, got {level}")
-
     seen: dict = {}
-    # an edge exists: a non-congruence subgroup holds no principal congruence subgroup
-    edge = next(_gamma_walk(rep, level, budgets, seen))
-    source, letter, target = edge[2]
-    found = ModularWord(tree_word(seen, source) + (letter,)) * ModularWord(tree_word(seen, target)).inverse()
+    edge = next((step for step in _gamma_walk(rep, level, budgets, seen) if step[0] != step[1]), None)
+    if edge is None:  # then the subgroup contains the principal congruence subgroup of this level
+        raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
+    found = _edge_word(seen, edge[2])
     x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         found = ModularWord((S_, S_)) * found

@@ -31,7 +31,7 @@ from .groupcore import (
     subgroup_closure,
     subgroup_intersection,
 )
-from .modular import ONE_POINT, ModularWord, PermRep, perm_identity, word_eval
+from .modular import ONE_POINT, ModularWord, PermRep, gamma_image_order, perm_identity, word_eval
 
 
 class Formation(NamedTuple):
@@ -127,11 +127,10 @@ def quotient_context(spec: QuotientSpec) -> GroupContext:
     return GroupContext(ident, sd_mul, sd_inv, gens, name=name)
 
 
-def spec_group_order(spec: QuotientSpec) -> Optional[int]:
-    """Exact order when no coset action is attached; None otherwise."""
-    if spec.rep is not None:
-        return None
-    return spec.m ** 4 * sl2_group_order(spec.m)
+def spec_group_order(spec: QuotientSpec, budgets: Budgets = Budgets()) -> int:
+    """The order m^4 |L|: L, generated by the images of S and T, maps onto
+    SL2(Z/m) with kernel sigma(Gamma(m)) (``gamma_image_order``), 1 if plain."""
+    return spec.m ** 4 * sl2_group_order(spec.m) * gamma_image_order(spec.rep or ONE_POINT, spec.m, budgets)
 
 
 def project(g: GroupWord, spec: QuotientSpec) -> SdElement:
@@ -217,28 +216,17 @@ class RefinementKernel:
 def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()) -> RefinementKernel:
     """The kernel of the restriction from the fine quotient to the coarse one.
 
-    Every quotient is M2(Z/f) x| L, with L generated by the images of S and
-    T, and restriction reduces the additive part mod c.  So the kernel pairs
-    every additive a = 0 mod c with every element of L that restricts to the
-    coarse identity: its order is (f/c)^4 times |SL2(Z/f)| / |SL2(Z/c)|
-    when the fine quotient carries no coset action, as reduction of SL2 is
-    onto, and otherwise times the count of such elements in the closure of
-    L, which runs under the closure cap.  The order is checked against the
-    cap too, though no kernel element is listed.
+    Restriction reduces the additive part mod c and sends the images of S
+    and T to theirs, so it is onto, and the kernel's order is the ratio of
+    the two ``spec_group_order``, (f/c)^4 |L_f| / |L_c|.  The order is
+    checked against the closure cap, though no kernel element is listed.
     """
-    restrict = element_restriction(fine, coarse)
-    if restrict is None:
+    if element_restriction(fine, coarse) is None:
         raise PreconditionError("kernel_of_refinement: the first spec does not refine the second")
-    f, c = fine.m, coarse.m
     if fine == coarse:
         return RefinementKernel(1)
-    if fine.rep is None:
-        linear = sl2_group_order(f) // sl2_group_order(c)
-    else:
-        fctx, cid = quotient_context(fine), quotient_context(coarse).identity
-        linear = sum(1 for x in subgroup_closure(fctx, fctx.generators[4:], budgets) if restrict(x) == cid)
-    order = (f // c) ** 4 * linear
-    check_closure_cap(order, budgets, f"refinement kernel {short_int(f)} -> {short_int(c)}")
+    order = spec_group_order(fine, budgets) // spec_group_order(coarse, budgets)
+    check_closure_cap(order, budgets, f"refinement kernel {short_int(fine.m)} -> {short_int(coarse.m)}")
     return RefinementKernel(order)
 
 

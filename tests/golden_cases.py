@@ -4,7 +4,7 @@ The fixtures were written by the implementation that preceded the shared
 per-level checks; the schema-2 change edited only their ``schema`` line and
 dropped the ``seed`` config key.  ``gap_witness_level3.json`` was written by
 the coset-carrying walk, at a level the subgroup's own level does not divide.
-The fixtures of the other commands (``quotient_enumerate.json`` through
+The fixtures of the other commands (``image.json`` through
 ``thm_b_inconclusive.json``) were written by the per-type serializers that
 preceded ``report.as_recorded``, so each result type is pinned to the bytes
 it had before every report value went through that one function.
@@ -35,6 +35,11 @@ The schema-4 change, which records every input in the config instead of its
 path and drops the witness's ``levels_verified`` and ``gap-witness
 --m-max``, regenerated every fixture; ``tower_nc_rep.json`` inlines its rep,
 since a tower entry's rep is inline only.
+The schema-5 change, which gives every quotient its order in closed form
+and drops ``quotient --enumerate``, edited only the ``schema`` line of every
+fixture; ``quotient_nc_rep.json``, a quotient carrying a coset action,
+replaced ``quotient_enumerate.json``, whose ``enumerated_order`` no report
+writes any more.
 ``regen_golden.py`` rewrites the fixtures from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths; the
@@ -87,7 +92,9 @@ CASES = {
     ],
     "gap_witness.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "24"],
     "gap_witness_level3.json": ["gap-witness", "--rep", "nc_rep.json", "--level", "3"],
-    "quotient_enumerate.json": ["quotient", "--modulus", "3", "--enumerate"],
+    # nc_rep's coset action of Gamma(2) has order 2,520, so the quotient has
+    # 2^4 * 6 * 2,520 elements, none of them listed
+    "quotient_nc_rep.json": ["quotient", "--modulus", "2", "--rep", "nc_rep.json"],
     "image.json": ["image", "--modulus", "3", "--gens", "h.json"],
     "intersect.json": ["intersect", "--modulus", "3", "--left", "h.json", "--right", "k.json"],
     "dcoset_member.json": [

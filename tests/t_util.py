@@ -63,6 +63,11 @@ def random_word(rng: random.Random, max_len: int = 30, min_len: int = 0) -> Modu
     return ModularWord(_free_reduce(letters))
 
 
+def enumerate_group(ctx: GroupContext, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
+    """Every element of the group of ``ctx``, as the closure of its generators."""
+    return subgroup_closure(ctx, ctx.generators, budgets)
+
+
 def perm_context(degree: int, gens) -> GroupContext:
     ident = tuple(range(degree))
 
@@ -97,7 +102,7 @@ def small_contexts():
 
 def subgroup_pool(ctx, rng: random.Random, count: int = 18, max_size: int = 200):
     """Distinct subgroups of the context, generated from random element pairs."""
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     pool = [subgroup_closure(ctx, ()), full if len(full) <= max_size else None]
     pool = [p for p in pool if p is not None]
     seen = {p.as_set() for p in pool}
@@ -551,7 +556,8 @@ def evidence_cross_check(rep: PermRep, m: int, g: GroupWord, budgets: Budgets = 
 def oracle_gamma_walk(rep: PermRep, n: int, seen=None):
     """``modular._gamma_walk`` over Mat2: each step a product with the
     generator, canonicalized by ``psl2_canon``, and each matrix's word kept
-    in ``seen`` with its point.  Yields (q, p, word) in walk order."""
+    in ``seen`` with its point.  Yields (q, p, word) for every closing S or
+    T edge in walk order."""
     s, t = MAT_S.reduce(n), MAT_T.reduce(n)
     steps = (
         (S_, psl2_canon(s), rep.perm_s),
@@ -571,7 +577,7 @@ def oracle_gamma_walk(rep: PermRep, n: int, seen=None):
             if known is None:
                 seen[y] = (q, word + (letter,))
                 queue.append(y)
-            elif letter > 0 and known[0] != q:
+            elif letter > 0:
                 yield q, known[0], ModularWord(word + (letter,)) * ModularWord(known[1]).inverse()
 
 
@@ -595,7 +601,7 @@ def oracle_gs_images(m: int) -> tuple:
 def _psl2_regular(m: int):
     """Right-multiplication action arrays of S and T on the projective group."""
     ctx = psl2_context(m)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     index = {e: i for i, e in enumerate(full.elements)}
     sbar, tbar = ctx.generators
     s_act = tuple(index[ctx.mul(e, sbar)] for e in full.elements)
@@ -774,11 +780,9 @@ def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets =
 
     The generators are read off the action of the fine generators on the
     whole coarse quotient, which the walk visits element by element; its
-    order, when known, is checked against the closure cap first.
+    order is checked against the closure cap first.
     """
-    coarse_order = spec_group_order(coarse)
-    if coarse_order is not None:
-        check_closure_cap(coarse_order, budgets, f"the Schreier walk over the quotient mod {coarse.m}")
+    check_closure_cap(spec_group_order(coarse, budgets), budgets, f"the Schreier walk over the quotient mod {coarse.m}")
     fctx = quotient_context(fine)
     restrict = element_restriction(fine, coarse)
     coarse_gens = [restrict(g) for g in fctx.generators]
@@ -802,8 +806,24 @@ def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets =
 
 
 # ---------------------------------------------------------------------------
+# quotient orders by closure, as ``quotient`` counted a coset-action quotient
+# before ``spec_group_order`` gave every order in closed form
+
+
+def quotient_closure_order(spec: QuotientSpec, budgets: Budgets = Budgets()) -> int:
+    """The number of elements of the quotient of ``spec``, listed by closure."""
+    return len(enumerate_group(quotient_context(spec), budgets))
+
+
+def linear_closure_order(spec: QuotientSpec, budgets: Budgets = Budgets()) -> int:
+    """|L|, the closure of the images of S and T in the quotient of ``spec``."""
+    ctx = quotient_context(spec)
+    return len(subgroup_closure(ctx, ctx.generators[4:], budgets))
+
+
+# ---------------------------------------------------------------------------
 # the refinement kernel listed element by element, as it was computed before
-# ``kernel_of_refinement`` gave it by the restriction map
+# ``kernel_of_refinement`` gave its order in closed form
 
 
 def kernel_listing(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
@@ -867,7 +887,7 @@ def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
 def _perm_group_order(rep: PermRep, budgets: Budgets) -> int:
     ident = perm_identity(rep.degree)
     ctx = GroupContext(ident, perm_mul, perm_inv, (rep.perm_s, rep.perm_t), name=f"perm image d={rep.degree}")
-    return len(ctx.enumerate(budgets))
+    return len(enumerate_group(ctx, budgets))
 
 
 def oracle_admits(formation: Formation, spec: QuotientSpec, budgets: Budgets = Budgets()) -> bool:

@@ -40,6 +40,7 @@ from t_util import (
     check_prop_identity,
     congruence_rep,
     cor_instance,
+    enumerate_group,
     gs_build,
     gs_hk_member,
     gs_intersection,
@@ -139,7 +140,7 @@ def test_criterion_3_trivial_intersection():
         meet = gs_intersection(inst)
         assert len(meet) == 1, f"intersection not trivial at modulus {m}"
         if m <= 3:
-            full = inst.ctx.enumerate()
+            full = enumerate_group(inst.ctx)
             brute = [x for x in full.elements if x in inst.im_h and x in inst.im_k]
             assert brute == [inst.ctx.identity]
     _report(3, "trivial intersection for m in 2..8", t0, 120)
@@ -149,7 +150,7 @@ def test_criterion_4_det_criterion_exhaustive():
     t0 = time.perf_counter()
     for m, order in ((2, 96), (3, 1944)):
         inst = gs_build(QuotientSpec.make(m))
-        full = inst.ctx.enumerate()
+        full = enumerate_group(inst.ctx)
         assert len(full) == order
         for g in full.elements:
             direct = product_member(inst.ctx, g, inst.im_h, inst.im_k)
@@ -254,7 +255,7 @@ def test_criterion_8_oracle_equivalence():
         quotient_context(QuotientSpec.make(3)),
     ]
     for ctx in ctxs:
-        full = ctx.enumerate()
+        full = enumerate_group(ctx)
         assert len(full) <= 2000
         _, pool = subgroup_pool(ctx, rng, count=8)
         checked = 0
@@ -276,7 +277,7 @@ def test_criterion_8_oracle_equivalence():
     fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2)
     kernel = kernel_of_refinement(fine, coarse)
     listing = kernel_listing(fine, coarse)
-    full_fine = quotient_context(fine).enumerate()
+    full_fine = enumerate_group(quotient_context(fine))
     brute_kernel = frozenset(
         x
         for x in full_fine.elements

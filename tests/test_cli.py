@@ -4,6 +4,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,13 +14,13 @@ from cosetope import report as rpt
 from cosetope.budgets import Budgets
 from cosetope.cli import COMMANDS, OPTIONS, main
 from cosetope.errors import ValidationError
-from cosetope.groupcore import GroupContext
 from cosetope.modular import is_congruence, low_index_reps, rep_level
 from cosetope.profinite import QuotientSpec
 from cosetope.report import as_recorded, canonical_dumps, parse_int
 
-from t_util import congruence_rep, count_closures, gs_build, gs_intersection
+from t_util import congruence_rep, count_closures, gs_build, gs_intersection, quotient_closure_order
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 H_GENS_JSON = [{"w": "S"}, {"w": "T"}]
 # i h i^-1 for h in {S, T}: additive part I - h
@@ -51,23 +52,24 @@ def run_report(args, path):
 
 
 def test_quotient_command(tmp_path):
-    data, _ = run_report(["quotient", "--modulus", "2", "--enumerate"], tmp_path / "q.json")
-    assert parse_int(data["result"]["order"]) == 96
-    assert parse_int(data["result"]["enumerated_order"]) == 96
-    assert parse_int(data["schema"]) == 4
-    assert "seed" not in data["config"]
+    data, _ = run_report(["quotient", "--modulus", "2"], tmp_path / "q.json")
+    assert parse_int(data["result"]["order"]) == 96 == quotient_closure_order(QuotientSpec.make(2))
+    assert data["result"].keys() == {"identity", "order", "sl2_order"}
+    assert parse_int(data["schema"]) == 5
+    assert "seed" not in data["config"] and "enumerate" not in data["config"]
 
 
 def test_verify_refuses_a_report_of_an_earlier_schema(tmp_path, capsys):
-    # schema 4 records each input itself instead of its path, so a schema-3
-    # report is refused even when every other byte would verify
+    # schema 5 gives a coset-action quotient its order in closed form and
+    # drops quotient's --enumerate, so a schema-4 report is refused even
+    # when every other byte would verify
     path = tmp_path / "q.json"
     run_report(["quotient", "--modulus", "2"], path)
-    _tamper(path, lambda data: data.update(schema="3"))
+    _tamper(path, lambda data: data.update(schema="4"))
     capsys.readouterr()
     assert main(["verify", "--report", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: verify failed: unsupported schema '3'\n"
+    assert out == "" and err == "error: verify failed: unsupported schema '4'\n"
 
 
 def test_image_and_intersect_commands(tmp_path, gens_files):
@@ -276,7 +278,7 @@ _REPEATED_KEYS = {
     "rep": ('{"degree": 1, "s": [0], "t": [0], "s": [0]}', "'s'"),
     "tower": ('[{"m": 2}, {"m": 2, "rep": null, "m": 4}]', "'m'"),
     "gens": ('[{"w": "S"}, {"a": null, "w": "T", "w": "S"}]', "'w'"),
-    "verify": ('{"schema": "4", "command": "quotient", "config": {}, "result": {}, "command": "image"}', "'command'"),
+    "verify": ('{"schema": "5", "command": "quotient", "config": {}, "result": {}, "command": "image"}', "'command'"),
 }
 
 
@@ -293,7 +295,7 @@ def test_a_repeated_key_exits_2_at_every_entry_point(tmp_path, gens_files, capsy
 
 def test_verify_refuses_a_canonical_report_nested_600_deep(tmp_path, capsys):
     # json reads it, but recording it again would recurse 600 deep
-    report = {"schema": "4", "command": "quotient", "config": {"rep": json.loads("[" * 600 + "]" * 600)}, "result": {}}
+    report = {"schema": "5", "command": "quotient", "config": {"rep": json.loads("[" * 600 + "]" * 600)}, "result": {}}
     path = tmp_path / "deep.json"
     path.write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     assert main(["verify", "--report", str(path)]) == 2
@@ -308,11 +310,12 @@ _HUGE = str(2**5000)
     "args, message",
     [
         (["quotient", "--modulus", _HUGE], "a result of about 2^34999 has over 4300 digits (int max str digits)"),
-        (["quotient", "--modulus", _HUGE, "--enumerate"], " has about 2^34999 elements > 5000000 (closure_cap)"),
+        (["quotient", "--modulus", _HUGE, "--rep", str(GOLDEN / "nc_rep.json")],
+         "PSL2(Z/about 2^5000) has about 2^14998 elements > 5000000 (closure_cap)"),
         (["gap-witness", "--rep", str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"), "--level", _HUGE],
          " has about 2^14998 elements > 5000000 (closure_cap)"),
     ],
-    ids=["quotient", "quotient-enumerate", "gap-witness"],
+    ids=["quotient", "quotient-rep", "gap-witness"],
 )
 def test_a_result_too_long_to_write_exits_3(tmp_path, capsys, args, message):
     # Python writes no integer of more than 4,300 digits in decimal, so the
@@ -330,9 +333,9 @@ def test_a_result_too_long_to_write_exits_3(tmp_path, capsys, args, message):
 def test_a_huge_modulus_is_shortened_in_the_budget_message(tmp_path, gens_files, capsys, kind):
     modulus = 2**200
     if kind == "quotient":
-        args = ["quotient", "--modulus", str(modulus), "--enumerate"]
-        # m^4 |SL2(Z/m)| = 2^1400 * 3/4
-        message = "quotient mod about 2^200 has about 2^1399 elements"
+        args = ["quotient", "--modulus", str(modulus), "--rep", str(GOLDEN / "nc_rep.json")]
+        # the walk for the coset action's order: |PSL2(Z/m)| = 2^600 * 3/8
+        message = "PSL2(Z/about 2^200) has about 2^598 elements"
     else:
         tower = tmp_path / "tower.json"
         tower.write_text(json.dumps([{"m": modulus}]))
@@ -364,14 +367,16 @@ def test_element_with_a_stray_key_or_row_exits_2(tmp_path, gens_files, element):
     assert not out.exists()
 
 
-def test_exit_code_on_budget_exhaustion(tmp_path):
+def test_exit_code_on_budget_exhaustion(tmp_path, gens_files):
+    # the image of H mod 3, SL2(Z/3), has 24 elements
     assert (
         main(
             [
-                "quotient",
+                "image",
                 "--modulus",
                 "3",
-                "--enumerate",
+                "--gens",
+                gens_files["h"],
                 "--closure-cap",
                 "10",
                 "--output",
@@ -415,7 +420,7 @@ MALFORMED = [
     ["quotient"],
     ["quotient", "--modulus"],
     ["quotient", "--modulus", "x"],
-    ["quotient", "--modulus", "2", "--enumerate=yes"],
+    ["lowindex", "--max-degree", "3", "--subgroups=yes"],
     ["quotient", "--modulus", "2", "extra"],
     ["lowindex", "--max-deg", "7"],  # an abbreviation of --max-degree
 ]
@@ -489,13 +494,13 @@ INT_FLAGS = [
     ["gs-demo", "--max-level", "{v}"],
     ["gs-demo", "--m-max", "{v}"],
     ["quotient", "--modulus", "{v}"],
-    ["quotient", "--modulus", "{v}", "--enumerate"],
-    ["quotient", "--modulus", "2", "--enumerate", "--closure-cap", "{v}"],
+    ["quotient", "--modulus", "{v}", "--rep", "nc_rep.json"],
+    ["image", "--modulus", "2", "--gens", "h.json", "--closure-cap", "{v}"],
 ]
 
 
-# image, intersect and dcoset-member are left out: they close the image of
-# their generators at --modulus before any size is known
+# image, intersect and dcoset-member are left out at --modulus: they close
+# the image of their generators there before any size is known
 @pytest.mark.parametrize("value", [str(10**12), "-5", "0"])
 @pytest.mark.parametrize("args", INT_FLAGS, ids=[" ".join(a) for a in INT_FLAGS])
 def test_integer_flags_end_quickly_with_exit_0_2_or_3(tmp_path, monkeypatch, args, value):
@@ -546,10 +551,11 @@ def test_verify_rechecks_an_inconclusive_probe(tmp_path, gens_files):
 
 
 @pytest.mark.parametrize("value", ["10", "junk"])
-def test_the_closure_cap_is_not_read_from_the_environment(tmp_path, monkeypatch, capsys, value):
+def test_the_closure_cap_is_not_read_from_the_environment(tmp_path, gens_files, monkeypatch, capsys, value):
     # --closure-cap is the one way to set the cap; the variable that once
-    # set it changes neither the exit code nor the report bytes
-    args = ["quotient", "--modulus", "3", "--enumerate", "--output"]
+    # set it changes neither the exit code nor the report bytes of a closure
+    # of 24 elements
+    args = ["image", "--modulus", "3", "--gens", gens_files["h"], "--output"]
     assert main(args + [str(tmp_path / "plain.json")]) == 0
     monkeypatch.setenv("COSETOPE_BUDGET", value)
     assert main(args + [str(tmp_path / "set.json")]) == 0
@@ -618,7 +624,7 @@ def test_formation_check_closes_nothing_under_the_closure_cap(tmp_path, monkeypa
 
 @pytest.mark.parametrize("flags", [pytest.param(["--closure-cap", "0"], id="--closure-cap")])
 def test_zero_cap_flag_is_rejected(tmp_path, capsys, flags):
-    args = ["quotient", "--modulus", "2", "--enumerate", *flags, "--output", str(tmp_path / "q.json")]
+    args = ["quotient", "--modulus", "2", *flags, "--output", str(tmp_path / "q.json")]
     assert main(args) == 2
     assert "budgets must be positive" in capsys.readouterr().err
 
@@ -632,14 +638,54 @@ def test_budgets_are_positive_immutable_values():
     assert Budgets(5) != Budgets(7)
 
 
-def test_quotient_enumerate_fails_fast_on_known_order(tmp_path, monkeypatch):
-    # order 12^4 * |SL2(Z/12)| = 23,887,872 exceeds the default cap; the
-    # known order must stop the command before any enumeration starts
-    def refuse(self, budgets=None):
-        raise AssertionError("enumeration started")
+def test_quotient_with_a_coset_action_fails_before_any_walk(tmp_path, monkeypatch, capsys):
+    # |PSL2(Z/1000)| = 360,000,000 exceeds the default cap, so the walk for
+    # the coset action's order stops before it visits a state
+    walks = []
+    real = cosetope.modular._gamma_walk
 
-    monkeypatch.setattr(GroupContext, "enumerate", refuse)
-    assert main(["quotient", "--modulus", "12", "--enumerate", "--output", str(tmp_path / "q.json")]) == 3
+    def spy(rep, n, budgets, seen=None):
+        walks.append({} if seen is None else seen)
+        return real(rep, n, budgets, walks[-1])
+
+    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    args = ["quotient", "--modulus", "1000", "--rep", str(GOLDEN / "nc_rep.json")]
+    assert main(args + ["--output", str(tmp_path / "q.json")]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: closure budget exceeded: PSL2(Z/1000) has 360000000 elements > 5000000 (closure_cap)\n"
+    )
+    assert len(walks) == 1 and walks[0] == {}
+    assert not (tmp_path / "q.json").exists()
+
+
+def test_the_closure_cap_bounds_the_permutation_closure_of_a_quotient(tmp_path, capsys):
+    # the coset action of Gamma(2) on nc_rep's cosets has order 2,520, and
+    # the walk over PSL2(Z/2) only 6 states
+    args = ["quotient", "--modulus", "2", "--rep", str(GOLDEN / "nc_rep.json"), "--output", str(tmp_path / "q.json")]
+    assert main(args + ["--closure-cap", "2519"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: closure budget exceeded: more than 2519 elements "
+        "in the coset action of Gamma(2) (closure_cap)\n"
+    )
+    assert not (tmp_path / "q.json").exists()
+    assert main(args + ["--closure-cap", "2520"]) == 0
+    assert json.loads((tmp_path / "q.json").read_text())["result"]["order"] == "241920"
+
+
+def test_a_coset_action_quotient_and_its_verify_list_no_quotient_element(tmp_path, monkeypatch):
+    # the order 2^4 |SL2(Z/2)| |sigma(Gamma(2))| = 16 * 6 * 2,520 comes from
+    # the walk over PSL2(Z/2) and a closure of permutations, not from the
+    # 241,920 elements of the quotient
+    closures = count_closures(monkeypatch)
+    path = tmp_path / "q.json"
+    start = time.perf_counter()
+    data, _ = run_report(["quotient", "--modulus", "2", "--rep", str(GOLDEN / "nc_rep.json")], path)
+    middle = time.perf_counter()
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
+    end = time.perf_counter()
+    assert data["result"]["order"] == "241920"
+    assert {name for name, _ in closures} == {"the coset action of Gamma(2)"}
+    assert middle - start < 1 and end - middle < 1
 
 
 def _tamper(path, edit):
@@ -659,7 +705,7 @@ def _set_path(data, keys, value):
     "args, keys, value",
     [
         (["quotient", "--modulus", "2"], ("result", "order"), "97"),
-        (["quotient", "--modulus", "2", "--enumerate"], ("result", "enumerated_order"), "95"),
+        (["image", "--modulus", "2", "--gens", "{h}"], ("result", "size"), "95"),
         (["image", "--modulus", "3", "--gens", "{h}"], ("result", "size"), "999"),
         (["image", "--modulus", "3", "--gens", "{h}"], ("result", "sample", 1, "h", "rows", 0, 0), "2"),
         (["intersect", "--modulus", "3", "--left", "{h}", "--right", "{k}"], ("result", "size_intersection"), "2"),
@@ -785,6 +831,26 @@ def test_gs_demo_walks_each_level_once(tmp_path, monkeypatch):
     assert sorted(walked) == sorted(expected[:4])
 
 
+def test_gs_demo_walks_each_rep_and_level_once_per_caller(tmp_path, monkeypatch):
+    # the gap witness at level 24 decides the selected class's congruence
+    # itself, as its level 12 divides 24, so that class's PSL2(Z/12) is
+    # walked once for the low-index filter and not again for the witness
+    rep = next(r for r in low_index_reps(7) if not is_congruence(r))
+    walked = Counter()
+    real = cosetope.modular._gamma_walk
+
+    def spy(rep, n, budgets, seen=None):
+        walked[sys._getframe(1).f_code.co_name, rep, n] += 1
+        return real(rep, n, budgets, seen)
+
+    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    data, _ = run_report(["gs-demo", "--m-max", "32"], tmp_path / "demo.json")
+    assert as_recorded(rep) == data["result"]["lowindex"]["selected"]
+    assert set(walked.values()) == {1}
+    assert {caller for caller, _, _ in walked} == {"is_congruence", "congruence_gap_witness", "image_blocks"}
+    assert [n for caller, r, n in walked if r == rep and caller != "image_blocks"] == [12, 24]
+
+
 def test_gs_demo_intersection_table_matches_the_listing_oracle(tmp_path):
     # the closed-form rows against the images of H and K listed and intersected
     data, _ = run_report(["gs-demo", "--max-level", "12", "--m-max", "2"], tmp_path / "demo.json")
@@ -795,16 +861,17 @@ def test_gs_demo_intersection_table_matches_the_listing_oracle(tmp_path):
 @pytest.mark.parametrize(
     "args, edits",
     [
-        (["quotient", "--modulus", "2", "--enumerate"], {("config", "enumerate"): "no", ("config", "modulus"): " 2"}),
-        (["quotient", "--modulus", "2", "--enumerate"], {("config", "enumerate"): "no"}),
-        (["quotient", "--modulus", "2", "--enumerate"], {("config", "modulus"): " 2"}),
+        (["lowindex", "--max-degree", "3", "--subgroups"],
+         {("config", "subgroups"): "no", ("config", "max_degree"): " 3"}),
+        (["lowindex", "--max-degree", "3", "--subgroups"], {("config", "subgroups"): "no"}),
+        (["quotient", "--modulus", "2"], {("config", "modulus"): " 2"}),
         (["lowindex", "--max-degree", "3", "--subgroups"], {("config", "subgroups"): 1}),
         (["gap-witness", "--rep", "{rep}", "--level", "10"], {("config", "level"): "1_0"}),
         (["gap-witness", "--rep", "{rep}", "--level", "3"], {("config", "level"): " 3"}),
         (["gap-witness", "--rep", "{rep}", "--level", "3"], {("config", "level"): "03"}),
         (["gap-witness", "--rep", "{rep}", "--level", "3"], {("config", "level"): "+3"}),
-        (["quotient", "--modulus", "2"], {("schema",): " 4"}),
-        (["quotient", "--modulus", "2"], {("schema",): "0_4"}),
+        (["quotient", "--modulus", "2"], {("schema",): " 5"}),
+        (["quotient", "--modulus", "2"], {("schema",): "0_5"}),
         (["quotient", "--modulus", "2"], {("config", "closure_cap"): "5"}),
         (["quotient", "--modulus", "2"], {("config", "output"): "elsewhere.json"}),
         (["quotient", "--modulus", "2"], {("config", "foo"): "1"}),
@@ -833,9 +900,6 @@ def test_verify_rejects_a_config_the_cli_could_not_have_written(tmp_path, capsys
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v2.json")]) == 2
     # a recorded help key must not reach the parser as --help, which prints usage to stdout
     assert capsys.readouterr().out == ""
-
-
-GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_tractable_schreier_kernel_budget_exits_3_quickly(tmp_path):
@@ -999,7 +1063,7 @@ def test_verify_reads_nothing_but_the_report(tmp_path, gens_files, monkeypatch, 
     # inputs deleted, from another directory, and opens the report alone
     inputs = gens_files["dir"] / "inputs"
     inputs.mkdir()
-    # a degree-3 coset action keeps the closures of quotient and image small
+    # a degree-3 coset action keeps the closure of image small
     files = {"rep": '{"degree": 3, "s": [0, 2, 1], "t": [1, 0, 2]}', "nc": GOLDEN / "nc_rep.json",
              "tower": json.dumps([{"m": 2}, {"m": 3}]), "element": _ELEMENT, "m_spec": '{"m": 2}'}
     fill = {key: str(gens_files[key]) for key in ("h", "k", "empty")}

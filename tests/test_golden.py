@@ -31,7 +31,8 @@ def test_golden_fixture_verifies(tmp_path, monkeypatch, name):
 
 # Edits that an earlier verify accepted without re-checking anything: the
 # entries of a search that found nothing, an inconclusive gap-witness, and the
-# low-index block and evidence status of gs-demo.
+# low-index block and evidence status of gs-demo; and the order of a quotient
+# carrying a coset action, which verify recomputes in closed form.
 TAMPERS = [
     ("tractable_violation.json", ("entries", 1, "sizes", "kernel"), "2"),
     ("tractable_violation.json", ("entries", 0, "status"), "skipped-formation"),
@@ -43,6 +44,7 @@ TAMPERS = [
     ("gs_demo.json", ("lowindex", "reps_total"), "20"),
     ("gs_demo.json", ("evidence", "status"), "inconclusive"),
     ("gs_demo.json", ("evidence",), {"status": "no-noncongruence-subgroup-found"}),
+    ("quotient_nc_rep.json", ("order",), "241919"),
 ]
 
 

@@ -26,6 +26,7 @@ from t_util import (
     congruence_rep,
     cor_instance,
     coset_reps,
+    enumerate_group,
     is_normal_by_generators,
     normal_closure,
     prop_instance,
@@ -56,7 +57,7 @@ def test_sd_mul_hand_example_mod_5():
 def test_sd_identity_is_neutral():
     rng = random.Random(11)
     ctx = quotient_context(QuotientSpec.make(3))
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     for _ in range(100):
         x = rng.choice(full.elements)
         assert sd_mul(ctx.identity, x) == x
@@ -95,7 +96,7 @@ def test_sd_mul_rejects_mixed_sigma():
 def test_group_axioms_random_triples(spec):
     rng = random.Random(spec.m * 101 + (0 if spec.rep is None else spec.rep.degree))
     ctx = quotient_context(spec)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     elems = full.elements
     for _ in range(10_000):
         x, y, z = (rng.choice(elems) for _ in range(3))
@@ -124,15 +125,15 @@ def test_closure_counts_against_exhaustive_enumeration():
         for a, b, c, d in itertools.product(range(m), repeat=4):
             if (a * d - b * c) % m == 1:
                 count += 1
-        full = sl2_context(m).enumerate()
+        full = enumerate_group(sl2_context(m))
         assert len(full) == count
-    assert len(sl2_context(2).enumerate()) == 6
-    assert len(sl2_context(5).enumerate()) == 120
+    assert len(enumerate_group(sl2_context(2))) == 6
+    assert len(enumerate_group(sl2_context(5))) == 120
 
 
 def test_closure_is_sound_and_contains_generators():
     for ctx in small_contexts():
-        full = ctx.enumerate()
+        full = enumerate_group(ctx)
         if len(full) > 1000:
             continue
         members = full.as_set()
@@ -172,7 +173,7 @@ def test_closure_cap_admits_a_group_of_exactly_its_size():
 
 def test_intersection_with_self_and_trivial():
     ctx = sl2_context(3)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     sub = subgroup_closure(ctx, (ctx.generators[0],))
     assert subgroup_intersection(sub, sub).as_set() == sub.as_set()
     trivial = subgroup_closure(ctx, ())
@@ -193,7 +194,7 @@ def test_intersection_matches_brute_force_filter():
 
 def test_product_member_trivial_cases():
     ctx = sl2_context(3)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     trivial = subgroup_closure(ctx, ())
     sub = subgroup_closure(ctx, (ctx.generators[0],))
     rng = random.Random(14)
@@ -248,13 +249,13 @@ def test_product_commutes_iff_product_is_subgroup():
 
 def test_coset_reps_whole_subgroup():
     ctx = sl2_context(2)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     assert coset_reps(ctx, full, full) == (ctx.identity,)
 
 
 def test_coset_reps_index_two_in_order_six():
     ctx = sl2_context(2)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     st = ctx.mul(ctx.generators[0], ctx.generators[1])
     sub = subgroup_closure(ctx, (st,))
     assert len(sub) == 3
@@ -268,7 +269,7 @@ def test_coset_reps_for_level_two_congruence_words():
     gens = [ModularWord.from_str("SS"), ModularWord.from_str("TT"), ModularWord.from_str("Stts")]
     assert word_eval(gens[2]) == Mat2.ambient(1, 0, 2, 1)
     ctx = sl2_context(2)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     images = [word_eval(w).reduce(2) for w in gens]
     sub = subgroup_closure(ctx, images)
     reps = coset_reps(ctx, full, sub)
@@ -296,7 +297,7 @@ def test_coset_reps_rejects_non_subgroup():
 def test_normal_closure_is_normal():
     rng = random.Random(17)
     for ctx in (sl2_context(3), s3_context()):
-        full = ctx.enumerate()
+        full = enumerate_group(ctx)
         for _ in range(5):
             n = normal_closure(ctx, [rng.choice(full.elements)])
             assert is_normal_by_generators(ctx, n)
@@ -315,7 +316,7 @@ def test_non_normal_subgroup_detected():
 
 def test_prop_identity_trivial_case():
     ctx = sl2_context(3)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     trivial = subgroup_closure(ctx, ())
     sub = subgroup_closure(ctx, (ctx.generators[0],))
     # Hp = H, N = 1: HK = HK intersect HK
@@ -338,7 +339,7 @@ def test_prop_identity_random_instances_always_true():
 
 def test_prop_identity_reports_which_precondition_failed():
     ctx = s3_context()
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     trivial = subgroup_closure(ctx, ())
     reflection = subgroup_closure(ctx, ((1, 0, 2),))
     # H = K = S3 but Hp a proper subgroup: intersection(H, K) not inside Hp
@@ -350,7 +351,7 @@ def test_prop_identity_reports_which_precondition_failed():
 
 def test_cor_identity_trivial_case():
     ctx = sl2_context(3)
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     sub = subgroup_closure(ctx, (ctx.generators[0],))
     assert check_cor_identity(ctx, full, sub, full, sub)
 
@@ -372,7 +373,7 @@ def test_cor_identity_random_instances_always_true():
 def test_cor_identity_fails_without_intersection_hypothesis():
     # H = K = S3 with Hp, Kp two distinct reflections: the identity breaks
     ctx = s3_context()
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     hp = subgroup_closure(ctx, ((1, 0, 2),))
     kp = subgroup_closure(ctx, ((2, 1, 0),))
     assert not check_cor_identity(ctx, full, full, hp, kp, enforce=False)

@@ -34,6 +34,7 @@ from t_util import (
     brute_force_product,
     congruence_rep,
     count_closures,
+    enumerate_group,
     evidence_cross_check,
     gs_build,
     gs_hk_member,
@@ -127,7 +128,7 @@ def test_intersection_trivial_exhaustive_small_levels():
         meet = gs_intersection(inst)
         assert len(meet) == 1
         # full-context filter oracle
-        full = inst.ctx.enumerate()
+        full = enumerate_group(inst.ctx)
         brute = [x for x in full.elements if x in inst.im_h and x in inst.im_k]
         assert brute == [inst.ctx.identity]
 
@@ -142,7 +143,7 @@ def test_identity_matrix_stabilizer_is_trivial():
     from cosetope.groupcore import sl2_context
 
     for m in range(2, 9):
-        full = sl2_context(m).enumerate()
+        full = enumerate_group(sl2_context(m))
         stab = [h for h in full.elements if h * Mat2.identity(m) == Mat2.identity(m)]
         assert stab == [Mat2.identity(m)]
 
@@ -153,7 +154,7 @@ def test_identity_matrix_stabilizer_is_trivial():
 
 def test_det_criterion_matches_product_member_exhaustively_level_two():
     inst = gs_build(QuotientSpec.make(2))
-    full = inst.ctx.enumerate()
+    full = enumerate_group(inst.ctx)
     for g in full.elements:
         direct = product_member(inst.ctx, g, inst.im_h, inst.im_k)
         assert direct == hk_member_sd(g)
@@ -161,7 +162,7 @@ def test_det_criterion_matches_product_member_exhaustively_level_two():
 
 def test_det_criterion_exhaustive_m4_and_sampled_above():
     inst = gs_build(QuotientSpec.make(4))
-    full = inst.ctx.enumerate()
+    full = enumerate_group(inst.ctx)
     assert len(full) == 12288
     for g in full.elements:
         assert product_member(inst.ctx, g, inst.im_h, inst.im_k) == hk_member_sd(g)
@@ -170,7 +171,7 @@ def test_det_criterion_exhaustive_m4_and_sampled_above():
 
     for m in (5, 6, 7, 8):
         inst = gs_build(QuotientSpec.make(m))
-        sl2 = sl2_context(m).enumerate()
+        sl2 = enumerate_group(sl2_context(m))
         for _ in range(40):
             a = Mat2.of_mod(*(rng.randrange(m) for _ in range(4)), m)
             g = SdElement(a, rng.choice(sl2.elements), None)
@@ -389,11 +390,10 @@ def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
     evidence = gs_wz_failure(rep, 32)
     assert [entry["m"] for entry in evidence.level_transcripts] == list(range(2, 33))
     assert Counter(n for caller, _, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
-    # the congruence test and the witness walk, and nothing else: the
-    # transcripts read the blocks image_blocks keeps
+    # the witness walk, which decides congruence too as 12 divides 24, and
+    # nothing else: the transcripts read the blocks image_blocks keeps
     assert Counter(calls) == Counter(
-        [("is_congruence", rep, 12), ("congruence_gap_witness", rep, 24)]
-        + [("image_blocks", rep, g) for g in (2, 3, 4, 6, 12)]
+        [("congruence_gap_witness", rep, 24)] + [("image_blocks", rep, g) for g in (2, 3, 4, 6, 12)]
     )
     # a second call walks again: the walks are kept per call, not per process
     calls.clear()

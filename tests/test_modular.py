@@ -27,6 +27,7 @@ from cosetope.modular import (
     subgroup_generators,
     tree_word,
     word_eval,
+    _edge_word,
     _gamma_walk,
     _orbit_blocks,
     _restandardize,
@@ -36,6 +37,7 @@ from cosetope.report import rep as read_rep, rep_from_json
 from t_util import (
     congruence_rep,
     count_closures,
+    enumerate_group,
     hsu_odd_level_congruence,
     image_closure,
     klein_fricke_blocks,
@@ -278,7 +280,7 @@ def test_subgroup_generators_fix_basepoint():
 def test_subgroup_generator_images_have_index_degree():
     for rep in low_index_reps(5):
         ctx = perm_context(rep.degree, [rep.perm_s, rep.perm_t])
-        whole = ctx.enumerate()
+        whole = enumerate_group(ctx)
         images = [rep.word_perm(w) for w in subgroup_generators(rep)]
         stab = subgroup_closure(ctx, images)
         assert len(whole) == rep.degree * len(stab)
@@ -367,9 +369,8 @@ def _walk_edges(rep, n, walk):
     if walk is not _gamma_walk:
         return list(walk(rep, n, seen)), list(seen)
     edges = []
-    for q, p, (x, letter, y) in walk(rep, n, Budgets(), seen):
-        word = ModularWord(tree_word(seen, x) + (letter,)) * ModularWord(tree_word(seen, y)).inverse()
-        edges.append((q, p, word))
+    for q, p, edge in walk(rep, n, Budgets(), seen):
+        edges.append((q, p, _edge_word(seen, edge)))
     return edges, [Mat2(*x, n) for x in seen]
 
 
@@ -433,9 +434,9 @@ def test_a_level_above_64_is_decided_under_the_default_cap():
 
 
 def test_image_blocks_stop_once_one_block_is_left(monkeypatch):
-    # the first edge of the walk over PSL2(Z/105) joins every point of the
-    # level-105 rep under S and T, so the blocks are read off that one edge
-    # rather than off all 483,840 matrices
+    # the first edge of the walk over PSL2(Z/105) that moves the basepoint
+    # joins every point of the level-105 rep under S and T, so the blocks
+    # are read off the edges up to it rather than off all 483,840 matrices
     rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "level105_rep.json"))
     consumed = []
     real = cosetope.modular._gamma_walk
@@ -447,7 +448,8 @@ def test_image_blocks_stop_once_one_block_is_left(monkeypatch):
 
     monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
     assert image_blocks(rep, 105) == (0,) * 15
-    assert len(consumed) == 1
+    assert [i for i, (q, p, _) in enumerate(consumed) if q != p] == [len(consumed) - 1]
+    assert len(consumed) < 483_840 // 10
 
 
 def _congruence_by_containment(rep):
@@ -487,7 +489,7 @@ def test_congruence_rep_properties():
         rep = congruence_rep(m)
         assert rep_level(rep) == m
         assert is_congruence(rep)
-        assert len(psl2_context(m).enumerate()) == rep.degree
+        assert len(enumerate_group(psl2_context(m))) == rep.degree
 
 
 def test_principal_congruence_generators_reduce_to_identity():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -20,6 +21,7 @@ from cosetope.groupcore import (
 from cosetope.modular import (
     ModularWord,
     PermRep,
+    gamma_image_order,
     is_congruence,
     low_index_reps,
     congruence_gap_witness,
@@ -43,14 +45,18 @@ from cosetope.report import rep as read_rep, tower as read_tower
 
 from t_util import (
     congruence_rep,
+    count_closures,
+    enumerate_group,
     gw_inv,
     gw_mul,
     hi_exclusion_check,
     kernel_listing,
+    linear_closure_order,
     normal_closure,
     oracle_admits,
     oracle_element_restriction,
     oracle_refined_by,
+    quotient_closure_order,
     random_word,
     s3_context,
     schreier_kernel,
@@ -58,6 +64,7 @@ from t_util import (
 )
 
 
+NC_REP = read_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
 H_GENS = (GroupWord.of_word(ModularWord.from_str("S")), GroupWord.of_word(ModularWord.from_str("T")))
 I_CONJ = GroupWord.of_a(Mat2.identity())
 IDENTITY = GroupWord(Mat2.zero(), ModularWord())
@@ -81,7 +88,25 @@ def test_quotient_orders_match_formula():
     for m, expected in ((2, 96), (3, 1944)):
         spec = QuotientSpec.make(m)
         assert spec_group_order(spec) == expected == m ** 4 * sl2_group_order(m)
-        assert len(quotient_context(spec).enumerate()) == expected
+        assert len(enumerate_group(quotient_context(spec))) == expected
+
+
+def test_quotient_order_with_a_coset_action_matches_the_closure_of_l():
+    # |L| = |SL2(Z/m)| |sigma(Gamma(m))| against the closure of the images of
+    # S and T, for every class of degree <= 6 at m = 2, 3, 4, and nc_rep at 2
+    pairs = [(rep, m) for rep in low_index_reps(6) for m in (2, 3, 4)]
+    assert len(pairs) == 45
+    for rep, m in pairs + [(NC_REP, 2)]:
+        spec = QuotientSpec.make(m, rep)
+        assert spec_group_order(spec) == m ** 4 * linear_closure_order(spec), (rep, m)
+    assert linear_closure_order(QuotientSpec.make(2, NC_REP)) == 15_120 == 6 * gamma_image_order(NC_REP, 2)
+
+
+def test_quotient_order_with_a_coset_action_matches_the_closure_count():
+    # the whole quotient listed, as quotient --enumerate once counted it
+    for rep in low_index_reps(4):
+        spec = QuotientSpec.make(2, rep)
+        assert spec_group_order(spec) == quotient_closure_order(spec), rep
 
 
 def test_quotient_identity():
@@ -178,7 +203,7 @@ def test_kernel_of_refinement_four_over_two():
     fine, coarse = QuotientSpec.make(4), QuotientSpec.make(2)
     # (4^4/2^4) * |ker(SL2(Z/4) -> SL2(Z/2))| = 16 * (48/6) = 128
     assert len(kernel_of_refinement(fine, coarse)) == 128
-    assert set(_fine_elements(fine)) == quotient_context(fine).enumerate().as_set()
+    assert set(_fine_elements(fine)) == enumerate_group(quotient_context(fine)).as_set()
     listing = _assert_kernel_matches_listing(fine, coarse)
     restrict = element_restriction(fine, coarse)
     cid = quotient_context(coarse).identity
@@ -190,7 +215,7 @@ def _filter_kernel(fine, coarse):
     """Oracle: the elements of the whole fine quotient that restrict to the identity."""
     restrict = element_restriction(fine, coarse)
     cid = quotient_context(coarse).identity
-    return frozenset(x for x in quotient_context(fine).enumerate() if restrict(x) == cid)
+    return frozenset(x for x in enumerate_group(quotient_context(fine)) if restrict(x) == cid)
 
 
 def _congruence_kernel_order(f, c):
@@ -226,8 +251,7 @@ def _coset_action_pairs():
                 for name, coarse in (("plain", QuotientSpec.make(2)), ("same-rep", QuotientSpec.make(2, rep)))
                 if _refines(fine, coarse)
             ]
-    nc_rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
-    return pairs + [pytest.param(QuotientSpec.make(2, nc_rep), QuotientSpec.make(2), id="nc_rep-plain")]
+    return pairs + [pytest.param(QuotientSpec.make(2, NC_REP), QuotientSpec.make(2), id="nc_rep-plain")]
 
 
 @pytest.mark.parametrize("fine, coarse", _coset_action_pairs())
@@ -236,6 +260,19 @@ def test_coset_action_kernel_matches_the_schreier_oracle(fine, coarse):
     assert listing.elements[0] == quotient_context(fine).identity
     assert len(set(listing.elements)) == len(listing)
     assert listing.as_set() == schreier_kernel(fine, coarse).as_set()
+
+
+def test_coset_action_kernel_of_nc_rep_four_over_two_matches_the_listing():
+    # (4/2)^4 * (48 * 2,520) / (6 * 2,520) = 128 without the closure of L_4,
+    # whose 120,960 elements the listing filters
+    fine, coarse = QuotientSpec.make(4, NC_REP), QuotientSpec.make(2, NC_REP)
+    start = time.perf_counter()
+    kernel = kernel_of_refinement(fine, coarse)
+    assert time.perf_counter() - start < 0.5
+    listing = kernel_listing(fine, coarse)
+    assert kernel.order == len(listing) == 128
+    restrict, cid = element_restriction(fine, coarse), quotient_context(coarse).identity
+    assert all(restrict(x) == cid for x in listing)
 
 
 @pytest.mark.parametrize("f, c", [(8, 2), (8, 4), (9, 3), (12, 4)])
@@ -260,20 +297,14 @@ def test_kernel_direct_path_closed_form(f, c):
         assert x.h.det() == 1
 
 
-def test_kernel_with_coset_action_takes_the_coset_action_path(monkeypatch):
-    # the order counts the closure of L, the images of S and T, not SL2
+def test_kernel_with_coset_action_lists_no_quotient_element(monkeypatch):
+    # the order (4/2)^4 |L_4| / |L_2| closes only permutations: the image of
+    # Gamma(4) and of Gamma(2) in the level-2 coset action, both trivial
     rep = congruence_rep(2)
     fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
-    calls = []
-    closure = profinite.subgroup_closure
-
-    def spy(ctx, gens, budgets=Budgets()):
-        calls.append(tuple(gens))
-        return closure(ctx, gens, budgets)
-
-    monkeypatch.setattr(profinite, "subgroup_closure", spy)
+    closures = count_closures(monkeypatch)
     kernel = kernel_of_refinement(fine, coarse)
-    assert calls == [quotient_context(fine).generators[4:]]
+    assert {name for name, _ in closures} == {"the coset action of Gamma(4)", "the coset action of Gamma(2)"}
     assert len(kernel) == _congruence_kernel_order(4, 2)
     monkeypatch.undo()
     listing = _assert_kernel_matches_listing(fine, coarse)
@@ -286,15 +317,20 @@ def test_kernel_budget_fails_before_building():
 
 
 def test_coset_action_kernel_honours_the_closure_cap():
-    # the linear part of the fine quotient, SL2(Z/4) here, is closed under
-    # the cap, and its 8 elements that are I mod 2 make a kernel of 16 * 8
+    # the walk over PSL2(Z/4), of 24 elements, and the kernel's order,
+    # 16 * 8, each run under the cap; so does the closure of the image of
+    # Gamma(4) in nc_rep's coset action, of 2,520 permutations
     rep = congruence_rep(2)
     fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
-    with pytest.raises(BudgetError, match="more than 40 elements"):
-        kernel_of_refinement(fine, coarse, Budgets(closure_cap=40))
+    with pytest.raises(BudgetError, match=r"PSL2\(Z/4\) has 24 elements > 20"):
+        kernel_of_refinement(fine, coarse, Budgets(closure_cap=20))
     with pytest.raises(BudgetError, match="refinement kernel 4 -> 2 has 128 elements > 100"):
         kernel_of_refinement(fine, coarse, Budgets(closure_cap=100))
     assert len(kernel_of_refinement(fine, coarse, Budgets(closure_cap=128))) == 128
+    fine, coarse = QuotientSpec.make(4, NC_REP), QuotientSpec.make(2, NC_REP)
+    with pytest.raises(BudgetError, match=r"more than 2519 elements in the coset action of Gamma\(4\)"):
+        kernel_of_refinement(fine, coarse, Budgets(closure_cap=2519))
+    assert len(kernel_of_refinement(fine, coarse, Budgets(closure_cap=2520))) == 128
 
 
 def test_restriction_from_plain_to_degree_one_action():
@@ -625,14 +661,14 @@ def test_probe_with_gap_subgroup_is_inconclusive_on_congruence_tower():
 
 def test_hi_exclusion_whole_subgroup_vacuous():
     ctx = s3_context()
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     trivial = subgroup_closure(ctx, ())
     assert hi_exclusion_check(ctx, full, full, full, trivial)
 
 
 def test_hi_exclusion_fails_on_a_transversal_element_inside_hp_k_n():
     ctx = s3_context()
-    full = ctx.enumerate()
+    full = enumerate_group(ctx)
     k = subgroup_closure(ctx, ((1, 0, 2),))
     n = subgroup_closure(ctx, ((1, 2, 0),))  # the 3-cycle subgroup, normal
     # K*N is all of S3, so both transversal elements off Hp = K lie in Hp*K*N
