@@ -118,9 +118,11 @@ def _dcoset_member(config: dict, budgets: Budgets) -> dict:
 def _congruence(config: dict, budgets: Budgets) -> dict:
     rep = config["rep"]
     level = rep_level(rep)
-    result = {"degree": rep.degree, "level": level, "congruence": is_congruence(rep, budgets=budgets)}
+    index = len(set(image_blocks(rep, level, budgets)))
+    # congruence exactly when Gamma(level), being normal, fixes every coset
+    result = {"degree": rep.degree, "level": level, "congruence": index == rep.degree}
     if level > 1:
-        result["image_index"] = len(set(image_blocks(rep, level, budgets)))
+        result["image_index"] = index
     return result
 
 

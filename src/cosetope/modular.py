@@ -318,20 +318,15 @@ def subgroup_generators(rep: PermRep) -> list:
 
     Schreier generators word(p) + letter + word(p letter)^-1 over the BFS
     transversal (the ``tree_word`` of each point of ``discovery_tree``), for
-    p in discovery order and letter S, then T, with the words that freely
-    reduce to nothing (tree edges) dropped.  The rest form a free basis, as
-    the transversal is prefix-closed, so no two are equal.
-    Every returned word fixes the basepoint.
+    p in discovery order and letter S, then T, each read by the walk's own
+    ``_edge_word``, with the words that freely reduce to nothing (tree
+    edges) dropped.  The rest form a free basis, as the transversal is
+    prefix-closed, so no two are equal.  Every returned word fixes the
+    basepoint.
     """
     tree = discovery_tree(rep.perm_s, rep.perm_t)
-    words = {q: tree_word(tree, q) for q in tree}
-    out = []
-    for p, word in words.items():
-        for letter, perm in ((S_, rep.perm_s), (T_, rep.perm_t)):
-            gen = ModularWord(word + (letter,)) * ModularWord(words[perm[p]]).inverse()
-            if gen.letters:
-                out.append(gen)
-    return out
+    gens = [_edge_word(tree, (p, a, perm[p])) for p in tree for a, perm in ((S_, rep.perm_s), (T_, rep.perm_t))]
+    return [gen for gen in gens if gen.letters]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +388,8 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
 
 
 def _edge_word(seen: dict, edge: tuple) -> ModularWord:
-    """The Schreier generator that ``_gamma_walk`` closes at ``edge``."""
+    """The Schreier generator that ``edge`` = (source, letter, target) closes
+    in ``seen``, the tree of a ``_gamma_walk`` or a ``discovery_tree``."""
     source, letter, target = edge
     return ModularWord(tree_word(seen, source) + (letter,)) * ModularWord(tree_word(seen, target)).inverse()
 

@@ -12,6 +12,7 @@ from collections import Counter
 from typing import NamedTuple
 
 import cosetope.groupcore
+import cosetope.modular
 from cosetope.arith import MAT_S, MAT_T, Mat2, sl2_group_order
 from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, ModulusMismatch, PreconditionError, ValidationError
@@ -363,6 +364,41 @@ def count_closures(monkeypatch) -> Counter:
         if name.startswith("cosetope.") and getattr(module, "subgroup_closure", None) is real:
             monkeypatch.setattr(module, "subgroup_closure", counting)
     return calls
+
+
+class Walk(NamedTuple):
+    """One ``modular._gamma_walk`` started: the name of the function that
+    started it, its rep and level, its ``seen`` dict, and the steps it has
+    yielded so far."""
+
+    caller: str
+    rep: PermRep
+    n: int
+    seen: dict
+    steps: list
+
+
+def spy_walks(monkeypatch) -> list:
+    """Record a ``Walk`` for every ``modular._gamma_walk`` started, in order.
+
+    The walk is recorded when it is called, before its first step checks
+    the closure cap, and each step when the caller takes it."""
+    walks = []
+    real = cosetope.modular._gamma_walk
+
+    def spy(rep, n, budgets, seen=None):
+        walk = Walk(sys._getframe(1).f_code.co_name, rep, n, {} if seen is None else seen, [])
+        walks.append(walk)
+
+        def steps():
+            for step in real(rep, n, budgets, walk.seen):
+                walk.steps.append(step)
+                yield step
+
+        return steps()
+
+    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    return walks
 
 
 # ---------------------------------------------------------------------------

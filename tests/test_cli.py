@@ -9,7 +9,6 @@ from pathlib import Path
 
 import pytest
 
-import cosetope.modular
 from cosetope import report as rpt
 from cosetope.budgets import Budgets
 from cosetope.cli import COMMANDS, OPTIONS, main
@@ -18,7 +17,7 @@ from cosetope.modular import is_congruence, low_index_reps, rep_level
 from cosetope.profinite import QuotientSpec
 from cosetope.report import as_recorded, canonical_dumps, parse_int
 
-from t_util import congruence_rep, count_closures, gs_build, gs_intersection, quotient_closure_order
+from t_util import congruence_rep, count_closures, gs_build, gs_intersection, quotient_closure_order, spy_walks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -641,20 +640,13 @@ def test_budgets_are_positive_immutable_values():
 def test_quotient_with_a_coset_action_fails_before_any_walk(tmp_path, monkeypatch, capsys):
     # |PSL2(Z/1000)| = 360,000,000 exceeds the default cap, so the walk for
     # the coset action's order stops before it visits a state
-    walks = []
-    real = cosetope.modular._gamma_walk
-
-    def spy(rep, n, budgets, seen=None):
-        walks.append({} if seen is None else seen)
-        return real(rep, n, budgets, walks[-1])
-
-    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    walks = spy_walks(monkeypatch)
     args = ["quotient", "--modulus", "1000", "--rep", str(GOLDEN / "nc_rep.json")]
     assert main(args + ["--output", str(tmp_path / "q.json")]) == 3
     assert capsys.readouterr().err == (
         "budget exhausted: closure budget exceeded: PSL2(Z/1000) has 360000000 elements > 5000000 (closure_cap)\n"
     )
-    assert len(walks) == 1 and walks[0] == {}
+    assert len(walks) == 1 and walks[0].seen == {}
     assert not (tmp_path / "q.json").exists()
 
 
@@ -813,22 +805,14 @@ def test_gs_demo_and_verify_close_no_level_image(tmp_path, monkeypatch):
 def test_gs_demo_walks_each_level_once(tmp_path, monkeypatch):
     # the intersection table lists nothing; the evidence walks the level
     # images it keeps once per (rep, n)
-    walked = []
-    real = cosetope.modular._gamma_walk
-
-    def spy(rep, n, budgets, seen=None):
-        if sys._getframe(1).f_code.co_name == "image_blocks":
-            walked.append((rep, n))
-        return real(rep, n, budgets, seen)
-
-    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
     expected = [(rep, g) for g in (2, 3, 4, 6, 12)]
+    walks = spy_walks(monkeypatch)
     run_report(["gs-demo", "--m-max", "32"], tmp_path / "demo.json")
-    assert sorted(walked) == sorted(expected)
-    walked.clear()
+    assert sorted((w.rep, w.n) for w in walks if w.caller == "image_blocks") == sorted(expected)
+    walks.clear()
     run_report(["gs-demo", "--max-level", "2", "--m-max", "6"], tmp_path / "demo2.json")
-    assert sorted(walked) == sorted(expected[:4])
+    assert sorted((w.rep, w.n) for w in walks if w.caller == "image_blocks") == sorted(expected[:4])
 
 
 def test_gs_demo_walks_each_rep_and_level_once_per_caller(tmp_path, monkeypatch):
@@ -836,15 +820,9 @@ def test_gs_demo_walks_each_rep_and_level_once_per_caller(tmp_path, monkeypatch)
     # itself, as its level 12 divides 24, so that class's PSL2(Z/12) is
     # walked once for the low-index filter and not again for the witness
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
-    walked = Counter()
-    real = cosetope.modular._gamma_walk
-
-    def spy(rep, n, budgets, seen=None):
-        walked[sys._getframe(1).f_code.co_name, rep, n] += 1
-        return real(rep, n, budgets, seen)
-
-    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    walks = spy_walks(monkeypatch)
     data, _ = run_report(["gs-demo", "--m-max", "32"], tmp_path / "demo.json")
+    walked = Counter(w[:3] for w in walks)
     assert as_recorded(rep) == data["result"]["lowindex"]["selected"]
     assert set(walked.values()) == {1}
     assert {caller for caller, _, _ in walked} == {"is_congruence", "congruence_gap_witness", "image_blocks"}
@@ -1001,6 +979,22 @@ def test_congruence_at_level_105_stops_at_the_closure_cap(tmp_path, capsys):
     assert err.startswith("budget exhausted: ")
     assert err.rstrip().endswith("PSL2(Z/105) has 483840 elements > 100000 (closure_cap)")
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("name", ["congruence_rep(4)", "nc_rep.json"])
+def test_congruence_walks_psl2_once_at_its_level(tmp_path, monkeypatch, name):
+    # the verdict and the image index are both read off the blocks of one
+    # walk over PSL2(Z/N), N the level of the rep
+    path = GOLDEN / name
+    if name == "congruence_rep(4)":
+        path = tmp_path / "rep.json"
+        path.write_text(canonical_dumps(congruence_rep(4)))
+    walks = spy_walks(monkeypatch)
+    data, _ = run_report(["congruence", "--rep", str(path)], tmp_path / "c.json")
+    level = parse_int(data["result"]["level"])
+    assert [(w.caller, w.n) for w in walks] == [("image_blocks", level)]
+    congruent = parse_int(data["result"]["image_index"]) == parse_int(data["result"]["degree"])
+    assert data["result"]["congruence"] is congruent is (name != "nc_rep.json")
 
 
 def test_congruence_refuses_a_rep_whose_permutations_are_not_lists(tmp_path, capsys):

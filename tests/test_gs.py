@@ -1,10 +1,8 @@
 import random
-import sys
 from collections import Counter
 
 import pytest
 
-import cosetope.modular
 from cosetope.arith import Mat2
 from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
@@ -42,6 +40,7 @@ from t_util import (
     hk_member_sd,
     oracle_gs_images,
     random_word,
+    spy_walks,
 )
 
 
@@ -368,37 +367,24 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
             gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=cap))
 
 
-def _spy_walks(monkeypatch) -> list:
-    """Record (caller, rep, level) for every ``modular._gamma_walk`` started."""
-    calls = []
-    walk = cosetope.modular._gamma_walk
-
-    def spy(rep, n, budgets, seen=None):
-        calls.append((sys._getframe(1).f_code.co_name, rep, n))
-        return walk(rep, n, budgets, seen)
-
-    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
-    return calls
-
-
 def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
     # the gs-demo rep has level 12, so levels 2..32 have the gcds 1, 2, 3,
     # 4, 6 and 12, and gcd 1 needs no walk
     rep = minimal_noncongruence()
     assert rep_level(rep) == 12
-    calls = _spy_walks(monkeypatch)
+    calls = spy_walks(monkeypatch)
     evidence = gs_wz_failure(rep, 32)
     assert [entry["m"] for entry in evidence.level_transcripts] == list(range(2, 33))
-    assert Counter(n for caller, _, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    assert Counter(w.n for w in calls if w.caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
     # the witness walk, which decides congruence too as 12 divides 24, and
     # nothing else: the transcripts read the blocks image_blocks keeps
-    assert Counter(calls) == Counter(
+    assert Counter(w[:3] for w in calls) == Counter(
         [("congruence_gap_witness", rep, 24)] + [("image_blocks", rep, g) for g in (2, 3, 4, 6, 12)]
     )
     # a second call walks again: the walks are kept per call, not per process
     calls.clear()
     gs_wz_failure(rep, 32)
-    assert Counter(n for caller, _, n in calls if caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    assert Counter(w.n for w in calls if w.caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
 
 
 def test_wz_failure_refuses_an_empty_range_of_levels():

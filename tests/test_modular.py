@@ -50,6 +50,7 @@ from t_util import (
     perm_context,
     principal_congruence_generators,
     random_word,
+    spy_walks,
 )
 
 
@@ -438,16 +439,9 @@ def test_image_blocks_stop_once_one_block_is_left(monkeypatch):
     # joins every point of the level-105 rep under S and T, so the blocks
     # are read off the edges up to it rather than off all 483,840 matrices
     rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "level105_rep.json"))
-    consumed = []
-    real = cosetope.modular._gamma_walk
-
-    def spy(rep, n, budgets, seen=None):
-        for edge in real(rep, n, budgets, seen):
-            consumed.append(edge)
-            yield edge
-
-    monkeypatch.setattr(cosetope.modular, "_gamma_walk", spy)
+    walks = spy_walks(monkeypatch)
     assert image_blocks(rep, 105) == (0,) * 15
+    [consumed] = [w.steps for w in walks]
     assert [i for i, (q, p, _) in enumerate(consumed) if q != p] == [len(consumed) - 1]
     assert len(consumed) < 483_840 // 10
 
@@ -466,6 +460,12 @@ def test_is_congruence_agrees_with_containment_oracle_degree_6():
     verdicts = [is_congruence(rep) for rep in reps]
     assert verdicts == [_congruence_by_containment(rep) for rep in reps]
     assert verdicts.count(False) == 18
+    # the congruence command's reading on every class of degree <= 10: each
+    # coset is its own orbit of the principal congruence subgroup of the level
+    reps = low_index_reps(10)
+    verdicts = [is_congruence(rep) for rep in reps]
+    assert verdicts == [len(set(image_blocks(rep, rep_level(rep)))) == rep.degree for rep in reps]
+    assert (len(reps), verdicts.count(False)) == (69, 43)
 
 
 def test_is_congruence_agrees_with_hsus_odd_level_test():
