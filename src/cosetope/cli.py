@@ -1,17 +1,19 @@
 """Command-line front door.
 
 Each subcommand is a function from its config (the parsed arguments other
-than the report path and the closure cap) to a result, listed in
-``COMMANDS``.  Its report is canonical JSON (sorted keys, numbers as decimal
-strings) holding the command, the config and the result, so identical
-invocations produce identical bytes.  ``parse`` reads every command line
-from the option table ``OPTIONS`` and reads each input option, inline JSON
-or a file, there and only there, so the config holds the inputs themselves
-and the report records them.  ``verify`` writes the recorded config back as
-a command line, parses it again, requires it back unchanged, reruns the
-command on it and compares the whole result; it reads no file but the
-report.  Exit codes: 0 completed (including inconclusive outcomes), 2
-precondition or validation failure, 3 budget exhaustion.
+than the report path and the closure cap) to a result.  The option table
+``OPTIONS`` gives each command that function, its one-line help and its
+options.  ``_report`` runs a command and returns its report: canonical JSON
+(sorted keys, numbers as decimal strings) holding the command, the config
+and the result, so identical invocations produce identical bytes.
+``parse`` reads every command line from ``OPTIONS`` and reads each input
+option, inline JSON or a file, there and only there, so the config holds
+the inputs themselves and the report records them.  ``verify`` writes the
+recorded config back as a command line, parses it again, rebuilds with
+``_report`` the report ``main`` would write from it and compares the bytes;
+it reads no file but the report.  Exit codes: 0 completed (including
+inconclusive outcomes), 2 precondition or validation failure, 3 budget
+exhaustion.
 """
 
 from __future__ import annotations
@@ -207,26 +209,12 @@ def _gs_demo(config: dict, budgets: Budgets) -> dict:
     }
 
 
-COMMANDS = {
-    "quotient": _quotient,
-    "image": _image,
-    "intersect": _intersect,
-    "dcoset-member": _dcoset_member,
-    "tractable": _tractable,
-    "thm-b-probe": _thm_b_probe,
-    "lowindex": _lowindex,
-    "congruence": _congruence,
-    "gap-witness": _gap_witness,
-    "gs-demo": _gs_demo,
-}
-
-
 # ---------------------------------------------------------------------------
 # verify
 #
-# ``verify`` reparses the report's recorded config, requires it back unchanged,
-# reruns the report's command on it and compares the whole result.  It is not
-# in ``COMMANDS``: a verify report naming itself would recurse.
+# ``verify`` reparses the report's recorded config, rebuilds from it the
+# report ``main`` would write and requires the report's own bytes.  A verify
+# report names no command to rerun: it would recurse.
 
 
 _ABSENT = object()
@@ -243,7 +231,7 @@ def _first_difference(claimed, recomputed, path: str) -> tuple:
     differ, with the value each holds there (``_ABSENT`` for a missing one)."""
     if isinstance(claimed, dict) and isinstance(recomputed, dict):
         keys = sorted(claimed.keys() | recomputed.keys())
-        pairs = [(f"{path}.{k}", claimed.get(k, _ABSENT), recomputed.get(k, _ABSENT)) for k in keys]
+        pairs = [(f"{path}.{k}" if path else k, claimed.get(k, _ABSENT), recomputed.get(k, _ABSENT)) for k in keys]
     elif isinstance(claimed, list) and isinstance(recomputed, list):
         pad = [_ABSENT] * abs(len(claimed) - len(recomputed))
         pairs = [(f"{path}[{i}]", a, b) for i, (a, b) in enumerate(zip(claimed + pad, recomputed + pad))]
@@ -252,12 +240,10 @@ def _first_difference(claimed, recomputed, path: str) -> tuple:
     return next(_first_difference(a, b, p) for p, a, b in pairs if _differs(a, b))
 
 
-def _require_match(claimed, recomputed, root: str) -> None:
-    if not _differs(claimed, recomputed):
-        return
-    path, claimed, recomputed = _first_difference(claimed, recomputed, root)
-    claimed, recomputed = ("nothing" if v is _ABSENT else repr(v) for v in (claimed, recomputed))
-    raise ValidationError(f"verify failed: {path}: report says {claimed}, recomputed {recomputed}")
+def _report(command: str, config: dict, budgets: Budgets) -> str:
+    """The report text ``main`` writes for ``command`` run on ``config``."""
+    result = OPTIONS[command][0](config, budgets)
+    return rpt.canonical_dumps({"schema": rpt.SCHEMA_VERSION, "command": command, "config": config, "result": result})
 
 
 def _reparsed(command: str, recorded) -> dict:
@@ -269,7 +255,7 @@ def _reparsed(command: str, recorded) -> dict:
     if not isinstance(recorded, dict):
         raise ValidationError(f"verify failed: the {command} config is not a JSON object")
     argv = [command]
-    for name, (kind, _, _) in OPTIONS[command][1].items():
+    for name, (kind, _, _) in OPTIONS[command][2].items():
         value = recorded.get(_key(name))
         if value is True:
             argv.append(name)
@@ -286,58 +272,63 @@ def _reparsed(command: str, recorded) -> dict:
 def _verify(config: dict, budgets: Budgets) -> dict:
     text = rpt.read_text(config["report"], "report")
     data = rpt.decode(text, "report is not valid JSON")
-    if rpt.canonical_dumps(data) != text:
-        raise ValidationError("verify failed: report is not in canonical form (bytes differ)")
     if not isinstance(data, dict) or data.keys() != _REPORT_KEYS:
         raise ValidationError(f"verify failed: a report holds exactly the keys {sorted(_REPORT_KEYS)}")
     if data["schema"] != rpt.as_recorded(rpt.SCHEMA_VERSION):
         raise ValidationError(f"verify failed: unsupported schema {data['schema']!r}")
     command = data["command"]
-    if not isinstance(command, str) or command not in COMMANDS:
+    if not isinstance(command, str) or command not in OPTIONS or command == "verify":
         raise ValidationError(f"verify: unknown command {command!r}")
-    rerun = _reparsed(command, data["config"])
-    _require_match(data["config"], rpt.as_recorded(rerun), "config")
-    _require_match(data["result"], rpt.as_recorded(COMMANDS[command](rerun, budgets)), "result")
-    return {"verified": True, "checked": command}
+    rebuilt = _report(command, _reparsed(command, data["config"]), budgets)
+    if rebuilt == text:
+        return {"verified": True, "checked": command}
+    recomputed = rpt.decode(rebuilt, "rebuilt report is not valid JSON")
+    if not _differs(data, recomputed):
+        raise ValidationError("verify failed: report is not in canonical form (bytes differ)")
+    path, claimed, recomputed = _first_difference(data, recomputed, "")
+    claimed, recomputed = ("nothing" if v is _ABSENT else repr(v) for v in (claimed, recomputed))
+    raise ValidationError(f"verify failed: {path}: report says {claimed}, recomputed {recomputed}")
 
 
 # ---------------------------------------------------------------------------
 # command line
 #
-# ``OPTIONS`` maps each command to its one-line help and its options, each
-# (type, default, help): a ``str`` or ``int`` option takes a value, a ``bool``
-# option is a flag, an input option's type is its reader in ``report`` (which
-# takes inline JSON or a path), and the default ``REQUIRED`` makes an option
-# required.  Every command also takes ``--output`` and ``--closure-cap``,
-# which are not config.
+# ``OPTIONS`` maps each command to the function that runs it, its one-line
+# help and its options, each (type, default, help): a ``str`` or ``int``
+# option takes a value, a ``bool`` option is a flag, an input option's type
+# is its reader in ``report`` (which takes inline JSON or a path), and the
+# default ``REQUIRED`` makes an option required.  Every command also takes
+# ``--output`` and ``--closure-cap``, which are not config.
 
 
 REQUIRED = object()
 _NEEDS_INT, _GENS = (int, REQUIRED, ""), (rpt.gens, REQUIRED, "JSON list of group elements")
 _REP = (rpt.rep, None, "coset action: a permutation representation")
 _COMMON = {"--output": (str, None, "report file (default: stdout)"), "--closure-cap": (int, DEFAULT_CLOSURE_CAP, "")}
-OPTIONS = {command: (summary, {**options, **_COMMON}) for command, (summary, options) in {
-    "quotient": ("describe one finite quotient", {"--modulus": _NEEDS_INT, "--rep": _REP}),
-    "image": ("image of a generated subgroup in a quotient", {"--modulus": _NEEDS_INT, "--rep": _REP, "--gens": _GENS}),
-    "intersect": ("intersection of two subgroup images", {
+OPTIONS = {command: (run, summary, {**options, **_COMMON}) for command, (run, summary, options) in {
+    "quotient": (_quotient, "describe one finite quotient", {"--modulus": _NEEDS_INT, "--rep": _REP}),
+    "image": (_image, "image of a generated subgroup in a quotient", {
+        "--modulus": _NEEDS_INT, "--rep": _REP, "--gens": _GENS}),
+    "intersect": (_intersect, "intersection of two subgroup images", {
         "--modulus": _NEEDS_INT, "--rep": _REP, "--left": _GENS, "--right": _GENS}),
-    "dcoset-member": ("double-coset membership at one level", {
+    "dcoset-member": (_dcoset_member, "double-coset membership at one level", {
         "--modulus": _NEEDS_INT, "--rep": _REP, "--element": (rpt.element, REQUIRED, "group element"),
         "--left": _GENS, "--right": _GENS}),
-    "tractable": ("inclusion search over candidate quotients", {
+    "tractable": (_tractable, "inclusion search over candidate quotients", {
         "--h-gens": _GENS, "--k-gens": _GENS, "--hcapk-gens": (rpt.gens, None, "generators of H meet K"),
         "--m-spec": (rpt.spec, REQUIRED, "quotient spec"), "--tower": (rpt.tower, None, "candidate quotient specs")}),
-    "thm-b-probe": ("separability probe for (H meet L)K", {
+    "thm-b-probe": (_thm_b_probe, "separability probe for (H meet L)K", {
         "--h-gens": _GENS, "--k-gens": _GENS, "--l-gens": (rpt.gens, None, "generators of L"),
         "--l-rep": (rpt.rep, None, "build L as additive part x| subgroup"),
         "--element": (rpt.element, REQUIRED, "group element"), "--tower": (rpt.tower, None, "quotient specs")}),
-    "lowindex": ("enumerate low-index subgroup representations", {
+    "lowindex": (_lowindex, "enumerate low-index subgroup representations", {
         "--max-degree": _NEEDS_INT, "--subgroups": (bool, False, "one table per subgroup, not per class")}),
-    "congruence": ("congruence verdict for one representation", {"--rep": (rpt.rep, REQUIRED, "")}),
-    "gap-witness": ("congruence-gap witness search", {"--rep": (rpt.rep, REQUIRED, ""), "--level": _NEEDS_INT}),
-    "gs-demo": ("end-to-end example report", {
+    "congruence": (_congruence, "congruence verdict for one representation", {"--rep": (rpt.rep, REQUIRED, "")}),
+    "gap-witness": (_gap_witness, "congruence-gap witness search", {
+        "--rep": (rpt.rep, REQUIRED, ""), "--level": _NEEDS_INT}),
+    "gs-demo": (_gs_demo, "end-to-end example report", {
         "--max-level": (int, 8, ""), "--m-max": (int, 24, ""), "--max-degree": (int, 7, "")}),
-    "verify": ("recompute a report's result from its recorded config and compare", {"--report": (str, REQUIRED, "")}),
+    "verify": (_verify, "rebuild a report from its config and compare its bytes", {"--report": (str, REQUIRED, "")}),
 }.items()}
 
 
@@ -356,7 +347,7 @@ def parse(argv) -> tuple:
     if not argv or argv[0] not in OPTIONS:
         got = f"unknown command {argv[0]!r}" if argv else "no command"
         raise ValidationError(f"{got}; the commands are {', '.join(OPTIONS)}")
-    command, options, given = argv[0], OPTIONS[argv[0]][1], {}
+    command, options, given = argv[0], OPTIONS[argv[0]][2], {}
     args = iter(argv[1:])
     for arg in args:
         name, eq, value = arg.partition("=")
@@ -385,9 +376,9 @@ def usage(command=None) -> str:
     if command is None:
         head = "usage: cosetope COMMAND [OPTION ...]\n\ncosetope COMMAND --help lists the options of COMMAND."
         head += "\nAn input option (REP, GENS, TOWER, SPEC, ELEMENT) takes inline JSON or a file."
-        rows = [(name, summary) for name, (summary, _) in OPTIONS.items()]
+        rows = [(name, summary) for name, (_, summary, _) in OPTIONS.items()]
     else:
-        summary, options = OPTIONS[command]
+        _, summary, options = OPTIONS[command]
         head, rows = f"usage: cosetope {command} [OPTION ...]\n\n{summary}", []
         for name, (kind, default, text) in options.items():
             note = "(required)" if default is REQUIRED else f"(default {default})" if kind is int else ""
@@ -403,10 +394,7 @@ def main(argv=None) -> int:
         return 0
     try:
         command, config, output, closure_cap = parse(argv)
-        run = _verify if command == "verify" else COMMANDS[command]
-        result = run(config, Budgets(closure_cap))
-        report = {"schema": rpt.SCHEMA_VERSION, "command": command, "config": config, "result": result}
-        text = rpt.canonical_dumps(report)
+        text = _report(command, config, Budgets(closure_cap))
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

@@ -11,7 +11,7 @@ import pytest
 
 from cosetope import report as rpt
 from cosetope.budgets import Budgets
-from cosetope.cli import COMMANDS, OPTIONS, main
+from cosetope.cli import OPTIONS, main
 from cosetope.errors import ValidationError
 from cosetope.modular import is_congruence, low_index_reps, rep_level
 from cosetope.profinite import QuotientSpec
@@ -145,6 +145,11 @@ def test_gap_witness_rejects_congruence_rep(tmp_path, capsys):
     rep_path.write_text(canonical_dumps(congruence_rep(2)))
     code = main(["gap-witness", "--rep", str(rep_path), "--level", "4"])
     assert code == 2
+    # at level 3, which the class's level 2 does not divide, Gamma(3) leaves
+    # the subgroup, so only the congruence verdict refuses the word TTT
+    capsys.readouterr()
+    assert main(["gap-witness", "--rep", str(rep_path), "--level", "3"]) == 2
+    assert "no gap exists" in capsys.readouterr().err
 
 
 def test_tractable_command_and_verify(tmp_path, gens_files):
@@ -207,14 +212,31 @@ def test_verify_rejects_tampered_report(tmp_path):
     assert main(["verify", "--report", str(path)]) == 2
 
 
-def test_verify_rejects_malformed_reports(tmp_path):
+def test_verify_rejects_malformed_reports(tmp_path, capsys):
     path = tmp_path / "report.json"
     for data in ([], {"command": "tractable", "config": {}, "result": [], "schema": "3"}):
         path.write_text(canonical_dumps(data))
         assert main(["verify", "--report", str(path)]) == 2
+    data, text = run_report(["quotient", "--modulus", "2"], tmp_path / "q.json")
+    keys = "a report holds exactly the keys ['command', 'config', 'result', 'schema']"
+    cases = [
+        (canonical_dumps({**data, "extra": "1"}), keys),
+        (canonical_dumps({k: v for k, v in data.items() if k != "result"}), keys),
+        (canonical_dumps([data]), keys),
+        (canonical_dumps({**data, "schema": "4"}), "unsupported schema '4'"),
+        (canonical_dumps({**data, "command": "verify"}), "unknown command 'verify'"),
+        (json.dumps(data, sort_keys=True), "not in canonical form"),
+    ]
+    capsys.readouterr()
+    for report, message in cases:
+        path.write_text(report)
+        assert main(["verify", "--report", str(path)]) == 2
+        assert message in capsys.readouterr().err
+    path.write_text(text)
+    assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
 
 
-def test_exit_code_on_bad_input(tmp_path):
+def test_exit_code_on_bad_input(tmp_path, capsys):
     assert main(["image", "--modulus", "3", "--gens", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -225,6 +247,18 @@ def test_exit_code_on_bad_input(tmp_path):
     # a representation refuses a key it does not know, as every input object does
     bad.write_text('{"degree": 1, "s": [0], "t": [0], "typo": 5}')
     assert main(["quotient", "--modulus", "2", "--rep", str(bad)]) == 2
+    gens = '[{"w": "S"}]'
+    member = ["dcoset-member", "--modulus", "3", "--left", gens, "--right", gens, "--element"]
+    modular_a = '{"a": {"rows": [["1", "0"], ["0", "1"]], "m": "3"}, "w": ""}'
+    cases = [
+        (member + ['{"w": 5}'], "expected a word string"),
+        (member + [modular_a], "must be ambient"),
+        (["congruence", "--rep", '{"degree": 3, "s": [1, 2, 0], "t": [0, 1, 2]}'], "perm_s is not an involution"),
+    ]
+    capsys.readouterr()
+    for args, message in cases:
+        assert main(args + ["--output", str(tmp_path / "out.json")]) == 2
+        assert message in capsys.readouterr().err
 
 
 # Every entry point of JSON text, with the message prefix of a refusal when
@@ -406,8 +440,8 @@ def test_help_names_every_command_and_option_of_the_table(capsys):
     assert all(command in done.stdout for command in OPTIONS)
     done = _cli_alone(["tractable", "--help"])
     assert (done.returncode, done.stderr) == (0, "")
-    assert all(name in done.stdout for name in OPTIONS["tractable"][1])
-    for command, (summary, options) in OPTIONS.items():
+    assert all(name in done.stdout for name in OPTIONS["tractable"][2])
+    for command, (_, summary, options) in OPTIONS.items():
         assert main([command, "--help"]) == 0
         out = capsys.readouterr().out
         assert summary in out and all(name in out for name in options)
@@ -528,7 +562,7 @@ def test_seed_flag_is_gone(tmp_path):
 
 def test_product_cap_flag_is_gone(tmp_path, capsys):
     # the closure cap is the only budget: no subcommand takes --product-cap
-    for _, options in OPTIONS.values():
+    for _, _, options in OPTIONS.values():
         assert "--product-cap" not in options
         assert "--closure-cap" in options
     assert main(["quotient", "--modulus", "2", "--product-cap", "5", "--output", str(tmp_path / "q.json")]) == 2
@@ -1002,10 +1036,6 @@ def test_congruence_refuses_a_rep_whose_permutations_are_not_lists(tmp_path, cap
     rep.write_text(json.dumps({"degree": 2, "s": {"1": "x", "0": "y"}, "t": "10"}))
     assert main(["congruence", "--rep", str(rep), "--output", str(tmp_path / "c.json")]) == 2
     assert "s and t must be lists" in capsys.readouterr().err
-
-
-def test_subcommands_are_the_command_table_and_verify():
-    assert set(OPTIONS) == set(COMMANDS) | {"verify"}
 
 
 def test_verify_of_a_verify_report_exits_2(tmp_path, capsys):

@@ -513,6 +513,10 @@ def _minimal_noncongruence():
 def test_gap_witness_rejects_congruence_rep():
     with pytest.raises(PreconditionError):
         congruence_gap_witness(congruence_rep(2), 4)
+    # the class's level 2 does not divide 3 and Gamma(3) leaves the subgroup,
+    # so the walk alone would return the word TTT
+    with pytest.raises(PreconditionError, match="no gap exists"):
+        congruence_gap_witness(congruence_rep(2), 3)
 
 
 def test_gap_witness_on_minimal_noncongruence_rep():
