@@ -51,7 +51,7 @@ def _free_reduce(seq: Sequence[int]) -> tuple:
 
 
 class ModularWord(NamedTuple):
-    """A freely reduced word over S, S^-1, T, T^-1 (uppercase/lowercase in text form)."""
+    """A freely reduced word over S, S^-1, T, T^-1, written with the letters S, s, T, t and no other."""
 
     letters: tuple = ()
 
@@ -59,8 +59,6 @@ class ModularWord(NamedTuple):
     def from_str(cls, text: str) -> "ModularWord":
         letters = []
         for ch in text:
-            if ch.isspace() or ch in "*.1":
-                continue
             if ch not in _CHAR_LETTERS:
                 raise ValidationError(f"bad word character: {ch!r}")
             letters.append(_CHAR_LETTERS[ch])

@@ -104,6 +104,12 @@ def read_text(path: str, what: str) -> str:
 # readers (report and input data back to values)
 
 
+def _shown(value) -> str:
+    """``repr(value)`` cut to 60 characters, so a refusal stays one short line."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:56] + " ..."
+
+
 def parse_int(value) -> int:
     """A JSON integer, or a string in the canonical decimal form that reports
     record: a float, a bool or a string such as ``"02"`` is refused."""
@@ -115,22 +121,28 @@ def parse_int(value) -> int:
                 return int(value)
         except ValueError:
             pass
-    raise ValidationError(f"expected an integer, got {value!r}")
+    raise ValidationError(f"expected an integer, got {_shown(value)}")
 
 
-def _refuse_unknown_keys(data: dict, known: tuple, what: str) -> None:
+def _fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
+    """``data`` when it is an object holding each ``required`` key and no
+    key outside ``required`` and ``optional``; ``what`` names it in a refusal."""
+    if not isinstance(data, dict):
+        raise ValidationError(f"expected a {what} object, got {_shown(data)}")
+    known = required + optional
     unknown = sorted(set(data) - set(known))
     if unknown:
         raise ValidationError(f"{what} has unknown key {unknown[0]!r}; its keys are {', '.join(known)}")
+    for key in required:
+        if key not in data:
+            raise ValidationError(f"{what} needs the key {key!r}")
+    return data
 
 
 def mat_from_json(data: dict) -> Mat2:
-    if not isinstance(data, dict):
-        raise ValidationError(f"expected a matrix object, got {data!r}")
-    _refuse_unknown_keys(data, ("rows", "m"), "matrix")
-    rows = data.get("rows")
+    rows = _fields(data, "matrix", ("rows",), ("m",))["rows"]
     if not (isinstance(rows, list) and len(rows) == 2 and all(isinstance(r, list) and len(r) == 2 for r in rows)):
-        raise ValidationError(f"bad matrix data: rows must be two lists of two integers, got {rows!r}")
+        raise ValidationError(f"bad matrix data: rows must be two lists of two integers, got {_shown(rows)}")
     (a, b), (c, d) = ((parse_int(v) for v in row) for row in rows)
     m = data.get("m")
     if m is None:
@@ -139,26 +151,19 @@ def mat_from_json(data: dict) -> Mat2:
 
 
 def groupword_from_json(data: dict) -> GroupWord:
-    if not isinstance(data, dict):
-        raise ValidationError(f"expected a group element object, got {data!r}")
-    _refuse_unknown_keys(data, ("a", "w"), "group element")
-    raw_a = data.get("a")
+    raw_a = _fields(data, "group element", (), ("a", "w")).get("a")
     a = mat_from_json(raw_a) if raw_a is not None else Mat2.zero()
     if a.m is not None:
         raise ValidationError("the additive part of a group element must be ambient")
     w = data.get("w", "")
     if not isinstance(w, str):
-        raise ValidationError(f"expected a word string, got {w!r}")
+        raise ValidationError(f"expected a word string, got {_shown(w)}")
     return GroupWord(a, ModularWord.from_str(w))
 
 
 def rep_from_json(data: dict) -> PermRep:
-    try:
-        degree = parse_int(data["degree"])
-        perms = (data["s"], data["t"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad permutation representation data: {exc}") from exc
-    _refuse_unknown_keys(data, ("degree", "s", "t"), "permutation representation")
+    degree = parse_int(_fields(data, "permutation representation", ("degree", "s", "t"))["degree"])
+    perms = (data["s"], data["t"])
     if not all(isinstance(p, list) for p in perms):
         raise ValidationError("bad permutation representation data: s and t must be lists")
     perm_s, perm_t = (tuple(parse_int(v) for v in p) for p in perms)
@@ -166,24 +171,15 @@ def rep_from_json(data: dict) -> PermRep:
 
 
 def spec_from_json(data: dict) -> QuotientSpec:
-    try:
-        m = parse_int(data["m"])
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"bad quotient spec: {exc}") from exc
-    _refuse_unknown_keys(data, ("m", "rep", "filter"), "quotient spec")
-    raw_rep = data.get("rep")
-    if raw_rep is not None and not isinstance(raw_rep, dict):
-        raise ValidationError("spec 'rep' must be an inline object or null")
+    m = parse_int(_fields(data, "quotient spec", ("m",), ("rep", "filter"))["m"])
+    raw_rep, raw_filter = data.get("rep"), data.get("filter")
     action = None if raw_rep is None else rep_from_json(raw_rep)
     formation = None
-    raw_filter = data.get("filter")
     if raw_filter is not None:
-        if not isinstance(raw_filter, dict):
-            raise ValidationError("spec 'filter' must be an object like {\"type\": \"pro-p\", \"p\": 2}, or null")
-        _refuse_unknown_keys(raw_filter, ("type", "p"), "spec 'filter'")
-        kind, p = raw_filter.get("type"), raw_filter.get("p")
+        kind = _fields(raw_filter, "spec 'filter'", ("type",), ("p",))["type"]
         if kind != "pro-p":
-            raise ValidationError(f"spec 'filter' type must be 'pro-p', got {kind!r}; null admits every quotient")
+            raise ValidationError(f"spec 'filter' type must be 'pro-p', got {_shown(kind)}; null admits every quotient")
+        p = raw_filter.get("p")
         formation = Formation.make(parse_int(p) if p is not None else None)
     return QuotientSpec.make(m, action, formation)
 
@@ -192,39 +188,52 @@ def spec_from_json(data: dict) -> QuotientSpec:
 # command-line inputs: each reader takes inline JSON or a path
 
 
-def _input(value: str, noun: str) -> Any:
-    """The JSON value of an input option: ``value`` itself when it starts
-    with "[" or "{", else the text of the file it names."""
+def _input(value: str, noun: str, reader) -> Any:
+    """``reader`` applied to the JSON value of an input option: ``value``
+    itself when it starts with "[" or "{", else the text of the file it
+    names.  Every refusal is led by the prefix that names the input."""
     if value.startswith(("[", "{")):
-        return decode(value, f"bad {noun} JSON")
-    what = f"{noun} file"
-    return decode(read_text(value, what), f"cannot read {what} {value!r}")
+        failure, text = f"bad {noun} JSON", value
+    else:
+        what = f"{noun} file"
+        failure, text = f"cannot read {what} {value!r}", read_text(value, what)
+    data = decode(text, failure)
+    try:
+        return reader(data)
+    except ValidationError as exc:
+        raise ValidationError(f"{failure}: {exc}") from None
 
 
-def rep(value: str) -> PermRep:
-    return rep_from_json(_input(value, "permutation representation"))
-
-
-def gens(value: str) -> list:
-    data = _input(value, "generator")
+def _gens(data) -> list:
     if not isinstance(data, list):
-        raise ValidationError("generators are a JSON list of elements")
+        raise ValidationError(f"expected a JSON list of group elements, got {_shown(data)}")
     return [groupword_from_json(entry) for entry in data]
 
 
-def tower(value: str) -> list:
-    data = _input(value, "tower")
+def _tower(data) -> list:
     if not isinstance(data, list):
-        raise ValidationError("a tower is a JSON list of quotient specs")
+        raise ValidationError(f"expected a JSON list of quotient specs, got {_shown(data)}")
     specs = [spec_from_json(entry) for entry in data]
     if any(s.formation is not None for s in specs):
         raise ValidationError("a tower entry takes no filter; put it on --m-spec")
     return specs
 
 
+def rep(value: str) -> PermRep:
+    return _input(value, "permutation representation", rep_from_json)
+
+
+def gens(value: str) -> list:
+    return _input(value, "generator", _gens)
+
+
+def tower(value: str) -> list:
+    return _input(value, "tower", _tower)
+
+
 def spec(value: str) -> QuotientSpec:
-    return spec_from_json(_input(value, "quotient spec"))
+    return _input(value, "quotient spec", spec_from_json)
 
 
 def element(value: str) -> GroupWord:
-    return groupword_from_json(_input(value, "element"))
+    return _input(value, "element", groupword_from_json)

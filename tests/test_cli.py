@@ -250,15 +250,26 @@ def test_exit_code_on_bad_input(tmp_path, capsys):
     gens = '[{"w": "S"}]'
     member = ["dcoset-member", "--modulus", "3", "--left", gens, "--right", gens, "--element"]
     modular_a = '{"a": {"rows": [["1", "0"], ["0", "1"]], "m": "3"}, "w": ""}'
+    tractable = ["tractable", "--h-gens", gens, "--k-gens", gens, "--m-spec", '{"m": 2}', "--tower"]
     cases = [
         (member + ['{"w": 5}'], "expected a word string"),
         (member + [modular_a], "must be ambient"),
+        # a word is over S, s, T and t alone: a space is not skipped
+        (member + ['{"w": "S T"}'], "bad word character: ' '"),
         (["congruence", "--rep", '{"degree": 3, "s": [1, 2, 0], "t": [0, 1, 2]}'], "perm_s is not an involution"),
+        # each object reader names the object it expected, or the key it misses
+        (["congruence", "--rep", "[1,2]"], "expected a permutation representation object, got [1, 2]"),
+        (tractable + ['["x"]'], "expected a quotient spec object, got 'x'"),
+        (["congruence", "--rep", '{"s": [0], "t": [0]}'], "permutation representation needs the key 'degree'"),
     ]
     capsys.readouterr()
     for args, message in cases:
         assert main(args + ["--output", str(tmp_path / "out.json")]) == 2
         assert message in capsys.readouterr().err
+    # a refusal shows at most 60 characters of the value it refuses
+    for text in (json.dumps(["x" * 5000]), json.dumps({"degree": "1" * 5000 + "x", "s": [0], "t": [0]})):
+        assert main(["congruence", "--rep", text]) == 2
+        assert len(capsys.readouterr().err) < 160
 
 
 # Every entry point of JSON text, with the message prefix of a refusal when
@@ -324,6 +335,37 @@ def test_a_repeated_key_exits_2_at_every_entry_point(tmp_path, gens_files, capsy
         stdout, err = capsys.readouterr()
         assert stdout == "" and not out.exists()
         assert err.startswith(f"error: {prefix}") and err.rstrip().endswith(f"repeated key {key}")
+
+
+# An input that holds a key its object does not know, and one that holds a
+# float where an integer goes, at each entry point.  A report's config is
+# read again as a command line, so its refusal is led by verify's prefix
+# and by that of the option that reads it.
+_VERIFY_REP = '{{"schema": "5", "command": "congruence", "config": {{"rep": {}}}, "result": {{}}}}'
+_BAD_VALUES = {
+    "gens": ('[{"w": "S", "x": 1}]', '[{"a": {"rows": [[1.5, 0], [0, 1]]}}]'),
+    "rep": ('{"degree": 1, "s": [0], "t": [0], "x": 1}', '{"degree": 1.5, "s": [0], "t": [0]}'),
+    "tower": ('[{"m": 2, "x": 1}]', '[{"m": 1.5}]'),
+    "element": ('{"w": "S", "x": 1}', '{"a": {"rows": [[1.5, 0], [0, 1]]}}'),
+    "m-spec": ('{"m": 2, "x": 1}', '{"m": 1.5}'),
+    "verify": (_VERIFY_REP.format('{"degree": 1, "s": [0], "t": [0], "x": 1}'),
+               _VERIFY_REP.format('{"degree": 1.5, "s": [0], "t": [0]}')),
+}
+
+
+@pytest.mark.parametrize("kind", ["unknown-key", "float"])
+@pytest.mark.parametrize("entry", sorted(_BAD_VALUES))
+def test_an_unknown_key_or_a_float_exits_2_under_the_entry_points_prefix(tmp_path, gens_files, capsys, entry, kind):
+    text = _BAD_VALUES[entry][kind == "float"]
+    message = "has unknown key 'x'" if kind == "unknown-key" else "expected an integer, got 1.5"
+    out = tmp_path / "out.json"
+    for argv, prefix in _entry_forms(entry, text, tmp_path / "input.json", gens_files):
+        if entry == "verify":
+            prefix = "verify failed: config: bad permutation representation JSON"
+        assert main(argv + ["--output", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err.startswith(f"error: {prefix}") and message in err, err
 
 
 def test_verify_refuses_a_canonical_report_nested_600_deep(tmp_path, capsys):
@@ -927,15 +969,35 @@ def test_tractable_schreier_kernel_budget_exits_3_quickly(tmp_path):
 
 
 def test_closure_budget_error_names_the_group_it_closed_in(tmp_path, monkeypatch, capsys):
-    # level 2 closes every image; at level 3 the image of L, up to
-    # 3^4 * |SL2(Z/3)| = 1944 elements, is the first closure past the cap
+    # the image of H mod 3 is SL2(Z/3), 24 elements of M2(Z/3) x| SL2(Z/3)
     monkeypatch.chdir(GOLDEN)
-    args = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", '{"w": ""}']
-    args += ["--l-rep", "nc_rep.json", "--closure-cap", "1000", "--output", str(tmp_path / "p.json")]
+    args = ["image", "--modulus", "3", "--gens", "h.json", "--closure-cap", "10", "--output", str(tmp_path / "i.json")]
     assert main(args) == 3
     assert capsys.readouterr().err == (
-        "budget exhausted: closure budget exceeded: more than 1000 elements in M2(Z/3) x| SL2(Z/3) (closure_cap)\n"
+        "budget exhausted: closure budget exceeded: more than 10 elements in M2(Z/3) x| SL2(Z/3) (closure_cap)\n"
     )
+
+
+def test_thm_b_probe_checks_the_order_of_image_l_before_closing_it(tmp_path, monkeypatch, capsys):
+    # at a plain level m the image of L has m^4 |SL2(Z/m)| / #blocks
+    # elements, 3^4 * 24 / 1 = 1944 at m = 3 for nc_rep, which fits a cap of
+    # 1944 and is refused under 1943 before any closure runs
+    monkeypatch.chdir(GOLDEN)
+    out = str(tmp_path / "p.json")
+    args = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--l-rep", "nc_rep.json", "--output", out]
+    probe = args + ["--element", '{"w": ""}']
+    closures = count_closures(monkeypatch)
+    assert main(probe + ["--tower", '[{"m": 3}]', "--closure-cap", "1943"]) == 3
+    assert not closures
+    message = "budget exhausted: closure budget exceeded: the image of L mod 3 has 1944 elements > {} (closure_cap)\n"
+    assert capsys.readouterr().err == message.format(1943)
+    assert main(probe + ["--tower", '[{"m": 3}]', "--closure-cap", "1944"]) == 0
+    # the default tower: level 2 closes, level 3 is refused before its closures
+    assert main(probe + ["--closure-cap", "1000"]) == 3
+    assert capsys.readouterr().err == message.format(1000)
+    # a certificate found at an earlier level is still returned: det(I + I) = 4 is even
+    assert main(args + ["--element", '{"a": {"rows": [[1, 0], [0, 1]]}}', "--closure-cap", "1000"]) == 0
+    assert json.loads(Path(out).read_text())["result"]["certificate"]["spec"]["m"] == "2"
 
 
 def test_thm_b_probe_refuses_both_ways_of_giving_l(tmp_path, monkeypatch, capsys):
@@ -1177,7 +1239,8 @@ def test_a_tower_entry_rep_given_as_a_path_exits_2(tmp_path, gens_files):
     h = gens_files["h"]
     done = _cli_alone(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", '{"m": 2}', "--tower", str(tower)])
     assert (done.returncode, done.stdout) == (2, "")
-    assert done.stderr == "error: spec 'rep' must be an inline object or null\n"
+    expected = "expected a permutation representation object, got '"
+    assert done.stderr.startswith(f"error: cannot read tower file {str(tower)!r}: {expected}")
 
 
 def test_every_input_option_reads_inline_json_as_its_file(tmp_path, gens_files):
