@@ -24,7 +24,7 @@ import sys
 from .arith import Mat2, sl2_group_order
 from .budgets import DEFAULT_CLOSURE_CAP, Budgets
 from .errors import BudgetError, CosetopeError, ValidationError
-from .groupcore import check_closure_cap, product_member, short_int, subgroup_intersection
+from .groupcore import check_closure_cap, product_member, subgroup_intersection
 # Unused here: importing them keeps them cross-module functions, which
 # bench/tracer.py times as gs.h_prime_image_s and profinite.kernel_s, and
 # whose kernel order it counts as profinite.kernel_elems; bench/tests asserts
@@ -139,20 +139,11 @@ def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
         if l_gens is not None:
             raise ValidationError("thm-b-probe takes --l-gens or --l-rep, not both")
         l_gens = l_group_words(l_rep)
-    tower, walks = _tower_of(config), {}
-    # one level at a time, so the order of image(L) at a plain level,
-    # m^4 |SL2(Z/m)| over the index of the image of the subgroup of --l-rep,
-    # is checked against the cap before that level's closures; the probe
-    # refuses an empty tower
-    for level in [[spec] for spec in tower] or [[]]:
-        if l_rep is not None and level and level[0].rep is None:
-            m = level[0].m
-            order = m ** 4 * sl2_group_order(m) // len(set(image_blocks(l_rep, m, budgets, walks)))
-            check_closure_cap(order, budgets, f"the image of L mod {short_int(m)}")
-        cert = thm_b_probe(config["h_gens"], config["k_gens"], l_gens, config["element"], level, budgets)
-        if cert is not None:
-            return {"status": "certified", "certificate": cert}
-    return {"status": "inconclusive", "tower": tower}
+    tower = _tower_of(config)
+    cert = thm_b_probe(config["h_gens"], config["k_gens"], l_gens, config["element"], tower, budgets)
+    if cert is None:
+        return {"status": "inconclusive", "tower": tower}
+    return {"status": "certified", "certificate": cert}
 
 
 def _lowindex(config: dict, budgets: Budgets) -> dict:

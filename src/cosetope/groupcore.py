@@ -64,11 +64,6 @@ def sd_inv(x: SdElement) -> SdElement:
     return SdElement(-(hinv * x.a), hinv, sigma)
 
 
-def sd_identity(m: int, degree: Optional[int] = None) -> SdElement:
-    sigma = None if degree is None else tuple(range(degree))
-    return SdElement(Mat2.zero(m), Mat2.identity(m), sigma)
-
-
 # ---------------------------------------------------------------------------
 # contexts and generated subgroups
 

@@ -31,7 +31,7 @@ from .modular import (
     subgroup_generators,
     word_eval,
 )
-from .profinite import GroupWord, QuotientSpec, SeparabilityCertificate
+from .profinite import ADDITIVE_UNITS, GroupWord, QuotientSpec, SeparabilityCertificate
 
 
 def gs_hk_witness(g: GroupWord) -> Optional[SeparabilityCertificate]:
@@ -114,8 +114,7 @@ def h_prime_group_words(rep: PermRep) -> list:
 
 def l_group_words(rep: PermRep) -> list:
     """Ambient generator words of L, the additive part extended by the subgroup of ``rep``."""
-    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    return [GroupWord.of_a(Mat2.ambient(*e)) for e in units] + h_prime_group_words(rep)
+    return [*ADDITIVE_UNITS, *h_prime_group_words(rep)]
 
 
 def evidence_entry(rep: PermRep, m: int, point: int, budgets: Budgets, walks: dict) -> dict:

@@ -12,9 +12,9 @@ certificates are decisions.
 from __future__ import annotations
 
 import functools
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .arith import MAT_S, MAT_T, Mat2, is_prime, sl2_group_order
+from .arith import Mat2, is_prime, sl2_group_order
 from .budgets import Budgets
 from .errors import PreconditionError, ValidationError
 from .groupcore import (
@@ -24,11 +24,11 @@ from .groupcore import (
     check_closure_cap,
     perm_mul,
     product_member,
-    sd_identity,
     sd_inv,
     sd_mul,
     short_int,
     subgroup_closure,
+    subgroup_from_elements,
     subgroup_intersection,
 )
 from .modular import ONE_POINT, ModularWord, PermRep, gamma_image_order, perm_identity, word_eval
@@ -105,24 +105,24 @@ class GroupWord(NamedTuple):
         return cls(Mat2.zero(), w)
 
 
+# the four elementary additive matrices as ambient elements: they generate M2(Z)
+ADDITIVE_UNITS = tuple(
+    GroupWord.of_a(Mat2.ambient(*e)) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+)
+
+
 @functools.lru_cache(maxsize=64)
 def quotient_context(spec: QuotientSpec) -> GroupContext:
     """The finite quotient as a group context over SdElement.
 
-    Generators, in fixed positional order: the four elementary additive
-    matrices, then the images of S and T.  A modulus below 2 is refused by
-    the identity's ``Mat2.zero``.
+    Its identity and generators are projections: in fixed positional
+    order, the ``ADDITIVE_UNITS``, then S and T.  A modulus below 2 is
+    refused by ``Mat2.reduce``.
     """
-    m = spec.m
-    degree = spec.rep.degree if spec.rep is not None else None
-    ident = sd_identity(m, degree)
-    hid = Mat2.identity(m)
-    sig_id = None if degree is None else perm_identity(degree)
-    units = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
-    gens = [SdElement(Mat2.of_mod(*e, m), hid, sig_id) for e in units]
-    actions = (None, None) if spec.rep is None else (spec.rep.perm_s, spec.rep.perm_t)
-    gens += [SdElement(Mat2.zero(m), h.reduce(m), sigma) for h, sigma in zip((MAT_S, MAT_T), actions)]
-    mod = short_int(m)  # the name appears in budget messages
+    ident = project(GroupWord.of_a(Mat2.zero()), spec)
+    letters = [GroupWord.of_word(ModularWord.from_str(c)) for c in "ST"]
+    gens = [project(g, spec) for g in (*ADDITIVE_UNITS, *letters)]
+    mod = short_int(spec.m)  # the name appears in budget messages
     name = f"M2(Z/{mod}) x| subgroup-image" if spec.rep is not None else f"M2(Z/{mod}) x| SL2(Z/{mod})"
     return GroupContext(ident, sd_mul, sd_inv, gens, name=name)
 
@@ -143,6 +143,18 @@ def image_subgroup(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budge
     """Closure of the projections of ``gens`` in the quotient of ``spec``."""
     ctx = quotient_context(spec)
     return subgroup_closure(ctx, [project(g, spec) for g in gens], budgets)
+
+
+def image_member(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budgets = Budgets()) -> Callable:
+    """Membership in the image of the subgroup ``gens`` generate.  When ``gens``
+    hold the ``ADDITIVE_UNITS``, the subgroup holds M2(Z), which is normal, so
+    only the image P of the linear parts (0, w) of ``gens`` is closed, and
+    (a, h, sigma) is tested as (0, h, sigma) in P; else the image is closed."""
+    if not set(ADDITIVE_UNITS) <= set(gens):
+        return image_subgroup(gens, spec, budgets).__contains__
+    linear = image_subgroup([GroupWord.of_word(g.w) for g in gens if g not in ADDITIVE_UNITS], spec, budgets)
+    zero = Mat2.zero(spec.m)
+    return lambda x: x._replace(a=zero) in linear
 
 
 # ---------------------------------------------------------------------------
@@ -347,10 +359,11 @@ def thm_b_probe(
 ) -> Optional[SeparabilityCertificate]:
     """Probe separability of (H meet L)K along the tower.
 
-    ``l_gens`` of None means L is the whole group.  At each level, compute
-    the image of H meet L as image(H) meet image(L) and test whether the
-    image of ``g`` lies in the resulting double coset; the first excluding
-    level yields a certificate.  None means inconclusive: the tower is
+    ``l_gens`` of None means L is the whole group.  At each level, image(H
+    meet L) is the part of image(H) in image(L), which must hold image(H)
+    meet image(K); ``image_member`` tests image(L) by its linear part when L
+    holds M2(Z).  The first level whose double coset misses the image of
+    ``g`` yields a certificate.  None means inconclusive: the tower is
     exhausted without a decision.
     """
     if not tower:
@@ -358,15 +371,14 @@ def thm_b_probe(
     for spec in tower:
         uh = image_subgroup(h_gens, spec, budgets)
         uk = image_subgroup(k_gens, spec, budgets)
-        if l_gens is None:
-            hp = uh
-        else:
-            ul = image_subgroup(l_gens, spec, budgets)
-            if any(x not in ul for x in subgroup_intersection(uh, uk).elements):
+        hp = uh
+        if l_gens is not None:
+            in_l = image_member(l_gens, spec, budgets)
+            if not all(map(in_l, subgroup_intersection(uh, uk).elements)):
                 raise PreconditionError(
                     f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {spec.m}"
                 )
-            hp = subgroup_intersection(uh, ul)
+            hp = subgroup_from_elements(filter(in_l, uh.elements))
         if not product_member(quotient_context(spec), project(g, spec), hp, uk):
             return SeparabilityCertificate(
                 element=g,

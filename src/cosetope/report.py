@@ -70,7 +70,7 @@ def _object(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated key {next(k for i, k in enumerate(keys) if k in keys[:i])!r}")
+        raise ValueError(f"repeated key {_shown(next(k for i, k in enumerate(keys) if k in keys[:i]))}")
     return obj
 
 
@@ -132,7 +132,7 @@ def _fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
     known = required + optional
     unknown = sorted(set(data) - set(known))
     if unknown:
-        raise ValidationError(f"{what} has unknown key {unknown[0]!r}; its keys are {', '.join(known)}")
+        raise ValidationError(f"{what} has unknown key {_shown(unknown[0])}; its keys are {', '.join(known)}")
     for key in required:
         if key not in data:
             raise ValidationError(f"{what} needs the key {key!r}")

@@ -14,7 +14,8 @@ from cosetope.budgets import Budgets
 from cosetope.cli import OPTIONS, main
 from cosetope.errors import ValidationError
 from cosetope.modular import is_congruence, low_index_reps, rep_level
-from cosetope.profinite import QuotientSpec
+from cosetope.gs import l_group_words
+from cosetope.profinite import GroupWord, QuotientSpec, default_tower, project, quotient_context
 from cosetope.report import as_recorded, canonical_dumps, parse_int
 
 from t_util import congruence_rep, count_closures, gs_build, gs_intersection, quotient_closure_order, spy_walks
@@ -270,6 +271,15 @@ def test_exit_code_on_bad_input(tmp_path, capsys):
     for text in (json.dumps(["x" * 5000]), json.dumps({"degree": "1" * 5000 + "x", "s": [0], "t": [0]})):
         assert main(["congruence", "--rep", text]) == 2
         assert len(capsys.readouterr().err) < 160
+
+
+def test_a_long_unknown_or_repeated_key_is_cut_in_its_refusal(capsys):
+    key = "k" * 5000
+    for text in (json.dumps({key: 1}), f'{{"{key}": 1, "{key}": 2}}'):
+        assert main(["congruence", "--rep", text]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and len(err.encode()) <= 300, err[:300]
+        assert "key 'kkkk" in err and " ..." in err
 
 
 # Every entry point of JSON text, with the message prefix of a refusal when
@@ -978,26 +988,63 @@ def test_closure_budget_error_names_the_group_it_closed_in(tmp_path, monkeypatch
     )
 
 
-def test_thm_b_probe_checks_the_order_of_image_l_before_closing_it(tmp_path, monkeypatch, capsys):
-    # at a plain level m the image of L has m^4 |SL2(Z/m)| / #blocks
-    # elements, 3^4 * 24 / 1 = 1944 at m = 3 for nc_rep, which fits a cap of
-    # 1944 and is refused under 1943 before any closure runs
+def test_thm_b_probe_with_l_rep_closes_the_linear_part_of_image_l_alone(tmp_path, monkeypatch, capsys):
+    # L = M2(Z) x| H' holds M2(Z), so image(L) is never listed, at a plain
+    # level or one with a coset action: only the images of H, K and of the
+    # linear parts of L's generators are closed, so the default tower, whose
+    # image(L) has 23,887,872 elements at m = 12, ends inconclusive
     monkeypatch.chdir(GOLDEN)
     out = str(tmp_path / "p.json")
     args = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--l-rep", "nc_rep.json", "--output", out]
     probe = args + ["--element", '{"w": ""}']
     closures = count_closures(monkeypatch)
-    assert main(probe + ["--tower", '[{"m": 3}]', "--closure-cap", "1943"]) == 3
-    assert not closures
-    message = "budget exhausted: closure budget exceeded: the image of L mod 3 has 1944 elements > {} (closure_cap)\n"
-    assert capsys.readouterr().err == message.format(1943)
-    assert main(probe + ["--tower", '[{"m": 3}]', "--closure-cap", "1944"]) == 0
-    # the default tower: level 2 closes, level 3 is refused before its closures
-    assert main(probe + ["--closure-cap", "1000"]) == 3
-    assert capsys.readouterr().err == message.format(1000)
+    start = time.perf_counter()
+    assert main(probe) == 0
+    assert time.perf_counter() - start < 5
+    assert json.loads(Path(out).read_text())["result"]["status"] == "inconclusive"
+    nc_rep = rpt.rep("nc_rep.json")
+    tower = [*default_tower(), QuotientSpec.make(2, nc_rep)]
+    # the level with nc_rep's coset action refuses image(H) meet image(K)
+    # only after it has tested it against image(L)
+    assert main(probe + ["--tower", json.dumps(as_recorded(tower))]) == 2
+    l_gens = l_group_words(nc_rep)
+    linear = [GroupWord.of_word(g.w) for g in l_gens[4:]]
+    for spec in tower:
+        name = quotient_context(spec).name
+        assert closures[name, tuple(project(g, spec) for g in l_gens)] == 0
+        # each plain level ran in both probes, the coset-action level in one
+        assert closures[name, tuple(project(g, spec) for g in linear)] == (1 if spec.rep else 2)
+    capsys.readouterr()
+    # the cap still bounds every closure that runs: image(H) mod 3 has 24 elements
+    assert main(probe + ["--tower", '[{"m": 3}]', "--closure-cap", "23"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: closure budget exceeded: more than 23 elements in M2(Z/3) x| SL2(Z/3) (closure_cap)\n"
+    )
     # a certificate found at an earlier level is still returned: det(I + I) = 4 is even
     assert main(args + ["--element", '{"a": {"rows": [[1, 0], [0, 1]]}}', "--closure-cap", "1000"]) == 0
     assert json.loads(Path(out).read_text())["result"]["certificate"]["spec"]["m"] == "2"
+
+
+def test_thm_b_probe_reads_l_gens_with_and_without_the_additive_units(tmp_path, monkeypatch):
+    # --l-gens holding the words --l-rep builds gives the same result; an L
+    # without the additive units, as k.json, has its image listed
+    monkeypatch.chdir(GOLDEN)
+    path = str(tmp_path / "p.json")
+    probe = ["thm-b-probe", "--h-gens", "h.json", "--k-gens", "k.json", "--element", '{"w": "T"}', "--output", path]
+    plain = ["--tower", json.dumps([{"m": m} for m in (2, 3, 4, 5, 6)])]
+    l_gens = json.dumps(as_recorded(l_group_words(rpt.rep("nc_rep.json"))))
+    results = []
+    for given in (["--l-rep", "nc_rep.json"], ["--l-gens", l_gens]):
+        assert main(probe + plain + given) == 0
+        results.append(canonical_dumps(json.loads(Path(path).read_text())["result"]))
+    assert results[0] == results[1]
+    closures = count_closures(monkeypatch)
+    assert main(probe + ["--tower", '[{"m": 3}]', "--l-gens", "k.json"]) == 0
+    spec = QuotientSpec.make(3)
+    # the image of K is closed once as image(K) and once as image(L); it
+    # meets image(H) in the identity, which leaves (0, T) off H'K
+    assert closures[quotient_context(spec).name, tuple(project(g, spec) for g in rpt.gens("k.json"))] == 2
+    assert json.loads(Path(path).read_text())["result"]["certificate"]["transcript"]["image_hp"] == "1"
 
 
 def test_thm_b_probe_refuses_both_ways_of_giving_l(tmp_path, monkeypatch, capsys):

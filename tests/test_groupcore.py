@@ -9,7 +9,6 @@ from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import (
     SdElement,
     product_member,
-    sd_identity,
     sd_inv,
     sd_mul,
     sl2_context,
@@ -68,21 +67,22 @@ def test_sd_mul_cancellation_via_s_squared():
     # (I, S) * (S, S^-1) = (I + S^2, I) = (0, I)
     x = sd(Mat2.identity(), MAT_S, 7)
     y = sd(MAT_S, MAT_S.inv_det1(), 7)
-    assert sd_mul(x, y) == sd_identity(7)
+    assert sd_mul(x, y) == sd(Mat2.zero(), Mat2.identity(), 7)
 
 
 def test_sd_inv_examples():
-    assert sd_inv(sd_identity(5)) == sd_identity(5)
+    one = sd(Mat2.zero(), Mat2.identity(), 5)
+    assert sd_inv(one) == one
     x = sd(Mat2.identity(), MAT_S, 5)
     assert sd_inv(x) == sd(MAT_S, MAT_S.inv_det1(), 5)
-    assert sd_mul(x, sd_inv(x)) == sd_identity(5)
+    assert sd_mul(x, sd_inv(x)) == one
     a_only = sd(Mat2.ambient(1, 2, 3, 4), Mat2.identity(), 5)
     assert sd_inv(a_only) == sd(-Mat2.ambient(1, 2, 3, 4), Mat2.identity(), 5)
 
 
 def test_sd_mul_rejects_mixed_sigma():
     with pytest.raises(ValidationError):
-        sd_mul(sd_identity(2), sd_identity(2, degree=3))
+        sd_mul(sd(Mat2.zero(), Mat2.identity(), 2), sd(Mat2.zero(), Mat2.identity(), 2, (0, 1, 2)))
 
 
 @pytest.mark.parametrize(

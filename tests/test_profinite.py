@@ -11,6 +11,7 @@ import cosetope.profinite as profinite
 from cosetope.arith import Mat2, sl2_group_order
 from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
+from cosetope.gs import l_group_words
 from cosetope.groupcore import (
     SdElement,
     product_member,
@@ -32,6 +33,7 @@ from cosetope.profinite import (
     QuotientSpec,
     default_tower,
     element_restriction,
+    image_member,
     image_subgroup,
     kernel_of_refinement,
     project,
@@ -653,6 +655,23 @@ def test_probe_with_gap_subgroup_is_inconclusive_on_congruence_tower():
     tower = [QuotientSpec.make(m) for m in (2, 3, 4)]
     outcome = thm_b_probe(H_GENS, k_gens(), l_gens, g, tower)
     assert outcome is None
+
+
+@pytest.mark.parametrize("which", ["nc_rep", "congruence-degree-3"])
+def test_membership_in_image_l_by_its_linear_part_agrees_with_the_listing(which):
+    # the listing of image(L) that image_member skips for an L holding
+    # M2(Z), kept as its oracle over every element of the quotient
+    rep = NC_REP if which == "nc_rep" else next(r for r in low_index_reps(3) if r.degree == 3)
+    l_gens = l_group_words(rep)
+    proper = 0
+    for spec in (QuotientSpec.make(2), QuotientSpec.make(3), QuotientSpec.make(2, rep)):
+        listed = image_subgroup(l_gens, spec)
+        member = image_member(l_gens, spec)
+        elements = list(_fine_elements(spec))
+        assert len(elements) == spec_group_order(spec)
+        assert {x for x in elements if member(x)} == listed.as_set()
+        proper += len(listed) < len(elements)
+    assert proper  # some level holds elements off image(L)
 
 
 # ---------------------------------------------------------------------------
