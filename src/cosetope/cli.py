@@ -275,10 +275,10 @@ def _verify(config: dict, budgets: Budgets) -> dict:
     if not isinstance(data, dict) or data.keys() != _REPORT_KEYS:
         raise ValidationError(f"verify failed: a report holds exactly the keys {sorted(_REPORT_KEYS)}")
     if data["schema"] != rpt.as_recorded(rpt.SCHEMA_VERSION):
-        raise ValidationError(f"verify failed: unsupported schema {data['schema']!r}")
+        raise ValidationError(f"verify failed: unsupported schema {rpt._shown(data['schema'])}")
     command = data["command"]
     if not isinstance(command, str) or command not in OPTIONS or command == "verify":
-        raise ValidationError(f"verify: unknown command {command!r}")
+        raise ValidationError(f"verify: unknown command {rpt._shown(command)}")
     rebuilt = _report(command, _reparsed(command, data["config"]), budgets)
     if rebuilt == text:
         return {"verified": True, "checked": command}
@@ -286,7 +286,7 @@ def _verify(config: dict, budgets: Budgets) -> dict:
     if not _differs(data, recomputed):
         raise ValidationError("verify failed: report is not in canonical form (bytes differ)")
     path, claimed, recomputed = _first_difference(data, recomputed, "")
-    claimed, recomputed = ("nothing" if v is _ABSENT else repr(v) for v in (claimed, recomputed))
+    claimed, recomputed = ("nothing" if v is _ABSENT else rpt._shown(v) for v in (claimed, recomputed))
     raise ValidationError(f"verify failed: {path}: report says {claimed}, recomputed {recomputed}")
 
 
@@ -345,14 +345,14 @@ def parse(argv) -> tuple:
     Anything else raises ``ValidationError``: no abbreviation is accepted.
     """
     if not argv or argv[0] not in OPTIONS:
-        got = f"unknown command {argv[0]!r}" if argv else "no command"
+        got = f"unknown command {rpt._shown(argv[0])}" if argv else "no command"
         raise ValidationError(f"{got}; the commands are {', '.join(OPTIONS)}")
     command, options, given = argv[0], OPTIONS[argv[0]][2], {}
     args = iter(argv[1:])
     for arg in args:
         name, eq, value = arg.partition("=")
         if name not in options:
-            raise ValidationError(f"{command} takes no argument {name!r}")
+            raise ValidationError(f"{command} takes no argument {rpt._shown(name)}")
         kind = options[name][0]
         if kind is bool and eq:
             raise ValidationError(f"{name} is a flag and takes no value")
@@ -363,7 +363,7 @@ def parse(argv) -> tuple:
         try:
             given[name] = True if kind is bool else kind(value)
         except ValueError:
-            raise ValidationError(f"{name} takes an integer, got {value!r}") from None
+            raise ValidationError(f"{name} takes an integer, got {rpt._shown(value)}") from None
     missing = [name for name, (_, default, _) in options.items() if default is REQUIRED and name not in given]
     if missing:
         raise ValidationError(f"{command} needs {' and '.join(missing)}")
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write report {output!r}: {exc}", file=sys.stderr)
+            print(f"error: cannot write report {rpt._shown(output)}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

@@ -353,18 +353,19 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
     """The Schreier generators of the level-n principal congruence subgroup,
     in walk order, each as (q, p, edge).
 
-    A breadth-first walk over PSL2(Z/n) from I at coset point 0 with the
-    letters S, T, T^-1, closed-form on entry tuples; a matrix is the lesser
-    of its tuple and its negative's.  ``seen`` maps it to its parent, letter
-    and first point.  An S or T edge (x, letter, y) into a seen matrix y
-    closes the Schreier generator word(x) + letter + word(y)^-1 (each word
-    the ``tree_word`` of ``seen``, read by ``_edge_word``); these generate
-    that subgroup.  It brings y the point q while y keeps p, so it moves the
-    basepoint exactly when q != p, and then q and p lie in one orbit.
+    A breadth-first walk over PSL2(Z/n) from I mod n at coset point 0 with
+    the letters S, T, T^-1, closed-form on entry tuples; a matrix is the
+    lesser of its tuple and its negative's.  ``seen`` maps it to its parent,
+    letter and first point.  An S or T edge (x, letter, y) into a seen
+    matrix y closes the Schreier generator word(x) + letter + word(y)^-1
+    (each word the ``tree_word`` of ``seen``, read by ``_edge_word``); these
+    generate that subgroup (at n = 1, the one state's S and T).  It brings y
+    the point q while y keeps p, so it moves the basepoint exactly when
+    q != p, and then q and p lie in one orbit.
     """
     check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{short_int(n)})")
     perm_s, perm_t, perm_ti = rep.perm_s, rep.perm_t, perm_inv(rep.perm_t)
-    queue = [(1, 0, 0, 1)]
+    queue = [(1 % n, 0, 0, 1 % n)]
     seen = {} if seen is None else seen
     seen[queue[0]] = (None, None, 0)
     for x in queue:
@@ -429,20 +430,20 @@ def image_blocks(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Opti
     It is normal, so these are blocks: x mod m lies in the subgroup's image
     exactly when x carries the basepoint into block 0, and the image's index
     is the number of blocks.  The closure cap holds on the image's order.
-    Levels m and g = gcd(m, N), N the level of ``rep``, have the same orbits:
-    level m's product with the core of the subgroup is normal and holds T^g,
-    so by Wohlfahrt's level theorem (Illinois J. Math. 8, 1964) it contains
-    level g's.  So the walk runs over PSL2(Z/g).  ``walks`` keeps the blocks
-    of each (rep, g) walked; one command passes one dict to all its calls,
-    so it walks each g once, while every level m still checks its own cap.
+    Levels m and g = gcd(m, N), N the level of ``rep``, act on the cosets
+    alike: level m's product with the core of the subgroup is normal and
+    holds T^g, so by Wohlfahrt's level theorem (Illinois J. Math. 8, 1964)
+    it contains level g's.  So the walk runs over PSL2(Z/g).  ``walks``
+    keeps the blocks of each (rep, g) walked; one command passes one dict to
+    all its calls, so it walks each g once, while every level m still checks
+    its own cap.
     """
     g = math.gcd(m, rep_level(rep))
     walks = {} if walks is None else walks
-    if g > 1 and (rep, g) not in walks:
+    if (rep, g) not in walks:
         walks[rep, g] = _orbit_blocks(rep, _gamma_walk(rep, g, budgets))
-    blocks = walks.get((rep, g), (0,) * rep.degree)
-    check_closure_cap(psl2_group_order(m) // len(set(blocks)), budgets, f"the subgroup image mod {m}")
-    return blocks
+    check_closure_cap(psl2_group_order(m) // len(set(walks[rep, g])), budgets, f"the subgroup image mod {m}")
+    return walks[rep, g]
 
 
 def image_elements(rep: PermRep, m: int, budgets: Budgets = Budgets()) -> list:
@@ -458,25 +459,22 @@ def is_congruence(rep: PermRep, *, budgets: Budgets = Budgets()) -> bool:
 
     The subgroup is congruence exactly when it contains the principal
     congruence subgroup of its own level n, that is when the walk over
-    PSL2(Z/n) finds no element of it that moves the basepoint.  The walk
-    checks |PSL2(Z/n)| against the closure cap before it starts.
+    PSL2(Z/n) finds no element of it that moves the basepoint (at n = 1,
+    no S or T step).  The walk checks |PSL2(Z/n)| against the cap first.
     """
-    n = rep_level(rep)
-    if n == 1:
-        return rep.degree == 1
-    return next((step for step in _gamma_walk(rep, n, budgets) if step[0] != step[1]), None) is None
+    return next((step for step in _gamma_walk(rep, rep_level(rep), budgets) if step[0] != step[1]), None) is None
 
 
 def gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int:
     """|sigma(Gamma(n))|: the closure, under the closure cap, of the coset
     permutations of ``_gamma_walk``'s Schreier generators, each added only
-    when the closure so far misses it.  A one-point action walks nothing."""
-    if rep.degree == 1:
-        return 1
+    when the closure so far misses it.  By ``image_blocks``' argument the
+    walk runs over PSL2(Z/g), g = gcd(n, ``rep_level(rep)``); at g = 1 the
+    image is <sigma(S), sigma(T)>."""
     seen: dict = {}
     ctx = GroupContext(perm_identity(rep.degree), perm_mul, perm_inv, name=f"the coset action of Gamma({short_int(n)})")
     image = subgroup_closure(ctx, (), budgets)
-    for _, _, edge in _gamma_walk(rep, n, budgets, seen):
+    for _, _, edge in _gamma_walk(rep, math.gcd(n, rep_level(rep)), budgets, seen):
         sigma = rep.word_perm(_edge_word(seen, edge))
         if sigma not in image:
             image = subgroup_closure(ctx, image.generators + (sigma,), budgets)

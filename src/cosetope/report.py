@@ -97,7 +97,7 @@ def read_text(path: str, what: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # a missing file, bad UTF-8, or a NUL in the path
-        raise ValidationError(f"cannot read {what} {path!r}: {exc}") from exc
+        raise ValidationError(f"cannot read {what} {_shown(path)}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def _input(value: str, noun: str, reader) -> Any:
         failure, text = f"bad {noun} JSON", value
     else:
         what = f"{noun} file"
-        failure, text = f"cannot read {what} {value!r}", read_text(value, what)
+        failure, text = f"cannot read {what} {_shown(value)}", read_text(value, what)
     data = decode(text, failure)
     try:
         return reader(data)

@@ -585,8 +585,9 @@ def evidence_cross_check(rep: PermRep, m: int, g: GroupWord, budgets: Budgets = 
 
 # ---------------------------------------------------------------------------
 # the coset-carrying walk over Mat2, with each word built as its matrix is
-# reached, and the flagship example's images by closure and conjugation: the
-# oracles of the entry-tuple walks in ``cosetope.modular`` and ``gs_build``
+# reached, the image of Gamma(n) by the walk over all of PSL2(Z/n), and the
+# flagship example's images by closure and conjugation: the oracles of the
+# entry-tuple walks in ``cosetope.modular`` and ``gs_build``
 
 
 def oracle_gamma_walk(rep: PermRep, n: int, seen=None):
@@ -615,6 +616,21 @@ def oracle_gamma_walk(rep: PermRep, n: int, seen=None):
                 queue.append(y)
             elif letter > 0:
                 yield q, known[0], ModularWord(word + (letter,)) * ModularWord(known[1]).inverse()
+
+
+def oracle_gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int:
+    """|sigma(Gamma(n))| by the walk over all of PSL2(Z/n), not over the
+    gcd of n with the level: the closure of the coset permutations of every
+    Schreier generator the walk closes, each added when the closure so far
+    misses it, as ``modular.gamma_image_order`` once computed it."""
+    seen: dict = {}
+    ctx = GroupContext(perm_identity(rep.degree), perm_mul, perm_inv, name=f"walk-at-n image of Gamma({n})")
+    image = subgroup_closure(ctx, (), budgets)
+    for _, _, edge in cosetope.modular._gamma_walk(rep, n, budgets, seen):
+        sigma = rep.word_perm(cosetope.modular._edge_word(seen, edge))
+        if sigma not in image:
+            image = subgroup_closure(ctx, image.generators + (sigma,), budgets)
+    return len(image)
 
 
 def oracle_gs_images(m: int) -> tuple:

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from cosetope import report as rpt
+from cosetope.arith import sl2_group_order
 from cosetope.budgets import Budgets
 from cosetope.cli import OPTIONS, main
 from cosetope.errors import ValidationError
@@ -237,6 +238,20 @@ def test_verify_rejects_malformed_reports(tmp_path, capsys):
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
 
 
+def test_verify_cuts_a_long_recorded_value_in_its_refusal(tmp_path, capsys):
+    # a report's schema, command or differing value of 5,000 characters is
+    # shown cut to 60, so the refusal stays one short line
+    data, _ = run_report(["quotient", "--modulus", "2"], tmp_path / "q.json")
+    path = tmp_path / "long.json"
+    long = "9" * 5000
+    result = {**data["result"], "order": long}
+    for report in ({**data, "schema": long}, {**data, "command": long}, {**data, "result": result}):
+        path.write_text(canonical_dumps(report))
+        assert main(["verify", "--report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and len(err.encode()) <= 300 and "9" * 60 not in err and " ..." in err, err[:300]
+
+
 def test_exit_code_on_bad_input(tmp_path, capsys):
     assert main(["image", "--modulus", "3", "--gens", str(tmp_path / "missing.json")]) == 2
     bad = tmp_path / "bad.json"
@@ -280,6 +295,31 @@ def test_a_long_unknown_or_repeated_key_is_cut_in_its_refusal(capsys):
         out, err = capsys.readouterr()
         assert out == "" and err.count("\n") == 1 and len(err.encode()) <= 300, err[:300]
         assert "key 'kkkk" in err and " ..." in err
+
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["congruence", "--rep", _LONG],
+        ["verify", "--report", _LONG],
+        ["quotient", "--modulus", _LONG],
+        ["quotient", "--" + _LONG],
+        ["quotient", "--modulus", "2", "--output", "{missing}/" + _LONG],
+        [_LONG],
+    ],
+    ids=["rep-path", "report-path", "modulus", "option-name", "output-path", "command"],
+)
+def test_a_long_argument_is_cut_in_its_refusal(tmp_path, capsys, argv):
+    # a path, an integer, an option name or a command of 5,000 characters is
+    # shown once, cut to 60, in a one-line refusal
+    argv = [a.replace("{missing}", str(tmp_path / "missing")) for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err[:300]
+    assert len(err.encode()) <= 300 and "x" * 60 not in err and " ..." in err, err[:300]
 
 
 # Every entry point of JSON text, with the message prefix of a refusal when
@@ -395,8 +435,10 @@ _HUGE = str(2**5000)
     "args, message",
     [
         (["quotient", "--modulus", _HUGE], "a result of about 2^34999 has over 4300 digits (int max str digits)"),
+        # the coset action's order is read at gcd(2^5000, 12) = 4, so only the
+        # order's digits are too many
         (["quotient", "--modulus", _HUGE, "--rep", str(GOLDEN / "nc_rep.json")],
-         "PSL2(Z/about 2^5000) has about 2^14998 elements > 5000000 (closure_cap)"),
+         "a result of about 2^35010 has over 4300 digits (int max str digits)"),
         (["gap-witness", "--rep", str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"), "--level", _HUGE],
          " has about 2^14998 elements > 5000000 (closure_cap)"),
     ],
@@ -414,13 +456,13 @@ def test_a_result_too_long_to_write_exits_3(tmp_path, capsys, args, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("kind", ["quotient", "tractable"])
+@pytest.mark.parametrize("kind", ["image", "tractable"])
 def test_a_huge_modulus_is_shortened_in_the_budget_message(tmp_path, gens_files, capsys, kind):
     modulus = 2**200
-    if kind == "quotient":
-        args = ["quotient", "--modulus", str(modulus), "--rep", str(GOLDEN / "nc_rep.json")]
-        # the walk for the coset action's order: |PSL2(Z/m)| = 2^600 * 3/8
-        message = "PSL2(Z/about 2^200) has about 2^598 elements"
+    if kind == "image":
+        args = ["image", "--modulus", str(modulus), "--gens", gens_files["h"], "--closure-cap", "1000"]
+        # the closure of image(H) outgrows the cap in the quotient it names
+        message = "more than 1000 elements in M2(Z/about 2^200) x| SL2(Z/about 2^200)"
     else:
         tower = tmp_path / "tower.json"
         tower.write_text(json.dumps([{"m": modulus}]))
@@ -723,17 +765,21 @@ def test_budgets_are_positive_immutable_values():
     assert Budgets(5) != Budgets(7)
 
 
-def test_quotient_with_a_coset_action_fails_before_any_walk(tmp_path, monkeypatch, capsys):
-    # |PSL2(Z/1000)| = 360,000,000 exceeds the default cap, so the walk for
-    # the coset action's order stops before it visits a state
+def test_quotient_with_a_coset_action_walks_at_the_gcd_with_its_level(tmp_path, monkeypatch, capsys):
+    # nc_rep has level 12, so Gamma(1000) acts on its cosets as Gamma(4): the
+    # order's walk visits the 24 states of PSL2(Z/4), not the 360,000,000 of
+    # PSL2(Z/1000), and the closure cap bounds that walk
     walks = spy_walks(monkeypatch)
     args = ["quotient", "--modulus", "1000", "--rep", str(GOLDEN / "nc_rep.json")]
-    assert main(args + ["--output", str(tmp_path / "q.json")]) == 3
+    data, _ = run_report(args, tmp_path / "q.json")
+    assert data["result"]["order"] == str(1000**4 * sl2_group_order(1000) * 2520) == "1814400000000000000000000"
+    assert [(w.n, len(w.seen)) for w in walks] == [(4, 24)]
+    assert main(["verify", "--report", str(tmp_path / "q.json"), "--output", str(tmp_path / "v.json")]) == 0
+    assert main(args + ["--closure-cap", "23", "--output", str(tmp_path / "c.json")]) == 3
     assert capsys.readouterr().err == (
-        "budget exhausted: closure budget exceeded: PSL2(Z/1000) has 360000000 elements > 5000000 (closure_cap)\n"
+        "budget exhausted: closure budget exceeded: PSL2(Z/4) has 24 elements > 23 (closure_cap)\n"
     )
-    assert len(walks) == 1 and walks[0].seen == {}
-    assert not (tmp_path / "q.json").exists()
+    assert not (tmp_path / "c.json").exists()
 
 
 def test_the_closure_cap_bounds_the_permutation_closure_of_a_quotient(tmp_path, capsys):
@@ -890,15 +936,16 @@ def test_gs_demo_and_verify_close_no_level_image(tmp_path, monkeypatch):
 
 def test_gs_demo_walks_each_level_once(tmp_path, monkeypatch):
     # the intersection table lists nothing; the evidence walks the level
-    # images it keeps once per (rep, n)
+    # images it keeps once per (rep, gcd), gcd 1 over its one state
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
-    expected = [(rep, g) for g in (2, 3, 4, 6, 12)]
+    expected = [(rep, g) for g in (1, 2, 3, 4, 6, 12)]
     walks = spy_walks(monkeypatch)
     run_report(["gs-demo", "--m-max", "32"], tmp_path / "demo.json")
     assert sorted((w.rep, w.n) for w in walks if w.caller == "image_blocks") == sorted(expected)
+    assert [len(w.seen) for w in walks if w.caller == "image_blocks" and w.n == 1] == [1]
     walks.clear()
     run_report(["gs-demo", "--max-level", "2", "--m-max", "6"], tmp_path / "demo2.json")
-    assert sorted((w.rep, w.n) for w in walks if w.caller == "image_blocks") == sorted(expected[:4])
+    assert sorted((w.rep, w.n) for w in walks if w.caller == "image_blocks") == sorted(expected[:5])
 
 
 def test_gs_demo_walks_each_rep_and_level_once_per_caller(tmp_path, monkeypatch):
@@ -1287,7 +1334,7 @@ def test_a_tower_entry_rep_given_as_a_path_exits_2(tmp_path, gens_files):
     done = _cli_alone(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", '{"m": 2}', "--tower", str(tower)])
     assert (done.returncode, done.stdout) == (2, "")
     expected = "expected a permutation representation object, got '"
-    assert done.stderr.startswith(f"error: cannot read tower file {str(tower)!r}: {expected}")
+    assert done.stderr.startswith(f"error: cannot read tower file {rpt._shown(str(tower))}: {expected}")
 
 
 def test_every_input_option_reads_inline_json_as_its_file(tmp_path, gens_files):

@@ -369,22 +369,24 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
 
 def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
     # the gs-demo rep has level 12, so levels 2..32 have the gcds 1, 2, 3,
-    # 4, 6 and 12, and gcd 1 needs no walk
+    # 4, 6 and 12; gcd 1 is one walk of one state
     rep = minimal_noncongruence()
     assert rep_level(rep) == 12
     calls = spy_walks(monkeypatch)
     evidence = gs_wz_failure(rep, 32)
     assert [entry["m"] for entry in evidence.level_transcripts] == list(range(2, 33))
-    assert Counter(w.n for w in calls if w.caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    each_once = {1: 1, 2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    assert Counter(w.n for w in calls if w.caller == "image_blocks") == each_once
+    assert [len(w.seen) for w in calls if w.n == 1] == [1]
     # the witness walk, which decides congruence too as 12 divides 24, and
     # nothing else: the transcripts read the blocks image_blocks keeps
     assert Counter(w[:3] for w in calls) == Counter(
-        [("congruence_gap_witness", rep, 24)] + [("image_blocks", rep, g) for g in (2, 3, 4, 6, 12)]
+        [("congruence_gap_witness", rep, 24)] + [("image_blocks", rep, g) for g in each_once]
     )
     # a second call walks again: the walks are kept per call, not per process
     calls.clear()
     gs_wz_failure(rep, 32)
-    assert Counter(w.n for w in calls if w.caller == "image_blocks") == {2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+    assert Counter(w.n for w in calls if w.caller == "image_blocks") == each_once
 
 
 def test_wz_failure_refuses_an_empty_range_of_levels():

@@ -11,10 +11,13 @@ from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import subgroup_closure
 from cosetope.modular import (
+    S_,
+    T_,
     ModularWord,
     PermRep,
     congruence_gap_witness,
     discovery_tree,
+    gamma_image_order,
     image_blocks,
     image_elements,
     is_congruence,
@@ -42,6 +45,7 @@ from t_util import (
     image_closure,
     klein_fricke_blocks,
     naive_rep_counts,
+    oracle_gamma_image_order,
     oracle_gamma_walk,
     oracle_low_index_reps,
     oracle_subgroup_generators,
@@ -362,6 +366,42 @@ def test_image_blocks_at_m_are_those_at_the_gcd_with_the_level():
                 assert _orbit_blocks(rep, _gamma_walk(rep, m, Budgets())) == image_blocks(rep, m), (rep, m)
                 pairs += 1
     assert pairs == 416
+
+
+def test_gamma_image_order_at_the_gcd_matches_the_walk_at_m_oracle():
+    # the order closed over PSL2(Z/gcd(m, N)) against the one closed over
+    # all of PSL2(Z/m), for every class of degree <= 7 (4 of them not
+    # congruence) at each m from 2 to 12
+    reps = low_index_reps(7)
+    assert (len(reps), sum(not is_congruence(rep) for rep in reps)) == (21, 4)
+    for rep in reps:
+        for m in range(2, 13):
+            assert gamma_image_order(rep, m) == oracle_gamma_image_order(rep, m), (rep, m)
+
+
+def test_gamma_image_order_walks_only_the_gcd_with_the_level(monkeypatch):
+    # nc_rep has level 12: Gamma(1000) acts as Gamma(4), over 24 states, and
+    # Gamma(5) as Gamma(1), over one, whose image is <sigma(S), sigma(T)>
+    rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
+    walks = spy_walks(monkeypatch)
+    assert gamma_image_order(rep, 1000) == 2520
+    mon = enumerate_group(perm_context(rep.degree, [rep.perm_s, rep.perm_t]))
+    assert gamma_image_order(rep, 5) == len(mon) == 5040
+    assert [(w.caller, w.n, len(w.seen)) for w in walks] == [("gamma_image_order", 4, 24), ("gamma_image_order", 1, 1)]
+
+
+def test_the_walk_at_level_1_closes_s_and_t_alone():
+    # level 1 is the whole modular group: its one state closes S and T, so
+    # a single orbit is left, and the one-point action is congruence
+    for rep in low_index_reps(5):
+        seen: dict = {}
+        steps = [(q, p, _edge_word(seen, edge)) for q, p, edge in _gamma_walk(rep, 1, Budgets(), seen)]
+        assert steps == [(rep.perm_s[0], 0, ModularWord((S_,))), (rep.perm_t[0], 0, ModularWord((T_,)))]
+        assert list(seen) == [(0, 0, 0, 0)]
+        m = next(p for p in (5, 7, 11) if rep_level(rep) % p)
+        assert image_blocks(rep, m) == (0,) * rep.degree
+    assert is_congruence(PermRep.make(1, (0,), (0,)))
+    assert gamma_image_order(PermRep.make(1, (0,), (0,)), 7) == 1
 
 
 def _walk_edges(rep, n, walk):

@@ -62,6 +62,7 @@ from t_util import (
     random_word,
     s3_context,
     schreier_kernel,
+    spy_walks,
     subgroup_pool,
 )
 
@@ -301,12 +302,15 @@ def test_kernel_direct_path_closed_form(f, c):
 
 def test_kernel_with_coset_action_lists_no_quotient_element(monkeypatch):
     # the order (4/2)^4 |L_4| / |L_2| closes only permutations: the image of
-    # Gamma(4) and of Gamma(2) in the level-2 coset action, both trivial
+    # Gamma(4) and of Gamma(2) in the level-2 coset action, both trivial and
+    # both read off the walk over PSL2(Z/2), as gcd(4, 2) = 2
     rep = congruence_rep(2)
     fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
     closures = count_closures(monkeypatch)
+    walks = spy_walks(monkeypatch)
     kernel = kernel_of_refinement(fine, coarse)
     assert {name for name, _ in closures} == {"the coset action of Gamma(4)", "the coset action of Gamma(2)"}
+    assert [(w.caller, w.n, len(w.seen)) for w in walks] == [("gamma_image_order", 2, 6)] * 2
     assert len(kernel) == _congruence_kernel_order(4, 2)
     monkeypatch.undo()
     listing = _assert_kernel_matches_listing(fine, coarse)
@@ -319,13 +323,16 @@ def test_kernel_budget_fails_before_building():
 
 
 def test_coset_action_kernel_honours_the_closure_cap():
-    # the walk over PSL2(Z/4), of 24 elements, and the kernel's order,
-    # 16 * 8, each run under the cap; so does the closure of the image of
-    # Gamma(4) in nc_rep's coset action, of 2,520 permutations
+    # the walk over PSL2(Z/2), of 6 elements (the level-2 action reads
+    # Gamma(4) at gcd(4, 2) = 2), and the kernel's order, 16 * 8, each run
+    # under the cap; so does the closure of the image of Gamma(4) in
+    # nc_rep's coset action, of 2,520 permutations
     rep = congruence_rep(2)
     fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
-    with pytest.raises(BudgetError, match=r"PSL2\(Z/4\) has 24 elements > 20"):
-        kernel_of_refinement(fine, coarse, Budgets(closure_cap=20))
+    with pytest.raises(BudgetError, match=r"PSL2\(Z/2\) has 6 elements > 5"):
+        kernel_of_refinement(fine, coarse, Budgets(closure_cap=5))
+    with pytest.raises(BudgetError, match="refinement kernel 4 -> 2 has 128 elements > 6"):
+        kernel_of_refinement(fine, coarse, Budgets(closure_cap=6))
     with pytest.raises(BudgetError, match="refinement kernel 4 -> 2 has 128 elements > 100"):
         kernel_of_refinement(fine, coarse, Budgets(closure_cap=100))
     assert len(kernel_of_refinement(fine, coarse, Budgets(closure_cap=128))) == 128
