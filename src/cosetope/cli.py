@@ -45,10 +45,10 @@ from .modular import (
     rep_level,
 )
 from .profinite import (
+    DEFAULT_TOWER,
     GroupWord,
     QuotientSpec,
     TractabilityReport,
-    default_tower,
     image_subgroup,
     kernel_of_refinement,  # noqa: F401
     project,
@@ -68,16 +68,14 @@ def _spec_of(config: dict) -> QuotientSpec:
     return QuotientSpec.make(config["modulus"], config["rep"])
 
 
-def _tower_of(config: dict) -> list:
-    return default_tower() if config["tower"] is None else config["tower"]
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 #
 # Each subcommand computes its result from its config alone: the parsed
-# arguments, inputs already read, whether ``main`` parsed them from the
-# command line or ``verify`` from the argv that writes the recorded config.
+# arguments, inputs already read and defaults resolved, whether ``main``
+# parsed them from the command line or ``verify`` from the argv that writes
+# the recorded config.  A result holds only what the command computed: the
+# config already records each input as the command used it.
 
 
 def _quotient(config: dict, budgets: Budgets) -> dict:
@@ -113,7 +111,6 @@ def _dcoset_member(config: dict, budgets: Budgets) -> dict:
         "member": product_member(quotient_context(spec), project(g, spec), left, right),
         "size_left": len(left),
         "size_right": len(right),
-        "element": g,
     }
 
 
@@ -122,15 +119,15 @@ def _congruence(config: dict, budgets: Budgets) -> dict:
     level = rep_level(rep)
     index = len(set(image_blocks(rep, level, budgets)))
     # congruence exactly when Gamma(level), being normal, fixes every coset
-    result = {"degree": rep.degree, "level": level, "congruence": index == rep.degree}
+    result = {"level": level, "congruence": index == rep.degree}
     if level > 1:
         result["image_index"] = index
     return result
 
 
 def _tractable(config: dict, budgets: Budgets) -> TractabilityReport:
-    hcapk_gens = config["hcapk_gens"] or []
-    return tractable_at(config["h_gens"], config["k_gens"], hcapk_gens, config["m_spec"], _tower_of(config), budgets)
+    gens = config["h_gens"], config["k_gens"], config["hcapk_gens"]
+    return tractable_at(*gens, config["m_spec"], config["tower"], budgets)
 
 
 def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
@@ -139,10 +136,9 @@ def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
         if l_gens is not None:
             raise ValidationError("thm-b-probe takes --l-gens or --l-rep, not both")
         l_gens = l_group_words(l_rep)
-    tower = _tower_of(config)
-    cert = thm_b_probe(config["h_gens"], config["k_gens"], l_gens, config["element"], tower, budgets)
+    cert = thm_b_probe(config["h_gens"], config["k_gens"], l_gens, config["element"], config["tower"], budgets)
     if cert is None:
-        return {"status": "inconclusive", "tower": tower}
+        return {"status": "inconclusive"}
     return {"status": "certified", "certificate": cert}
 
 
@@ -156,8 +152,8 @@ def _lowindex(config: dict, budgets: Budgets) -> dict:
 
 
 def _gap_witness(config: dict, budgets: Budgets) -> dict:
-    witness = congruence_gap_witness(config["rep"], config["level"], budgets=budgets)
-    return {"status": "found", "witness": witness}
+    # a search that finds no witness exits 2 or 3, so a result has one
+    return {"witness": congruence_gap_witness(config["rep"], config["level"], budgets=budgets)}
 
 
 _HK_SAMPLES = (
@@ -181,9 +177,12 @@ def _hk_certificates() -> list:
 
 
 def _gs_demo(config: dict, budgets: Budgets) -> dict:
-    max_level, m_max, max_degree = config["max_level"], config["m_max"], config["max_degree"]
+    max_level, m_max = config["max_level"], config["m_max"]
     if max_level < 2:
         raise ValidationError(f"max_level must be at least 2, got {max_level}: the intersection table needs a level")
+    if m_max < 2:
+        raise ValidationError(f"m_max must be at least 2, got {m_max}: the witness needs a tested level")
+    reps = low_index_reps(config["max_degree"])  # refuses a degree below 1 before any walk
     # the order of image(H) meet image(K) at each level is 1: a common element
     # (0, h) = (I - h', h') of image(H) = {(0, h)} and image(K) = {(I - h', h')}
     # has I - h' = 0, so h = h' = I.  Each level's |image(H)| = |SL2(Z/m)| is
@@ -194,9 +193,8 @@ def _gs_demo(config: dict, budgets: Budgets) -> dict:
         check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
     intersections = [{"m": m, "size": 1} for m in levels]
     # the evidence rests on the first class that is not congruence
-    reps = low_index_reps(max_degree)
     noncongruence = [rep for rep in reps if not is_congruence(rep, budgets=budgets)]
-    lowindex = {"max_degree": max_degree, "reps_total": len(reps), "noncongruence_total": len(noncongruence)}
+    lowindex = {"reps_total": len(reps), "noncongruence_total": len(noncongruence)}
     evidence = {"status": "no-noncongruence-subgroup-found"}
     if noncongruence:
         lowindex["selected"] = noncongruence[0]
@@ -304,6 +302,7 @@ def _verify(config: dict, budgets: Budgets) -> dict:
 REQUIRED = object()
 _NEEDS_INT, _GENS = (int, REQUIRED, ""), (rpt.gens, REQUIRED, "JSON list of group elements")
 _REP = (rpt.rep, None, "coset action: a permutation representation")
+_TOWER = (rpt.tower, DEFAULT_TOWER, "quotient specs (default: plain levels 2, 3, 4, 5, 6, 8 and 12)")
 _COMMON = {"--output": (str, None, "report file (default: stdout)"), "--closure-cap": (int, DEFAULT_CLOSURE_CAP, "")}
 OPTIONS = {command: (run, summary, {**options, **_COMMON}) for command, (run, summary, options) in {
     "quotient": (_quotient, "describe one finite quotient", {"--modulus": _NEEDS_INT, "--rep": _REP}),
@@ -315,12 +314,12 @@ OPTIONS = {command: (run, summary, {**options, **_COMMON}) for command, (run, su
         "--modulus": _NEEDS_INT, "--rep": _REP, "--element": (rpt.element, REQUIRED, "group element"),
         "--left": _GENS, "--right": _GENS}),
     "tractable": (_tractable, "inclusion search over candidate quotients", {
-        "--h-gens": _GENS, "--k-gens": _GENS, "--hcapk-gens": (rpt.gens, None, "generators of H meet K"),
-        "--m-spec": (rpt.spec, REQUIRED, "quotient spec"), "--tower": (rpt.tower, None, "candidate quotient specs")}),
+        "--h-gens": _GENS, "--k-gens": _GENS, "--hcapk-gens": (rpt.gens, (), "generators of H meet K (default: none)"),
+        "--m-spec": (rpt.spec, REQUIRED, "quotient spec"), "--tower": _TOWER}),
     "thm-b-probe": (_thm_b_probe, "separability probe for (H meet L)K", {
         "--h-gens": _GENS, "--k-gens": _GENS, "--l-gens": (rpt.gens, None, "generators of L"),
         "--l-rep": (rpt.rep, None, "build L as additive part x| subgroup"),
-        "--element": (rpt.element, REQUIRED, "group element"), "--tower": (rpt.tower, None, "quotient specs")}),
+        "--element": (rpt.element, REQUIRED, "group element"), "--tower": _TOWER}),
     "lowindex": (_lowindex, "enumerate low-index subgroup representations", {
         "--max-degree": _NEEDS_INT, "--subgroups": (bool, False, "one table per subgroup, not per class")}),
     "congruence": (_congruence, "congruence verdict for one representation", {"--rep": (rpt.rep, REQUIRED, "")}),

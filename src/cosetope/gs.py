@@ -6,11 +6,11 @@ part and K its conjugate by the identity matrix i of the additive part,
 H meet K is trivial, and so is the meet of their images at every level: a
 common element (0, h) = (I - h', h') forces h = h' = I.  The double coset
 HK is cut out by a determinant criterion that certifies separability level
-by level.  A finite-index
-subgroup with a congruence gap then produces desk-scale evidence that the
-double coset H'K admits no such certificates: a concrete element outside
-H'K whose image lies inside the image of H'K at every tested congruence
-level.
+by level.  The paper proves that for a finite-index subgroup H' with a
+congruence gap the double coset H'K admits no such certificates; here such
+a subgroup gives finite evidence consistent with that: a concrete element
+outside H'K whose image lies inside the image of H'K at every tested
+congruence level.
 """
 
 from __future__ import annotations
@@ -48,13 +48,7 @@ def gs_hk_witness(g: GroupWord) -> Optional[SeparabilityCertificate]:
     m = 2
     while d % m == 1 % m:
         m += 1
-    certificate = SeparabilityCertificate(
-        element=g,
-        target="HK",
-        spec=QuotientSpec.make(m),
-        transcript={"det": d, "det_mod_m": d % m, "member": False},
-    )
-    return certificate
+    return SeparabilityCertificate("HK", QuotientSpec.make(m), {"det": d, "det_mod_m": d % m, "member": False})
 
 
 # ---------------------------------------------------------------------------
@@ -65,14 +59,13 @@ class NonSepEvidence(NamedTuple):
     """Desk-scale evidence that the double coset H'K is not separable.
 
     ``g`` is a concrete element outside H'K (because the witness matrix
-    moves the basepoint of ``rep``), yet at every congruence level recorded
-    in ``levels`` the image of ``g`` lies in the image of H'K.  The evidence
-    tower is congruence-only by design: quotients carrying the coset action
-    of H' itself are excluded, and ``towers_used`` documents that.  The
-    field names are the evidence's report keys.
+    moves the basepoint of the coset action of H'), yet at every congruence
+    level recorded in ``levels`` the image of ``g`` lies in the image of
+    H'K.  The evidence tower is congruence-only by design: quotients carrying
+    that coset action are excluded, and ``towers_used`` documents that.  The
+    field names are the evidence's report keys; its caller records the action.
     """
 
-    rep: PermRep
     witness: GapWitness
     g: GroupWord
     level_transcripts: list
@@ -84,11 +77,11 @@ class NonSepEvidence(NamedTuple):
 
 
 _CONCLUSION = (
-    "HK is separable (determinant certificates exist for every element off it), "
-    "while H'K resists every congruence level tested; by the double-coset "
-    "characterization of tame intersections this makes the intersection of H "
-    "and K profinitely intractable, so the ambient group fails the "
-    "Wilson-Zalesskii property."
+    "HK is separable: every element off it has a determinant certificate. "
+    "The paper proves that H'K is not separable, so that the intersection of "
+    "H and K is not profinitely tractable and the ambient group fails the "
+    "Wilson-Zalesskii property; the levels recorded here are finite evidence "
+    "consistent with that proof, not a decision."
 )
 
 
@@ -158,7 +151,6 @@ def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()
         raise ValidationError("witness unexpectedly lies in the subgroup")
     transcripts = [evidence_entry(rep, m, point, budgets, walks) for m in range(2, m_max + 1)]
     return NonSepEvidence(
-        rep=rep,
         witness=witness,
         g=GroupWord.of_a(witness.x - Mat2.identity()),
         level_transcripts=transcripts,

@@ -274,8 +274,8 @@ def _restandardize(s: tuple, t: tuple, basepoint: int) -> tuple:
     return tuple([label[s[p]] for p in tree]), tuple([label[t[p]] for p in tree])
 
 
-def low_index_reps(d_max: int, *, classes: bool = True) -> list:
-    """All transitive representations of degree <= d_max, canonically ordered.
+def low_index_reps(max_degree: int, *, classes: bool = True) -> list:
+    """All transitive representations of degree <= max_degree, canonically ordered.
 
     Each action (x, y) of ``_actions`` is the representation with
     perm_s = x and perm_t = x y, as T = S^-1 ST, its table standardized
@@ -287,13 +287,13 @@ def low_index_reps(d_max: int, *, classes: bool = True) -> list:
     subgroup of each class is standardized from every other basepoint,
     marking those tables and its own seen.
     """
-    if d_max < 1:
-        raise ValidationError(f"d_max must be positive, got {d_max}")
-    if d_max > _MAX_DEGREE_CAP:
-        raise BudgetError(f"degree budget exceeded: d_max {d_max} > cap {_MAX_DEGREE_CAP} (degree cap)")
+    if max_degree < 1:
+        raise ValidationError(f"max_degree must be positive, got {max_degree}")
+    if max_degree > _MAX_DEGREE_CAP:
+        raise BudgetError(f"degree budget exceeded: max_degree {max_degree} > cap {_MAX_DEGREE_CAP} (degree cap)")
     reps = []
     seen = set()
-    for s, y in _actions(d_max):
+    for s, y in _actions(max_degree):
         t = perm_mul(s, y)
         table = _restandardize(s, t, 0)
         if classes:
@@ -509,10 +509,10 @@ def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budge
     contains the one of level N, so at a multiple of N the walk decides that
     too; only at another level does ``is_congruence`` walk first.
     """
-    if level % rep_level(rep) and is_congruence(rep, budgets=budgets):
-        raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     if level < 2:
         raise ValidationError(f"witness level must be at least 2, got {level}")
+    if level % rep_level(rep) and is_congruence(rep, budgets=budgets):
+        raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     seen: dict = {}
     edge = next((step for step in _gamma_walk(rep, level, budgets, seen) if step[0] != step[1]), None)
     if edge is None:  # then the subgroup contains the principal congruence subgroup of this level

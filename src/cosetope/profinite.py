@@ -80,9 +80,8 @@ class QuotientSpec(NamedTuple):
         return cls(m, rep, formation)
 
 
-def default_tower() -> list:
-    """Congruence levels with useful divisibility structure at desk scale."""
-    return [QuotientSpec.make(m) for m in (2, 3, 4, 5, 6, 8, 12)]
+# congruence levels with useful divisibility structure at desk scale
+DEFAULT_TOWER = tuple(QuotientSpec.make(m) for m in (2, 3, 4, 5, 6, 8, 12))
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +249,12 @@ class TractabilityReport(NamedTuple):
     """Outcome of the inclusion search over a list of candidate quotients.
 
     When ``found`` is set, the inclusion image(H) meet image(K) inside
-    image(H meet K) * kernel(found -> m_spec) was verified there, and the
-    stored generator data makes that check replayable.  The field names
-    are the report keys; each entry of ``entries`` holds ``spec``,
-    ``status``, ``detail``, ``violations`` and ``sizes``.
+    image(H meet K) * kernel(found -> m_spec) was verified there.  The
+    field names are the report keys; each entry of ``entries`` holds
+    ``spec``, ``status``, ``detail``, ``violations`` and ``sizes``, one per
+    candidate tried.  The inputs are the report's config, not repeated here.
     """
 
-    m_spec: QuotientSpec
-    h_gens: tuple
-    k_gens: tuple
-    hcapk_gens: tuple
     entries: list
     found: Optional[QuotientSpec]
     counters: dict
@@ -285,8 +280,10 @@ def tractable_at(
     whose restrictions are listed at the first u outside it.  Status "ok"
     when U lies inside, which ends the search, otherwise "violation"
     with a sample of violating elements.  Per-candidate precondition
-    failures are recorded, not fatal.
+    failures are recorded, not fatal; an empty candidate list is refused.
     """
+    if not candidates:
+        raise ValidationError("tractable_at needs a nonempty tower")
     keys = tuple(h_gens), tuple(k_gens), tuple(hcapk_gens)
     entries = []
     found = None
@@ -331,8 +328,7 @@ def tractable_at(
         if entry["status"] == "ok":
             found = cand
             break
-    counters = {"elements_scanned": scanned, "candidates_tried": len(entries)}
-    return TractabilityReport(m_spec, *keys, entries, found, counters)
+    return TractabilityReport(entries, found, {"elements_scanned": scanned})
 
 
 # ---------------------------------------------------------------------------
@@ -341,9 +337,9 @@ def tractable_at(
 
 class SeparabilityCertificate(NamedTuple):
     """A finite quotient excluding an element from a double coset; replayable.
-    The field names are the certificate's report keys."""
+    The field names are the certificate's report keys; the element is the
+    one its caller records next to it."""
 
-    element: GroupWord
     target: str
     spec: QuotientSpec
     transcript: dict
@@ -381,7 +377,6 @@ def thm_b_probe(
             hp = subgroup_from_elements(filter(in_l, uh.elements))
         if not product_member(quotient_context(spec), project(g, spec), hp, uk):
             return SeparabilityCertificate(
-                element=g,
                 target="(H meet L)K" if l_gens is not None else "HK",
                 spec=spec,
                 transcript={"image_hp": len(hp), "image_k": len(uk), "member": False},

@@ -20,7 +20,7 @@ from .groupcore import short_int
 from .modular import ModularWord, PermRep
 from .profinite import Formation, GroupWord, QuotientSpec
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 MAX_DEPTH = 32  # reports nest about 10 deep; recursive walks need a bound
 
 

@@ -40,6 +40,9 @@ and drops ``quotient --enumerate``, edited only the ``schema`` line of every
 fixture; ``quotient_nc_rep.json``, a quotient carrying a coset action,
 replaced ``quotient_enumerate.json``, whose ``enumerated_order`` no report
 writes any more.
+The schema-6 change, which records every default in the config and drops
+from each result what the config already says, regenerated every fixture;
+``thm_b_certified.json`` now records the default tower in its config.
 ``regen_golden.py`` rewrites the fixtures from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths; the

@@ -212,7 +212,7 @@ def test_criterion_7_wz_failure_evidence(tmp_path):
     evidence = gs_wz_failure(rep, 24)
     assert evidence.status == "evidence"
     # the element itself is outside the double coset: the witness moves the basepoint
-    assert evidence.rep.word_perm(evidence.witness.word)[0] != 0
+    assert rep.word_perm(evidence.witness.word)[0] != 0
     assert evidence.witness.displaced_to != 0
     # at every recorded congruence level <= 24 the image passes the full
     # double-coset membership scan, not only the reduced subgroup test

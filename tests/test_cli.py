@@ -16,7 +16,7 @@ from cosetope.cli import OPTIONS, main
 from cosetope.errors import ValidationError
 from cosetope.modular import is_congruence, low_index_reps, rep_level
 from cosetope.gs import l_group_words
-from cosetope.profinite import GroupWord, QuotientSpec, default_tower, project, quotient_context
+from cosetope.profinite import DEFAULT_TOWER, GroupWord, QuotientSpec, project, quotient_context
 from cosetope.report import as_recorded, canonical_dumps, parse_int
 
 from t_util import congruence_rep, count_closures, gs_build, gs_intersection, quotient_closure_order, spy_walks
@@ -56,21 +56,21 @@ def test_quotient_command(tmp_path):
     data, _ = run_report(["quotient", "--modulus", "2"], tmp_path / "q.json")
     assert parse_int(data["result"]["order"]) == 96 == quotient_closure_order(QuotientSpec.make(2))
     assert data["result"].keys() == {"identity", "order", "sl2_order"}
-    assert parse_int(data["schema"]) == 5
+    assert parse_int(data["schema"]) == 6
     assert "seed" not in data["config"] and "enumerate" not in data["config"]
 
 
 def test_verify_refuses_a_report_of_an_earlier_schema(tmp_path, capsys):
-    # schema 5 gives a coset-action quotient its order in closed form and
-    # drops quotient's --enumerate, so a schema-4 report is refused even
-    # when every other byte would verify
+    # schema 6 drops from each result what the config already says, which
+    # leaves a quotient report's bytes as they were, so a schema-5 report is
+    # refused even when every other byte would verify
     path = tmp_path / "q.json"
     run_report(["quotient", "--modulus", "2"], path)
-    _tamper(path, lambda data: data.update(schema="4"))
+    _tamper(path, lambda data: data.update(schema="5"))
     capsys.readouterr()
     assert main(["verify", "--report", str(path)]) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: verify failed: unsupported schema '4'\n"
+    assert out == "" and err == "error: verify failed: unsupported schema '5'\n"
 
 
 def test_image_and_intersect_commands(tmp_path, gens_files):
@@ -138,7 +138,9 @@ def test_gap_witness_command_and_verify(tmp_path):
     data, _ = run_report(
         ["gap-witness", "--rep", str(rep_path), "--level", "12"], path
     )
-    assert data["result"]["status"] == "found"
+    # a search that finds no witness exits 2 or 3, so the result is the witness alone
+    assert data["result"].keys() == {"witness"}
+    assert data["result"]["witness"]["displaced_to"] != "0"
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
 
 
@@ -391,7 +393,7 @@ def test_a_repeated_key_exits_2_at_every_entry_point(tmp_path, gens_files, capsy
 # float where an integer goes, at each entry point.  A report's config is
 # read again as a command line, so its refusal is led by verify's prefix
 # and by that of the option that reads it.
-_VERIFY_REP = '{{"schema": "5", "command": "congruence", "config": {{"rep": {}}}, "result": {{}}}}'
+_VERIFY_REP = '{{"schema": "6", "command": "congruence", "config": {{"rep": {}}}, "result": {{}}}}'
 _BAD_VALUES = {
     "gens": ('[{"w": "S", "x": 1}]', '[{"a": {"rows": [[1.5, 0], [0, 1]]}}]'),
     "rep": ('{"degree": 1, "s": [0], "t": [0], "x": 1}', '{"degree": 1.5, "s": [0], "t": [0]}'),
@@ -528,6 +530,11 @@ def _cli_alone(args) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, "-m", "cosetope", *args], capture_output=True, text=True, env=env, timeout=60)
 
 
+def _help_rows(text: str) -> dict:
+    """Each option row of a help text, by option name, its spaces collapsed."""
+    return {row.split()[0]: " ".join(row.split()[1:]) for row in text.splitlines() if row.startswith("  --")}
+
+
 def test_help_names_every_command_and_option_of_the_table(capsys):
     done = _cli_alone(["--help"])
     assert (done.returncode, done.stderr) == (0, "")
@@ -535,6 +542,13 @@ def test_help_names_every_command_and_option_of_the_table(capsys):
     done = _cli_alone(["tractable", "--help"])
     assert (done.returncode, done.stderr) == (0, "")
     assert all(name in done.stdout for name in OPTIONS["tractable"][2])
+    # an integer option shows its default; the tower's help text states its own
+    rows = _help_rows(done.stdout)
+    assert rows["--closure-cap"] == "INT (default 5000000)"
+    assert rows["--tower"] == "TOWER quotient specs (default: plain levels 2, 3, 4, 5, 6, 8 and 12)"
+    rows = _help_rows(_cli_alone(["gs-demo", "--help"]).stdout)
+    assert [rows[name] for name in ("--max-level", "--m-max", "--max-degree")] == [
+        "INT (default 8)", "INT (default 24)", "INT (default 7)"]
     for command, (_, summary, options) in OPTIONS.items():
         assert main([command, "--help"]) == 0
         out = capsys.readouterr().out
@@ -673,7 +687,9 @@ def test_verify_rechecks_an_inconclusive_probe(tmp_path, gens_files):
     data, _ = run_report(args + ["--tower", str(tower)], path)
     assert data["result"]["status"] == "inconclusive"
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
-    _tamper(path, lambda data: data["result"]["tower"][1].update(m="3"))
+    # the result does not repeat the tower: verify reruns the recorded one
+    assert data["result"] == {"status": "inconclusive"}
+    _tamper(path, lambda data: data["config"]["tower"][1].update(m="3"))
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v2.json")]) == 2
 
 
@@ -1050,7 +1066,7 @@ def test_thm_b_probe_with_l_rep_closes_the_linear_part_of_image_l_alone(tmp_path
     assert time.perf_counter() - start < 5
     assert json.loads(Path(out).read_text())["result"]["status"] == "inconclusive"
     nc_rep = rpt.rep("nc_rep.json")
-    tower = [*default_tower(), QuotientSpec.make(2, nc_rep)]
+    tower = [*DEFAULT_TOWER, QuotientSpec.make(2, nc_rep)]
     # the level with nc_rep's coset action refuses image(H) meet image(K)
     # only after it has tested it against image(L)
     assert main(probe + ["--tower", json.dumps(as_recorded(tower))]) == 2
@@ -1183,7 +1199,7 @@ def test_congruence_walks_psl2_once_at_its_level(tmp_path, monkeypatch, name):
     data, _ = run_report(["congruence", "--rep", str(path)], tmp_path / "c.json")
     level = parse_int(data["result"]["level"])
     assert [(w.caller, w.n) for w in walks] == [("image_blocks", level)]
-    congruent = parse_int(data["result"]["image_index"]) == parse_int(data["result"]["degree"])
+    congruent = parse_int(data["result"]["image_index"]) == parse_int(data["config"]["rep"]["degree"])
     assert data["result"]["congruence"] is congruent is (name != "nc_rep.json")
 
 
@@ -1318,12 +1334,43 @@ def test_verify_does_not_read_a_path_recorded_for_an_input(tmp_path, monkeypatch
 
 def test_an_explicit_empty_tower_is_not_the_default_tower(tmp_path, gens_files, capsys):
     # --tower '[]' is a tower of no quotient, which the probe refuses; an
-    # omitted --tower is the default tower
+    # omitted --tower is the default tower, which the config records
     args = ["thm-b-probe", "--h-gens", gens_files["h"], "--k-gens", gens_files["k"], "--element", _ELEMENT]
     assert main(args + ["--tower", "[]", "--output", str(tmp_path / "p.json")]) == 2
     assert capsys.readouterr().err == "error: thm_b_probe needs a nonempty tower\n"
     data, _ = run_report(args, tmp_path / "default.json")
-    assert data["config"]["tower"] is None and data["result"]["status"] == "certified"
+    assert [parse_int(spec["m"]) for spec in data["config"]["tower"]] == [2, 3, 4, 5, 6, 8, 12]
+    assert data["config"]["tower"] == as_recorded(DEFAULT_TOWER) and data["result"]["status"] == "certified"
+
+
+# A bad argument is refused before any walk or closure, even where the walk
+# would exhaust the cap or refuse the input for another reason first; and
+# tractable refuses a tower of no candidate, as thm-b-probe does.
+_BAD_ARGUMENTS = {
+    "tractable-empty-tower": (
+        ["tractable", "--h-gens", str(GOLDEN / "h.json"), "--k-gens", str(GOLDEN / "h.json"), "--m-spec", '{"m": 2}',
+         "--tower", "[]"], "tractable_at needs a nonempty tower"),
+    "gap-witness-level-before-congruence": (
+        ["gap-witness", "--rep", '{"degree": 3, "s": [0, 2, 1], "t": [1, 0, 2]}', "--level", "-1"],
+        "witness level must be at least 2, got -1"),
+    "gap-witness-level-before-walk": (
+        ["gap-witness", "--rep", str(GOLDEN / "level105_rep.json"), "--level", "-1", "--closure-cap", "1000"],
+        "witness level must be at least 2, got -1"),
+    "gs-demo-m-max-before-walk": (
+        ["gs-demo", "--m-max", "1", "--max-degree", "12", "--closure-cap", "100"],
+        "m_max must be at least 2, got 1"),
+    "gs-demo-max-degree-before-table": (
+        ["gs-demo", "--max-degree", "0", "--max-level", "300"], "max_degree must be positive, got 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BAD_ARGUMENTS))
+def test_a_bad_argument_exits_2_before_any_walk(tmp_path, capsys, case):
+    args, message = _BAD_ARGUMENTS[case]
+    assert main(args + ["--output", str(tmp_path / "out.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"error: {message}")
+    assert not (tmp_path / "out.json").exists()
 
 
 def test_a_tower_entry_rep_given_as_a_path_exits_2(tmp_path, gens_files):

@@ -4,6 +4,7 @@ The cases, and how each fixture was first written, are in ``golden_cases``.
 """
 
 import json
+import re
 
 import pytest
 
@@ -30,16 +31,18 @@ def test_golden_fixture_verifies(tmp_path, monkeypatch, name):
 
 
 # Edits that an earlier verify accepted without re-checking anything: the
-# entries of a search that found nothing, an inconclusive gap-witness, and the
-# low-index block and evidence status of gs-demo; and the order of a quotient
-# carrying a coset action, which verify recomputes in closed form.
+# entries of a search that found nothing, a gap-witness's status (now the
+# point its witness reaches, as schema 6 dropped the status, which could only
+# say "found"), and the low-index block and evidence status of gs-demo; and
+# the order of a quotient carrying a coset action, which verify recomputes in
+# closed form.
 TAMPERS = [
     ("tractable_violation.json", ("entries", 1, "sizes", "kernel"), "2"),
     ("tractable_violation.json", ("entries", 0, "status"), "skipped-formation"),
     ("tractable_violation.json", ("entries", 2, "violations"), []),
     ("tractable_violation.json", ("counters", "elements_scanned"), "11"),
     ("tractable_ok.json", ("entries", 0, "detail"), ""),
-    ("gap_witness.json", ("status",), "inconclusive"),
+    ("gap_witness.json", ("witness", "displaced_to"), "2"),
     ("gs_demo.json", ("lowindex", "noncongruence_total"), "3"),
     ("gs_demo.json", ("lowindex", "reps_total"), "20"),
     ("gs_demo.json", ("evidence", "status"), "inconclusive"),
@@ -105,3 +108,28 @@ def test_verify_rejects_edited_golden_report(tmp_path, monkeypatch, edit):
     report = tmp_path / name
     report.write_text(canonical_dumps(data), encoding="utf-8")
     assert main(["verify", "--report", str(report), "--output", str(tmp_path / "v.json")]) == 2
+
+
+def _values(data, path=""):
+    """Each value nested in ``data`` with its path, ``data`` itself first."""
+    yield path, data
+    items = data.items() if isinstance(data, dict) else enumerate(data) if isinstance(data, list) else ()
+    for key, value in items:
+        yield from _values(value, f"{path}.{key}" if isinstance(key, str) else f"{path}[{key}]")
+
+
+# a tower entry is named in the result where it was tried or found
+_TOWER_ENTRY = re.compile(r"^\.entries\[\d+\]\.spec$|^\.found$")
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_a_result_does_not_repeat_its_config(name):
+    # schema 6: the config records each input as the command used it, so
+    # no input list or object recurs in the result
+    data = json.loads((GOLDEN / name).read_text(encoding="utf-8"))
+    inputs = {key: value for key, value in data["config"].items() if isinstance(value, (list, dict)) and value}
+    repeated = [
+        (key, path) for path, value in _values(data["result"]) if not _TOWER_ENTRY.match(path)
+        for key, recorded in inputs.items() if value == recorded
+    ]
+    assert repeated == []

@@ -411,7 +411,7 @@ def test_wz_failure_evidence_is_coherent():
     evidence = gs_wz_failure(rep, 12)
     assert evidence.status == "evidence"
     assert evidence.witness is not None
-    assert evidence.rep.word_perm(evidence.witness.word)[0] != 0
+    assert rep.word_perm(evidence.witness.word)[0] != 0
     assert evidence.g.a == evidence.witness.x - Mat2.identity()
     assert evidence.g.w == ModularWord()
     recorded = {entry["m"] for entry in evidence.level_transcripts if entry["member"]}

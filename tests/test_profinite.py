@@ -28,10 +28,10 @@ from cosetope.modular import (
     congruence_gap_witness,
 )
 from cosetope.profinite import (
+    DEFAULT_TOWER,
     Formation,
     GroupWord,
     QuotientSpec,
-    default_tower,
     element_restriction,
     image_member,
     image_subgroup,
@@ -553,7 +553,7 @@ def test_tractable_example_data_over_congruence_candidates():
     # intersection of the images is trivial at every plain congruence level,
     # so the inclusion holds at the very first candidate
     m_spec = QuotientSpec.make(2)
-    report = tractable_at(H_GENS, k_gens(), (), m_spec, default_tower())
+    report = tractable_at(H_GENS, k_gens(), (), m_spec, DEFAULT_TOWER)
     assert report.found == QuotientSpec.make(2)
     sizes = report.entries[0]["sizes"]
     assert sizes["image_intersection"] == 1
@@ -629,13 +629,13 @@ def test_probe_member_is_inconclusive_at_every_level():
     hp_word = GroupWord.of_word(ModularWord.from_str("TT"))
     k_elt = gw_mul(gw_mul(I_CONJ, GroupWord.of_word(ModularWord.from_str("T"))), gw_inv(I_CONJ))
     g = gw_mul(hp_word, k_elt)
-    outcome = thm_b_probe(H_GENS, k_gens(), None, g, default_tower())
+    outcome = thm_b_probe(H_GENS, k_gens(), None, g, DEFAULT_TOWER)
     assert outcome is None
 
 
 def test_probe_whole_group_reduces_to_hk_and_certifies_by_det():
     g = GroupWord.of_a(Mat2.scalar(2))
-    cert = thm_b_probe(H_GENS, k_gens(), None, g, default_tower())
+    cert = thm_b_probe(H_GENS, k_gens(), None, g, DEFAULT_TOWER)
     assert cert is not None
     # det(2I + I) = 9, and the first level with 9 != 1 is 3
     assert cert.spec == QuotientSpec.make(3)

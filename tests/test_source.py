@@ -492,4 +492,4 @@ def test_no_command_body_reads_an_input():
         nodes = list(ast.walk(functions[name]))
         assert "rpt" not in {node.id for node in nodes if isinstance(node, ast.Name)}, name
         queue.extend({getattr(node.func, "id", None) for node in nodes if isinstance(node, ast.Call)} & functions.keys())
-    assert {"_spec_of", "_tower_of"} <= reached
+    assert "_spec_of" in reached
