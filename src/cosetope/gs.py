@@ -110,22 +110,6 @@ def l_group_words(rep: PermRep) -> list:
     return [*ADDITIVE_UNITS, *h_prime_group_words(rep)]
 
 
-def evidence_entry(rep: PermRep, m: int, point: int, budgets: Budgets, walks: dict) -> dict:
-    """The level-m transcript entry of the evidence: whether x mod m lies in
-    the sign-saturated image of H', where x carries the basepoint of ``rep``
-    to ``point``, and that image's order, both read off ``image_blocks``.
-
-    With g = (x - I, 1), that membership is the membership of g's image in
-    the image of H'K; ``tests/t_util.evidence_cross_check`` checks the two
-    against each other by listing image(H') and image(K).
-    """
-    blocks = image_blocks(rep, m, budgets, walks)
-    member = blocks[point] == 0
-    order = sl2_group_order(m) // len(set(blocks))
-    check_closure_cap(order, budgets, f"the sign-saturated subgroup image mod {m}")
-    return {"m": m, "member": member, "image_order": order}
-
-
 # the level of the principal congruence subgroup the witness is drawn from
 WITNESS_LEVEL = 24
 
@@ -138,9 +122,12 @@ def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()
     then lies in H'K exactly when x lies in H', so g is outside H'K.  At a
     congruence level m, membership of the image of g in the image of H'K
     reduces to membership of x mod m in the matrix image of H', which is
-    what each transcript records, read off blocks only.  A congruence
-    ``rep`` has no witness and raises PreconditionError.  One ``walks`` dict
-    walks each level gcd(m, N) once per call.
+    what each transcript records with that image's order, both read off
+    ``image_blocks``; ``tests/t_util.evidence_cross_check`` checks the
+    membership by listing image(H') and image(K).  The order is checked
+    against the closure cap.  A congruence ``rep`` has no witness and raises
+    PreconditionError.  One ``walks`` dict walks each level gcd(m, N) once
+    per call.
     """
     if m_max < 2:
         raise ValidationError(f"m_max must be at least 2, got {m_max}: the witness needs a tested level")
@@ -149,7 +136,12 @@ def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()
     point = witness.displaced_to
     if point == 0:
         raise ValidationError("witness unexpectedly lies in the subgroup")
-    transcripts = [evidence_entry(rep, m, point, budgets, walks) for m in range(2, m_max + 1)]
+    transcripts = []
+    for m in range(2, m_max + 1):
+        blocks = image_blocks(rep, m, budgets, walks)
+        order = sl2_group_order(m) // len(set(blocks))
+        check_closure_cap(order, budgets, f"the sign-saturated subgroup image mod {m}")
+        transcripts.append({"m": m, "member": blocks[point] == 0, "image_order": order})
     return NonSepEvidence(
         witness=witness,
         g=GroupWord.of_a(witness.x - Mat2.identity()),

@@ -429,20 +429,18 @@ def image_blocks(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Opti
 
     It is normal, so these are blocks: x mod m lies in the subgroup's image
     exactly when x carries the basepoint into block 0, and the image's index
-    is the number of blocks.  The closure cap holds on the image's order.
-    Levels m and g = gcd(m, N), N the level of ``rep``, act on the cosets
-    alike: level m's product with the core of the subgroup is normal and
-    holds T^g, so by Wohlfahrt's level theorem (Illinois J. Math. 8, 1964)
-    it contains level g's.  So the walk runs over PSL2(Z/g).  ``walks``
-    keeps the blocks of each (rep, g) walked; one command passes one dict to
-    all its calls, so it walks each g once, while every level m still checks
-    its own cap.
+    is the number of blocks.  Levels m and g = gcd(m, N), N the level of
+    ``rep``, act on the cosets alike: level m's product with the core of the
+    subgroup is normal and holds T^g, so by Wohlfahrt's level theorem
+    (Illinois J. Math. 8, 1964) it contains level g's.  So the walk runs
+    over PSL2(Z/g), under the closure cap.  ``walks`` keeps the blocks of
+    each (rep, g) walked; one command passes one dict to all its calls, so
+    it walks each g once.
     """
     g = math.gcd(m, rep_level(rep))
     walks = {} if walks is None else walks
     if (rep, g) not in walks:
         walks[rep, g] = _orbit_blocks(rep, _gamma_walk(rep, g, budgets))
-    check_closure_cap(psl2_group_order(m) // len(set(walks[rep, g])), budgets, f"the subgroup image mod {m}")
     return walks[rep, g]
 
 

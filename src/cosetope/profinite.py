@@ -58,11 +58,10 @@ class Formation(NamedTuple):
             m //= self.p
         if m != 1:
             return False
-        if spec.rep is None:
-            return True
-        ident = perm_identity(spec.rep.degree)
-        x = spec.rep.perm_s
-        y = perm_mul(x, spec.rep.perm_t)
+        rep = spec.rep or ONE_POINT
+        ident = perm_identity(rep.degree)
+        x = rep.perm_s
+        y = perm_mul(x, rep.perm_t)
         return (self.p == 2 or x == ident) and (self.p == 3 or y == ident)
 
 
@@ -274,19 +273,18 @@ def tractable_at(
     """First candidate quotient N where the intersection of images is tame.
 
     N must lie in the formation of ``m_spec`` and refine it.  Compute
-    U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M),
-    the preimage of the identity under restriction: u lies in it exactly
-    when u lies in image(HcapK) or restricts as one of its elements does,
-    whose restrictions are listed at the first u outside it.  Status "ok"
-    when U lies inside, which ends the search, otherwise "violation"
-    with a sample of violating elements.  Per-candidate precondition
-    failures are recorded, not fatal; an empty candidate list is refused.
+    U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M):
+    restriction after projection is projection, so u lies in it exactly
+    when its restriction lies in image_M(HcapK), closed once, at the first
+    refining candidate.  Status "ok" when U lies inside, which ends the
+    search, otherwise "violation" with a sample of violating elements.
+    Per-candidate precondition failures are recorded, not fatal; an empty
+    candidate list is refused.
     """
     if not candidates:
         raise ValidationError("tractable_at needs a nonempty tower")
-    keys = tuple(h_gens), tuple(k_gens), tuple(hcapk_gens)
     entries = []
-    found = None
+    found = target = None
     scanned = 0
     for cand in candidates:
         entry = {"spec": cand, "status": "precondition", "detail": "", "violations": [], "sizes": {}}
@@ -298,23 +296,20 @@ def tractable_at(
         if restrict is None:
             entry["detail"] = "candidate does not refine the target quotient"
             continue
-        images = {key: image_subgroup(key, cand, budgets) for key in dict.fromkeys(keys)}  # one closure each
-        uh, uk, ui = (images[key] for key in keys)
-        bad = [g for g in ui.generators if g not in uh or g not in uk]
+        uh = image_subgroup(h_gens, cand, budgets)
+        uk = uh if tuple(k_gens) == tuple(h_gens) else image_subgroup(k_gens, cand, budgets)
+        bad = [p for p in (project(g, cand) for g in hcapk_gens) if p not in uh or p not in uk]
         if bad:
             entry["detail"] = "claimed intersection generators do not land in both images"
             entry["violations"] = bad[:_VIOLATION_SAMPLE]
             continue
+        if target is None:
+            target = image_subgroup(hcapk_gens, m_spec, budgets)
         inter = subgroup_intersection(uh, uk)
         kernel = kernel_of_refinement(cand, m_spec, budgets)
-        restricted = None
         for u in inter.elements:
             scanned += 1
-            if u in ui:
-                continue
-            if restricted is None:
-                restricted = {restrict(x) for x in ui.elements}
-            if restrict(u) not in restricted:
+            if restrict(u) not in target:
                 entry["violations"].append(u)
                 if len(entry["violations"]) >= _VIOLATION_SAMPLE:
                     break

@@ -574,8 +574,8 @@ def evidence_cross_check(rep: PermRep, m: int, g: GroupWord, budgets: Budgets = 
     """Whether the image of ``g`` lies in image(H')·image(K) in the plain
     level-m quotient, by listing: image(H') as the pairs (0, u), u over the
     sign-saturated image of ``rep``'s subgroup, and image(K) from
-    ``gs_build``.  The oracle of ``gs.evidence_entry``'s ``member``, which
-    reads blocks only."""
+    ``gs_build``.  The oracle of the ``member`` of each transcript entry of
+    ``gs.gs_wz_failure``, which reads blocks only."""
     spec = QuotientSpec.make(m)
     instance = gs_build(spec, budgets)
     image = _h_prime_image_mod(rep, m, budgets)

@@ -19,6 +19,7 @@ from cosetope.gs import l_group_words
 from cosetope.profinite import DEFAULT_TOWER, GroupWord, QuotientSpec, project, quotient_context
 from cosetope.report import as_recorded, canonical_dumps, parse_int
 
+from golden_cases import CASES
 from t_util import congruence_rep, count_closures, gs_build, gs_intersection, quotient_closure_order, spy_walks
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -763,6 +764,20 @@ def test_formation_check_closes_nothing_under_the_closure_cap(tmp_path, monkeypa
     ]
     assert main(args) == 0
     assert (tmp_path / "t.json").read_bytes() == (golden / "tractable_formation.json").read_bytes()
+
+
+def test_tractable_closes_h_meet_k_once_in_the_target_quotient(tmp_path, monkeypatch):
+    # the candidates 4 and 8 refine the target 4; each element of image(H)
+    # meet image(K) is tested by its restriction to the target, so the
+    # claimed (empty) H meet K is closed once, there, and in no candidate;
+    # H = K is closed once per candidate
+    monkeypatch.chdir(GOLDEN)
+    closures = count_closures(monkeypatch)
+    assert main([*CASES["tractable_violation.json"], "--output", str(tmp_path / "t.json")]) == 0
+    assert (tmp_path / "t.json").read_bytes() == (GOLDEN / "tractable_violation.json").read_bytes()
+    quotients = [(name, n) for (name, gens), n in closures.items() if not gens and name.startswith("M2")]
+    assert quotients == [("M2(Z/4) x| SL2(Z/4)", 1)]
+    assert set(closures.values()) == {1}
 
 
 @pytest.mark.parametrize("flags", [pytest.param(["--closure-cap", "0"], id="--closure-cap")])

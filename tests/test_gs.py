@@ -15,11 +15,12 @@ from cosetope.groupcore import (
     subgroup_closure,
     subgroup_from_elements,
 )
-from cosetope.gs import _h_prime_image_mod, evidence_entry, gs_hk_witness, gs_wz_failure, h_prime_group_words
+from cosetope.gs import _h_prime_image_mod, gs_hk_witness, gs_wz_failure, h_prime_group_words
 from cosetope.budgets import Budgets
 from cosetope.modular import (
     ONE_POINT,
     ModularWord,
+    image_blocks,
     is_congruence,
     low_index_reps,
     rep_level,
@@ -298,7 +299,7 @@ def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
             for _ in range(25):
                 w = random_word(rng, 10)
                 g = GroupWord.of_a(word_eval(w) - Mat2.identity())
-                member = evidence_entry(rep, m, rep.word_perm(w)[0], budgets, walks)["member"]
+                member = image_blocks(rep, m, budgets, walks)[rep.word_perm(w)[0]] == 0
                 assert evidence_cross_check(rep, m, g, budgets) == member
                 seen[member] += 1
     assert seen[True] > 50 and seen[False] > 50
@@ -354,10 +355,10 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
         _h_prime_image_mod(rep, m, Budgets())
     assert not closures
     # the witness walk over PSL2(Z/24), of order 4608, comes first; the
-    # transcripts then check each level m in turn, its image in PSL2(Z/m)
-    # and then the sign-saturated one, so the first over a cap of 4608 is
-    # SL2(Z/17), of order 4896, and over any cap from 4896 to 6839 it is
-    # SL2(Z/19), of order 6840, before PSL2(Z/23), of order 6072, is reached
+    # transcripts then make one check per level m, on the sign-saturated
+    # image, so the first over a cap of 4608 is SL2(Z/17), of order 4896, and
+    # over any cap from 4896 to 6839 it is SL2(Z/19), of order 6840; no
+    # level checks its image in PSL2(Z/m), which is 6072 at m = 23
     with pytest.raises(BudgetError, match=r"PSL2\(Z/24\) has 4608"):
         gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=4607))
     with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 17 has 4896"):

@@ -147,13 +147,20 @@ def test_groupword_inverse():
 
 
 def test_projection_compatibility_with_coarsening():
+    # restriction after projection is projection, plain and with coset
+    # actions: tractable_at tests each element's restriction in the target
     rng = random.Random(33)
-    fine = QuotientSpec.make(8)
-    coarse = QuotientSpec.make(4)
-    restrict = element_restriction(fine, coarse)
-    for _ in range(200):
-        g = random_groupword(rng)
-        assert restrict(project(g, fine)) == project(g, coarse)
+    pairs = [
+        (QuotientSpec.make(8), QuotientSpec.make(4)),
+        (QuotientSpec.make(4, NC_REP), QuotientSpec.make(2, NC_REP)),
+        (QuotientSpec.make(4, NC_REP), QuotientSpec.make(2)),
+        *((QuotientSpec.make(6, r), QuotientSpec.make(3, r)) for r in low_index_reps(4)),
+    ]
+    for fine, coarse in pairs:
+        restrict = element_restriction(fine, coarse)
+        for _ in range(150):
+            g = random_groupword(rng)
+            assert restrict(project(g, fine)) == project(g, coarse), (fine, coarse, g)
 
 
 # ---------------------------------------------------------------------------
@@ -442,13 +449,15 @@ def test_membership_in_u_times_the_kernel_agrees_with_the_listing(case):
     assert len(kernel) == len(listing)
     # elements of U * ker as well as the drawn ones, most of which lie outside
     elements += [sd_mul(rng.choice(u.elements), rng.choice(listing.elements)) for _ in range(8)]
-    # g lies in U * ker when g lies in U or restricts as an element of U does
+    # g lies in U * ker exactly when it restricts into the restriction of U,
+    # which is the closure of its generators' restrictions in the coarse
+    # quotient: the one closure tractable_at makes
     restrict = element_restriction(fine, coarse)
-    restricted = {restrict(x) for x in u.elements}
+    target = subgroup_closure(quotient_context(coarse), [restrict(x) for x in u_gens])
+    assert target.as_set() == {restrict(x) for x in u.elements}
     ctx = quotient_context(fine)
     for g in elements:
-        member = g in u or restrict(g) in restricted
-        assert member == product_member(ctx, g, u, listing), (fine, coarse, g)
+        assert (restrict(g) in target) == product_member(ctx, g, u, listing), (fine, coarse, g)
 
 
 # ---------------------------------------------------------------------------
@@ -580,6 +589,16 @@ def test_tractable_underclaimed_intersection_is_flagged():
     for violation in entry["violations"]:
         assert violation in u
         assert violation != ctx.identity
+
+
+def test_tractable_closes_no_claimed_intersection_that_misses_the_images():
+    # T does not land in image(<S>) mod 8, so the candidate fails its
+    # precondition before anything closes the claimed generators S and T,
+    # whose image mod 8 has 384 elements, more than the cap of 100
+    s = (GroupWord.of_word(ModularWord.from_str("S")),)
+    report = tractable_at(s, s, H_GENS, QuotientSpec.make(2), [QuotientSpec.make(8)], Budgets(closure_cap=100))
+    assert [entry["status"] for entry in report.entries] == ["precondition"]
+    assert report.found is None
 
 
 def test_tractable_skips_candidates_outside_formation():
