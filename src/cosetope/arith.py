@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import BudgetError, ModulusMismatch, ValidationError
+from .errors import BudgetError, ModulusMismatch, ValidationError, short_int
 
 
 _new = tuple.__new__
@@ -34,7 +34,7 @@ class Mat2(NamedTuple):
     @classmethod
     def of_mod(cls, a: int, b: int, c: int, d: int, m: int) -> "Mat2":
         if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {m}")
+            raise ValidationError(f"modulus must be at least 2, got {short_int(m)}")
         return cls(a % m, b % m, c % m, d % m, m)
 
     @classmethod
@@ -50,7 +50,7 @@ class Mat2(NamedTuple):
         if m is None:
             return cls(k, 0, 0, k, None)
         if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {m}")
+            raise ValidationError(f"modulus must be at least 2, got {short_int(m)}")
         return cls(k % m, 0, 0, k % m, m)
 
     # The arithmetic below unpacks each operand once and builds its result
@@ -98,9 +98,9 @@ class Mat2(NamedTuple):
     def reduce(self, m: int) -> "Mat2":
         """Entrywise reduction mod ``m``; from ambient or from a multiple of ``m``."""
         if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {m}")
+            raise ValidationError(f"modulus must be at least 2, got {short_int(m)}")
         if self.m is not None and self.m % m != 0:
-            raise ValidationError(f"cannot reduce mod {m} from modulus {self.m}")
+            raise ValidationError(f"cannot reduce mod {short_int(m)} from modulus {short_int(self.m)}")
         return Mat2(self.a % m, self.b % m, self.c % m, self.d % m, m)
 
 
@@ -118,8 +118,8 @@ def _factorize(n: int) -> dict:
     """Prime factorization by trial division below a fixed bound.
 
     A cofactor left over with no factor below the bound is accepted only when
-    ``is_prime`` proves it prime; otherwise the modulus cannot be factored at
-    desk scale and BudgetError is raised instead of stalling.
+    ``provably_prime``; otherwise the modulus cannot be factored at desk
+    scale and BudgetError is raised instead of stalling.
     """
     out = {}
     rest = n
@@ -130,21 +130,18 @@ def _factorize(n: int) -> dict:
             rest //= p
         p += 1 if p == 2 else 2
     if rest > 1:
-        if p * p <= rest and not (rest < _PRIME_PROOF_BOUND and is_prime(rest)):
+        if p * p <= rest and not provably_prime(rest, f"modulus {short_int(n)} leaves the cofactor"):
             raise BudgetError(
-                f"factorization budget exceeded: modulus {n} leaves the cofactor {rest}, which has "
-                f"no factor below {_TRIAL_BOUND} and is not provably prime (trial-division bound)"
+                f"factorization budget exceeded: modulus {short_int(n)} leaves the cofactor {short_int(rest)}, "
+                f"which has no factor below {_TRIAL_BOUND} and is not provably prime (trial-division bound)"
             )
         out[rest] = out.get(rest, 0) + 1
     return out
 
 
 def is_prime(n: int) -> bool:
-    """Miller-Rabin to the first twelve prime bases: exact for n < 3.1e23.
-
-    Unlike trial division it stays fast on huge inputs, which come from
-    user-supplied tower files.
-    """
+    """Miller-Rabin to the first twelve prime bases: exact for n < 3.1e23,
+    the ``_PRIME_PROOF_BOUND`` that ``provably_prime`` checks first."""
     if n < 2:
         return False
     for p in _PRIME_BASES:
@@ -167,12 +164,21 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def provably_prime(n: int, what: str) -> bool:
+    """``is_prime(n)``; at or above the bound where it is exact, BudgetError
+    names ``what`` (the words before ``n``) and the bound instead."""
+    if n >= _PRIME_PROOF_BOUND:
+        what = f"{what} {short_int(n)}, which is not provably prime"
+        raise BudgetError(f"primality budget exceeded: {what} at or above {_PRIME_PROOF_BOUND} (prime proof bound)")
+    return is_prime(n)
+
+
 def sl2_group_order(m: int) -> int:
     """Order of the determinant-1 matrix group over Z/m (multiplicative in m)."""
     if m == 1:
         return 1
     if m < 1:
-        raise ValidationError(f"modulus must be positive, got {m}")
+        raise ValidationError(f"modulus must be positive, got {short_int(m)}")
     order = 1
     for p, k in _factorize(m).items():
         order *= p ** (3 * k) - p ** (3 * k - 2)

@@ -23,7 +23,7 @@ import sys
 
 from .arith import Mat2, sl2_group_order
 from .budgets import DEFAULT_CLOSURE_CAP, Budgets
-from .errors import BudgetError, CosetopeError, ValidationError
+from .errors import BudgetError, CosetopeError, ValidationError, short_int
 from .groupcore import check_closure_cap, product_member, subgroup_intersection
 # Unused here: importing them keeps them cross-module functions, which
 # bench/tracer.py times as gs.h_prime_image_s and profinite.kernel_s, and
@@ -179,9 +179,11 @@ def _hk_certificates() -> list:
 def _gs_demo(config: dict, budgets: Budgets) -> dict:
     max_level, m_max = config["max_level"], config["m_max"]
     if max_level < 2:
-        raise ValidationError(f"max_level must be at least 2, got {max_level}: the intersection table needs a level")
+        raise ValidationError(
+            f"max_level must be at least 2, got {short_int(max_level)}: the intersection table needs a level"
+        )
     if m_max < 2:
-        raise ValidationError(f"m_max must be at least 2, got {m_max}: the witness needs a tested level")
+        raise ValidationError(f"m_max must be at least 2, got {short_int(m_max)}: the witness needs a tested level")
     reps = low_index_reps(config["max_degree"])  # refuses a degree below 1 before any walk
     # the order of image(H) meet image(K) at each level is 1: a common element
     # (0, h) = (I - h', h') of image(H) = {(0, h)} and image(K) = {(I - h', h')}

@@ -1,4 +1,10 @@
-"""Exception hierarchy shared by all cosetope modules."""
+"""Exception hierarchy shared by all cosetope modules, and ``short_int`` for their messages."""
+
+
+def short_int(n: int) -> str:
+    """``n`` in decimal, or ``about 2^N`` (``about -2^N`` below zero) past
+    64 bits, so that a message naming a huge integer stays one short line."""
+    return str(n) if n.bit_length() <= 64 else f"about {'-' * (n < 0)}2^{n.bit_length() - 1}"
 
 
 class CosetopeError(Exception):

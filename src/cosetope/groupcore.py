@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import Mat2
 from .budgets import Budgets
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, ValidationError, short_int
 
 
 # ---------------------------------------------------------------------------
@@ -113,21 +113,15 @@ class GeneratedSubgroup:
         return f"GeneratedSubgroup(size={len(self.elements)}, ngens={len(self.generators)})"
 
 
-def short_int(n: int) -> str:
-    """``n`` in decimal, or ``about 2^N`` past 64 bits, so that a message
-    naming a huge size or modulus stays one short line."""
-    return str(n) if n.bit_length() <= 64 else f"about 2^{n.bit_length() - 1}"
-
-
 def check_closure_cap(size: int, budgets: Budgets, what: str) -> None:
     """Raise BudgetError when ``what``, of known ``size``, exceeds the closure cap.
 
     Used wherever a size is known without closing (group orders), so the
     cap holds whether or not the elements are ever listed.  A modulus in
-    ``what`` is written with ``short_int``, as the size is.
+    ``what`` is written with ``short_int``, as the size and the cap are.
     """
-    cap = budgets.closure_cap
-    if size > cap:
+    cap = short_int(budgets.closure_cap)
+    if size > budgets.closure_cap:
         raise BudgetError(f"closure budget exceeded: {what} has {short_int(size)} elements > {cap} (closure_cap)")
 
 

@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional
 
 from .arith import Mat2, sl2_group_order
 from .budgets import Budgets
-from .errors import ValidationError
+from .errors import ValidationError, short_int
 from .groupcore import GeneratedSubgroup, check_closure_cap, subgroup_from_elements
 from .modular import (
     GapWitness,
@@ -130,7 +130,7 @@ def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()
     per call.
     """
     if m_max < 2:
-        raise ValidationError(f"m_max must be at least 2, got {m_max}: the witness needs a tested level")
+        raise ValidationError(f"m_max must be at least 2, got {short_int(m_max)}: the witness needs a tested level")
     walks: dict = {}
     witness = congruence_gap_witness(rep, WITNESS_LEVEL, budgets=budgets)
     point = witness.displaced_to

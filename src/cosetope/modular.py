@@ -21,61 +21,48 @@ from typing import NamedTuple, Optional, Sequence
 
 from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets
-from .errors import BudgetError, PreconditionError, ValidationError
-from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, short_int, sl2_context, subgroup_closure
+from .errors import BudgetError, PreconditionError, ValidationError, short_int
+from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, sl2_context, subgroup_closure
 
-# Word letters: 1 = S, -1 = S^-1, 2 = T, -2 = T^-1.
-S_ = 1
-T_ = 2
-
-_LETTER_CHARS = {S_: "S", -S_: "s", T_: "T", -T_: "t"}
-_CHAR_LETTERS = {v: k for k, v in _LETTER_CHARS.items()}
-
-_GEN_MATS = {
-    S_: MAT_S,
-    -S_: Mat2.ambient(0, 1, -1, 0),
-    T_: MAT_T,
-    -T_: Mat2.ambient(1, -1, 0, 1),
-}
+# The generator matrices by letter: S, S^-1, T and T^-1 are written S, s, T and t.
+_GEN_MATS = {"S": MAT_S, "s": Mat2.ambient(0, 1, -1, 0), "T": MAT_T, "t": Mat2.ambient(1, -1, 0, 1)}
 
 
-def _free_reduce(seq: Sequence[int]) -> tuple:
-    """Cancel each letter against an inverse letter next to it, repeatedly."""
+def _free_reduce(letters: str) -> str:
+    """Cancel each letter next to its inverse, the same letter in the other case, repeatedly."""
     out = []
-    for letter in seq:
-        if out and out[-1] == -letter:
+    for letter in letters:
+        if out and out[-1] == letter.swapcase():
             out.pop()
         else:
             out.append(letter)
-    return tuple(out)
+    return "".join(out)
 
 
 class ModularWord(NamedTuple):
     """A freely reduced word over S, S^-1, T, T^-1, written with the letters S, s, T, t and no other."""
 
-    letters: tuple = ()
+    letters: str = ""
 
     @classmethod
     def from_str(cls, text: str) -> "ModularWord":
-        letters = []
-        for ch in text:
-            if ch not in _CHAR_LETTERS:
-                raise ValidationError(f"bad word character: {ch!r}")
-            letters.append(_CHAR_LETTERS[ch])
-        return cls(_free_reduce(letters))
+        bad = next((ch for ch in text if ch not in _GEN_MATS), None)
+        if bad is not None:
+            raise ValidationError(f"bad word character: {bad!r}")
+        return cls(_free_reduce(text))
 
     def __mul__(self, other):
         return ModularWord(_free_reduce(self.letters + other.letters))
 
     def inverse(self) -> "ModularWord":
-        return ModularWord(tuple(-l for l in reversed(self.letters)))
+        return ModularWord(self.letters[::-1].swapcase())
 
     def __str__(self) -> str:
-        return "".join(_LETTER_CHARS[l] for l in self.letters)
+        return self.letters
 
 
 def t_power(k: int) -> ModularWord:
-    return ModularWord(((T_,) * k) if k >= 0 else ((-T_,) * (-k)))
+    return ModularWord("T" * k + "t" * -k)  # a negative count repeats nothing
 
 
 def word_eval(w: ModularWord) -> Mat2:
@@ -96,21 +83,19 @@ def matrix_to_word(x: Mat2) -> ModularWord:
     if x.m is not None:
         raise ValidationError("matrix_to_word needs an ambient matrix")
     if x.det() != 1:
-        raise ValidationError(f"matrix_to_word needs determinant 1, got {x.det()}")
+        raise ValidationError(f"matrix_to_word needs determinant 1, got {short_int(x.det())}")
     a, b, c, d = x.a, x.b, x.c, x.d
     letters = []  # inverses of the applied row operations, in application order
     while c != 0:
         q = a // c
-        if q:
-            a, b = a - q * c, b - q * d
-            letters.extend(((T_,) * q) if q > 0 else ((-T_,) * (-q)))
+        a, b = a - q * c, b - q * d
+        letters.append(t_power(q).letters + "s")
         a, b, c, d = -c, -d, a, b
-        letters.append(-S_)
     if a == 1:
         tail = t_power(b).letters
     else:  # a == d == -1, so the residue is S^2 * T^(-b)
-        tail = (S_, S_) + t_power(-b).letters
-    return ModularWord(_free_reduce(tuple(letters) + tail))
+        tail = "SS" + t_power(-b).letters
+    return ModularWord(_free_reduce("".join(letters) + tail))
 
 
 # ---------------------------------------------------------------------------
@@ -156,10 +141,10 @@ class PermRep(NamedTuple):
         perm_s = tuple(perm_s)
         perm_t = tuple(perm_t)
         if degree < 1:
-            raise ValidationError(f"degree must be positive, got {degree}")
+            raise ValidationError(f"degree must be positive, got {short_int(degree)}")
         for name, p in (("s", perm_s), ("t", perm_t)):
             if len(p) != degree or sorted(p) != list(range(degree)):
-                raise ValidationError(f"perm_{name} is not a permutation of 0..{degree - 1}")
+                raise ValidationError(f"perm_{name} is not a permutation of 0..{short_int(degree - 1)}")
         ident = perm_identity(degree)
         if perm_mul(perm_s, perm_s) != ident:
             raise ValidationError("perm_s is not an involution")
@@ -171,15 +156,10 @@ class PermRep(NamedTuple):
         return cls(degree, perm_s, perm_t)
 
     def word_perm(self, w: ModularWord) -> tuple:
+        steps = {"S": self.perm_s, "s": self.perm_s, "T": self.perm_t, "t": perm_inv(self.perm_t)}
         perm = perm_identity(self.degree)
-        ti = perm_inv(self.perm_t)
         for letter in w.letters:
-            if letter == S_ or letter == -S_:
-                perm = perm_mul(perm, self.perm_s)
-            elif letter == T_:
-                perm = perm_mul(perm, self.perm_t)
-            else:
-                perm = perm_mul(perm, ti)
+            perm = perm_mul(perm, steps[letter])
         return perm
 
 
@@ -245,7 +225,7 @@ def discovery_tree(s: tuple, t: tuple, basepoint: int = 0) -> dict:
     Points are scanned in discovery order and, at each, the letters S, T,
     T^-1 (S^-1 moves points as S does); the dict keeps discovery order.
     """
-    steps = ((S_, s), (T_, t), (-T_, perm_inv(t)))
+    steps = (("S", s), ("T", t), ("t", perm_inv(t)))
     tree = {basepoint: (None, None)}
     order = [basepoint]
     for p in order:
@@ -257,14 +237,14 @@ def discovery_tree(s: tuple, t: tuple, basepoint: int = 0) -> dict:
     return tree
 
 
-def tree_word(tree: dict, x) -> tuple:
-    """The letters of the tree path from the root to ``x``, read off the
-    parent links: the first two fields of each entry of ``tree``."""
+def tree_word(tree: dict, x) -> str:
+    """The letters of the tree path from the root to ``x``, as a string,
+    read off the parent links: the first two fields of each entry of ``tree``."""
     path = []
     while tree[x][0] is not None:
         x, letter = tree[x][:2]
         path.append(letter)
-    return tuple(reversed(path))
+    return "".join(reversed(path))
 
 
 def _restandardize(s: tuple, t: tuple, basepoint: int) -> tuple:
@@ -287,10 +267,11 @@ def low_index_reps(max_degree: int, *, classes: bool = True) -> list:
     subgroup of each class is standardized from every other basepoint,
     marking those tables and its own seen.
     """
+    shown = short_int(max_degree)
     if max_degree < 1:
-        raise ValidationError(f"max_degree must be positive, got {max_degree}")
+        raise ValidationError(f"max_degree must be positive, got {shown}")
     if max_degree > _MAX_DEGREE_CAP:
-        raise BudgetError(f"degree budget exceeded: max_degree {max_degree} > cap {_MAX_DEGREE_CAP} (degree cap)")
+        raise BudgetError(f"degree budget exceeded: max_degree {shown} > cap {_MAX_DEGREE_CAP} (degree cap)")
     reps = []
     seen = set()
     for s, y in _actions(max_degree):
@@ -323,7 +304,7 @@ def subgroup_generators(rep: PermRep) -> list:
     basepoint.
     """
     tree = discovery_tree(rep.perm_s, rep.perm_t)
-    gens = [_edge_word(tree, (p, a, perm[p])) for p in tree for a, perm in ((S_, rep.perm_s), (T_, rep.perm_t))]
+    gens = [_edge_word(tree, (p, a, perm[p])) for p in tree for a, perm in (("S", rep.perm_s), ("T", rep.perm_t))]
     return [gen for gen in gens if gen.letters]
 
 
@@ -372,9 +353,9 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
         a, b, c, d = x
         point = seen[x][2]
         for letter, y, q in (
-            (S_, (b, -a % n, d, -c % n), perm_s[point]),
-            (T_, (a, (a + b) % n, c, (c + d) % n), perm_t[point]),
-            (-T_, (a, (b - a) % n, c, (d - c) % n), perm_ti[point]),
+            ("S", (b, -a % n, d, -c % n), perm_s[point]),
+            ("T", (a, (a + b) % n, c, (c + d) % n), perm_t[point]),
+            ("t", (a, (b - a) % n, c, (d - c) % n), perm_ti[point]),
         ):
             negated = (-y[0] % n, -y[1] % n, -y[2] % n, -y[3] % n)
             y = negated if negated < y else y
@@ -382,7 +363,7 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
             if known is None:
                 seen[y] = (x, letter, q)
                 queue.append(y)
-            elif letter > 0:
+            elif letter != "t":
                 yield q, known[2], (x, letter, y)
 
 
@@ -390,7 +371,7 @@ def _edge_word(seen: dict, edge: tuple) -> ModularWord:
     """The Schreier generator that ``edge`` = (source, letter, target) closes
     in ``seen``, the tree of a ``_gamma_walk`` or a ``discovery_tree``."""
     source, letter, target = edge
-    return ModularWord(tree_word(seen, source) + (letter,)) * ModularWord(tree_word(seen, target)).inverse()
+    return ModularWord(tree_word(seen, source) + letter) * ModularWord(tree_word(seen, target)).inverse()
 
 
 def _orbit_blocks(rep: PermRep, walk) -> tuple:
@@ -508,7 +489,7 @@ def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budge
     too; only at another level does ``is_congruence`` walk first.
     """
     if level < 2:
-        raise ValidationError(f"witness level must be at least 2, got {level}")
+        raise ValidationError(f"witness level must be at least 2, got {short_int(level)}")
     if level % rep_level(rep) and is_congruence(rep, budgets=budgets):
         raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     seen: dict = {}
@@ -518,7 +499,7 @@ def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budge
     found = _edge_word(seen, edge[2])
     x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
-        found = ModularWord((S_, S_)) * found
+        found = ModularWord("SS") * found
         x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         raise ValidationError("witness is not congruent to the identity at its level")

@@ -14,9 +14,9 @@ from __future__ import annotations
 import functools
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .arith import Mat2, is_prime, sl2_group_order
+from .arith import Mat2, provably_prime, sl2_group_order
 from .budgets import Budgets
-from .errors import PreconditionError, ValidationError
+from .errors import PreconditionError, ValidationError, short_int
 from .groupcore import (
     GeneratedSubgroup,
     GroupContext,
@@ -26,7 +26,6 @@ from .groupcore import (
     product_member,
     sd_inv,
     sd_mul,
-    short_int,
     subgroup_closure,
     subgroup_from_elements,
     subgroup_intersection,
@@ -42,8 +41,9 @@ class Formation(NamedTuple):
 
     @classmethod
     def make(cls, p: Optional[int]) -> "Formation":
-        if p is None or not is_prime(p):
-            raise ValidationError(f"pro-p formation needs a prime p, got {p!r}")
+        need = "pro-p formation needs a prime p, got"
+        if p is None or not provably_prime(p, need):
+            raise ValidationError(f"{need} {p if p is None else short_int(p)}")
         return cls(p)
 
     def admits(self, spec: "QuotientSpec") -> bool:
@@ -75,7 +75,7 @@ class QuotientSpec(NamedTuple):
     @classmethod
     def make(cls, m: int, rep: Optional[PermRep] = None, formation: Optional[Formation] = None) -> "QuotientSpec":
         if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {m}")
+            raise ValidationError(f"modulus must be at least 2, got {short_int(m)}")
         return cls(m, rep, formation)
 
 
@@ -367,7 +367,7 @@ def thm_b_probe(
             in_l = image_member(l_gens, spec, budgets)
             if not all(map(in_l, subgroup_intersection(uh, uk).elements)):
                 raise PreconditionError(
-                    f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {spec.m}"
+                    f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {short_int(spec.m)}"
                 )
             hp = subgroup_from_elements(filter(in_l, uh.elements))
         if not product_member(quotient_context(spec), project(g, spec), hp, uk):

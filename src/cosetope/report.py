@@ -15,8 +15,7 @@ import sys
 from typing import Any
 
 from .arith import Mat2
-from .errors import BudgetError, ValidationError
-from .groupcore import short_int
+from .errors import BudgetError, ValidationError, short_int
 from .modular import ModularWord, PermRep
 from .profinite import Formation, GroupWord, QuotientSpec
 

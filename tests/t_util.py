@@ -33,11 +33,8 @@ from cosetope.groupcore import (
 )
 from cosetope.gs import _h_prime_image_mod
 from cosetope.modular import (
-    S_,
-    T_,
     ModularWord,
     PermRep,
-    _free_reduce,
     _restandardize,
     perm_identity,
     psl2_canon,
@@ -57,11 +54,27 @@ from cosetope.profinite import (
 )
 
 
+# The oracles below spell a word as a tuple of integer letters, 1 = S and
+# 2 = T with negation for inverses, independent of ``ModularWord``'s string,
+# and translate it by ``as_chars`` only where they hand a word to the package.
+S_, T_ = 1, 2
+_CHARS = {S_: "S", -S_: "s", T_: "T", -T_: "t"}
+
+
+def as_chars(word) -> str:
+    """A word of integer letters written over S, s, T and t."""
+    return "".join(_CHARS[letter] for letter in word)
+
+
+def random_letters(rng: random.Random, max_len: int = 30, min_len: int = 0) -> tuple:
+    """min_len <= n < max_len integer letters drawn from S, S^-1, T, T^-1, not reduced."""
+    return tuple(rng.choice((S_, -S_, T_, -T_)) for _ in range(rng.randrange(min_len, max_len)))
+
+
 def random_word(rng: random.Random, max_len: int = 30, min_len: int = 0) -> ModularWord:
-    """A freely reduced random word: min_len <= n < max_len letters drawn
-    from S, S^-1, T, T^-1, then reduced."""
-    letters = [rng.choice((S_, -S_, T_, -T_)) for _ in range(rng.randrange(min_len, max_len))]
-    return ModularWord(_free_reduce(letters))
+    """A freely reduced random word: ``random_letters`` reduced by the
+    oracle's own ``free_reduce``, then written as a ``ModularWord``."""
+    return ModularWord(as_chars(free_reduce(random_letters(rng, max_len, min_len))))
 
 
 def enumerate_group(ctx: GroupContext, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
@@ -615,7 +628,7 @@ def oracle_gamma_walk(rep: PermRep, n: int, seen=None):
                 seen[y] = (q, word + (letter,))
                 queue.append(y)
             elif letter > 0:
-                yield q, known[0], ModularWord(word + (letter,)) * ModularWord(known[1]).inverse()
+                yield q, known[0], ModularWord(as_chars(free_reduce(word + (letter,) + _invert(known[1]))))
 
 
 def oracle_gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int:
@@ -772,7 +785,8 @@ def schreier_transversal(start, act, letters, cap=None):
     return words, order
 
 
-def _free_reduce(seq) -> tuple:
+def free_reduce(seq) -> tuple:
+    """Cancel each integer letter against its negative next to it, repeatedly."""
     out = []
     for letter in seq:
         if out and out[-1] == -letter:
@@ -798,7 +812,7 @@ def schreier_generator_words(start, act, letters, cap=None):
     seen = set()
     for p in order:
         for letter in letters[::2]:
-            gen = _free_reduce(words[p] + (letter,) + _invert(words[act(p, letter)]))
+            gen = free_reduce(words[p] + (letter,) + _invert(words[act(p, letter)]))
             if gen and gen not in seen:
                 seen.add(gen)
                 out.append(gen)
@@ -819,12 +833,13 @@ def _rep_action(rep: PermRep):
 def oracle_transversal_words(rep: PermRep) -> dict:
     """The ``tree_word`` of each point of ``discovery_tree``, by the generic
     walk over S, S^-1, T, T^-1."""
-    return schreier_transversal(0, _rep_action(rep), (S_, -S_, T_, -T_))[0]
+    words = schreier_transversal(0, _rep_action(rep), (S_, -S_, T_, -T_))[0]
+    return {q: as_chars(w) for q, w in words.items()}
 
 
 def oracle_subgroup_generators(rep: PermRep) -> list:
     """``subgroup_generators`` by the generic Schreier generator words."""
-    return [ModularWord(w) for w in schreier_generator_words(0, _rep_action(rep), (S_, -S_, T_, -T_))]
+    return [ModularWord(as_chars(w)) for w in schreier_generator_words(0, _rep_action(rep), (S_, -S_, T_, -T_))]
 
 
 def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()):

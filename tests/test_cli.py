@@ -13,7 +13,7 @@ from cosetope import report as rpt
 from cosetope.arith import sl2_group_order
 from cosetope.budgets import Budgets
 from cosetope.cli import OPTIONS, main
-from cosetope.errors import ValidationError
+from cosetope.errors import ValidationError, short_int
 from cosetope.modular import is_congruence, low_index_reps, rep_level
 from cosetope.gs import l_group_words
 from cosetope.profinite import DEFAULT_TOWER, GroupWord, QuotientSpec, project, quotient_context
@@ -457,6 +457,80 @@ def test_a_result_too_long_to_write_exits_3(tmp_path, capsys, args, message):
     # a huge modulus in the message is shortened as the size is
     assert len(err.encode("utf-8")) < 200
     assert not out.exists()
+
+
+# Python still reads an integer of 4,000 digits, so every refusal that names
+# one writes it with short_int
+_DIGITS = "9" * 4000
+_GOLDEN_HK = ["--h-gens", str(GOLDEN / "h.json"), "--k-gens", str(GOLDEN / "k.json")]
+
+
+def _spec_with(key, value):
+    spec = {"m": 2, "filter": {"type": "pro-p", "p": 2}}
+    spec[key] = value
+    return json.dumps(spec)
+
+
+@pytest.mark.parametrize(
+    "args, code, shown",
+    [
+        (["quotient", "--modulus", _DIGITS], 3, "modulus about 2^13287 leaves the cofactor about 2^12947"),
+        (["gs-demo", f"--max-level=-{_DIGITS}"], 2, "max_level must be at least 2, got about -2^13287"),
+        (["gs-demo", f"--m-max=-{_DIGITS}"], 2, "m_max must be at least 2, got about -2^13287"),
+        (["lowindex", "--max-degree", _DIGITS], 3, "max_degree about 2^13287 > cap 12"),
+        (["lowindex", f"--max-degree=-{_DIGITS}"], 2, "max_degree must be positive, got about -2^13287"),
+        (["gap-witness", "--rep", str(GOLDEN / "nc_rep.json"), f"--level=-{_DIGITS}"], 2,
+         "witness level must be at least 2, got about -2^13287"),
+        (["tractable", *_GOLDEN_HK, "--m-spec", _spec_with("m", f"-{_DIGITS}")], 2,
+         "modulus must be at least 2, got about -2^13287"),
+        (["tractable", *_GOLDEN_HK, "--m-spec", '{"m": 2}', "--tower", f'[{{"m": "-{_DIGITS}"}}]'], 2,
+         "modulus must be at least 2, got about -2^13287"),
+        (["image", "--modulus", "3", "--gens", f'[{{"a": {{"rows": [[1, 0], [0, 1]], "m": "-{_DIGITS}"}}}}]'], 2,
+         "modulus must be at least 2, got about -2^13287"),
+        (["quotient", "--modulus", "2", "--rep", f'{{"degree": "-{_DIGITS}", "s": [0], "t": [0]}}'], 2,
+         "degree must be positive, got about -2^13287"),
+        (["quotient", "--modulus", "2", "--rep", f'{{"degree": "{_DIGITS}", "s": [0], "t": [0]}}'], 2,
+         "perm_s is not a permutation of 0..about 2^13287"),
+        (["tractable", *_GOLDEN_HK, "--m-spec", _spec_with("filter", {"type": "pro-p", "p": f"-{_DIGITS}"})], 2,
+         "needs a prime p, got about -2^13287"),
+        (["tractable", *_GOLDEN_HK, "--m-spec", _spec_with("filter", {"type": "pro-p", "p": _DIGITS})], 3,
+         "needs a prime p, got about 2^13287, which is not provably prime"),
+    ],
+    ids=["modulus", "max-level", "m-max", "max-degree", "max-degree-negative", "level", "spec-m", "tower-m",
+         "matrix-m", "degree-negative", "degree", "p-negative", "p"],
+)
+def test_a_huge_integer_is_shortened_in_its_refusal(capsys, args, code, shown):
+    assert main(args) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and len(err.encode()) <= 300, err[:300]
+    assert shown in err, err
+
+
+def test_short_int_keeps_the_sign():
+    assert short_int(-(10**4000)) == "about -2^13287"
+    assert short_int(10**4000) == "about 2^13287"
+    assert [short_int(n) for n in (-(2**64) + 1, -(2**64), 2**64 - 1)] == [str(1 - 2**64), "about -2^64", str(2**64 - 1)]
+
+
+@pytest.mark.parametrize(
+    "p, code",
+    [(318665857834031151167461, 3), (2**4423 - 1, 3), (3215031751, 2), (2, 0), (3, 0)],
+    ids=["pseudoprime", "mersenne", "composite", "two", "three"],
+)
+def test_a_pro_p_prime_is_proved_or_refused(capsys, p, code):
+    # is_prime is exact below 3.1e23: 318665857834031151167461 =
+    # 399165290221 * 798330580441 passes all twelve of its bases, so a p at
+    # or above the bound exits 3 before any modular power is taken, and a
+    # composite below it (3215031751 passes bases 2, 3, 5 and 7) exits 2
+    spec = json.dumps({"m": 2, "filter": {"type": "pro-p", "p": p}})
+    start = time.perf_counter()
+    assert main(["tractable", *_GOLDEN_HK, "--m-spec", spec, "--tower", '[{"m": 2}]']) == code
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    if code == 3:
+        assert elapsed < 0.1 and err.rstrip().endswith(f"at or above {31 * 10**22} (prime proof bound)"), err
+    elif code == 2:
+        assert err == f"error: bad quotient spec JSON: pro-p formation needs a prime p, got {p}\n"
 
 
 @pytest.mark.parametrize("kind", ["image", "tractable"])

@@ -9,10 +9,8 @@ import cosetope.modular
 from cosetope.arith import MAT_T, Mat2, psl2_group_order
 from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
-from cosetope.groupcore import subgroup_closure
+from cosetope.groupcore import perm_mul, subgroup_closure
 from cosetope.modular import (
-    S_,
-    T_,
     ModularWord,
     PermRep,
     congruence_gap_witness,
@@ -38,9 +36,11 @@ from cosetope.modular import (
 from cosetope.report import rep as read_rep, rep_from_json
 
 from t_util import (
+    as_chars,
     congruence_rep,
     count_closures,
     enumerate_group,
+    free_reduce,
     hsu_odd_level_congruence,
     image_closure,
     klein_fricke_blocks,
@@ -53,6 +53,7 @@ from t_util import (
     partition,
     perm_context,
     principal_congruence_generators,
+    random_letters,
     random_word,
     spy_walks,
 )
@@ -80,6 +81,23 @@ def test_word_string_round_trip():
     for _ in range(100):
         w = random_word(rng)
         assert ModularWord.from_str(str(w)) == w
+
+
+def test_words_agree_with_the_integer_letter_oracle():
+    # 500 seeded letter sequences, reduced by the tests' own integer-letter
+    # free_reduce: from_str reduces them alike, no reduced word holds a
+    # letter next to its inverse, inverting reverses a product, and
+    # word_eval and word_perm are homomorphisms
+    rng = random.Random(41)
+    nc_rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
+    for _ in range(500):
+        letters = random_letters(rng)
+        u, v = ModularWord.from_str(as_chars(letters)), random_word(rng)
+        assert u == ModularWord(as_chars(free_reduce(letters))), letters
+        assert not any(pair in u.letters for pair in ("Ss", "sS", "Tt", "tT")), u
+        assert (u * v).inverse() == v.inverse() * u.inverse(), (u, v)
+        assert word_eval(u * v) == word_eval(u) * word_eval(v), (u, v)
+        assert nc_rep.word_perm(u * v) == perm_mul(nc_rep.word_perm(u), nc_rep.word_perm(v)), (u, v)
 
 
 def test_word_rejects_bad_letters():
@@ -396,7 +414,7 @@ def test_the_walk_at_level_1_closes_s_and_t_alone():
     for rep in low_index_reps(5):
         seen: dict = {}
         steps = [(q, p, _edge_word(seen, edge)) for q, p, edge in _gamma_walk(rep, 1, Budgets(), seen)]
-        assert steps == [(rep.perm_s[0], 0, ModularWord((S_,))), (rep.perm_t[0], 0, ModularWord((T_,)))]
+        assert steps == [(rep.perm_s[0], 0, ModularWord("S")), (rep.perm_t[0], 0, ModularWord("T"))]
         assert list(seen) == [(0, 0, 0, 0)]
         m = next(p for p in (5, 7, 11) if rep_level(rep) % p)
         assert image_blocks(rep, m) == (0,) * rep.degree
@@ -605,7 +623,7 @@ def _schreier_scan_witness(rep, level):
     of PSL2(Z/level), that moves the basepoint."""
     word = next(w for w in principal_congruence_generators(level) if rep.word_perm(w)[0] != 0)
     if word_eval(word).reduce(level) != Mat2.identity(level):
-        word = ModularWord((1, 1)) * word
+        word = ModularWord("SS") * word
     return word
 
 

@@ -296,7 +296,7 @@ def test_json_format_check_sees_each_spelling():
     ]
 
 
-BUDGET_NAMES = ("closure_cap", "degree cap", "trial-division bound", "int max str digits")
+BUDGET_NAMES = ("closure_cap", "degree cap", "trial-division bound", "prime proof bound", "int max str digits")
 
 
 def budget_names(text: str) -> list:
