@@ -1,8 +1,8 @@
 """Generic finite-group machinery.
 
 A ``GroupContext`` packages identity, multiplication and inversion for some
-hashable element type; everything else works uniformly on top of it:
-breadth-first subgroup closures with O(1) membership, intersections and
+hashable element type; on top of it: breadth-first closures under
+multiplication by the generators, with O(1) membership, intersections and
 double-coset membership.
 
 Determinism: closures insert elements in BFS discovery order, so reports are
@@ -126,20 +126,15 @@ def check_closure_cap(size: int, budgets: Budgets, what: str) -> None:
 
 
 def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
-    """Breadth-first closure of ``gens`` under multiplication and inversion.
+    """Breadth-first closure of ``gens`` under multiplication by the generators.
 
-    Insertion order is the BFS discovery order with the identity first, which
-    fixes the deterministic enumeration order used everywhere else.
+    In a finite group each g has some order n, so g^-1 = g^(n-1) and no
+    inverse step is needed.  Insertion order is the BFS discovery order with
+    the identity first, which fixes the enumeration order used everywhere.
     """
     cap = budgets.closure_cap
     gens = tuple(gens)
-    step = []
-    for g in gens:
-        if g not in step:
-            step.append(g)
-        gi = ctx.inv(g)
-        if gi not in step:
-            step.append(gi)
+    step = tuple(dict.fromkeys(gens))
     members = {ctx.identity}
     order = [ctx.identity]
     mul = ctx.mul
@@ -175,13 +170,13 @@ def subgroup_intersection(u: GeneratedSubgroup, v: GeneratedSubgroup) -> Generat
 def product_member(ctx: GroupContext, g, u: GeneratedSubgroup, v: GeneratedSubgroup) -> bool:
     """Whether ``g`` lies in the double coset UV; scans the smaller factor.
 
-    g lies in UV exactly when g^-1 lies in VU, so a smaller V is scanned as
-    the left factor for g^-1.
+    U = U^-1, so g is in UV exactly when x·g is in V for some x in U; and g
+    is in UV exactly when g^-1 is in VU, so a smaller V is scanned first.
     """
-    mul, inv = ctx.mul, ctx.inv
+    mul = ctx.mul
     if len(v) < len(u):
-        g, u, v = inv(g), v, u
-    return any(mul(inv(x), g) in v for x in u.elements)
+        g, u, v = ctx.inv(g), v, u
+    return any(mul(x, g) in v for x in u.elements)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from .errors import BudgetError, ValidationError, short_int
 from .modular import ModularWord, PermRep
 from .profinite import Formation, GroupWord, QuotientSpec
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 MAX_DEPTH = 32  # reports nest about 10 deep; recursive walks need a bound
 
 

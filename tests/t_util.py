@@ -82,6 +82,30 @@ def enumerate_group(ctx: GroupContext, budgets: Budgets = Budgets()) -> Generate
     return subgroup_closure(ctx, ctx.generators, budgets)
 
 
+def inverse_step_closure(ctx: GroupContext, gens) -> GeneratedSubgroup:
+    """Breadth-first closure of ``gens`` under multiplication by each
+    generator and by its inverse: ``subgroup_closure`` as it was before it
+    dropped the inverse steps, kept as its oracle.  The same set, listed in
+    another order."""
+    gens = tuple(gens)
+    step = []
+    for g in gens:
+        if g not in step:
+            step.append(g)
+        gi = ctx.inv(g)
+        if gi not in step:
+            step.append(gi)
+    members = {ctx.identity}
+    order = [ctx.identity]
+    for x in order:
+        for g in step:
+            y = ctx.mul(x, g)
+            if y not in members:
+                members.add(y)
+                order.append(y)
+    return GeneratedSubgroup(gens, tuple(order), frozenset(members))
+
+
 def perm_context(degree: int, gens) -> GroupContext:
     ident = tuple(range(degree))
 
@@ -561,9 +585,7 @@ def gs_build(spec: QuotientSpec, budgets: Budgets = Budgets()) -> GsInstance:
     for a, b, c, d in order:
         for y in (
             (b, -a % m, d, -c % m),
-            (-b % m, a, -d % m, c),
             (a, (a + b) % m, c, (c + d) % m),
-            (a, (b - a) % m, c, (d - c) % m),
         ):
             if y not in members:
                 members.add(y)

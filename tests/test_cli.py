@@ -57,7 +57,7 @@ def test_quotient_command(tmp_path):
     data, _ = run_report(["quotient", "--modulus", "2"], tmp_path / "q.json")
     assert parse_int(data["result"]["order"]) == 96 == quotient_closure_order(QuotientSpec.make(2))
     assert data["result"].keys() == {"identity", "order", "sl2_order"}
-    assert parse_int(data["schema"]) == 6
+    assert parse_int(data["schema"]) == 7
     assert "seed" not in data["config"] and "enumerate" not in data["config"]
 
 
@@ -394,7 +394,7 @@ def test_a_repeated_key_exits_2_at_every_entry_point(tmp_path, gens_files, capsy
 # float where an integer goes, at each entry point.  A report's config is
 # read again as a command line, so its refusal is led by verify's prefix
 # and by that of the option that reads it.
-_VERIFY_REP = '{{"schema": "6", "command": "congruence", "config": {{"rep": {}}}, "result": {{}}}}'
+_VERIFY_REP = '{{"schema": "7", "command": "congruence", "config": {{"rep": {}}}, "result": {{}}}}'
 _BAD_VALUES = {
     "gens": ('[{"w": "S", "x": 1}]', '[{"a": {"rows": [[1.5, 0], [0, 1]]}}]'),
     "rep": ('{"degree": 1, "s": [0], "t": [0], "x": 1}', '{"degree": 1.5, "s": [0], "t": [0]}'),

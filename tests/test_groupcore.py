@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,6 +8,7 @@ from cosetope.arith import MAT_S, Mat2
 from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, PreconditionError, ValidationError
 from cosetope.groupcore import (
+    GroupContext,
     SdElement,
     product_member,
     sd_inv,
@@ -15,8 +17,8 @@ from cosetope.groupcore import (
     subgroup_closure,
     subgroup_intersection,
 )
-from cosetope.modular import ModularWord, word_eval
-from cosetope.profinite import QuotientSpec, quotient_context
+from cosetope.modular import ModularWord, gamma_image_order, low_index_reps, rep_level, word_eval
+from cosetope.profinite import GroupWord, QuotientSpec, project, quotient_context, spec_group_order
 
 from t_util import (
     brute_force_product,
@@ -29,6 +31,7 @@ from t_util import (
     is_normal_by_generators,
     normal_closure,
     prop_instance,
+    random_word,
     s3_context,
     small_contexts,
     subgroup_pool,
@@ -167,6 +170,36 @@ def test_closure_cap_admits_a_group_of_exactly_its_size():
         subgroup_closure(ctx, ctx.generators, Budgets(closure_cap=119))
 
 
+def _counting(ctx: GroupContext):
+    """``ctx`` with every multiplication and inversion counted."""
+    counts = Counter()
+
+    def mul(x, y):
+        counts["mul"] += 1
+        return ctx.mul(x, y)
+
+    def inv(x):
+        counts["inv"] += 1
+        return ctx.inv(x)
+
+    return GroupContext(ctx.identity, mul, inv, ctx.generators, ctx.name), counts
+
+
+def test_closure_and_product_member_pin_their_work():
+    # the closure multiplies each of the 24 elements by S and by T, and
+    # inverts nothing; product_member inverts at most g
+    ctx, counts = _counting(sl2_context(3))
+    full = subgroup_closure(ctx, ctx.generators)
+    assert len(full) == 24 and counts == {"mul": 48}
+    rng = random.Random(21)
+    _, pool = subgroup_pool(ctx, rng, count=10)
+    for _ in range(200):
+        u, v, g = rng.choice(pool), rng.choice(pool), rng.choice(full.elements)
+        counts.clear()
+        product_member(ctx, g, u, v)
+        assert counts["inv"] == (len(v) < len(u)) and counts["mul"] <= min(len(u), len(v))
+
+
 # ---------------------------------------------------------------------------
 # intersections and double-coset membership
 
@@ -192,6 +225,16 @@ def test_intersection_matches_brute_force_filter():
             assert mine == brute
 
 
+def test_intersection_of_equal_sizes_lists_the_left_closure_order():
+    # intersect records its elements in this order, so a tie scans the left
+    ctx = sl2_context(3)
+    s, t = ctx.generators
+    u, v = subgroup_closure(ctx, (s, t)), subgroup_closure(ctx, (t, s))
+    assert u.as_set() == v.as_set() and u.elements != v.elements
+    assert subgroup_intersection(u, v).elements == u.elements
+    assert subgroup_intersection(v, u).elements == v.elements
+
+
 def test_product_member_trivial_cases():
     ctx = sl2_context(3)
     full = enumerate_group(ctx)
@@ -206,18 +249,39 @@ def test_product_member_trivial_cases():
         assert product_member(ctx, g, sub, trivial) == (g in sub)
 
 
+def _level_3_rep_pool(rng: random.Random, count: int = 10, max_size: int = 60):
+    """The (2, rep) quotient of the degree-3 class of level 3, whose
+    sigma(Gamma(2)) is its whole action of order 3, listed, with a pool of
+    subgroups generated by random projected elements."""
+    rep = next(r for r in low_index_reps(3) if r.degree == 3 and rep_level(r) == 3)
+    spec = QuotientSpec.make(2, rep)
+    ctx = quotient_context(spec)
+    assert gamma_image_order(rep, 2) == 3 and spec_group_order(spec) == 288
+
+    def draw():
+        return project(GroupWord(Mat2.ambient(*(rng.randrange(-3, 4) for _ in range(4))), random_word(rng, 8)), spec)
+
+    pool = [subgroup_closure(ctx, ())]
+    while len(pool) < count:
+        sub = subgroup_closure(ctx, [draw() for _ in range(rng.choice((1, 1, 2)))])
+        if len(sub) <= max_size and all(sub.as_set() != p.as_set() for p in pool):
+            pool.append(sub)
+    return ctx, enumerate_group(ctx), pool
+
+
 def test_product_member_agrees_with_set_oracle():
+    # SL2(Z/3), and a quotient whose elements can differ in sigma alone
     rng = random.Random(15)
-    ctx = sl2_context(3)
-    full, pool = subgroup_pool(ctx, rng, count=10)
-    checked = 0
-    while checked < 1000:
-        u = rng.choice(pool)
-        v = rng.choice(pool)
-        product = brute_force_product(ctx, u.elements, v.elements)
-        g = rng.choice(full.elements)
-        assert product_member(ctx, g, u, v) == (g in product)
-        checked += 1
+    sl2 = sl2_context(3)
+    for ctx, full, pool in ((sl2, *subgroup_pool(sl2, rng, count=10)), _level_3_rep_pool(rng)):
+        products = {}
+        for _ in range(1000):
+            u = rng.choice(pool)
+            v = rng.choice(pool)
+            if (u, v) not in products:
+                products[u, v] = brute_force_product(ctx, u.elements, v.elements)
+            g = rng.choice(full.elements)
+            assert product_member(ctx, g, u, v) == (g in products[u, v])
 
 
 def test_two_reflections_in_s3_product_has_size_4():

@@ -52,6 +52,7 @@ from t_util import (
     gw_inv,
     gw_mul,
     hi_exclusion_check,
+    inverse_step_closure,
     kernel_listing,
     linear_closure_order,
     normal_closure,
@@ -110,6 +111,31 @@ def test_quotient_order_with_a_coset_action_matches_the_closure_count():
     for rep in low_index_reps(4):
         spec = QuotientSpec.make(2, rep)
         assert spec_group_order(spec) == quotient_closure_order(spec), rep
+
+
+def test_closure_by_the_generators_alone_lists_the_inverse_step_closure(monkeypatch):
+    # in a finite group g^-1 = g^(n-1), so subgroup_closure needs no inverse
+    # step: it lists the set the inverse-step oracle lists, in another order
+    for spec in [QuotientSpec.make(m) for m in range(2, 7)] + [QuotientSpec.make(2, NC_REP)]:
+        for gens in (H_GENS, k_gens()):
+            oracle = inverse_step_closure(quotient_context(spec), [project(g, spec) for g in gens])
+            assert image_subgroup(gens, spec).as_set() == oracle.as_set(), spec
+    # every permutation group gamma_image_order closes for the classes of
+    # degree 7, at n = 1 and 2 (g = 1, and g = 2 for the classes of even level)
+    closed = []
+
+    def spy(ctx, gens, budgets=Budgets()):
+        image = subgroup_closure(ctx, gens, budgets)
+        closed.append((ctx, tuple(gens), image))
+        return image
+
+    monkeypatch.setattr("cosetope.modular.subgroup_closure", spy)
+    reps = [rep for rep in low_index_reps(7) if rep.degree == 7]
+    for rep, n in itertools.product(reps, (1, 2)):
+        gamma_image_order(rep, n)
+    assert len(closed) > 2 * len(reps)
+    for ctx, gens, image in closed:
+        assert image.as_set() == inverse_step_closure(ctx, gens).as_set(), gens
 
 
 def test_quotient_identity():
