@@ -1,7 +1,7 @@
 """Command-line front door.
 
 Each subcommand is a function from its config (the parsed arguments other
-than the report path and the closure cap) to a result.  The option table
+than the report path and the closure cap) to a dict.  The option table
 ``OPTIONS`` gives each command that function, its one-line help and its
 options.  ``_report`` runs a command and returns its report: canonical JSON
 (sorted keys, numbers as decimal strings) holding the command, the config
@@ -48,7 +48,6 @@ from .profinite import (
     DEFAULT_TOWER,
     GroupWord,
     QuotientSpec,
-    TractabilityReport,
     image_subgroup,
     kernel_of_refinement,  # noqa: F401
     project,
@@ -125,7 +124,7 @@ def _congruence(config: dict, budgets: Budgets) -> dict:
     return result
 
 
-def _tractable(config: dict, budgets: Budgets) -> TractabilityReport:
+def _tractable(config: dict, budgets: Budgets) -> dict:
     gens = config["h_gens"], config["k_gens"], config["hcapk_gens"]
     return tractable_at(*gens, config["m_spec"], config["tower"], budgets)
 

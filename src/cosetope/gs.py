@@ -15,14 +15,13 @@ congruence level.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .arith import Mat2, sl2_group_order
 from .budgets import Budgets
 from .errors import ValidationError, short_int
 from .groupcore import GeneratedSubgroup, check_closure_cap, subgroup_from_elements
 from .modular import (
-    GapWitness,
     ModularWord,
     PermRep,
     congruence_gap_witness,
@@ -31,16 +30,18 @@ from .modular import (
     subgroup_generators,
     word_eval,
 )
-from .profinite import ADDITIVE_UNITS, GroupWord, QuotientSpec, SeparabilityCertificate
+from .profinite import ADDITIVE_UNITS, GroupWord, QuotientSpec
 
 
-def gs_hk_witness(g: GroupWord) -> Optional[SeparabilityCertificate]:
+def gs_hk_witness(g: GroupWord) -> Optional[dict]:
     """Smallest level separating ``g`` from HK, or None when no level can.
 
     Ambiently, g = (a, h) lies in HK exactly when det(a + h) = 1, so a
     determinant D != 1 is excluded at the smallest m >= 2 with D incongruent
     to 1; such an m exists and is at most |D - 1| + 1.  D = 1 means the
     element is in HK, hence inside the closure at every level: inconclusive.
+    The certificate has the keys of ``profinite.thm_b_probe``'s: ``target``
+    "HK", ``spec`` the level, ``transcript`` the determinant and its residue.
     """
     d = (g.a + word_eval(g.w)).det()
     if d == 1:
@@ -48,32 +49,12 @@ def gs_hk_witness(g: GroupWord) -> Optional[SeparabilityCertificate]:
     m = 2
     while d % m == 1 % m:
         m += 1
-    return SeparabilityCertificate("HK", QuotientSpec.make(m), {"det": d, "det_mod_m": d % m, "member": False})
+    transcript = {"det": d, "det_mod_m": d % m, "member": False}
+    return {"target": "HK", "spec": QuotientSpec.make(m), "transcript": transcript}
 
 
 # ---------------------------------------------------------------------------
 # non-separability evidence
-
-
-class NonSepEvidence(NamedTuple):
-    """Desk-scale evidence that the double coset H'K is not separable.
-
-    ``g`` is a concrete element outside H'K (because the witness matrix
-    moves the basepoint of the coset action of H'), yet at every congruence
-    level recorded in ``levels`` the image of ``g`` lies in the image of
-    H'K.  The evidence tower is congruence-only by design: quotients carrying
-    that coset action are excluded, and ``towers_used`` documents that.  The
-    field names are the evidence's report keys; its caller records the action.
-    """
-
-    witness: GapWitness
-    g: GroupWord
-    level_transcripts: list
-    levels: tuple
-    witness_level: int
-    towers_used: str
-    conclusion: str
-    status: str
 
 
 _CONCLUSION = (
@@ -114,26 +95,30 @@ def l_group_words(rep: PermRep) -> list:
 WITNESS_LEVEL = 24
 
 
-def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()) -> NonSepEvidence:
-    """Assemble non-separability evidence for H'K from a congruence-gap subgroup.
+def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()) -> dict:
+    """Desk-scale evidence that the double coset H'K is not separable.
 
-    The witness x comes from the principal congruence subgroup of
-    ``WITNESS_LEVEL`` and moves the basepoint of ``rep``; g = (x - I, 1)
-    then lies in H'K exactly when x lies in H', so g is outside H'K.  At a
-    congruence level m, membership of the image of g in the image of H'K
-    reduces to membership of x mod m in the matrix image of H', which is
-    what each transcript records with that image's order, both read off
-    ``image_blocks``; ``tests/t_util.evidence_cross_check`` checks the
-    membership by listing image(H') and image(K).  The order is checked
-    against the closure cap.  A congruence ``rep`` has no witness and raises
-    PreconditionError.  One ``walks`` dict walks each level gcd(m, N) once
-    per call.
+    The ``witness`` x, a ``congruence_gap_witness`` of ``WITNESS_LEVEL``
+    (the ``witness_level``), moves the basepoint of ``rep``; ``g`` =
+    (x - I, 1) then lies in H'K exactly when x lies in H', so g is outside
+    H'K, yet at every level in ``levels`` the image of g lies in the image
+    of H'K.  At a congruence level m, that membership reduces to membership
+    of x mod m in the matrix image of H', which each of the
+    ``level_transcripts`` (m = 2..``m_max``) records with that image's
+    order, both read off ``image_blocks``; ``tests/t_util.evidence_cross_check``
+    checks the membership by listing image(H') and image(K).  The order is
+    checked against the closure cap.  The evidence tower is congruence-only
+    by design: quotients carrying the coset action of H' are excluded, and
+    ``towers_used`` says so.  ``conclusion`` and ``status`` complete the
+    evidence; its caller records the action.  A congruence ``rep`` has no
+    witness and raises PreconditionError.  One ``walks`` dict walks each
+    level gcd(m, N) once per call.
     """
     if m_max < 2:
         raise ValidationError(f"m_max must be at least 2, got {short_int(m_max)}: the witness needs a tested level")
     walks: dict = {}
     witness = congruence_gap_witness(rep, WITNESS_LEVEL, budgets=budgets)
-    point = witness.displaced_to
+    point = witness["displaced_to"]
     if point == 0:
         raise ValidationError("witness unexpectedly lies in the subgroup")
     transcripts = []
@@ -142,16 +127,16 @@ def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()
         order = sl2_group_order(m) // len(set(blocks))
         check_closure_cap(order, budgets, f"the sign-saturated subgroup image mod {m}")
         transcripts.append({"m": m, "member": blocks[point] == 0, "image_order": order})
-    return NonSepEvidence(
-        witness=witness,
-        g=GroupWord.of_a(witness.x - Mat2.identity()),
-        level_transcripts=transcripts,
-        levels=tuple(entry["m"] for entry in transcripts if entry["member"]),
-        witness_level=WITNESS_LEVEL,
-        towers_used=(
+    return {
+        "witness": witness,
+        "g": GroupWord.of_a(witness["x"] - Mat2.identity()),
+        "level_transcripts": transcripts,
+        "levels": tuple(entry["m"] for entry in transcripts if entry["member"]),
+        "witness_level": WITNESS_LEVEL,
+        "towers_used": (
             f"congruence levels 2..{m_max}; quotients carrying the coset action of "
             "the subgroup itself are excluded from the evidence tower"
         ),
-        conclusion=_CONCLUSION,
-        status="evidence",
-    )
+        "conclusion": _CONCLUSION,
+        "status": "evidence",
+    }

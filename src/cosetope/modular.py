@@ -464,24 +464,15 @@ def gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int
 # congruence-gap witnesses
 
 
-class GapWitness(NamedTuple):
-    """An ambient matrix outside the subgroup whose reductions all look inside.
-
-    ``x`` evaluates ``word`` exactly, ``x`` is congruent to the identity at
-    the search level, so its reduction lies in the subgroup's image at every
-    divisor of that level, and ``displaced_to`` records where the word's
-    action moves the basepoint (the non-membership trace).  The field names
-    are the witness's report keys.
-    """
-
-    x: Mat2
-    word: ModularWord
-    displaced_to: int
-
-
-def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budgets()) -> GapWitness:
+def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budgets()) -> dict:
     """The first element of the level-``level`` principal congruence subgroup,
     in the order of ``_gamma_walk``, that lies outside the subgroup.
+
+    The result maps ``x``, ``word`` and ``displaced_to``: the matrix ``x``
+    evaluates the word ``word`` exactly and is congruent to the identity at
+    ``level``, so its reduction lies in the subgroup's image at every divisor
+    of that level, and ``displaced_to`` is where the word's action moves the
+    basepoint (the non-membership trace).
 
     A subgroup that is not congruence contains no principal congruence
     subgroup, so the walk always finds one.  A congruence subgroup of level N
@@ -503,4 +494,4 @@ def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budge
         x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):
         raise ValidationError("witness is not congruent to the identity at its level")
-    return GapWitness(x, found, rep.word_perm(found)[0])
+    return {"x": x, "word": found, "displaced_to": rep.word_perm(found)[0]}

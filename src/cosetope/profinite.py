@@ -244,21 +244,6 @@ def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
 # tractability inclusion
 
 
-class TractabilityReport(NamedTuple):
-    """Outcome of the inclusion search over a list of candidate quotients.
-
-    When ``found`` is set, the inclusion image(H) meet image(K) inside
-    image(H meet K) * kernel(found -> m_spec) was verified there.  The
-    field names are the report keys; each entry of ``entries`` holds
-    ``spec``, ``status``, ``detail``, ``violations`` and ``sizes``, one per
-    candidate tried.  The inputs are the report's config, not repeated here.
-    """
-
-    entries: list
-    found: Optional[QuotientSpec]
-    counters: dict
-
-
 _VIOLATION_SAMPLE = 5
 
 
@@ -269,7 +254,7 @@ def tractable_at(
     m_spec: QuotientSpec,
     candidates: Sequence[QuotientSpec],
     budgets: Budgets = Budgets(),
-) -> TractabilityReport:
+) -> dict:
     """First candidate quotient N where the intersection of images is tame.
 
     N must lie in the formation of ``m_spec`` and refine it.  Compute
@@ -280,6 +265,11 @@ def tractable_at(
     search, otherwise "violation" with a sample of violating elements.
     Per-candidate precondition failures are recorded, not fatal; an empty
     candidate list is refused.
+
+    The result maps ``entries``, one per candidate tried, each holding
+    ``spec``, ``status``, ``detail``, ``violations`` and ``sizes``; ``found``,
+    the candidate where the inclusion was verified, or None; and
+    ``counters``.  The inputs are the report's config, not repeated here.
     """
     if not candidates:
         raise ValidationError("tractable_at needs a nonempty tower")
@@ -323,21 +313,11 @@ def tractable_at(
         if entry["status"] == "ok":
             found = cand
             break
-    return TractabilityReport(entries, found, {"elements_scanned": scanned})
+    return {"entries": entries, "found": found, "counters": {"elements_scanned": scanned}}
 
 
 # ---------------------------------------------------------------------------
 # separability probe
-
-
-class SeparabilityCertificate(NamedTuple):
-    """A finite quotient excluding an element from a double coset; replayable.
-    The field names are the certificate's report keys; the element is the
-    one its caller records next to it."""
-
-    target: str
-    spec: QuotientSpec
-    transcript: dict
 
 
 def thm_b_probe(
@@ -347,14 +327,16 @@ def thm_b_probe(
     g: GroupWord,
     tower: Sequence[QuotientSpec],
     budgets: Budgets = Budgets(),
-) -> Optional[SeparabilityCertificate]:
+) -> Optional[dict]:
     """Probe separability of (H meet L)K along the tower.
 
     ``l_gens`` of None means L is the whole group.  At each level, image(H
     meet L) is the part of image(H) in image(L), which must hold image(H)
     meet image(K); ``image_member`` tests image(L) by its linear part when L
     holds M2(Z).  The first level whose double coset misses the image of
-    ``g`` yields a certificate.  None means inconclusive: the tower is
+    ``g`` yields a certificate, replayable: a dict of the ``target`` double
+    coset, the excluding quotient ``spec`` and its ``transcript``; the
+    caller records ``g`` next to it.  None means inconclusive: the tower is
     exhausted without a decision.
     """
     if not tower:
@@ -371,9 +353,9 @@ def thm_b_probe(
                 )
             hp = subgroup_from_elements(filter(in_l, uh.elements))
         if not product_member(quotient_context(spec), project(g, spec), hp, uk):
-            return SeparabilityCertificate(
-                target="(H meet L)K" if l_gens is not None else "HK",
-                spec=spec,
-                transcript={"image_hp": len(hp), "image_k": len(uk), "member": False},
-            )
+            return {
+                "target": "(H meet L)K" if l_gens is not None else "HK",
+                "spec": spec,
+                "transcript": {"image_hp": len(hp), "image_k": len(uk), "member": False},
+            }
     return None

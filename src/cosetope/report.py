@@ -28,8 +28,9 @@ def as_recorded(obj: Any) -> Any:
     into report data, which ``verify`` also applies to what it recomputes.
     Integers become decimal strings; ``Mat2``, ``ModularWord``, ``PermRep``
     and ``QuotientSpec`` have forms of their own (they are NamedTuples, so
-    they go first); any other NamedTuple is recorded as its fields by name,
-    tuples and lists become lists, and dicts are recorded key by key."""
+    they go first); the other NamedTuples, ``GroupWord`` and ``SdElement``,
+    are recorded as their fields by name, tuples and lists become lists,
+    and dicts, every command's result among them, are recorded key by key."""
     if obj is None or isinstance(obj, (bool, str)):
         return obj
     if isinstance(obj, int):

@@ -171,12 +171,12 @@ def test_criterion_5_separability_certificates():
             continue
         cert = gs_hk_witness(g)
         assert cert is not None
-        m = cert.spec.m
+        m = cert["spec"].m
         assert m <= abs(det - 1) + 1
         assert gs_hk_member(g, m) is False
         if m <= 4:
-            inst = gs_build(cert.spec)
-            assert not product_member(inst.ctx, project(g, cert.spec), inst.im_h, inst.im_k)
+            inst = gs_build(cert["spec"])
+            assert not product_member(inst.ctx, project(g, cert["spec"]), inst.im_h, inst.im_k)
         done += 1
     _report(5, "separability certificates, 100 random elements", t0, 30)
 
@@ -210,15 +210,15 @@ def test_criterion_7_wz_failure_evidence(tmp_path):
     t0 = time.perf_counter()
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
     evidence = gs_wz_failure(rep, 24)
-    assert evidence.status == "evidence"
+    assert evidence["status"] == "evidence"
     # the element itself is outside the double coset: the witness moves the basepoint
-    assert rep.word_perm(evidence.witness.word)[0] != 0
-    assert evidence.witness.displaced_to != 0
+    assert rep.word_perm(evidence["witness"]["word"])[0] != 0
+    assert evidence["witness"]["displaced_to"] != 0
     # at every recorded congruence level <= 24 the image passes the full
     # double-coset membership scan, not only the reduced subgroup test
     budgets = Budgets()
-    assert evidence.levels, "no passing level recorded"
-    for m in evidence.levels:
+    assert evidence["levels"], "no passing level recorded"
+    for m in evidence["levels"]:
         assert 2 <= m <= 24
         spec = QuotientSpec.make(m)
         ctx = quotient_context(spec)
@@ -227,7 +227,7 @@ def test_criterion_7_wz_failure_evidence(tmp_path):
         im_hp = subgroup_from_elements(
             SdElement(Mat2.zero(m), u, None) for u in image.elements
         )
-        assert product_member(ctx, project(evidence.g, spec), im_hp, inst.im_k), (
+        assert product_member(ctx, project(evidence["g"], spec), im_hp, inst.im_k), (
             f"double-coset membership failed at recorded level {m}"
         )
     # the report replays byte-identically under verify

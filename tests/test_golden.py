@@ -9,7 +9,12 @@ import re
 import pytest
 
 from cosetope import report as rpt
-from cosetope.cli import main
+from cosetope.arith import Mat2
+from cosetope.budgets import Budgets
+from cosetope.cli import OPTIONS, main, parse
+from cosetope.groupcore import SdElement
+from cosetope.modular import ModularWord, PermRep
+from cosetope.profinite import GroupWord, QuotientSpec
 from cosetope.report import as_recorded, canonical_dumps
 
 from golden_cases import CASES, GOLDEN
@@ -21,6 +26,35 @@ def test_report_bytes_match_golden_fixture(tmp_path, monkeypatch, name):
     out = tmp_path / name
     assert main(CASES[name] + ["--output", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+# the NamedTuples a result may hold: the four with report forms of their own,
+# and the two domain values recorded field by field
+_DOMAIN_TUPLES = (Mat2, ModularWord, PermRep, QuotientSpec, GroupWord, SdElement)
+
+
+def _stray_tuples(value):
+    """The types of the NamedTuples inside ``value`` that are not domain values."""
+    if isinstance(value, _DOMAIN_TUPLES):
+        return set()
+    if hasattr(value, "_asdict"):
+        return {type(value).__name__}
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        return set().union(*map(_stray_tuples, value))
+    return set()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_every_command_returns_a_plain_dict(monkeypatch, name):
+    # one result form: certificates, witnesses, evidence and searches are
+    # dicts like every other result, at the top and nested
+    monkeypatch.chdir(GOLDEN)
+    command, config, _, closure_cap = parse(CASES[name])
+    result = OPTIONS[command][0](config, Budgets(closure_cap))
+    assert type(result) is dict
+    assert _stray_tuples(result) == set()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

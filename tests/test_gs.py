@@ -207,12 +207,12 @@ def test_hk_member_every_level_when_translated_det_is_one():
 def test_hk_witness_frozen_examples():
     g = GroupWord.of_a(Mat2.scalar(2))
     cert = gs_hk_witness(g)
-    assert cert.spec.m == 3
-    assert cert.transcript["det"] == 9
+    assert cert["spec"].m == 3
+    assert cert["transcript"]["det"] == 9
     # a + I = S + I has determinant 2, so every level >= 2 certifies
     g2 = GroupWord.of_a(Mat2.ambient(0, -1, 1, 0))
     cert2 = gs_hk_witness(g2)
-    assert cert2.spec.m == 2
+    assert cert2["spec"].m == 2
     assert gs_hk_witness(GroupWord(Mat2.zero(), ModularWord())) is None
 
 
@@ -227,12 +227,12 @@ def test_hk_witness_replays_and_respects_bound():
             assert cert is None
             continue
         assert cert is not None
-        m = cert.spec.m
+        m = cert["spec"].m
         assert 2 <= m <= abs(det - 1) + 1
         assert gs_hk_member(g, m) is False
         if m <= 5:
             inst = gs_build(QuotientSpec.make(m))
-            assert not product_member(inst.ctx, project(g, cert.spec), inst.im_h, inst.im_k)
+            assert not product_member(inst.ctx, project(g, cert["spec"]), inst.im_h, inst.im_k)
         checked += 1
 
 
@@ -350,7 +350,7 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
     rep = minimal_noncongruence()
     closures = count_closures(monkeypatch)
     evidence = gs_wz_failure(rep, 24)
-    assert evidence.status == "evidence"
+    assert evidence["status"] == "evidence"
     for m in range(2, 25):
         _h_prime_image_mod(rep, m, Budgets())
     assert not closures
@@ -375,7 +375,7 @@ def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
     assert rep_level(rep) == 12
     calls = spy_walks(monkeypatch)
     evidence = gs_wz_failure(rep, 32)
-    assert [entry["m"] for entry in evidence.level_transcripts] == list(range(2, 33))
+    assert [entry["m"] for entry in evidence["level_transcripts"]] == list(range(2, 33))
     each_once = {1: 1, 2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
     assert Counter(w.n for w in calls if w.caller == "image_blocks") == each_once
     assert [len(w.seen) for w in calls if w.n == 1] == [1]
@@ -395,7 +395,7 @@ def test_wz_failure_refuses_an_empty_range_of_levels():
     for m_max in (1, 0, -4):
         with pytest.raises(ValidationError, match=f"m_max must be at least 2, got {m_max}"):
             gs_wz_failure(rep, m_max)
-    assert gs_wz_failure(rep, 2).levels == (2,)
+    assert gs_wz_failure(rep, 2)["levels"] == (2,)
 
 
 # ---------------------------------------------------------------------------
@@ -410,13 +410,13 @@ def test_wz_failure_rejects_congruence_rep():
 def test_wz_failure_evidence_is_coherent():
     rep = minimal_noncongruence()
     evidence = gs_wz_failure(rep, 12)
-    assert evidence.status == "evidence"
-    assert evidence.witness is not None
-    assert rep.word_perm(evidence.witness.word)[0] != 0
-    assert evidence.g.a == evidence.witness.x - Mat2.identity()
-    assert evidence.g.w == ModularWord()
-    recorded = {entry["m"] for entry in evidence.level_transcripts if entry["member"]}
-    assert recorded == set(evidence.levels)
+    assert evidence["status"] == "evidence"
+    assert evidence["witness"] is not None
+    assert rep.word_perm(evidence["witness"]["word"])[0] != 0
+    assert evidence["g"].a == evidence["witness"]["x"] - Mat2.identity()
+    assert evidence["g"].w == ModularWord()
+    recorded = {entry["m"] for entry in evidence["level_transcripts"] if entry["member"]}
+    assert recorded == set(evidence["levels"])
     for m in (2, 3, 4, 6, 12):
-        assert m in evidence.levels
-    assert evidence.witness_level == 24
+        assert m in evidence["levels"]
+    assert evidence["witness_level"] == 24

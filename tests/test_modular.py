@@ -463,7 +463,7 @@ def test_walk_words_are_rebuilt_only_on_demand(monkeypatch):
     assert built == []
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
     witness = congruence_gap_witness(rep, 24)
-    assert len(built) == 2 and word_eval(witness.word).reduce(24) == Mat2.identity(24)
+    assert len(built) == 2 and word_eval(witness["word"]).reduce(24) == Mat2.identity(24)
 
 
 def test_image_blocks_match_klein_fricke_at_levels_up_to_5():
@@ -581,16 +581,16 @@ def test_gap_witness_on_minimal_noncongruence_rep():
     rep = _minimal_noncongruence()
     witness = congruence_gap_witness(rep, 24)
     assert witness is not None
-    assert witness.displaced_to != 0
-    assert rep.word_perm(witness.word)[0] == witness.displaced_to
-    assert word_eval(witness.word) == witness.x
-    assert witness.x.det() == 1
-    assert witness.x.reduce(24) == Mat2.identity(24)
+    assert witness["displaced_to"] != 0
+    assert rep.word_perm(witness["word"])[0] == witness["displaced_to"]
+    assert word_eval(witness["word"]) == witness["x"]
+    assert witness["x"].det() == 1
+    assert witness["x"].reduce(24) == Mat2.identity(24)
     # x lies in the image at every divisor of 24, and the blocks the
     # evidence reads say where else it does, as the closure oracle says
     for m in range(2, 25):
-        member = psl2_canon(witness.x.reduce(m)) in image_closure(rep, m)
-        assert (image_blocks(rep, m)[witness.displaced_to] == 0) == member
+        member = psl2_canon(witness["x"].reduce(m)) in image_closure(rep, m)
+        assert (image_blocks(rep, m)[witness["displaced_to"]] == 0) == member
         assert member or 24 % m != 0
 
 
@@ -613,8 +613,8 @@ def test_gap_witness_seed_phase_can_find_witnesses():
     for rep in reps:
         for level in range(2, 25):
             witness = congruence_gap_witness(rep, level)
-            assert witness.displaced_to != 0
-            assert witness.x.reduce(level) == Mat2.identity(level)
+            assert witness["displaced_to"] != 0
+            assert witness["x"].reduce(level) == Mat2.identity(level)
 
 
 def _schreier_scan_witness(rep, level):
@@ -637,6 +637,6 @@ def test_gap_witness_word_matches_the_schreier_scan_where_it_ran():
             continue
         n = rep_level(rep)
         for level in range(n, 25, n):
-            assert congruence_gap_witness(rep, level).word == _schreier_scan_witness(rep, level)
+            assert congruence_gap_witness(rep, level)["word"] == _schreier_scan_witness(rep, level)
             pairs += 1
     assert pairs == 46

@@ -574,14 +574,14 @@ def test_json_readers_take_only_integers(read, data):
 def test_tractable_equal_subgroups_succeed_at_target():
     m_spec = QuotientSpec.make(2)
     report = tractable_at(H_GENS, H_GENS, H_GENS, m_spec, [m_spec])
-    assert report.found == m_spec
-    assert report.entries[0]["status"] == "ok"
+    assert report["found"] == m_spec
+    assert report["entries"][0]["status"] == "ok"
 
 
 def test_tractable_trivial_k_succeeds():
     m_spec = QuotientSpec.make(3)
     report = tractable_at(H_GENS, (), (), m_spec, [m_spec])
-    assert report.found == m_spec
+    assert report["found"] == m_spec
 
 
 def test_tractable_example_data_over_congruence_candidates():
@@ -589,8 +589,8 @@ def test_tractable_example_data_over_congruence_candidates():
     # so the inclusion holds at the very first candidate
     m_spec = QuotientSpec.make(2)
     report = tractable_at(H_GENS, k_gens(), (), m_spec, DEFAULT_TOWER)
-    assert report.found == QuotientSpec.make(2)
-    sizes = report.entries[0]["sizes"]
+    assert report["found"] == QuotientSpec.make(2)
+    sizes = report["entries"][0]["sizes"]
     assert sizes["image_intersection"] == 1
 
 
@@ -598,7 +598,7 @@ def test_tractable_monotone_under_refinement():
     m_spec = QuotientSpec.make(2)
     for m in (2, 4, 8):
         report = tractable_at(H_GENS, k_gens(), (), m_spec, [QuotientSpec.make(m)])
-        assert report.found == QuotientSpec.make(m)
+        assert report["found"] == QuotientSpec.make(m)
 
 
 def test_tractable_underclaimed_intersection_is_flagged():
@@ -606,8 +606,8 @@ def test_tractable_underclaimed_intersection_is_flagged():
     m_spec = QuotientSpec.make(3)
     gens = (GroupWord.of_word(ModularWord.from_str("S")),)
     report = tractable_at(gens, gens, (), m_spec, [m_spec])
-    assert report.found is None
-    entry = report.entries[0]
+    assert report["found"] is None
+    entry = report["entries"][0]
     assert entry["status"] == "violation"
     assert entry["violations"]
     ctx = quotient_context(m_spec)
@@ -623,22 +623,22 @@ def test_tractable_closes_no_claimed_intersection_that_misses_the_images():
     # whose image mod 8 has 384 elements, more than the cap of 100
     s = (GroupWord.of_word(ModularWord.from_str("S")),)
     report = tractable_at(s, s, H_GENS, QuotientSpec.make(2), [QuotientSpec.make(8)], Budgets(closure_cap=100))
-    assert [entry["status"] for entry in report.entries] == ["precondition"]
-    assert report.found is None
+    assert [entry["status"] for entry in report["entries"]] == ["precondition"]
+    assert report["found"] is None
 
 
 def test_tractable_skips_candidates_outside_formation():
     m_spec = QuotientSpec.make(2, None, Formation.make(2))
     report = tractable_at(H_GENS, H_GENS, H_GENS, m_spec, [QuotientSpec.make(6), QuotientSpec.make(4)])
-    assert report.entries[0]["status"] == "skipped-formation"
-    assert report.found == QuotientSpec.make(4)
+    assert report["entries"][0]["status"] == "skipped-formation"
+    assert report["found"] == QuotientSpec.make(4)
 
 
 def test_tractable_reports_non_refining_candidates():
     m_spec = QuotientSpec.make(4)
     report = tractable_at(H_GENS, H_GENS, H_GENS, m_spec, [QuotientSpec.make(6), QuotientSpec.make(8)])
-    assert report.entries[0]["status"] == "precondition"
-    assert report.found == QuotientSpec.make(8)
+    assert report["entries"][0]["status"] == "precondition"
+    assert report["found"] == QuotientSpec.make(8)
 
 
 def test_tractable_violations_with_rep_carrying_target():
@@ -649,10 +649,10 @@ def test_tractable_violations_with_rep_carrying_target():
     witness = congruence_gap_witness(rep, 24)
     spec = QuotientSpec.make(2, rep)
     report = tractable_at(H_GENS, k_gens(), (), spec, [spec])
-    assert report.found is None
-    entry = report.entries[0]
+    assert report["found"] is None
+    entry = report["entries"][0]
     assert entry["status"] == "violation"
-    u = project(GroupWord.of_word(witness.word), spec)
+    u = project(GroupWord.of_word(witness["word"]), spec)
     ctx = quotient_context(spec)
     uh = image_subgroup(H_GENS, spec)
     uk = image_subgroup(k_gens(), spec)
@@ -683,8 +683,8 @@ def test_probe_whole_group_reduces_to_hk_and_certifies_by_det():
     cert = thm_b_probe(H_GENS, k_gens(), None, g, DEFAULT_TOWER)
     assert cert is not None
     # det(2I + I) = 9, and the first level with 9 != 1 is 3
-    assert cert.spec == QuotientSpec.make(3)
-    assert cert.transcript["member"] is False
+    assert cert["spec"] == QuotientSpec.make(3)
+    assert cert["transcript"]["member"] is False
 
 
 def test_probe_spot_checks_l_containment():
@@ -698,7 +698,7 @@ def test_probe_with_gap_subgroup_is_inconclusive_on_congruence_tower():
 
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
     witness = congruence_gap_witness(rep, 24)
-    g = GroupWord.of_a(witness.x - Mat2.identity())
+    g = GroupWord.of_a(witness["x"] - Mat2.identity())
     a_gens = tuple(
         GroupWord.of_a(Mat2.ambient(*(1 if k == idx else 0 for k in range(4))))
         for idx in range(4)

@@ -10,15 +10,9 @@ import pytest
 from cosetope.arith import Mat2
 from cosetope.errors import ValidationError
 from cosetope.groupcore import SdElement
-from cosetope.gs import gs_wz_failure
+from cosetope.gs import gs_hk_witness, gs_wz_failure
 from cosetope.modular import ModularWord, PermRep, congruence_gap_witness, low_index_reps
-from cosetope.profinite import (
-    Formation,
-    GroupWord,
-    QuotientSpec,
-    SeparabilityCertificate,
-    TractabilityReport,
-)
+from cosetope.profinite import Formation, GroupWord, QuotientSpec
 from cosetope.report import rep as read_rep
 from cosetope.report import (
     MAX_DEPTH,
@@ -56,9 +50,10 @@ def test_containers_record_item_by_item():
 def test_a_plain_namedtuple_records_its_fields_by_name():
     assert as_recorded(_Pair(1, (2, 3))) == {"left": "1", "right": ["2", "3"]}
     assert as_recorded(_Pair(4)) == {"left": "4", "right": None}
+    # inside a result dict, as a tractable search records its violations
     g = GroupWord.of_word(ModularWord.from_str("T"))
-    report = TractabilityReport([{"status": "ok", "violations": (g,)}], QuotientSpec.make(2), {"n": 5})
-    assert as_recorded(report) == {
+    result = {"entries": [{"status": "ok", "violations": (g,)}], "found": QuotientSpec.make(2), "counters": {"n": 5}}
+    assert as_recorded(result) == {
         "entries": [{"status": "ok", "violations": [as_recorded(g)]}],
         "found": {"m": "2", "rep": None, "filter": None},
         "counters": {"n": "5"},
@@ -82,17 +77,17 @@ def test_domain_values_record_under_their_field_names():
     assert as_recorded(g) == {"a": as_recorded(g.a), "w": "T"}
     x = SdElement(Mat2.zero(3), Mat2.identity(3), (1, 0))
     assert as_recorded(x) == {"a": as_recorded(x.a), "h": as_recorded(x.h), "sigma": ["1", "0"]}
-    cert = SeparabilityCertificate("HK", QuotientSpec.make(3), {"member": False})
+    cert = gs_hk_witness(GroupWord.of_a(Mat2.scalar(2)))
     assert as_recorded(cert) == {
         "target": "HK",
         "spec": {"m": "3", "rep": None, "filter": None},
-        "transcript": {"member": False},
+        "transcript": {"det": "9", "det_mod_m": "0", "member": False},
     }
     witness = congruence_gap_witness(NC_REP, 24)
     assert as_recorded(witness) == {
-        "x": as_recorded(witness.x),
-        "word": str(witness.word),
-        "displaced_to": str(witness.displaced_to),
+        "x": as_recorded(witness["x"]),
+        "word": str(witness["word"]),
+        "displaced_to": str(witness["displaced_to"]),
     }
     evidence = gs_wz_failure(NC_REP, 4)
     assert set(as_recorded(evidence)) == {
