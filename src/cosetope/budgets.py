@@ -10,22 +10,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import ValidationError
-
 DEFAULT_CLOSURE_CAP = 5_000_000
 
 
-class _Caps(NamedTuple):
+class Budgets(NamedTuple):
+    """The closure cap: immutable and compared by value.  ``cli.parse``
+    refuses a ``--closure-cap`` below 1, so every command's cap is positive."""
+
     closure_cap: int = DEFAULT_CLOSURE_CAP
-
-
-class Budgets(_Caps):
-    """The closure cap: immutable, compared by value, and positive."""
-
-    __slots__ = ()
-
-    def __new__(cls, closure_cap: int = DEFAULT_CLOSURE_CAP) -> "Budgets":
-        if closure_cap <= 0:
-            raise ValidationError("budgets must be positive")
-        return super().__new__(cls, closure_cap)
-

@@ -176,20 +176,13 @@ def _hk_certificates() -> list:
 
 
 def _gs_demo(config: dict, budgets: Budgets) -> dict:
-    max_level, m_max = config["max_level"], config["m_max"]
-    if max_level < 2:
-        raise ValidationError(
-            f"max_level must be at least 2, got {short_int(max_level)}: the intersection table needs a level"
-        )
-    if m_max < 2:
-        raise ValidationError(f"m_max must be at least 2, got {short_int(m_max)}: the witness needs a tested level")
     reps = low_index_reps(config["max_degree"])  # refuses a degree below 1 before any walk
     # the order of image(H) meet image(K) at each level is 1: a common element
     # (0, h) = (I - h', h') of image(H) = {(0, h)} and image(K) = {(I - h', h')}
     # has I - h' = 0, so h = h' = I.  Each level's |image(H)| = |SL2(Z/m)| is
     # checked against the cap as if it were listed; as |SL2(Z/m)| > 0.6 m^3,
     # the check stops within (cap / 0.6)^(1/3) levels
-    levels = range(2, max_level + 1)
+    levels = range(2, config["max_level"] + 1)
     for m in levels:
         check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
     intersections = [{"m": m, "size": 1} for m in levels]
@@ -199,7 +192,7 @@ def _gs_demo(config: dict, budgets: Budgets) -> dict:
     evidence = {"status": "no-noncongruence-subgroup-found"}
     if noncongruence:
         lowindex["selected"] = noncongruence[0]
-        evidence = gs_wz_failure(noncongruence[0], m_max, budgets=budgets)
+        evidence = gs_wz_failure(noncongruence[0], config["m_max"], budgets=budgets)
     return {
         "intersections": intersections,
         "hk_certificates": _hk_certificates(),
@@ -297,7 +290,8 @@ def _verify(config: dict, budgets: Budgets) -> dict:
 # option takes a value, a ``bool`` option is a flag, an input option's type
 # is its reader in ``report`` (which takes inline JSON or a path), and the
 # default ``REQUIRED`` makes an option required.  Every command also takes
-# ``--output`` and ``--closure-cap``, which are not config.
+# ``--output`` and ``--closure-cap``, which are not config.  ``parse`` alone
+# checks each integer option's least value in ``LEAST``.
 
 
 REQUIRED = object()
@@ -305,6 +299,7 @@ _NEEDS_INT, _GENS = (int, REQUIRED, ""), (rpt.gens, REQUIRED, "JSON list of grou
 _REP = (rpt.rep, None, "coset action: a permutation representation")
 _TOWER = (rpt.tower, DEFAULT_TOWER, "quotient specs (default: plain levels 2, 3, 4, 5, 6, 8 and 12)")
 _COMMON = {"--output": (str, None, "report file (default: stdout)"), "--closure-cap": (int, DEFAULT_CLOSURE_CAP, "")}
+LEAST = {"--closure-cap": 1, "--level": 2, "--max-level": 2, "--m-max": 2}
 OPTIONS = {command: (run, summary, {**options, **_COMMON}) for command, (run, summary, options) in {
     "quotient": (_quotient, "describe one finite quotient", {"--modulus": _NEEDS_INT, "--rep": _REP}),
     "image": (_image, "image of a generated subgroup in a quotient", {
@@ -342,7 +337,9 @@ def parse(argv) -> tuple:
 
     An option is ``--opt value`` or ``--opt=value``; a value that starts
     with "--" needs the second form.  The last of a repeated option wins.
-    Anything else raises ``ValidationError``: no abbreviation is accepted.
+    Anything else raises ``ValidationError``: no abbreviation is accepted,
+    and neither is a value below its option's ``LEAST``, the first such
+    option in the command's option order named.
     """
     if not argv or argv[0] not in OPTIONS:
         got = f"unknown command {rpt._shown(argv[0])}" if argv else "no command"
@@ -367,6 +364,9 @@ def parse(argv) -> tuple:
     missing = [name for name, (_, default, _) in options.items() if default is REQUIRED and name not in given]
     if missing:
         raise ValidationError(f"{command} needs {' and '.join(missing)}")
+    low = [name for name in options if name in LEAST and given.get(name, LEAST[name]) < LEAST[name]]
+    if low:
+        raise ValidationError(f"{low[0]} must be at least {LEAST[low[0]]}, got {short_int(given[low[0]])}")
     config = {_key(name): given.get(name, default) for name, (_, default, _) in options.items()}
     return command, config, config.pop("output"), config.pop("closure_cap")
 

@@ -19,7 +19,7 @@ from typing import Optional
 
 from .arith import Mat2, sl2_group_order
 from .budgets import Budgets
-from .errors import ValidationError, short_int
+from .errors import ValidationError
 from .groupcore import GeneratedSubgroup, check_closure_cap, subgroup_from_elements
 from .modular import (
     ModularWord,
@@ -95,7 +95,7 @@ def l_group_words(rep: PermRep) -> list:
 WITNESS_LEVEL = 24
 
 
-def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()) -> dict:
+def gs_wz_failure(rep: PermRep, m_max: int, *, budgets: Budgets = Budgets()) -> dict:
     """Desk-scale evidence that the double coset H'K is not separable.
 
     The ``witness`` x, a ``congruence_gap_witness`` of ``WITNESS_LEVEL``
@@ -111,11 +111,10 @@ def gs_wz_failure(rep: PermRep, m_max: int = 24, *, budgets: Budgets = Budgets()
     by design: quotients carrying the coset action of H' are excluded, and
     ``towers_used`` says so.  ``conclusion`` and ``status`` complete the
     evidence; its caller records the action.  A congruence ``rep`` has no
-    witness and raises PreconditionError.  One ``walks`` dict walks each
-    level gcd(m, N) once per call.
+    witness and raises PreconditionError.  ``m_max`` is at least 2, as
+    ``cli.parse`` requires of ``--m-max``, so at least one level is tested.
+    One ``walks`` dict walks each level gcd(m, N) once per call.
     """
-    if m_max < 2:
-        raise ValidationError(f"m_max must be at least 2, got {short_int(m_max)}: the witness needs a tested level")
     walks: dict = {}
     witness = congruence_gap_witness(rep, WITNESS_LEVEL, budgets=budgets)
     point = witness["displaced_to"]

@@ -477,10 +477,9 @@ def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budge
     A subgroup that is not congruence contains no principal congruence
     subgroup, so the walk always finds one.  A congruence subgroup of level N
     contains the one of level N, so at a multiple of N the walk decides that
-    too; only at another level does ``is_congruence`` walk first.
+    too; only at another level does ``is_congruence`` walk first.  Callers
+    pass a level of at least 2: ``cli.parse`` refuses a lower ``--level``.
     """
-    if level < 2:
-        raise ValidationError(f"witness level must be at least 2, got {short_int(level)}")
     if level % rep_level(rep) and is_congruence(rep, budgets=budgets):
         raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     seen: dict = {}

@@ -11,7 +11,6 @@ certificates are decisions.
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import Mat2, provably_prime, sl2_group_order
@@ -109,7 +108,6 @@ ADDITIVE_UNITS = tuple(
 )
 
 
-@functools.lru_cache(maxsize=64)
 def quotient_context(spec: QuotientSpec) -> GroupContext:
     """The finite quotient as a group context over SdElement.
 
@@ -226,13 +224,12 @@ class RefinementKernel:
 def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()) -> RefinementKernel:
     """The kernel of the restriction from the fine quotient to the coarse one.
 
-    Restriction reduces the additive part mod c and sends the images of S
-    and T to theirs, so it is onto, and the kernel's order is the ratio of
-    the two ``spec_group_order``, (f/c)^4 |L_f| / |L_c|.  The order is
-    checked against the closure cap, though no kernel element is listed.
+    Its caller, ``tractable_at``, passes a fine spec that refines the
+    coarse one.  Restriction reduces the additive part mod c and sends the
+    images of S and T to theirs, so it is onto, and the kernel's order is
+    the ratio of the two ``spec_group_order``, (f/c)^4 |L_f| / |L_c|.  The
+    order is checked against the closure cap; no kernel element is listed.
     """
-    if element_restriction(fine, coarse) is None:
-        raise PreconditionError("kernel_of_refinement: the first spec does not refine the second")
     if fine == coarse:
         return RefinementKernel(1)
     order = spec_group_order(fine, budgets) // spec_group_order(coarse, budgets)
@@ -263,16 +260,14 @@ def tractable_at(
     when its restriction lies in image_M(HcapK), closed once, at the first
     refining candidate.  Status "ok" when U lies inside, which ends the
     search, otherwise "violation" with a sample of violating elements.
-    Per-candidate precondition failures are recorded, not fatal; an empty
-    candidate list is refused.
+    Per-candidate precondition failures are recorded, not fatal;
+    ``report.tower`` never passes an empty candidate list.
 
     The result maps ``entries``, one per candidate tried, each holding
     ``spec``, ``status``, ``detail``, ``violations`` and ``sizes``; ``found``,
     the candidate where the inclusion was verified, or None; and
     ``counters``.  The inputs are the report's config, not repeated here.
     """
-    if not candidates:
-        raise ValidationError("tractable_at needs a nonempty tower")
     entries = []
     found = target = None
     scanned = 0
@@ -337,10 +332,8 @@ def thm_b_probe(
     ``g`` yields a certificate, replayable: a dict of the ``target`` double
     coset, the excluding quotient ``spec`` and its ``transcript``; the
     caller records ``g`` next to it.  None means inconclusive: the tower is
-    exhausted without a decision.
+    exhausted without a decision; ``report.tower`` never passes an empty one.
     """
-    if not tower:
-        raise ValidationError("thm_b_probe needs a nonempty tower")
     for spec in tower:
         uh = image_subgroup(h_gens, spec, budgets)
         uk = image_subgroup(k_gens, spec, budgets)

@@ -213,6 +213,8 @@ def _gens(data) -> list:
 def _tower(data) -> list:
     if not isinstance(data, list):
         raise ValidationError(f"expected a JSON list of quotient specs, got {_shown(data)}")
+    if not data:
+        raise ValidationError("a tower needs at least one quotient spec")
     specs = [spec_from_json(entry) for entry in data]
     if any(s.formation is not None for s in specs):
         raise ValidationError("a tower entry takes no filter; put it on --m-spec")

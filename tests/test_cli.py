@@ -12,8 +12,8 @@ import pytest
 from cosetope import report as rpt
 from cosetope.arith import sl2_group_order
 from cosetope.budgets import Budgets
-from cosetope.cli import OPTIONS, main
-from cosetope.errors import ValidationError, short_int
+from cosetope.cli import LEAST, OPTIONS, main, parse
+from cosetope.errors import short_int
 from cosetope.modular import is_congruence, low_index_reps, rep_level
 from cosetope.gs import l_group_words
 from cosetope.profinite import DEFAULT_TOWER, GroupWord, QuotientSpec, project, quotient_context
@@ -475,12 +475,12 @@ def _spec_with(key, value):
     "args, code, shown",
     [
         (["quotient", "--modulus", _DIGITS], 3, "modulus about 2^13287 leaves the cofactor about 2^12947"),
-        (["gs-demo", f"--max-level=-{_DIGITS}"], 2, "max_level must be at least 2, got about -2^13287"),
-        (["gs-demo", f"--m-max=-{_DIGITS}"], 2, "m_max must be at least 2, got about -2^13287"),
+        (["gs-demo", f"--max-level=-{_DIGITS}"], 2, "--max-level must be at least 2, got about -2^13287"),
+        (["gs-demo", f"--m-max=-{_DIGITS}"], 2, "--m-max must be at least 2, got about -2^13287"),
         (["lowindex", "--max-degree", _DIGITS], 3, "max_degree about 2^13287 > cap 12"),
         (["lowindex", f"--max-degree=-{_DIGITS}"], 2, "max_degree must be positive, got about -2^13287"),
         (["gap-witness", "--rep", str(GOLDEN / "nc_rep.json"), f"--level=-{_DIGITS}"], 2,
-         "witness level must be at least 2, got about -2^13287"),
+         "--level must be at least 2, got about -2^13287"),
         (["tractable", *_GOLDEN_HK, "--m-spec", _spec_with("m", f"-{_DIGITS}")], 2,
          "modulus must be at least 2, got about -2^13287"),
         (["tractable", *_GOLDEN_HK, "--m-spec", '{"m": 2}', "--tower", f'[{{"m": "-{_DIGITS}"}}]'], 2,
@@ -599,9 +599,9 @@ def test_gs_demo_budget_exhaustion_exits_3(tmp_path):
     assert not (tmp_path / "demo.json").exists()
 
 
-def _cli_alone(args) -> subprocess.CompletedProcess:
-    """Run the CLI in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+def _cli_alone(args, **env) -> subprocess.CompletedProcess:
+    """Run the CLI in a fresh interpreter, with ``env`` added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"), **env)
     return subprocess.run([sys.executable, "-m", "cosetope", *args], capture_output=True, text=True, env=env, timeout=60)
 
 
@@ -692,7 +692,7 @@ def test_gap_witness_refuses_an_m_max_below_2(tmp_path, capsys):
         assert capsys.readouterr().err == "error: gap-witness takes no argument '--m-max'\n"
         assert not out.exists()
     assert main(["gap-witness", "--rep", rep, "--level", "1", "--output", str(out)]) == 2
-    assert capsys.readouterr().err == "error: witness level must be at least 2, got 1\n"
+    assert capsys.readouterr().err == "error: --level must be at least 2, got 1\n"
 
 
 def test_gs_demo_refuses_a_max_level_below_2(tmp_path):
@@ -858,12 +858,11 @@ def test_tractable_closes_h_meet_k_once_in_the_target_quotient(tmp_path, monkeyp
 def test_zero_cap_flag_is_rejected(tmp_path, capsys, flags):
     args = ["quotient", "--modulus", "2", *flags, "--output", str(tmp_path / "q.json")]
     assert main(args) == 2
-    assert "budgets must be positive" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --closure-cap must be at least 1, got 0\n"
 
 
-def test_budgets_are_positive_immutable_values():
-    with pytest.raises(ValidationError, match="budgets must be positive"):
-        Budgets(closure_cap=0)
+def test_budgets_are_immutable_values():
+    # cli.parse refuses a cap below 1, so Budgets itself checks nothing
     with pytest.raises(AttributeError):
         Budgets().closure_cap = 1
     assert Budgets(5) == Budgets(closure_cap=5)
@@ -1422,11 +1421,11 @@ def test_verify_does_not_read_a_path_recorded_for_an_input(tmp_path, monkeypatch
 
 
 def test_an_explicit_empty_tower_is_not_the_default_tower(tmp_path, gens_files, capsys):
-    # --tower '[]' is a tower of no quotient, which the probe refuses; an
-    # omitted --tower is the default tower, which the config records
+    # --tower '[]' is a tower of no quotient, which the tower reader refuses;
+    # an omitted --tower is the default tower, which the config records
     args = ["thm-b-probe", "--h-gens", gens_files["h"], "--k-gens", gens_files["k"], "--element", _ELEMENT]
     assert main(args + ["--tower", "[]", "--output", str(tmp_path / "p.json")]) == 2
-    assert capsys.readouterr().err == "error: thm_b_probe needs a nonempty tower\n"
+    assert capsys.readouterr().err == "error: bad tower JSON: a tower needs at least one quotient spec\n"
     data, _ = run_report(args, tmp_path / "default.json")
     assert [parse_int(spec["m"]) for spec in data["config"]["tower"]] == [2, 3, 4, 5, 6, 8, 12]
     assert data["config"]["tower"] == as_recorded(DEFAULT_TOWER) and data["result"]["status"] == "certified"
@@ -1434,20 +1433,20 @@ def test_an_explicit_empty_tower_is_not_the_default_tower(tmp_path, gens_files, 
 
 # A bad argument is refused before any walk or closure, even where the walk
 # would exhaust the cap or refuse the input for another reason first; and
-# tractable refuses a tower of no candidate, as thm-b-probe does.
+# the tower reader refuses a tower of no candidate.
 _BAD_ARGUMENTS = {
     "tractable-empty-tower": (
         ["tractable", "--h-gens", str(GOLDEN / "h.json"), "--k-gens", str(GOLDEN / "h.json"), "--m-spec", '{"m": 2}',
-         "--tower", "[]"], "tractable_at needs a nonempty tower"),
+         "--tower", "[]"], "bad tower JSON: a tower needs at least one quotient spec"),
     "gap-witness-level-before-congruence": (
         ["gap-witness", "--rep", '{"degree": 3, "s": [0, 2, 1], "t": [1, 0, 2]}', "--level", "-1"],
-        "witness level must be at least 2, got -1"),
+        "--level must be at least 2, got -1"),
     "gap-witness-level-before-walk": (
         ["gap-witness", "--rep", str(GOLDEN / "level105_rep.json"), "--level", "-1", "--closure-cap", "1000"],
-        "witness level must be at least 2, got -1"),
+        "--level must be at least 2, got -1"),
     "gs-demo-m-max-before-walk": (
         ["gs-demo", "--m-max", "1", "--max-degree", "12", "--closure-cap", "100"],
-        "m_max must be at least 2, got 1"),
+        "--m-max must be at least 2, got 1"),
     "gs-demo-max-degree-before-table": (
         ["gs-demo", "--max-degree", "0", "--max-level", "300"], "max_degree must be positive, got 0"),
 }
@@ -1460,6 +1459,54 @@ def test_a_bad_argument_exits_2_before_any_walk(tmp_path, capsys, case):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith(f"error: {message}")
     assert not (tmp_path / "out.json").exists()
+
+
+# a command line of each command that parse accepts inside tests/golden
+_ACCEPTED = {**{argv[0]: argv for argv in CASES.values()}, "verify": ["verify", "--report", "gs_demo.json"]}
+_RANGES = [(command, name) for command in OPTIONS for name in OPTIONS[command][2] if name in LEAST]
+
+
+@pytest.mark.parametrize("command, name", _RANGES, ids=[f"{command}{name}" for command, name in _RANGES])
+def test_an_integer_below_its_least_value_exits_2_before_any_walk(monkeypatch, capsys, command, name):
+    # cli.LEAST is the one home of each range: parse refuses least - 1 and a
+    # huge negative value with one line naming the option, and admits least
+    monkeypatch.chdir(GOLDEN)
+    least, argv = LEAST[name], _ACCEPTED[command]
+    walks, closures = spy_walks(monkeypatch), count_closures(monkeypatch)
+    for value in (least - 1, -(10**4000)):
+        assert main(argv + [f"{name}={value}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {name} must be at least {least}, got {short_int(value)}\n")
+    assert walks == [] and not closures
+    _, config, _, closure_cap = parse(argv + [f"{name}={least}"])
+    assert {**config, "closure_cap": closure_cap}[name[2:].replace("-", "_")] == least
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_of_two_values_out_of_range_the_first_in_option_order_is_named(seed):
+    # the ranges are checked in the command's option order, not a set's, so
+    # the refusal is the same line under every hash seed
+    runs = [
+        (["gs-demo", "--closure-cap=0", "--m-max=1", "--max-level=1"], "--max-level must be at least 2, got 1"),
+        (["gap-witness", "--closure-cap=0", "--level=1", "--rep", str(GOLDEN / "nc_rep.json")],
+         "--level must be at least 2, got 1"),
+    ]
+    for args, first in runs:
+        done = _cli_alone(args, PYTHONHASHSEED=seed)
+        assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {first}\n")
+
+
+@pytest.mark.parametrize("command", ["tractable", "thm-b-probe"])
+@pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+def test_an_empty_tower_is_refused_by_its_reader(tmp_path, monkeypatch, capsys, command, inline):
+    path = tmp_path / "tower.json"
+    path.write_text("[]")
+    rest = {"tractable": ["--m-spec", '{"m": 2}'], "thm-b-probe": ["--element", _ELEMENT]}[command]
+    closures = count_closures(monkeypatch)
+    args = [command, *_GOLDEN_HK, *rest, "--tower", "[]" if inline else str(path), "--output", str(tmp_path / "o.json")]
+    assert main(args) == 2
+    failure = "bad tower JSON" if inline else f"cannot read tower file {rpt._shown(str(path))}"
+    assert capsys.readouterr() == ("", f"error: {failure}: a tower needs at least one quotient spec\n")
+    assert not closures and not (tmp_path / "o.json").exists()
 
 
 def test_a_tower_entry_rep_given_as_a_path_exits_2(tmp_path, gens_files):

@@ -28,6 +28,7 @@ from cosetope.modular import (
     congruence_gap_witness,
 )
 from cosetope.profinite import (
+    ADDITIVE_UNITS,
     DEFAULT_TOWER,
     Formation,
     GroupWord,
@@ -408,25 +409,6 @@ def test_refinement_and_restriction_match_the_word_oracles(f, c, refining):
     assert seen == refining
 
 
-_NOT_REFINED = "kernel_of_refinement: the first spec does not refine the second"
-
-
-def test_kernel_requires_refinement():
-    with pytest.raises(PreconditionError, match=_NOT_REFINED):
-        kernel_of_refinement(QuotientSpec.make(2), QuotientSpec.make(4))
-
-
-def test_kernel_requires_a_point_map_when_the_moduli_divide():
-    # 2 divides 4, but the level-2 coset action (degree 6) does not lie under
-    # nc_rep's (degree 7), so the point map fails, element_restriction
-    # returns None and kernel_of_refinement refuses the pair
-    nc_rep = read_rep(str(Path(__file__).resolve().parent / "golden" / "nc_rep.json"))
-    fine, coarse = QuotientSpec.make(4, congruence_rep(2)), QuotientSpec.make(2, nc_rep)
-    assert element_restriction(fine, coarse) is None
-    with pytest.raises(PreconditionError, match=_NOT_REFINED):
-        kernel_of_refinement(fine, coarse)
-
-
 @pytest.mark.parametrize("m", [1, 0])
 def test_quotient_context_refuses_a_modulus_below_2(m):
     # QuotientSpec(m) skips make's check, and the identity's Mat2.zero refuses it
@@ -664,11 +646,6 @@ def test_tractable_violations_with_rep_carrying_target():
 # separability probe
 
 
-def test_probe_needs_a_tower():
-    with pytest.raises(ValidationError):
-        thm_b_probe(H_GENS, k_gens(), None, IDENTITY, [])
-
-
 def test_probe_member_is_inconclusive_at_every_level():
     # g = h' * k is inside the double coset, so no level can exclude it
     hp_word = GroupWord.of_word(ModularWord.from_str("TT"))
@@ -707,6 +684,13 @@ def test_probe_with_gap_subgroup_is_inconclusive_on_congruence_tower():
     tower = [QuotientSpec.make(m) for m in (2, 3, 4)]
     outcome = thm_b_probe(H_GENS, k_gens(), l_gens, g, tower)
     assert outcome is None
+
+
+def test_the_additive_units_are_the_four_elementary_matrices():
+    # image_member reads a subgroup holding them as one holding M2(Z), so
+    # they must generate M2(Z), and l_group_words must hold them as they are
+    elementary = (GroupWord.of_a(Mat2.ambient(*(int(k == idx) for k in range(4)))) for idx in range(4))
+    assert ADDITIVE_UNITS == tuple(elementary)
 
 
 @pytest.mark.parametrize("which", ["nc_rep", "congruence-degree-3"])
