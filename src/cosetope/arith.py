@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .errors import BudgetError, ModulusMismatch, ValidationError, short_int
+from .errors import BudgetError, ValidationError, shown
 
 
 _new = tuple.__new__
@@ -34,7 +34,7 @@ class Mat2(NamedTuple):
     @classmethod
     def of_mod(cls, a: int, b: int, c: int, d: int, m: int) -> "Mat2":
         if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {short_int(m)}")
+            raise ValidationError(f"modulus must be at least 2, got {shown(m)}")
         return cls(a % m, b % m, c % m, d % m, m)
 
     @classmethod
@@ -49,9 +49,7 @@ class Mat2(NamedTuple):
     def scalar(cls, k: int, m: Optional[int] = None) -> "Mat2":
         if m is None:
             return cls(k, 0, 0, k, None)
-        if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {short_int(m)}")
-        return cls(k % m, 0, 0, k % m, m)
+        return cls.of_mod(k, 0, 0, k, m)
 
     # The arithmetic below unpacks each operand once and builds its result
     # with tuple.__new__, skipping the NamedTuple constructor's Python-level
@@ -60,7 +58,7 @@ class Mat2(NamedTuple):
         a, b, c, d, m = self
         e, f, g, h, n = other
         if m != n:
-            raise ModulusMismatch(f"cannot combine moduli {m} and {n}")
+            raise ValidationError(f"cannot combine moduli {m} and {n}")
         if m is None:
             return _new(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, None))
         return _new(Mat2, ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m, m))
@@ -69,7 +67,7 @@ class Mat2(NamedTuple):
         a, b, c, d, m = self
         e, f, g, h, n = other
         if m != n:
-            raise ModulusMismatch(f"cannot combine moduli {m} and {n}")
+            raise ValidationError(f"cannot combine moduli {m} and {n}")
         if m is None:
             return _new(Mat2, (a + e, b + f, c + g, d + h, None))
         return _new(Mat2, ((a + e) % m, (b + f) % m, (c + g) % m, (d + h) % m, m))
@@ -97,11 +95,10 @@ class Mat2(NamedTuple):
 
     def reduce(self, m: int) -> "Mat2":
         """Entrywise reduction mod ``m``; from ambient or from a multiple of ``m``."""
-        if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {short_int(m)}")
+        reduced = Mat2.of_mod(self.a, self.b, self.c, self.d, m)  # refuses m < 2 before the test divides by m
         if self.m is not None and self.m % m != 0:
-            raise ValidationError(f"cannot reduce mod {short_int(m)} from modulus {short_int(self.m)}")
-        return Mat2(self.a % m, self.b % m, self.c % m, self.d % m, m)
+            raise ValidationError(f"cannot reduce mod {shown(m)} from modulus {shown(self.m)}")
+        return reduced
 
 
 # Standard generators of the ambient matrix group.
@@ -130,9 +127,9 @@ def _factorize(n: int) -> dict:
             rest //= p
         p += 1 if p == 2 else 2
     if rest > 1:
-        if p * p <= rest and not provably_prime(rest, f"modulus {short_int(n)} leaves the cofactor"):
+        if p * p <= rest and not provably_prime(rest, f"modulus {shown(n)} leaves the cofactor"):
             raise BudgetError(
-                f"factorization budget exceeded: modulus {short_int(n)} leaves the cofactor {short_int(rest)}, "
+                f"factorization budget exceeded: modulus {shown(n)} leaves the cofactor {shown(rest)}, "
                 f"which has no factor below {_TRIAL_BOUND} and is not provably prime (trial-division bound)"
             )
         out[rest] = out.get(rest, 0) + 1
@@ -168,17 +165,15 @@ def provably_prime(n: int, what: str) -> bool:
     """``is_prime(n)``; at or above the bound where it is exact, BudgetError
     names ``what`` (the words before ``n``) and the bound instead."""
     if n >= _PRIME_PROOF_BOUND:
-        what = f"{what} {short_int(n)}, which is not provably prime"
+        what = f"{what} {shown(n)}, which is not provably prime"
         raise BudgetError(f"primality budget exceeded: {what} at or above {_PRIME_PROOF_BOUND} (prime proof bound)")
     return is_prime(n)
 
 
 def sl2_group_order(m: int) -> int:
     """Order of the determinant-1 matrix group over Z/m (multiplicative in m)."""
-    if m == 1:
-        return 1
     if m < 1:
-        raise ValidationError(f"modulus must be positive, got {short_int(m)}")
+        raise ValidationError(f"modulus must be positive, got {shown(m)}")
     order = 1
     for p, k in _factorize(m).items():
         order *= p ** (3 * k) - p ** (3 * k - 2)

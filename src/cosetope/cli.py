@@ -12,8 +12,7 @@ the inputs themselves and the report records them.  ``verify`` writes the
 recorded config back as a command line, parses it again, rebuilds with
 ``_report`` the report ``main`` would write from it and compares the bytes;
 it reads no file but the report.  Exit codes: 0 completed (including
-inconclusive outcomes), 2 precondition or validation failure, 3 budget
-exhaustion.
+inconclusive outcomes), 2 a ``ValidationError``, 3 a ``BudgetError``.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import sys
 
 from .arith import Mat2, sl2_group_order
 from .budgets import DEFAULT_CLOSURE_CAP, Budgets
-from .errors import BudgetError, CosetopeError, ValidationError, short_int
+from .errors import BudgetError, CosetopeError, ValidationError, shown
 from .groupcore import check_closure_cap, product_member, subgroup_intersection
 # Unused here: importing them keeps them cross-module functions, which
 # bench/tracer.py times as gs.h_prime_image_s and profinite.kernel_s, and
@@ -267,10 +266,10 @@ def _verify(config: dict, budgets: Budgets) -> dict:
     if not isinstance(data, dict) or data.keys() != _REPORT_KEYS:
         raise ValidationError(f"verify failed: a report holds exactly the keys {sorted(_REPORT_KEYS)}")
     if data["schema"] != rpt.as_recorded(rpt.SCHEMA_VERSION):
-        raise ValidationError(f"verify failed: unsupported schema {rpt._shown(data['schema'])}")
+        raise ValidationError(f"verify failed: unsupported schema {shown(data['schema'])}")
     command = data["command"]
     if not isinstance(command, str) or command not in OPTIONS or command == "verify":
-        raise ValidationError(f"verify: unknown command {rpt._shown(command)}")
+        raise ValidationError(f"verify: unknown command {shown(command)}")
     rebuilt = _report(command, _reparsed(command, data["config"]), budgets)
     if rebuilt == text:
         return {"verified": True, "checked": command}
@@ -278,7 +277,7 @@ def _verify(config: dict, budgets: Budgets) -> dict:
     if not _differs(data, recomputed):
         raise ValidationError("verify failed: report is not in canonical form (bytes differ)")
     path, claimed, recomputed = _first_difference(data, recomputed, "")
-    claimed, recomputed = ("nothing" if v is _ABSENT else rpt._shown(v) for v in (claimed, recomputed))
+    claimed, recomputed = ("nothing" if v is _ABSENT else shown(v) for v in (claimed, recomputed))
     raise ValidationError(f"verify failed: {path}: report says {claimed}, recomputed {recomputed}")
 
 
@@ -338,18 +337,19 @@ def parse(argv) -> tuple:
     An option is ``--opt value`` or ``--opt=value``; a value that starts
     with "--" needs the second form.  The last of a repeated option wins.
     Anything else raises ``ValidationError``: no abbreviation is accepted,
-    and neither is a value below its option's ``LEAST``, the first such
+    an integer option takes the canonical decimal of ``report.parse_int``,
+    and no value below its option's ``LEAST`` is accepted, the first such
     option in the command's option order named.
     """
     if not argv or argv[0] not in OPTIONS:
-        got = f"unknown command {rpt._shown(argv[0])}" if argv else "no command"
+        got = f"unknown command {shown(argv[0])}" if argv else "no command"
         raise ValidationError(f"{got}; the commands are {', '.join(OPTIONS)}")
     command, options, given = argv[0], OPTIONS[argv[0]][2], {}
     args = iter(argv[1:])
     for arg in args:
         name, eq, value = arg.partition("=")
         if name not in options:
-            raise ValidationError(f"{command} takes no argument {rpt._shown(name)}")
+            raise ValidationError(f"{command} takes no argument {shown(name)}")
         kind = options[name][0]
         if kind is bool and eq:
             raise ValidationError(f"{name} is a flag and takes no value")
@@ -358,15 +358,17 @@ def parse(argv) -> tuple:
             if value is None or value.startswith("--"):
                 raise ValidationError(f"{name} needs a value")
         try:
-            given[name] = True if kind is bool else kind(value)
-        except ValueError:
-            raise ValidationError(f"{name} takes an integer, got {rpt._shown(value)}") from None
+            given[name] = True if kind is bool else rpt.parse_int(value) if kind is int else kind(value)
+        except ValidationError:
+            if kind is int:
+                raise ValidationError(f"{name} takes an integer, got {shown(value)}") from None
+            raise
     missing = [name for name, (_, default, _) in options.items() if default is REQUIRED and name not in given]
     if missing:
         raise ValidationError(f"{command} needs {' and '.join(missing)}")
     low = [name for name in options if name in LEAST and given.get(name, LEAST[name]) < LEAST[name]]
     if low:
-        raise ValidationError(f"{low[0]} must be at least {LEAST[low[0]]}, got {short_int(given[low[0]])}")
+        raise ValidationError(f"{low[0]} must be at least {LEAST[low[0]]}, got {shown(given[low[0]])}")
     config = {_key(name): given.get(name, default) for name, (_, default, _) in options.items()}
     return command, config, config.pop("output"), config.pop("closure_cap")
 
@@ -406,7 +408,7 @@ def main(argv=None) -> int:
             with open(output, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            print(f"error: cannot write report {rpt._shown(output)}: {exc.strerror or exc}", file=sys.stderr)
+            print(f"error: cannot write report {shown(output)}: {exc.strerror or exc}", file=sys.stderr)
             return 2
     else:
         sys.stdout.write(text)

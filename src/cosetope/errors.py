@@ -1,10 +1,16 @@
-"""Exception hierarchy shared by all cosetope modules, and ``short_int`` for their messages."""
+"""How the package refuses: ``ValidationError`` (exit 2) for bad input or a
+failed precondition, ``BudgetError`` (exit 3) for an exhausted budget, and
+``shown``, which writes a value into either's message."""
 
 
-def short_int(n: int) -> str:
-    """``n`` in decimal, or ``about 2^N`` (``about -2^N`` below zero) past
-    64 bits, so that a message naming a huge integer stays one short line."""
-    return str(n) if n.bit_length() <= 64 else f"about {'-' * (n < 0)}2^{n.bit_length() - 1}"
+def shown(value) -> str:
+    """``value`` as one short line: an int of more than 64 bits as
+    ``about 2^N`` (``about -2^N`` below zero), else its ``repr`` cut to 60
+    characters."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"about {'-' * (value < 0)}2^{value.bit_length() - 1}"
+    text = repr(value)
+    return text if len(text) <= 60 else text[:56] + " ..."
 
 
 class CosetopeError(Exception):
@@ -12,15 +18,8 @@ class CosetopeError(Exception):
 
 
 class ValidationError(CosetopeError):
-    """Malformed input: bad modulus, invalid permutation data, unreadable file."""
-
-
-class ModulusMismatch(ValidationError):
-    """Two quotient-mode values with different moduli were combined."""
-
-
-class PreconditionError(CosetopeError):
-    """An operation's stated precondition does not hold for the given data."""
+    """Bad input or a failed precondition: a bad modulus, invalid permutation
+    data, an unreadable file, a congruence subgroup given a gap search."""
 
 
 class BudgetError(CosetopeError):

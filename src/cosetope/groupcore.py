@@ -15,7 +15,7 @@ from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import Mat2
 from .budgets import Budgets
-from .errors import BudgetError, ValidationError, short_int
+from .errors import BudgetError, ValidationError, shown
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +118,11 @@ def check_closure_cap(size: int, budgets: Budgets, what: str) -> None:
 
     Used wherever a size is known without closing (group orders), so the
     cap holds whether or not the elements are ever listed.  A modulus in
-    ``what`` is written with ``short_int``, as the size and the cap are.
+    ``what`` is written with ``shown``, as the size and the cap are.
     """
-    cap = short_int(budgets.closure_cap)
+    cap = shown(budgets.closure_cap)
     if size > budgets.closure_cap:
-        raise BudgetError(f"closure budget exceeded: {what} has {short_int(size)} elements > {cap} (closure_cap)")
+        raise BudgetError(f"closure budget exceeded: {what} has {shown(size)} elements > {cap} (closure_cap)")
 
 
 def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets = Budgets()) -> GeneratedSubgroup:

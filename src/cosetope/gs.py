@@ -111,7 +111,7 @@ def gs_wz_failure(rep: PermRep, m_max: int, *, budgets: Budgets = Budgets()) -> 
     by design: quotients carrying the coset action of H' are excluded, and
     ``towers_used`` says so.  ``conclusion`` and ``status`` complete the
     evidence; its caller records the action.  A congruence ``rep`` has no
-    witness and raises PreconditionError.  ``m_max`` is at least 2, as
+    witness and raises ValidationError.  ``m_max`` is at least 2, as
     ``cli.parse`` requires of ``--m-max``, so at least one level is tested.
     One ``walks`` dict walks each level gcd(m, N) once per call.
     """

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
 from .budgets import Budgets
-from .errors import BudgetError, PreconditionError, ValidationError, short_int
+from .errors import BudgetError, ValidationError, shown
 from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, sl2_context, subgroup_closure
 
 # The generator matrices by letter: S, S^-1, T and T^-1 are written S, s, T and t.
@@ -83,7 +83,7 @@ def matrix_to_word(x: Mat2) -> ModularWord:
     if x.m is not None:
         raise ValidationError("matrix_to_word needs an ambient matrix")
     if x.det() != 1:
-        raise ValidationError(f"matrix_to_word needs determinant 1, got {short_int(x.det())}")
+        raise ValidationError(f"matrix_to_word needs determinant 1, got {shown(x.det())}")
     a, b, c, d = x.a, x.b, x.c, x.d
     letters = []  # inverses of the applied row operations, in application order
     while c != 0:
@@ -141,10 +141,10 @@ class PermRep(NamedTuple):
         perm_s = tuple(perm_s)
         perm_t = tuple(perm_t)
         if degree < 1:
-            raise ValidationError(f"degree must be positive, got {short_int(degree)}")
+            raise ValidationError(f"degree must be positive, got {shown(degree)}")
         for name, p in (("s", perm_s), ("t", perm_t)):
             if len(p) != degree or sorted(p) != list(range(degree)):
-                raise ValidationError(f"perm_{name} is not a permutation of 0..{short_int(degree - 1)}")
+                raise ValidationError(f"perm_{name} is not a permutation of 0..{shown(degree - 1)}")
         ident = perm_identity(degree)
         if perm_mul(perm_s, perm_s) != ident:
             raise ValidationError("perm_s is not an involution")
@@ -267,11 +267,11 @@ def low_index_reps(max_degree: int, *, classes: bool = True) -> list:
     subgroup of each class is standardized from every other basepoint,
     marking those tables and its own seen.
     """
-    shown = short_int(max_degree)
+    named = shown(max_degree)
     if max_degree < 1:
-        raise ValidationError(f"max_degree must be positive, got {shown}")
+        raise ValidationError(f"max_degree must be positive, got {named}")
     if max_degree > _MAX_DEGREE_CAP:
-        raise BudgetError(f"degree budget exceeded: max_degree {shown} > cap {_MAX_DEGREE_CAP} (degree cap)")
+        raise BudgetError(f"degree budget exceeded: max_degree {named} > cap {_MAX_DEGREE_CAP} (degree cap)")
     reps = []
     seen = set()
     for s, y in _actions(max_degree):
@@ -344,7 +344,7 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
     the point q while y keeps p, so it moves the basepoint exactly when
     q != p, and then q and p lie in one orbit.
     """
-    check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{short_int(n)})")
+    check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{shown(n)})")
     perm_s, perm_t, perm_ti = rep.perm_s, rep.perm_t, perm_inv(rep.perm_t)
     queue = [(1 % n, 0, 0, 1 % n)]
     seen = {} if seen is None else seen
@@ -451,7 +451,7 @@ def gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int
     walk runs over PSL2(Z/g), g = gcd(n, ``rep_level(rep)``); at g = 1 the
     image is <sigma(S), sigma(T)>."""
     seen: dict = {}
-    ctx = GroupContext(perm_identity(rep.degree), perm_mul, perm_inv, name=f"the coset action of Gamma({short_int(n)})")
+    ctx = GroupContext(perm_identity(rep.degree), perm_mul, perm_inv, name=f"the coset action of Gamma({shown(n)})")
     image = subgroup_closure(ctx, (), budgets)
     for _, _, edge in _gamma_walk(rep, math.gcd(n, rep_level(rep)), budgets, seen):
         sigma = rep.word_perm(_edge_word(seen, edge))
@@ -480,12 +480,12 @@ def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budge
     too; only at another level does ``is_congruence`` walk first.  Callers
     pass a level of at least 2: ``cli.parse`` refuses a lower ``--level``.
     """
-    if level % rep_level(rep) and is_congruence(rep, budgets=budgets):
-        raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     seen: dict = {}
-    edge = next((step for step in _gamma_walk(rep, level, budgets, seen) if step[0] != step[1]), None)
-    if edge is None:  # then the subgroup contains the principal congruence subgroup of this level
-        raise PreconditionError("congruence_gap_witness: the subgroup is congruence; no gap exists")
+    congruence = level % rep_level(rep) and is_congruence(rep, budgets=budgets)
+    steps = () if congruence else _gamma_walk(rep, level, budgets, seen)
+    edge = next((step for step in steps if step[0] != step[1]), None)
+    if edge is None:  # congruence, or the subgroup contains the principal congruence subgroup of this level
+        raise ValidationError("congruence_gap_witness: the subgroup is congruence; no gap exists")
     found = _edge_word(seen, edge[2])
     x = word_eval(found)
     if x.reduce(level) != Mat2.identity(level):

@@ -15,7 +15,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import Mat2, provably_prime, sl2_group_order
 from .budgets import Budgets
-from .errors import PreconditionError, ValidationError, short_int
+from .errors import ValidationError, shown
 from .groupcore import (
     GeneratedSubgroup,
     GroupContext,
@@ -42,7 +42,7 @@ class Formation(NamedTuple):
     def make(cls, p: Optional[int]) -> "Formation":
         need = "pro-p formation needs a prime p, got"
         if p is None or not provably_prime(p, need):
-            raise ValidationError(f"{need} {p if p is None else short_int(p)}")
+            raise ValidationError(f"{need} {shown(p)}")
         return cls(p)
 
     def admits(self, spec: "QuotientSpec") -> bool:
@@ -74,7 +74,7 @@ class QuotientSpec(NamedTuple):
     @classmethod
     def make(cls, m: int, rep: Optional[PermRep] = None, formation: Optional[Formation] = None) -> "QuotientSpec":
         if m < 2:
-            raise ValidationError(f"modulus must be at least 2, got {short_int(m)}")
+            raise ValidationError(f"modulus must be at least 2, got {shown(m)}")
         return cls(m, rep, formation)
 
 
@@ -113,12 +113,12 @@ def quotient_context(spec: QuotientSpec) -> GroupContext:
 
     Its identity and generators are projections: in fixed positional
     order, the ``ADDITIVE_UNITS``, then S and T.  A modulus below 2 is
-    refused by ``Mat2.reduce``.
+    refused by ``Mat2.of_mod``, through ``Mat2.reduce``.
     """
     ident = project(GroupWord.of_a(Mat2.zero()), spec)
     letters = [GroupWord.of_word(ModularWord.from_str(c)) for c in "ST"]
     gens = [project(g, spec) for g in (*ADDITIVE_UNITS, *letters)]
-    mod = short_int(spec.m)  # the name appears in budget messages
+    mod = shown(spec.m)  # the name appears in budget messages
     name = f"M2(Z/{mod}) x| subgroup-image" if spec.rep is not None else f"M2(Z/{mod}) x| SL2(Z/{mod})"
     return GroupContext(ident, sd_mul, sd_inv, gens, name=name)
 
@@ -233,7 +233,7 @@ def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
     if fine == coarse:
         return RefinementKernel(1)
     order = spec_group_order(fine, budgets) // spec_group_order(coarse, budgets)
-    check_closure_cap(order, budgets, f"refinement kernel {short_int(fine.m)} -> {short_int(coarse.m)}")
+    check_closure_cap(order, budgets, f"refinement kernel {shown(fine.m)} -> {shown(coarse.m)}")
     return RefinementKernel(order)
 
 
@@ -341,8 +341,8 @@ def thm_b_probe(
         if l_gens is not None:
             in_l = image_member(l_gens, spec, budgets)
             if not all(map(in_l, subgroup_intersection(uh, uk).elements)):
-                raise PreconditionError(
-                    f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {short_int(spec.m)}"
+                raise ValidationError(
+                    f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {shown(spec.m)}"
                 )
             hp = subgroup_from_elements(filter(in_l, uh.elements))
         if not product_member(quotient_context(spec), project(g, spec), hp, uk):

@@ -6,6 +6,7 @@ outgrow native integers: so reports are byte-reproducible and re-checkable.
 Every input goes through ``decode`` and the strict readers below; the
 readers of the command-line inputs (``rep``, ``gens``, ``tower``, ``spec``
 and ``element``) take inline JSON or the path of a file holding it.
+``parse_int`` is the one integer rule, of JSON and of ``cli.parse`` alike.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 from typing import Any
 
 from .arith import Mat2
-from .errors import BudgetError, ValidationError, short_int
+from .errors import BudgetError, ValidationError, shown
 from .modular import ModularWord, PermRep
 from .profinite import Formation, GroupWord, QuotientSpec
 
@@ -38,7 +39,7 @@ def as_recorded(obj: Any) -> Any:
             return str(obj)
         except ValueError:  # more digits than Python converts to a string
             limit = sys.get_int_max_str_digits()
-            raise BudgetError(f"a result of {short_int(obj)} has over {limit} digits (int max str digits)") from None
+            raise BudgetError(f"a result of {shown(obj)} has over {limit} digits (int max str digits)") from None
     if isinstance(obj, Mat2):
         return as_recorded({"rows": [[obj.a, obj.b], [obj.c, obj.d]], "m": obj.m})
     if isinstance(obj, ModularWord):
@@ -70,7 +71,7 @@ def _object(pairs: list) -> dict:
     obj = dict(pairs)
     if len(obj) < len(pairs):
         keys = [key for key, _ in pairs]
-        raise ValueError(f"repeated key {_shown(next(k for i, k in enumerate(keys) if k in keys[:i]))}")
+        raise ValueError(f"repeated key {shown(next(k for i, k in enumerate(keys) if k in keys[:i]))}")
     return obj
 
 
@@ -97,17 +98,11 @@ def read_text(path: str, what: str) -> str:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # a missing file, bad UTF-8, or a NUL in the path
-        raise ValidationError(f"cannot read {what} {_shown(path)}: {getattr(exc, 'strerror', None) or exc}") from exc
+        raise ValidationError(f"cannot read {what} {shown(path)}: {getattr(exc, 'strerror', None) or exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # readers (report and input data back to values)
-
-
-def _shown(value) -> str:
-    """``repr(value)`` cut to 60 characters, so a refusal stays one short line."""
-    text = repr(value)
-    return text if len(text) <= 60 else text[:56] + " ..."
 
 
 def parse_int(value) -> int:
@@ -121,18 +116,18 @@ def parse_int(value) -> int:
                 return int(value)
         except ValueError:
             pass
-    raise ValidationError(f"expected an integer, got {_shown(value)}")
+    raise ValidationError(f"expected an integer, got {shown(value)}")
 
 
 def _fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
     """``data`` when it is an object holding each ``required`` key and no
     key outside ``required`` and ``optional``; ``what`` names it in a refusal."""
     if not isinstance(data, dict):
-        raise ValidationError(f"expected a {what} object, got {_shown(data)}")
+        raise ValidationError(f"expected a {what} object, got {shown(data)}")
     known = required + optional
     unknown = sorted(set(data) - set(known))
     if unknown:
-        raise ValidationError(f"{what} has unknown key {_shown(unknown[0])}; its keys are {', '.join(known)}")
+        raise ValidationError(f"{what} has unknown key {shown(unknown[0])}; its keys are {', '.join(known)}")
     for key in required:
         if key not in data:
             raise ValidationError(f"{what} needs the key {key!r}")
@@ -142,7 +137,7 @@ def _fields(data, what: str, required: tuple, optional: tuple = ()) -> dict:
 def mat_from_json(data: dict) -> Mat2:
     rows = _fields(data, "matrix", ("rows",), ("m",))["rows"]
     if not (isinstance(rows, list) and len(rows) == 2 and all(isinstance(r, list) and len(r) == 2 for r in rows)):
-        raise ValidationError(f"bad matrix data: rows must be two lists of two integers, got {_shown(rows)}")
+        raise ValidationError(f"bad matrix data: rows must be two lists of two integers, got {shown(rows)}")
     (a, b), (c, d) = ((parse_int(v) for v in row) for row in rows)
     m = data.get("m")
     if m is None:
@@ -157,7 +152,7 @@ def groupword_from_json(data: dict) -> GroupWord:
         raise ValidationError("the additive part of a group element must be ambient")
     w = data.get("w", "")
     if not isinstance(w, str):
-        raise ValidationError(f"expected a word string, got {_shown(w)}")
+        raise ValidationError(f"expected a word string, got {shown(w)}")
     return GroupWord(a, ModularWord.from_str(w))
 
 
@@ -178,7 +173,7 @@ def spec_from_json(data: dict) -> QuotientSpec:
     if raw_filter is not None:
         kind = _fields(raw_filter, "spec 'filter'", ("type",), ("p",))["type"]
         if kind != "pro-p":
-            raise ValidationError(f"spec 'filter' type must be 'pro-p', got {_shown(kind)}; null admits every quotient")
+            raise ValidationError(f"spec 'filter' type must be 'pro-p', got {shown(kind)}; null admits every quotient")
         p = raw_filter.get("p")
         formation = Formation.make(parse_int(p) if p is not None else None)
     return QuotientSpec.make(m, action, formation)
@@ -191,12 +186,11 @@ def spec_from_json(data: dict) -> QuotientSpec:
 def _input(value: str, noun: str, reader) -> Any:
     """``reader`` applied to the JSON value of an input option: ``value``
     itself when it starts with "[" or "{", else the text of the file it
-    names.  Every refusal is led by the prefix that names the input."""
-    if value.startswith(("[", "{")):
-        failure, text = f"bad {noun} JSON", value
-    else:
-        what = f"{noun} file"
-        failure, text = f"cannot read {what} {_shown(value)}", read_text(value, what)
+    names.  Every refusal is led by the prefix that names the input: "bad
+    <noun> JSON", and "in file <path>" after it when the file was read."""
+    failure, text = f"bad {noun} JSON", value
+    if not value.startswith(("[", "{")):
+        failure, text = f"{failure} in file {shown(value)}", read_text(value, f"{noun} file")
     data = decode(text, failure)
     try:
         return reader(data)
@@ -206,13 +200,13 @@ def _input(value: str, noun: str, reader) -> Any:
 
 def _gens(data) -> list:
     if not isinstance(data, list):
-        raise ValidationError(f"expected a JSON list of group elements, got {_shown(data)}")
+        raise ValidationError(f"expected a JSON list of group elements, got {shown(data)}")
     return [groupword_from_json(entry) for entry in data]
 
 
 def _tower(data) -> list:
     if not isinstance(data, list):
-        raise ValidationError(f"expected a JSON list of quotient specs, got {_shown(data)}")
+        raise ValidationError(f"expected a JSON list of quotient specs, got {shown(data)}")
     if not data:
         raise ValidationError("a tower needs at least one quotient spec")
     specs = [spec_from_json(entry) for entry in data]

@@ -15,7 +15,7 @@ import cosetope.groupcore
 import cosetope.modular
 from cosetope.arith import MAT_S, MAT_T, Mat2, sl2_group_order
 from cosetope.budgets import Budgets
-from cosetope.errors import BudgetError, ModulusMismatch, PreconditionError, ValidationError
+from cosetope.errors import BudgetError, ValidationError
 from cosetope.groupcore import (
     GeneratedSubgroup,
     GroupContext,
@@ -198,6 +198,10 @@ def cor_instance(ctx, full, pool, rng: random.Random, max_pairs: int = 5000):
 # ---------------------------------------------------------------------------
 # the product-set identities and the transversal exclusion check, by explicit
 # construction over small groups (no command runs them)
+
+
+class PreconditionError(Exception):
+    """A hypothesis of one of these checks fails for the given data."""
 
 
 def brute_force_product(ctx, u, v) -> frozenset:
@@ -1062,7 +1066,7 @@ def oracle_element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
 
 def _oracle_same(x: Mat2, y: Mat2) -> None:
     if x.m != y.m:
-        raise ModulusMismatch(f"cannot combine moduli {x.m} and {y.m}")
+        raise ValidationError(f"cannot combine moduli {x.m} and {y.m}")
 
 
 def oracle_mat_mul(x: Mat2, y: Mat2) -> Mat2:

@@ -13,7 +13,7 @@ from cosetope import report as rpt
 from cosetope.arith import sl2_group_order
 from cosetope.budgets import Budgets
 from cosetope.cli import LEAST, OPTIONS, main, parse
-from cosetope.errors import short_int
+from cosetope.errors import ValidationError, shown
 from cosetope.modular import is_congruence, low_index_reps, rep_level
 from cosetope.gs import l_group_words
 from cosetope.profinite import DEFAULT_TOWER, GroupWord, QuotientSpec, project, quotient_context
@@ -329,14 +329,14 @@ def test_a_long_argument_is_cut_in_its_refusal(tmp_path, capsys, argv):
 # its text is in the file the flag names, and when it is the flag's value
 # itself (inline JSON, which starts with "[" or "{"); --report is a path only.
 _ENTRY_POINTS = {
-    "gens": (["image", "--modulus", "3", "--gens", "{in}"], "cannot read generator file", "bad generator JSON"),
-    "rep": (["quotient", "--modulus", "2", "--rep", "{in}"], "cannot read permutation representation file",
+    "gens": (["image", "--modulus", "3", "--gens", "{in}"], "bad generator JSON in file", "bad generator JSON"),
+    "rep": (["quotient", "--modulus", "2", "--rep", "{in}"], "bad permutation representation JSON in file",
             "bad permutation representation JSON"),
     "tower": (["thm-b-probe", "--h-gens", "{h}", "--k-gens", "{h}", "--element", "{}", "--tower", "{in}"],
-              "cannot read tower file", "bad tower JSON"),
+              "bad tower JSON in file", "bad tower JSON"),
     "element": (["dcoset-member", "--modulus", "3", "--left", "{h}", "--right", "{h}", "--element", "{in}"],
-                "cannot read element file", "bad element JSON"),
-    "m-spec": (["tractable", "--h-gens", "{h}", "--k-gens", "{h}", "--m-spec", "{in}"], "cannot read quotient spec file",
+                "bad element JSON in file", "bad element JSON"),
+    "m-spec": (["tractable", "--h-gens", "{h}", "--k-gens", "{h}", "--m-spec", "{in}"], "bad quotient spec JSON in file",
                "bad quotient spec JSON"),
     "verify": (["verify", "--report", "{in}"], "report is not valid JSON", None),
 }
@@ -460,7 +460,7 @@ def test_a_result_too_long_to_write_exits_3(tmp_path, capsys, args, message):
 
 
 # Python still reads an integer of 4,000 digits, so every refusal that names
-# one writes it with short_int
+# one writes it with shown
 _DIGITS = "9" * 4000
 _GOLDEN_HK = ["--h-gens", str(GOLDEN / "h.json"), "--k-gens", str(GOLDEN / "k.json")]
 
@@ -506,10 +506,18 @@ def test_a_huge_integer_is_shortened_in_its_refusal(capsys, args, code, shown):
     assert shown in err, err
 
 
-def test_short_int_keeps_the_sign():
-    assert short_int(-(10**4000)) == "about -2^13287"
-    assert short_int(10**4000) == "about 2^13287"
-    assert [short_int(n) for n in (-(2**64) + 1, -(2**64), 2**64 - 1)] == [str(1 - 2**64), "about -2^64", str(2**64 - 1)]
+def test_shown_keeps_the_sign_of_a_huge_int_and_cuts_any_other_repr_to_60():
+    assert shown(-(10**4000)) == "about -2^13287"
+    assert shown(10**4000) == "about 2^13287"
+    edges = (1 - 2**64, -(2**64), 2**64 - 1, 2**64)
+    assert [shown(n) for n in edges] == [str(1 - 2**64), "about -2^64", str(2**64 - 1), "about 2^64"]
+    # a bool is an int but reads as its repr; so does a container of a huge int
+    assert (shown(True), shown(False)) == ("True", "False")
+    assert shown([10**4000]) == "[1" + "0" * 54 + " ..."
+    # a repr of 60 characters is whole, one of 61 is cut to 56 and " ..."
+    assert shown("x" * 58) == "'" + "x" * 58 + "'"
+    assert shown("x" * 59) == "'" + "x" * 55 + " ..."
+    assert shown("x" * 60) == shown("x" * 61) == "'" + "x" * 55 + " ..."
 
 
 @pytest.mark.parametrize(
@@ -1475,10 +1483,44 @@ def test_an_integer_below_its_least_value_exits_2_before_any_walk(monkeypatch, c
     walks, closures = spy_walks(monkeypatch), count_closures(monkeypatch)
     for value in (least - 1, -(10**4000)):
         assert main(argv + [f"{name}={value}"]) == 2
-        assert capsys.readouterr() == ("", f"error: {name} must be at least {least}, got {short_int(value)}\n")
+        assert capsys.readouterr() == ("", f"error: {name} must be at least {least}, got {shown(value)}\n")
     assert walks == [] and not closures
     _, config, _, closure_cap = parse(argv + [f"{name}={least}"])
     assert {**config, "closure_cap": closure_cap}[name[2:].replace("-", "_")] == least
+
+
+_INTEGER_OPTIONS = [(command, name) for command in OPTIONS for name, (kind, _, _) in OPTIONS[command][2].items()
+                    if kind is int]
+
+
+@pytest.mark.parametrize("command, name", _INTEGER_OPTIONS, ids=[f"{c}{n}" for c, n in _INTEGER_OPTIONS])
+def test_an_integer_option_takes_only_canonical_decimal(monkeypatch, capsys, command, name):
+    # the one integer rule of report.parse_int: what int() alone would read
+    # as 3, 10 or 0 is refused on the command line as it is inside JSON
+    monkeypatch.chdir(GOLDEN)
+    argv = _ACCEPTED[command]
+    walks, closures = spy_walks(monkeypatch), count_closures(monkeypatch)
+    for value in ("03", "+3", " 3", "1_0", "\u0663", "-0"):
+        assert main(argv + [f"{name}={value}"]) == 2
+        assert capsys.readouterr() == ("", f"error: {name} takes an integer, got {shown(value)}\n")
+        with pytest.raises(ValidationError, match="expected an integer"):
+            parse_int(value)
+    assert walks == [] and not closures
+    for value in ("3", "10"):
+        _, config, _, closure_cap = parse(argv + [f"{name}={value}"])
+        assert {**config, "closure_cap": closure_cap}[name[2:].replace("-", "_")] == int(value)
+
+
+def test_cannot_read_names_only_a_file_that_was_not_read(tmp_path, capsys):
+    # a file read_text cannot open is "cannot read"; a file it read whose JSON
+    # or content is refused is "bad <noun> JSON in file"
+    missing, bad = str(tmp_path / "missing.json"), tmp_path / "bad.json"
+    assert main(["image", "--modulus", "3", "--gens", missing]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read generator file {shown(missing)}: ")
+    for text, reason in (("{not json", "Expecting property name"), ('[{"w": 5}]', "expected a word string, got 5")):
+        bad.write_text(text)
+        assert main(["image", "--modulus", "3", "--gens", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: bad generator JSON in file {shown(str(bad))}: {reason}")
 
 
 @pytest.mark.parametrize("seed", ["0", "1"])
@@ -1504,7 +1546,7 @@ def test_an_empty_tower_is_refused_by_its_reader(tmp_path, monkeypatch, capsys, 
     closures = count_closures(monkeypatch)
     args = [command, *_GOLDEN_HK, *rest, "--tower", "[]" if inline else str(path), "--output", str(tmp_path / "o.json")]
     assert main(args) == 2
-    failure = "bad tower JSON" if inline else f"cannot read tower file {rpt._shown(str(path))}"
+    failure = "bad tower JSON" if inline else f"bad tower JSON in file {shown(str(path))}"
     assert capsys.readouterr() == ("", f"error: {failure}: a tower needs at least one quotient spec\n")
     assert not closures and not (tmp_path / "o.json").exists()
 
@@ -1517,7 +1559,7 @@ def test_a_tower_entry_rep_given_as_a_path_exits_2(tmp_path, gens_files):
     done = _cli_alone(["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", '{"m": 2}', "--tower", str(tower)])
     assert (done.returncode, done.stdout) == (2, "")
     expected = "expected a permutation representation object, got '"
-    assert done.stderr.startswith(f"error: cannot read tower file {rpt._shown(str(tower))}: {expected}")
+    assert done.stderr.startswith(f"error: bad tower JSON in file {shown(str(tower))}: {expected}")
 
 
 def test_every_input_option_reads_inline_json_as_its_file(tmp_path, gens_files):

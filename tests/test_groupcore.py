@@ -6,7 +6,7 @@ import pytest
 
 from cosetope.arith import MAT_S, Mat2
 from cosetope.budgets import Budgets
-from cosetope.errors import BudgetError, PreconditionError, ValidationError
+from cosetope.errors import BudgetError, ValidationError
 from cosetope.groupcore import (
     GroupContext,
     SdElement,
@@ -21,6 +21,7 @@ from cosetope.modular import ModularWord, gamma_image_order, low_index_reps, rep
 from cosetope.profinite import GroupWord, QuotientSpec, project, quotient_context, spec_group_order
 
 from t_util import (
+    PreconditionError,
     brute_force_product,
     check_cor_identity,
     check_prop_identity,

@@ -5,7 +5,7 @@ import pytest
 
 from cosetope.arith import Mat2
 from cosetope.budgets import Budgets
-from cosetope.errors import BudgetError, PreconditionError, ValidationError
+from cosetope.errors import BudgetError, ValidationError
 from cosetope.groupcore import (
     SdElement,
     product_member,
@@ -395,7 +395,7 @@ def test_wz_failure_walks_each_level_gcd_once(monkeypatch):
 
 
 def test_wz_failure_rejects_congruence_rep():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValidationError, match="the subgroup is congruence; no gap exists"):
         gs_wz_failure(congruence_rep(2), 4)
 
 

@@ -8,7 +8,7 @@ import pytest
 import cosetope.modular
 from cosetope.arith import MAT_T, Mat2, psl2_group_order
 from cosetope.budgets import Budgets
-from cosetope.errors import BudgetError, PreconditionError, ValidationError
+from cosetope.errors import BudgetError, ValidationError
 from cosetope.groupcore import perm_mul, subgroup_closure
 from cosetope.modular import (
     ModularWord,
@@ -569,11 +569,11 @@ def _minimal_noncongruence():
 
 
 def test_gap_witness_rejects_congruence_rep():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValidationError, match="the subgroup is congruence; no gap exists"):
         congruence_gap_witness(congruence_rep(2), 4)
     # the class's level 2 does not divide 3 and Gamma(3) leaves the subgroup,
     # so the walk alone would return the word TTT
-    with pytest.raises(PreconditionError, match="no gap exists"):
+    with pytest.raises(ValidationError, match="the subgroup is congruence; no gap exists"):
         congruence_gap_witness(congruence_rep(2), 3)
 
 

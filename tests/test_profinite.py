@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 import cosetope.profinite as profinite
 from cosetope.arith import Mat2, sl2_group_order
 from cosetope.budgets import Budgets
-from cosetope.errors import BudgetError, PreconditionError, ValidationError
+from cosetope.errors import BudgetError, ValidationError
 from cosetope.gs import l_group_words
 from cosetope.groupcore import (
     SdElement,
@@ -666,7 +666,7 @@ def test_probe_whole_group_reduces_to_hk_and_certifies_by_det():
 
 def test_probe_spot_checks_l_containment():
     # L = trivial subgroup cannot contain image(H) meet image(K) when H = K
-    with pytest.raises(PreconditionError):
+    with pytest.raises(ValidationError, match=r"image\(H\) meet image\(K\) is not inside image\(L\) at modulus 2"):
         thm_b_probe(H_GENS, H_GENS, (IDENTITY,), IDENTITY, [QuotientSpec.make(2)])
 
 

@@ -493,3 +493,36 @@ def test_no_command_body_reads_an_input():
         assert "rpt" not in {node.id for node in nodes if isinstance(node, ast.Name)}, name
         queue.extend({getattr(node.func, "id", None) for node in nodes if isinstance(node, ast.Call)} & functions.keys())
     assert "_spec_of" in reached
+
+
+def raise_sites(text: str) -> list:
+    """Each ``raise`` in ``text`` as (line, function, name): the name of what
+    it raises, or for a bare ``raise`` of the type its ``except`` catches; a
+    raise outside any function is in ``<module>``."""
+    out = []
+
+    def visit(node, owner, caught):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Raise):
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                out.append((child.lineno, owner, caught if exc is None else ast.unparse(exc)))
+            handled = ast.unparse(child.type) if isinstance(child, ast.ExceptHandler) and child.type else caught
+            visit(child, child.name if isinstance(child, ast.FunctionDef) else owner, handled)
+
+    visit(ast.parse(text), "<module>", None)
+    return out
+
+
+def test_every_raise_is_a_validation_or_budget_error():
+    # one type for each failing exit: 2 and 3; report._object's ValueError is
+    # the one other raise, and decode refuses it as a ValidationError
+    sample = "raise SystemExit\ndef f(x):\n    try:\n        pass\n    except KeyError:\n        raise\n    raise E(x) from None\n"
+    assert raise_sites(sample) == [(1, "<module>", "SystemExit"), (6, "f", "KeyError"), (7, "f", "E")]
+    sites = {(path.stem, owner, name) for path in SOURCES for _, owner, name in raise_sites(path.read_text("utf-8"))}
+    assert {site for site in sites if site[2] not in ("ValidationError", "BudgetError")} == {
+        ("report", "_object", "ValueError")}
+    errors = ast.parse((PACKAGE / "errors.py").read_text(encoding="utf-8"))
+    assert [node.name for node in errors.body if hasattr(node, "name")] == [
+        "shown", "CosetopeError", "ValidationError", "BudgetError"]
+    # one modulus check per type: Mat2.of_mod and QuotientSpec.make
+    assert sum(path.read_text("utf-8").count('"modulus must be at least 2') for path in SOURCES) == 2
