@@ -58,7 +58,7 @@ class Mat2(NamedTuple):
         a, b, c, d, m = self
         e, f, g, h, n = other
         if m != n:
-            raise ValidationError(f"cannot combine moduli {m} and {n}")
+            raise ValidationError(f"cannot combine moduli {shown(m)} and {shown(n)}")
         if m is None:
             return _new(Mat2, (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h, None))
         return _new(Mat2, ((a * e + b * g) % m, (a * f + b * h) % m, (c * e + d * g) % m, (c * f + d * h) % m, m))
@@ -67,7 +67,7 @@ class Mat2(NamedTuple):
         a, b, c, d, m = self
         e, f, g, h, n = other
         if m != n:
-            raise ValidationError(f"cannot combine moduli {m} and {n}")
+            raise ValidationError(f"cannot combine moduli {shown(m)} and {shown(n)}")
         if m is None:
             return _new(Mat2, (a + e, b + f, c + g, d + h, None))
         return _new(Mat2, ((a + e) % m, (b + f) % m, (c + g) % m, (d + h) % m, m))

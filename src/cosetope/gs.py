@@ -19,7 +19,6 @@ from typing import Optional
 
 from .arith import Mat2, sl2_group_order
 from .budgets import Budgets
-from .errors import ValidationError
 from .groupcore import GeneratedSubgroup, check_closure_cap, subgroup_from_elements
 from .modular import (
     ModularWord,
@@ -118,8 +117,6 @@ def gs_wz_failure(rep: PermRep, m_max: int, *, budgets: Budgets = Budgets()) -> 
     walks: dict = {}
     witness = congruence_gap_witness(rep, WITNESS_LEVEL, budgets=budgets)
     point = witness["displaced_to"]
-    if point == 0:
-        raise ValidationError("witness unexpectedly lies in the subgroup")
     transcripts = []
     for m in range(2, m_max + 1):
         blocks = image_blocks(rep, m, budgets, walks)

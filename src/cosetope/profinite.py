@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple, Optional, Sequence
 
-from .arith import Mat2, provably_prime, sl2_group_order
+from .arith import Mat2, sl2_group_order
 from .budgets import Budgets
 from .errors import ValidationError, shown
 from .groupcore import (
@@ -21,7 +21,6 @@ from .groupcore import (
     GroupContext,
     SdElement,
     check_closure_cap,
-    perm_mul,
     product_member,
     sd_inv,
     sd_mul,
@@ -29,53 +28,20 @@ from .groupcore import (
     subgroup_from_elements,
     subgroup_intersection,
 )
-from .modular import ONE_POINT, ModularWord, PermRep, gamma_image_order, perm_identity, word_eval
-
-
-class Formation(NamedTuple):
-    """The pro-p filter: it admits a quotient whose modulus is a power of the
-    prime p and whose coset action's image is a p-group."""
-
-    p: int
-
-    @classmethod
-    def make(cls, p: Optional[int]) -> "Formation":
-        need = "pro-p formation needs a prime p, got"
-        if p is None or not provably_prime(p, need):
-            raise ValidationError(f"{need} {shown(p)}")
-        return cls(p)
-
-    def admits(self, spec: "QuotientSpec") -> bool:
-        """Whether ``m`` is a power of p and the coset action's image a p-group.
-
-        The image is generated by x, that of S, with x^2 = 1 and y, that of
-        ST, with y^3 = 1, and a p-group holds only elements of p-power order:
-        so it is one exactly when x = 1 unless p = 2, and y = 1 unless p = 3.
-        """
-        m = spec.m
-        while m % self.p == 0:
-            m //= self.p
-        if m != 1:
-            return False
-        rep = spec.rep or ONE_POINT
-        ident = perm_identity(rep.degree)
-        x = rep.perm_s
-        y = perm_mul(x, rep.perm_t)
-        return (self.p == 2 or x == ident) and (self.p == 3 or y == ident)
+from .modular import ONE_POINT, ModularWord, PermRep, gamma_image_order, word_eval
 
 
 class QuotientSpec(NamedTuple):
-    """One finite quotient: modulus ``m``, optional coset action, optional formation filter."""
+    """One finite quotient: modulus ``m`` and an optional coset action."""
 
     m: int
     rep: Optional[PermRep] = None
-    formation: Optional[Formation] = None
 
     @classmethod
-    def make(cls, m: int, rep: Optional[PermRep] = None, formation: Optional[Formation] = None) -> "QuotientSpec":
+    def make(cls, m: int, rep: Optional[PermRep] = None) -> "QuotientSpec":
         if m < 2:
             raise ValidationError(f"modulus must be at least 2, got {shown(m)}")
-        return cls(m, rep, formation)
+        return cls(m, rep)
 
 
 # congruence levels with useful divisibility structure at desk scale
@@ -254,7 +220,7 @@ def tractable_at(
 ) -> dict:
     """First candidate quotient N where the intersection of images is tame.
 
-    N must lie in the formation of ``m_spec`` and refine it.  Compute
+    N must refine ``m_spec``.  Compute
     U = image(H) meet image(K) and test U inside image(HcapK) * ker(N -> M):
     restriction after projection is projection, so u lies in it exactly
     when its restriction lies in image_M(HcapK), closed once, at the first
@@ -274,9 +240,6 @@ def tractable_at(
     for cand in candidates:
         entry = {"spec": cand, "status": "precondition", "detail": "", "violations": [], "sizes": {}}
         entries.append(entry)
-        if m_spec.formation is not None and not m_spec.formation.admits(cand):
-            entry.update(status="skipped-formation", detail="candidate is outside the configured formation")
-            continue
         restrict = element_restriction(cand, m_spec)
         if restrict is None:
             entry["detail"] = "candidate does not refine the target quotient"

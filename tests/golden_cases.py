@@ -10,8 +10,7 @@ preceded ``report.as_recorded``, so each result type is pinned to the bytes
 it had before every report value went through that one function.
 ``gs_demo_m32.json`` was written by the implementation that still listed
 SL2(Z/m) to intersect the images of H and K at each level, before the table
-recorded the closed form, and ``tractable_formation.json`` by the formation
-check that still closed the permutation group of the coset action.
+recorded the closed form.
 ``lowindex_subgroups.json`` was written by the relator-deduction coset-table
 search, before the low-index subgroups were listed as transitive actions of
 C2 * C3.  ``tractable_reps.json`` was written while refinement was still
@@ -33,8 +32,7 @@ entries at m = 2, 3 and 4 of ``gs_demo.json`` and ``gs_demo_m32.json``.
 one block is left; the walk over all of PSL2(Z/105) writes the same bytes.
 The schema-4 change, which records every input in the config instead of its
 path and drops the witness's ``levels_verified`` and ``gap-witness
---m-max``, regenerated every fixture; ``tower_nc_rep.json`` inlines its rep,
-since a tower entry's rep is inline only.
+--m-max``, regenerated every fixture.
 The schema-5 change, which gives every quotient its order in closed form
 and drops ``quotient --enumerate``, edited only the ``schema`` line of every
 fixture; ``quotient_nc_rep.json``, a quotient carrying a coset action,
@@ -43,6 +41,10 @@ writes any more.
 The schema-6 change, which records every default in the config and drops
 from each result what the config already says, regenerated every fixture;
 ``thm_b_certified.json`` now records the default tower in its config.
+``tractable_ok.json`` was rewritten when the pro-p spec filter was deleted,
+since no quotient it admitted was a p-group: its ``--m-spec`` lost the
+filter, so its entry at m = 3, once outside the filter, now fails to refine
+the target instead.  Every recorded spec still holds ``"filter": null``.
 ``regen_golden.py`` rewrites the fixtures from the current code.
 
 Each command runs inside ``tests/golden`` with relative input paths; the
@@ -62,13 +64,7 @@ CASES = {
     "gs_demo_m32.json": ["gs-demo", "--m-max", "32"],
     "tractable_ok.json": [
         "tractable", "--h-gens", "h.json", "--k-gens", "k.json", "--hcapk-gens", "empty.json",
-        "--m-spec", '{"m": 4, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_ok.json",
-    ],
-    # a candidate carrying nc_rep's coset action: its ST, of order 3, moves
-    # a point, so its image is no 2-group and the pro-2 formation skips it
-    "tractable_formation.json": [
-        "tractable", "--h-gens", "h.json", "--k-gens", "k.json",
-        "--m-spec", '{"m": 2, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_nc_rep.json",
+        "--m-spec", '{"m": 4}', "--tower", "tower_ok.json",
     ],
     # restriction between two coset actions: the degree-6 action maps onto
     # the degree-3 one, and the degree-3 and degree-2 entries do not refine it

@@ -15,7 +15,7 @@ import cosetope.groupcore
 import cosetope.modular
 from cosetope.arith import MAT_S, MAT_T, Mat2, sl2_group_order
 from cosetope.budgets import Budgets
-from cosetope.errors import BudgetError, ValidationError
+from cosetope.errors import BudgetError, ValidationError, shown
 from cosetope.groupcore import (
     GeneratedSubgroup,
     GroupContext,
@@ -44,7 +44,6 @@ from cosetope.modular import (
     word_eval,
 )
 from cosetope.profinite import (
-    Formation,
     GroupWord,
     QuotientSpec,
     element_restriction,
@@ -971,32 +970,9 @@ def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
 
 
 # ---------------------------------------------------------------------------
-# refinement, restriction and the pro-p check as they were computed before
-# they were read off the coset permutations: through Schreier generator
-# words, a second walk over the points, and the closure of the permutation
-# group
-
-
-def _perm_group_order(rep: PermRep, budgets: Budgets) -> int:
-    ident = perm_identity(rep.degree)
-    ctx = GroupContext(ident, perm_mul, perm_inv, (rep.perm_s, rep.perm_t), name=f"perm image d={rep.degree}")
-    return len(enumerate_group(ctx, budgets))
-
-
-def oracle_admits(formation: Formation, spec: QuotientSpec, budgets: Budgets = Budgets()) -> bool:
-    """``Formation.admits`` by the order of the closed permutation group."""
-    m = spec.m
-    while m % formation.p == 0:
-        m //= formation.p
-    if m != 1:
-        return False
-    if spec.rep is not None:
-        size = _perm_group_order(spec.rep, budgets)
-        while size % formation.p == 0:
-            size //= formation.p
-        if size != 1:
-            return False
-    return True
+# refinement and restriction as they were computed before they were read
+# off the coset permutations: through Schreier generator words and a second
+# walk over the points
 
 
 def oracle_refined_by(coarse: QuotientSpec, fine: QuotientSpec) -> bool:
@@ -1066,7 +1042,7 @@ def oracle_element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
 
 def _oracle_same(x: Mat2, y: Mat2) -> None:
     if x.m != y.m:
-        raise ValidationError(f"cannot combine moduli {x.m} and {y.m}")
+        raise ValidationError(f"cannot combine moduli {shown(x.m)} and {shown(y.m)}")
 
 
 def oracle_mat_mul(x: Mat2, y: Mat2) -> Mat2:

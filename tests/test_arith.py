@@ -12,7 +12,7 @@ from cosetope.arith import (
     psl2_group_order,
     sl2_group_order,
 )
-from cosetope.errors import BudgetError, ValidationError
+from cosetope.errors import BudgetError, ValidationError, shown
 from cosetope.groupcore import SdElement, sd_mul
 from t_util import (
     oracle_inv_det1,
@@ -76,6 +76,17 @@ def test_reduce_is_idempotent_on_canonical_lift():
 def test_modulus_mismatch_rejected():
     with pytest.raises(ValidationError, match="cannot combine moduli 2 and 3"):
         Mat2.of_mod(1, 0, 0, 1, 2) * Mat2.of_mod(1, 0, 0, 1, 3)
+
+
+def test_modulus_mismatch_shortens_a_modulus_above_64_bits():
+    big = Mat2.identity(2**70 + 1)
+    for combine in (lambda u, v: u * v, lambda u, v: u + v):
+        with pytest.raises(ValidationError) as exc:
+            combine(big, Mat2.identity(3))
+        assert str(exc.value) == "cannot combine moduli about 2^70 and 3"
+        with pytest.raises(ValidationError) as exc:
+            combine(Mat2.identity(), big)
+        assert str(exc.value) == "cannot combine moduli None and about 2^70"
 
 
 def test_small_modulus_rejected():
@@ -254,7 +265,8 @@ def test_mixed_moduli_raise_the_oracles_mismatch(pair):
         (lambda u, v: u + v, oracle_mat_add),
         (lambda u, v: u - v, oracle_mat_sub),
     ):
-        assert _message(fast, x, y) == _message(slow, x, y) == f"cannot combine moduli {x.m} and {y.m}"
+        message = f"cannot combine moduli {shown(x.m)} and {shown(y.m)}"
+        assert _message(fast, x, y) == _message(slow, x, y) == message
     if x.m is not None and y.m is not None:
         u, v = SdElement(x, x, None), SdElement(y, y, None)
         assert _message(sd_mul, u, v) == _message(oracle_sd_mul, u, v)

@@ -466,7 +466,7 @@ _GOLDEN_HK = ["--h-gens", str(GOLDEN / "h.json"), "--k-gens", str(GOLDEN / "k.js
 
 
 def _spec_with(key, value):
-    spec = {"m": 2, "filter": {"type": "pro-p", "p": 2}}
+    spec = {"m": 2, "filter": None}
     spec[key] = value
     return json.dumps(spec)
 
@@ -492,9 +492,9 @@ def _spec_with(key, value):
         (["quotient", "--modulus", "2", "--rep", f'{{"degree": "{_DIGITS}", "s": [0], "t": [0]}}'], 2,
          "perm_s is not a permutation of 0..about 2^13287"),
         (["tractable", *_GOLDEN_HK, "--m-spec", _spec_with("filter", {"type": "pro-p", "p": f"-{_DIGITS}"})], 2,
-         "needs a prime p, got about -2^13287"),
-        (["tractable", *_GOLDEN_HK, "--m-spec", _spec_with("filter", {"type": "pro-p", "p": _DIGITS})], 3,
-         "needs a prime p, got about 2^13287, which is not provably prime"),
+         "spec 'filter' must be null, got {'type': 'pro-p', 'p': '-" + "9" * 31 + " ..."),
+        (["tractable", *_GOLDEN_HK, "--m-spec", _spec_with("filter", {"type": "pro-p", "p": int(_DIGITS)})], 2,
+         "spec 'filter' must be null, got {'type': 'pro-p', 'p': " + "9" * 33 + " ..."),
     ],
     ids=["modulus", "max-level", "m-max", "max-degree", "max-degree-negative", "level", "spec-m", "tower-m",
          "matrix-m", "degree-negative", "degree", "p-negative", "p"],
@@ -521,24 +521,33 @@ def test_shown_keeps_the_sign_of_a_huge_int_and_cuts_any_other_repr_to_60():
 
 
 @pytest.mark.parametrize(
-    "p, code",
-    [(318665857834031151167461, 3), (2**4423 - 1, 3), (3215031751, 2), (2, 0), (3, 0)],
+    "p",
+    [318665857834031151167461, 2**4423 - 1, 3215031751, 2, 3],
     ids=["pseudoprime", "mersenne", "composite", "two", "three"],
 )
-def test_a_pro_p_prime_is_proved_or_refused(capsys, p, code):
-    # is_prime is exact below 3.1e23: 318665857834031151167461 =
-    # 399165290221 * 798330580441 passes all twelve of its bases, so a p at
-    # or above the bound exits 3 before any modular power is taken, and a
-    # composite below it (3215031751 passes bases 2, 3, 5 and 7) exits 2
+def test_a_pro_p_prime_is_proved_or_refused(capsys, p):
+    # the pro-p filter is gone, since no quotient a spec names is a p-group:
+    # a filter naming any p, prime or not, is refused before any proof runs
     spec = json.dumps({"m": 2, "filter": {"type": "pro-p", "p": p}})
     start = time.perf_counter()
-    assert main(["tractable", *_GOLDEN_HK, "--m-spec", spec, "--tower", '[{"m": 2}]']) == code
+    assert main(["tractable", *_GOLDEN_HK, "--m-spec", spec, "--tower", '[{"m": 2}]']) == 2
     elapsed = time.perf_counter() - start
-    err = capsys.readouterr().err
-    if code == 3:
-        assert elapsed < 0.1 and err.rstrip().endswith(f"at or above {31 * 10**22} (prime proof bound)"), err
-    elif code == 2:
-        assert err == f"error: bad quotient spec JSON: pro-p formation needs a prime p, got {p}\n"
+    refusal = f"spec 'filter' must be null, got {shown({'type': 'pro-p', 'p': p})}"
+    assert elapsed < 0.1 and capsys.readouterr().err == f"error: bad quotient spec JSON: {refusal}\n"
+
+
+def test_a_pseudoprime_modulus_is_refused_at_the_prime_proof_bound(capsys):
+    # is_prime is exact below 3.1e23: 318665857834031151167461 =
+    # 399165290221 * 798330580441 passes all twelve of its bases and has no
+    # factor below the trial bound, so its cofactor, itself, exits 3 before
+    # any modular power is taken
+    start = time.perf_counter()
+    assert main(["quotient", "--modulus", "318665857834031151167461"]) == 3
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr().err == (
+        "budget exhausted: primality budget exceeded: modulus about 2^78 leaves the cofactor about 2^78, "
+        f"which is not provably prime at or above {31 * 10**22} (prime proof bound)\n"
+    )
 
 
 @pytest.mark.parametrize("kind", ["image", "tractable"])
@@ -803,9 +812,6 @@ def test_tractable_plain_tower_under_degree_one_action(tmp_path, gens_files):
     assert main(["verify", "--report", str(path), "--output", str(tmp_path / "v.json")]) == 0
 
 
-_VALID_FILTER = {"filter": {"type": "pro-p", "p": 2}}
-
-
 @pytest.mark.parametrize(
     "fields",
     [
@@ -816,36 +822,26 @@ _VALID_FILTER = {"filter": {"type": "pro-p", "p": 2}}
         {"filter": {"type": "pro-p", "p": 2, "q": 3}},
         {"filter": {"type": "all", "p": 3}},
         {"filter": {"p": 2}},
-        _VALID_FILTER,
-        {"filter": {"type": "all"}},
+        {"filter": {"type": "pro-p", "p": 2}},
+        {"filter": False},
         {"filter": {}},
     ],
 )
-def test_bad_tower_filter_exits_2(tmp_path, gens_files, fields):
-    # a tower entry refuses every filter, the valid one that --m-spec reads too
+def test_bad_tower_filter_exits_2(tmp_path, gens_files, capsys, fields):
+    # a spec's filter must be null, in a tower entry as on --m-spec, and
+    # anything else is refused in one line naming it
+    (key, value), = fields.items()
+    refusal = f"spec 'filter' must be null, got {shown(value)}" if key == "filter" else "unknown key 'fliter'"
     tower = tmp_path / "tower.json"
     tower.write_text(json.dumps([{"m": 4, **fields}]))
     h = gens_files["h"]
     args = ["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", '{"m": 2}', "--tower", str(tower)]
-    assert main(args + ["--output", str(tmp_path / "t.json")]) == 2
     m_spec = json.dumps({"m": 2, **fields})
-    args = ["tractable", "--h-gens", h, "--k-gens", h, "--m-spec", m_spec, "--output", str(tmp_path / "m.json")]
-    assert main(args) == (0 if fields == _VALID_FILTER else 2)
-
-
-def test_formation_check_closes_nothing_under_the_closure_cap(tmp_path, monkeypatch):
-    # the pro-2 check reads nc_rep's S and ST off its permutations instead of
-    # closing its permutation group, of order 5,040, so a cap of 10 writes
-    # the default-cap bytes of golden/tractable_formation.json
-    golden = Path(__file__).resolve().parent / "golden"
-    monkeypatch.chdir(golden)
-    args = [
-        "tractable", "--h-gens", "h.json", "--k-gens", "k.json",
-        "--m-spec", '{"m": 2, "filter": {"type": "pro-p", "p": 2}}', "--tower", "tower_nc_rep.json",
-        "--output", str(tmp_path / "t.json"), "--closure-cap", "10",
-    ]
-    assert main(args) == 0
-    assert (tmp_path / "t.json").read_bytes() == (golden / "tractable_formation.json").read_bytes()
+    for run in (args, args[:5] + ["--m-spec", m_spec]):
+        assert main(run + ["--output", str(tmp_path / "t.json")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.count("\n") == 1 and refusal in err, err
+    assert not (tmp_path / "t.json").exists()
 
 
 def test_tractable_closes_h_meet_k_once_in_the_target_quotient(tmp_path, monkeypatch):

@@ -20,13 +20,14 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 SEED, LINES = 37, 250
 
 _INTS = ["1", "2", "3", "4", "6", "12"]
-_BOUNDARY_INTS = ["0", "-1", str(2**70), "x", "", "1e400", "-" + "9" * 5000]
+# the last five are integers only in a form other than canonical decimal
+_BOUNDARY_INTS = ["0", "-1", str(2**70), "x", "", "1e400", "-" + "9" * 5000, "03", "+3", " 3", "1_0", "-0"]
 _CAPS = ["23", "2520", "50000", "50000"]  # never above 50,000
 _JUNK = [
     '"x"', "1", "null", "true", "[]", "{}", "[1]", "1e400", '{"zz": 1}', '{"' + "k" * 5000 + '": 1}',
     "[" * 40 + "]" * 40, '[{"w": 1e400}]', '{"m": 1e400}', '{"m": 2, "m": 3}', '[{"m": 0}]', '{"w": "Tx"}',
     '{"degree": 2, "s": [0, 1], "t": [1, 0]}', '{"degree": "1", "s": ["0"], "t": ["0"]}', '[{"a": {"rows": [[1]]}}]',
-    "x" * 5000, "no/such/file.json", str(GOLDEN),
+    "x" * 5000, "no/such/file.json", str(GOLDEN), '{"m": 2, "filter": {"type": "pro-p", "p": 2}}',
 ]
 
 
@@ -38,7 +39,7 @@ _INPUTS = {
     rpt.rep: _golden("nc_rep.json", "level105_rep.json") + ['{"degree": 1, "s": [0], "t": [0]}'],
     rpt.gens: _golden("h.json", "k.json", "empty.json") + ['[{"w": "S"}, {"w": "T"}]'],
     rpt.tower: [str(path) for path in sorted(GOLDEN.glob("tower_*.json"))] + ['[{"m": 2}, {"m": 4}]', "[]"],
-    rpt.spec: ['{"m": 2}', '{"m": 3}', '{"m": 2, "filter": {"type": "pro-p", "p": 2}}',
+    rpt.spec: ['{"m": 2}', '{"m": 3}', '{"m": 2, "filter": null}',
                '{"m": 2, "rep": ' + (GOLDEN / "nc_rep.json").read_text() + "}"],
     rpt.element: ['{"w": "T"}', "{}", '{"a": {"rows": [[2, 0], [0, 2]]}, "w": ""}', '{"w": "STs"}'],
 }

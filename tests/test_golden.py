@@ -46,6 +46,13 @@ def _stray_tuples(value):
     return set()
 
 
+def test_every_report_in_the_golden_directory_is_a_case():
+    # a deleted case must take its fixture along, or the stale report stays
+    # behind for the fuzz test to hand to verify
+    reports = {path.name for path in GOLDEN.glob("*.json") if '"schema"' in path.read_text(encoding="utf-8")}
+    assert reports == set(CASES)
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_every_command_returns_a_plain_dict(monkeypatch, name):
     # one result form: certificates, witnesses, evidence and searches are
@@ -65,14 +72,15 @@ def test_golden_fixture_verifies(tmp_path, monkeypatch, name):
 
 
 # Edits that an earlier verify accepted without re-checking anything: the
-# entries of a search that found nothing, a gap-witness's status (now the
+# entries of a search that found nothing (a status set to one no search
+# writes), a gap-witness's status (now the
 # point its witness reaches, as schema 6 dropped the status, which could only
 # say "found"), and the low-index block and evidence status of gs-demo; and
 # the order of a quotient carrying a coset action, which verify recomputes in
 # closed form.
 TAMPERS = [
     ("tractable_violation.json", ("entries", 1, "sizes", "kernel"), "2"),
-    ("tractable_violation.json", ("entries", 0, "status"), "skipped-formation"),
+    ("tractable_violation.json", ("entries", 0, "status"), "skipped"),
     ("tractable_violation.json", ("entries", 2, "violations"), []),
     ("tractable_violation.json", ("counters", "elements_scanned"), "11"),
     ("tractable_ok.json", ("entries", 0, "detail"), ""),
@@ -119,7 +127,9 @@ def _recorded_rep(name: str) -> dict:
 
 # Edits that the per-kind checks of an earlier verify accepted: evidence cut
 # short, config entries the check never read, and a cut witness level list;
-# and a recorded rep, generator list or spec swapped for another.
+# and a recorded rep, generator list or spec swapped for another.  A spec's
+# filter must be null, so a report that recorded the deleted pro-p filter
+# is refused, not verified.
 EDITS = {
     "gs_demo:transcripts-cut-to-3": ("gs_demo.json", _cut_transcripts),
     "gs_demo:config.m_max": ("gs_demo.json", lambda data: data["config"].update(m_max="6")),
@@ -127,6 +137,8 @@ EDITS = {
         "tractable_ok.json", lambda data: data["config"].update(k_gens=data["config"]["h_gens"])),
     "tractable_ok:config.m_spec": (
         "tractable_ok.json", lambda data: data["config"].update(m_spec={"m": "2", "rep": None, "filter": None})),
+    "tractable_ok:config.m_spec.filter": (
+        "tractable_ok.json", lambda data: data["config"]["m_spec"].update(filter={"type": "pro-p", "p": "2"})),
     "gap_witness:levels_verified-cut": ("gap_witness.json", _cut_witness_levels),
     "congruence_level105:config.rep": (
         "congruence_level105.json", lambda data: data["config"].update(rep=_recorded_rep("nc_rep.json"))),

@@ -447,6 +447,27 @@ def test_tuple_walk_matches_the_mat2_walk_oracle():
     assert walks == 57
 
 
+def test_each_walk_edge_word_is_plus_or_minus_i_and_moves_0_exactly_when_q_is_not_p():
+    # why a gap witness needs no check of its own: an edge word of the walk
+    # over PSL2(Z/n) is +-I mod n and SS is -I, so the witness, SS-prefixed
+    # when it is -I, is I mod n; SS fixes every point, and an edge word moves
+    # the basepoint exactly when its q and p differ, as the witness's edge's
+    # do, so the witness never lies in the subgroup.  Every class of degree
+    # <= 8 at every divisor above 1 of its level.
+    ss = ModularWord("SS")
+    assert word_eval(ss) == -Mat2.identity()
+    edges = 0
+    for rep in low_index_reps(8):
+        assert rep.word_perm(ss) == tuple(range(rep.degree))
+        n = rep_level(rep)
+        for g in (d for d in range(2, n + 1) if n % d == 0):
+            for q, p, word in _walk_edges(rep, g, _gamma_walk)[0]:
+                assert word_eval(word).reduce(g) in (Mat2.identity(g), -Mat2.identity(g)), (rep, g, word)
+                assert (rep.word_perm(word)[0] != 0) == (q != p), (rep, g, word)
+                edges += 1
+    assert edges == 4422
+
+
 def test_walk_words_are_rebuilt_only_on_demand(monkeypatch):
     # the orbit blocks and the congruence test read no word
     built = []

@@ -10,7 +10,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cosetope.cli import main
-from cosetope.errors import CosetopeError
+from cosetope.errors import CosetopeError, shown
 from cosetope.modular import PermRep
 from cosetope.profinite import GroupWord, QuotientSpec
 from cosetope.report import canonical_dumps, groupword_from_json, rep_from_json, spec_from_json, tower
@@ -167,12 +167,11 @@ def _inline(strategy):
 
 
 # Mostly well-formed specs, so that many draws reach the search.
-M_SPEC = st.fixed_dictionaries(
-    {"m": st.sampled_from([2, 4, 8, "4", 10**30])},
-    optional={
-        "filter": st.fixed_dictionaries({"type": st.sampled_from(["all", "pro-p"]), "p": st.sampled_from([2, 3, 4])})
-    },
-)
+M_SPEC = st.fixed_dictionaries({"m": st.sampled_from([2, 4, 8, "4", 10**30])}, optional={"filter": st.none()})
+# Filters other than null: any JSON, and the pro-p filters of older reports.
+FILTERS = st.one_of(
+    JSON, st.fixed_dictionaries({"type": st.sampled_from(["all", "pro-p"]), "p": st.sampled_from([2, 3, 4])})
+).filter(lambda value: value is not None)
 
 
 @SETTINGS
@@ -181,6 +180,19 @@ def test_cli_m_spec_exits_0_2_or_3(tmp_path, monkeypatch, m_spec):
     monkeypatch.chdir(GOLDEN)
     argv = ["tractable", "--h-gens", "h.json", "--k-gens", "k.json", f"--m-spec={m_spec}", "--tower", "tower_ok.json"]
     assert main(argv + ["--closure-cap", "5000", "--output", str(tmp_path / "t.json")]) in (0, 2, 3)
+
+
+@SETTINGS
+@given(value=FILTERS, where=st.sampled_from(["--m-spec", "--tower"]))
+def test_cli_a_non_null_filter_exits_2_in_one_line(tmp_path, monkeypatch, capsys, value, where):
+    monkeypatch.chdir(GOLDEN)
+    spec = json.dumps({"m": 4, "filter": value})
+    m_spec, tower_text = (spec, '[{"m": 4}]') if where == "--m-spec" else ('{"m": 2}', f"[{spec}]")
+    argv = ["tractable", "--h-gens", "h.json", "--k-gens", "k.json", f"--m-spec={m_spec}", f"--tower={tower_text}"]
+    assert main(argv + ["--output", str(tmp_path / "t.json")]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.rstrip().endswith(f"spec 'filter' must be null, got {shown(value)}"), err
 
 
 @SETTINGS
