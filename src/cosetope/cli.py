@@ -18,6 +18,7 @@ inconclusive outcomes), 2 a ``ValidationError``, 3 a ``BudgetError``.
 from __future__ import annotations
 
 import json
+import os
 import sys
 
 from .arith import Mat2, sl2_group_order
@@ -404,9 +405,19 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if output:
+        # in place: O_TRUNC of an allocated file can take tens of ms; only a
+        # longer regular file is cut, since a device or pipe has size 0
+        data = text.encode()
         try:
-            with open(output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fd = os.open(output, os.O_WRONLY | os.O_CREAT, 0o666)
+            try:
+                done = 0
+                while done < len(data):
+                    done += os.write(fd, data[done:])
+                if os.fstat(fd).st_size > done:
+                    os.ftruncate(fd, done)
+            finally:
+                os.close(fd)
         except OSError as exc:
             print(f"error: cannot write report {shown(output)}: {exc.strerror or exc}", file=sys.stderr)
             return 2

@@ -680,6 +680,40 @@ def test_unwritable_output_exits_2_without_a_traceback(tmp_path):
         assert "Traceback" not in done.stderr
 
 
+def test_a_shorter_report_overwrites_a_longer_one_in_place_through_a_symlink(tmp_path, monkeypatch, capsys):
+    target, link = tmp_path / "report.json", tmp_path / "link.json"
+    link.symlink_to(target)
+    assert main(["gs-demo", "--output", str(link)]) == 0
+    before = target.stat()
+    flags, real_open = [], os.open
+
+    def spy(path, flag, *rest, **kwargs):
+        flags.append(flag)
+        return real_open(path, flag, *rest, **kwargs)
+
+    monkeypatch.setattr(os, "open", spy)  # the module cli reads as cli.os
+    assert main(["quotient", "--modulus", "2", "--output", str(link)]) == 0
+    monkeypatch.undo()
+    assert main(["quotient", "--modulus", "2"]) == 0
+    expected = capsys.readouterr().out.encode()
+    assert len(expected) < 1000 < 5000 < before.st_size
+    assert target.read_bytes() == expected
+    assert link.is_symlink() and target.stat().st_ino == before.st_ino
+    # cli opens the report once, and never through O_TRUNC
+    assert len(flags) == 1 and flags[0] & os.O_CREAT and not flags[0] & os.O_TRUNC
+
+
+def test_a_report_written_to_a_device_or_a_pipe_is_never_cut():
+    # ftruncate on a character device raises EINVAL, so only a longer
+    # regular file may be cut
+    done = _cli_alone(["quotient", "--modulus", "2", "--output", "/dev/null"])
+    assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+    expected = _cli_alone(["quotient", "--modulus", "2"]).stdout
+    done = _cli_alone(["quotient", "--modulus", "2", "--output", "/dev/stdout"])
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout == expected and json.loads(expected)["command"] == "quotient"
+
+
 def test_gs_demo_huge_max_level_exits_3_quickly():
     # every level's |SL2(Z/m)| is checked before the first closure, and the
     # orders pass the cap for a bounded number of levels only

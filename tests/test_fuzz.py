@@ -1,13 +1,15 @@
 """Seeded fuzz of the command line: every input ends in exit 0, 2 or 3.
 
 The command lines are built from ``cli.OPTIONS``: each option of a drawn
-command is given a value from the golden files, inline junk JSON or
-boundary integers, a required option is sometimes left out and an unknown
-one sometimes added.  Every line sets ``--closure-cap`` to at most 50,000,
+command is given a value from the golden files, junk JSON (inline or in a
+readable file, drawn for the option's input kind or for any) or boundary
+integers, a required option is sometimes left out and an unknown one
+sometimes added.  Every line sets ``--closure-cap`` to at most 50,000,
 so each run stays small.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import random
@@ -23,12 +25,22 @@ _INTS = ["1", "2", "3", "4", "6", "12"]
 # the last five are integers only in a form other than canonical decimal
 _BOUNDARY_INTS = ["0", "-1", str(2**70), "x", "", "1e400", "-" + "9" * 5000, "03", "+3", " 3", "1_0", "-0"]
 _CAPS = ["23", "2520", "50000", "50000"]  # never above 50,000
+# junk for any input kind
 _JUNK = [
     '"x"', "1", "null", "true", "[]", "{}", "[1]", "1e400", '{"zz": 1}', '{"' + "k" * 5000 + '": 1}',
-    "[" * 40 + "]" * 40, '[{"w": 1e400}]', '{"m": 1e400}', '{"m": 2, "m": 3}', '[{"m": 0}]', '{"w": "Tx"}',
-    '{"degree": 2, "s": [0, 1], "t": [1, 0]}', '{"degree": "1", "s": ["0"], "t": ["0"]}', '[{"a": {"rows": [[1]]}}]',
-    "x" * 5000, "no/such/file.json", str(GOLDEN), '{"m": 2, "filter": {"type": "pro-p", "p": 2}}',
+    "[" * 40 + "]" * 40, "x" * 5000, "no/such/file.json", str(GOLDEN),
 ]
+# junk in the shape of one input kind, so that its reader's own checks are reached
+_KIND_JUNK = {
+    rpt.rep: ['{"degree": 2, "s": [0, 1], "t": [1, 0]}', '{"degree": "1", "s": ["0"], "t": ["0"]}',
+              '{"degree": 1, "s": 0, "t": [0]}', '{"degree": 2, "s": [0, 0], "t": [1, 0]}'],
+    rpt.gens: ['[{"w": 1e400}]', '[{"w": "Tx"}]', '[{"a": {"rows": [[1]]}}]',
+               '[{"a": {"rows": [[1, 0], [0, 1]], "m": 2}, "w": ""}]'],
+    rpt.tower: ['[{"m": 0}]', '[{"m": 2, "filter": {"type": "pro-p", "p": 2}}]', '[{"m": 2}, {"m": "03"}]'],
+    rpt.spec: ['{"m": 1e400}', '{"m": 2, "m": 3}', '{"m": 2, "filter": {"type": "pro-p", "p": 2}}',
+               '{"m": 2, "rep": {"degree": 1}}'],
+    rpt.element: ['{"w": "Tx"}', '{"a": {"rows": [[1]]}}', '{"a": {"rows": [[1, 0], [0, 1]], "m": 2}}'],
+}
 
 
 def _golden(*names) -> list:
@@ -56,9 +68,15 @@ def _value(rng: random.Random, name: str, kind, tmp: Path):
         return rng.choice(["0", "-1", "x"] if junk else _CAPS)
     if kind is int:
         return rng.choice(_BOUNDARY_INTS if junk else _INTS)
-    if junk:
-        return rng.choice(_JUNK)
-    return rng.choice(_REPORTS if name == "--report" else _INPUTS[kind])
+    if not junk:
+        return rng.choice(_REPORTS if name == "--report" else _INPUTS[kind])
+    text = rng.choice(_KIND_JUNK[kind] if kind in _KIND_JUNK and rng.random() < 0.5 else _JUNK)
+    if not text.startswith(("[", "{")) or rng.random() < 0.5:
+        return text
+    # the same junk in a readable file, which the reader refuses "in file"
+    path = tmp / f"junk-{hashlib.sha1(text.encode()).hexdigest()[:12]}.json"
+    path.write_text(text)
+    return str(path)
 
 
 def command_lines(rng: random.Random, tmp: Path, count: int) -> list:
@@ -92,7 +110,7 @@ def _run(argv) -> tuple:
 def test_every_fuzzed_command_line_exits_0_2_or_3_with_a_short_refusal(tmp_path):
     lines = command_lines(random.Random(SEED), tmp_path, LINES)
     assert all(any(a.startswith("--closure-cap") for a in argv) for argv in lines)
-    codes = []
+    codes, refusals = [], []
     for argv in lines:
         (tmp_path / "out.json").unlink(missing_ok=True)
         code, out, err = _run(argv)
@@ -101,6 +119,7 @@ def test_every_fuzzed_command_line_exits_0_2_or_3_with_a_short_refusal(tmp_path)
         assert err.count("\n") <= 1 and len(err.encode()) <= 300, (shown, err[:300])
         assert (err == "") == (code == 0), (shown, err[:300])
         codes.append(code)
+        refusals.append(err)
         if code == 0 and argv[0] != "verify":
             report = tmp_path / "out.json"
             if not report.exists():
@@ -108,5 +127,8 @@ def test_every_fuzzed_command_line_exits_0_2_or_3_with_a_short_refusal(tmp_path)
             assert json.loads(report.read_text())["command"] == argv[0], shown
             code, _, err = _run(["verify", "--report", str(report), "--closure-cap", "50000"])
             assert (code, err) == (0, ""), (shown, err[:300])
-    # the lines reach every outcome, not only the parser's refusals
+    # the lines reach every outcome, not only the parser's refusals, and a
+    # reader's own check both inline and inside a readable file
     assert {0, 2, 3} <= set(codes) and codes.count(0) >= 25, codes
+    assert any("spec 'filter' must be null" in err for err in refusals)
+    assert any("JSON in file" in err and "cannot read" not in err for err in refusals)
