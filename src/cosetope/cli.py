@@ -1,7 +1,7 @@
 """Command-line front door.
 
-Each subcommand is a function from its config (the parsed arguments other
-than the report path and the closure cap) to a dict.  The option table
+Each subcommand maps its config (the parsed arguments other than the
+report path and the closure cap) and the closure cap, an int, to a dict.
 ``OPTIONS`` gives each command that function, its one-line help and its
 options.  ``_report`` runs a command and returns its report: canonical JSON
 (sorted keys, numbers as decimal strings) holding the command, the config
@@ -22,7 +22,7 @@ import os
 import sys
 
 from .arith import Mat2, sl2_group_order
-from .budgets import DEFAULT_CLOSURE_CAP, Budgets
+from .budgets import DEFAULT_CLOSURE_CAP
 from .errors import BudgetError, CosetopeError, ValidationError, shown
 from .groupcore import check_closure_cap, product_member, subgroup_intersection
 # Unused here: importing them keeps them cross-module functions, which
@@ -77,24 +77,24 @@ def _spec_of(config: dict) -> QuotientSpec:
 # config already records each input as the command used it.
 
 
-def _quotient(config: dict, budgets: Budgets) -> dict:
+def _quotient(config: dict, closure_cap: int) -> dict:
     spec = _spec_of(config)
     return {
         "identity": quotient_context(spec).identity,
-        "order": spec_group_order(spec, budgets),
+        "order": spec_group_order(spec, closure_cap),
         "sl2_order": sl2_group_order(spec.m),
     }
 
 
-def _image(config: dict, budgets: Budgets) -> dict:
-    sub = image_subgroup(config["gens"], _spec_of(config), budgets)
+def _image(config: dict, closure_cap: int) -> dict:
+    sub = image_subgroup(config["gens"], _spec_of(config), closure_cap)
     return {"size": len(sub), "sample": sub.elements[:20]}
 
 
-def _intersect(config: dict, budgets: Budgets) -> dict:
+def _intersect(config: dict, closure_cap: int) -> dict:
     spec = _spec_of(config)
-    left = image_subgroup(config["left"], spec, budgets)
-    right = image_subgroup(config["right"], spec, budgets)
+    left = image_subgroup(config["left"], spec, closure_cap)
+    right = image_subgroup(config["right"], spec, closure_cap)
     inter = subgroup_intersection(left, right)
     result = {"size_left": len(left), "size_right": len(right), "size_intersection": len(inter)}
     if len(inter) <= 50:
@@ -102,10 +102,10 @@ def _intersect(config: dict, budgets: Budgets) -> dict:
     return result
 
 
-def _dcoset_member(config: dict, budgets: Budgets) -> dict:
+def _dcoset_member(config: dict, closure_cap: int) -> dict:
     spec, g = _spec_of(config), config["element"]
-    left = image_subgroup(config["left"], spec, budgets)
-    right = image_subgroup(config["right"], spec, budgets)
+    left = image_subgroup(config["left"], spec, closure_cap)
+    right = image_subgroup(config["right"], spec, closure_cap)
     return {
         "member": product_member(quotient_context(spec), project(g, spec), left, right),
         "size_left": len(left),
@@ -113,10 +113,10 @@ def _dcoset_member(config: dict, budgets: Budgets) -> dict:
     }
 
 
-def _congruence(config: dict, budgets: Budgets) -> dict:
+def _congruence(config: dict, closure_cap: int) -> dict:
     rep = config["rep"]
     level = rep_level(rep)
-    index = len(set(image_blocks(rep, level, budgets)))
+    index = len(set(image_blocks(rep, level, closure_cap)))
     # congruence exactly when Gamma(level), being normal, fixes every coset
     result = {"level": level, "congruence": index == rep.degree}
     if level > 1:
@@ -124,35 +124,35 @@ def _congruence(config: dict, budgets: Budgets) -> dict:
     return result
 
 
-def _tractable(config: dict, budgets: Budgets) -> dict:
+def _tractable(config: dict, closure_cap: int) -> dict:
     gens = config["h_gens"], config["k_gens"], config["hcapk_gens"]
-    return tractable_at(*gens, config["m_spec"], config["tower"], budgets)
+    return tractable_at(*gens, config["m_spec"], config["tower"], closure_cap)
 
 
-def _thm_b_probe(config: dict, budgets: Budgets) -> dict:
+def _thm_b_probe(config: dict, closure_cap: int) -> dict:
     l_gens, l_rep = config["l_gens"], config["l_rep"]  # neither: L is the whole group
     if l_rep is not None:
         if l_gens is not None:
             raise ValidationError("thm-b-probe takes --l-gens or --l-rep, not both")
         l_gens = l_group_words(l_rep)
-    cert = thm_b_probe(config["h_gens"], config["k_gens"], l_gens, config["element"], config["tower"], budgets)
+    cert = thm_b_probe(config["h_gens"], config["k_gens"], l_gens, config["element"], config["tower"], closure_cap)
     if cert is None:
         return {"status": "inconclusive"}
     return {"status": "certified", "certificate": cert}
 
 
-def _lowindex(config: dict, budgets: Budgets) -> dict:
+def _lowindex(config: dict, closure_cap: int) -> dict:
     reps = low_index_reps(config["max_degree"], classes=not config["subgroups"])
     entries = [
-        {"rep": rep, "level": rep_level(rep), "congruence": is_congruence(rep, budgets=budgets)}
+        {"rep": rep, "level": rep_level(rep), "congruence": is_congruence(rep, closure_cap)}
         for rep in reps
     ]
     return {"count": len(entries), "reps": entries}
 
 
-def _gap_witness(config: dict, budgets: Budgets) -> dict:
+def _gap_witness(config: dict, closure_cap: int) -> dict:
     # a search that finds no witness exits 2 or 3, so a result has one
-    return {"witness": congruence_gap_witness(config["rep"], config["level"], budgets=budgets)}
+    return {"witness": congruence_gap_witness(config["rep"], config["level"], closure_cap)}
 
 
 _HK_SAMPLES = (
@@ -175,7 +175,7 @@ def _hk_certificates() -> list:
     return entries
 
 
-def _gs_demo(config: dict, budgets: Budgets) -> dict:
+def _gs_demo(config: dict, closure_cap: int) -> dict:
     reps = low_index_reps(config["max_degree"])  # refuses a degree below 1 before any walk
     # the order of image(H) meet image(K) at each level is 1: a common element
     # (0, h) = (I - h', h') of image(H) = {(0, h)} and image(K) = {(I - h', h')}
@@ -184,15 +184,15 @@ def _gs_demo(config: dict, budgets: Budgets) -> dict:
     # the check stops within (cap / 0.6)^(1/3) levels
     levels = range(2, config["max_level"] + 1)
     for m in levels:
-        check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
+        check_closure_cap(sl2_group_order(m), closure_cap, f"the image of H mod {m}")
     intersections = [{"m": m, "size": 1} for m in levels]
     # the evidence rests on the first class that is not congruence
-    noncongruence = [rep for rep in reps if not is_congruence(rep, budgets=budgets)]
+    noncongruence = [rep for rep in reps if not is_congruence(rep, closure_cap)]
     lowindex = {"reps_total": len(reps), "noncongruence_total": len(noncongruence)}
     evidence = {"status": "no-noncongruence-subgroup-found"}
     if noncongruence:
         lowindex["selected"] = noncongruence[0]
-        evidence = gs_wz_failure(noncongruence[0], config["m_max"], budgets=budgets)
+        evidence = gs_wz_failure(noncongruence[0], config["m_max"], closure_cap)
     return {
         "intersections": intersections,
         "hk_certificates": _hk_certificates(),
@@ -232,9 +232,9 @@ def _first_difference(claimed, recomputed, path: str) -> tuple:
     return next(_first_difference(a, b, p) for p, a, b in pairs if _differs(a, b))
 
 
-def _report(command: str, config: dict, budgets: Budgets) -> str:
+def _report(command: str, config: dict, closure_cap: int) -> str:
     """The report text ``main`` writes for ``command`` run on ``config``."""
-    result = OPTIONS[command][0](config, budgets)
+    result = OPTIONS[command][0](config, closure_cap)
     return rpt.canonical_dumps({"schema": rpt.SCHEMA_VERSION, "command": command, "config": config, "result": result})
 
 
@@ -261,7 +261,7 @@ def _reparsed(command: str, recorded) -> dict:
         raise ValidationError(f"verify failed: config: {exc}") from None
 
 
-def _verify(config: dict, budgets: Budgets) -> dict:
+def _verify(config: dict, closure_cap: int) -> dict:
     text = rpt.read_text(config["report"], "report")
     data = rpt.decode(text, "report is not valid JSON")
     if not isinstance(data, dict) or data.keys() != _REPORT_KEYS:
@@ -271,7 +271,7 @@ def _verify(config: dict, budgets: Budgets) -> dict:
     command = data["command"]
     if not isinstance(command, str) or command not in OPTIONS or command == "verify":
         raise ValidationError(f"verify: unknown command {shown(command)}")
-    rebuilt = _report(command, _reparsed(command, data["config"]), budgets)
+    rebuilt = _report(command, _reparsed(command, data["config"]), closure_cap)
     if rebuilt == text:
         return {"verified": True, "checked": command}
     recomputed = rpt.decode(rebuilt, "rebuilt report is not valid JSON")
@@ -397,7 +397,7 @@ def main(argv=None) -> int:
         return 0
     try:
         command, config, output, closure_cap = parse(argv)
-        text = _report(command, config, Budgets(closure_cap))
+        text = _report(command, config, closure_cap)
     except BudgetError as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3

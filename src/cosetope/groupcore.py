@@ -2,8 +2,8 @@
 
 A ``GroupContext`` packages identity, multiplication and inversion for some
 hashable element type; on top of it: breadth-first closures under
-multiplication by the generators, with O(1) membership, intersections and
-double-coset membership.
+multiplication by the generators, of at most ``closure_cap`` elements, with
+O(1) membership, intersections and double-coset membership.
 
 Determinism: closures insert elements in BFS discovery order, so reports are
 reproducible run to run.
@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .arith import Mat2
-from .budgets import Budgets
+from .budgets import DEFAULT_CLOSURE_CAP
 from .errors import BudgetError, ValidationError, shown
 
 
@@ -113,41 +113,37 @@ class GeneratedSubgroup:
         return f"GeneratedSubgroup(size={len(self.elements)}, ngens={len(self.generators)})"
 
 
-def check_closure_cap(size: int, budgets: Budgets, what: str) -> None:
+def check_closure_cap(size: int, closure_cap: int, what: str) -> None:
     """Raise BudgetError when ``what``, of known ``size``, exceeds the closure cap.
 
     Used wherever a size is known without closing (group orders), so the
     cap holds whether or not the elements are ever listed.  A modulus in
     ``what`` is written with ``shown``, as the size and the cap are.
     """
-    cap = shown(budgets.closure_cap)
-    if size > budgets.closure_cap:
+    cap = shown(closure_cap)
+    if size > closure_cap:
         raise BudgetError(f"closure budget exceeded: {what} has {shown(size)} elements > {cap} (closure_cap)")
 
 
-def subgroup_closure(ctx: GroupContext, gens: Iterable, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
+def subgroup_closure(ctx: GroupContext, gens: Iterable, closure_cap: int = DEFAULT_CLOSURE_CAP) -> GeneratedSubgroup:
     """Breadth-first closure of ``gens`` under multiplication by the generators.
 
     In a finite group each g has some order n, so g^-1 = g^(n-1) and no
     inverse step is needed.  Insertion order is the BFS discovery order with
     the identity first, which fixes the enumeration order used everywhere.
     """
-    cap = budgets.closure_cap
     gens = tuple(gens)
     step = tuple(dict.fromkeys(gens))
     members = {ctx.identity}
     order = [ctx.identity]
     mul = ctx.mul
-    qi = 0
-    while qi < len(order):
-        x = order[qi]
-        qi += 1
+    for x in order:
         for g in step:
             y = mul(x, g)
             if y not in members:
-                if len(order) >= cap:
+                if len(order) >= closure_cap:
                     raise BudgetError(
-                        f"closure budget exceeded: more than {cap} elements "
+                        f"closure budget exceeded: more than {closure_cap} elements "
                         f"in {ctx.name or 'the group'} (closure_cap)"
                     )
                 members.add(y)

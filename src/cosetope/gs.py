@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .arith import Mat2, sl2_group_order
-from .budgets import Budgets
+from .budgets import DEFAULT_CLOSURE_CAP
 from .groupcore import GeneratedSubgroup, check_closure_cap, subgroup_from_elements
 from .modular import (
     ModularWord,
@@ -65,7 +65,7 @@ _CONCLUSION = (
 )
 
 
-def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
+def _h_prime_image_mod(rep: PermRep, m: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> GeneratedSubgroup:
     """Image of the (sign-saturated) subgroup of H attached to ``rep`` at level m.
 
     Listed without a closure (``image_elements``), each u with -u (which
@@ -73,8 +73,8 @@ def _h_prime_image_mod(rep: PermRep, m: int, budgets: Budgets = Budgets()) -> Ge
     and ``cli`` imports it only because the benchmark's tests check that
     ``cli`` binds the name.
     """
-    elements = tuple(dict.fromkeys(v for u in image_elements(rep, m, budgets) for v in (u, -u)))
-    check_closure_cap(len(elements), budgets, f"the sign-saturated subgroup image mod {m}")
+    elements = tuple(dict.fromkeys(v for u in image_elements(rep, m, closure_cap) for v in (u, -u)))
+    check_closure_cap(len(elements), closure_cap, f"the sign-saturated subgroup image mod {m}")
     return subgroup_from_elements(elements)
 
 
@@ -94,7 +94,7 @@ def l_group_words(rep: PermRep) -> list:
 WITNESS_LEVEL = 24
 
 
-def gs_wz_failure(rep: PermRep, m_max: int, *, budgets: Budgets = Budgets()) -> dict:
+def gs_wz_failure(rep: PermRep, m_max: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> dict:
     """Desk-scale evidence that the double coset H'K is not separable.
 
     The ``witness`` x, a ``congruence_gap_witness`` of ``WITNESS_LEVEL``
@@ -115,13 +115,13 @@ def gs_wz_failure(rep: PermRep, m_max: int, *, budgets: Budgets = Budgets()) -> 
     One ``walks`` dict walks each level gcd(m, N) once per call.
     """
     walks: dict = {}
-    witness = congruence_gap_witness(rep, WITNESS_LEVEL, budgets=budgets)
+    witness = congruence_gap_witness(rep, WITNESS_LEVEL, closure_cap)
     point = witness["displaced_to"]
     transcripts = []
     for m in range(2, m_max + 1):
-        blocks = image_blocks(rep, m, budgets, walks)
+        blocks = image_blocks(rep, m, closure_cap, walks)
         order = sl2_group_order(m) // len(set(blocks))
-        check_closure_cap(order, budgets, f"the sign-saturated subgroup image mod {m}")
+        check_closure_cap(order, closure_cap, f"the sign-saturated subgroup image mod {m}")
         transcripts.append({"m": m, "member": blocks[point] == 0, "image_order": order})
     return {
         "witness": witness,

@@ -20,7 +20,7 @@ import math
 from typing import NamedTuple, Optional, Sequence
 
 from .arith import MAT_S, MAT_T, Mat2, psl2_group_order
-from .budgets import Budgets
+from .budgets import DEFAULT_CLOSURE_CAP
 from .errors import BudgetError, ValidationError, shown
 from .groupcore import GroupContext, check_closure_cap, perm_inv, perm_mul, sl2_context, subgroup_closure
 
@@ -330,7 +330,7 @@ def psl2_context(m: int) -> GroupContext:
     return GroupContext(sl2.identity, mul, inv, gens, name=f"PSL2(Z/{m})")
 
 
-def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = None):
+def _gamma_walk(rep: PermRep, n: int, closure_cap: int, seen: Optional[dict] = None):
     """The Schreier generators of the level-n principal congruence subgroup,
     in walk order, each as (q, p, edge).
 
@@ -344,7 +344,7 @@ def _gamma_walk(rep: PermRep, n: int, budgets: Budgets, seen: Optional[dict] = N
     the point q while y keeps p, so it moves the basepoint exactly when
     q != p, and then q and p lie in one orbit.
     """
-    check_closure_cap(psl2_group_order(n), budgets, f"PSL2(Z/{shown(n)})")
+    check_closure_cap(psl2_group_order(n), closure_cap, f"PSL2(Z/{shown(n)})")
     perm_s, perm_t, perm_ti = rep.perm_s, rep.perm_t, perm_inv(rep.perm_t)
     queue = [(1 % n, 0, 0, 1 % n)]
     seen = {} if seen is None else seen
@@ -404,7 +404,7 @@ def _orbit_blocks(rep: PermRep, walk) -> tuple:
     return tuple(labels.setdefault(find(p), len(labels)) for p in range(rep.degree))
 
 
-def image_blocks(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Optional[dict] = None) -> tuple:
+def image_blocks(rep: PermRep, m: int, closure_cap: int = DEFAULT_CLOSURE_CAP, walks: Optional[dict] = None) -> tuple:
     """The orbits of the level-m principal congruence subgroup on the cosets,
     as each point's class (0 for the basepoint's).
 
@@ -421,19 +421,19 @@ def image_blocks(rep: PermRep, m: int, budgets: Budgets = Budgets(), walks: Opti
     g = math.gcd(m, rep_level(rep))
     walks = {} if walks is None else walks
     if (rep, g) not in walks:
-        walks[rep, g] = _orbit_blocks(rep, _gamma_walk(rep, g, budgets))
+        walks[rep, g] = _orbit_blocks(rep, _gamma_walk(rep, g, closure_cap))
     return walks[rep, g]
 
 
-def image_elements(rep: PermRep, m: int, budgets: Budgets = Budgets()) -> list:
+def image_elements(rep: PermRep, m: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> list:
     """The subgroup's image in PSL2(Z/m): the matrices of the walk over
     PSL2(Z/m) whose point lies in the basepoint's orbit."""
     seen: dict = {}
-    blocks = _orbit_blocks(rep, list(_gamma_walk(rep, m, budgets, seen)))  # every state of seen is read
+    blocks = _orbit_blocks(rep, list(_gamma_walk(rep, m, closure_cap, seen)))  # every state of seen is read
     return [Mat2(*y, m) for y, (_, _, p) in seen.items() if blocks[p] == 0]
 
 
-def is_congruence(rep: PermRep, *, budgets: Budgets = Budgets()) -> bool:
+def is_congruence(rep: PermRep, closure_cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     """Level-based congruence decision.
 
     The subgroup is congruence exactly when it contains the principal
@@ -441,10 +441,10 @@ def is_congruence(rep: PermRep, *, budgets: Budgets = Budgets()) -> bool:
     PSL2(Z/n) finds no element of it that moves the basepoint (at n = 1,
     no S or T step).  The walk checks |PSL2(Z/n)| against the cap first.
     """
-    return next((step for step in _gamma_walk(rep, rep_level(rep), budgets) if step[0] != step[1]), None) is None
+    return next((step for step in _gamma_walk(rep, rep_level(rep), closure_cap) if step[0] != step[1]), None) is None
 
 
-def gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int:
+def gamma_image_order(rep: PermRep, n: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """|sigma(Gamma(n))|: the closure, under the closure cap, of the coset
     permutations of ``_gamma_walk``'s Schreier generators, each added only
     when the closure so far misses it.  By ``image_blocks``' argument the
@@ -452,11 +452,11 @@ def gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int
     image is <sigma(S), sigma(T)>."""
     seen: dict = {}
     ctx = GroupContext(perm_identity(rep.degree), perm_mul, perm_inv, name=f"the coset action of Gamma({shown(n)})")
-    image = subgroup_closure(ctx, (), budgets)
-    for _, _, edge in _gamma_walk(rep, math.gcd(n, rep_level(rep)), budgets, seen):
+    image = subgroup_closure(ctx, (), closure_cap)
+    for _, _, edge in _gamma_walk(rep, math.gcd(n, rep_level(rep)), closure_cap, seen):
         sigma = rep.word_perm(_edge_word(seen, edge))
         if sigma not in image:
-            image = subgroup_closure(ctx, image.generators + (sigma,), budgets)
+            image = subgroup_closure(ctx, image.generators + (sigma,), closure_cap)
     return len(image)
 
 
@@ -464,7 +464,7 @@ def gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int
 # congruence-gap witnesses
 
 
-def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budgets()) -> dict:
+def congruence_gap_witness(rep: PermRep, level: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> dict:
     """The first element of the level-``level`` principal congruence subgroup,
     in the order of ``_gamma_walk``, that lies outside the subgroup.
 
@@ -481,8 +481,8 @@ def congruence_gap_witness(rep: PermRep, level: int, *, budgets: Budgets = Budge
     pass a level of at least 2: ``cli.parse`` refuses a lower ``--level``.
     """
     seen: dict = {}
-    congruence = level % rep_level(rep) and is_congruence(rep, budgets=budgets)
-    steps = () if congruence else _gamma_walk(rep, level, budgets, seen)
+    congruence = level % rep_level(rep) and is_congruence(rep, closure_cap)
+    steps = () if congruence else _gamma_walk(rep, level, closure_cap, seen)
     edge = next((step for step in steps if step[0] != step[1]), None)
     if edge is None:  # congruence, or the subgroup contains the principal congruence subgroup of this level
         raise ValidationError("congruence_gap_witness: the subgroup is congruence; no gap exists")

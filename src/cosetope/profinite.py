@@ -11,16 +11,18 @@ certificates are decisions.
 
 from __future__ import annotations
 
+import functools
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import Mat2, sl2_group_order
-from .budgets import Budgets
+from .budgets import DEFAULT_CLOSURE_CAP
 from .errors import ValidationError, shown
 from .groupcore import (
     GeneratedSubgroup,
     GroupContext,
     SdElement,
     check_closure_cap,
+    perm_inv,
     product_member,
     sd_inv,
     sd_mul,
@@ -28,7 +30,9 @@ from .groupcore import (
     subgroup_from_elements,
     subgroup_intersection,
 )
-from .modular import ONE_POINT, ModularWord, PermRep, gamma_image_order, word_eval
+from .modular import (
+    ONE_POINT, ModularWord, PermRep, discovery_tree, gamma_image_order, subgroup_generators, tree_word, word_eval
+)
 
 
 class QuotientSpec(NamedTuple):
@@ -89,10 +93,10 @@ def quotient_context(spec: QuotientSpec) -> GroupContext:
     return GroupContext(ident, sd_mul, sd_inv, gens, name=name)
 
 
-def spec_group_order(spec: QuotientSpec, budgets: Budgets = Budgets()) -> int:
+def spec_group_order(spec: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """The order m^4 |L|: L, generated by the images of S and T, maps onto
     SL2(Z/m) with kernel sigma(Gamma(m)) (``gamma_image_order``), 1 if plain."""
-    return spec.m ** 4 * sl2_group_order(spec.m) * gamma_image_order(spec.rep or ONE_POINT, spec.m, budgets)
+    return spec.m ** 4 * sl2_group_order(spec.m) * gamma_image_order(spec.rep or ONE_POINT, spec.m, closure_cap)
 
 
 def project(g: GroupWord, spec: QuotientSpec) -> SdElement:
@@ -101,20 +105,22 @@ def project(g: GroupWord, spec: QuotientSpec) -> SdElement:
     return SdElement(g.a.reduce(spec.m), word_eval(g.w).reduce(spec.m), sigma)
 
 
-def image_subgroup(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
+def image_subgroup(
+    gens: Sequence[GroupWord], spec: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP
+) -> GeneratedSubgroup:
     """Closure of the projections of ``gens`` in the quotient of ``spec``."""
     ctx = quotient_context(spec)
-    return subgroup_closure(ctx, [project(g, spec) for g in gens], budgets)
+    return subgroup_closure(ctx, [project(g, spec) for g in gens], closure_cap)
 
 
-def image_member(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budgets = Budgets()) -> Callable:
+def image_member(gens: Sequence[GroupWord], spec: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP) -> Callable:
     """Membership in the image of the subgroup ``gens`` generate.  When ``gens``
     hold the ``ADDITIVE_UNITS``, the subgroup holds M2(Z), which is normal, so
     only the image P of the linear parts (0, w) of ``gens`` is closed, and
     (a, h, sigma) is tested as (0, h, sigma) in P; else the image is closed."""
     if not set(ADDITIVE_UNITS) <= set(gens):
-        return image_subgroup(gens, spec, budgets).__contains__
-    linear = image_subgroup([GroupWord.of_word(g.w) for g in gens if g not in ADDITIVE_UNITS], spec, budgets)
+        return image_subgroup(gens, spec, closure_cap).__contains__
+    linear = image_subgroup([GroupWord.of_word(g.w) for g in gens if g not in ADDITIVE_UNITS], spec, closure_cap)
     zero = Mat2.zero(spec.m)
     return lambda x: x._replace(a=zero) in linear
 
@@ -125,27 +131,22 @@ def image_member(gens: Sequence[GroupWord], spec: QuotientSpec, budgets: Budgets
 
 def _point_map(fine: Optional[PermRep], coarse: PermRep) -> Optional[tuple]:
     """The coarse point under each fine point, or None when the fine
-    subgroup does not lie in the coarse one.
-
-    A fine action of None is the one-point action of the whole group.  The
-    map sends 0 to 0 and commutes with S and T, so a walk over the fine
-    points from 0 carries the coarse point along; it exists exactly when no
-    edge sends a point to two coarse points, and it is onto, as both actions
-    are transitive.
+    subgroup does not lie in the coarse one: when one of its
+    ``subgroup_generators`` moves the coarse basepoint.  A fine action of
+    None is the one-point action of the whole group.  Fine point p maps to
+    where p's ``tree_word``, followed point by point, takes coarse point 0;
+    the map commutes with S and T, and it is onto.
     """
     fine = fine or ONE_POINT
-    pmap = [-1] * fine.degree
-    pmap[0] = 0
-    queue = [0]
-    for p in queue:
-        for perm, coarse_perm in ((fine.perm_s, coarse.perm_s), (fine.perm_t, coarse.perm_t)):
-            q, image = perm[p], coarse_perm[pmap[p]]
-            if pmap[q] < 0:
-                pmap[q] = image
-                queue.append(q)
-            elif pmap[q] != image:
-                return None
-    return tuple(pmap)
+    steps = {"S": coarse.perm_s, "s": coarse.perm_s, "T": coarse.perm_t, "t": perm_inv(coarse.perm_t)}
+
+    def point(letters: str) -> int:
+        return functools.reduce(lambda p, letter: steps[letter][p], letters, 0)
+
+    if any(point(w.letters) for w in subgroup_generators(fine)):
+        return None
+    tree = discovery_tree(fine.perm_s, fine.perm_t)
+    return tuple(point(tree_word(tree, p)) for p in range(fine.degree))
 
 
 def element_restriction(fine: QuotientSpec, coarse: QuotientSpec):
@@ -187,7 +188,9 @@ class RefinementKernel:
         return self.order
 
 
-def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()) -> RefinementKernel:
+def kernel_of_refinement(
+    fine: QuotientSpec, coarse: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP
+) -> RefinementKernel:
     """The kernel of the restriction from the fine quotient to the coarse one.
 
     Its caller, ``tractable_at``, passes a fine spec that refines the
@@ -198,8 +201,8 @@ def kernel_of_refinement(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
     """
     if fine == coarse:
         return RefinementKernel(1)
-    order = spec_group_order(fine, budgets) // spec_group_order(coarse, budgets)
-    check_closure_cap(order, budgets, f"refinement kernel {shown(fine.m)} -> {shown(coarse.m)}")
+    order = spec_group_order(fine, closure_cap) // spec_group_order(coarse, closure_cap)
+    check_closure_cap(order, closure_cap, f"refinement kernel {shown(fine.m)} -> {shown(coarse.m)}")
     return RefinementKernel(order)
 
 
@@ -216,7 +219,7 @@ def tractable_at(
     hcapk_gens: Sequence[GroupWord],
     m_spec: QuotientSpec,
     candidates: Sequence[QuotientSpec],
-    budgets: Budgets = Budgets(),
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> dict:
     """First candidate quotient N where the intersection of images is tame.
 
@@ -244,17 +247,17 @@ def tractable_at(
         if restrict is None:
             entry["detail"] = "candidate does not refine the target quotient"
             continue
-        uh = image_subgroup(h_gens, cand, budgets)
-        uk = uh if tuple(k_gens) == tuple(h_gens) else image_subgroup(k_gens, cand, budgets)
+        uh = image_subgroup(h_gens, cand, closure_cap)
+        uk = uh if tuple(k_gens) == tuple(h_gens) else image_subgroup(k_gens, cand, closure_cap)
         bad = [p for p in (project(g, cand) for g in hcapk_gens) if p not in uh or p not in uk]
         if bad:
             entry["detail"] = "claimed intersection generators do not land in both images"
             entry["violations"] = bad[:_VIOLATION_SAMPLE]
             continue
         if target is None:
-            target = image_subgroup(hcapk_gens, m_spec, budgets)
+            target = image_subgroup(hcapk_gens, m_spec, closure_cap)
         inter = subgroup_intersection(uh, uk)
-        kernel = kernel_of_refinement(cand, m_spec, budgets)
+        kernel = kernel_of_refinement(cand, m_spec, closure_cap)
         for u in inter.elements:
             scanned += 1
             if restrict(u) not in target:
@@ -284,7 +287,7 @@ def thm_b_probe(
     l_gens: Optional[Sequence[GroupWord]],
     g: GroupWord,
     tower: Sequence[QuotientSpec],
-    budgets: Budgets = Budgets(),
+    closure_cap: int = DEFAULT_CLOSURE_CAP,
 ) -> Optional[dict]:
     """Probe separability of (H meet L)K along the tower.
 
@@ -298,11 +301,11 @@ def thm_b_probe(
     exhausted without a decision; ``report.tower`` never passes an empty one.
     """
     for spec in tower:
-        uh = image_subgroup(h_gens, spec, budgets)
-        uk = image_subgroup(k_gens, spec, budgets)
+        uh = image_subgroup(h_gens, spec, closure_cap)
+        uk = image_subgroup(k_gens, spec, closure_cap)
         hp = uh
         if l_gens is not None:
-            in_l = image_member(l_gens, spec, budgets)
+            in_l = image_member(l_gens, spec, closure_cap)
             if not all(map(in_l, subgroup_intersection(uh, uk).elements)):
                 raise ValidationError(
                     f"thm_b_probe: image(H) meet image(K) is not inside image(L) at modulus {shown(spec.m)}"

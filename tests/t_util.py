@@ -9,12 +9,12 @@ import math
 import random
 import sys
 from collections import Counter
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import cosetope.groupcore
 import cosetope.modular
 from cosetope.arith import MAT_S, MAT_T, Mat2, sl2_group_order
-from cosetope.budgets import Budgets
+from cosetope.budgets import DEFAULT_CLOSURE_CAP
 from cosetope.errors import BudgetError, ValidationError, shown
 from cosetope.groupcore import (
     GeneratedSubgroup,
@@ -33,6 +33,7 @@ from cosetope.groupcore import (
 )
 from cosetope.gs import _h_prime_image_mod
 from cosetope.modular import (
+    ONE_POINT,
     ModularWord,
     PermRep,
     _restandardize,
@@ -76,9 +77,9 @@ def random_word(rng: random.Random, max_len: int = 30, min_len: int = 0) -> Modu
     return ModularWord(as_chars(free_reduce(random_letters(rng, max_len, min_len))))
 
 
-def enumerate_group(ctx: GroupContext, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
+def enumerate_group(ctx: GroupContext, closure_cap: int = DEFAULT_CLOSURE_CAP) -> GeneratedSubgroup:
     """Every element of the group of ``ctx``, as the closure of its generators."""
-    return subgroup_closure(ctx, ctx.generators, budgets)
+    return subgroup_closure(ctx, ctx.generators, closure_cap)
 
 
 def inverse_step_closure(ctx: GroupContext, gens) -> GeneratedSubgroup:
@@ -395,10 +396,10 @@ def count_closures(monkeypatch) -> Counter:
     calls = Counter()
     real = cosetope.groupcore.subgroup_closure
 
-    def counting(ctx, gens, budgets=Budgets()):
+    def counting(ctx, gens, closure_cap=DEFAULT_CLOSURE_CAP):
         gens = tuple(gens)
         calls[ctx.name, gens] += 1
-        return real(ctx, gens, budgets)
+        return real(ctx, gens, closure_cap)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("cosetope.") and getattr(module, "subgroup_closure", None) is real:
@@ -426,12 +427,12 @@ def spy_walks(monkeypatch) -> list:
     walks = []
     real = cosetope.modular._gamma_walk
 
-    def spy(rep, n, budgets, seen=None):
+    def spy(rep, n, closure_cap, seen=None):
         walk = Walk(sys._getframe(1).f_code.co_name, rep, n, {} if seen is None else seen, [])
         walks.append(walk)
 
         def steps():
-            for step in real(rep, n, budgets, walk.seen):
+            for step in real(rep, n, closure_cap, walk.seen):
                 walk.steps.append(step)
                 yield step
 
@@ -573,7 +574,7 @@ class GsInstance(NamedTuple):
     i_elt: SdElement
 
 
-def gs_build(spec: QuotientSpec, budgets: Budgets = Budgets()) -> GsInstance:
+def gs_build(spec: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP) -> GsInstance:
     """Images of H and of K = i H i^-1 in the plain quotient of ``spec``.
 
     H's image, all of SL2(Z/m), is walked over entry tuples in the order of
@@ -582,7 +583,7 @@ def gs_build(spec: QuotientSpec, budgets: Budgets = Budgets()) -> GsInstance:
     if spec.rep is not None:
         raise ValidationError("gs_build takes a quotient without a coset action")
     m = spec.m
-    check_closure_cap(sl2_group_order(m), budgets, f"the image of H mod {m}")
+    check_closure_cap(sl2_group_order(m), closure_cap, f"the image of H mod {m}")
     order = [(1, 0, 0, 1)]
     members = set(order)
     for a, b, c, d in order:
@@ -608,15 +609,15 @@ def gs_intersection(instance: GsInstance) -> GeneratedSubgroup:
     return subgroup_intersection(instance.im_h, instance.im_k)
 
 
-def evidence_cross_check(rep: PermRep, m: int, g: GroupWord, budgets: Budgets = Budgets()) -> bool:
+def evidence_cross_check(rep: PermRep, m: int, g: GroupWord, closure_cap: int = DEFAULT_CLOSURE_CAP) -> bool:
     """Whether the image of ``g`` lies in image(H')·image(K) in the plain
     level-m quotient, by listing: image(H') as the pairs (0, u), u over the
     sign-saturated image of ``rep``'s subgroup, and image(K) from
     ``gs_build``.  The oracle of the ``member`` of each transcript entry of
     ``gs.gs_wz_failure``, which reads blocks only."""
     spec = QuotientSpec.make(m)
-    instance = gs_build(spec, budgets)
-    image = _h_prime_image_mod(rep, m, budgets)
+    instance = gs_build(spec, closure_cap)
+    image = _h_prime_image_mod(rep, m, closure_cap)
     im_hp = subgroup_from_elements(SdElement(Mat2.zero(m), u, None) for u in image.elements)
     return product_member(instance.ctx, project(g, spec), im_hp, instance.im_k)
 
@@ -656,18 +657,18 @@ def oracle_gamma_walk(rep: PermRep, n: int, seen=None):
                 yield q, known[0], ModularWord(as_chars(free_reduce(word + (letter,) + _invert(known[1]))))
 
 
-def oracle_gamma_image_order(rep: PermRep, n: int, budgets: Budgets = Budgets()) -> int:
+def oracle_gamma_image_order(rep: PermRep, n: int, closure_cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """|sigma(Gamma(n))| by the walk over all of PSL2(Z/n), not over the
     gcd of n with the level: the closure of the coset permutations of every
     Schreier generator the walk closes, each added when the closure so far
     misses it, as ``modular.gamma_image_order`` once computed it."""
     seen: dict = {}
     ctx = GroupContext(perm_identity(rep.degree), perm_mul, perm_inv, name=f"walk-at-n image of Gamma({n})")
-    image = subgroup_closure(ctx, (), budgets)
-    for _, _, edge in cosetope.modular._gamma_walk(rep, n, budgets, seen):
+    image = subgroup_closure(ctx, (), closure_cap)
+    for _, _, edge in cosetope.modular._gamma_walk(rep, n, closure_cap, seen):
         sigma = rep.word_perm(cosetope.modular._edge_word(seen, edge))
         if sigma not in image:
-            image = subgroup_closure(ctx, image.generators + (sigma,), budgets)
+            image = subgroup_closure(ctx, image.generators + (sigma,), closure_cap)
     return len(image)
 
 
@@ -867,14 +868,15 @@ def oracle_subgroup_generators(rep: PermRep) -> list:
     return [ModularWord(as_chars(w)) for w in schreier_generator_words(0, _rep_action(rep), (S_, -S_, T_, -T_))]
 
 
-def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()):
+def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP):
     """The refinement kernel as the closure of its Schreier generators.
 
     The generators are read off the action of the fine generators on the
     whole coarse quotient, which the walk visits element by element; its
     order is checked against the closure cap first.
     """
-    check_closure_cap(spec_group_order(coarse, budgets), budgets, f"the Schreier walk over the quotient mod {coarse.m}")
+    order = spec_group_order(coarse, closure_cap)
+    check_closure_cap(order, closure_cap, f"the Schreier walk over the quotient mod {coarse.m}")
     fctx = quotient_context(fine)
     restrict = element_restriction(fine, coarse)
     coarse_gens = [restrict(g) for g in fctx.generators]
@@ -887,14 +889,14 @@ def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets =
         return sd_mul(point, letter_element(coarse_gens, letter))
 
     letters = tuple(l for i in range(len(coarse_gens)) for l in (i + 1, -(i + 1)))
-    words = schreier_generator_words(quotient_context(coarse).identity, act, letters, budgets.closure_cap)
+    words = schreier_generator_words(quotient_context(coarse).identity, act, letters, closure_cap)
     kernel_gens = []
     for word in words:
         x = fctx.identity
         for letter in word:
             x = sd_mul(x, letter_element(fctx.generators, letter))
         kernel_gens.append(x)
-    return subgroup_closure(fctx, kernel_gens, budgets)
+    return subgroup_closure(fctx, kernel_gens, closure_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -902,15 +904,15 @@ def schreier_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets =
 # before ``spec_group_order`` gave every order in closed form
 
 
-def quotient_closure_order(spec: QuotientSpec, budgets: Budgets = Budgets()) -> int:
+def quotient_closure_order(spec: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """The number of elements of the quotient of ``spec``, listed by closure."""
-    return len(enumerate_group(quotient_context(spec), budgets))
+    return len(enumerate_group(quotient_context(spec), closure_cap))
 
 
-def linear_closure_order(spec: QuotientSpec, budgets: Budgets = Budgets()) -> int:
+def linear_closure_order(spec: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP) -> int:
     """|L|, the closure of the images of S and T in the quotient of ``spec``."""
     ctx = quotient_context(spec)
-    return len(subgroup_closure(ctx, ctx.generators[4:], budgets))
+    return len(subgroup_closure(ctx, ctx.generators[4:], closure_cap))
 
 
 # ---------------------------------------------------------------------------
@@ -918,13 +920,15 @@ def linear_closure_order(spec: QuotientSpec, budgets: Budgets = Budgets()) -> in
 # ``kernel_of_refinement`` gave its order in closed form
 
 
-def kernel_listing(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets = Budgets()) -> GeneratedSubgroup:
+def kernel_listing(
+    fine: QuotientSpec, coarse: QuotientSpec, closure_cap: int = DEFAULT_CLOSURE_CAP
+) -> GeneratedSubgroup:
     """Every element of ker(fine -> coarse), identity first."""
     if fine == coarse:
         return subgroup_from_elements((quotient_context(fine).identity,))
     if fine.rep is None:
-        return _congruence_kernel(fine.m, coarse.m, budgets)
-    return _coset_action_kernel(fine, coarse, budgets)
+        return _congruence_kernel(fine.m, coarse.m, closure_cap)
+    return _coset_action_kernel(fine, coarse, closure_cap)
 
 
 def _multiples(f: int, c: int):
@@ -932,19 +936,19 @@ def _multiples(f: int, c: int):
     return itertools.product(range(0, f, c), repeat=4)
 
 
-def _kernel_product(f: int, c: int, linear, size: int, budgets: Budgets) -> GeneratedSubgroup:
+def _kernel_product(f: int, c: int, linear, size: int, closure_cap: int) -> GeneratedSubgroup:
     """Every (a, h, sigma) with a = 0 mod c and (h, sigma) in ``linear``.
 
     ``linear`` holds ``size`` pairs, the identity first, and runs outermost,
     so the kernel lists the identity first.  The closure cap is checked on
     the order (f/c)^4 * ``size`` before any element is built.
     """
-    check_closure_cap((f // c) ** 4 * size, budgets, f"refinement kernel {f} -> {c}")
+    check_closure_cap((f // c) ** 4 * size, closure_cap, f"refinement kernel {f} -> {c}")
     additive = [Mat2(w, x, y, z, f) for w, x, y, z in _multiples(f, c)]
     return subgroup_from_elements(SdElement(a, h, sigma) for h, sigma in linear for a in additive)
 
 
-def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
+def _congruence_kernel(f: int, c: int, closure_cap: int) -> GeneratedSubgroup:
     """ker(M2(Z/f) x| SL2(Z/f) -> M2(Z/c) x| SL2(Z/c)) for c dividing f.
 
     Reduction of SL2 is onto, so |SL2(Z/f)| / |SL2(Z/c)| matrices h are
@@ -953,10 +957,10 @@ def _congruence_kernel(f: int, c: int, budgets: Budgets) -> GeneratedSubgroup:
     # 1 + w < f because c >= 2, so these entries are already canonical
     congruent = (Mat2(1 + w, x, y, 1 + z, f) for w, x, y, z in _multiples(f, c))
     linear = ((h, None) for h in congruent if h.det() == 1)
-    return _kernel_product(f, c, linear, sl2_group_order(f) // sl2_group_order(c), budgets)
+    return _kernel_product(f, c, linear, sl2_group_order(f) // sl2_group_order(c), closure_cap)
 
 
-def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budgets) -> GeneratedSubgroup:
+def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, closure_cap: int) -> GeneratedSubgroup:
     """The refinement kernel when the fine quotient carries a coset action.
 
     The closure of L, the images of S and T, runs under the closure cap;
@@ -965,8 +969,8 @@ def _coset_action_kernel(fine: QuotientSpec, coarse: QuotientSpec, budgets: Budg
     fctx = quotient_context(fine)
     restrict = element_restriction(fine, coarse)
     cid = quotient_context(coarse).identity
-    linear = [(x.h, x.sigma) for x in subgroup_closure(fctx, fctx.generators[4:], budgets) if restrict(x) == cid]
-    return _kernel_product(fine.m, coarse.m, linear, len(linear), budgets)
+    linear = [(x.h, x.sigma) for x in subgroup_closure(fctx, fctx.generators[4:], closure_cap) if restrict(x) == cid]
+    return _kernel_product(fine.m, coarse.m, linear, len(linear), closure_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1014,26 @@ def _coset_fibration(fine: PermRep, coarse: PermRep):
     if any(v < 0 for v in section):
         raise ValidationError("coset fibration is not surjective; refinement is invalid")
     return tuple(pmap), tuple(section)
+
+
+def oracle_point_map(fine: Optional[PermRep], coarse: PermRep) -> Optional[tuple]:
+    """``profinite._point_map`` as a walk over the fine points from 0 that
+    carries the coarse point along: the map sends 0 to 0 and commutes with S
+    and T, so it exists exactly when no edge sends a point to two coarse
+    points.  A fine action of None is the one-point action."""
+    fine = fine or ONE_POINT
+    pmap = [-1] * fine.degree
+    pmap[0] = 0
+    queue = [0]
+    for p in queue:
+        for perm, coarse_perm in ((fine.perm_s, coarse.perm_s), (fine.perm_t, coarse.perm_t)):
+            q, image = perm[p], coarse_perm[pmap[p]]
+            if pmap[q] < 0:
+                pmap[q] = image
+                queue.append(q)
+            elif pmap[q] != image:
+                return None
+    return tuple(pmap)
 
 
 def oracle_element_restriction(fine: QuotientSpec, coarse: QuotientSpec):

@@ -6,7 +6,6 @@ import time
 from collections import Counter
 
 from cosetope.arith import Mat2
-from cosetope.budgets import Budgets
 from cosetope.groupcore import (
     SdElement,
     product_member,
@@ -216,14 +215,13 @@ def test_criterion_7_wz_failure_evidence(tmp_path):
     assert evidence["witness"]["displaced_to"] != 0
     # at every recorded congruence level <= 24 the image passes the full
     # double-coset membership scan, not only the reduced subgroup test
-    budgets = Budgets()
     assert evidence["levels"], "no passing level recorded"
     for m in evidence["levels"]:
         assert 2 <= m <= 24
         spec = QuotientSpec.make(m)
         ctx = quotient_context(spec)
-        inst = gs_build(spec, budgets)
-        image = _h_prime_image_mod(rep, m, budgets)
+        inst = gs_build(spec)
+        image = _h_prime_image_mod(rep, m)
         im_hp = subgroup_from_elements(
             SdElement(Mat2.zero(m), u, None) for u in image.elements
         )

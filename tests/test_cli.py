@@ -11,7 +11,6 @@ import pytest
 
 from cosetope import report as rpt
 from cosetope.arith import sl2_group_order
-from cosetope.budgets import Budgets
 from cosetope.cli import LEAST, OPTIONS, main, parse
 from cosetope.errors import ValidationError, shown
 from cosetope.modular import is_congruence, low_index_reps, rep_level
@@ -897,14 +896,6 @@ def test_zero_cap_flag_is_rejected(tmp_path, capsys, flags):
     args = ["quotient", "--modulus", "2", *flags, "--output", str(tmp_path / "q.json")]
     assert main(args) == 2
     assert capsys.readouterr().err == "error: --closure-cap must be at least 1, got 0\n"
-
-
-def test_budgets_are_immutable_values():
-    # cli.parse refuses a cap below 1, so Budgets itself checks nothing
-    with pytest.raises(AttributeError):
-        Budgets().closure_cap = 1
-    assert Budgets(5) == Budgets(closure_cap=5)
-    assert Budgets(5) != Budgets(7)
 
 
 def test_quotient_with_a_coset_action_walks_at_the_gcd_with_its_level(tmp_path, monkeypatch, capsys):

@@ -5,7 +5,8 @@ command is given a value from the golden files, junk JSON (inline or in a
 readable file, drawn for the option's input kind or for any) or boundary
 integers, a required option is sometimes left out and an unknown one
 sometimes added.  Every line sets ``--closure-cap`` to at most 50,000,
-so each run stays small.
+so each run stays small.  Each report a line writes is verified as
+written, and a copy with one drawn edit is refused.
 """
 
 import contextlib
@@ -100,6 +101,41 @@ def command_lines(rng: random.Random, tmp: Path, count: int) -> list:
     return lines
 
 
+def _slots(value) -> list:
+    """Every (container, key) pair below the JSON value ``value``."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    return [slot for key, item in items for slot in ((value, key), *_slots(item))]
+
+
+# each edit, and the start of the one-line refusal verify gives for it
+EDITS = {
+    "leaf": "error: verify failed: result",
+    "key": "error: verify failed: result",
+    "schema": "error: verify failed: unsupported schema",
+    "indent": "error: verify failed: report is not in canonical form (bytes differ)",
+}
+
+
+def edited_report(rng: random.Random, text: str) -> tuple:
+    """The edit drawn from ``EDITS`` and a copy of the report ``text`` with
+    it: a leaf of the result changed, a key of the result dropped, the
+    schema changed, or the canonical bytes indented otherwise."""
+    data = json.loads(text)
+    edit = rng.choice(sorted(EDITS))
+    slots = _slots(data["result"])
+    if edit == "leaf":
+        container, key = rng.choice([(c, k) for c, k in slots if not isinstance(c[k], (dict, list))])
+        old = container[key]
+        container[key] = "0" if old is None else not old if isinstance(old, bool) else f"{old}0"
+    elif edit == "key":
+        container, key = rng.choice([(c, k) for c, k in slots if isinstance(c, dict)])
+        del container[key]
+    elif edit == "schema":
+        data["schema"] = rng.choice(["6", "8", "07", None, 7.0])
+    indent = rng.choice([1, 3, 4]) if edit == "indent" else 2
+    return edit, json.dumps(data, sort_keys=True, indent=indent) + "\n"
+
+
 def _run(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -110,7 +146,8 @@ def _run(argv) -> tuple:
 def test_every_fuzzed_command_line_exits_0_2_or_3_with_a_short_refusal(tmp_path):
     lines = command_lines(random.Random(SEED), tmp_path, LINES)
     assert all(any(a.startswith("--closure-cap") for a in argv) for argv in lines)
-    codes, refusals = [], []
+    codes, refusals, edits = [], [], set()
+    rng = random.Random(SEED)
     for argv in lines:
         (tmp_path / "out.json").unlink(missing_ok=True)
         code, out, err = _run(argv)
@@ -127,8 +164,16 @@ def test_every_fuzzed_command_line_exits_0_2_or_3_with_a_short_refusal(tmp_path)
             assert json.loads(report.read_text())["command"] == argv[0], shown
             code, _, err = _run(["verify", "--report", str(report), "--closure-cap", "50000"])
             assert (code, err) == (0, ""), (shown, err[:300])
+            edit, text = edited_report(rng, report.read_text())
+            report.write_text(text)
+            code, _, err = _run(["verify", "--report", str(report), "--closure-cap", "50000"])
+            assert code == 2 and err.startswith(EDITS[edit]) and err.count("\n") == 1, (shown, edit, err[:300])
+            assert len(err.encode()) <= 300, (shown, edit, err[:300])
+            assert (edit == "key") == ("report says nothing" in err), (shown, edit, err[:300])
+            edits.add(edit)
     # the lines reach every outcome, not only the parser's refusals, and a
     # reader's own check both inline and inside a readable file
     assert {0, 2, 3} <= set(codes) and codes.count(0) >= 25, codes
+    assert edits == set(EDITS)
     assert any("spec 'filter' must be null" in err for err in refusals)
     assert any("JSON in file" in err and "cannot read" not in err for err in refusals)

@@ -10,7 +10,6 @@ import pytest
 
 from cosetope import report as rpt
 from cosetope.arith import Mat2
-from cosetope.budgets import Budgets
 from cosetope.cli import OPTIONS, main, parse
 from cosetope.groupcore import SdElement
 from cosetope.modular import ModularWord, PermRep
@@ -59,7 +58,7 @@ def test_every_command_returns_a_plain_dict(monkeypatch, name):
     # dicts like every other result, at the top and nested
     monkeypatch.chdir(GOLDEN)
     command, config, _, closure_cap = parse(CASES[name])
-    result = OPTIONS[command][0](config, Budgets(closure_cap))
+    result = OPTIONS[command][0](config, closure_cap)
     assert type(result) is dict
     assert _stray_tuples(result) == set()
 

@@ -5,7 +5,6 @@ from collections import Counter
 import pytest
 
 from cosetope.arith import MAT_S, Mat2
-from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, ValidationError
 from cosetope.groupcore import (
     GroupContext,
@@ -160,15 +159,15 @@ def test_lagrange_for_generated_subgroups():
 def test_closure_budget_error_names_budget():
     ctx = sl2_context(5)
     with pytest.raises(BudgetError, match=r"more than 10 elements in SL2\(Z/5\) \(closure_cap\)"):
-        subgroup_closure(ctx, ctx.generators, Budgets(closure_cap=10))
+        subgroup_closure(ctx, ctx.generators, 10)
 
 
 def test_closure_cap_admits_a_group_of_exactly_its_size():
     # SL2(Z/5) has 120 elements: a cap of 120 closes it, one of 119 does not
     ctx = sl2_context(5)
-    assert len(subgroup_closure(ctx, ctx.generators, Budgets(closure_cap=120))) == 120
+    assert len(subgroup_closure(ctx, ctx.generators, 120)) == 120
     with pytest.raises(BudgetError, match="more than 119 elements"):
-        subgroup_closure(ctx, ctx.generators, Budgets(closure_cap=119))
+        subgroup_closure(ctx, ctx.generators, 119)
 
 
 def _counting(ctx: GroupContext):

@@ -4,7 +4,6 @@ from collections import Counter
 import pytest
 
 from cosetope.arith import Mat2
-from cosetope.budgets import Budgets
 from cosetope.errors import BudgetError, ValidationError
 from cosetope.groupcore import (
     SdElement,
@@ -16,7 +15,6 @@ from cosetope.groupcore import (
     subgroup_from_elements,
 )
 from cosetope.gs import _h_prime_image_mod, gs_hk_witness, gs_wz_failure, h_prime_group_words
-from cosetope.budgets import Budgets
 from cosetope.modular import (
     ONE_POINT,
     ModularWord,
@@ -111,9 +109,9 @@ def test_build_matches_the_closure_and_conjugation_oracle():
 
 def test_build_checks_the_closure_cap_before_the_walk_and_refuses_a_coset_action():
     # |SL2(Z/5)| = 120: the cap is checked on that order before any element is listed
-    assert len(gs_build(QuotientSpec.make(5), Budgets(closure_cap=120)).im_h) == 120
+    assert len(gs_build(QuotientSpec.make(5), 120).im_h) == 120
     with pytest.raises(BudgetError, match=r"the image of H mod 5 has 120 elements > 119"):
-        gs_build(QuotientSpec.make(5), Budgets(closure_cap=119))
+        gs_build(QuotientSpec.make(5), 119)
     with pytest.raises(ValidationError, match="without a coset action"):
         gs_build(QuotientSpec.make(2, congruence_rep(2)))
 
@@ -241,10 +239,9 @@ def test_hk_witness_replays_and_respects_bound():
 
 
 def test_orbit_of_identity_equals_matrix_image():
-    budgets = Budgets()
     for rep in (congruence_rep(2), minimal_noncongruence()):
         for m in (2, 3, 4):
-            image = _h_prime_image_mod(rep, m, budgets)
+            image = _h_prime_image_mod(rep, m)
             spec = QuotientSpec.make(m)
             ctx = quotient_context(spec)
             i_elt = SdElement(Mat2.identity(m), Mat2.identity(m), None)
@@ -258,12 +255,11 @@ def test_orbit_of_identity_equals_matrix_image():
 
 
 def test_double_coset_with_conjugator_meets_additive_part_in_orbit():
-    budgets = Budgets()
     rep = congruence_rep(2)
     for m in (2, 3):
         spec = QuotientSpec.make(m)
-        inst = gs_build(spec, budgets)
-        image = _h_prime_image_mod(rep, m, budgets)
+        inst = gs_build(spec)
+        image = _h_prime_image_mod(rep, m)
         im_hp = subgroup_from_elements(
             SdElement(Mat2.zero(m), u, None) for u in image.elements
         )
@@ -275,22 +271,20 @@ def test_double_coset_with_conjugator_meets_additive_part_in_orbit():
 
 
 def test_reduced_membership_equals_double_coset_membership():
-    budgets = Budgets()
     rep = minimal_noncongruence()
     rng = random.Random(43)
     for m in (2, 3):
-        image = _h_prime_image_mod(rep, m, budgets)
+        image = _h_prime_image_mod(rep, m)
         for _ in range(40):
             x = Mat2.ambient(*(rng.randrange(-6, 7) for _ in range(4)))
             g = GroupWord.of_a(x - Mat2.identity())
-            assert evidence_cross_check(rep, m, g, budgets) == (x.reduce(m) in image)
+            assert evidence_cross_check(rep, m, g) == (x.reduce(m) in image)
 
 
 def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
     # the evidence's own g reduces to the identity at every m <= 4, its x
     # lying in Γ(24), so the listing oracle is checked against the blocks on
     # elements that reduce elsewhere
-    budgets = Budgets()
     rng = random.Random(46)
     seen = Counter()
     for rep in (minimal_noncongruence(), congruence_rep(2), congruence_rep(3), congruence_rep(4)):
@@ -299,8 +293,8 @@ def test_evidence_cross_check_agrees_with_the_blocks_off_the_identity():
             for _ in range(25):
                 w = random_word(rng, 10)
                 g = GroupWord.of_a(word_eval(w) - Mat2.identity())
-                member = image_blocks(rep, m, budgets, walks)[rep.word_perm(w)[0]] == 0
-                assert evidence_cross_check(rep, m, g, budgets) == member
+                member = image_blocks(rep, m, walks=walks)[rep.word_perm(w)[0]] == 0
+                assert evidence_cross_check(rep, m, g) == member
                 seen[member] += 1
     assert seen[True] > 50 and seen[False] > 50
 
@@ -336,11 +330,10 @@ def _sl2_closure_image(rep, m):
 
 
 def test_sign_saturated_image_matches_sl2_closure_oracle():
-    budgets = Budgets()
     # the one-point rep's subgroup is the whole modular group: its image is SL2(Z/m)
     for rep in (congruence_rep(2), minimal_noncongruence(), ONE_POINT):
         for m in range(2, 13):
-            derived = _h_prime_image_mod(rep, m, budgets)
+            derived = _h_prime_image_mod(rep, m)
             oracle = _sl2_closure_image(rep, m)
             assert len(derived) == len(oracle), (rep, m)
             assert derived.as_set() == oracle.as_set(), (rep, m)
@@ -352,7 +345,7 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
     evidence = gs_wz_failure(rep, 24)
     assert evidence["status"] == "evidence"
     for m in range(2, 25):
-        _h_prime_image_mod(rep, m, Budgets())
+        _h_prime_image_mod(rep, m)
     assert not closures
     # the witness walk over PSL2(Z/24), of order 4608, comes first; the
     # transcripts then make one check per level m, on the sign-saturated
@@ -360,12 +353,12 @@ def test_wz_failure_closes_no_level_image_and_honours_the_closure_cap(monkeypatc
     # over any cap from 4896 to 6839 it is SL2(Z/19), of order 6840; no
     # level checks its image in PSL2(Z/m), which is 6072 at m = 23
     with pytest.raises(BudgetError, match=r"PSL2\(Z/24\) has 4608"):
-        gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=4607))
+        gs_wz_failure(rep, 24, closure_cap=4607)
     with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 17 has 4896"):
-        gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=4608))
+        gs_wz_failure(rep, 24, closure_cap=4608)
     for cap in (4896, 6071, 6072):
         with pytest.raises(BudgetError, match="the sign-saturated subgroup image mod 19 has 6840"):
-            gs_wz_failure(rep, 24, budgets=Budgets(closure_cap=cap))
+            gs_wz_failure(rep, 24, closure_cap=cap)
 
 
 def test_wz_failure_walks_each_level_gcd_once(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 import cosetope.modular
 from cosetope.arith import MAT_T, Mat2, psl2_group_order
-from cosetope.budgets import Budgets
+from cosetope.budgets import DEFAULT_CLOSURE_CAP
 from cosetope.errors import BudgetError, ValidationError
 from cosetope.groupcore import perm_mul, subgroup_closure
 from cosetope.modular import (
@@ -342,12 +342,12 @@ def test_image_blocks_close_nothing_and_honour_the_closure_cap(monkeypatch):
     # level 2, so the orbits at 6 are walked over PSL2(Z/2), of 6 elements;
     # the cap holds on that walk, not on the image mod 6, of 12 elements,
     # whose callers check what they read off the blocks themselves
-    blocks = image_blocks(rep, 6, Budgets(closure_cap=6))
+    blocks = image_blocks(rep, 6, closure_cap=6)
     assert len(set(blocks)) == rep.degree
     assert psl2_group_order(6) // len(set(blocks)) == 12
     assert image_blocks(rep, 6) == blocks
     with pytest.raises(BudgetError, match=r"PSL2\(Z/2\) has 6 elements"):
-        image_blocks(rep, 6, Budgets(closure_cap=5))
+        image_blocks(rep, 6, closure_cap=5)
     assert not calls
 
 
@@ -381,7 +381,7 @@ def test_image_blocks_at_m_are_those_at_the_gcd_with_the_level():
         for m in range(2, 25):
             g = math.gcd(m, n)
             if g < m and (m <= 12 or g > 5):
-                assert _orbit_blocks(rep, _gamma_walk(rep, m, Budgets())) == image_blocks(rep, m), (rep, m)
+                assert _orbit_blocks(rep, _gamma_walk(rep, m, DEFAULT_CLOSURE_CAP)) == image_blocks(rep, m), (rep, m)
                 pairs += 1
     assert pairs == 416
 
@@ -413,7 +413,7 @@ def test_the_walk_at_level_1_closes_s_and_t_alone():
     # a single orbit is left, and the one-point action is congruence
     for rep in low_index_reps(5):
         seen: dict = {}
-        steps = [(q, p, _edge_word(seen, edge)) for q, p, edge in _gamma_walk(rep, 1, Budgets(), seen)]
+        steps = [(q, p, _edge_word(seen, edge)) for q, p, edge in _gamma_walk(rep, 1, DEFAULT_CLOSURE_CAP, seen)]
         assert steps == [(rep.perm_s[0], 0, ModularWord("S")), (rep.perm_t[0], 0, ModularWord("T"))]
         assert list(seen) == [(0, 0, 0, 0)]
         m = next(p for p in (5, 7, 11) if rep_level(rep) % p)
@@ -428,7 +428,7 @@ def _walk_edges(rep, n, walk):
     if walk is not _gamma_walk:
         return list(walk(rep, n, seen)), list(seen)
     edges = []
-    for q, p, edge in walk(rep, n, Budgets(), seen):
+    for q, p, edge in walk(rep, n, DEFAULT_CLOSURE_CAP, seen):
         edges.append((q, p, _edge_word(seen, edge)))
     return edges, [Mat2(*x, n) for x in seen]
 
@@ -499,9 +499,9 @@ def test_image_blocks_match_klein_fricke_at_levels_up_to_5():
 def test_is_congruence_honours_the_closure_cap():
     rep = next(r for r in low_index_reps(7) if not is_congruence(r))
     with pytest.raises(BudgetError):
-        is_congruence(rep, budgets=Budgets(closure_cap=10))
+        is_congruence(rep, closure_cap=10)
     with pytest.raises(BudgetError):
-        congruence_gap_witness(rep, 24, budgets=Budgets(closure_cap=10))
+        congruence_gap_witness(rep, 24, closure_cap=10)
 
 
 def test_a_level_above_64_is_decided_under_the_default_cap():

@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 import cosetope.profinite as profinite
 from cosetope.arith import Mat2, sl2_group_order
-from cosetope.budgets import Budgets
+from cosetope.budgets import DEFAULT_CLOSURE_CAP
 from cosetope.errors import BudgetError, ValidationError, shown
 from cosetope.gs import l_group_words
 from cosetope.groupcore import (
@@ -20,6 +20,7 @@ from cosetope.groupcore import (
     subgroup_intersection,
 )
 from cosetope.modular import (
+    ONE_POINT,
     ModularWord,
     PermRep,
     gamma_image_order,
@@ -57,6 +58,7 @@ from t_util import (
     linear_closure_order,
     normal_closure,
     oracle_element_restriction,
+    oracle_point_map,
     oracle_refined_by,
     quotient_closure_order,
     random_word,
@@ -123,8 +125,8 @@ def test_closure_by_the_generators_alone_lists_the_inverse_step_closure(monkeypa
     # degree 7, at n = 1 and 2 (g = 1, and g = 2 for the classes of even level)
     closed = []
 
-    def spy(ctx, gens, budgets=Budgets()):
-        image = subgroup_closure(ctx, gens, budgets)
+    def spy(ctx, gens, closure_cap=DEFAULT_CLOSURE_CAP):
+        image = subgroup_closure(ctx, gens, closure_cap)
         closed.append((ctx, tuple(gens), image))
         return image
 
@@ -351,7 +353,7 @@ def test_kernel_with_coset_action_lists_no_quotient_element(monkeypatch):
 
 def test_kernel_budget_fails_before_building():
     with pytest.raises(BudgetError, match="closure_cap"):
-        kernel_of_refinement(QuotientSpec.make(8), QuotientSpec.make(2), Budgets(closure_cap=1000))
+        kernel_of_refinement(QuotientSpec.make(8), QuotientSpec.make(2), 1000)
 
 
 def test_coset_action_kernel_honours_the_closure_cap():
@@ -362,16 +364,16 @@ def test_coset_action_kernel_honours_the_closure_cap():
     rep = congruence_rep(2)
     fine, coarse = QuotientSpec.make(4, rep), QuotientSpec.make(2, rep)
     with pytest.raises(BudgetError, match=r"PSL2\(Z/2\) has 6 elements > 5"):
-        kernel_of_refinement(fine, coarse, Budgets(closure_cap=5))
+        kernel_of_refinement(fine, coarse, 5)
     with pytest.raises(BudgetError, match="refinement kernel 4 -> 2 has 128 elements > 6"):
-        kernel_of_refinement(fine, coarse, Budgets(closure_cap=6))
+        kernel_of_refinement(fine, coarse, 6)
     with pytest.raises(BudgetError, match="refinement kernel 4 -> 2 has 128 elements > 100"):
-        kernel_of_refinement(fine, coarse, Budgets(closure_cap=100))
-    assert len(kernel_of_refinement(fine, coarse, Budgets(closure_cap=128))) == 128
+        kernel_of_refinement(fine, coarse, 100)
+    assert len(kernel_of_refinement(fine, coarse, 128)) == 128
     fine, coarse = QuotientSpec.make(4, NC_REP), QuotientSpec.make(2, NC_REP)
     with pytest.raises(BudgetError, match=r"more than 2519 elements in the coset action of Gamma\(4\)"):
-        kernel_of_refinement(fine, coarse, Budgets(closure_cap=2519))
-    assert len(kernel_of_refinement(fine, coarse, Budgets(closure_cap=2520))) == 128
+        kernel_of_refinement(fine, coarse, 2519)
+    assert len(kernel_of_refinement(fine, coarse, 2520)) == 128
 
 
 def test_restriction_from_plain_to_degree_one_action():
@@ -389,6 +391,19 @@ def test_restriction_from_plain_to_degree_one_action():
 def _specs(m, d_max):
     """The plain quotient mod ``m``, then every subgroup of degree <= ``d_max`` on it."""
     return [QuotientSpec.make(m)] + [QuotientSpec.make(m, rep) for rep in low_index_reps(d_max, classes=False)]
+
+
+def test_point_map_matches_the_walk_over_the_fine_points():
+    # every fine subgroup of degree <= 7, after None (the plain quotient),
+    # against every coarse one of degree <= 5, after ONE_POINT
+    fines = [None, *low_index_reps(7, classes=False)]
+    coarses = [ONE_POINT, *low_index_reps(5, classes=False)]
+    refining = 0
+    for fine, coarse in itertools.product(fines, coarses):
+        pmap = profinite._point_map(fine, coarse)
+        assert pmap == oracle_point_map(fine, coarse), (fine, coarse)
+        refining += pmap is not None
+    assert (len(fines) * len(coarses), refining) == (1680, 206)
 
 
 @pytest.mark.parametrize("f, c, refining", [(2, 2, 144), (4, 2, 144), (3, 2, 0), (6, 3, 144)])
@@ -447,8 +462,8 @@ def _kernel_cases(draw):
 def test_membership_in_u_times_the_kernel_agrees_with_the_listing(case):
     fine, coarse, u_gens, elements, rng = case
     try:
-        listing = kernel_listing(fine, coarse, Budgets(closure_cap=20_000))
-        u = subgroup_closure(quotient_context(fine), u_gens, Budgets(closure_cap=2_000))
+        listing = kernel_listing(fine, coarse, 20_000)
+        u = subgroup_closure(quotient_context(fine), u_gens, 2_000)
     except BudgetError:
         assume(False)
     kernel = kernel_of_refinement(fine, coarse)
@@ -578,7 +593,7 @@ def test_tractable_closes_no_claimed_intersection_that_misses_the_images():
     # precondition before anything closes the claimed generators S and T,
     # whose image mod 8 has 384 elements, more than the cap of 100
     s = (GroupWord.of_word(ModularWord.from_str("S")),)
-    report = tractable_at(s, s, H_GENS, QuotientSpec.make(2), [QuotientSpec.make(8)], Budgets(closure_cap=100))
+    report = tractable_at(s, s, H_GENS, QuotientSpec.make(2), [QuotientSpec.make(8)], 100)
     assert [entry["status"] for entry in report["entries"]] == ["precondition"]
     assert report["found"] is None
 

@@ -345,6 +345,84 @@ def test_budget_name_check_sees_each_spelling():
     ]
 
 
+def cap_takers(sources: dict) -> dict:
+    """The functions in ``sources`` (module name -> text) with a parameter
+    named ``closure_cap``, by name: its place among the positional
+    parameters, or None when it is keyword-only."""
+    takers = {}
+    for text in sources.values():
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef):
+                names = [arg.arg for arg in node.args.posonlyargs + node.args.args]
+                if "closure_cap" in names:
+                    takers[node.name] = names.index("closure_cap")
+                elif any(arg.arg == "closure_cap" for arg in node.args.kwonlyargs):
+                    takers[node.name] = None
+    return takers
+
+
+def cap_omissions(sources: dict) -> list:
+    """Each call in ``sources`` to a ``cap_takers`` function, by bare name or
+    as an attribute, that does not pass the cap, as (module, line, name).
+
+    A call passes it by keyword, or positionally up to its place.  A starred
+    argument hides how many come before that place, so a call with one
+    passes the cap when the name ``closure_cap`` is among its positional
+    arguments.
+    """
+    takers = cap_takers(sources)
+    out = []
+    for module, text in sources.items():
+        for node in ast.walk(ast.parse(text)):
+            name = isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name not in takers or any(kw.arg == "closure_cap" for kw in node.keywords):
+                continue
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                passed = any(isinstance(arg, ast.Name) and arg.id == "closure_cap" for arg in node.args)
+            else:
+                passed = takers[name] is not None and len(node.args) > takers[name]
+            if not passed:
+                out.append((module, node.lineno, name))
+    return sorted(out)
+
+
+def test_every_call_passes_the_closure_cap():
+    # a layer that left the cap out would run under the default cap, whatever
+    # --closure-cap says; 16 library functions, the 11 commands and _report
+    sources = {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+    assert len(cap_takers(sources)) == 28
+    assert cap_omissions(sources) == []
+
+
+def test_cap_omission_check_sees_each_spelling():
+    sources = {
+        "core": (
+            "def close(ctx, gens, closure_cap=5): pass\n"
+            "def walk(rep, n, closure_cap, seen=None): pass\n"
+            "def probe(*, closure_cap=5): pass\n"
+            "def other(closure): pass\n"
+        ),
+        "cli": (
+            "from . import core\n"
+            "def run(config, closure_cap):\n"
+            "    core.close(c, g, closure_cap)\n"
+            "    close(c, g)\n"
+            "    walk(r, n, closure_cap=closure_cap)\n"
+            "    core.walk(r, n)\n"
+            "    probe(closure_cap=3)\n"
+            "    probe(3)\n"
+            "    close(*gens, closure_cap)\n"
+            "    close(*gens, 3)\n"
+            "    other(closure_cap)\n"
+            "    run({})\n"
+        ),
+    }
+    assert cap_takers(sources) == {"close": 2, "walk": 2, "probe": None, "run": 1}
+    assert cap_omissions(sources) == [
+        ("cli", 4, "close"), ("cli", 6, "walk"), ("cli", 8, "probe"), ("cli", 10, "close"), ("cli", 12, "run"),
+    ]
+
+
 _ENVIRONMENT = ("environ", "environb", "getenv", "putenv")
 
 
